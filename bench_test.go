@@ -181,10 +181,10 @@ func BenchmarkFig5dClusteringRecall(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cnt := &core.Counter{}
-				opts := core.ClusteringOptions{}
-				opts.Config.Method = clusterMethod(method)
-				opts.Config.Seed = benchSeed
-				if _, err := core.Clustering(s, core.TaskAll, cnt, opts); err != nil {
+				opts := core.Options{Tasks: core.TaskAll}
+				opts.Clustering.Config.Method = clusterMethod(method)
+				opts.Clustering.Config.Seed = benchSeed
+				if err := core.Compute(s, core.AlgorithmClustering, opts, cnt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -201,28 +201,20 @@ func BenchmarkFig5eScalability(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(benchName("baseline", size), func(b *testing.B) {
-			if size > syntheticSmall {
-				b.Skip("quadratic baseline measured at the small size only")
-			}
-			for i := 0; i < b.N; i++ {
-				core.Baseline(s, core.TaskFull, &core.Counter{})
-			}
-		})
-		b.Run(benchName("cubeMasking", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.CubeMasking(s, core.TaskFull, &core.Counter{}, core.CubeMaskOptions{})
-			}
-		})
-		b.Run(benchName("clustering", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.ClusteringOptions{}
-				opts.Config.Seed = benchSeed
-				if _, err := core.Clustering(s, core.TaskFull, &core.Counter{}, opts); err != nil {
-					b.Fatal(err)
+		opts := core.Options{Tasks: core.TaskFull}
+		opts.Clustering.Config.Seed = benchSeed
+		for _, alg := range []core.Algorithm{core.AlgorithmBaseline, core.AlgorithmCubeMasking, core.AlgorithmClustering} {
+			b.Run(benchName(string(alg), size), func(b *testing.B) {
+				if alg == core.AlgorithmBaseline && size > syntheticSmall {
+					b.Skip("quadratic baseline measured at the small size only")
 				}
-			}
-		})
+				for i := 0; i < b.N; i++ {
+					if err := core.Compute(s, alg, opts, &core.Counter{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -345,36 +337,6 @@ func clusterMethod(s string) cluster.Method {
 	default:
 		return cluster.XMeans
 	}
-}
-
-// ---- Ablation: sparse vs packed occurrence matrix (§3.1 space note) -------
-
-func BenchmarkAblationPackedBaseline(b *testing.B) {
-	benchCore(b, core.AlgorithmBaseline, core.TaskFull, benchSize)
-}
-
-func BenchmarkAblationSparseBaseline(b *testing.B) {
-	benchCore(b, core.AlgorithmBaselineSparse, core.TaskFull, benchSize)
-}
-
-func BenchmarkAblationSparseOMBuild(b *testing.B) {
-	s := realWorldSpace(b, benchSize)
-	b.ReportAllocs()
-	var bytes int
-	for i := 0; i < b.N; i++ {
-		om := core.BuildSparseOM(s)
-		bytes = om.MemoryBytes()
-	}
-	b.ReportMetric(float64(bytes), "rowBytes")
-}
-
-func BenchmarkAblationPackedOMBuild(b *testing.B) {
-	s := realWorldSpace(b, benchSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.BuildOccurrenceMatrix(s)
-	}
-	b.ReportMetric(float64(s.N()*((s.NumCols()+63)/64)*8), "rowBytes")
 }
 
 // ---- Parallel extension: worker-pool variants vs serial (§6) --------------

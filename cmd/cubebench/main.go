@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		figs      = flag.String("fig", "all", "comma-separated figures: 5a,5b,5c,5d,5e,5f,5g,ext,sparse,table4 or all")
+		figs      = flag.String("fig", "all", "comma-separated figures: 5a,5b,5c,5d,5e,5f,5g,ext,table4 or all")
 		sizes     = flag.String("sizes", "", "real-world input sizes, e.g. 2000,4000,8000")
 		synSizes  = flag.String("synthetic-sizes", "", "synthetic input sizes for 5e")
 		seed      = flag.Int64("seed", 1, "generator and clustering seed")
@@ -136,7 +136,6 @@ func main() {
 		{"5f", "Figure 5(f): discovered cubes per input size", bench.Fig5f},
 		{"5g", "Figure 5(g): children pre-fetching vs normal (full containment)", bench.Fig5g},
 		{"ext", "Extensions: cubeMasking vs hybrid vs parallel (full containment)", bench.Extensions},
-		{"sparse", "Ablation: packed vs sparse occurrence matrix (full containment)", bench.SparseAblation},
 	}
 
 	if all || want["table4"] {
@@ -166,9 +165,6 @@ func main() {
 		}
 		if f.id == "5g" {
 			fmt.Println(ratioTable(series))
-		}
-		if f.id == "sparse" {
-			fmt.Println(bytesTable(series))
 		}
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -297,16 +293,6 @@ func cubeTable(s bench.Series) string {
 	fmt.Fprintf(&b, "%-10s %-10s %s\n", "size", "cubes", "ratio")
 	for _, m := range s {
 		fmt.Fprintf(&b, "%-10d %-10.0f %.5f\n", m.Size, m.Extra["cubes"], m.Extra["ratio"])
-	}
-	return b.String()
-}
-
-func bytesTable(s bench.Series) string {
-	var b strings.Builder
-	b.WriteString("occurrence-matrix row storage (bytes):\n")
-	fmt.Fprintf(&b, "%-10s %-10s %s\n", "size", "variant", "rowBytes")
-	for _, m := range s {
-		fmt.Fprintf(&b, "%-10d %-10s %.0f\n", m.Size, m.Approach, m.Extra["rowBytes"])
 	}
 	return b.String()
 }

@@ -48,7 +48,6 @@ import (
 	"rdfcube/internal/core"
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
-	"rdfcube/internal/lattice"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/replica"
@@ -471,27 +470,13 @@ func loadOrCompute(ctx context.Context, rot *snapshot.Rotator, load, genK string
 		return nil, err
 	}
 	start := time.Now()
-	s, err := core.NewSpaceObs(corpus, col)
+	s, res, err := core.ComputeCorpusCtx(ctx, corpus, alg, core.Options{Tasks: tasks, Obs: col})
 	if err != nil {
 		return nil, err
 	}
-	res := core.NewResult()
-	var l *lattice.Lattice
-	switch alg {
-	case core.AlgorithmCubeMasking:
-		l, err = core.CubeMaskingCtx(ctx, s, tasks, res, core.CubeMaskOptions{})
-	case core.AlgorithmCubeMaskingPrefetch:
-		l, err = core.CubeMaskingCtx(ctx, s, tasks, res, core.CubeMaskOptions{PrefetchChildren: true})
-	default:
-		err = core.ComputeCtx(ctx, s, alg, core.Options{Tasks: tasks, Obs: col}, res)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Sort()
 	logf("computed %d/%d/%d full/partial/compl pairs over %d observations with %s in %s",
 		len(res.FullSet), len(res.PartialSet), len(res.ComplSet), s.N(), alg, time.Since(start).Round(time.Millisecond))
-	sn := snapshot.New(s, res, l)
+	sn := snapshot.New(s, res, core.BuildLattice(s))
 	if rot != nil {
 		data, err := sn.Encode()
 		if err != nil {
@@ -538,14 +523,9 @@ func runCheck(rot *snapshot.Rotator, alg core.Algorithm, tasks core.Tasks, stdou
 	}
 	logf("checking snapshot %s", from)
 	fresh := core.NewResult()
-	switch alg {
-	case core.AlgorithmCubeMasking, core.AlgorithmCubeMaskingPrefetch:
-		core.CubeMasking(sn.Space, tasks, fresh, core.CubeMaskOptions{})
-	default:
-		if err := core.Compute(sn.Space, alg, core.Options{Tasks: tasks}, fresh); err != nil {
-			logf("%v", err)
-			return 1
-		}
+	if err := core.Compute(sn.Space, alg, core.Options{Tasks: tasks}, fresh); err != nil {
+		logf("%v", err)
+		return 1
 	}
 	fresh.Sort()
 	persisted := &core.Result{

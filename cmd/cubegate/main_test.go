@@ -41,14 +41,11 @@ func (b *syncBuffer) String() string {
 
 func startShard(t *testing.T, w *gen.ShardWorld) string {
 	t.Helper()
-	s, err := core.NewSpace(w.Corpus)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), w.Corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
-		t.Fatalf("NewSpace: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	srv, err := serve.New(snapshot.New(s, res, l), serve.Config{})
+	srv, err := serve.New(snapshot.New(s, res, nil), serve.Config{})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}

@@ -151,14 +151,11 @@ func buildCorpus(cfg loadgen.PlanConfig) *qb.Corpus {
 // it in an in-process serve.Server with a Collector recorder, mirroring
 // what cubed serves (minus the WAL: a load run's inserts are ephemeral).
 func buildServer(corpus *qb.Corpus, cfg loadgen.PlanConfig) *serve.Server {
-	s, err := core.NewSpace(corpus)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
-		fatal("NewSpace: %v", err)
+		fatal("compute: %v", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	srv, err := serve.New(snapshot.New(s, res, l), serve.Config{
+	srv, err := serve.New(snapshot.New(s, res, core.BuildLattice(s)), serve.Config{
 		Recorder: obsv.NewCollector(),
 		Workers:  runtime.GOMAXPROCS(0),
 	})

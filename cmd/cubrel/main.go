@@ -147,8 +147,9 @@ func main() {
 	}
 
 	// Two-stage interrupt: the first ^C cancels the compute cooperatively
-	// — the partial result (an exact serial-order prefix of the full run)
-	// is salvaged and printed below — and a second ^C force-quits.
+	// — the partial result (a subset of the full run's sets; a prefix of
+	// its stream when the run was serial) is salvaged and printed below —
+	// and a second ^C force-quits.
 	ctx, stopSig := sigctx.Install(context.Background(), func(second bool) {
 		if second {
 			fmt.Fprintln(os.Stderr, "cubrel: second interrupt, exiting now")
@@ -169,7 +170,7 @@ func main() {
 	if canceled {
 		f, p, c := comp.Result.Counts()
 		fmt.Fprintf(os.Stderr, "cubrel: canceled after %s: %v\n", elapsed.Round(time.Millisecond), err)
-		fmt.Fprintf(os.Stderr, "cubrel: salvaged %d full, %d partial, %d complementarity pairs (an exact prefix of the full run's output)\n", f, p, c)
+		fmt.Fprintf(os.Stderr, "cubrel: salvaged %d full, %d partial, %d complementarity pairs (a subset of the full run's output)\n", f, p, c)
 	}
 	if *metrics {
 		fmt.Fprint(os.Stderr, col.Report())
@@ -288,13 +289,11 @@ func applyRollUp(corpus *rdfcube.Corpus, spec, aggName string) (*rdfcube.Corpus,
 // printRelatedness computes all relationships and prints the source
 // relatedness ranking and score matrix.
 func printRelatedness(corpus *rdfcube.Corpus) error {
-	space, err := rdfcube.Compile(corpus)
+	comp, err := rdfcube.Compute(corpus, rdfcube.CubeMasking, rdfcube.Options{})
 	if err != nil {
 		return err
 	}
-	res := core.NewResult()
-	core.CubeMasking(space, core.TaskAll, res, core.CubeMaskOptions{})
-	rel := core.ComputeRelatedness(space, res)
+	rel := core.ComputeRelatedness(comp.Space, comp.Result)
 	fmt.Println("most related dataset pairs:")
 	for i, e := range rel.MostRelated() {
 		if i >= 10 {

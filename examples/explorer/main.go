@@ -21,10 +21,11 @@ import (
 
 func main() {
 	corpus := rdfcube.GenerateRealWorld(2500, 7)
-	space, err := rdfcube.Compile(corpus)
+	comp, err := rdfcube.Compute(corpus, rdfcube.CubeMasking, rdfcube.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	space := comp.Space
 	ix, err := core.BuildIndex(space, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -71,9 +72,7 @@ func main() {
 	}
 
 	// (b) source relatedness: which dataset pairs combine best?
-	res := core.NewResult()
-	core.CubeMasking(space, core.TaskAll, res, core.CubeMaskOptions{})
-	rel := core.ComputeRelatedness(space, res)
+	rel := core.ComputeRelatedness(space, comp.Result)
 	fmt.Println("\nmost related dataset pairs (normalized score):")
 	for i, e := range rel.MostRelated() {
 		if i >= 6 {

@@ -44,7 +44,7 @@ type Config struct {
 	// GOMAXPROCS.
 	Workers int
 	// Obs, when non-nil, observes every core algorithm run of the suite
-	// (progress streaming, aggregate counters). Each RunCore additionally
+	// (progress streaming, aggregate counters). Each RunCoreCtx additionally
 	// attaches its own per-run collector, so Measurement.Counters is
 	// populated regardless.
 	Obs obsv.Recorder
@@ -168,18 +168,18 @@ func Fig5d(cfg Config) (Series, error) {
 		s.SetRecorder(cfg.Obs)
 		truth := &core.Counter{}
 		start := time.Now()
-		if err := core.BaselineCtx(cfg.Ctx, s, core.TaskAll, truth); err != nil {
+		if err := core.ComputeCtx(cfg.Ctx, s, core.AlgorithmBaseline, core.Options{Tasks: core.TaskAll}, truth); err != nil {
 			return nil, err
 		}
 		baseDur := time.Since(start)
 		denom := truth.NFull + truth.NPartial + truth.NCompl
 		for _, method := range []cluster.Method{cluster.Canopy, cluster.Hierarchical, cluster.XMeans} {
 			cnt := &core.Counter{}
-			opts := core.ClusteringOptions{}
-			opts.Config.Method = method
-			opts.Config.Seed = cfg.Seed
+			opts := core.Options{Tasks: core.TaskAll}
+			opts.Clustering.Config.Method = method
+			opts.Clustering.Config.Seed = cfg.Seed
 			start := time.Now()
-			if _, err := core.ClusteringCtx(cfg.Ctx, s, core.TaskAll, cnt, opts); err != nil {
+			if err := core.ComputeCtx(cfg.Ctx, s, core.AlgorithmClustering, opts, cnt); err != nil {
 				return nil, err
 			}
 			d := time.Since(start)
@@ -323,37 +323,6 @@ func Extensions(cfg Config) (Series, error) {
 			m.Size = size
 			out = append(out, m)
 		}
-	}
-	return out, nil
-}
-
-// SparseAblation benchmarks the packed vs. sparse occurrence-matrix
-// baselines (the §3.1 space-efficiency note): execution time plus the
-// row-storage footprint of each representation.
-func SparseAblation(cfg Config) (Series, error) {
-	cfg = cfg.withDefaults()
-	var out Series
-	for _, size := range cfg.Sizes {
-		s, _, err := realSpace(size, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		packed, err := RunCoreCtx(cfg.Ctx, s, core.AlgorithmBaseline, rules.FullContainment, core.Options{Obs: cfg.Obs})
-		if err != nil {
-			return nil, err
-		}
-		packed.Figure, packed.Size, packed.Approach = "sparse", size, "packed"
-		packed.Extra = map[string]float64{
-			"rowBytes": float64(s.N() * ((s.NumCols() + 63) / 64) * 8),
-		}
-		sparse, err := RunCoreCtx(cfg.Ctx, s, core.AlgorithmBaselineSparse, rules.FullContainment, core.Options{Obs: cfg.Obs})
-		if err != nil {
-			return nil, err
-		}
-		sparse.Figure, sparse.Size, sparse.Approach = "sparse", size, "sparse"
-		som := core.BuildSparseOM(s)
-		sparse.Extra = map[string]float64{"rowBytes": float64(som.MemoryBytes())}
-		out = append(out, packed, sparse)
 	}
 	return out, nil
 }

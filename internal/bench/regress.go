@@ -207,11 +207,11 @@ func calibrationParEntry(workers int, benchTime time.Duration) BenchResult {
 //	subset-loop        the §3.1 inner subset test over real OM rows —
 //	                   the hot path; must stay at 0 allocs/op
 //	baseline/*         serial §3.1 scan, small and medium inputs
-//	baseline-parN/*    ParallelBaseline at N workers
+//	baseline-parN/*    the same with Options.Workers = N
 //	clustering/medium  serial §3.2 (pinned seed), with measured recall
-//	clustering-parN/…  ParallelClustering
+//	clustering-parN/…  the same with Options.Workers = N
 //	cubemasking/medium serial §3.3
-//	cubemasking-parN/… ParallelCubeMasking
+//	cubemasking-parN/… AlgorithmParallel with Options.Workers = N
 func RunRegression(cfg RegressConfig) (*BenchReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &BenchReport{
@@ -304,7 +304,9 @@ func RunRegression(cfg RegressConfig) (*BenchReport, error) {
 	// quality metric rides along so a perf "win" that comes from dropping
 	// pairs is caught by the recall gate.
 	truth := core.NewResult()
-	core.Baseline(ms, core.TaskAll, truth)
+	if err := core.Compute(ms, core.AlgorithmBaseline, core.Options{Tasks: core.TaskAll}, truth); err != nil {
+		return nil, err
+	}
 	truth.Sort()
 	cres := core.NewResult()
 	copts := core.Options{Tasks: core.TaskAll}

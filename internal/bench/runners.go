@@ -56,16 +56,11 @@ func taskFor(rel rules.Relationship) core.Tasks {
 	}
 }
 
-// RunCore times one core algorithm computing one relationship over the
-// space, counting (not materializing) the result pairs.
-func RunCore(s *core.Space, alg core.Algorithm, rel rules.Relationship, opts core.Options) (Measurement, error) {
-	return RunCoreCtx(nil, s, alg, rel, opts)
-}
-
-// RunCoreCtx is RunCore under a context: a canceled ctx aborts the run
-// at the kernel's next pair-budget poll and returns the *CanceledError,
-// so a ^C during a long sweep does not have to ride out a Θ(n²) scan.
-// A nil ctx behaves like context.Background().
+// RunCoreCtx times one core algorithm computing one relationship over the
+// space, counting (not materializing) the result pairs. A canceled ctx
+// aborts the run at the kernel's next pair-budget poll and returns the
+// *CanceledError, so a ^C during a long sweep does not have to ride out a
+// Θ(n²) scan. A nil ctx behaves like context.Background().
 func RunCoreCtx(ctx context.Context, s *core.Space, alg core.Algorithm, rel rules.Relationship, opts core.Options) (Measurement, error) {
 	opts.Tasks = taskFor(rel)
 	col := obsv.NewCollector()

@@ -38,6 +38,7 @@ import (
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/obsv"
+	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/serve"
 	"rdfcube/internal/snapshot"
@@ -141,14 +142,11 @@ func New(opt Options) (*Harness, error) {
 	h.rot = snapshot.NewRotator(h.mem, "snap.bin")
 
 	corpus := gen.PaperExample()
-	s, err := core.NewSpace(corpus)
+	sn, err := computeSnapshot(corpus)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: building space: %w", err)
+		return nil, fmt.Errorf("chaos: computing seed state: %w", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	data, err := snapshot.New(s, res, l).Encode()
+	data, err := sn.Encode()
 	if err != nil {
 		return nil, fmt.Errorf("chaos: encoding seed snapshot: %w", err)
 	}
@@ -159,6 +157,17 @@ func New(opt Options) (*Harness, error) {
 		return nil, err
 	}
 	return h, nil
+}
+
+// computeSnapshot computes a corpus's relationship state the way cubed
+// does — cubeMasking over all three tasks, sorted, lattice retained — the
+// state every harness seeds its servers with.
+func computeSnapshot(c *qb.Corpus) (*snapshot.Snapshot, error) {
+	s, res, err := core.ComputeCorpusCtx(context.Background(), c, core.AlgorithmCubeMasking, core.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.New(s, res, core.BuildLattice(s)), nil
 }
 
 func (h *Harness) logf(format string, a ...any) {

@@ -128,14 +128,11 @@ func NewFailover(opt FailoverOptions) (*FailoverHarness, error) {
 	h.rot = snapshot.NewRotator(h.mem, "snap.bin")
 
 	corpus := gen.PaperExample()
-	s, err := core.NewSpace(corpus)
+	sn, err := computeSnapshot(corpus)
 	if err != nil {
-		return nil, fmt.Errorf("failover: building space: %w", err)
+		return nil, fmt.Errorf("failover: computing seed state: %w", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	data, err := snapshot.New(s, res, l).Encode()
+	data, err := sn.Encode()
 	if err != nil {
 		return nil, fmt.Errorf("failover: encoding seed snapshot: %w", err)
 	}

@@ -43,13 +43,11 @@ import (
 	"testing"
 	"time"
 
-	"rdfcube/internal/core"
 	"rdfcube/internal/gate"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/netchaos"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/serve"
-	"rdfcube/internal/snapshot"
 )
 
 // GateOptions tunes one partition soak. The zero value is a quick
@@ -297,14 +295,11 @@ func NewGateHarness(opt GateOptions) (*GateHarness, error) {
 // buildGateShardServer computes relationships over one corpus and wraps
 // them in a serve.Server.
 func buildGateShardServer(w *gen.ShardWorld) (*serve.Server, error) {
-	s, err := core.NewSpace(w.Corpus)
+	sn, err := computeSnapshot(w.Corpus)
 	if err != nil {
-		return nil, fmt.Errorf("gatechaos: building space: %w", err)
+		return nil, fmt.Errorf("gatechaos: computing shard state: %w", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	return serve.New(snapshot.New(s, res, l), serve.Config{})
+	return serve.New(sn, serve.Config{})
 }
 
 // Close tears the world down: gates first (stops probes and inbound

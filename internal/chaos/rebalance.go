@@ -54,7 +54,6 @@ import (
 	"testing"
 	"time"
 
-	"rdfcube/internal/core"
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gate"
 	"rdfcube/internal/gen"
@@ -62,7 +61,6 @@ import (
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/serve"
-	"rdfcube/internal/snapshot"
 	"rdfcube/internal/wal"
 )
 
@@ -170,13 +168,10 @@ func (h *RebalanceHarness) logf(format string, a ...any) {
 // registration checkpoint hook wired — /v1/snapshot, /v1/wal and
 // POST /v1/datasets all live, the shape cubed runs in production.
 func buildRebalanceShard(c *qb.Corpus) (*serve.Server, error) {
-	s, err := core.NewSpace(c)
+	sn, err := computeSnapshot(c)
 	if err != nil {
-		return nil, fmt.Errorf("rebalance: building space: %w", err)
+		return nil, fmt.Errorf("rebalance: computing shard state: %w", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
 	wlog, _, err := wal.Open(faultfs.NewMemFS(), "cube.wal")
 	if err != nil {
 		return nil, fmt.Errorf("rebalance: opening wal: %w", err)
@@ -185,7 +180,7 @@ func buildRebalanceShard(c *qb.Corpus) (*serve.Server, error) {
 	cfg := serve.Config{WAL: wlog, CheckpointNow: func() error {
 		return srv.CheckpointWith(func([]byte) error { return nil })
 	}}
-	srv, err = serve.New(snapshot.New(s, res, l), cfg)
+	srv, err = serve.New(sn, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("rebalance: serve.New: %w", err)
 	}

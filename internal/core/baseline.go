@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	mbits "math/bits"
 	"sync"
 
@@ -31,29 +30,84 @@ const (
 // Has reports whether t includes all flags of q.
 func (t Tasks) Has(q Tasks) bool { return t&q == q }
 
-// Baseline runs the paper's §3.1 algorithm: materialize the occurrence
+// minParallelRows is the input size below which the baseline ignores
+// Workers and scans serially: goroutine and merge overhead dominates on
+// tiny inputs.
+const minParallelRows = 64
+
+// baseline runs the paper's §3.1 algorithm: materialize the occurrence
 // matrix and compare every observation pair with the per-dimension bit-
 // vector conditional function, streaming relationships into sink. It is
 // Θ(n²) in pairs; both directions of a pair are resolved in one visit.
-func Baseline(s *Space, tasks Tasks, sink Sink) {
-	_ = baselineG(s, tasks, sink, nil)
-}
-
-// BaselineCtx is Baseline with cooperative cancellation: the scan polls
-// ctx every guardPairStride ordered pairs and, when canceled, returns a
-// *CanceledError (errors.Is(err, ErrCanceled)) having emitted an exact
-// prefix of the serial emission stream into sink. A background context
-// reproduces Baseline's unguarded fast path bit for bit.
-func BaselineCtx(ctx context.Context, s *Space, tasks Tasks, sink Sink) error {
-	return baselineG(s, tasks, sink, newGuard(ctx, 0, 0))
-}
-
-func baselineG(s *Space, tasks Tasks, sink Sink, g *guard) error {
+//
+// With workers > 1 the upper-triangle pair scan is sharded over contiguous
+// row blocks of the occurrence matrix (the paper's §6 "distributed and
+// parallel contexts" item as shared-memory parallelism): workers claim
+// blocks from the shard pool and scan them with the same allocation-free
+// inner loop as the serial run. Counters match the serial run
+// (obs.pairs.compared totals exactly n·(n−1)) plus the pool's own
+// parallel.rows and per-worker parallel.worker.<id>.rows.
+//
+// A tripped guard makes the serial scan return a *CanceledError having
+// emitted an exact prefix of its emission stream; a nil guard keeps the
+// unguarded fast path (one nil check per pair batch).
+func baseline(s *Space, tasks Tasks, sink Sink, workers int, g *guard, fault func(int)) error {
 	om := BuildOccurrenceMatrix(s)
-	sink = instrumentSink(s, sink)
+	n := s.N()
 	endCompare := s.span(SpanCompare)
 	defer endCompare()
-	return baselineOverG(om, nil, tasks, sink, g)
+	if workers <= 1 || n < minParallelRows {
+		return baselineRows(om, nil, 0, n, tasks, instrumentSink(s, sink), g)
+	}
+	// Several blocks per worker so work-stealing can absorb skew from the
+	// pair-count balancing being approximate.
+	blocks := rowBlocks(n, workers*4)
+	return runShardPool(s, shardPool{
+		kind:     "rows",
+		totalCtr: CtrParallelRows,
+		weight:   func(bi int) int64 { return int64(blocks[bi][1] - blocks[bi][0]) },
+		scan: func(bi int, local Sink, _ any) error {
+			b := blocks[bi]
+			return baselineRows(om, nil, b[0], b[1], tasks, local, g)
+		},
+		fingerprint: func(bi int) string {
+			b := blocks[bi]
+			return shardFingerprint("baseline", bi, b[0], b[1], nil)
+		},
+	}, len(blocks), workers, sink, g, fault)
+}
+
+// rowBlocks splits the outer-row index range [0, n) of an upper-triangle
+// pair scan into contiguous blocks with approximately equal pair counts.
+// Early rows pair with nearly n partners and late rows with few, so equal
+// row counts would starve the workers that drew late blocks; equal pair
+// counts keep them busy. The block list only depends on n and the target
+// count, so the shard layout is deterministic for a given input and
+// worker count.
+func rowBlocks(n, targetBlocks int) [][2]int {
+	if targetBlocks < 1 {
+		targetBlocks = 1
+	}
+	if targetBlocks > n {
+		targetBlocks = n
+	}
+	totalPairs := float64(n) * float64(n-1) / 2
+	perBlock := totalPairs / float64(targetBlocks)
+	var blocks [][2]int
+	lo := 0
+	acc := 0.0
+	for x := 0; x < n; x++ {
+		acc += float64(n - 1 - x)
+		if acc >= perBlock || x == n-1 {
+			blocks = append(blocks, [2]int{lo, x + 1})
+			lo = x + 1
+			acc = 0
+		}
+	}
+	if lo < n {
+		blocks = append(blocks, [2]int{lo, n})
+	}
+	return blocks
 }
 
 // dimArena hands out small []int slices carved from large slabs, so
@@ -84,11 +138,11 @@ func (a *dimArena) take(src []int) []int {
 	return a.buf[start:len(a.buf):len(a.buf)]
 }
 
-// baselineScratch is the per-call working set of BaselineOver: the identity
+// baselineScratch is the per-call working set of baselineRows: the identity
 // index (when the caller scans everything), the candidate-row batch with
 // its per-lane degree counters and flat dimension buffers, and the map_P
 // arena. Scratches are recycled through a sync.Pool so repeated scans —
-// per cluster in the clustering algorithm, per row block in the parallel
+// per cluster in the clustering algorithm, per row block in the pooled
 // baseline — allocate nothing in steady state.
 type baselineScratch struct {
 	idx  []int
@@ -116,40 +170,14 @@ func (sc *baselineScratch) identity(n int) []int {
 	return sc.idx[:n]
 }
 
-// BaselineOver runs the baseline pair scan over a subset of observation
-// indices (nil means all). The clustering algorithm reuses it per cluster,
-// and the parallel baseline runs it per row block (see BaselineBlock).
-// Comparison counters are batched locally and flushed per outer row. The
-// scan itself is allocation-free: scratch state comes from a pool and the
-// map_P dimension lists are carved from a slab arena.
-func BaselineOver(om *OccurrenceMatrix, idx []int, tasks Tasks, sink Sink) {
-	_ = baselineOverG(om, idx, tasks, sink, nil)
-}
-
-// baselineOverG is BaselineOver with a guard; a nil guard keeps the
-// unguarded fast path (one nil check per pair batch).
-func baselineOverG(om *OccurrenceMatrix, idx []int, tasks Tasks, sink Sink, g *guard) error {
-	sc := baselineScratchPool.Get().(*baselineScratch)
-	defer baselineScratchPool.Put(sc)
-	if idx == nil {
-		idx = sc.identity(om.Space.N())
-	}
-	return baselineScan(om, idx, 0, len(idx), tasks, sink, sc, g)
-}
-
-// BaselineBlock scans the outer rows idx[lo:hi] of the upper-triangle pair
-// loop against every later row of idx — the unit of work of the parallel
-// baseline's row-block sharding. Emission order within a block is exactly
-// the serial BaselineOver order restricted to those outer rows, which is
-// what makes the ordered block replay reproduce the serial emission stream
-// bit for bit.
-func BaselineBlock(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, sink Sink) {
-	_ = baselineBlockG(om, idx, lo, hi, tasks, sink, nil)
-}
-
-// baselineBlockG is BaselineBlock with a guard for cooperative
-// cancellation inside parallel workers.
-func baselineBlockG(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, sink Sink, g *guard) error {
+// baselineRows runs the baseline pair scan over a subset of observation
+// indices (nil means all): outer rows idx[lo:hi] of the upper-triangle
+// pair loop against every later row of idx. The serial baseline passes the
+// whole range, the clustering algorithm one cluster's members, and the
+// pooled baseline one row block. The scan itself is allocation-free:
+// scratch state comes from a pool and the map_P dimension lists are carved
+// from a slab arena.
+func baselineRows(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, sink Sink, g *guard) error {
 	sc := baselineScratchPool.Get().(*baselineScratch)
 	defer baselineScratchPool.Put(sc)
 	if idx == nil {
@@ -158,15 +186,15 @@ func baselineBlockG(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, si
 	return baselineScan(om, idx, lo, hi, tasks, sink, sc, g)
 }
 
-// baselineScan is the shared §3.1 inner loop: outer rows x in [lo, hi),
-// inner rows y in (x, len(idx)), visited in batches of up to
-// bitvec.BatchMax candidate rows. Each batch makes ONE pass over the
-// dimensions with the fused SubsetBatchBoth kernel — the outer row's words
-// are loaded once per batch instead of once per pair, and the per-
-// dimension boundary masks are computed once per batch — then the batch's
-// emissions are flushed lane by lane in the exact order the pair-at-a-time
-// scan produced them, so emission-order contracts (bit-identical parallel
-// replay, cancel prefixes) are unchanged.
+// baselineScan is the §3.1 inner loop: outer rows x in [lo, hi), inner
+// rows y in (x, len(idx)), visited in batches of up to bitvec.BatchMax
+// candidate rows. Each batch makes ONE pass over the dimensions with the
+// fused SubsetBatchBoth kernel — the outer row's words are loaded once per
+// batch instead of once per pair, and the per-dimension boundary masks are
+// computed once per batch — then the batch's emissions are flushed lane by
+// lane in the order a pair-at-a-time scan would produce them, which is the
+// order the serial cancel-prefix contract is stated in. Comparison
+// counters are batched locally and flushed per outer row.
 //
 // When g is non-nil the scan charges the guard at batch granularity (the
 // stride check runs before each batch, so abort points fall between

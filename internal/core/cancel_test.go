@@ -66,7 +66,7 @@ func countEmissions(buf []byte) int {
 // serialAlgorithms lists every serial kernel with deterministic output.
 func serialAlgorithms() []Algorithm {
 	return []Algorithm{
-		AlgorithmBaseline, AlgorithmBaselineSparse, AlgorithmClustering,
+		AlgorithmBaseline, AlgorithmClustering,
 		AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch, AlgorithmHybrid,
 	}
 }
@@ -254,43 +254,10 @@ func TestStallWatchdog(t *testing.T) {
 	}
 }
 
-// TestParallelCancelPrefix: canceled StrongReplay parallel runs still
-// deliver an exact serial-order prefix — the tape replay drops incomplete
-// shards, so the sink never sees out-of-order or partial-shard output.
-func TestParallelCancelPrefix(t *testing.T) {
-	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
-	s, err := NewSpace(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
-		want := &eventSink{}
-		if err := Compute(s, alg, cancelTestOptions(), want); err != nil {
-			t.Fatal(err)
-		}
-		for _, budget := range []int64{1, guardPairStride, 4 * guardPairStride, 16 * guardPairStride} {
-			opts := cancelTestOptions()
-			opts.Workers = 4
-			opts.StrongReplay = true
-			opts.MaxPairs = budget
-			got := &eventSink{}
-			err := Compute(s, alg, opts, got)
-			if err != nil && !errors.Is(err, ErrCanceled) {
-				t.Fatalf("%s budget=%d: %v", alg, budget, err)
-			}
-			if !bytes.HasPrefix(want.buf, got.buf) {
-				t.Fatalf("%s budget=%d: parallel canceled stream (%d bytes) is not a prefix of the serial stream (%d bytes)",
-					alg, budget, len(got.buf), len(want.buf))
-			}
-		}
-	}
-}
-
-// TestParallelCancelDirectSalvage: canceled direct-emit parallel runs (the
-// default) deliver the union of complete shards — every salvaged
-// relationship also appears in the full run (exactly-once, no partial
-// shards, no duplicates), even though the stream is not an ordered prefix.
+// TestParallelCancelDirectSalvage: canceled pooled runs deliver complete
+// shards plus already-flushed chunks — every salvaged relationship also
+// appears in the full run, exactly once, even though the stream is not an
+// ordered prefix.
 func TestParallelCancelDirectSalvage(t *testing.T) {
 	leakcheck.Check(t)
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
@@ -300,9 +267,7 @@ func TestParallelCancelDirectSalvage(t *testing.T) {
 	}
 	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
 		full := NewResult()
-		if err := Compute(s, alg, cancelTestOptions(), full); err != nil {
-			t.Fatal(err)
-		}
+		mustCompute(t, s, alg, serialOptions(cancelTestOptions()), full)
 		seen := map[[3]int]bool{}
 		record := func(kind int, ps []Pair) {
 			for _, p := range ps {
@@ -342,10 +307,9 @@ func TestParallelCancelDirectSalvage(t *testing.T) {
 }
 
 // TestShardPanicRetry: a shard that panics once under a worker is retried
-// serially and the run completes with output identical to a clean run —
-// byte-identical under StrongReplay, set-identical under direct emit (the
-// retried shard's flush lands out of order but exactly once); the retry is
-// visible in the counters either way.
+// serially and the run completes with output identical, as a set, to a
+// clean serial run (the retried shard's flush lands out of order but
+// exactly once); the retry is visible in the counters.
 func TestShardPanicRetry(t *testing.T) {
 	leakcheck.Check(t)
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
@@ -353,18 +317,15 @@ func TestShardPanicRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
-		want := &eventSink{}
-		if err := Compute(s, alg, cancelTestOptions(), want); err != nil {
-			t.Fatal(err)
-		}
-		for _, strong := range []bool{true, false} {
+	forEachGOMAXPROCS(t, func(t *testing.T) {
+		for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
+			want := &eventSink{}
+			mustCompute(t, s, alg, serialOptions(cancelTestOptions()), want)
 			var mu sync.Mutex
 			panicked := false
 			col := obsv.NewCollector()
 			opts := cancelTestOptions()
 			opts.Workers = 4
-			opts.StrongReplay = strong
 			opts.Obs = col
 			opts.ShardFault = func(shard int) {
 				mu.Lock()
@@ -376,24 +337,19 @@ func TestShardPanicRetry(t *testing.T) {
 			}
 			got := &eventSink{}
 			if err := Compute(s, alg, opts, got); err != nil {
-				t.Fatalf("%s strong=%v: run with a once-panicking shard should recover, got %v", alg, strong, err)
+				t.Fatalf("%s: run with a once-panicking shard should recover, got %v", alg, err)
 			}
 			s.SetRecorder(nil)
-			if strong {
-				if !bytes.Equal(got.buf, want.buf) {
-					t.Fatalf("%s: recovered run's stream differs from the clean serial stream (%d vs %d bytes)",
-						alg, len(got.buf), len(want.buf))
-				}
-			} else if !got.equalAsSets(want) {
-				t.Fatalf("%s: recovered direct-emit run's emissions differ as a set from the clean serial run", alg)
+			if !got.equalAsSets(want) {
+				t.Fatalf("%s: recovered run's emissions differ as a set from the clean serial run", alg)
 			}
 			snap := col.Snapshot()
 			if snap[CtrShardPanics] == 0 || snap[CtrShardRetries] == 0 {
-				t.Errorf("%s strong=%v: retry not visible in counters: panics=%v retries=%v",
-					alg, strong, snap[CtrShardPanics], snap[CtrShardRetries])
+				t.Errorf("%s: retry not visible in counters: panics=%v retries=%v",
+					alg, snap[CtrShardPanics], snap[CtrShardRetries])
 			}
 		}
-	}
+	})
 }
 
 // TestShardPanicTwice: a shard that panics under the worker AND during
@@ -442,7 +398,7 @@ func TestShardPanicTwice(t *testing.T) {
 func TestComputeCorpusCtxSalvage(t *testing.T) {
 	leakcheck.Check(t)
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 300, Seed: 3})
-	_, full, err := ComputeCorpus(c, AlgorithmBaseline, Options{Tasks: TaskAll})
+	_, full, err := ComputeCorpusCtx(context.Background(), c, AlgorithmBaseline, Options{Tasks: TaskAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,32 +449,40 @@ func TestCanceledRunCounter(t *testing.T) {
 }
 
 // TestGuardNilFastPath: the unguarded serial baseline allocates nothing
-// per run beyond its pooled scratch — the BENCH_0.json invariant asserted
-// in-process so the bench harness is not the only guard.
+// per run beyond its pooled scratch, through both doors — Compute, and
+// ComputeCtx with a context that can never be canceled (newGuard returns
+// nil for it). The BENCH_0.json invariant asserted in-process so the bench
+// harness is not the only guard.
 func TestGuardNilFastPath(t *testing.T) {
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 200, Seed: 3})
 	s, err := NewSpace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A GC between the warm-up and the measurement can drain the scratch
-	// pool and charge its refill to the measured runs, so take the best
-	// of a few attempts, re-warming before each; the strict cross-run
-	// gate lives in the BENCH_0.json compare.
-	best := float64(1 << 30)
-	for attempt := 0; attempt < 5 && best > 1; attempt++ {
-		warm := &Counter{}
-		Baseline(s, TaskAll, warm) // warm the scratch pool
-		allocs := testing.AllocsPerRun(10, func() {
-			cnt := &Counter{}
-			Baseline(s, TaskAll, cnt)
-		})
-		if allocs < best {
-			best = allocs
+	opts := Options{Tasks: TaskAll}
+	for name, run := range map[string]func(Sink) error{
+		"Compute":    func(cnt Sink) error { return Compute(s, AlgorithmBaseline, opts, cnt) },
+		"ComputeCtx": func(cnt Sink) error { return ComputeCtx(context.Background(), s, AlgorithmBaseline, opts, cnt) },
+	} {
+		// A GC between the warm-up and the measurement can drain the
+		// scratch pool and charge its refill to the measured runs, so take
+		// the best of a few attempts, re-warming before each; the strict
+		// cross-run gate lives in the BENCH_0.json compare.
+		best := float64(1 << 30)
+		for attempt := 0; attempt < 5 && best > 1; attempt++ {
+			if err := run(&Counter{}); err != nil { // warm the scratch pool
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				_ = run(&Counter{})
+			})
+			if allocs < best {
+				best = allocs
+			}
 		}
-	}
-	// One allocation for the &Counter{} itself; the scan must add none.
-	if best > 1 {
-		t.Errorf("unguarded serial baseline allocates %.2f objects/run, want <= 1", best)
+		// One allocation for the &Counter{} itself; the scan must add none.
+		if best > 1 {
+			t.Errorf("%s: unguarded serial baseline allocates %.2f objects/run, want <= 1", name, best)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"rdfcube/internal/cluster"
-)
+import "rdfcube/internal/cluster"
 
 // ClusteringOptions configure the §3.2 clustering algorithm. The zero value
 // applies the paper's experimental settings: x-means on a 10 % sample with
@@ -24,7 +20,7 @@ func (o ClusteringOptions) isZero() bool {
 		c.Poll == nil
 }
 
-// Clustering runs the paper's §3.2 algorithm: cluster the occurrence-matrix
+// clustering runs the paper's §3.2 algorithm: cluster the occurrence-matrix
 // rows, then run the baseline pair scan independently inside every cluster.
 // Comparisons across clusters are skipped, which makes the method lossy:
 // related observations that land in different clusters are missed (the
@@ -33,21 +29,15 @@ func (o ClusteringOptions) isZero() bool {
 // With a recorder attached, the skipped cross-cluster work is counted as
 // cluster.pairs.skipped (ordered pairs), so the lossiness of a run is
 // observable next to its speedup.
-func Clustering(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions) (cluster.Clustering, error) {
-	return clusteringG(s, tasks, sink, opts, nil)
-}
-
-// ClusteringCtx is Clustering with cooperative cancellation: both the
-// cluster-assignment phase (which does no pair work but can dominate on
-// large samples) and the per-cluster pair scans poll ctx; see BaselineCtx
-// for the prefix contract of the canceled sink.
-func ClusteringCtx(ctx context.Context, s *Space, tasks Tasks, sink Sink, opts ClusteringOptions) (cluster.Clustering, error) {
-	return clusteringG(s, tasks, sink, opts, newGuard(ctx, 0, 0))
-}
-
-func clusteringG(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, g *guard) (cluster.Clustering, error) {
+//
+// The cluster assignment is always serial (and deterministic under a fixed
+// seed); with workers > 1 each cluster with at least one pair becomes one
+// shard of the pool, reported as parallel.clusters and per-worker
+// parallel.worker.<id>.clusters. Both the assignment phase (which does no
+// pair work but can dominate on large samples) and the per-cluster pair
+// scans poll the guard; see baseline for the canceled sink's contract.
+func clustering(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, workers int, g *guard, fault func(int)) error {
 	om := BuildOccurrenceMatrix(s)
-	sink = instrumentSink(s, sink)
 	cfg := opts.Config
 	if cfg.Poll == nil {
 		cfg.Poll = g.pollFunc()
@@ -56,7 +46,7 @@ func clusteringG(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, g *gu
 	cl, err := cluster.Cluster(om.Rows, cfg)
 	endAssign()
 	if err != nil {
-		return cluster.Clustering{}, err
+		return err
 	}
 	members := cl.Members()
 	s.gauge(GaugeClusters, float64(len(members)))
@@ -64,13 +54,48 @@ func clusteringG(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, g *gu
 
 	endCompare := s.span(SpanCompare)
 	defer endCompare()
-	for _, members := range members {
-		if len(members) < 2 {
-			continue
+	if workers > 1 {
+		// Only clusters with at least one pair produce work.
+		work := make([][]int, 0, len(members))
+		for _, m := range members {
+			if len(m) >= 2 {
+				work = append(work, m)
+			}
 		}
-		if err := baselineOverG(om, members, tasks, sink, g); err != nil {
-			return cl, err
+		if len(work) >= 2 {
+			return runShardPool(s, shardPool{
+				kind:     "clusters",
+				totalCtr: CtrParallelClusters,
+				weight:   func(int) int64 { return 1 },
+				scan: func(wi int, local Sink, _ any) error {
+					return baselineRows(om, work[wi], 0, len(work[wi]), tasks, local, g)
+				},
+				fingerprint: func(wi int) string {
+					return shardFingerprint("clustering", wi, 0, 0, work[wi])
+				},
+			}, len(work), workers, sink, g, fault)
 		}
 	}
-	return cl, nil
+	sink = instrumentSink(s, sink)
+	for _, m := range members {
+		if len(m) < 2 {
+			continue
+		}
+		if err := baselineRows(om, m, 0, len(m), tasks, sink, g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// countSkippedPairs reports the ordered pairs clustering will never
+// compare — all ordered pairs minus intra-cluster ordered pairs, the
+// source of the method's recall loss (Fig. 5(d)).
+func countSkippedPairs(s *Space, members [][]int) {
+	n := int64(s.N())
+	intra := int64(0)
+	for _, m := range members {
+		intra += int64(len(m)) * int64(len(m)-1)
+	}
+	s.count(CtrClusterPairsSkipped, n*(n-1)-intra)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -18,9 +19,6 @@ type Algorithm string
 const (
 	// AlgorithmBaseline is the §3.1 quadratic occurrence-matrix scan.
 	AlgorithmBaseline Algorithm = "baseline"
-	// AlgorithmBaselineSparse is the baseline over the sparse occurrence
-	// matrix — the §3.1/§6 space-efficiency variant.
-	AlgorithmBaselineSparse Algorithm = "baseline-sparse"
 	// AlgorithmClustering is the §3.2 cluster-then-scan method (lossy).
 	AlgorithmClustering Algorithm = "clustering"
 	// AlgorithmCubeMasking is the §3.3 lattice-pruned method (exact).
@@ -32,14 +30,15 @@ const (
 	// clustering applied inside oversized cubes (lossy inside those cubes).
 	AlgorithmHybrid Algorithm = "hybrid"
 	// AlgorithmParallel is cubeMasking with cube pairs compared by a
-	// worker pool (§6 future work).
+	// worker pool (§6 future work): workers claim outer cubes, so the
+	// emission order depends on scheduling (see Options.Workers).
 	AlgorithmParallel Algorithm = "parallel"
 )
 
 // Algorithms lists every supported algorithm name.
 func Algorithms() []Algorithm {
 	return []Algorithm{
-		AlgorithmBaseline, AlgorithmBaselineSparse, AlgorithmClustering,
+		AlgorithmBaseline, AlgorithmClustering,
 		AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch,
 		AlgorithmHybrid, AlgorithmParallel,
 	}
@@ -75,12 +74,21 @@ type Options struct {
 	CubeMask CubeMaskOptions
 	// Hybrid configures AlgorithmHybrid.
 	Hybrid HybridOptions
-	// Workers sets the worker-pool size of the parallelizable algorithms.
-	// For AlgorithmParallel, zero means GOMAXPROCS. For AlgorithmBaseline
-	// and AlgorithmClustering, zero (or one) keeps the paper-faithful
-	// serial scan, and any larger value runs the sharded parallel variant
-	// (ParallelBaseline / ParallelClustering) — output is bit-identical
-	// either way.
+	// Workers sets the worker-pool size, one rule per algorithm:
+	//
+	//   - AlgorithmBaseline, AlgorithmClustering: zero or one runs the
+	//     paper-faithful serial scan; a larger value shards the scan (row
+	//     blocks, clusters) over that many workers.
+	//   - AlgorithmParallel: the pool size of the cube sweep; zero means
+	//     GOMAXPROCS, one runs the serial cubeMasking sweep.
+	//   - AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch,
+	//     AlgorithmHybrid: always serial; Workers is ignored.
+	//
+	// A pooled run emits the same relationship SET as the serial run, but
+	// shards stream into the sink in completion order, in bounded chunks
+	// (peak tape memory is O(workers × one 64 KiB chunk)): order-free,
+	// which is what every sorting consumer (Result.Sort, snapshots,
+	// /v1/related) wants anyway. The sink is never called concurrently.
 	Workers int
 	// Obs, when non-nil, receives phase spans, counters and gauges from
 	// the run (see obs.go for the name glossary). All algorithms consult
@@ -93,8 +101,8 @@ type Options struct {
 	// Deadline bounds the wall-clock duration of the run. Zero means no
 	// deadline. A run that exceeds it is cooperatively canceled and
 	// returns a *CanceledError whose cause is context.DeadlineExceeded;
-	// the sink then holds an exact serial-order prefix of the full
-	// emission stream. All algorithms consult it.
+	// see ComputeCtx for what the sink then holds. All algorithms consult
+	// it.
 	Deadline time.Duration
 	// MaxPairs bounds the number of ordered observation pairs the run may
 	// charge before it is canceled with cause ErrPairBudget. Zero means
@@ -106,23 +114,11 @@ type Options struct {
 	// observed for this long, the run is canceled with cause ErrStalled.
 	// Zero disables the watchdog. All algorithms consult it.
 	StallTimeout time.Duration
-	// StrongReplay makes the parallel execution paths replay worker tapes
-	// in serial shard order, so the emission stream — order included — is
-	// bit-identical to a serial run, and a canceled run's sink holds an
-	// exact serial-order prefix. The default (false) is direct emit:
-	// shards stream into the sink in completion order, flushing in
-	// bounded chunks, which keeps peak tape memory at O(workers × one
-	// 64 KiB chunk) instead of O(all shards' events) — the same
-	// relationship set, delivered unordered, which is
-	// what every sorting consumer (Result.Sort, snapshots, /v1/related)
-	// wants anyway. Consumed by the parallel paths of AlgorithmBaseline,
-	// AlgorithmClustering and AlgorithmParallel.
-	StrongReplay bool
 	// ShardFault, when non-nil, is invoked with the shard index at the
-	// start of every parallel shard scan (and again on its serial retry).
+	// start of every pooled shard scan (and again on its serial retry).
 	// It exists for fault-injection tests of the panic-isolation path —
 	// a ShardFault that panics simulates a crashing worker. Consumed only
-	// by the parallel execution paths; never set it in production code.
+	// by pooled runs; never set it in production code.
 	ShardFault func(shard int)
 }
 
@@ -161,9 +157,6 @@ func (o Options) Validate(alg Algorithm) error {
 	if o.Workers != 0 && alg != AlgorithmParallel && alg != AlgorithmBaseline && alg != AlgorithmClustering {
 		ignored = append(ignored, "Workers")
 	}
-	if o.StrongReplay && alg != AlgorithmParallel && alg != AlgorithmBaseline && alg != AlgorithmClustering {
-		ignored = append(ignored, "StrongReplay")
-	}
 	if len(ignored) > 0 {
 		return fmt.Errorf("core: algorithm %q ignores Options.%s; clear the field(s) or pick an algorithm that uses them",
 			alg, strings.Join(ignored, ", Options."))
@@ -174,12 +167,12 @@ func (o Options) Validate(alg Algorithm) error {
 // Compute runs the selected algorithm over the space, streaming
 // relationships into sink. When opts.Obs is non-nil it is attached to the
 // space for the duration of the run (and left attached afterwards).
-// Compute is ComputeCtx without a context: it cannot be canceled
+// Compute is ComputeCtx with a background context: it cannot be canceled
 // externally, but still honors the Options budgets (Deadline, MaxPairs,
 // StallTimeout). With all budgets zero the kernels keep their unguarded
 // fast path — no atomics, no polls, zero allocations on the serial scans.
 func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
-	return ComputeCtx(nil, s, alg, opts, sink)
+	return ComputeCtx(context.Background(), s, alg, opts, sink)
 }
 
 // ComputeCtx is Compute with cooperative cancellation. The run stops at
@@ -187,14 +180,12 @@ func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
 // canceled, the Options.Deadline expires, the MaxPairs budget runs out,
 // or the stall watchdog fires — whichever comes first — and returns a
 // *CanceledError (errors.Is(err, ErrCanceled)) wrapping the specific
-// cause. Serial runs (and parallel runs with Options.StrongReplay set)
-// leave an exact, deterministic serial-order prefix of the full emission
-// stream in the sink: serial kernels stop in order, and strong-replay
-// parallel kernels replay only the complete serial-order prefix of their
-// shard tapes. Default (direct-emit) parallel runs instead leave the union
-// of the shards that completed — still exactly-once, still a subset of the
-// full run, but not an ordered prefix. A nil ctx behaves like
-// context.Background().
+// cause. A canceled serial run leaves an exact, deterministic prefix of
+// its full emission stream in the sink: serial kernels emit in order and
+// stop. A canceled pooled run (see Options.Workers) leaves the shards that
+// completed plus the whole-event chunks in-flight shards had already
+// flushed — still exactly-once, still a subset of the full run, but not
+// an ordered prefix. A nil ctx behaves like context.Background().
 func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink Sink) error {
 	if opts.Strict {
 		if err := opts.Validate(alg); err != nil {
@@ -215,62 +206,46 @@ func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink
 	g := newGuard(ctx, opts.MaxPairs, opts.StallTimeout)
 	g.startWatchdog()
 	defer g.stopWatchdog()
-	err := computeG(s, alg, opts, sink, g)
+	err := dispatch(s, alg, opts, sink, g)
 	if err != nil && errors.Is(err, ErrCanceled) {
 		s.count(CtrRunCanceled, 1)
 	}
 	return err
 }
 
-// computeG dispatches to the guarded kernel implementations.
-func computeG(s *Space, alg Algorithm, opts Options, sink Sink, g *guard) error {
+// dispatch maps an algorithm name to its kernel and its Workers rule.
+func dispatch(s *Space, alg Algorithm, opts Options, sink Sink, g *guard) error {
 	tasks := opts.tasks()
 	switch alg {
 	case AlgorithmBaseline:
-		if opts.Workers > 1 {
-			return parallelBaselineG(s, tasks, sink, opts.Workers, opts.StrongReplay, g, opts.ShardFault)
-		}
-		return baselineG(s, tasks, sink, g)
-	case AlgorithmBaselineSparse:
-		return baselineSparseG(s, tasks, sink, g)
+		return baseline(s, tasks, sink, opts.Workers, g, opts.ShardFault)
 	case AlgorithmClustering:
-		if opts.Workers > 1 {
-			_, err := parallelClusteringG(s, tasks, sink, opts.Clustering, opts.Workers, opts.StrongReplay, g, opts.ShardFault)
-			return err
-		}
-		_, err := clusteringG(s, tasks, sink, opts.Clustering, g)
-		return err
-	case AlgorithmCubeMasking:
-		_, err := cubeMaskingG(s, tasks, sink, opts.CubeMask, g)
-		return err
-	case AlgorithmCubeMaskingPrefetch:
+		return clustering(s, tasks, sink, opts.Clustering, opts.Workers, g, opts.ShardFault)
+	case AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch:
 		cm := opts.CubeMask
-		cm.PrefetchChildren = true
-		_, err := cubeMaskingG(s, tasks, sink, cm, g)
-		return err
+		cm.PrefetchChildren = cm.PrefetchChildren || alg == AlgorithmCubeMaskingPrefetch
+		return cubeMasking(s, tasks, sink, cm, 1, g, nil)
 	case AlgorithmHybrid:
-		return hybridG(s, tasks, sink, opts.Hybrid, g)
+		return hybrid(s, tasks, sink, opts.Hybrid, g)
 	case AlgorithmParallel:
-		return parallelCubeMaskingG(s, tasks, sink, opts.Workers, opts.StrongReplay, g, opts.ShardFault)
+		workers := opts.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		return cubeMasking(s, tasks, sink, CubeMaskOptions{}, workers, g, opts.ShardFault)
 	default:
 		return fmt.Errorf("core: unknown algorithm %q (supported: %s)", alg, AlgorithmNames())
 	}
 }
 
-// ComputeCorpus compiles the corpus and runs Compute, collecting the
-// relationship sets into a Result. It is the façade-level convenience
-// entry point. With opts.Obs set, the full phase tree is recorded:
-// compile → (algorithm phases) → emit.
-func ComputeCorpus(c *qb.Corpus, alg Algorithm, opts Options) (*Space, *Result, error) {
-	return ComputeCorpusCtx(nil, c, alg, opts)
-}
-
-// ComputeCorpusCtx is ComputeCorpus with cooperative cancellation. On
-// cancellation it returns the compiled space, the SORTED PARTIAL result
-// (the salvageable serial-order prefix of the run, ready to query or
+// ComputeCorpusCtx compiles the corpus and runs ComputeCtx, collecting the
+// relationship sets into a sorted Result — the convenience entry point of
+// every caller that wants a queryable state rather than a stream. With
+// opts.Obs set, the full phase tree is recorded: compile → (algorithm
+// phases) → emit. On cancellation it returns the compiled space, the
+// SORTED PARTIAL result (what the run salvaged, ready to query or
 // export), and the *CanceledError — so callers can both report the abort
-// and use what was computed. Any other error returns (nil, nil, err) as
-// before.
+// and use what was computed. Any other error returns (nil, nil, err).
 func ComputeCorpusCtx(ctx context.Context, c *qb.Corpus, alg Algorithm, opts Options) (*Space, *Result, error) {
 	s, err := NewSpaceObs(c, opts.Obs)
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	mbits "math/bits"
 	"sync"
 
@@ -38,33 +37,29 @@ func BuildLattice(s *Space) *lattice.Lattice {
 	return l
 }
 
-// CubeMasking runs the paper's §3.3 algorithm: observations are hashed to
+// cubeMasking runs the paper's §3.3 algorithm: observations are hashed to
 // lattice cubes, cube pairs are pruned by schema-level (level-wise)
 // comparability, and only observations of comparable cube pairs are
 // compared. Unlike clustering, the pruning is exact, so recall is 1.
-// It returns the lattice for inspection (cube counts feed Fig. 5(f)).
 //
 // With a recorder attached, the sweep reports cubes.pairs.considered,
 // cubes.pairs.pruned and cubes.pairs.compared; pruned + compared equals
 // considered (= #cubes²) in every mode — the pruned ratio is the paper's
 // Fig. 5 work-avoidance argument made measurable.
-func CubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions) *lattice.Lattice {
-	l, _ := cubeMaskingG(s, tasks, sink, opts, nil)
-	return l
-}
-
-// CubeMaskingCtx is CubeMasking with cooperative cancellation: the cube
-// sweep polls ctx at every outer cube and every guardPairStride ordered
-// observation pairs; see BaselineCtx for the prefix contract. The lattice
-// is returned even on cancellation (it is built before any pair work).
-func CubeMaskingCtx(ctx context.Context, s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions) (*lattice.Lattice, error) {
-	return cubeMaskingG(s, tasks, sink, opts, newGuard(ctx, 0, 0))
-}
-
-func cubeMaskingG(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, g *guard) (*lattice.Lattice, error) {
+//
+// With workers > 1 (AlgorithmParallel) the generic sweep runs on the shard
+// pool, one shard per outer cube (the paper's §6 "distributed and parallel
+// contexts" item as shared-memory parallelism): workers flush their
+// batched counters into the recorder concurrently (recorders are
+// goroutine-safe), so the pair totals stay exact, and the pool adds
+// parallel.cubes and per-worker parallel.worker.<id>.cubes. opts and the
+// complementarity-only shortcut apply to the serial sweep only. The serial
+// sweep polls the guard at every outer cube and charges it every
+// guardPairStride ordered observation pairs; see baseline for the canceled
+// sink's contract.
+func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers int, g *guard, fault func(int)) error {
 	l := BuildLattice(s)
 	om := BuildOccurrenceMatrix(s)
-	sink = instrumentSink(s, sink)
 	cubes := l.Cubes()
 	p := s.NumDims()
 	nc := int64(len(cubes))
@@ -72,6 +67,22 @@ func cubeMaskingG(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, g *gua
 	endCompare := s.span(SpanCompare)
 	defer endCompare()
 
+	if workers > 1 && nc >= 2 {
+		return runShardPool(s, shardPool{
+			kind:      "cubes",
+			totalCtr:  CtrParallelCubes,
+			weight:    func(int) int64 { return 1 },
+			newWorker: func() any { return borrowCubeScratch(p) },
+			scan: func(ai int, local Sink, ws any) error {
+				return sweepCube(om, cubes[ai], cubes, p, tasks, local, g, ws.(*cubeScratch))
+			},
+			fingerprint: func(ai int) string {
+				return shardFingerprint("cubemask", ai, 0, 0, cubes[ai].Obs)
+			},
+		}, len(cubes), workers, sink, g, fault)
+	}
+
+	sink = instrumentSink(s, sink)
 	sc := borrowCubeScratch(p)
 	defer cubeScratchPool.Put(sc)
 	if tasks&(TaskFull|TaskPartial) == 0 && tasks.Has(TaskCompl) {
@@ -80,13 +91,13 @@ func cubeMaskingG(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, g *gua
 		// cross-cube pair is pruned without even a signature test.
 		for _, c := range cubes {
 			if err := comparePair(om, c, c, p, tasks, sink, nil, g, sc); err != nil {
-				return l, err
+				return err
 			}
 		}
 		s.count(CtrCubePairsConsidered, nc*nc)
 		s.count(CtrCubePairsCompared, nc)
 		s.count(CtrCubePairsPruned, nc*nc-nc)
-		return l, sc.pc.flush(g)
+		return sc.pc.flush(g)
 	}
 
 	if !tasks.Has(TaskPartial) && opts.PrefetchChildren {
@@ -102,7 +113,7 @@ func cubeMaskingG(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, g *gua
 			compared += int64(len(children))
 			for _, b := range children {
 				if err := comparePair(om, a, b, p, tasks, sink, nil, g, sc); err != nil {
-					return l, err
+					return err
 				}
 			}
 		}
@@ -110,53 +121,58 @@ func cubeMaskingG(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, g *gua
 		s.count(CtrCubePairsCompared, compared)
 		s.count(CtrCubePairsPruned, nc*nc-compared)
 		s.count(CtrPrefetchHits, compared)
-		return l, sc.pc.flush(g)
+		return sc.pc.flush(g)
 	}
 
-	var considered, pruned, compared, candTests int64
 	for _, a := range cubes {
 		if err := g.poll(); err != nil {
-			return l, err
+			return err
 		}
-		for _, b := range cubes {
-			considered++
-			candTests++
-			sc.cand = a.Sig.CandidateDims(b.Sig, sc.cand)
-			if len(sc.cand) == 0 {
-				pruned++
-				continue
-			}
-			allLE := len(sc.cand) == p
-			if !tasks.Has(TaskPartial) && !allLE {
-				pruned++
-				continue
-			}
-			compared++
-			var err error
-			if allLE {
-				err = comparePair(om, a, b, p, tasks, sink, nil, g, sc)
-			} else {
-				err = comparePair(om, a, b, p, tasks, sink, sc.cand, g, sc)
-			}
-			if err != nil {
-				// Flush the partial sweep counters before aborting so the
-				// observable pruning accounting stays consistent with the
-				// work actually done.
-				s.count(CtrCubePairsConsidered, considered)
-				s.count(CtrCubePairsPruned, pruned)
-				s.count(CtrCubePairsCompared, compared)
-				s.count(CtrCandidateDimTests, candTests)
-				return l, err
-			}
+		if err := sweepCube(om, a, cubes, p, tasks, sink, g, sc); err != nil {
+			return err
 		}
-		// Flush per outer cube so live progress sees the sweep advance.
-		s.count(CtrCubePairsConsidered, considered)
-		s.count(CtrCubePairsPruned, pruned)
-		s.count(CtrCubePairsCompared, compared)
-		s.count(CtrCandidateDimTests, candTests)
-		considered, pruned, compared, candTests = 0, 0, 0, 0
 	}
-	return l, sc.pc.flush(g)
+	return sc.pc.flush(g)
+}
+
+// sweepCube is one outer iteration of the generic sweep: cube a against
+// every cube, pruning at the signature level. The sweep counters are
+// flushed once per outer cube — also when the guard trips mid-cube, so the
+// observable pruning accounting stays consistent with the work actually
+// done — which keeps live progress moving while bounding recorder traffic
+// to one call set per cube.
+func sweepCube(om *OccurrenceMatrix, a *lattice.Cube, cubes []*lattice.Cube, p int, tasks Tasks, sink Sink, g *guard, sc *cubeScratch) error {
+	s := om.Space
+	var considered, pruned, compared, candTests int64
+	var err error
+	for _, b := range cubes {
+		considered++
+		candTests++
+		sc.cand = a.Sig.CandidateDims(b.Sig, sc.cand)
+		if len(sc.cand) == 0 {
+			pruned++
+			continue
+		}
+		allLE := len(sc.cand) == p
+		if !tasks.Has(TaskPartial) && !allLE {
+			pruned++
+			continue
+		}
+		compared++
+		if allLE {
+			err = comparePair(om, a, b, p, tasks, sink, nil, g, sc)
+		} else {
+			err = comparePair(om, a, b, p, tasks, sink, sc.cand, g, sc)
+		}
+		if err != nil {
+			break
+		}
+	}
+	s.count(CtrCubePairsConsidered, considered)
+	s.count(CtrCubePairsPruned, pruned)
+	s.count(CtrCubePairsCompared, compared)
+	s.count(CtrCandidateDimTests, candTests)
+	return err
 }
 
 // pairCharge accumulates ordered-pair counts across comparePair calls so
@@ -186,7 +202,7 @@ func (pc *pairCharge) flush(g *guard) error {
 }
 
 // cubeScratch is the pooled working set of the cube sweep, shared by the
-// serial path and (one per worker) the parallel pool: the candidate-dims
+// serial sweep and (one per worker) the shard pool: the candidate-dims
 // buffer, the guard pair-charge accumulator, the batch row/index buffers
 // with their per-lane degree counters, the lane-major dims buffer, and the
 // map_P arena — the arena replaces the per-pair `append([]int{}, dims...)`
@@ -220,11 +236,11 @@ func borrowCubeScratch(p int) *cubeScratch {
 // SubsetBatch pass per dimension resolves the whole batch against the
 // outer row's occurrence-matrix words, loaded once per batch instead of
 // once per pair. Emissions flush lane by lane in the pair-at-a-time
-// order, so the emission stream is unchanged.
+// order.
 //
 // Observation-pair and dimension-test counters are batched locally and
-// flushed once per cube pair; the flush is atomic-safe, so the parallel
-// worker pool calls this concurrently. A non-nil guard is charged through
+// flushed once per cube pair; the flush is atomic-safe, so the shard
+// pool's workers call this concurrently. A non-nil guard is charged through
 // sc.pc (which carries the pair count across calls) at batch granularity;
 // on trip the local counters are flushed and the guard's error returned.
 func comparePair(om *OccurrenceMatrix, a, b *lattice.Cube, p int, tasks Tasks, sink Sink, cand []int, g *guard, sc *cubeScratch) error {

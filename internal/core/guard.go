@@ -18,18 +18,16 @@ import (
 //
 //   - The hot loops accumulate pair counts locally (they already do, for
 //     the obsv counters) and poll the guard only every guardPairStride
-//     ordered pairs, so the no-guard path — plain Compute with no context
-//     and no budgets — costs one predictable nil-check per pair and zero
+//     ordered pairs, so the no-guard path — plain Compute with no
+//     budgets — costs one predictable nil-check per pair and zero
 //     allocations, preserving the committed BENCH_0.json gates.
 //   - A tripped guard makes the kernel return a *CanceledError (matching
-//     errors.Is(err, ErrCanceled)). The relationships already emitted into
-//     the caller's sink are an exact prefix of the serial emission stream:
-//     serial kernels emit in order and stop, and the parallel kernels
-//     replay only the complete serial-order prefix of their shard tapes
-//     (see finishShards), discarding partially scanned shards. A canceled
-//     run therefore yields exactly what a serial run would have produced
-//     up to some deterministic emission boundary — partial results are
-//     salvageable, never garbage.
+//     errors.Is(err, ErrCanceled)). What is already in the caller's sink
+//     stays usable: a serial kernel emits in order and stops, so its sink
+//     holds an exact prefix of the full emission stream; a pooled run
+//     holds its completed shards plus the whole-event chunks in-flight
+//     shards had flushed (see runShardPool) — a subset of the full run's
+//     set, exactly once. Partial results are salvageable, never garbage.
 //   - Poll points sit at fixed pair counts, so a serial run canceled by a
 //     MaxPairs budget is bit-for-bit reproducible.
 //
@@ -56,9 +54,9 @@ var ErrPairBudget = errors.New("core: pair budget exhausted")
 var ErrStalled = errors.New("core: run stalled: no pair progress")
 
 // CanceledError reports a cooperatively aborted run. The partial result
-// is not carried in the error but in the caller's sink: everything
-// emitted before the trip is an exact, deterministic serial-order prefix
-// of the full run's emission stream (see the package comment on guard).
+// is not carried in the error but in the caller's sink: an exact,
+// deterministic prefix of the emission stream for a serial run, a subset
+// of the full run's set for a pooled one (see ComputeCtx).
 type CanceledError struct {
 	// Cause is the specific trigger: context.Canceled,
 	// context.DeadlineExceeded, ErrPairBudget or ErrStalled.
@@ -84,7 +82,7 @@ func (e *CanceledError) Is(target error) bool { return target == ErrCanceled }
 // identifies the shard's input deterministically so the failure is
 // reproducible from a bug report.
 type ShardPanicError struct {
-	// Shard is the shard index in serial replay order.
+	// Shard is the shard index in the algorithm's serial iteration order.
 	Shard int
 	// Fingerprint is a stable hash of the shard's input (kind, index
 	// range, member indices) — enough to re-select the failing work item.
@@ -147,7 +145,7 @@ func (g *guard) charge(delta int64) error {
 
 // poll checks for cancellation without charging progress — the poll point
 // for phases that do no pair work (lattice sweeps over pruned pairs,
-// cluster assignment, replay boundaries).
+// cluster assignment).
 func (g *guard) poll() error {
 	if g == nil {
 		return nil

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"rdfcube/internal/bitvec"
 	"rdfcube/internal/cluster"
 )
@@ -16,23 +14,14 @@ type HybridOptions struct {
 	Clustering ClusteringOptions
 }
 
-// Hybrid implements the paper's §6 future-work sketch combining the two
+// hybrid implements the paper's §6 future-work sketch combining the two
 // methods: lattice pruning bounds the search space exactly (as in
 // cubeMasking), but inside cubes whose population exceeds MaxCubeSize —
 // where the quadratic intra-cube scan dominates — observations are
 // clustered and compared only within clusters. Cross-cube comparisons stay
-// exact, so any recall loss is confined to oversized cubes.
-func Hybrid(s *Space, tasks Tasks, sink Sink, opts HybridOptions) error {
-	return hybridG(s, tasks, sink, opts, nil)
-}
-
-// HybridCtx is Hybrid with cooperative cancellation; see BaselineCtx for
-// the prefix contract of the canceled sink.
-func HybridCtx(ctx context.Context, s *Space, tasks Tasks, sink Sink, opts HybridOptions) error {
-	return hybridG(s, tasks, sink, opts, newGuard(ctx, 0, 0))
-}
-
-func hybridG(s *Space, tasks Tasks, sink Sink, opts HybridOptions, g *guard) error {
+// exact, so any recall loss is confined to oversized cubes. See baseline
+// for the canceled sink's contract.
+func hybrid(s *Space, tasks Tasks, sink Sink, opts HybridOptions, g *guard) error {
 	maxSize := opts.MaxCubeSize
 	if maxSize <= 0 {
 		maxSize = 512

@@ -94,12 +94,10 @@ type Incremental struct {
 // NewIncremental computes the initial relationships over s and returns the
 // maintained state.
 func NewIncremental(s *Space, tasks Tasks) *Incremental {
-	if tasks == 0 {
-		tasks = TaskAll
-	}
 	res := NewResult()
-	l := CubeMasking(s, tasks, res, CubeMaskOptions{})
-	return &Incremental{S: s, Res: res, l: l, tasks: tasks}
+	// A known algorithm with no budgets set: Compute cannot fail.
+	_ = Compute(s, AlgorithmCubeMasking, Options{Tasks: tasks}, res)
+	return NewIncrementalFrom(s, tasks, res, nil)
 }
 
 // NewIncrementalFrom resumes incremental maintenance over an already

@@ -10,7 +10,7 @@ import (
 func TestMergeComplementsFigure3(t *testing.T) {
 	s, idx := exampleSpace(t)
 	res := NewResult()
-	Baseline(s, TaskAll, res)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 	rows := MergeComplements(s, res)
 	if len(rows) != 2 {
 		t.Fatalf("merged rows = %d, want 2", len(rows))
@@ -73,7 +73,7 @@ func TestMergeComplementsConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := NewResult()
-	Baseline(s, TaskAll, res)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 	rows := MergeComplements(s, res)
 	found := false
 	for _, r := range rows {

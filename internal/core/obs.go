@@ -20,7 +20,6 @@ import "rdfcube/internal/obsv"
 //   - CtrCandidateDimTests: cube-signature candidate-dimension tests.
 //   - CtrDimTests: per-dimension containment tests on observation values.
 //   - CtrBitAndTests: word-parallel bit-AND subset tests (packed OM rows).
-//   - CtrSparseSubsetTests: merge-style subset tests (sparse OM rows).
 //   - CtrPrefetchHits: cube pairs served from the prefetched child lists
 //     (Fig. 5(g)).
 //   - CtrEmitFull / Partial / Compl: relationships emitted into the sink.
@@ -33,10 +32,10 @@ import "rdfcube/internal/obsv"
 //   - CtrParallelCubes: outer cubes processed by the worker pool; the
 //     per-worker split is reported as parallel.worker.<id>.cubes.
 //   - CtrParallelRows: outer occurrence-matrix rows processed by the
-//     parallel baseline's row-block shards; per-worker throughput is
+//     pooled baseline's row-block shards; per-worker throughput is
 //     parallel.worker.<id>.rows.
-//   - CtrParallelClusters: clusters scanned by the parallel clustering
-//     pool; per-worker throughput is parallel.worker.<id>.clusters.
+//   - CtrParallelClusters: clusters scanned by the pooled clustering
+//     run; per-worker throughput is parallel.worker.<id>.clusters.
 //   - CtrRunCanceled: runs that ended in cooperative cancellation (context,
 //     deadline, pair budget or stall watchdog).
 //   - CtrShardPanics: parallel shards whose worker panicked (each is
@@ -51,7 +50,6 @@ const (
 	CtrCandidateDimTests    = "lattice.candidate.tests"
 	CtrDimTests             = "dim.tests"
 	CtrBitAndTests          = "bitand.tests"
-	CtrSparseSubsetTests    = "sparse.subset.tests"
 	CtrPrefetchHits         = "prefetch.hits"
 	CtrEmitFull             = "emit.full"
 	CtrEmitPartial          = "emit.partial"
@@ -68,16 +66,13 @@ const (
 )
 
 // Span (phase) names, forming the run's phase tree: compile (with om.build
-// / sparse.build / lattice.build sub-phases where applicable) → compare →
-// emit. The parallel variant adds a replay phase.
+// / lattice.build sub-phases where applicable) → compare → emit.
 const (
 	SpanCompile      = "compile"
 	SpanOMBuild      = "om.build"
-	SpanSparseBuild  = "sparse.build"
 	SpanLatticeBuild = "lattice.build"
 	SpanCluster      = "cluster.assign"
 	SpanCompare      = "compare"
-	SpanReplay       = "replay"
 	SpanEmit         = "emit"
 )
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,11 +27,11 @@ func TestCubeMaskingPruningAccounting(t *testing.T) {
 	for _, tasks := range []Tasks{TaskAll, TaskFull, TaskCompl} {
 		col := obsv.NewCollector()
 		s.SetRecorder(col)
-		l := CubeMasking(s, tasks, &Counter{}, CubeMaskOptions{})
+		mustCompute(t, s, AlgorithmCubeMasking, Options{Tasks: tasks}, &Counter{})
 		s.SetRecorder(nil)
 
 		snap := col.Snapshot()
-		nc := int64(l.Len())
+		nc := int64(BuildLattice(s).Len())
 		considered := snap[CtrCubePairsConsidered]
 		pruned := snap[CtrCubePairsPruned]
 		compared := snap[CtrCubePairsCompared]
@@ -59,10 +60,10 @@ func TestPrefetchPruningAccounting(t *testing.T) {
 	s := obsTestSpace(t, 2000)
 	col := obsv.NewCollector()
 	s.SetRecorder(col)
-	l := CubeMasking(s, TaskFull, &Counter{}, CubeMaskOptions{PrefetchChildren: true})
+	mustCompute(t, s, AlgorithmCubeMaskingPrefetch, Options{Tasks: TaskFull}, &Counter{})
 	s.SetRecorder(nil)
 	snap := col.Snapshot()
-	nc := int64(l.Len())
+	nc := int64(BuildLattice(s).Len())
 	if snap[CtrCubePairsConsidered] != nc*nc {
 		t.Errorf("considered = %d, want %d", snap[CtrCubePairsConsidered], nc*nc)
 	}
@@ -78,22 +79,18 @@ func TestPrefetchPruningAccounting(t *testing.T) {
 // TestBaselineComparisonCount is the acceptance check of the baseline
 // counter: a full baseline run performs exactly n·(n−1) ordered
 // observation comparisons (each unordered pair visit resolves both
-// directions), for both the packed and the sparse occurrence matrix.
+// directions), serial or pooled.
 func TestBaselineComparisonCount(t *testing.T) {
 	s := obsTestSpace(t, 5000)
 	n := int64(s.N())
 	want := n * (n - 1)
 
-	for name, run := range map[string]func(*Space, Tasks, Sink){
-		"baseline":        Baseline,
-		"baseline-sparse": BaselineSparse,
-	} {
+	for _, workers := range []int{1, 4} {
 		col := obsv.NewCollector()
-		s.SetRecorder(col)
-		run(s, TaskFull, &Counter{})
+		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskFull, Workers: workers, Obs: col}, &Counter{})
 		s.SetRecorder(nil)
 		if got := col.Snapshot()[CtrObsPairsCompared]; got != want {
-			t.Errorf("%s: obs.pairs.compared = %d, want n(n-1) = %d", name, got, want)
+			t.Errorf("workers=%d: obs.pairs.compared = %d, want n(n-1) = %d", workers, got, want)
 		}
 	}
 }
@@ -131,12 +128,12 @@ func TestEmitCountersMatchSink(t *testing.T) {
 	}
 }
 
-// TestPhaseTree checks the recorded span tree of a full ComputeCorpus run:
+// TestPhaseTree checks the recorded span tree of a full ComputeCorpusCtx run:
 // compile → lattice.build → compare → emit.
 func TestPhaseTree(t *testing.T) {
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 500, Seed: 1})
 	col := obsv.NewCollector()
-	_, _, err := ComputeCorpus(c, AlgorithmCubeMasking, Options{Obs: col})
+	_, _, err := ComputeCorpusCtx(context.Background(), c, AlgorithmCubeMasking, Options{Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +201,17 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("%s consumes Workers: %v", alg, err)
 		}
 	}
-	if err := opts.Validate(AlgorithmBaselineSparse); err == nil {
-		t.Errorf("baseline-sparse must reject Workers")
+	if err := opts.Validate(AlgorithmCubeMasking); err == nil {
+		t.Errorf("cubemasking must reject Workers (use AlgorithmParallel)")
 	} else if !strings.Contains(err.Error(), "Workers") {
 		t.Errorf("error must name the field: %v", err)
 	}
-	if err := opts.Validate(AlgorithmCubeMasking); err == nil {
-		t.Errorf("cubemasking must reject Workers (use AlgorithmParallel)")
+	// The sparse occurrence matrix is gone: its name is as unknown as any
+	// other, and the error lists exactly the six that remain.
+	if err := (Options{}).Validate("baseline-sparse"); err == nil {
+		t.Errorf("baseline-sparse must be rejected as unknown")
+	} else if want := `unknown algorithm "baseline-sparse" (supported: baseline, clustering, cubemasking, cubemasking-prefetch, hybrid, parallel)`; !strings.Contains(err.Error(), want) {
+		t.Errorf("unknown-algorithm error = %q, want it to contain %q", err, want)
 	}
 
 	opts = Options{}
@@ -223,8 +224,8 @@ func TestOptionsValidate(t *testing.T) {
 	}
 
 	opts = Options{CubeMask: CubeMaskOptions{PrefetchChildren: true}}
-	if err := opts.Validate(AlgorithmBaselineSparse); err == nil {
-		t.Errorf("baseline-sparse must reject CubeMask")
+	if err := opts.Validate(AlgorithmBaseline); err == nil {
+		t.Errorf("baseline must reject CubeMask")
 	}
 	for _, alg := range []Algorithm{AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch} {
 		if err := opts.Validate(alg); err != nil {

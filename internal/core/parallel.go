@@ -1,31 +1,30 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
-// Shared parallel shard engine. All three parallel algorithms follow one
-// shape: deterministic shards (row blocks, clusters, outer cubes) are fed
-// to a worker pool, each worker records its shard's emissions onto a
-// pooled private tape, and the tapes are replayed into the caller's sink
-// in serial shard order — making parallel output bit-identical to serial.
-// runShardPool adds the robustness contract on top:
+// Shard pool. The pooled runs of baseline, clustering and cubeMasking
+// follow one shape: deterministic shards (row blocks, clusters, outer
+// cubes) are fed to a worker pool, each worker records its shard's
+// emissions onto a pooled private tape, and tapes are decoded into the
+// caller's sink under one mutex — in bounded chunks while the shard is
+// still being scanned, and the remainder when it completes. The sink
+// therefore sees whole events, one caller at a time, in shard COMPLETION
+// order: a pooled run delivers the serial run's relationship set, not its
+// emission order. runShardPool adds the robustness contract on top:
 //
 //   - Cooperative cancellation: workers consult the shared guard before
 //     claiming a shard and inside the scan (the kernels charge the guard
 //     every guardPairStride pairs). Crucially, workers always DRAIN the
 //     feed channel even when tripped — they just stop doing work — so the
-//     feeder can never block on an unconsumed send and the merge can
-//     never deadlock, no matter when cancellation lands.
-//   - Prefix salvage: after the pool drains, the longest run of complete
-//     shards from index 0 is replayed; later tapes (partial or complete)
-//     are discarded. Each tape is the serial emission order restricted to
-//     its shard, so the replayed prefix is an exact prefix of the serial
-//     emission stream — a canceled parallel run yields exactly what a
-//     serial run would have produced up to a shard boundary.
+//     feeder can never block on an unconsumed send and the pool can never
+//     deadlock, no matter when cancellation lands.
+//   - Salvage: a canceled run leaves in the sink every completed shard
+//     plus the chunks in-flight shards had flushed before the trip; an
+//     aborted shard's unflushed remainder is dropped. Everything delivered
+//     is a whole event of the full run's set, exactly once.
 //   - Panic isolation: a shard whose scan panics under a worker is
 //     retried once, serially, on a fresh tape after the pool drains. A
 //     second panic fails the run with a ShardPanicError carrying the
@@ -33,21 +32,7 @@ import (
 //     therefore costs a retry, not the process; two prove a reproducible
 //     bug and are reported as one.
 
-// shardStatus tracks one work item through scan, retry and replay.
-type shardStatus uint8
-
-const (
-	// shardPending marks a shard never claimed (the guard tripped first).
-	shardPending shardStatus = iota
-	// shardDone marks a complete private tape, eligible for replay.
-	shardDone
-	// shardAborted marks a scan stopped mid-shard by the guard.
-	shardAborted
-	// shardPanicked marks a scan that panicked under a worker.
-	shardPanicked
-)
-
-// shardPool describes one parallel run for runShardPool.
+// shardPool describes one pooled run for runShardPool.
 type shardPool struct {
 	// kind is the per-worker counter suffix ("rows", "clusters", "cubes").
 	kind string
@@ -58,80 +43,73 @@ type shardPool struct {
 	// newWorker builds optional per-worker scratch state (may be nil).
 	newWorker func() any
 	// scan runs one shard onto its private sink; a non-nil error means
-	// the guard tripped and the tape holds a partial stream.
+	// the guard tripped mid-shard.
 	scan func(shard int, local Sink, ws any) error
 	// fingerprint identifies a shard's input deterministically for
 	// ShardPanicError reports.
 	fingerprint func(shard int) string
 }
 
-// tapeMerge is the direct-emit merge: completed shard tapes are decoded
-// straight into the (already instrumented) caller sink, serialized by the
-// mutex, instead of being retained for an ordered replay. The sink sees
-// shards in COMPLETION order, not serial shard order — direct emit is for
-// order-free sinks; StrongReplay keeps the ordered-replay path. Exactly-
-// once still holds: a tape is flushed only after its shard's scan returned
-// cleanly, so aborted scans and panicked-then-retried shards never emit
-// twice or emit a partial shard.
+// tapeMerge decodes shard tapes straight into the (already instrumented)
+// caller sink, serialized by the mutex. Exactly-once holds because a
+// shard's scan is deterministic and every byte of its tape is decoded at
+// most once: chunks as they fill, the remainder only after the scan
+// returned cleanly (see flushTail for the retry of a panicked shard).
 type tapeMerge struct {
 	mu   sync.Mutex
 	sink Sink
 	rec  DimsRecorder
 }
 
-// newTapeMerge instruments the sink once up front (replayTapes does the
-// same lazily) and captures its optional DimsRecorder extension.
+// newTapeMerge instruments the sink once up front and captures its
+// optional DimsRecorder extension.
 func newTapeMerge(s *Space, sink Sink) *tapeMerge {
 	sink = instrumentSink(s, sink)
 	rec, _ := sink.(DimsRecorder)
 	return &tapeMerge{sink: sink, rec: rec}
 }
 
-// flush decodes one completed shard tape into the shared sink and recycles
-// the tape. Callers pass ownership; the tape slot must be nilled after.
-func (m *tapeMerge) flush(t *tape) { m.flushTail(t, 0) }
+// emit decodes buf into the shared sink. The buffer was produced by this
+// package's encoder, so a decode error is a programming bug, not an input
+// condition — it panics rather than silently dropping emissions.
+func (m *tapeMerge) emit(buf []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := decodeTape(buf, m.sink, m.rec); err != nil {
+		panic(err)
+	}
+}
 
-// flushTail is flush minus the first skip bytes — the retry path's dedup.
-// A re-scanned shard reproduces its deterministic emission stream from the
-// start; skip marks how much of it the first attempt already chunk-flushed
-// into the sink, and chunk boundaries always fall between whole events.
+// flushTail decodes a completed shard's tape minus its first skip bytes —
+// the retry path's dedup. A re-scanned shard reproduces its deterministic
+// emission stream from the start; skip marks how much of it the first
+// attempt already chunk-flushed into the sink, and chunk boundaries always
+// fall between whole events.
 func (m *tapeMerge) flushTail(t *tape, skip int) {
 	if skip > len(t.buf) {
 		skip = len(t.buf) // defensive: a non-deterministic scan shrank
 	}
-	m.mu.Lock()
-	if err := decodeTape(t.buf[skip:], m.sink, m.rec); err != nil {
-		m.mu.Unlock()
-		panic(err)
-	}
-	m.mu.Unlock()
-	releaseTape(t)
+	m.emit(t.buf[skip:])
 }
 
 // flushChunk decodes the tape's current buffer into the shared sink and
-// rewinds it, remembering how many bytes the sink has consumed. The tape
-// stays borrowed: the scan keeps appending into the rewound buffer.
+// rewinds it, remembering how many bytes the sink has consumed. The scan
+// keeps appending into the rewound buffer.
 func (m *tapeMerge) flushChunk(t *tape) {
-	if len(t.buf) == 0 {
-		return
-	}
-	m.mu.Lock()
-	t.replay(m.sink, m.rec)
-	m.mu.Unlock()
+	m.emit(t.buf)
 	t.flushed += len(t.buf)
 	t.buf = t.buf[:0]
 }
 
-// tapeChunkSize bounds a direct-emit shard tape between flushes: once the
-// private buffer crosses it, the chunk is decoded into the shared sink and
-// the buffer rewinds. Peak tape memory per worker is therefore one chunk
+// tapeChunkSize bounds a shard tape between flushes: once the private
+// buffer crosses it, the chunk is decoded into the shared sink and the
+// buffer rewinds. Peak tape memory per worker is therefore one chunk
 // (plus one in-flight event), independent of shard size — the property the
 // bench harness's parallel bytes/op cap enforces. A var, not a const, so
-// tests can shrink it to force mid-shard flushes. Ordered (StrongReplay)
-// runs never chunk: they need whole tapes to replay in serial shard order.
+// tests can shrink it to force mid-shard flushes.
 var tapeChunkSize = 64 << 10
 
-// chunkedTape is the direct-emit local sink: every event lands on the
+// chunkedTape is a pool worker's local sink: every event lands on the
 // private tape, and crossing tapeChunkSize hands the buffer to the merge.
 // Flushes happen only after whole appends, so chunk boundaries are event
 // boundaries.
@@ -161,62 +139,53 @@ func (c chunkedDimsTape) RecordPartialDims(a, b int, dims []int) {
 	c.after()
 }
 
-// chunked wraps a borrowed tape as the chunk-flushing local sink.
-func (m *tapeMerge) chunked(t *tape, wantDims bool) Sink {
-	if wantDims {
+// chunked wraps a borrowed tape as the chunk-flushing local sink; like
+// borrowTape it exposes DimsRecorder only when the caller's sink does.
+func (m *tapeMerge) chunked(t *tape) Sink {
+	if m.rec != nil {
 		return chunkedDimsTape{chunkedTape{t, m}}
 	}
 	return chunkedTape{t, m}
 }
 
-// runShardPool runs the pool and returns the replayable tape prefix.
-// Return contract: (tapes, nil) is a clean, complete run; (tapes, err)
-// with errors.Is(err, ErrCanceled) means tapes is the salvageable prefix
-// and should still be replayed; (nil, err) is a ShardPanicError — nothing
-// to replay, all tapes released. With a non-nil merge the pool runs in
-// direct-emit mode: completed tapes are flushed into merge as they finish
-// and the returned tape slice is always nil — on cancellation the sink
-// holds the complete shards plus any chunks in-flight shards had already
-// flushed, rather than a serial-order prefix.
-func runShardPool(s *Space, sp shardPool, nShards, workers int, wantDims bool, merge *tapeMerge, g *guard, fault func(int)) ([]*tape, error) {
-	tapes := make([]*tape, nShards)
-	status := make([]shardStatus, nShards)
+// runShardPool scans nShards shards on workers goroutines, merging their
+// emissions into sink. It returns nil for a clean, complete run, the
+// guard's *CanceledError when the run was cut short (the sink then holds
+// the salvage described above), or a *ShardPanicError.
+func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *guard, fault func(int)) error {
+	s.gauge(GaugeWorkers, float64(workers))
+	merge := newTapeMerge(s, sink)
 
-	// runOne scans shard si on a fresh private tape, converting a panic
-	// into shardPanicked instead of letting it unwind the worker. Each
-	// shard index is claimed by exactly one worker, so the per-index
-	// writes to tapes/status are race-free.
+	// panicked[si] >= 0 marks a shard whose scan panicked under a worker
+	// and holds the bytes its chunks had flushed by then. Each shard index
+	// is claimed by exactly one worker, so the per-index writes are
+	// race-free.
+	panicked := make([]int, nShards)
+	for si := range panicked {
+		panicked[si] = -1
+	}
+
+	// runOne scans shard si on a fresh private tape, recording a panic
+	// instead of letting it unwind the worker.
 	runOne := func(si int, ws any) {
-		var local Sink
-		tapes[si], local = borrowTape(wantDims)
-		if merge != nil {
-			local = merge.chunked(tapes[si], wantDims)
-		}
+		t, _ := borrowTape(false)
 		defer func() {
 			if v := recover(); v != nil {
-				status[si] = shardPanicked
+				panicked[si] = t.flushed
 			}
+			releaseTape(t)
 		}()
 		if fault != nil {
 			fault(si)
 		}
-		if err := sp.scan(si, local, ws); err != nil {
-			status[si] = shardAborted
-			if merge != nil {
-				// Direct emit drops an aborted shard's unflushed remainder;
-				// chunks flushed before the trip stay in the sink (whole
-				// events from the deterministic stream — still a subset of
-				// the full run, never a duplicate).
-				releaseTape(tapes[si])
-				tapes[si] = nil
-			}
+		if err := sp.scan(si, merge.chunked(t), ws); err != nil {
+			// The guard tripped mid-shard: drop the unflushed remainder.
+			// Chunks flushed before the trip stay in the sink (whole events
+			// of the deterministic stream — a subset of the full run,
+			// never a duplicate).
 			return
 		}
-		status[si] = shardDone
-		if merge != nil {
-			merge.flush(tapes[si])
-			tapes[si] = nil
-		}
+		merge.flushTail(t, 0)
 	}
 
 	next := make(chan int)
@@ -232,9 +201,9 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, wantDims bool, m
 			var claimed int64
 			for si := range next {
 				// Always drain the feed: a tripped guard stops the work,
-				// never the channel — the no-deadlock invariant of the
-				// merge (the feeder below must not block forever on an
-				// unconsumed send).
+				// never the channel — the no-deadlock invariant (the
+				// feeder below must not block forever on an unconsumed
+				// send).
 				if g.isTripped() {
 					continue
 				}
@@ -251,228 +220,47 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, wantDims bool, m
 	close(next)
 	wg.Wait()
 
-	return finishShards(s, sp, tapes, status, wantDims, merge, g, fault)
-}
-
-// finishShards retries panicked shards serially, determines the replayable
-// serial-order prefix, and releases everything beyond it. In direct-emit
-// mode there is no prefix to compute: retried shards flush on success and
-// the tape slice result is nil.
-func finishShards(s *Space, sp shardPool, tapes []*tape, status []shardStatus, wantDims bool, merge *tapeMerge, g *guard, fault func(int)) ([]*tape, error) {
-	// Serial retry of panicked shards, in shard order, on fresh tapes: one
-	// panic is isolated (a crashing worker must not take down the run);
-	// a second, reproduced panic fails the run with the shard's input
-	// fingerprint so the bug report pins the failing work item.
-	for si := range status {
-		if status[si] != shardPanicked {
+	// Serial retry of panicked shards, in shard order: one panic is
+	// isolated (a crashing worker must not take down the run); a second,
+	// reproduced panic fails the run with the shard's input fingerprint so
+	// the bug report pins the failing work item.
+	for si, flushed := range panicked {
+		if flushed < 0 {
 			continue
 		}
 		s.count(CtrShardPanics, 1)
 		s.count(CtrShardRetries, 1)
-		if err := retryShard(sp, si, tapes, status, wantDims, merge, fault); err != nil {
-			releaseTapes(tapes)
-			return nil, err
+		if err := retryShard(sp, si, flushed, merge, fault); err != nil {
+			return err
 		}
 	}
-
-	if merge != nil {
-		// Every completed shard has already been flushed; anything left in
-		// the slots (panicked-then-aborted retries) is partial and dropped.
-		releaseTapes(tapes)
-		return nil, g.err()
-	}
-
-	// The replayable prefix: every shard before the first non-done one
-	// holds a complete tape. On a tripped guard this is exactly the
-	// salvageable deterministic prefix; on a clean run it is everything.
-	prefix := len(tapes)
-	for si, st := range status {
-		if st != shardDone {
-			prefix = si
-			break
-		}
-	}
-	releaseTapes(tapes[prefix:])
-	return tapes[:prefix], g.err()
+	return g.err()
 }
 
-// retryShard re-scans one panicked shard serially on a fresh tape. A
-// second panic converts into a ShardPanicError; a guard trip during the
-// retry just marks the shard aborted (the prefix cut handles it).
-func retryShard(sp shardPool, si int, tapes []*tape, status []shardStatus, wantDims bool, merge *tapeMerge, fault func(int)) (err error) {
-	// Chunks the panicked attempt already flushed are in the sink for
-	// good; the retry re-scans the whole shard (deterministically) and
-	// flushTail skips exactly that many bytes, keeping emission exactly-
-	// once. The retry itself runs on a plain, unchunked tape: it is
-	// serial and single-shard, so bounding its buffer buys nothing.
-	var prevFlushed int
-	if tapes[si] != nil {
-		prevFlushed = tapes[si].flushed
-		releaseTape(tapes[si])
-	}
+// retryShard re-scans one panicked shard serially. Chunks the panicked
+// attempt already flushed are in the sink for good; the retry re-scans the
+// whole shard (deterministically) and flushTail skips exactly that many
+// bytes, keeping emission exactly-once. The retry runs on a plain,
+// unchunked tape: it is serial and single-shard, so bounding its buffer
+// buys nothing. A second panic converts into a ShardPanicError; a guard
+// trip during the retry drops the shard like any aborted scan.
+func retryShard(sp shardPool, si, flushed int, merge *tapeMerge, fault func(int)) (err error) {
 	var ws any
 	if sp.newWorker != nil {
 		ws = sp.newWorker()
 	}
-	var local Sink
-	tapes[si], local = borrowTape(wantDims)
+	t, local := borrowTape(merge.rec != nil)
 	defer func() {
 		if v := recover(); v != nil {
-			status[si] = shardPanicked
 			err = &ShardPanicError{Shard: si, Fingerprint: sp.fingerprint(si), Value: v}
 		}
+		releaseTape(t)
 	}()
 	if fault != nil {
 		fault(si)
 	}
-	if serr := sp.scan(si, local, ws); serr != nil {
-		status[si] = shardAborted
-		return nil
-	}
-	status[si] = shardDone
-	if merge != nil {
-		merge.flushTail(tapes[si], prevFlushed)
-		tapes[si] = nil
+	if sp.scan(si, local, ws) == nil {
+		merge.flushTail(t, flushed)
 	}
 	return nil
-}
-
-// releaseTapes returns every non-nil tape to the pool and nils the slots.
-func releaseTapes(tapes []*tape) {
-	for i, t := range tapes {
-		if t != nil {
-			releaseTape(t)
-			tapes[i] = nil
-		}
-	}
-}
-
-// ParallelCubeMasking is cubeMasking with cube-pair comparison spread over
-// a worker pool (the paper's §6 "distributed and parallel contexts" item,
-// realized as shared-memory parallelism). Workers claim outer cubes and
-// record emissions onto private tapes — one per outer cube — which are
-// replayed into the sink sequentially in cube order afterwards, so Sink
-// implementations need not be thread-safe and the emission stream is
-// bit-identical to serial CubeMasking's (same relationships, same order,
-// same metadata), regardless of worker count or scheduling.
-//
-// Instrumentation: workers flush batched counters into the attached
-// recorder concurrently (recorders are goroutine-safe; the Collector uses
-// atomic counters), so cube-pair and observation-pair totals stay exact
-// under parallelism. Each worker additionally reports its outer-cube
-// throughput as parallel.worker.<id>.cubes, and the replay of private
-// tapes into the caller's sink is recorded under the replay span.
-func ParallelCubeMasking(s *Space, tasks Tasks, sink Sink, workers int) {
-	if err := parallelCubeMaskingG(s, tasks, sink, workers, true, nil, nil); err != nil {
-		// Without a guard the only possible error is a twice-panicked
-		// shard; preserve the historical crash semantics of the void API.
-		panic(err)
-	}
-}
-
-// ParallelCubeMaskingCtx is ParallelCubeMasking with cooperative
-// cancellation; see the runShardPool contract for the canceled sink's
-// prefix guarantee.
-func ParallelCubeMaskingCtx(ctx context.Context, s *Space, tasks Tasks, sink Sink, workers int) error {
-	return parallelCubeMaskingG(s, tasks, sink, workers, true, newGuard(ctx, 0, 0), nil)
-}
-
-func parallelCubeMaskingG(s *Space, tasks Tasks, sink Sink, workers int, strong bool, g *guard, fault func(int)) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	l := BuildLattice(s)
-	om := BuildOccurrenceMatrix(s)
-	cubes := l.Cubes()
-	p := s.NumDims()
-
-	if workers == 1 || len(cubes) < 2 {
-		_, err := cubeMaskingG(s, tasks, sink, CubeMaskOptions{}, g)
-		return err
-	}
-	s.gauge(GaugeWorkers, float64(workers))
-	_, wantDims := sink.(DimsRecorder)
-
-	endCompare := s.span(SpanCompare)
-	sp := shardPool{
-		kind:      "cubes",
-		totalCtr:  CtrParallelCubes,
-		weight:    func(int) int64 { return 1 },
-		newWorker: func() any { return borrowCubeScratch(p) },
-		scan: func(ai int, local Sink, ws any) error {
-			sc := ws.(*cubeScratch)
-			a := cubes[ai]
-			var considered, pruned, compared, candTests int64
-			for _, b := range cubes {
-				considered++
-				candTests++
-				sc.cand = a.Sig.CandidateDims(b.Sig, sc.cand)
-				if len(sc.cand) == 0 {
-					pruned++
-					continue
-				}
-				allLE := len(sc.cand) == p
-				if !tasks.Has(TaskPartial) && !allLE {
-					pruned++
-					continue
-				}
-				compared++
-				var err error
-				if allLE {
-					err = comparePair(om, a, b, p, tasks, local, nil, g, sc)
-				} else {
-					err = comparePair(om, a, b, p, tasks, local, sc.cand, g, sc)
-				}
-				if err != nil {
-					s.count(CtrCubePairsConsidered, considered)
-					s.count(CtrCubePairsPruned, pruned)
-					s.count(CtrCubePairsCompared, compared)
-					s.count(CtrCandidateDimTests, candTests)
-					return err
-				}
-			}
-			// Flush per outer cube: keeps live progress moving while
-			// bounding recorder traffic to one call set per cube.
-			s.count(CtrCubePairsConsidered, considered)
-			s.count(CtrCubePairsPruned, pruned)
-			s.count(CtrCubePairsCompared, compared)
-			s.count(CtrCandidateDimTests, candTests)
-			return nil
-		},
-		fingerprint: func(ai int) string {
-			return shardFingerprint("cubemask", ai, 0, 0, cubes[ai].Obs)
-		},
-	}
-	var merge *tapeMerge
-	if !strong {
-		merge = newTapeMerge(s, sink)
-	}
-	tapes, err := runShardPool(s, sp, len(cubes), workers, wantDims, merge, g, fault)
-	endCompare()
-	if tapes != nil {
-		replayTapes(s, sink, tapes)
-	}
-	return err
-}
-
-// replayTapes streams the workers' private tapes into the caller's sink in
-// shard-index order, under the replay span, returning each tape to the
-// pool once drained. The shard index follows the serial algorithm's outer
-// iteration (outer cube for the cube sweep, row block for the baseline,
-// cluster for clustering) and each tape preserves its shard's exact call
-// sequence, so the merged stream reproduces the serial emission stream bit
-// for bit. Sink implementations therefore need not be thread-safe, and
-// Sort-free consumers observe the same order a serial run would produce.
-func replayTapes(s *Space, sink Sink, tapes []*tape) {
-	endReplay := s.span(SpanReplay)
-	defer endReplay()
-	sink = instrumentSink(s, sink)
-	recorder, _ := sink.(DimsRecorder)
-	for _, t := range tapes {
-		if t == nil {
-			continue
-		}
-		t.replay(sink, recorder)
-		releaseTape(t)
-	}
 }

@@ -37,7 +37,7 @@ func (s *countSink) shardEvents(shard, total int) int {
 	return n
 }
 
-// TestDirectEmitChunkedRetryExactlyOnce pins the hardest direct-emit
+// TestDirectEmitChunkedRetryExactlyOnce pins the hardest shard-pool
 // invariant: a shard that panics AFTER some of its chunks were already
 // flushed into the shared sink must, once retried, contribute every event
 // exactly once — the retry's flushTail skips precisely the bytes the first
@@ -56,7 +56,6 @@ func TestDirectEmitChunkedRetryExactlyOnce(t *testing.T) {
 
 	const nShards, perShard, panicShard, panicAfter = 4, 100, 2, 60
 	sink := &countSink{m: map[[2]int]int{}}
-	merge := newTapeMerge(s, sink)
 	var attempts [nShards]int
 	var attemptsMu sync.Mutex
 	flushedAtPanic := -1
@@ -82,12 +81,8 @@ func TestDirectEmitChunkedRetryExactlyOnce(t *testing.T) {
 		fingerprint: func(shard int) string { return fmt.Sprintf("chunk-test-%d", shard) },
 	}
 
-	tapes, err := runShardPool(s, sp, nShards, 2, false, merge, nil, nil)
-	if err != nil {
+	if err := runShardPool(s, sp, nShards, 2, sink, nil, nil); err != nil {
 		t.Fatalf("runShardPool: %v", err)
-	}
-	if tapes != nil {
-		t.Fatalf("direct-emit run returned %d tapes to replay, want none", len(tapes))
 	}
 	if attempts[panicShard] != 2 {
 		t.Fatalf("panicked shard ran %d times, want 2 (scan + retry)", attempts[panicShard])

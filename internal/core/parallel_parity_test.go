@@ -1,9 +1,10 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -12,51 +13,11 @@ import (
 	"rdfcube/internal/obsv"
 )
 
-// TestParallelReplayParity asserts ParallelCubeMasking's replay produces
-// exactly CubeMasking's output — Full/Partial/Compl sets, PartialDegree
-// AND the RecordPartialDims map — across worker counts. Run under -race
-// this also exercises the worker pool's concurrent counter flushes.
-func TestParallelReplayParity(t *testing.T) {
-	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 800, Seed: 3})
-	s, err := NewSpace(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NewResult()
-	CubeMasking(s, TaskAll, want, CubeMaskOptions{})
-	want.Sort()
-
-	for _, workers := range []int{1, 2, 8} {
-		got := NewResult()
-		ParallelCubeMasking(s, TaskAll, got, workers)
-		got.Sort()
-
-		if !reflect.DeepEqual(got.FullSet, want.FullSet) {
-			t.Errorf("workers=%d: FullSet differs (%d vs %d pairs)", workers, len(got.FullSet), len(want.FullSet))
-		}
-		if !reflect.DeepEqual(got.PartialSet, want.PartialSet) {
-			t.Errorf("workers=%d: PartialSet differs (%d vs %d pairs)", workers, len(got.PartialSet), len(want.PartialSet))
-		}
-		if !reflect.DeepEqual(got.ComplSet, want.ComplSet) {
-			t.Errorf("workers=%d: ComplSet differs (%d vs %d pairs)", workers, len(got.ComplSet), len(want.ComplSet))
-		}
-		if !reflect.DeepEqual(got.PartialDegree, want.PartialDegree) {
-			t.Errorf("workers=%d: PartialDegree differs", workers)
-		}
-		if !reflect.DeepEqual(got.PartialDims, want.PartialDims) {
-			t.Errorf("workers=%d: PartialDims (RecordPartialDims output) differs", workers)
-		}
-		if len(want.PartialDims) == 0 {
-			t.Errorf("degenerate input: no partial dims recorded")
-		}
-	}
-}
-
 // eventSink serializes every emission — kind, pair, degree, recorded
 // dimensions — into one byte stream in arrival order. Two algorithm runs
 // whose streams compare byte-equal emitted the same relationships in the
-// same order with the same metadata: the strongest possible parity.
+// same order with the same metadata — what the serial cancel-prefix
+// contract is stated in.
 type eventSink struct{ buf []byte }
 
 func (e *eventSink) rec(kind byte, a, b int, extra ...byte) {
@@ -107,8 +68,8 @@ func (e *eventSink) records() (out []string, ok bool) {
 }
 
 // equalAsSets reports whether two streams carry the same emission records
-// regardless of order — the oracle for direct-emit runs, whose shards land
-// in completion order. Every record embeds its own pair (and metadata), so
+// regardless of order — the oracle for pooled runs, whose shards land in
+// completion order. Every record embeds its own pair (and metadata), so
 // multiset equality over records is exactly sorted-set equality of the
 // emitted relationships.
 func (e *eventSink) equalAsSets(other *eventSink) bool {
@@ -127,108 +88,31 @@ func (e *eventSink) equalAsSets(other *eventSink) bool {
 	return true
 }
 
-// TestParityParallelBaselineBitIdentical: the parallel baseline's ordered
-// block replay must reproduce the serial baseline's emission stream bit
-// for bit — not merely the same sets after sorting — for every worker
-// count. Run under -race this also exercises the row-block pool.
-func TestParityParallelBaselineBitIdentical(t *testing.T) {
-	leakcheck.Check(t)
-	for _, n := range []int{63, 200, 800} { // below and above the serial-fallback floor
-		c := gen.RealWorld(gen.RealWorldConfig{TotalObs: n, Seed: 3})
-		s, err := NewSpace(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := &eventSink{}
-		Baseline(s, TaskAll, want)
-		if len(want.buf) == 0 {
-			t.Fatalf("n=%d: degenerate input: serial baseline emitted nothing", n)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got := &eventSink{}
-			ParallelBaseline(s, TaskAll, got, workers)
-			if !bytes.Equal(got.buf, want.buf) {
-				t.Errorf("n=%d workers=%d: emission stream differs from serial (%d vs %d bytes)",
-					n, workers, len(got.buf), len(want.buf))
-			}
-		}
+// serialOptions returns opts pinned to a run that is serial on every
+// machine: Workers 1, never 0 (which means GOMAXPROCS for
+// AlgorithmParallel). Tests take their reference runs from it.
+func serialOptions(opts Options) Options {
+	opts.Workers = 1
+	return opts
+}
+
+// forEachGOMAXPROCS runs f under GOMAXPROCS 1, 2 and 4 and restores the
+// setting, so a 1-CPU runner exercises the multi-P schedules a bigger
+// machine would (and the other way round).
+func forEachGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("procs=%d", procs), f)
 	}
 }
 
-// TestParityParallelClusteringBitIdentical: with a pinned seed the cluster
-// assignment is deterministic, so the parallel intra-cluster scans replayed
-// in cluster order must reproduce serial Clustering's emission stream
-// exactly.
-func TestParityParallelClusteringBitIdentical(t *testing.T) {
-	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 800, Seed: 3})
-	s, err := NewSpace(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := ClusteringOptions{}
-	opts.Config.Seed = 7
-	want := &eventSink{}
-	if _, err := Clustering(s, TaskAll, want, opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(want.buf) == 0 {
-		t.Fatal("degenerate input: serial clustering emitted nothing")
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got := &eventSink{}
-		if _, err := ParallelClustering(s, TaskAll, got, opts, workers); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.buf, want.buf) {
-			t.Errorf("workers=%d: emission stream differs from serial (%d vs %d bytes)",
-				workers, len(got.buf), len(want.buf))
-		}
-	}
-}
-
-// TestParityStrongReplayBitIdentical: Compute with Options.StrongReplay
-// must keep the historical bit-identical guarantee on every parallel path
-// — the emission stream, not just the sorted sets, matches the serial run
-// for every worker count. Run under -race this exercises the ordered
-// replay against concurrent workers.
-func TestParityStrongReplayBitIdentical(t *testing.T) {
-	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
-	s, err := NewSpace(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
-		opts := Options{Tasks: TaskAll}
-		opts.Clustering.Config.Seed = 7
-		want := &eventSink{}
-		if err := Compute(s, alg, opts, want); err != nil {
-			t.Fatal(err)
-		}
-		if len(want.buf) == 0 {
-			t.Fatalf("%s: degenerate input: serial run emitted nothing", alg)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			opts.Workers = workers
-			opts.StrongReplay = true
-			got := &eventSink{}
-			if err := Compute(s, alg, opts, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.buf, want.buf) {
-				t.Errorf("%s workers=%d: StrongReplay stream differs from serial (%d vs %d bytes)",
-					alg, workers, len(got.buf), len(want.buf))
-			}
-		}
-	}
-}
-
-// TestParityDirectEmitSetEquivalence: default (direct-emit) parallel runs
-// deliver the same relationship sets, degrees and map_P as serial — the
-// sorted-set equivalence oracle — for every worker count, even though
-// shard order is not preserved. Run under -race this exercises the
-// completion-order merge.
+// TestParityDirectEmitSetEquivalence: pooled runs deliver the same
+// relationship sets, degrees and map_P as serial — the sorted-set
+// equivalence oracle — for every worker count (0 included: GOMAXPROCS for
+// AlgorithmParallel, serial for the others), even though shard order is
+// not preserved. Run under -race this exercises the completion-order
+// merge.
 func TestParityDirectEmitSetEquivalence(t *testing.T) {
 	leakcheck.Check(t)
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
@@ -236,37 +120,35 @@ func TestParityDirectEmitSetEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
-		opts := Options{Tasks: TaskAll}
-		opts.Clustering.Config.Seed = 7
-		want := NewResult()
-		if err := Compute(s, alg, opts, want); err != nil {
-			t.Fatal(err)
+	forEachGOMAXPROCS(t, func(t *testing.T) {
+		for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
+			opts := Options{Tasks: TaskAll}
+			opts.Clustering.Config.Seed = 7
+			want := NewResult()
+			mustCompute(t, s, alg, serialOptions(opts), want)
+			want.Sort()
+			for _, workers := range []int{0, 1, 2, 8} {
+				opts.Workers = workers
+				got := NewResult()
+				mustCompute(t, s, alg, opts, got)
+				got.Sort()
+				if !reflect.DeepEqual(got.FullSet, want.FullSet) ||
+					!reflect.DeepEqual(got.PartialSet, want.PartialSet) ||
+					!reflect.DeepEqual(got.ComplSet, want.ComplSet) {
+					t.Errorf("%s workers=%d: pooled sets differ from serial", alg, workers)
+				}
+				if !reflect.DeepEqual(got.PartialDegree, want.PartialDegree) {
+					t.Errorf("%s workers=%d: pooled degrees differ from serial", alg, workers)
+				}
+				if !reflect.DeepEqual(got.PartialDims, want.PartialDims) {
+					t.Errorf("%s workers=%d: pooled map_P differs from serial", alg, workers)
+				}
+			}
+			if len(want.PartialDims) == 0 {
+				t.Errorf("%s: degenerate input: no partial dims recorded", alg)
+			}
 		}
-		want.Sort()
-		for _, workers := range []int{1, 2, 8} {
-			opts.Workers = workers
-			got := NewResult()
-			if err := Compute(s, alg, opts, got); err != nil {
-				t.Fatal(err)
-			}
-			got.Sort()
-			if !reflect.DeepEqual(got.FullSet, want.FullSet) ||
-				!reflect.DeepEqual(got.PartialSet, want.PartialSet) ||
-				!reflect.DeepEqual(got.ComplSet, want.ComplSet) {
-				t.Errorf("%s workers=%d: direct-emit sets differ from serial", alg, workers)
-			}
-			if !reflect.DeepEqual(got.PartialDegree, want.PartialDegree) {
-				t.Errorf("%s workers=%d: direct-emit degrees differ from serial", alg, workers)
-			}
-			if !reflect.DeepEqual(got.PartialDims, want.PartialDims) {
-				t.Errorf("%s workers=%d: direct-emit map_P differs from serial", alg, workers)
-			}
-		}
-		if len(want.PartialDims) == 0 {
-			t.Errorf("%s: degenerate input: no partial dims recorded", alg)
-		}
-	}
+	})
 }
 
 // TestParityComputeHonorsWorkers guards the fixed bug where
@@ -285,9 +167,7 @@ func TestParityComputeHonorsWorkers(t *testing.T) {
 		serial := NewResult()
 		opts := Options{Tasks: TaskAll}
 		opts.Clustering.Config.Seed = 7
-		if err := Compute(s, alg, opts, serial); err != nil {
-			t.Fatal(err)
-		}
+		mustCompute(t, s, alg, serialOptions(opts), serial)
 		serial.Sort()
 
 		col := obsv.NewCollector()

@@ -12,7 +12,7 @@ import (
 func TestPartialDimsMapOnExample(t *testing.T) {
 	s, idx := exampleSpace(t)
 	res := NewResult()
-	Baseline(s, TaskAll, res)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 
 	dRefArea := dimIndex(t, s, gen.DimRefArea)
 	dRefPeriod := dimIndex(t, s, gen.DimRefPeriod)
@@ -44,7 +44,7 @@ func TestPartialDimsConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		truth := NewResult()
-		Baseline(s, TaskAll, truth)
+		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, truth)
 
 		for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmCubeMasking, AlgorithmParallel} {
 			res := NewResult()
@@ -75,9 +75,9 @@ func TestPartialDimsConsistency(t *testing.T) {
 func TestCounterSkipsDimsRecording(t *testing.T) {
 	s, _ := exampleSpace(t)
 	cnt := &Counter{}
-	Baseline(s, TaskAll, cnt)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, cnt)
 	res := NewResult()
-	Baseline(s, TaskAll, res)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 	if cnt.NPartial != len(res.PartialSet) {
 		t.Errorf("counter partials %d, result %d", cnt.NPartial, len(res.PartialSet))
 	}

@@ -81,7 +81,7 @@ func TestQuickAlgorithmsAgree(t *testing.T) {
 			return false
 		}
 		truth := NewResult()
-		Baseline(s, TaskAll, truth)
+		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, truth)
 		truth.Sort()
 		for _, alg := range []Algorithm{AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch, AlgorithmParallel} {
 			res := NewResult()
@@ -120,9 +120,9 @@ func samePairs(a, b []Pair) bool {
 }
 
 // TestParityRandomSpacesAcrossWorkers is the differential oracle over
-// random corpora: for every seed × worker count, the parallel baseline and
-// parallel cubeMasking must reproduce the serial baseline's relationship
-// sets exactly, and clustering (serial or parallel — itself pairwise
+// random corpora: for every seed × worker count, the pooled baseline and
+// pooled cubeMasking must reproduce the serial baseline's relationship
+// sets exactly, and clustering (serial or pooled — itself pairwise
 // identical) must emit a subset of the baseline's sets with its recall
 // measured and reported. Run it under -race to also exercise the tape pool
 // and counter flushes: go test -race ./internal/core -run Parity
@@ -134,18 +134,15 @@ func TestParityRandomSpacesAcrossWorkers(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		truth := NewResult()
-		Baseline(s, TaskAll, truth)
+		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, truth)
 		truth.Sort()
 		tf, tp, tc := pairSet(truth.FullSet), pairSet(truth.PartialSet), pairSet(truth.ComplSet)
 
 		for _, workers := range []int{1, 2, 8} {
 			// Exact algorithms: identical sorted sets and degrees.
-			for name, run := range map[string]func(Sink){
-				"parallel-baseline":    func(sink Sink) { ParallelBaseline(s, TaskAll, sink, workers) },
-				"parallel-cubemasking": func(sink Sink) { ParallelCubeMasking(s, TaskAll, sink, workers) },
-			} {
+			for _, name := range []Algorithm{AlgorithmBaseline, AlgorithmParallel} {
 				res := NewResult()
-				run(res)
+				mustCompute(t, s, name, Options{Tasks: TaskAll, Workers: workers}, res)
 				res.Sort()
 				if !samePairs(truth.FullSet, res.FullSet) ||
 					!samePairs(truth.PartialSet, res.PartialSet) ||
@@ -163,17 +160,10 @@ func TestParityRandomSpacesAcrossWorkers(t *testing.T) {
 			// Clustering: lossy, so assert subset + measure recall. The
 			// pinned seed keeps the assignment (and hence the recall)
 			// deterministic across worker counts.
-			opts := ClusteringOptions{}
-			opts.Config.Seed = 11
+			opts := Options{Tasks: TaskAll, Workers: workers}
+			opts.Clustering.Config.Seed = 11
 			cres := NewResult()
-			if workers > 1 {
-				_, err = ParallelClustering(s, TaskAll, cres, opts, workers)
-			} else {
-				_, err = Clustering(s, TaskAll, cres, opts)
-			}
-			if err != nil {
-				t.Fatalf("seed %d workers %d: clustering: %v", seed, workers, err)
-			}
+			mustCompute(t, s, AlgorithmClustering, opts, cres)
 			cres.Sort()
 			for _, p := range cres.FullSet {
 				if !tf[p] {
@@ -212,7 +202,7 @@ func TestQuickEmissionsMatchDefinitions(t *testing.T) {
 			return false
 		}
 		res := NewResult()
-		Baseline(s, TaskAll, res)
+		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 		full := pairSet(res.FullSet)
 		partial := pairSet(res.PartialSet)
 		compl := pairSet(res.ComplSet)
@@ -340,7 +330,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		// Batch over the same final space (the incremental space already
 		// contains everything, in its insertion order).
 		batch := NewResult()
-		Baseline(inc.S, TaskAll, batch)
+		mustCompute(t, inc.S, AlgorithmBaseline, Options{Tasks: TaskAll}, batch)
 		batch.Sort()
 
 		if !samePairs(batch.FullSet, inc.Res.FullSet) {
@@ -413,7 +403,7 @@ func TestHybridSubsetOfExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := NewResult()
-	CubeMasking(s, TaskAll, truth, CubeMaskOptions{})
+	mustCompute(t, s, AlgorithmCubeMasking, Options{Tasks: TaskAll}, truth)
 
 	res := NewResult()
 	opts := Options{Hybrid: HybridOptions{MaxCubeSize: 8}}
@@ -507,10 +497,10 @@ func TestQuickPrefetchPathEquivalence(t *testing.T) {
 		}
 		tasks := TaskFull | TaskCompl
 		truth := NewResult()
-		Baseline(s, tasks, truth)
+		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: tasks}, truth)
 		truth.Sort()
 		res := NewResult()
-		CubeMasking(s, tasks, res, CubeMaskOptions{PrefetchChildren: true})
+		mustCompute(t, s, AlgorithmCubeMaskingPrefetch, Options{Tasks: tasks}, res)
 		res.Sort()
 		return samePairs(truth.FullSet, res.FullSet) && samePairs(truth.ComplSet, res.ComplSet)
 	}
@@ -529,12 +519,10 @@ func TestQuickHybridIdenticalWhenCubesSmall(t *testing.T) {
 			return false
 		}
 		truth := NewResult()
-		Baseline(s, TaskAll, truth)
+		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, truth)
 		truth.Sort()
 		res := NewResult()
-		if err := Hybrid(s, TaskAll, res, HybridOptions{MaxCubeSize: s.N() + 1}); err != nil {
-			return false
-		}
+		mustCompute(t, s, AlgorithmHybrid, Options{Tasks: TaskAll, Hybrid: HybridOptions{MaxCubeSize: s.N() + 1}}, res)
 		res.Sort()
 		return samePairs(truth.FullSet, res.FullSet) &&
 			samePairs(truth.PartialSet, res.PartialSet) &&
@@ -555,7 +543,7 @@ func TestKDominantFromResultMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := NewResult()
-		Baseline(s, TaskAll, res)
+		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 		for k := 1; k <= s.NumDims(); k++ {
 			direct := KDominantSkyline(s, k)
 			fromRes := KDominantSkylineFromResult(s, res, k)

@@ -9,7 +9,7 @@ func TestRelatednessOnExample(t *testing.T) {
 	s, idx := exampleSpace(t)
 	_ = idx
 	res := NewResult()
-	Baseline(s, TaskAll, res)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 	r := ComputeRelatedness(s, res)
 	if len(r.Datasets) != 3 {
 		t.Fatalf("datasets = %d", len(r.Datasets))
@@ -43,7 +43,7 @@ func TestRelatednessOnExample(t *testing.T) {
 func TestRelatednessScoresAndRanking(t *testing.T) {
 	s, _ := exampleSpace(t)
 	res := NewResult()
-	Baseline(s, TaskAll, res)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 	r := ComputeRelatedness(s, res)
 	for a := range r.Datasets {
 		for b := range r.Datasets {

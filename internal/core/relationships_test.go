@@ -6,6 +6,14 @@ import (
 	"rdfcube/internal/gen"
 )
 
+// mustCompute is Compute for tests that expect a clean run.
+func mustCompute(t testing.TB, s *Space, alg Algorithm, opts Options, sink Sink) {
+	t.Helper()
+	if err := Compute(s, alg, opts, sink); err != nil {
+		t.Fatalf("%s: %v", alg, err)
+	}
+}
+
 // namedPairs converts a result's pair sets to name tuples for comparison.
 func namedPairs(s *Space, ps []Pair) map[[2]string]bool {
 	out := map[[2]string]bool{}
@@ -46,7 +54,7 @@ func diffSets(t *testing.T, label string, got, want map[[2]string]bool) {
 func TestBaselineFigure3(t *testing.T) {
 	s, _ := exampleSpace(t)
 	res := NewResult()
-	Baseline(s, TaskAll, res)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 	res.Sort()
 
 	diffSets(t, "S_F", namedPairs(s, res.FullSet), wantSet(
@@ -68,7 +76,7 @@ func TestBaselineFigure3(t *testing.T) {
 func TestBaselinePartialExample(t *testing.T) {
 	s, idx := exampleSpace(t)
 	res := NewResult()
-	Baseline(s, TaskAll, res)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 
 	p := Pair{idx["o21"], idx["o31"]}
 	if got := res.PartialDegree[p]; got < 0.66 || got > 0.67 {
@@ -101,7 +109,7 @@ func TestBaselinePartialExample(t *testing.T) {
 func TestFullImpliesMeasureAndDims(t *testing.T) {
 	s, _ := exampleSpace(t)
 	res := NewResult()
-	Baseline(s, TaskAll, res)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 	for _, p := range res.FullSet {
 		if !s.FullContains(p.A, p.B) {
 			t.Errorf("S_F pair (%d,%d) fails FullContains", p.A, p.B)
@@ -124,11 +132,11 @@ func TestFullImpliesMeasureAndDims(t *testing.T) {
 func TestTaskMasking(t *testing.T) {
 	s, _ := exampleSpace(t)
 	all := NewResult()
-	Baseline(s, TaskAll, all)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, all)
 	all.Sort()
 
 	onlyFull := NewResult()
-	Baseline(s, TaskFull, onlyFull)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskFull}, onlyFull)
 	onlyFull.Sort()
 	if len(onlyFull.PartialSet) != 0 || len(onlyFull.ComplSet) != 0 {
 		t.Errorf("TaskFull emitted partial/compl relationships")
@@ -138,7 +146,7 @@ func TestTaskMasking(t *testing.T) {
 	}
 
 	onlyCompl := NewResult()
-	Baseline(s, TaskCompl, onlyCompl)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskCompl}, onlyCompl)
 	onlyCompl.Sort()
 	if len(onlyCompl.FullSet) != 0 || len(onlyCompl.PartialSet) != 0 {
 		t.Errorf("TaskCompl emitted full/partial relationships")
@@ -153,7 +161,7 @@ func TestTaskMasking(t *testing.T) {
 func TestAlgorithmsAgreeOnExample(t *testing.T) {
 	s, _ := exampleSpace(t)
 	truth := NewResult()
-	Baseline(s, TaskAll, truth)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, truth)
 	truth.Sort()
 
 	for _, alg := range []Algorithm{AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch, AlgorithmParallel} {
@@ -194,7 +202,7 @@ func TestAlgorithmsAgreeOnGenerated(t *testing.T) {
 		t.Fatalf("NewSpace: %v", err)
 	}
 	truth := NewResult()
-	Baseline(s, TaskAll, truth)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, truth)
 	truth.Sort()
 	tf, tp, tc := truth.Counts()
 	if tf+tp+tc == 0 {
@@ -227,7 +235,7 @@ func TestClusteringIsSubset(t *testing.T) {
 		t.Fatalf("NewSpace: %v", err)
 	}
 	truth := NewResult()
-	Baseline(s, TaskAll, truth)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, truth)
 
 	res := NewResult()
 	if err := Compute(s, AlgorithmClustering, Options{}, res); err != nil {
@@ -262,10 +270,10 @@ func TestComplOnlyShortcutMatchesBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := NewResult()
-	Baseline(s, TaskCompl, truth)
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskCompl}, truth)
 	truth.Sort()
 	res := NewResult()
-	CubeMasking(s, TaskCompl, res, CubeMaskOptions{})
+	mustCompute(t, s, AlgorithmCubeMasking, Options{Tasks: TaskCompl}, res)
 	res.Sort()
 	if len(truth.ComplSet) != len(res.ComplSet) {
 		t.Fatalf("compl counts: baseline %d, shortcut %d", len(truth.ComplSet), len(res.ComplSet))

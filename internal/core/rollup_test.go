@@ -76,7 +76,7 @@ func TestRollUpMakesComparable(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := NewResult()
-	Baseline(s2, TaskAll, res)
+	mustCompute(t, s2, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 	// (Greece, 2011) must now fully contain the rolled-up (Athens, 2011).
 	foundContainment := false
 	for _, p := range res.FullSet {

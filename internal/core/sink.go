@@ -63,26 +63,12 @@ func NewResult() *Result {
 // RecordPartialDims implements DimsRecorder.
 func (r *Result) RecordPartialDims(a, b int, dims []int) { r.PartialDims[Pair{a, b}] = dims }
 
-// Reset empties the result for reuse while retaining the pair-set slice
-// capacity — the reusable pair buffer of the parallel workers' private
-// sinks. A reset result drops its references into previously recorded
-// dimension lists (their ownership moved downstream at replay time) but
-// keeps its maps allocated.
-func (r *Result) Reset() {
-	r.FullSet = r.FullSet[:0]
-	r.PartialSet = r.PartialSet[:0]
-	r.ComplSet = r.ComplSet[:0]
-	clear(r.PartialDegree)
-	clear(r.PartialDims)
-}
-
-// Tape encoding. A parallel worker's private tape is a single event-packed
+// Tape encoding. A pool worker's private tape is a single event-packed
 // byte buffer, not a []struct log: one kind byte per event followed by the
 // varint-encoded pair indices, so a Full/Compl event costs ~3 bytes and a
 // Partial ~11 instead of the 48-byte struct the first version recorded.
-// That representation is what keeps the parallel paths' bytes/op in the
-// low kilobytes — the struct log retained every shard's events at ~48 B
-// each until replay, which BENCH_0 measured at tens of MB per op.
+// That representation, flushed in bounded chunks (parallel.go), is what
+// keeps the pooled runs' bytes/op in the low kilobytes.
 //
 //	'F' uvarint(a) uvarint(b)                    Full(a, b)
 //	'P' uvarint(a) uvarint(b) 8-byte LE float    Partial(a, b, degree)
@@ -102,19 +88,19 @@ const (
 // supposed to hold it.
 var errTapeCorrupt = errors.New("core: corrupt tape buffer")
 
-// tape is the private sink of a parallel work item: it records every
-// emission onto its byte buffer, preserving the exact call sequence, so an
-// ordered replay can reproduce the serial algorithm's emission stream bit
-// for bit (a sorted-set merge would lose the interleaving of Full/Partial/
-// Compl calls within a shard). Tapes are the workers' reusable pair
-// buffers: recycled through a pool, they make steady-state parallel runs
-// allocate nothing per work item beyond first-use buffer growth.
+// tape is the private sink of a pooled work item: it records the shard's
+// emissions — the exact call sequence, dimension lists included — onto its
+// byte buffer until the merge decodes them into the caller's sink, so
+// Sink implementations need not be thread-safe. Tapes are the workers'
+// reusable pair buffers: recycled through a pool, they make steady-state
+// pooled runs allocate nothing per work item beyond first-use buffer
+// growth.
 type tape struct {
 	buf []byte
 	// flushed counts bytes already decoded into the shared sink by the
-	// direct-emit chunk flush; the retry of a panicked shard skips this
-	// prefix so chunks flushed by the first attempt are never emitted
-	// twice (see tapeMerge.flushTail).
+	// chunk flush; the retry of a panicked shard skips this prefix so
+	// chunks flushed by the first attempt are never emitted twice (see
+	// tapeMerge.flushTail).
 	flushed int
 }
 
@@ -223,21 +209,12 @@ func decodeTape(buf []byte, sink Sink, rec DimsRecorder) error {
 	return nil
 }
 
-// replay decodes the tape into sink/rec. The buffer was produced by this
-// package's encoder, so a decode error is a programming bug, not an input
-// condition — it panics rather than silently dropping emissions.
-func (t *tape) replay(sink Sink, rec DimsRecorder) {
-	if err := decodeTape(t.buf, sink, rec); err != nil {
-		panic(err)
-	}
-}
-
 // tapePool recycles tapes across work items and runs.
 var tapePool = sync.Pool{New: func() any { return new(tape) }}
 
 // borrowTape takes an empty tape from the pool and returns it both as the
-// concrete type (for replay indexing) and as the Sink the worker should
-// emit into — a dims-recording wrapper when wantDims is set.
+// concrete type (for the merge) and as the Sink a scan should emit into —
+// a dims-recording wrapper when wantDims is set.
 func borrowTape(wantDims bool) (*tape, Sink) {
 	t := tapePool.Get().(*tape)
 	if wantDims {
@@ -248,7 +225,7 @@ func borrowTape(wantDims bool) (*tape, Sink) {
 
 // releaseTape empties the tape's buffer and returns it to the pool,
 // keeping capacity. Decoded payloads (the dims slices) are freshly
-// allocated at replay time, so nothing the downstream sink kept aliases
+// allocated at decode time, so nothing the downstream sink kept aliases
 // pooled memory.
 func releaseTape(t *tape) {
 	t.buf = t.buf[:0]

@@ -1,6 +1,7 @@
 package csvqb
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -140,12 +141,10 @@ func TestConvertFeedsAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.NewSpace(corpus)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewResult()
-	core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
 	if len(res.FullSet) != 1 {
 		t.Fatalf("expected one containment pair, got %v", res.FullSet)
 	}

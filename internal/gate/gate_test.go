@@ -2,6 +2,7 @@ package gate
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,14 +82,11 @@ func (t *hostTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // and serves it.
 func buildShardServer(t *testing.T, c *qb.Corpus) *serve.Server {
 	t.Helper()
-	s, err := core.NewSpace(c)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), c, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
-		t.Fatalf("NewSpace: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	srv, err := serve.New(snapshot.New(s, res, l), serve.Config{})
+	srv, err := serve.New(snapshot.New(s, res, nil), serve.Config{})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -28,13 +29,10 @@ import (
 // shape migration requires (/v1/snapshot + /v1/wal + POST /v1/datasets).
 func durableShard(t *testing.T, c *qb.Corpus) *serve.Server {
 	t.Helper()
-	s, err := core.NewSpace(c)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), c, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
-		t.Fatalf("NewSpace: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
 	wlog, _, err := wal.Open(faultfs.NewMemFS(), "cube.wal")
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
@@ -43,7 +41,7 @@ func durableShard(t *testing.T, c *qb.Corpus) *serve.Server {
 	cfg := serve.Config{WAL: wlog, CheckpointNow: func() error {
 		return srv.CheckpointWith(func([]byte) error { return nil })
 	}}
-	srv, err = serve.New(snapshot.New(s, res, l), cfg)
+	srv, err = serve.New(snapshot.New(s, res, nil), cfg)
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}

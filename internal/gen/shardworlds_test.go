@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -32,13 +33,10 @@ func TestShardWorldsClosure(t *testing.T) {
 		if len(worlds) != 3 {
 			t.Fatalf("seed %d: got %d worlds, want 3", seed, len(worlds))
 		}
-		s, err := core.NewSpace(combined)
+		s, res, err := core.ComputeCorpusCtx(context.Background(), combined, core.AlgorithmBaseline, core.Options{})
 		if err != nil {
-			t.Fatalf("seed %d: NewSpace: %v", seed, err)
+			t.Fatalf("seed %d: compute: %v", seed, err)
 		}
-		res := core.NewResult()
-		core.Baseline(s, core.TaskAll, res)
-		res.Sort()
 
 		full, partial, compl := res.Counts()
 		if full == 0 || partial == 0 || compl == 0 {
@@ -95,13 +93,10 @@ func TestShardWorldsEqualDimensionUniverse(t *testing.T) {
 func TestSplitWorldClosure(t *testing.T) {
 	for _, seed := range []int64{2, 9} {
 		worlds, combined := ShardWorlds(ShardWorldsConfig{Seed: seed, ObsPerDataset: 50, DisjointMeasures: true})
-		s, err := core.NewSpace(combined)
+		s, res, err := core.ComputeCorpusCtx(context.Background(), combined, core.AlgorithmBaseline, core.Options{})
 		if err != nil {
-			t.Fatalf("seed %d: NewSpace: %v", seed, err)
+			t.Fatalf("seed %d: compute: %v", seed, err)
 		}
-		res := core.NewResult()
-		core.Baseline(s, core.TaskAll, res)
-		res.Sort()
 		full, partial, compl := res.Counts()
 		if full == 0 || partial == 0 || compl == 0 {
 			t.Errorf("seed %d: degenerate corpus: full=%d partial=%d compl=%d", seed, full, partial, compl)
@@ -154,12 +149,10 @@ func TestSplitWorldClosure(t *testing.T) {
 // the sharded-serving exactness property, post-split.
 func TestSplitWorldUnionExact(t *testing.T) {
 	worlds, combined := ShardWorlds(ShardWorldsConfig{Seed: 5, ObsPerDataset: 40, DisjointMeasures: true})
-	s, err := core.NewSpace(combined)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), combined, core.AlgorithmBaseline, core.Options{})
 	if err != nil {
-		t.Fatalf("NewSpace(combined): %v", err)
+		t.Fatalf("compute(combined): %v", err)
 	}
-	res := core.NewResult()
-	core.Baseline(s, core.TaskAll, res)
 
 	w := worlds[0]
 	owned := map[string]bool{}
@@ -191,12 +184,10 @@ func TestSplitWorldUnionExact(t *testing.T) {
 	}
 	got := map[rel]float64{}
 	for _, sub := range subs {
-		ss, err := core.NewSpace(sub.Corpus)
+		ss, sres, err := core.ComputeCorpusCtx(context.Background(), sub.Corpus, core.AlgorithmBaseline, core.Options{})
 		if err != nil {
-			t.Fatalf("NewSpace(%s): %v", sub.Name, err)
+			t.Fatalf("compute(%s): %v", sub.Name, err)
 		}
-		sres := core.NewResult()
-		core.Baseline(ss, core.TaskAll, sres)
 		add(got, "full", ss, sres.FullSet, nil)
 		add(got, "partial", ss, sres.PartialSet, sres.PartialDegree)
 		add(got, "compl", ss, sres.ComplSet, nil)

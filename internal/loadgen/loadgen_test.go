@@ -20,14 +20,11 @@ import (
 func newServer(t *testing.T, n int, seed int64) *serve.Server {
 	t.Helper()
 	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: n, Seed: seed})
-	s, err := core.NewSpace(corpus)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	srv, err := serve.New(snapshot.New(s, res, l), serve.Config{Recorder: obsv.NewCollector()})
+	srv, err := serve.New(snapshot.New(s, res, nil), serve.Config{Recorder: obsv.NewCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}

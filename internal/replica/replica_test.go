@@ -34,13 +34,10 @@ type primaryWorld struct {
 func newPrimary(t *testing.T) *primaryWorld {
 	t.Helper()
 	p := &primaryWorld{mem: faultfs.NewMemFS()}
-	s, err := core.NewSpace(gen.PaperExample())
+	s, res, err := core.ComputeCorpusCtx(context.Background(), gen.PaperExample(), core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
 	p.wlog, _, err = wal.Open(p.mem, "cube.wal")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +51,7 @@ func newPrimary(t *testing.T) *primaryWorld {
 		WALPollWait:   100 * time.Millisecond,
 		CheckpointNow: func() error { return p.srv.CheckpointWith(func([]byte) error { return nil }) },
 	}
-	p.srv, err = serve.New(snapshot.New(s, res, l), cfg)
+	p.srv, err = serve.New(snapshot.New(s, res, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

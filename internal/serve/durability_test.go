@@ -26,14 +26,11 @@ import (
 func paperSnapshotBytes(t *testing.T) []byte {
 	t.Helper()
 	corpus := gen.PaperExample()
-	s, err := core.NewSpace(corpus)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	data, err := snapshot.New(s, res, l).Encode()
+	data, err := snapshot.New(s, res, core.BuildLattice(s)).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,11 @@ import (
 func newRealServer(t *testing.T, n int, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: n, Seed: 3})
-	s, err := core.NewSpace(corpus)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	srv, err := New(snapshot.New(s, res, l), cfg)
+	srv, err := New(snapshot.New(s, res, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +268,11 @@ func TestRecomputeSingleFlight429(t *testing.T) {
 func TestCheckpointWithinHungFsync(t *testing.T) {
 	leakcheck.Check(t)
 	corpus := gen.PaperExample()
-	s, err := core.NewSpace(corpus)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	srv, err := New(snapshot.New(s, res, l), Config{})
+	srv, err := New(snapshot.New(s, res, nil), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

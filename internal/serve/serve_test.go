@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -22,14 +23,11 @@ import (
 func newPaperServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	corpus := gen.PaperExample()
-	s, err := core.NewSpace(corpus)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
-		t.Fatalf("NewSpace: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, core.TaskAll, res, core.CubeMaskOptions{})
-	res.Sort()
-	srv, err := New(snapshot.New(s, res, l), cfg)
+	srv, err := New(snapshot.New(s, res, nil), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -22,14 +23,11 @@ func computeSnapshot(t *testing.T, corpus *qb.Corpus) *Snapshot {
 
 func computeSnapshotTasks(t *testing.T, corpus *qb.Corpus, tasks core.Tasks) *Snapshot {
 	t.Helper()
-	s, err := core.NewSpace(corpus)
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{Tasks: tasks})
 	if err != nil {
-		t.Fatalf("NewSpace: %v", err)
+		t.Fatalf("compute: %v", err)
 	}
-	res := core.NewResult()
-	l := core.CubeMasking(s, tasks, res, core.CubeMaskOptions{})
-	res.Sort()
-	return New(s, res, l)
+	return New(s, res, core.BuildLattice(s))
 }
 
 func roundTrip(t *testing.T, sn *Snapshot) *Snapshot {
@@ -131,7 +129,9 @@ func TestRoundTripPaperExample(t *testing.T) {
 	// The reconstructed space must also recompute to the same sets — the
 	// snapshot is a cache, never a fork.
 	res := core.NewResult()
-	core.CubeMasking(got.Space, core.TaskAll, res, core.CubeMaskOptions{})
+	if err := core.Compute(got.Space, core.AlgorithmCubeMasking, core.Options{}, res); err != nil {
+		t.Fatal(err)
+	}
 	res.Sort()
 	if !reflect.DeepEqual(res.FullSet, sn.Result.FullSet) ||
 		!reflect.DeepEqual(res.PartialSet, sn.Result.PartialSet) ||

@@ -28,21 +28,16 @@ import (
 	"rdfcube/internal/align"
 	"rdfcube/internal/core"
 	"rdfcube/internal/csvqb"
-	"rdfcube/internal/faultfs"
-	"rdfcube/internal/gate"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/hierarchy"
 	"rdfcube/internal/integrity"
-	"rdfcube/internal/netchaos"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
-	"rdfcube/internal/replica"
 	"rdfcube/internal/serve"
 	"rdfcube/internal/snapshot"
 	"rdfcube/internal/sparql"
 	"rdfcube/internal/turtle"
-	"rdfcube/internal/wal"
 )
 
 // Re-exported model types. They alias the implementation types, so values
@@ -50,8 +45,6 @@ import (
 type (
 	// Term is an RDF term (IRI, blank node or literal).
 	Term = rdf.Term
-	// Graph is an indexed RDF triple store.
-	Graph = rdf.Graph
 	// Corpus is the full input: datasets plus shared code lists.
 	Corpus = qb.Corpus
 	// Dataset is one QB dataset (schema + observations).
@@ -90,20 +83,6 @@ type (
 	// Progress is a streaming Recorder that prints phase transitions and
 	// throttled counter digests to a writer (typically stderr).
 	Progress = obsv.Progress
-	// Span is one recorded phase of a Collector's span tree.
-	Span = obsv.Span
-	// Histogram is a fixed-memory log-bucketed latency histogram with
-	// lock-free recording and bounded-relative-error quantiles. The zero
-	// value is ready to use.
-	Histogram = obsv.Histogram
-	// HistSnapshot is a consistent point-in-time copy of a Histogram.
-	HistSnapshot = obsv.HistSnapshot
-	// QuantileSummary is the serializable quantile digest of a snapshot
-	// (count, mean, p50/p90/p99/p999).
-	QuantileSummary = obsv.QuantileSummary
-	// TraceCollector is a per-request Recorder that builds a span tree
-	// with counters attributed to the innermost open span.
-	TraceCollector = obsv.TraceCollector
 )
 
 // Algorithm and task constants.
@@ -135,12 +114,8 @@ const (
 var (
 	// NewIRI builds an IRI term.
 	NewIRI = rdf.NewIRI
-	// NewLiteral builds a plain literal term.
-	NewLiteral = rdf.NewLiteral
 	// NewInteger builds an xsd:integer literal.
 	NewInteger = rdf.NewInteger
-	// NewDecimal builds an xsd:decimal literal.
-	NewDecimal = rdf.NewDecimal
 	// NewSchema builds a dataset schema from dimension and measure IRIs.
 	NewSchema = qb.NewSchema
 	// NewCorpus builds an empty corpus over a code-list registry.
@@ -154,8 +129,6 @@ var (
 
 	// NewCollector builds an empty in-memory metrics collector.
 	NewCollector = obsv.NewCollector
-	// NewTraceCollector builds an empty per-request trace recorder.
-	NewTraceCollector = obsv.NewTraceCollector
 	// NewProgress builds a streaming progress recorder over a writer.
 	NewProgress = obsv.NewProgress
 	// MultiRecorder fans one recording out to several recorders (nils are
@@ -178,21 +151,18 @@ type Computation struct {
 // Obs returns the observation behind index i of any Result pair.
 func (c *Computation) Obs(i int) *Observation { return c.Space.Obs[i] }
 
-// Compute compiles the corpus and runs the selected algorithm over it.
+// Compute compiles the corpus and runs the selected algorithm over it. A
+// run cut short by an Options budget returns what ComputeContext would.
 func Compute(corpus *Corpus, alg Algorithm, opts Options) (*Computation, error) {
-	s, res, err := core.ComputeCorpus(corpus, alg, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Computation{Space: s, Result: res}, nil
+	return ComputeContext(context.Background(), corpus, alg, opts)
 }
 
 // ComputeContext is Compute with cooperative cancellation: the run stops
 // shortly after ctx is canceled (or an Options budget — Deadline,
 // MaxPairs, StallTimeout — runs out) and returns an error matching
 // errors.Is(err, ErrCanceled). On cancellation the returned Computation is
-// NOT nil: it carries the sorted partial result — an exact serial-order
-// prefix of the full run — so callers can report what was salvaged.
+// NOT nil: it carries the sorted partial result — a subset of the full
+// run's sets — so callers can report what was salvaged.
 func ComputeContext(ctx context.Context, corpus *Corpus, alg Algorithm, opts Options) (*Computation, error) {
 	s, res, err := core.ComputeCorpusCtx(ctx, corpus, alg, opts)
 	if s == nil {
@@ -210,9 +180,6 @@ func LoadTurtle(src string) (*Corpus, error) {
 	}
 	return qb.ParseGraph(g)
 }
-
-// LoadGraph extracts a corpus from an already-parsed RDF graph.
-func LoadGraph(g *Graph) (*Corpus, error) { return qb.ParseGraph(g) }
 
 // ExportTurtle serializes the corpus (datasets, observations, code lists)
 // as Turtle with the standard prefixes.
@@ -308,11 +275,6 @@ func CheckIntegrity(corpus *Corpus) ([]IntegrityViolation, error) {
 	return integrity.Check(qb.ExportGraph(corpus))
 }
 
-// CheckGraphIntegrity validates raw QB RDF before corpus extraction.
-func CheckGraphIntegrity(g *Graph) ([]IntegrityViolation, error) {
-	return integrity.Check(g)
-}
-
 // ExplorationIndex is a materialized relationship store for online
 // exploration (roll-up / drill-down navigation, complement lookup).
 type ExplorationIndex = core.Index
@@ -359,12 +321,6 @@ func MergeComplements(c *Computation) []MergedRow {
 	return core.MergeComplements(c.Space, c.Result)
 }
 
-// Slice is a qb:Slice — a dataset subset with fixed dimension values.
-type Slice = qb.Slice
-
-// SliceBy materializes the slice of ds fixing the given dimension values.
-var SliceBy = qb.SliceBy
-
 // Aggregation selects how measures combine under RollUp.
 type Aggregation = core.Aggregation
 
@@ -405,88 +361,10 @@ type Server = serve.Server
 // limit, write-ahead log). The zero value is serviceable.
 type ServerConfig = serve.Config
 
-// WAL is a crash-safe write-ahead log of live observation inserts:
-// length-prefixed, CRC-32-checked records, fsynced before each Append
-// returns (see internal/wal).
-type WAL = wal.Log
-
-// WALRecord is one logged insert: the observation's dataset index in the
-// snapshot's corpus plus its URI and values.
-type WALRecord = wal.Record
-
-// SnapshotRotator turns single-file checkpoints into crash-safe
-// generation rotation: atomic generation commits under a CURRENT
-// pointer, fallback newest-first on load, corrupt candidates quarantined
-// (renamed aside, never deleted). See internal/snapshot.
-type SnapshotRotator = snapshot.Rotator
-
-// FS is the filesystem seam the durability layers write through;
-// OSFilesystem is the production implementation, and faultfs.NewMemFS
-// (internal) provides the fault-injecting in-memory one tests use.
-type FS = faultfs.FS
-
-// Replica is a read replica: it bootstraps from a primary's snapshot,
-// tails the primary's WAL, serves every read route, rejects writes with
-// a leader hint, and (optionally) persists its own snapshot/WAL chain so
-// restarts resume from the last applied offset (see internal/replica).
-type Replica = replica.Follower
-
-// ReplicaConfig configures a Replica; only Primary is required.
-type ReplicaConfig = replica.Config
-
-// FollowerState carries a follower's replication telemetry — lag in
-// records, applied offset, staleness clock, bootstrap count — and is
-// what flips a stale follower's /readyz to 503.
-type FollowerState = serve.FollowerState
-
-// Backoff is the shared jittered, doubling, capped retry-delay policy
-// used by the circuit breaker and the replica's reconnect loop.
-type Backoff = serve.Backoff
-
-// Gate is the shard-aware scatter/gather router: writes route by the
-// observation's dataset to the owning shard, reads fan out to every
-// shard and merge deterministically, with hedged reads, per-target
-// circuit breakers and the partial-result degradation contract (see
-// internal/gate and DESIGN §12).
-type Gate = gate.Gate
-
-// GateConfig configures a Gate: the shard map plus timeout, probing,
-// breaker, hedging and write-retry policy. Only Shards is required.
-type GateConfig = gate.Config
-
-// ShardConfig names one shard: its primary (and optional replica) base
-// URL and the dataset URIs it owns.
-type ShardConfig = gate.ShardConfig
-
-// ChaosProxy is a seeded fault-injecting TCP proxy for partition
-// testing: refused connects, dropped/truncated/delayed responses, and
-// Partition/Heal that sever live connections and blackhole new ones
-// (see internal/netchaos).
-type ChaosProxy = netchaos.Proxy
-
-// ChaosProxyConfig sets a ChaosProxy's fault probabilities and seed.
-type ChaosProxyConfig = netchaos.Config
-
-// CanceledError reports a cooperatively canceled run (context, deadline,
-// pair budget or stall watchdog). It matches errors.Is(err, ErrCanceled);
-// its Cause field carries the specific trigger and Pairs the budget
-// position of the abort. The caller's sink / partial Computation holds an
-// exact serial-order prefix of the full emission stream.
-type CanceledError = core.CanceledError
-
-// ShardPanicError reports a parallel shard that panicked twice (once
-// under a worker, once more on its serial retry), with a deterministic
-// fingerprint of the shard's input.
-type ShardPanicError = core.ShardPanicError
-
-// Cancellation sentinels: every cooperative abort matches ErrCanceled via
-// errors.Is; ErrPairBudget and ErrStalled are the specific causes for an
-// exhausted Options.MaxPairs budget and a fired stall watchdog.
-var (
-	ErrCanceled   = core.ErrCanceled
-	ErrPairBudget = core.ErrPairBudget
-	ErrStalled    = core.ErrStalled
-)
+// ErrCanceled matches, via errors.Is, every cooperatively aborted run:
+// context cancellation, deadline expiry, an exhausted Options.MaxPairs
+// budget and a fired stall watchdog.
+var ErrCanceled = core.ErrCanceled
 
 var (
 	// NewServer builds a query/insert server over a snapshot's state.
@@ -495,29 +373,6 @@ var (
 	// StartServer listens on an address (port 0 for ephemeral) and
 	// serves a Server until the returned http.Server is shut down.
 	StartServer = serve.Start
-	// ReadSnapshot decodes a snapshot from a reader.
-	ReadSnapshot = snapshot.Read
-	// ReadSnapshotFile loads a snapshot from a file.
-	ReadSnapshotFile = snapshot.ReadFile
-	// OpenWAL opens (creating if needed) a write-ahead log, replays its
-	// records and repairs a torn tail, returning the log positioned for
-	// appending plus the recovered records.
-	OpenWAL = wal.Open
-	// NewSnapshotRotator builds a generation rotator around a base
-	// snapshot path on the given filesystem.
-	NewSnapshotRotator = snapshot.NewRotator
-	// OSFilesystem is the production filesystem for OpenWAL and
-	// NewSnapshotRotator.
-	OSFilesystem = faultfs.OS{}
-	// NewReplica builds a read replica of a primary; call Run to
-	// bootstrap and start tailing the primary's WAL.
-	NewReplica = replica.New
-	// NewGate builds a shard-aware router over a shard map; mount
-	// Handler() and Close() it on shutdown.
-	NewGate = gate.New
-	// NewChaosProxy starts a fault-injecting TCP proxy in front of an
-	// upstream address.
-	NewChaosProxy = netchaos.New
 )
 
 // NewSnapshot captures a computation as a persistable snapshot. The
@@ -530,12 +385,6 @@ func NewSnapshot(c *Computation) *Snapshot {
 // Compile compiles a corpus without computing relationships (for Skyline,
 // incremental use, or repeated Compute runs).
 func Compile(corpus *Corpus) (*Space, error) { return core.NewSpace(corpus) }
-
-// CompileObs compiles a corpus with a recorder attached, so the compile
-// phase is timed and later algorithm runs over the space are observed.
-func CompileObs(corpus *Corpus, rec Recorder) (*Space, error) {
-	return core.NewSpaceObs(corpus, rec)
-}
 
 // ExampleCorpus returns the paper's Figure 2 running example (three
 // datasets, ten observations) — a ready-made playground.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	rdfcube "rdfcube"
+	"rdfcube/internal/snapshot"
 )
 
 func TestFacadeComputeOnExample(t *testing.T) {
@@ -278,7 +279,8 @@ func TestFacadeExportRelationshipsDeterministic(t *testing.T) {
 }
 
 // TestFacadeSnapshotServer drives the persistence + serving surface
-// through the façade aliases only.
+// through the façade: a computation is snapshotted, read back from disk
+// and served.
 func TestFacadeSnapshotServer(t *testing.T) {
 	comp, err := rdfcube.Compute(rdfcube.ExampleCorpus(), rdfcube.CubeMasking, rdfcube.Options{})
 	if err != nil {
@@ -289,9 +291,9 @@ func TestFacadeSnapshotServer(t *testing.T) {
 	if err := sn.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	sn2, err := rdfcube.ReadSnapshotFile(path)
+	sn2, err := snapshot.ReadFile(path)
 	if err != nil {
-		t.Fatalf("ReadSnapshotFile: %v", err)
+		t.Fatalf("snapshot.ReadFile: %v", err)
 	}
 	if sn2.Space.N() != comp.Space.N() {
 		t.Fatalf("round trip lost observations: %d != %d", sn2.Space.N(), comp.Space.N())
