@@ -82,7 +82,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		inflight = fs.Int("max-inflight", 128, "max concurrently executing requests before 429 shedding")
 		once     = fs.Bool("once", false, "compute or load the snapshot, write it, and exit without serving")
 		check    = fs.Bool("check", false, "load the snapshot, recompute relationships from its space, verify they match, and exit")
-		workers  = fs.Int("workers", 0, "worker-pool size for POST /v1/recompute (0 keeps the serial scan)")
+		workers  = fs.Int("workers", 0, "worker-pool size for POST /v1/recompute (0 keeps the serial scan; baseline, clustering, cubemasking and parallel honour it, cubemasking-prefetch and hybrid are always serial)")
 		recompTO = fs.Duration("recompute-timeout", 60*time.Second, "deadline for one POST /v1/recompute batch pass")
 		shutTO   = fs.Duration("shutdown-timeout", 10*time.Second, "bound on the final shutdown checkpoint (0 waits forever; a hung disk then hangs shutdown)")
 		traceN   = fs.Int("trace-ring", 128, "recent request traces retained for GET /debug/traces")

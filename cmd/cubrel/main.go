@@ -34,7 +34,7 @@ func main() {
 		n       = flag.Int("n", 5000, "observation count for -gen real/synthetic")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		algStr  = flag.String("alg", "cubemasking", "algorithm: "+core.AlgorithmNames())
-		workers = flag.Int("workers", 0, "worker-pool size for baseline, clustering and parallel (0 = serial for baseline/clustering, GOMAXPROCS for parallel); output is identical to a serial run")
+		workers = flag.Int("workers", 0, "worker-pool size for baseline, clustering, cubemasking and parallel (0 = serial, except GOMAXPROCS for parallel; ignored by cubemasking-prefetch and hybrid); output is identical to a serial run, but a canceled pooled run keeps a salvaged subset, not an ordered prefix")
 		tasks   = flag.String("tasks", "all", "relationships: full, partial, compl, all (comma-separated)")
 		format  = flag.String("format", "summary", "output: summary, csv, ttl")
 		query   = flag.String("query", "", "run a SPARQL query against the corpus instead of computing relationships")

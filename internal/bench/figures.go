@@ -311,10 +311,16 @@ func Extensions(cfg Config) (Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := core.Options{Workers: cfg.Workers, Obs: cfg.Obs}
+		opts := core.Options{Obs: cfg.Obs}
 		opts.Clustering.Config.Seed = cfg.Seed
 		opts.Hybrid.Clustering.Config.Seed = cfg.Seed
 		for _, alg := range []core.Algorithm{core.AlgorithmCubeMasking, core.AlgorithmHybrid, core.AlgorithmParallel} {
+			// Only the pooled run takes the pool size: cubeMasking honours
+			// Workers too, and is the serial reference here.
+			opts.Workers = 0
+			if alg == core.AlgorithmParallel {
+				opts.Workers = cfg.Workers
+			}
 			m, err := RunCoreCtx(cfg.Ctx, s, alg, rules.FullContainment, opts)
 			if err != nil {
 				return nil, err

@@ -118,24 +118,27 @@ func rowBlocks(n, targetBlocks int) [][2]int {
 // slab's tail without touching memory already given away.
 type dimArena struct{ buf []int }
 
-const dimArenaSlab = 1024
+const dimArenaSlab = 8192
 
-// take copies src into the current slab and returns a capacity-capped view
-// that the caller may hand off permanently.
-func (a *dimArena) take(src []int) []int {
-	if len(src) == 0 {
+// alloc returns a capacity-capped slice of n ints from the current slab
+// (nil for n == 0) that the caller may fill and hand off permanently.
+func (a *dimArena) alloc(n int) []int {
+	if n == 0 {
 		return nil
 	}
-	if cap(a.buf)-len(a.buf) < len(src) {
-		size := dimArenaSlab
-		if len(src) > size {
-			size = len(src)
-		}
-		a.buf = make([]int, 0, size)
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]int, 0, max(dimArenaSlab, n))
 	}
 	start := len(a.buf)
-	a.buf = append(a.buf, src...)
-	return a.buf[start:len(a.buf):len(a.buf)]
+	a.buf = a.buf[:start+n]
+	return a.buf[start : start+n : start+n]
+}
+
+// take copies src into the arena.
+func (a *dimArena) take(src []int) []int {
+	dst := a.alloc(len(src))
+	copy(dst, src)
+	return dst
 }
 
 // baselineScratch is the per-call working set of baselineRows: the identity

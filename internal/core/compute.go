@@ -21,7 +21,8 @@ const (
 	AlgorithmBaseline Algorithm = "baseline"
 	// AlgorithmClustering is the §3.2 cluster-then-scan method (lossy).
 	AlgorithmClustering Algorithm = "clustering"
-	// AlgorithmCubeMasking is the §3.3 lattice-pruned method (exact).
+	// AlgorithmCubeMasking is the §3.3 lattice-pruned method (exact). With
+	// Options.Workers > 1 the cube sweep runs on the worker pool.
 	AlgorithmCubeMasking Algorithm = "cubemasking"
 	// AlgorithmCubeMaskingPrefetch is cubeMasking with the children
 	// pre-fetching optimization of Fig. 5(g).
@@ -29,9 +30,11 @@ const (
 	// AlgorithmHybrid is the §6 future-work hybrid: lattice pruning with
 	// clustering applied inside oversized cubes (lossy inside those cubes).
 	AlgorithmHybrid Algorithm = "hybrid"
-	// AlgorithmParallel is cubeMasking with cube pairs compared by a
-	// worker pool (§6 future work): workers claim outer cubes, so the
-	// emission order depends on scheduling (see Options.Workers).
+	// AlgorithmParallel is AlgorithmCubeMasking (default CubeMaskOptions)
+	// with one different default: Options.Workers == 0 means GOMAXPROCS,
+	// not serial. It is the §6 future-work item — workers claim outer
+	// cubes, so the emission order depends on scheduling (see
+	// Options.Workers).
 	AlgorithmParallel Algorithm = "parallel"
 )
 
@@ -76,19 +79,27 @@ type Options struct {
 	Hybrid HybridOptions
 	// Workers sets the worker-pool size, one rule per algorithm:
 	//
-	//   - AlgorithmBaseline, AlgorithmClustering: zero or one runs the
-	//     paper-faithful serial scan; a larger value shards the scan (row
-	//     blocks, clusters) over that many workers.
-	//   - AlgorithmParallel: the pool size of the cube sweep; zero means
-	//     GOMAXPROCS, one runs the serial cubeMasking sweep.
-	//   - AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch,
-	//     AlgorithmHybrid: always serial; Workers is ignored.
+	//   - AlgorithmBaseline, AlgorithmClustering, AlgorithmCubeMasking:
+	//     zero or one runs the paper-faithful serial scan; a larger value
+	//     shards the scan (row blocks, clusters, outer cubes) over that
+	//     many workers. cubeMasking's complementarity-only and prefetched
+	//     full-containment shortcuts are serial whatever Workers says:
+	//     they compare too few cube pairs to be worth a pool.
+	//   - AlgorithmParallel: as AlgorithmCubeMasking, except that zero
+	//     means GOMAXPROCS.
+	//   - AlgorithmCubeMaskingPrefetch, AlgorithmHybrid: always serial;
+	//     Workers is ignored.
 	//
 	// A pooled run emits the same relationship SET as the serial run, but
 	// shards stream into the sink in completion order, in bounded chunks
 	// (peak tape memory is O(workers × one 64 KiB chunk)): order-free,
 	// which is what every sorting consumer (Result.Sort, snapshots,
 	// /v1/related) wants anyway. The sink is never called concurrently.
+	// A pooled run also has the pooled cancel contract (see ComputeCtx):
+	// what a canceled run leaves in the sink is a salvaged subset, not an
+	// ordered prefix. When the sink is a *Result and Workers > 1, the
+	// Result's two partial maps are built on two goroutines at the end of
+	// the run.
 	Workers int
 	// Obs, when non-nil, receives phase spans, counters and gauges from
 	// the run (see obs.go for the name glossary). All algorithms consult
@@ -154,7 +165,7 @@ func (o Options) Validate(alg Algorithm) error {
 	if !(o.Hybrid.MaxCubeSize == 0 && o.Hybrid.Clustering.isZero()) && alg != AlgorithmHybrid {
 		ignored = append(ignored, "Hybrid")
 	}
-	if o.Workers != 0 && alg != AlgorithmParallel && alg != AlgorithmBaseline && alg != AlgorithmClustering {
+	if o.Workers != 0 && (alg == AlgorithmCubeMaskingPrefetch || alg == AlgorithmHybrid) {
 		ignored = append(ignored, "Workers")
 	}
 	if len(ignored) > 0 {
@@ -186,6 +197,12 @@ func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
 // completed plus the whole-event chunks in-flight shards had already
 // flushed — still exactly-once, still a subset of the full run, but not
 // an ordered prefix. A nil ctx behaves like context.Background().
+//
+// A sink that is a *Result is bulk-loaded: the run emits into append-only
+// columns and the Result receives them — sets appended in emission order,
+// PartialDegree and PartialDims each built once at their final size —
+// when the run ends, however it ends. Until ComputeCtx returns the Result
+// is unchanged; afterwards it holds what per-event calls would have left.
 func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink Sink) error {
 	if opts.Strict {
 		if err := opts.Validate(alg); err != nil {
@@ -213,25 +230,33 @@ func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink
 	return err
 }
 
-// dispatch maps an algorithm name to its kernel and its Workers rule.
+// dispatch maps an algorithm name to its kernel and its Workers rule, and
+// swaps a *Result sink for its stage (see resultStage).
 func dispatch(s *Space, alg Algorithm, opts Options, sink Sink, g *guard) error {
 	tasks := opts.tasks()
+	workers := opts.Workers
+	if alg == AlgorithmParallel && workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if res, ok := sink.(*Result); ok {
+		st := &resultStage{res: res}
+		defer st.commit(workers > 1)
+		sink = st
+	}
 	switch alg {
 	case AlgorithmBaseline:
-		return baseline(s, tasks, sink, opts.Workers, g, opts.ShardFault)
+		return baseline(s, tasks, sink, workers, g, opts.ShardFault)
 	case AlgorithmClustering:
-		return clustering(s, tasks, sink, opts.Clustering, opts.Workers, g, opts.ShardFault)
-	case AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch:
+		return clustering(s, tasks, sink, opts.Clustering, workers, g, opts.ShardFault)
+	case AlgorithmCubeMasking:
+		return cubeMasking(s, tasks, sink, opts.CubeMask, workers, g, opts.ShardFault)
+	case AlgorithmCubeMaskingPrefetch:
 		cm := opts.CubeMask
-		cm.PrefetchChildren = cm.PrefetchChildren || alg == AlgorithmCubeMaskingPrefetch
+		cm.PrefetchChildren = true
 		return cubeMasking(s, tasks, sink, cm, 1, g, nil)
 	case AlgorithmHybrid:
 		return hybrid(s, tasks, sink, opts.Hybrid, g)
 	case AlgorithmParallel:
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		return cubeMasking(s, tasks, sink, CubeMaskOptions{}, workers, g, opts.ShardFault)
 	default:
 		return fmt.Errorf("core: unknown algorithm %q (supported: %s)", alg, AlgorithmNames())

@@ -47,14 +47,15 @@ func BuildLattice(s *Space) *lattice.Lattice {
 // considered (= #cubes²) in every mode — the pruned ratio is the paper's
 // Fig. 5 work-avoidance argument made measurable.
 //
-// With workers > 1 (AlgorithmParallel) the generic sweep runs on the shard
-// pool, one shard per outer cube (the paper's §6 "distributed and parallel
-// contexts" item as shared-memory parallelism): workers flush their
-// batched counters into the recorder concurrently (recorders are
-// goroutine-safe), so the pair totals stay exact, and the pool adds
-// parallel.cubes and per-worker parallel.worker.<id>.cubes. opts and the
-// complementarity-only shortcut apply to the serial sweep only. The serial
-// sweep polls the guard at every outer cube and charges it every
+// With workers > 1 the generic sweep runs on the shard pool, one shard per
+// outer cube (the paper's §6 "distributed and parallel contexts" item as
+// shared-memory parallelism): workers flush their batched counters into
+// the recorder concurrently (recorders are goroutine-safe), so the pair
+// totals stay exact, and the pool adds parallel.cubes and per-worker
+// parallel.worker.<id>.cubes. The two shortcuts — complementarity alone,
+// and full containment over prefetched children — compare a small
+// fraction of the cube pairs and stay serial whatever workers says. The
+// serial sweeps poll the guard at every outer cube and charge it every
 // guardPairStride ordered observation pairs; see baseline for the canceled
 // sink's contract.
 func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers int, g *guard, fault func(int)) error {
@@ -67,7 +68,9 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 	endCompare := s.span(SpanCompare)
 	defer endCompare()
 
-	if workers > 1 && nc >= 2 {
+	complOnly := tasks&(TaskFull|TaskPartial) == 0 && tasks.Has(TaskCompl)
+	prefetched := !tasks.Has(TaskPartial) && opts.PrefetchChildren
+	if workers > 1 && nc >= 2 && !complOnly && !prefetched {
 		return runShardPool(s, shardPool{
 			kind:      "cubes",
 			totalCtr:  CtrParallelCubes,
@@ -85,7 +88,7 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 	sink = instrumentSink(s, sink)
 	sc := borrowCubeScratch(p)
 	defer cubeScratchPool.Put(sc)
-	if tasks&(TaskFull|TaskPartial) == 0 && tasks.Has(TaskCompl) {
+	if complOnly {
 		// Complementarity requires identical dimension values, hence
 		// identical signatures: only same-cube pairs can qualify. Every
 		// cross-cube pair is pruned without even a signature test.
@@ -100,7 +103,7 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 		return sc.pc.flush(g)
 	}
 
-	if !tasks.Has(TaskPartial) && opts.PrefetchChildren {
+	if prefetched {
 		// Prefetched sweep: each cube visits exactly its descendants. The
 		// signature tests happen once inside PrefetchChildren; the sweep
 		// itself only walks cache hits.

@@ -1,6 +1,6 @@
 package core
 
-import "sort"
+import "slices"
 
 // Index is a materialized relationship store for online exploration — the
 // paper's §1 motivation: "materialization of these relationships helps
@@ -50,7 +50,7 @@ func NewIndex(s *Space, res *Result) *Index {
 	}
 	for _, lists := range [][][]int32{ix.contains, ix.containedBy, ix.partials, ix.complements} {
 		for _, l := range lists {
-			sort.Slice(l, func(a, b int) bool { return l[a] < l[b] })
+			slices.Sort(l)
 		}
 	}
 	return ix

@@ -194,17 +194,20 @@ func TestIncrementalCounters(t *testing.T) {
 func TestOptionsValidate(t *testing.T) {
 	var opts Options
 	opts.Workers = 4
-	// Since the parallel-baseline PR, Workers is consumed (not "ignored")
-	// by baseline, clustering AND parallel.
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
+	// Workers is consumed by every algorithm with a pooled branch —
+	// cubeMasking included — and reported for the two that are always
+	// serial.
+	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmCubeMasking, AlgorithmParallel} {
 		if err := opts.Validate(alg); err != nil {
 			t.Errorf("%s consumes Workers: %v", alg, err)
 		}
 	}
-	if err := opts.Validate(AlgorithmCubeMasking); err == nil {
-		t.Errorf("cubemasking must reject Workers (use AlgorithmParallel)")
-	} else if !strings.Contains(err.Error(), "Workers") {
-		t.Errorf("error must name the field: %v", err)
+	for _, alg := range []Algorithm{AlgorithmCubeMaskingPrefetch, AlgorithmHybrid} {
+		if err := opts.Validate(alg); err == nil {
+			t.Errorf("%s must reject Workers (it is always serial)", alg)
+		} else if !strings.Contains(err.Error(), "Workers") {
+			t.Errorf("error must name the field: %v", err)
+		}
 	}
 	// The sparse occurrence matrix is gone: its name is as unknown as any
 	// other, and the error lists exactly the six that remain.
@@ -263,6 +266,12 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := Compute(s, AlgorithmClustering, ok, &Counter{}); err != nil {
 		t.Errorf("strict Compute must accept Workers for clustering: %v", err)
+	}
+	if err := Compute(s, AlgorithmCubeMasking, ok, &Counter{}); err != nil {
+		t.Errorf("strict Compute must accept Workers for cubemasking: %v", err)
+	}
+	if err := Compute(s, AlgorithmHybrid, ok, &Counter{}); err == nil {
+		t.Errorf("strict Compute must reject Workers for hybrid")
 	}
 }
 

@@ -56,9 +56,10 @@ type shardPool struct {
 // most once: chunks as they fill, the remainder only after the scan
 // returned cleanly (see flushTail for the retry of a panicked shard).
 type tapeMerge struct {
-	mu   sync.Mutex
-	sink Sink
-	rec  DimsRecorder
+	mu    sync.Mutex
+	sink  Sink
+	rec   DimsRecorder
+	arena dimArena // backs the dims slices handed to rec; guarded by mu
 }
 
 // newTapeMerge instruments the sink once up front and captures its
@@ -75,7 +76,7 @@ func newTapeMerge(s *Space, sink Sink) *tapeMerge {
 func (m *tapeMerge) emit(buf []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := decodeTape(buf, m.sink, m.rec); err != nil {
+	if err := decodeTape(buf, m.sink, m.rec, &m.arena); err != nil {
 		panic(err)
 	}
 }

@@ -152,10 +152,10 @@ func TestParityDirectEmitSetEquivalence(t *testing.T) {
 }
 
 // TestParityComputeHonorsWorkers guards the fixed bug where
-// Options.Workers was silently ignored for baseline and clustering: with
-// Workers > 1 the pool must actually engage (observable via the
-// parallel.workers gauge and the per-shard counters), and the result must
-// match the serial run.
+// Options.Workers was silently ignored for baseline and clustering (and,
+// until the bulk-load PR, for cubeMasking): with Workers > 1 the pool must
+// actually engage (observable via the parallel.workers gauge and the
+// per-shard counters), and the result must match the serial run.
 func TestParityComputeHonorsWorkers(t *testing.T) {
 	leakcheck.Check(t)
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 600, Seed: 5})
@@ -163,7 +163,7 @@ func TestParityComputeHonorsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering} {
+	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmCubeMasking} {
 		serial := NewResult()
 		opts := Options{Tasks: TaskAll}
 		opts.Clustering.Config.Seed = 7
@@ -191,6 +191,8 @@ func TestParityComputeHonorsWorkers(t *testing.T) {
 			shardCtr = CtrParallelRows
 		case AlgorithmClustering:
 			shardCtr = CtrParallelClusters
+		case AlgorithmCubeMasking:
+			shardCtr = CtrParallelCubes
 		}
 		if snap[shardCtr] == 0 {
 			t.Errorf("%s: Workers=4 did not engage the pool (%s = 0)", alg, shardCtr)

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -56,12 +57,162 @@ type Result struct {
 }
 
 // NewResult returns an empty collecting sink.
-func NewResult() *Result {
-	return &Result{PartialDegree: map[Pair]float64{}, PartialDims: map[Pair][]int{}}
+func NewResult() *Result { return NewResultSized(0) }
+
+// NewResultSized returns an empty collecting sink with room for nPartial
+// partial pairs in PartialSet and both partial maps — for a loader that
+// reads the count before the pairs (snapshot decode) and so can skip the
+// maps' growth. The caller vouches for nPartial; nothing here bounds it.
+func NewResultSized(nPartial int) *Result {
+	r := &Result{
+		PartialDegree: make(map[Pair]float64, nPartial),
+		PartialDims:   make(map[Pair][]int, nPartial),
+	}
+	if nPartial > 0 {
+		r.PartialSet = make([]Pair, 0, nPartial)
+	}
+	return r
 }
 
 // RecordPartialDims implements DimsRecorder.
 func (r *Result) RecordPartialDims(a, b int, dims []int) { r.PartialDims[Pair{a, b}] = dims }
+
+// Bulk load. ComputeCtx does not let a kernel update a *Result event by
+// event: two inserts per partial pair into maps that rehash as they grow
+// cost more than the sweep that finds the pairs. The run emits into a
+// resultStage instead — append-only columns — and one commit, on every
+// exit path of the run, appends the three sets and builds each map once
+// at its final size. Result.Partial / RecordPartialDims called directly
+// (core.Incremental, snapshot decode) keep their immediate-map semantics.
+
+// stageChunk is the length of one column chunk. Columns grow chunk by
+// chunk, never by one doubling append over the whole run, so staging
+// copies nothing and its peak overhead is one partly filled chunk per
+// column.
+const stageChunk = 8192
+
+// column is an append-only sequence held as fixed-capacity chunks.
+type column[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+func (c *column[T]) push(v T) {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == stageChunk {
+		c.chunks = append(c.chunks, make([]T, 0, stageChunk))
+		last++
+	}
+	c.chunks[last] = append(c.chunks[last], v)
+	c.n++
+}
+
+// stagedDegree and stagedDims are the partial columns' records. The dims
+// events carry their own pair: kernels usually report a pair's dimensions
+// right after its Partial call, but the Sink contract does not promise it.
+type stagedDegree struct {
+	p      Pair
+	degree float64
+}
+
+type stagedDims struct {
+	p    Pair
+	dims []int
+}
+
+// resultStage is the Sink a run into a *Result really emits into. The
+// dims slices it is handed are already carved from slabs the receiver owns
+// (the kernels' and the tape merge's dimArena), so the stage keeps them
+// as they are.
+type resultStage struct {
+	res         *Result
+	full, compl column[Pair]
+	partial     column[stagedDegree]
+	dims        column[stagedDims]
+}
+
+// Full implements Sink.
+func (st *resultStage) Full(a, b int) { st.full.push(Pair{a, b}) }
+
+// Partial implements Sink.
+func (st *resultStage) Partial(a, b int, degree float64) {
+	st.partial.push(stagedDegree{Pair{a, b}, degree})
+}
+
+// Compl implements Sink.
+func (st *resultStage) Compl(a, b int) {
+	if a > b {
+		a, b = b, a
+	}
+	st.compl.push(Pair{a, b})
+}
+
+// RecordPartialDims implements DimsRecorder.
+func (st *resultStage) RecordPartialDims(a, b int, dims []int) {
+	st.dims.push(stagedDims{Pair{a, b}, dims})
+}
+
+// commit moves the staged run into the Result, in emission order. Entries
+// the Result already held are kept; a staged pair that repeats one
+// overwrites its map entries, as the direct calls would. The two maps
+// share nothing, so with concurrent set the dims map is built on a second
+// goroutine — two, not more: a Go map takes one writer, and there are two
+// maps.
+func (st *resultStage) commit(concurrent bool) {
+	r := st.res
+	dimsDone := make(chan struct{})
+	fillDims := func() {
+		defer close(dimsDone)
+		r.PartialDims = sizedMap(r.PartialDims, st.dims.n)
+		for _, ch := range st.dims.chunks {
+			for _, e := range ch {
+				r.PartialDims[e.p] = e.dims
+			}
+		}
+	}
+	if concurrent {
+		go fillDims()
+	} else {
+		fillDims()
+	}
+	r.FullSet = appendColumn(r.FullSet, st.full)
+	r.ComplSet = appendColumn(r.ComplSet, st.compl)
+	r.PartialSet = slices.Grow(r.PartialSet, st.partial.n)
+	r.PartialDegree = sizedMap(r.PartialDegree, st.partial.n)
+	for _, ch := range st.partial.chunks {
+		for _, e := range ch {
+			r.PartialSet = append(r.PartialSet, e.p)
+			r.PartialDegree[e.p] = e.degree
+		}
+	}
+	<-dimsDone
+}
+
+// appendColumn appends a staged pair column to a set with one growth.
+func appendColumn(set []Pair, c column[Pair]) []Pair {
+	if c.n == 0 {
+		return set // keep a nil set nil
+	}
+	set = slices.Grow(set, c.n)
+	for _, ch := range c.chunks {
+		set = append(set, ch...)
+	}
+	return set
+}
+
+// sizedMap returns m with room for extra more entries: m itself when
+// nothing is coming, else a map allocated once at the final size with m's
+// entries copied over (a Go map cannot be grown in place).
+func sizedMap[V any](m map[Pair]V, extra int) map[Pair]V {
+	if m != nil && extra == 0 {
+		return m
+	}
+	out := make(map[Pair]V, len(m)+extra)
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
 
 // Tape encoding. A pool worker's private tape is a single event-packed
 // byte buffer, not a []struct log: one kind byte per event followed by the
@@ -157,8 +308,9 @@ func tapeUvarint(buf []byte) (int, []byte, bool) {
 // event's dimension count is validated against the bytes remaining —
 // every encoded dimension occupies at least one byte, so a length prefix
 // larger than len(rest) is a lie and is rejected before any allocation
-// sized from it.
-func decodeTape(buf []byte, sink Sink, rec DimsRecorder) error {
+// sized from it. The dimension lists handed to rec are carved from arena:
+// one allocation per slab, not one per 'D' event.
+func decodeTape(buf []byte, sink Sink, rec DimsRecorder, arena *dimArena) error {
 	for len(buf) > 0 {
 		kind := buf[0]
 		rest := buf[1:]
@@ -187,16 +339,11 @@ func decodeTape(buf []byte, sink Sink, rec DimsRecorder) error {
 				return errTapeCorrupt
 			}
 			rest = r
-			var dims []int
-			if n > 0 {
-				dims = make([]int, 0, n)
-			}
-			for k := 0; k < n; k++ {
-				var d int
-				if d, rest, ok = tapeUvarint(rest); !ok {
+			dims := arena.alloc(n)
+			for k := range dims {
+				if dims[k], rest, ok = tapeUvarint(rest); !ok {
 					return errTapeCorrupt
 				}
-				dims = append(dims, d)
 			}
 			if rec != nil {
 				rec.RecordPartialDims(a, b, dims)
@@ -224,9 +371,9 @@ func borrowTape(wantDims bool) (*tape, Sink) {
 }
 
 // releaseTape empties the tape's buffer and returns it to the pool,
-// keeping capacity. Decoded payloads (the dims slices) are freshly
-// allocated at decode time, so nothing the downstream sink kept aliases
-// pooled memory.
+// keeping capacity. Decoded payloads (the dims slices) are carved from the
+// merge's arena at decode time, so nothing the downstream sink kept
+// aliases pooled memory.
 func releaseTape(t *tape) {
 	t.buf = t.buf[:0]
 	t.flushed = 0
@@ -263,13 +410,52 @@ func (r *Result) Counts() (full, partial, compl int) {
 	return len(r.FullSet), len(r.PartialSet), len(r.ComplSet)
 }
 
+// sortPairs orders pairs by (A, B). Pair members are observation indices,
+// so a large set draws them from a range not much wider than the set is
+// long, and two stable counting passes (by B, then by A) sort it in linear
+// time; anything else — short sets, sparse or negative values — takes the
+// comparison sort.
 func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
+	hi := 0
+	for _, p := range ps {
+		if p.A < 0 || p.B < 0 {
+			hi = math.MaxInt
+			break
 		}
-		return ps[i].B < ps[j].B
-	})
+		hi = max(hi, p.A, p.B)
+	}
+	if len(ps) < 256 || hi >= 2*len(ps) {
+		slices.SortFunc(ps, func(x, y Pair) int {
+			if c := cmp.Compare(x.A, y.A); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.B, y.B)
+		})
+		return
+	}
+	tmp := make([]Pair, len(ps))
+	next := make([]int, hi+1)
+	countingPass(tmp, ps, next, func(p Pair) int { return p.B })
+	clear(next)
+	countingPass(ps, tmp, next, func(p Pair) int { return p.A })
+}
+
+// countingPass scatters src into dst in stable order of key, which must
+// lie in [0, len(next)); next must come in zeroed.
+func countingPass(dst, src []Pair, next []int, key func(Pair) int) {
+	for _, p := range src {
+		next[key(p)]++
+	}
+	at := 0
+	for k, c := range next {
+		next[k] = at
+		at += c
+	}
+	for _, p := range src {
+		k := key(p)
+		dst[next[k]] = p
+		next[k]++
+	}
 }
 
 // Counter is a Sink that only counts relationships; it is what the

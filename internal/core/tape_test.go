@@ -56,7 +56,7 @@ func TestTapeCodecRoundTrip(t *testing.T) {
 		randTapeStream(rng, rng.Intn(50), local, want)
 
 		got := &eventSink{}
-		if err := decodeTape(tp.buf, got, got); err != nil {
+		if err := decodeTape(tp.buf, got, got, &dimArena{}); err != nil {
 			t.Fatalf("trial %d: decode of freshly encoded tape failed: %v", trial, err)
 		}
 		if !bytes.Equal(got.buf, want.buf) {
@@ -83,7 +83,7 @@ func TestTapeCodecSpecialDegrees(t *testing.T) {
 			t.Errorf("degree %d: got bits %x, want %x", i, math.Float64bits(deg), math.Float64bits(degrees[i]))
 		}
 		i++
-	}}, nil)
+	}}, nil, &dimArena{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTapeCodecDifferentialResult(t *testing.T) {
 		randTapeStream(rng, 40, local, want)
 
 		got := NewResult()
-		if err := decodeTape(tp.buf, got, got); err != nil {
+		if err := decodeTape(tp.buf, got, got, &dimArena{}); err != nil {
 			t.Fatal(err)
 		}
 		releaseTape(tp)
@@ -168,12 +168,12 @@ func TestDecodeTapeTruncations(t *testing.T) {
 	local.Compl(9, 1<<19)
 
 	full := &eventSink{}
-	if err := decodeTape(tp.buf, full, full); err != nil {
+	if err := decodeTape(tp.buf, full, full, &dimArena{}); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(tp.buf); cut++ {
 		got := &eventSink{}
-		err := decodeTape(tp.buf[:cut], got, got)
+		err := decodeTape(tp.buf[:cut], got, got, &dimArena{})
 		if err != nil && !errors.Is(err, errTapeCorrupt) {
 			t.Fatalf("cut=%d: unexpected error type %v", cut, err)
 		}
@@ -191,7 +191,7 @@ func TestDecodeTapeLyingLength(t *testing.T) {
 	buf := []byte{tapeDims, 1, 2}
 	buf = binary.AppendUvarint(buf, 1<<30) // claims a gigabyte of dims
 	before := testing.AllocsPerRun(10, func() {
-		if err := decodeTape(buf, &Counter{}, discardDims{}); !errors.Is(err, errTapeCorrupt) {
+		if err := decodeTape(buf, &Counter{}, discardDims{}, &dimArena{}); !errors.Is(err, errTapeCorrupt) {
 			t.Fatalf("want errTapeCorrupt, got %v", err)
 		}
 	})
@@ -202,13 +202,13 @@ func TestDecodeTapeLyingLength(t *testing.T) {
 	}
 
 	// Unknown event kinds and out-of-range indices fail too.
-	if err := decodeTape([]byte{'Z', 1, 2}, &Counter{}, nil); !errors.Is(err, errTapeCorrupt) {
+	if err := decodeTape([]byte{'Z', 1, 2}, &Counter{}, nil, &dimArena{}); !errors.Is(err, errTapeCorrupt) {
 		t.Fatalf("unknown kind: want errTapeCorrupt, got %v", err)
 	}
 	big := []byte{tapeFull}
 	big = binary.AppendUvarint(big, math.MaxUint64)
 	big = binary.AppendUvarint(big, 1)
-	if err := decodeTape(big, &Counter{}, nil); !errors.Is(err, errTapeCorrupt) {
+	if err := decodeTape(big, &Counter{}, nil, &dimArena{}); !errors.Is(err, errTapeCorrupt) {
 		t.Fatalf("out-of-range index: want errTapeCorrupt, got %v", err)
 	}
 }
@@ -242,7 +242,7 @@ func FuzzTapeDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		canon, rec := borrowTape(true)
 		defer releaseTape(canon)
-		if err := decodeTape(data, rec, rec.(DimsRecorder)); err != nil {
+		if err := decodeTape(data, rec, rec.(DimsRecorder), &dimArena{}); err != nil {
 			if !errors.Is(err, errTapeCorrupt) {
 				t.Fatalf("decode error is not errTapeCorrupt: %v", err)
 			}
@@ -253,7 +253,7 @@ func FuzzTapeDecode(f *testing.F) {
 		// input normalize exactly once.
 		canon2, rec2 := borrowTape(true)
 		defer releaseTape(canon2)
-		if err := decodeTape(canon.buf, rec2, rec2.(DimsRecorder)); err != nil {
+		if err := decodeTape(canon.buf, rec2, rec2.(DimsRecorder), &dimArena{}); err != nil {
 			t.Fatalf("canonical re-encoding failed to decode: %v", err)
 		}
 		if !bytes.Equal(canon.buf, canon2.buf) {

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 
 	"rdfcube/internal/core"
 )
@@ -74,7 +74,7 @@ func (a *adjacency) addCompl(p core.Pair) {
 func (a *adjacency) sortAll() {
 	for _, lists := range [][][]int32{a.contains, a.containedBy, a.partials, a.partialBy, a.complements} {
 		for _, l := range lists {
-			sortInt32(l)
+			slices.Sort(l)
 		}
 	}
 }
@@ -94,13 +94,9 @@ func (a *adjacency) applyDelta(res *core.Result, idx, f0, p0, c0 int) {
 	for _, p := range res.ComplSet[c0:] {
 		a.addCompl(p)
 	}
-	sortInt32(a.contains[idx])
-	sortInt32(a.containedBy[idx])
-	sortInt32(a.partials[idx])
-	sortInt32(a.partialBy[idx])
-	sortInt32(a.complements[idx])
-}
-
-func sortInt32(l []int32) {
-	sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
+	slices.Sort(a.contains[idx])
+	slices.Sort(a.containedBy[idx])
+	slices.Sort(a.partials[idx])
+	slices.Sort(a.partialBy[idx])
+	slices.Sort(a.complements[idx])
 }

@@ -125,8 +125,9 @@ type Config struct {
 	// Algorithm selects the kernel POST /v1/recompute runs; zero means
 	// cubemasking (the exact lattice-pruned method).
 	Algorithm core.Algorithm
-	// Workers sets the recompute kernel's worker-pool size; zero keeps
-	// the serial scan.
+	// Workers sets the recompute kernel's worker-pool size (see
+	// core.Options.Workers for which algorithms honour it); zero keeps the
+	// serial scan.
 	Workers int
 	// RecomputeTimeout bounds one batch recompute; zero means 60s. The
 	// recompute endpoint is exempt from RequestTimeout and bounded by

@@ -413,7 +413,7 @@ func decode(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := core.NewResult()
+	var res *core.Result
 	readPairs := func(c *cur) ([]core.Pair, error) {
 		n, err := c.count(2)
 		if err != nil || n == 0 {
@@ -430,16 +430,24 @@ func decode(r io.Reader) (*Snapshot, error) {
 		}
 		return out, nil
 	}
-	if res.FullSet, err = readPairs(c); err != nil {
+	fullSet, err := readPairs(c)
+	if err != nil {
 		return nil, err
 	}
+	// count has checked nPartial against the bytes that remain, so sizing
+	// the partial set and both maps from it allocates nothing a lying
+	// header could inflate. The dimension lists are carved from slabs for
+	// the same reason the kernels carve them: one allocation per slab, not
+	// one (or, appending, three) per pair. Every index still to be read
+	// takes at least a byte, which bounds a slab by the remaining payload.
 	nPartial, err := c.count(11) // two refs + float64 + dims count
 	if err != nil {
 		return nil, err
 	}
-	if nPartial > 0 {
-		res.PartialSet = make([]core.Pair, nPartial)
-	}
+	res = core.NewResultSized(nPartial)
+	res.FullSet = fullSet
+	const dimSlab = 8192
+	var slab []int
 	for i := 0; i < nPartial; i++ {
 		var p core.Pair
 		if p.A, err = c.index(nObs, "pair source"); err != nil {
@@ -456,18 +464,21 @@ func decode(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		var pd []int
+		if cap(slab)-len(slab) < nd {
+			slab = make([]int, 0, max(nd, min(dimSlab, c.rem())))
+		}
+		start := len(slab)
 		for j := 0; j < nd; j++ {
 			di, err := c.index(len(dims), "partial dimension")
 			if err != nil {
 				return nil, err
 			}
-			pd = append(pd, di)
+			slab = append(slab, di)
 		}
-		res.PartialSet[i] = p
+		res.PartialSet = append(res.PartialSet, p)
 		res.PartialDegree[p] = deg
-		if pd != nil {
-			res.PartialDims[p] = pd
+		if nd > 0 {
+			res.PartialDims[p] = slab[start:len(slab):len(slab)]
 		}
 	}
 	if res.ComplSet, err = readPairs(c); err != nil {

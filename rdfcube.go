@@ -97,7 +97,8 @@ const (
 	CubeMaskingPrefetch = core.AlgorithmCubeMaskingPrefetch
 	// Hybrid clusters inside oversized lattice cubes (§6 future work).
 	Hybrid = core.AlgorithmHybrid
-	// Parallel compares cube pairs with a worker pool (§6 future work).
+	// Parallel is CubeMasking on a worker pool (§6 future work):
+	// Options.Workers == 0 means GOMAXPROCS instead of serial.
 	Parallel = core.AlgorithmParallel
 
 	// TaskFull computes full containment only.
