@@ -29,6 +29,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -305,7 +306,7 @@ func (h *Harness) queryOnce(rng *rand.Rand) error {
 	if len(acked) > 0 && rng.IntN(4) > 0 {
 		obs = acked[rng.IntN(len(acked))]
 	}
-	resp, err := h.client.Get(h.ts.URL + "/v1/related?obs=" + obs)
+	resp, err := h.client.Get(h.ts.URL + "/v1/related?obs=" + url.QueryEscape(obs))
 	if err != nil {
 		return nil
 	}
@@ -447,7 +448,7 @@ func (h *Harness) chaosRound(round int) error {
 // maintained counts — recall 1 survived the crash.
 func (h *Harness) verify() error {
 	for _, uri := range h.ackedCopy() {
-		resp, err := h.client.Get(h.ts.URL + "/v1/contains?obs=" + uri)
+		resp, err := h.client.Get(h.ts.URL + "/v1/contains?obs=" + url.QueryEscape(uri))
 		if err != nil {
 			return fmt.Errorf("verify %s: %w", uri, err)
 		}

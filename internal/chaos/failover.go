@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -398,7 +399,7 @@ func (h *FailoverHarness) verifyParity() error {
 		sample = append(sample, acked[len(acked)-1])
 	}
 	for _, obs := range sample {
-		path := "/v1/related?obs=" + obs
+		path := "/v1/related?obs=" + url.QueryEscape(obs)
 		code, want, err := h.get(h.front.URL, path)
 		if err != nil {
 			return fmt.Errorf("parity %s: primary: %w", obs, err)
@@ -611,7 +612,7 @@ func (h *FailoverHarness) Run(t testing.TB) {
 	}
 	for _, fw := range h.followers {
 		for _, uri := range acked {
-			code, _, err := h.get(fw.ts.URL, "/v1/contains?obs="+uri)
+			code, _, err := h.get(fw.ts.URL, "/v1/contains?obs="+url.QueryEscape(uri))
 			if err != nil {
 				t.Fatalf("final check %s on %s: %v", uri, fw.name, err)
 			}

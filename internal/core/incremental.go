@@ -89,6 +89,10 @@ type Incremental struct {
 
 	l     *lattice.Lattice
 	tasks Tasks
+	// arena backs the map_P dimension lists inserts record, the way the
+	// batch kernels' arenas do: one slab allocation per ~8 k recorded ints
+	// instead of an append-grown slice per compared pair.
+	arena dimArena
 }
 
 // NewIncremental computes the initial relationships over s and returns the
@@ -145,6 +149,7 @@ func (inc *Incremental) Insert(o *qb.Observation) (int, error) {
 	var considered, pruned, compared, candTests, ordered, dimTests int64
 	candA := make([]int, 0, p) // dimensions where new may contain cube
 	candB := make([]int, 0, p) // dimensions where cube may contain new
+	dims := make([]int, 2*p)   // per-pair scratch: containing dimensions, one half per direction
 	for _, c := range inc.l.Cubes() {
 		considered++
 		candTests += 2
@@ -158,7 +163,7 @@ func (inc *Incremental) Insert(o *qb.Observation) (int, error) {
 		ordered += 2 * int64(len(c.Obs))
 		dimTests += int64(len(candA)+len(candB)) * int64(len(c.Obs))
 		for _, j := range c.Obs {
-			inc.comparePairBoth(i, j, sig, c.Sig, candA, candB)
+			inc.comparePairBoth(i, j, candA, candB, dims)
 		}
 	}
 	inc.l.Add(i, sig)
@@ -172,23 +177,23 @@ func (inc *Incremental) Insert(o *qb.Observation) (int, error) {
 	return i, nil
 }
 
-func (inc *Incremental) comparePairBoth(i, j int, sigI, sigJ lattice.Signature, candA, candB []int) {
+// comparePairBoth resolves both directions of the pair (i, j) over the
+// candidate dimensions. dims is the caller's 2·|P| scratch; only a list
+// that is recorded is copied out of it, into the arena.
+func (inc *Incremental) comparePairBoth(i, j int, candA, candB, dims []int) {
 	s, p := inc.S, inc.S.NumDims()
-	degIJ := 0
-	var dimsIJ, dimsJI []int
+	dimsIJ, dimsJI := dims[:0:p], dims[p:p:2*p]
 	for _, d := range candA {
 		if s.DimContains(i, j, d) {
-			degIJ++
 			dimsIJ = append(dimsIJ, d)
 		}
 	}
-	degJI := 0
 	for _, d := range candB {
 		if s.DimContains(j, i, d) {
-			degJI++
 			dimsJI = append(dimsJI, d)
 		}
 	}
+	degIJ, degJI := len(dimsIJ), len(dimsJI)
 	shares := s.SharesMeasure(i, j)
 	if inc.tasks.Has(TaskFull) && shares {
 		if degIJ == p {
@@ -201,11 +206,11 @@ func (inc *Incremental) comparePairBoth(i, j int, sigI, sigJ lattice.Signature, 
 	if inc.tasks.Has(TaskPartial) && shares {
 		if degIJ > 0 && degIJ < p {
 			inc.Res.Partial(i, j, float64(degIJ)/float64(p))
-			inc.Res.RecordPartialDims(i, j, dimsIJ)
+			inc.Res.RecordPartialDims(i, j, inc.arena.take(dimsIJ))
 		}
 		if degJI > 0 && degJI < p {
 			inc.Res.Partial(j, i, float64(degJI)/float64(p))
-			inc.Res.RecordPartialDims(j, i, dimsJI)
+			inc.Res.RecordPartialDims(j, i, inc.arena.take(dimsJI))
 		}
 	}
 	if inc.tasks.Has(TaskCompl) && degIJ == p && degJI == p {

@@ -196,7 +196,7 @@ func (s *Space) MeasureMask(i int) uint64 { return s.mmask[i] }
 func (s *Space) SharesMeasure(i, j int) bool { return s.mmask[i]&s.mmask[j] != 0 }
 
 // IsAncestorIdx reports reflexive ancestry a ≻ b between code indices of
-// dimension d by walking b's parent chain.
+// dimension d: b's ancestor at a's level (a parent is one level up) is a.
 func (s *Space) IsAncestorIdx(d int, a, b int32) bool {
 	if a == b {
 		return true
@@ -207,13 +207,10 @@ func (s *Space) IsAncestorIdx(d int, a, b int32) bool {
 		return false
 	}
 	par := s.parent[d]
-	for b != -1 {
-		if b == a {
-			return true
-		}
+	for ; lb > la; lb-- {
 		b = par[b]
 	}
-	return false
+	return b == a
 }
 
 // DimContains reports whether observation i's value contains (reflexive
@@ -225,9 +222,10 @@ func (s *Space) DimContains(i, j, d int) bool {
 // ContainDegree returns the number of dimensions on which i's value
 // contains j's — the unnormalized OCM cell for the ordered pair (i, j).
 func (s *Space) ContainDegree(i, j int) int {
+	vi, vj := s.vals[i], s.vals[j]
 	n := 0
-	for d := range s.Dims {
-		if s.DimContains(i, j, d) {
+	for d, a := range vi {
+		if s.IsAncestorIdx(d, a, vj[d]) {
 			n++
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"rdfcube/internal/core"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
@@ -18,19 +17,6 @@ import (
 
 // maxInsertBody bounds a POST /v1/observations body.
 const maxInsertBody = 1 << 20
-
-// obsRef is one neighbor in a fan-out response.
-type obsRef struct {
-	Obs int    `json:"obs"`
-	URI string `json:"uri"`
-}
-
-// partialRef is a neighbor with its OCM containment degree.
-type partialRef struct {
-	Obs    int     `json:"obs"`
-	URI    string  `json:"uri"`
-	Degree float64 `json:"degree"`
-}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -101,28 +87,6 @@ func (s *Server) resolveObs(r *http.Request) (int, error) {
 		return i, nil
 	}
 	return 0, fmt.Errorf("unknown observation %q", q)
-}
-
-func (s *Server) refs(ids []int32) []obsRef {
-	out := make([]obsRef, len(ids))
-	for k, j := range ids {
-		out[k] = obsRef{Obs: int(j), URI: s.inc.S.Obs[j].URI.Value}
-	}
-	return out
-}
-
-// partialRefs resolves partial-containment neighbors with their degrees
-// for the ordered direction (a contains b ⇒ degree of Pair{a,b}).
-func (s *Server) partialRefs(from int, ids []int32, fromIsSource bool) []partialRef {
-	out := make([]partialRef, len(ids))
-	for k, j := range ids {
-		p := core.Pair{A: from, B: int(j)}
-		if !fromIsSource {
-			p = core.Pair{A: int(j), B: from}
-		}
-		out[k] = partialRef{Obs: int(j), URI: s.inc.S.Obs[j].URI.Value, Degree: s.inc.Res.PartialDegree[p]}
-	}
-	return out
 }
 
 // state names the server's lifecycle phase for the health endpoints:
@@ -212,12 +176,15 @@ func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"obs":         i,
-		"uri":         s.inc.S.Obs[i].URI.Value,
-		"contains":    s.refs(s.adj.contains[i]),
-		"containedBy": s.refs(s.adj.containedBy[i]),
-	})
+	bp, b := getBody()
+	defer func() { putBody(bp, b) }()
+	b = append(b, `{"containedBy":`...)
+	b = s.appendRefs(b, s.adj.containedBy[i])
+	b = append(b, `,"contains":`...)
+	b = s.appendRefs(b, s.adj.contains[i])
+	b = appendObsMember(b, i)
+	b = s.appendEnd(b, i)
+	writeBody(w, b)
 }
 
 func (s *Server) handleComplements(w http.ResponseWriter, r *http.Request) {
@@ -231,11 +198,13 @@ func (s *Server) handleComplements(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"obs":         i,
-		"uri":         s.inc.S.Obs[i].URI.Value,
-		"complements": s.refs(s.adj.complements[i]),
-	})
+	bp, b := getBody()
+	defer func() { putBody(bp, b) }()
+	b = append(b, `{"complements":`...)
+	b = s.appendRefs(b, s.adj.complements[i])
+	b = appendObsMember(b, i)
+	b = s.appendEnd(b, i)
+	writeBody(w, b)
 }
 
 func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
@@ -254,32 +223,37 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The fan-out materializes five neighbor lists; check the context
-	// between them so a hung-up client stops the work mid-way. Each batch
-	// gets its own span so a slow /v1/related trace names the list that
-	// ate the budget.
-	resp := map[string]any{
-		"obs": i,
-		"uri": s.inc.S.Obs[i].URI.Value,
+	// The fan-out renders five neighbor lists, in the sorted key order
+	// encoding/json gave the body; check the context between them so a
+	// hung-up client stops the work mid-way. Each batch gets its own span
+	// so a slow /v1/related trace names the list that ate the budget.
+	bp, b := getBody()
+	defer func() { putBody(bp, b) }()
+	endCompl := tr.span("fanout.complements")
+	b = append(b, `{"complements":`...)
+	b = s.appendRefs(b, s.adj.complements[i])
+	endCompl()
+	if s.ctxAbort(w, r) {
+		return
 	}
 	endFull := tr.span("fanout.full")
-	resp["contains"] = s.refs(s.adj.contains[i])
-	resp["containedBy"] = s.refs(s.adj.containedBy[i])
+	b = append(b, `,"containedBy":`...)
+	b = s.appendRefs(b, s.adj.containedBy[i])
+	b = append(b, `,"contains":`...)
+	b = s.appendRefs(b, s.adj.contains[i])
 	endFull()
 	if s.ctxAbort(w, r) {
 		return
 	}
+	b = appendObsMember(b, i)
 	endPartial := tr.span("fanout.partial")
-	resp["partiallyContains"] = s.partialRefs(i, s.adj.partials[i], true)
-	resp["partiallyContainedBy"] = s.partialRefs(i, s.adj.partialBy[i], false)
+	b = append(b, `,"partiallyContainedBy":`...)
+	b = s.appendPartialRefs(b, i, s.adj.partialBy[i], false)
+	b = append(b, `,"partiallyContains":`...)
+	b = s.appendPartialRefs(b, i, s.adj.partials[i], true)
 	endPartial()
-	if s.ctxAbort(w, r) {
-		return
-	}
-	endCompl := tr.span("fanout.complements")
-	resp["complements"] = s.refs(s.adj.complements[i])
-	endCompl()
-	writeJSON(w, http.StatusOK, resp)
+	b = s.appendEnd(b, i)
+	writeBody(w, b)
 }
 
 func (s *Server) handleObs(w http.ResponseWriter, r *http.Request) {

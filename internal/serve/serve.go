@@ -229,6 +229,9 @@ type Server struct {
 	uriIdx map[string]int
 	// dsIdx resolves a dataset URI to its corpus position.
 	dsIdx map[string]int
+	// degText[k] is the JSON text of the partial-containment degree k/|P|
+	// (see appendPartialRefs); |P| is fixed when the space is compiled.
+	degText []string
 
 	rec     obsv.Recorder
 	timeout time.Duration
@@ -307,6 +310,7 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 		adj:     newAdjacency(sn.Space.N(), sn.Result),
 		uriIdx:  make(map[string]int, sn.Space.N()),
 		dsIdx:   make(map[string]int, len(sn.Space.Corpus.Datasets)),
+		degText: degreeTexts(sn.Space.NumDims()),
 		rec:     cfg.Recorder,
 		timeout: cfg.timeout(),
 		sem:     make(chan struct{}, cfg.maxInFlight()),
@@ -624,6 +628,7 @@ func (s *Server) setRetryAfter(w http.ResponseWriter, d time.Duration) {
 // and the panic log can correlate; the request's span tree lands in the
 // /debug/traces ring when it completes.
 func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) http.Handler {
+	routeRequests, routeHist := CtrRequests+"."+route, routeHistName(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
@@ -637,7 +642,7 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) 
 		}
 		defer func() { <-s.sem }()
 		s.count(CtrRequests, 1)
-		s.count(CtrRequests+"."+route, 1)
+		s.count(routeRequests, 1)
 		s.gauge(GaugeInFlight, float64(len(s.sem)))
 
 		tid := r.Header.Get(TraceIDHeader)
@@ -672,7 +677,7 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) 
 		s.count(CtrLatencyMicro, us)
 		s.gauge(GaugeLastMicro, float64(us))
 		s.observe(HistLatency, us)
-		s.observe(routeHistName(route), us)
+		s.observe(routeHist, us)
 		if sw.status >= 400 {
 			s.count(CtrErrors, 1)
 		}
