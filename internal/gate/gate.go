@@ -309,9 +309,9 @@ func (g *Gate) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /healthz", g.wrap("healthz", g.handleHealthz))
 	mux.Handle("GET /readyz", g.wrap("readyz", g.handleReadyz))
-	mux.Handle("GET /v1/related", g.wrap("related", g.handleRelated))
-	mux.Handle("GET /v1/contains", g.wrap("contains", g.handleContains))
-	mux.Handle("GET /v1/complements", g.wrap("complements", g.handleComplements))
+	mux.Handle("GET /v1/related", g.wrap("related", g.readFanout(&routeRelated)))
+	mux.Handle("GET /v1/contains", g.wrap("contains", g.readFanout(&routeContains)))
+	mux.Handle("GET /v1/complements", g.wrap("complements", g.readFanout(&routeComplements)))
 	mux.Handle("POST /v1/observations", g.wrap("insert", g.handleInsert))
 	mux.Handle("GET /v1/stats", g.wrap("stats", g.handleStats))
 	mux.Handle("GET /v1/shardmap", g.wrap("shardmap", g.handleGetShardMap))
@@ -324,9 +324,10 @@ func (g *Gate) Handler() http.Handler {
 
 // wrap adds counters, latency histograms and panic containment.
 func (g *Gate) wrap(route string, h func(http.ResponseWriter, *http.Request)) http.Handler {
+	routeRequests := CtrRequests + "." + route // built once, at registration
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		g.count(CtrRequests, 1)
-		g.count(CtrRequests+"."+route, 1)
+		g.count(routeRequests, 1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		func() {

@@ -42,7 +42,11 @@ func newHostTransport() *hostTransport {
 	}
 }
 
-func (t *hostTransport) add(host string, h http.Handler) { t.handlers[host] = h }
+func (t *hostTransport) add(host string, h http.Handler) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.handlers[host] = h
+}
 
 func (t *hostTransport) setDelay(host string, d time.Duration) {
 	t.mu.Lock()
@@ -80,7 +84,7 @@ func (t *hostTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // buildShardServer computes the full relationship state over one corpus
 // and serves it.
-func buildShardServer(t *testing.T, c *qb.Corpus) *serve.Server {
+func buildShardServer(t testing.TB, c *qb.Corpus) *serve.Server {
 	t.Helper()
 	s, res, err := core.ComputeCorpusCtx(context.Background(), c, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
@@ -108,6 +112,13 @@ type fleet struct {
 func buildFleet(t *testing.T, seed int64) *fleet {
 	t.Helper()
 	worlds, combined := gen.ShardWorlds(gen.ShardWorldsConfig{Seed: seed, ObsPerDataset: 30})
+	return newFleet(t, worlds, combined)
+}
+
+// newFleet serves each world from its own shard and combined from the
+// oracle.
+func newFleet(t *testing.T, worlds []*gen.ShardWorld, combined *qb.Corpus) *fleet {
+	t.Helper()
 	f := &fleet{tr: newHostTransport(), worlds: worlds}
 	for _, w := range worlds {
 		srv := buildShardServer(t, w.Corpus)
@@ -278,7 +289,8 @@ func TestMergeHedgeWinnerIndependence(t *testing.T) {
 // TestPartialContract: with one shard's two targets unreachable, reads
 // still answer 200 with "partial": true naming the missing shard; an
 // observation living ON the dead shard yields a partial-qualified 404;
-// with every shard unreachable the gate answers 503.
+// a shard whose targets respond without answering counts the same; with
+// every shard unreachable the gate answers 503.
 func TestPartialContract(t *testing.T) {
 	leakcheck.Check(t)
 	f := buildFleet(t, 21)
@@ -316,6 +328,58 @@ func TestPartialContract(t *testing.T) {
 	if !eresp.Partial || len(eresp.MissingShards) != 1 {
 		t.Fatalf("404 should be partial-qualified: %s", body)
 	}
+
+	// A shard that answers without answering the question — sheds the read
+	// with 429, or sends a 200 cut short — is as missing as a dead one: the
+	// next target is asked, and when none answers the merge says so instead
+	// of passing the survivors' lists off as complete.
+	f.tr.setFail("shard-"+dead.Name+"-primary", false)
+	f.tr.setFail("shard-"+dead.Name+"-replica", false)
+	shed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+		io.WriteString(w, `{"error":"too many in-flight requests"}`)
+	})
+	real := f.tr.handlers["shard-"+dead.Name+"-primary"]
+	cut := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		real.ServeHTTP(rec, r)
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes()[:rec.Body.Len()/2])
+	})
+	_, complete := get(t, h, relatedPath(deadURI))
+	for _, c := range []struct {
+		what             string
+		primary, replica http.Handler
+		uri              string
+		wantCode         int
+		wantMissing      bool
+	}{
+		{"owner sheds on its primary only", shed, real, deadURI, http.StatusOK, false},
+		{"owner sheds on both targets", shed, shed, deadURI, http.StatusNotFound, true},
+		{"non-owner sheds on both targets", shed, shed, aliveURI, http.StatusOK, true},
+		{"owner's 200 is cut short on both targets", cut, cut, deadURI, http.StatusNotFound, true},
+		{"non-owner's 400 is cut short on both targets", cut, cut, aliveURI, http.StatusOK, true},
+	} {
+		f.tr.add("shard-"+dead.Name+"-primary", c.primary)
+		f.tr.add("shard-"+dead.Name+"-replica", c.replica)
+		code, body := get(t, h, relatedPath(c.uri))
+		var resp relatedResponse // errorResponse's partial/missingShards decode into it too
+		if err := json.Unmarshal(body, &resp); err != nil || code != c.wantCode {
+			t.Fatalf("%s: status %d (want %d) body %s (err %v)", c.what, code, c.wantCode, body, err)
+		}
+		if missing := len(resp.MissingShards) == 1 && resp.MissingShards[0] == dead.Name; resp.Partial != c.wantMissing || missing != c.wantMissing {
+			t.Fatalf("%s: partial=%v missingShards=%v, want missing %v: %s", c.what, resp.Partial, resp.MissingShards, c.wantMissing, body)
+		}
+		if c.wantCode == http.StatusOK && !c.wantMissing && !bytes.Equal(body, complete) {
+			t.Fatalf("%s: the replica's answer differs from the complete one:\n got:  %s\n want: %s", c.what, body, complete)
+		}
+	}
+	if _, streak := f.shardByName(g, dead.Name).primary.breaker.Snapshot(); streak != 0 {
+		t.Fatalf("429s and cut bodies fed the breaker: failure streak %d", streak)
+	}
+	f.tr.add("shard-"+dead.Name+"-primary", real)
+	f.tr.add("shard-"+dead.Name+"-replica", real)
 
 	for _, w := range f.worlds {
 		f.tr.setFail("shard-"+w.Name+"-primary", true)

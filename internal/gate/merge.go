@@ -1,57 +1,47 @@
 package gate
 
 import (
-	"encoding/json"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
 	"sync"
 	"time"
+
+	"rdfcube/internal/wire"
 )
 
-// The gate's merged read responses. Field order is fixed by the struct,
-// neighbor lists are sorted by URI, and shard-local observation indices
-// are discarded entirely — three choices that together make the merged
-// bytes independent of shard reply order, of which target won a hedge,
-// and of how datasets are distributed over shards (given relationship-
-// closed sharding). The explicit "partial" field is the degradation
-// contract: a client can always tell a complete answer from one missing
-// shards' contributions.
+// The gate's merged read responses. Member order is fixed, neighbor lists
+// are sorted by URI, and shard-local observation indices are discarded
+// entirely — three choices that together make the merged bytes
+// independent of shard reply order, of which target won a hedge, and of
+// how datasets are distributed over shards (given relationship-closed
+// sharding). The explicit "partial" member is the degradation contract: a
+// client can always tell a complete answer from one missing shards'
+// contributions.
+//
+// Nothing on the 200 path reflects: shard bodies are read by wire's
+// scanner into neighbour lists that alias the (pooled) body buffers, the
+// merge is a sort + compact on URI bytes, and the answer is appended into
+// a pooled buffer with wire's writers — byte for byte what encoding/json
+// wrote for the response structs this replaced (merge_oracle_test.go keeps
+// those as the oracle).
 
-// partialNeighbor is a partial-containment neighbor with its degree.
-type partialNeighbor struct {
-	URI    string  `json:"uri"`
-	Degree float64 `json:"degree"`
+// readRoute is one of the three fan-out reads: the path scattered to the
+// shards — the client's own route, so a shard renders and ships only the
+// lists the client asked for — and the lists of the merged answer, in the
+// order they are written.
+type readRoute struct {
+	path  string
+	lists []wire.List
 }
 
-// relatedResponse is the merged GET /v1/related answer.
-type relatedResponse struct {
-	URI                  string            `json:"uri"`
-	Contains             []string          `json:"contains"`
-	ContainedBy          []string          `json:"containedBy"`
-	PartiallyContains    []partialNeighbor `json:"partiallyContains"`
-	PartiallyContainedBy []partialNeighbor `json:"partiallyContainedBy"`
-	Complements          []string          `json:"complements"`
-	Partial              bool              `json:"partial"`
-	MissingShards        []string          `json:"missingShards,omitempty"`
-}
-
-// containsResponse is the merged GET /v1/contains answer.
-type containsResponse struct {
-	URI           string   `json:"uri"`
-	Contains      []string `json:"contains"`
-	ContainedBy   []string `json:"containedBy"`
-	Partial       bool     `json:"partial"`
-	MissingShards []string `json:"missingShards,omitempty"`
-}
-
-// complementsResponse is the merged GET /v1/complements answer.
-type complementsResponse struct {
-	URI           string   `json:"uri"`
-	Complements   []string `json:"complements"`
-	Partial       bool     `json:"partial"`
-	MissingShards []string `json:"missingShards,omitempty"`
-}
+var (
+	routeRelated = readRoute{"/v1/related", []wire.List{
+		wire.Contains, wire.ContainedBy, wire.PartiallyContains, wire.PartiallyContainedBy, wire.Complements}}
+	routeContains    = readRoute{"/v1/contains", []wire.List{wire.Contains, wire.ContainedBy}}
+	routeComplements = readRoute{"/v1/complements", []wire.List{wire.Complements}}
+)
 
 // errorResponse is the gate's JSON error body. Partial/MissingShards
 // qualify a 404: "not found, but n shards could not be asked".
@@ -61,23 +51,26 @@ type errorResponse struct {
 	MissingShards []string `json:"missingShards,omitempty"`
 }
 
-// shardRef mirrors the shard-side obsRef / partialRef wire shape; the
-// gate keeps the URI and degree and drops the shard-local index.
-type shardRef struct {
-	URI    string  `json:"uri"`
-	Degree float64 `json:"degree"`
+// maxPooledBuf is the largest buffer returned to bufPool; a larger one (a
+// hub observation's body) is left to the GC so one outlier does not pin
+// its capacity for the life of the process.
+const maxPooledBuf = 1 << 20
+
+// bufPool holds the byte buffers of the read path: shard bodies on the way
+// in, the merged answer on the way out.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(bp *[]byte) {
+	if bp == nil || cap(*bp) > maxPooledBuf {
+		return
+	}
+	*bp = (*bp)[:0]
+	bufPool.Put(bp)
 }
 
-// shardRelated decodes a shard's /v1/related (superset of /v1/contains
-// and /v1/complements) response.
-type shardRelated struct {
-	URI                  string     `json:"uri"`
-	Contains             []shardRef `json:"contains"`
-	ContainedBy          []shardRef `json:"containedBy"`
-	PartiallyContains    []shardRef `json:"partiallyContains"`
-	PartiallyContainedBy []shardRef `json:"partiallyContainedBy"`
-	Complements          []shardRef `json:"complements"`
-}
+var answerPool = sync.Pool{New: func() any { return new(wire.Answer) }}
 
 // gathered is the outcome of one fan-out: the per-shard answers plus
 // the missing-shard accounting.
@@ -87,6 +80,14 @@ type gathered struct {
 }
 
 func (gt *gathered) partial() bool { return len(gt.missing) > 0 }
+
+// release returns every answer's pooled buffers; nothing scanned from them
+// may be read afterwards.
+func (gt *gathered) release() {
+	for i := range gt.answers {
+		gt.answers[i].release()
+	}
+}
 
 // scatter fans one GET out to every shard concurrently and gathers the
 // answers. The answers slice is in shard-map order — NOT arrival order —
@@ -117,178 +118,138 @@ func (g *Gate) scatter(r *http.Request, path string) *gathered {
 	return gt
 }
 
-// obsParam extracts and re-encodes the ?obs= parameter. The gate
-// requires a full observation URI: shard-local indices mean nothing
-// across a fleet.
-func obsParam(r *http.Request) (string, bool) {
-	obs := r.URL.Query().Get("obs")
-	if obs == "" {
-		return "", false
-	}
-	return url.QueryEscape(obs), true
-}
-
-// gatherRelated runs the fan-out for one observation and merges every
-// decoded answer. found is false when no reachable shard knows the
-// observation.
-func (g *Gate) gatherRelated(w http.ResponseWriter, r *http.Request) (resp relatedResponse, gt *gathered, found, handled bool) {
-	obs, ok := obsParam(r)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing ?obs= parameter (observation URI)"})
-		return resp, nil, false, true
-	}
-	gt = g.scatter(r, "/v1/related?obs="+obs)
-	if len(gt.missing) == len(gt.answers) {
-		g.count(CtrNoShards, 1)
-		setRetryAfter(w, 3*time.Second)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{
-			Error: "no shards reachable", Partial: true, MissingShards: gt.missing,
-		})
-		return resp, gt, false, true
-	}
-
-	contains := map[string]bool{}
-	containedBy := map[string]bool{}
-	complements := map[string]bool{}
-	pContains := map[string]float64{}
-	pContainedBy := map[string]float64{}
+// merged folds every found answer into one — the first one's lists take
+// the others' neighbours, in shard-map order — and compacts it. It is nil
+// when no reachable shard knows the observation. The result lives in gt's
+// pooled buffers.
+func (gt *gathered) merged() *wire.Answer {
+	var into *wire.Answer
 	for _, a := range gt.answers {
-		if !a.ok || a.notFound {
-			continue
+		switch {
+		case a.found == nil:
+		case into == nil:
+			into = a.found
+		default:
+			into.URI = a.found.URI
+			for l, list := range a.found.Lists {
+				into.Lists[l] = append(into.Lists[l], list...)
+			}
 		}
-		if a.status != http.StatusOK {
-			continue // unexpected 4xx: contributes nothing
-		}
-		var sr shardRelated
-		if err := json.Unmarshal(a.body, &sr); err != nil {
-			g.log("shard %s: undecodable related body: %v", a.shard.name, err)
-			continue
-		}
-		found = true
-		resp.URI = sr.URI
-		for _, ref := range sr.Contains {
-			contains[ref.URI] = true
-		}
-		for _, ref := range sr.ContainedBy {
-			containedBy[ref.URI] = true
-		}
-		for _, ref := range sr.Complements {
-			complements[ref.URI] = true
-		}
-		mergeDegrees(pContains, sr.PartiallyContains)
-		mergeDegrees(pContainedBy, sr.PartiallyContainedBy)
 	}
-	resp.Contains = sortedKeys(contains)
-	resp.ContainedBy = sortedKeys(containedBy)
-	resp.Complements = sortedKeys(complements)
-	resp.PartiallyContains = sortedDegrees(pContains)
-	resp.PartiallyContainedBy = sortedDegrees(pContainedBy)
-	resp.Partial = gt.partial()
-	resp.MissingShards = gt.missing
-	return resp, gt, found, false
+	if into != nil {
+		into.Compact()
+	}
+	return into
 }
 
-// mergeDegrees folds a shard's partial neighbors in, keeping the max
-// degree on a duplicate URI (shards over relationship-closed maps never
-// actually collide; the max rule just keeps merge total).
-func mergeDegrees(into map[string]float64, refs []shardRef) {
-	for _, ref := range refs {
-		if d, dup := into[ref.URI]; !dup || ref.Degree > d {
-			into[ref.URI] = ref.Degree
+// degreeMemo writes a list's degrees. They repeat — k/|P| takes |P|+1
+// values — so a degree already in the buffer is copied from there instead
+// of being formatted again.
+type degreeMemo struct {
+	bits     [8]uint64
+	from, to [8]int
+	n        int
+}
+
+func (m *degreeMemo) append(b []byte, f float64) []byte {
+	bits := math.Float64bits(f) // not ==: -0 and 0 are written differently
+	for i := range min(m.n, len(m.bits)) {
+		if m.bits[i] == bits {
+			return append(b, b[m.from[i]:m.to[i]]...)
 		}
 	}
+	k := m.n % len(m.bits)
+	m.n++
+	m.bits[k], m.from[k] = bits, len(b)
+	b = wire.AppendFloat(b, f)
+	m.to[k] = len(b)
+	return b
 }
 
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+// appendAnswer renders the merged answer of route rt: the queried URI, the
+// route's lists — full-containment and complement neighbours as URI
+// strings, partial ones as {uri, degree} — and the partial contract.
+func appendAnswer(b []byte, rt *readRoute, a *wire.Answer, missing []string) []byte {
+	b = append(b, `{"uri":`...)
+	b = wire.AppendJSONString(b, a.URI)
+	var degrees degreeMemo
+	for _, l := range rt.lists {
+		b = append(b, ',', '"')
+		b = append(b, l.Name()...)
+		b = append(b, '"', ':', '[')
+		for k, n := range a.Lists[l] {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			if !l.HasDegree() {
+				b = wire.AppendJSONString(b, n.URI)
+				continue
+			}
+			b = append(b, `{"uri":`...)
+			b = wire.AppendJSONString(b, n.URI)
+			b = append(b, `,"degree":`...)
+			b = degrees.append(b, n.Degree)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
 	}
-	sort.Strings(out)
-	return out
+	if len(missing) == 0 {
+		return append(b, `,"partial":false}`+"\n"...)
+	}
+	b = append(b, `,"partial":true,"missingShards":[`...)
+	for k, name := range missing {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = wire.AppendJSONString(b, name)
+	}
+	return append(b, "]}\n"...)
 }
 
-func sortedDegrees(m map[string]float64) []partialNeighbor {
-	out := make([]partialNeighbor, 0, len(m))
-	for uri, deg := range m {
-		out = append(out, partialNeighbor{URI: uri, Degree: deg})
+// readFanout is the handler of one fan-out read route: scatter the
+// client's route, merge what the shards know, render.
+func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) {
+		// The gate requires a full observation URI: shard-local indices
+		// mean nothing across a fleet.
+		obs := r.URL.Query().Get("obs")
+		if obs == "" {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing ?obs= parameter (observation URI)"})
+			return
+		}
+		gt := g.scatter(r, rt.path+"?obs="+url.QueryEscape(obs))
+		defer gt.release()
+		if len(gt.missing) == len(gt.answers) {
+			g.count(CtrNoShards, 1)
+			setRetryAfter(w, 3*time.Second)
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{
+				Error: "no shards reachable", Partial: true, MissingShards: gt.missing,
+			})
+			return
+		}
+		if gt.partial() {
+			g.countPartial()
+		}
+		ans := gt.merged()
+		if ans == nil {
+			// No reachable shard knew the observation: a plain 404 when
+			// every shard was asked, a partial-qualified one when some could
+			// not be (the observation might live on a missing shard).
+			writeJSON(w, http.StatusNotFound, errorResponse{
+				Error: "unknown observation \"" + obs + "\"", Partial: gt.partial(), MissingShards: gt.missing,
+			})
+			return
+		}
+		bp := getBuf()
+		defer putBuf(bp)
+		*bp = appendAnswer(*bp, rt, ans, gt.missing)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(*bp) // a failed write means the client is gone: nobody to tell
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URI < out[j].URI })
-	return out
-}
-
-// notFoundResponse answers a fan-out in which no reachable shard knew
-// the observation: a plain 404 when every shard was asked, a partial-
-// qualified 404 when some could not be (the observation might live on a
-// missing shard).
-func (g *Gate) notFound(w http.ResponseWriter, r *http.Request, gt *gathered) {
-	obs := r.URL.Query().Get("obs")
-	resp := errorResponse{Error: "unknown observation \"" + obs + "\""}
-	if gt.partial() {
-		resp.Partial = true
-		resp.MissingShards = gt.missing
-		g.countPartial()
-	}
-	writeJSON(w, http.StatusNotFound, resp)
 }
 
 func (g *Gate) countPartial() {
 	g.partials.Add(1)
 	g.count(CtrPartial, 1)
-}
-
-func (g *Gate) handleRelated(w http.ResponseWriter, r *http.Request) {
-	resp, gt, found, handled := g.gatherRelated(w, r)
-	if handled {
-		return
-	}
-	if !found {
-		g.notFound(w, r, gt)
-		return
-	}
-	if resp.Partial {
-		g.countPartial()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (g *Gate) handleContains(w http.ResponseWriter, r *http.Request) {
-	resp, gt, found, handled := g.gatherRelated(w, r)
-	if handled {
-		return
-	}
-	if !found {
-		g.notFound(w, r, gt)
-		return
-	}
-	if resp.Partial {
-		g.countPartial()
-	}
-	writeJSON(w, http.StatusOK, containsResponse{
-		URI:           resp.URI,
-		Contains:      resp.Contains,
-		ContainedBy:   resp.ContainedBy,
-		Partial:       resp.Partial,
-		MissingShards: resp.MissingShards,
-	})
-}
-
-func (g *Gate) handleComplements(w http.ResponseWriter, r *http.Request) {
-	resp, gt, found, handled := g.gatherRelated(w, r)
-	if handled {
-		return
-	}
-	if !found {
-		g.notFound(w, r, gt)
-		return
-	}
-	if resp.Partial {
-		g.countPartial()
-	}
-	writeJSON(w, http.StatusOK, complementsResponse{
-		URI:           resp.URI,
-		Complements:   resp.Complements,
-		Partial:       resp.Partial,
-		MissingShards: resp.MissingShards,
-	})
 }

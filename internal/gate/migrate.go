@@ -52,6 +52,7 @@ import (
 	"rdfcube/internal/serve"
 	"rdfcube/internal/snapshot"
 	"rdfcube/internal/wal"
+	"rdfcube/internal/wire"
 )
 
 // Migration metrics.
@@ -750,8 +751,8 @@ func (m *Migrator) doubleRead() error {
 		}
 		roundOK := true
 		for _, obs := range m.sampleURIs {
-			a, aerr := m.canonicalRelated(srcURL, obs)
-			b, berr := m.canonicalRelated(tgtURL, obs)
+			a, aerr := m.g.canonicalRelated(m.ctx, srcURL, obs)
+			b, berr := m.g.canonicalRelated(m.ctx, tgtURL, obs)
 			if aerr != nil || berr != nil {
 				roundOK = false
 				break // fetch trouble: retry the round, not a mismatch
@@ -779,22 +780,25 @@ func (m *Migrator) doubleRead() error {
 }
 
 // canonicalRelated fetches one owner's /v1/related answer and
-// canonicalizes it: decode the wire shape (which carries shard-LOCAL
-// observation indices that legitimately differ between owners), keep
-// URI+degree only, sort every list, and re-marshal. Byte equality of
-// the results is then exactly "same relationships, same degrees".
-func (m *Migrator) canonicalRelated(base, obs string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(m.ctx, m.g.cfg.shardTimeout())
+// canonicalizes it as "the merge of one answer": the same scan, sort +
+// compact and rendering a gate read applies to a whole fan-out, so the
+// shard-LOCAL observation indices (which legitimately differ between
+// owners) and the owner's list order drop out. Byte equality of the
+// results is then exactly "same relationships, same degrees".
+func (g *Gate) canonicalRelated(ctx context.Context, base, obs string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.shardTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/related?obs="+url.QueryEscape(obs), nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", base+routeRelated.path+"?obs="+url.QueryEscape(obs), nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := m.g.client.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody))
+	body := getBuf()
+	defer putBuf(body)
+	rerr := readBody(body, resp.Body)
 	resp.Body.Close()
 	if rerr != nil {
 		return nil, rerr
@@ -802,37 +806,16 @@ func (m *Migrator) canonicalRelated(base, obs string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("related %s: status %d", obs, resp.StatusCode)
 	}
-	var sr shardRelated
-	if err := json.Unmarshal(body, &sr); err != nil {
-		return nil, err
+	ans := answerPool.Get().(*wire.Answer)
+	defer func() {
+		ans.Reset()
+		answerPool.Put(ans)
+	}()
+	if err := ans.Scan(*body); err != nil {
+		return nil, fmt.Errorf("related %s: %w", obs, err)
 	}
-	canon := relatedResponse{
-		URI:                  sr.URI,
-		Contains:             sortedRefURIs(sr.Contains),
-		ContainedBy:          sortedRefURIs(sr.ContainedBy),
-		Complements:          sortedRefURIs(sr.Complements),
-		PartiallyContains:    sortedRefNeighbors(sr.PartiallyContains),
-		PartiallyContainedBy: sortedRefNeighbors(sr.PartiallyContainedBy),
-	}
-	return json.Marshal(canon)
-}
-
-func sortedRefURIs(refs []shardRef) []string {
-	out := make([]string, 0, len(refs))
-	for _, r := range refs {
-		out = append(out, r.URI)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedRefNeighbors(refs []shardRef) []partialNeighbor {
-	out := make([]partialNeighbor, 0, len(refs))
-	for _, r := range refs {
-		out = append(out, partialNeighbor{URI: r.URI, Degree: r.Degree})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URI < out[j].URI })
-	return out
+	ans.Compact()
+	return appendAnswer(nil, &routeRelated, ans, nil), nil
 }
 
 // ------------------------------------------------------------- cutover

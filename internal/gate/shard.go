@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/serve"
+	"rdfcube/internal/wire"
 )
 
 // maxUpstreamBody bounds one shard response body read by the gate.
@@ -82,24 +84,35 @@ func (sh *shard) candidates(now time.Time) []*target {
 // shardAnswer is one shard's contribution to a merged read.
 type shardAnswer struct {
 	shard *shard
-	// ok is true when SOME target produced a usable HTTP answer
-	// (status < 500); the shard then counts as answered even if it does
-	// not know the observation.
+	// ok is true when SOME target answered the question: a 200 whose body
+	// scans, or the unknown-observation 400 — normal for every shard but
+	// the owner. Anything else (a shed 429, a 499/504, a body cut short)
+	// says nothing about the shard's observations, and a merge that went
+	// on without it must say "partial".
 	ok bool
-	// notFound is true when the shard answered "unknown observation" —
-	// normal for every shard but the owner.
-	notFound bool
-	// status/body are the winning response (when ok).
-	status int
-	body   []byte
-	err    error
+	// found is the scanned 200 body (nil when the shard does not know the
+	// observation). It aliases body; both are pooled, see release.
+	found *wire.Answer
+	body  *[]byte
+	err   error
+}
+
+// release returns the answer's buffers to their pools.
+func (a *shardAnswer) release() {
+	if a.found != nil {
+		a.found.Reset()
+		answerPool.Put(a.found)
+		a.found = nil
+	}
+	putBuf(a.body)
+	a.body = nil
 }
 
 // fetchResult is one target attempt's outcome.
 type fetchResult struct {
 	tgt    *target
 	status int
-	body   []byte
+	body   *[]byte // from bufPool; nil when err is set
 	err    error
 }
 
@@ -118,6 +131,9 @@ func (g *Gate) fetchShard(ctx context.Context, sh *shard, path string) shardAnsw
 
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// Buffered for every attempt, so a loser never blocks on its send. A
+	// result nobody receives keeps its body buffer out of the pool: only a
+	// received result proves that attempt has stopped writing into it.
 	results := make(chan fetchResult, len(cands))
 	launch := func(t *target) {
 		go func() {
@@ -154,18 +170,15 @@ func (g *Gate) fetchShard(ctx context.Context, sh *shard, path string) shardAnsw
 			}
 		case res := <-results:
 			outstanding--
-			if res.err == nil && res.status < 500 {
+			ans := g.classify(sh, res)
+			if ans.ok {
 				if hedged != nil && res.tgt == hedged {
 					g.hedgeWon.Add(1)
 					g.count(CtrHedgeWon, 1)
 				}
-				return g.classify(sh, res)
+				return ans
 			}
-			if res.err != nil {
-				lastErr = fmt.Errorf("%s %s: %w", res.tgt.role, res.tgt.url, res.err)
-			} else {
-				lastErr = fmt.Errorf("%s %s: status %d", res.tgt.role, res.tgt.url, res.status)
-			}
+			lastErr = fmt.Errorf("%s %s: %w", res.tgt.role, res.tgt.url, ans.err)
 			// A fast failure converts the hedge into an immediate
 			// failover: don't sit out the timer with zero in flight.
 			if outstanding == 0 && next < len(cands) {
@@ -182,20 +195,43 @@ func (g *Gate) fetchShard(ctx context.Context, sh *shard, path string) shardAnsw
 	}
 }
 
-// classify decodes an HTTP answer into the merge's terms. Shards answer
-// 400 with an "unknown observation" error body for observations they do
-// not own — for the gate that is an empty contribution, not an error.
+// classify turns one finished attempt into the merge's terms. A 200 is
+// scanned here, on the shard's own goroutine, because whether it scans
+// decides whether the shard has answered. Shards answer 400 with an
+// "unknown observation" error body for observations they do not own — for
+// the gate that is an empty contribution, not an error. Every other
+// outcome leaves ok false and says why in err; the body buffer goes back
+// to the pool unless the answer still aliases it.
 func (g *Gate) classify(sh *shard, res fetchResult) shardAnswer {
-	ans := shardAnswer{shard: sh, ok: true, status: res.status, body: res.body}
-	if res.status == http.StatusBadRequest {
-		var e struct {
-			Error string `json:"error"`
+	ans := shardAnswer{shard: sh}
+	switch {
+	case res.err != nil:
+		ans.err = res.err
+	case res.status == http.StatusOK:
+		found := answerPool.Get().(*wire.Answer)
+		if err := found.Scan(*res.body); err != nil {
+			answerPool.Put(found)
+			ans.err = fmt.Errorf("status 200, body of %d bytes does not scan: %w", len(*res.body), err)
+			break
 		}
-		if json.Unmarshal(res.body, &e) == nil && strings.Contains(e.Error, "unknown observation") {
-			ans.notFound = true
-		}
+		ans.ok, ans.found, ans.body = true, found, res.body
+		return ans
+	case res.status == http.StatusBadRequest && isUnknownObservation(*res.body):
+		ans.ok = true
+	default:
+		ans.err = fmt.Errorf("status %d", res.status)
 	}
+	putBuf(res.body)
 	return ans
+}
+
+// isUnknownObservation recognises serve's 400 for an observation the
+// shard does not hold.
+func isUnknownObservation(body []byte) bool {
+	var e struct {
+		Error string `json:"error"`
+	}
+	return json.Unmarshal(body, &e) == nil && strings.Contains(e.Error, "unknown observation")
 }
 
 // doRead performs one GET against one target, under a deadline carved
@@ -217,11 +253,13 @@ func (g *Gate) doRead(ctx context.Context, t *target, path string) fetchResult {
 		}
 		return fetchResult{tgt: t, err: err}
 	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody))
+	bp := getBuf()
+	rerr := readBody(bp, resp.Body)
 	resp.Body.Close()
 	us := time.Since(start).Microseconds()
 	g.observe(targetHistName(t.shardName, t.role), us)
 	if rerr != nil {
+		putBuf(bp)
 		t.breaker.Failure(time.Now())
 		return fetchResult{tgt: t, err: fmt.Errorf("read body: %w", rerr)}
 	}
@@ -230,7 +268,29 @@ func (g *Gate) doRead(ctx context.Context, t *target, path string) fetchResult {
 	} else {
 		t.breaker.Success()
 	}
-	return fetchResult{tgt: t, status: resp.StatusCode, body: body}
+	return fetchResult{tgt: t, status: resp.StatusCode, body: bp}
+}
+
+// readBody reads r to its end, or to maxUpstreamBody, into *bp from its
+// start, growing it (by doubling) only when its kept capacity is too
+// small. A body cut at the cap is no error here: it fails to scan.
+func readBody(bp *[]byte, r io.Reader) error {
+	b := (*bp)[:0]
+	defer func() { *bp = b }()
+	for len(b) < maxUpstreamBody {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, max(len(b), 4<<10))
+		}
+		n, err := r.Read(b[len(b):min(cap(b), maxUpstreamBody)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // shardContext bounds one upstream call: ShardTimeout, shrunk so that

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
+
+	"rdfcube/internal/wire"
 )
 
 // The fan-out routes (/v1/related, /v1/contains, /v1/complements) render
@@ -14,6 +14,8 @@ import (
 // The bytes are exactly what json.Encoder with SetEscapeHTML(false) wrote
 // for that map — keys in sorted order, one trailing newline — because
 // gate merges and replica parity checks compare bodies across processes.
+// The string, neighbour and float helpers live in internal/wire, beside
+// the scanner cubegate reads these bodies with.
 
 // maxPooledBody is the largest response buffer returned to bodyPool; a
 // larger one (a hub observation's answer) is left to the GC so one outlier
@@ -46,44 +48,14 @@ func writeBody(w http.ResponseWriter, b []byte) {
 
 // degreeTexts pre-renders the JSON text of every degree a partial pair
 // over p dimensions can take: entry k is k/p exactly as encoding/json
-// writes that float64.
+// writes that float64. With no dimensions there is no partial pair to
+// render, and the table's one entry (0/0) is never read.
 func degreeTexts(p int) []string {
 	out := make([]string, p+1)
 	for k := range out {
-		text, _ := json.Marshal(float64(k) / float64(p)) // finite for p > 0; with no dimensions there is no partial pair to render
-		out[k] = string(text)
+		out[k] = string(wire.AppendFloat(nil, float64(k)/float64(p)))
 	}
 	return out
-}
-
-// appendJSONString appends s as a JSON string literal, byte for byte what
-// json.Encoder with SetEscapeHTML(false) writes. Printable ASCII without
-// '"' or '\\' — every URI the generators and loaders produce — is copied
-// between quotes; anything else goes through encoding/json itself, so its
-// escaping rules (control bytes, U+2028/9, invalid UTF-8) are not restated
-// here.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			enc.SetEscapeHTML(false)
-			_ = enc.Encode(s) // a string always encodes
-			return append(b, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendRef appends the two leading members of a neighbour object,
-// `{"obs":<obs>,"uri":<uri>`, leaving the object open for the caller.
-func appendRef(b []byte, obs int, uri string) []byte {
-	b = append(b, `{"obs":`...)
-	b = strconv.AppendInt(b, int64(obs), 10)
-	b = append(b, `,"uri":`...)
-	return appendJSONString(b, uri)
 }
 
 // appendRefs appends ids as a JSON array of {obs, uri} objects. Callers
@@ -95,7 +67,7 @@ func (s *Server) appendRefs(b []byte, ids []int32) []byte {
 		if k > 0 {
 			b = append(b, ',')
 		}
-		b = appendRef(b, int(j), obs[j].URI.Value)
+		b = wire.AppendRef(b, int(j), obs[j].URI.Value)
 		b = append(b, '}')
 	}
 	return append(b, ']')
@@ -122,7 +94,7 @@ func (s *Server) appendPartialRefs(b []byte, from int, ids []int32, fromIsSource
 		} else {
 			deg = sp.ContainDegree(int(j), from)
 		}
-		b = appendRef(b, int(j), sp.Obs[j].URI.Value)
+		b = wire.AppendRef(b, int(j), sp.Obs[j].URI.Value)
 		b = append(b, `,"degree":`...)
 		b = append(b, s.degText[deg]...)
 		b = append(b, '}')
@@ -141,6 +113,6 @@ func appendObsMember(b []byte, i int) []byte {
 // newline follows.
 func (s *Server) appendEnd(b []byte, i int) []byte {
 	b = append(b, `,"uri":`...)
-	b = appendJSONString(b, s.inc.S.Obs[i].URI.Value)
+	b = wire.AppendJSONString(b, s.inc.S.Obs[i].URI.Value)
 	return append(b, "}\n"...)
 }

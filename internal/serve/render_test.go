@@ -17,6 +17,7 @@ import (
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/snapshot"
+	"rdfcube/internal/wire"
 )
 
 // The reflective rendering the fan-out routes used before render.go, kept
@@ -164,23 +165,6 @@ func TestFanoutBodiesMatchReflectiveRendering(t *testing.T) {
 	assertFanoutBytes(t, "after 100 inserts", srv)
 }
 
-// hostileURIs exercise every escaping rule of encoding/json's string
-// encoder with SetEscapeHTML(false): quote, backslash, control bytes
-// (short and \u00XX forms), HTML metacharacters (left alone), non-ASCII,
-// U+2028/U+2029 (escaped) and invalid UTF-8 (replaced).
-var hostileURIs = []string{
-	`http://example.org/q"uote`,
-	`http://example.org/back\slash`,
-	"http://example.org/ctl\x01\x1f",
-	"http://example.org/nl\n\r\t\b\f",
-	"http://example.org/<html>&amp;",
-	"http://example.org/ünïcödé/観測",
-	"http://example.org/sep\u2028and\u2029",
-	"http://example.org/bad\xff\xfeutf8\xc3",
-	"http://example.org/del\x7f",
-	"",
-}
-
 // TestFanoutBodiesHostileURIs runs the byte-identity check on a corpus
 // whose observation URIs need every kind of escaping, and resolves one of
 // them by its (query-escaped) URI.
@@ -189,7 +173,7 @@ func TestFanoutBodiesHostileURIs(t *testing.T) {
 	k := 0
 	for _, ds := range corpus.Datasets {
 		for _, o := range ds.Observations {
-			o.URI = rdf.NewIRI(hostileURIs[k%len(hostileURIs)] + strconv.Itoa(k))
+			o.URI = rdf.NewIRI(wire.HostileStrings[k%len(wire.HostileStrings)] + strconv.Itoa(k))
 			k++
 		}
 	}
@@ -267,27 +251,33 @@ func TestRelatedAllocationsIndependentOfFanout(t *testing.T) {
 	}
 }
 
-// TestAppendJSONString pins the fast path and the fallback on the hostile
-// inputs (the fuzz target below explores beyond them).
+// refObject is the neighbour object the fan-out routes write for (obs, uri).
+func refObject(obs int, uri string) []byte {
+	return append(wire.AppendRef(nil, obs, uri), '}')
+}
+
+// TestAppendJSONString pins serve's use of the shared string writer on the
+// hostile inputs: a neighbour object is what encoding/json wrote for the
+// reflective oracleRef. (internal/wire tests the writer itself, and its
+// fuzz target of the same name is the one CI runs.)
 func TestAppendJSONString(t *testing.T) {
-	for _, s := range append([]string{"http://example.org/obs/plain~ !#$%'()*+,-./:;=?@[]^_`{|}"}, hostileURIs...) {
-		got := appendJSONString([]byte("prefix:"), s)
-		want := append([]byte("prefix:"), bytes.TrimSuffix(encodeNoHTMLEscape(t, s), []byte("\n"))...)
-		if !bytes.Equal(got, want) {
-			t.Errorf("appendJSONString(%q) = %q, encoding/json writes %q", s, got, want)
+	for _, s := range append([]string{"http://example.org/obs/plain~ !#$%'()*+,-./:;=?@[]^_`{|}"}, wire.HostileStrings...) {
+		want := bytes.TrimSuffix(encodeNoHTMLEscape(t, oracleRef{Obs: 7, URI: s}), []byte("\n"))
+		if got := refObject(7, s); !bytes.Equal(got, want) {
+			t.Errorf("neighbour object for %q = %q, encoding/json writes %q", s, got, want)
 		}
 	}
 }
 
 func FuzzAppendJSONString(f *testing.F) {
-	for _, s := range hostileURIs {
+	for _, s := range wire.HostileStrings {
 		f.Add(s)
 	}
 	f.Add("http://example.org/obs/17")
 	f.Fuzz(func(t *testing.T, s string) {
-		got := appendJSONString(nil, s)
-		if want := bytes.TrimSuffix(encodeNoHTMLEscape(t, s), []byte("\n")); !bytes.Equal(got, want) {
-			t.Fatalf("appendJSONString(%q) = %q, encoding/json writes %q", s, got, want)
+		want := bytes.TrimSuffix(encodeNoHTMLEscape(t, oracleRef{Obs: len(s), URI: s}), []byte("\n"))
+		if got := refObject(len(s), s); !bytes.Equal(got, want) {
+			t.Fatalf("neighbour object for %q = %q, encoding/json writes %q", s, got, want)
 		}
 	})
 }
