@@ -59,6 +59,7 @@ import (
 	"syscall"
 	"time"
 
+	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gate"
 	"rdfcube/internal/obsv"
 )
@@ -128,28 +129,29 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// On every installed map change (admin POST, file reload, or a
-	// migration's cutover) the file is rewritten in place, so the epoch a
-	// crash interrupts is the epoch a restart boots from. The migrations
-	// list rides along verbatim: completed entries are inert at the next
-	// boot (their state files are terminal) until the operator prunes
-	// them.
+	// On every installed map change (admin POST or a migration's cutover)
+	// the file is rewritten in place, crash-safely, so the epoch a crash
+	// interrupts is the epoch a restart boots from. The migrations list
+	// rides along verbatim: completed entries are inert at the next boot
+	// (their state files are terminal) until the operator prunes them. A
+	// change that came FROM the file (SIGHUP, -watch-map) is already on
+	// disk and is left alone: rewriting it would race the operator's next
+	// edit for the length of an fsync.
 	var fileMu sync.Mutex
 	rewriteMapFile := func(installed gate.ShardMap) {
 		fileMu.Lock()
 		defer fileMu.Unlock()
+		if onDisk, err := loadShardMap(*mapPath); err == nil && onDisk.Epoch == installed.Epoch &&
+			gate.ValidateTransition(onDisk.Map(), installed) == nil {
+			return
+		}
 		out := gate.ShardMapFile{Epoch: installed.Epoch, Shards: installed.Shards, Migrations: mapFile.Migrations}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			logf("rewriting shard map: %v", err)
 			return
 		}
-		tmp := *mapPath + ".tmp"
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			logf("rewriting shard map: %v", err)
-			return
-		}
-		if err := os.Rename(tmp, *mapPath); err != nil {
+		if err := faultfs.WriteFileAtomic(faultfs.OS{}, *mapPath, data); err != nil {
 			logf("rewriting shard map: %v", err)
 			return
 		}

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"testing"
-	"time"
 
 	"rdfcube/internal/leakcheck"
 )
@@ -24,15 +23,10 @@ func TestFailover(t *testing.T) {
 	if testing.Short() {
 		inserts = 12
 	}
-	h, err := NewFailover(FailoverOptions{
-		Seed:         11,
-		Rounds:       2,
-		Inserts:      inserts,
-		MaxStaleness: 700 * time.Millisecond,
-		Logf:         t.Logf,
+	Failover(t, Options{
+		Seed:    11,
+		Rounds:  2,
+		Inserts: inserts,
+		Logf:    t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Run(t)
 }

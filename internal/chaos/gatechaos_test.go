@@ -18,15 +18,11 @@ import (
 // partition-chaos job.
 func TestGatePartitionChaos(t *testing.T) {
 	leakcheck.Check(t)
-	h, err := NewGateHarness(GateOptions{
+	GatePartition(t, Options{
 		Seed:  7,
 		Round: soakRound(t, 1) * 3, // three equal phases
 		Logf:  t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Run(t)
 }
 
 // TestGatePartitionChaosSecondSeed re-rolls the fault schedules; kept
@@ -36,13 +32,9 @@ func TestGatePartitionChaosSecondSeed(t *testing.T) {
 		t.Skip("covered by TestGatePartitionChaos; skip in -short")
 	}
 	leakcheck.Check(t)
-	h, err := NewGateHarness(GateOptions{
+	GatePartition(t, Options{
 		Seed:  31,
 		Round: soakRound(t, 1) * 3,
 		Logf:  t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Run(t)
 }

@@ -20,15 +20,12 @@ import (
 // rebalance-chaos job.
 func TestRebalanceChaos(t *testing.T) {
 	leakcheck.Check(t)
-	h, err := NewRebalanceHarness(RebalanceOptions{
-		Seed:  11,
-		Round: soakRound(t, 1) * 3,
-		Logf:  t.Logf,
+	Rebalance(t, Options{
+		Seed:    11,
+		Workers: 3,
+		Round:   soakRound(t, 1) * 3,
+		Logf:    t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Run(t)
 }
 
 // TestRebalanceChaosSecondSeed re-rolls the fault schedules; kept out
@@ -38,15 +35,12 @@ func TestRebalanceChaosSecondSeed(t *testing.T) {
 		t.Skip("covered by TestRebalanceChaos; skip in -short")
 	}
 	leakcheck.Check(t)
-	h, err := NewRebalanceHarness(RebalanceOptions{
-		Seed:  37,
-		Round: soakRound(t, 1) * 3,
-		Logf:  t.Logf,
+	Rebalance(t, Options{
+		Seed:    37,
+		Workers: 3,
+		Round:   soakRound(t, 1) * 3,
+		Logf:    t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Run(t)
 }
 
 // TestRebalanceRollback is the abort story: the migration target is
@@ -57,12 +51,8 @@ func TestRebalanceChaosSecondSeed(t *testing.T) {
 // scan, and the gate's answers still byte-equal to the oracle.
 func TestRebalanceRollback(t *testing.T) {
 	leakcheck.Check(t)
-	h, err := NewRebalanceHarness(RebalanceOptions{
+	RebalanceRollback(t, Options{
 		Seed: 5,
 		Logf: t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.RunRollback(t)
 }

@@ -36,17 +36,13 @@ func soakRound(t *testing.T, rounds int) time.Duration {
 func TestSoak(t *testing.T) {
 	leakcheck.Check(t)
 	const rounds = 4
-	h, err := New(Options{
+	Soak(t, Options{
 		Seed:    7,
 		Workers: 4,
 		Rounds:  rounds,
 		Round:   soakRound(t, rounds),
 		Logf:    t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Run(t)
 }
 
 // TestSoakSingleWorkerDeterministicOps is a narrower, calmer soak: one
@@ -58,15 +54,11 @@ func TestSoakSingleWorkerDeterministicOps(t *testing.T) {
 		t.Skip("covered by TestSoak; skip in -short")
 	}
 	leakcheck.Check(t)
-	h, err := New(Options{
+	Soak(t, Options{
 		Seed:    42,
 		Workers: 1,
 		Rounds:  2,
 		Round:   150 * time.Millisecond,
 		Logf:    t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Run(t)
 }

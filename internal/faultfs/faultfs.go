@@ -111,6 +111,33 @@ func (OS) ReadDirNames(dir string) ([]string, error) {
 	return names, nil
 }
 
+// WriteFileAtomic replaces path with data so that a crash at any point
+// leaves the previous content or the new one, never an empty or torn
+// file: the bytes go to path+".tmp", are fsynced, and the temp file is
+// renamed over path. A failed attempt removes its temp file and leaves
+// path untouched. Concurrent writers of one path must be serialized by
+// the caller (they share the temp name).
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp) // best effort; the error that matters is err
+	}
+	return err
+}
+
 // truncate on os.File needs the file opened writable; osFile embeds
 // *os.File so Truncate is available, but appending after a truncate with
 // O_APPEND still lands at the (new) end — exactly the repair semantics

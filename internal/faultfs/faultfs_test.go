@@ -197,3 +197,50 @@ func TestOSImplementation(t *testing.T) {
 		t.Fatalf("stat after rename: %v", err)
 	}
 }
+
+// TestWriteFileAtomicCrashSafety sweeps a fault over every operation of
+// one WriteFileAtomic call replacing an existing file, power-cuts after
+// each, and requires the survivor to be the old content or the new —
+// never empty, never torn — with the failed attempt's temp file gone.
+// The fault-free pass (the sweep's last) must leave the new content
+// durable.
+func TestWriteFileAtomicCrashSafety(t *testing.T) {
+	const path = "state/m1.json"
+	oldData, newData := []byte(`{"phase":"copy"}`), []byte(`{"phase":"cutover","mapEpoch":2}`)
+	for n := int64(1); ; n++ {
+		m := NewMemFS()
+		if err := WriteFileAtomic(m, path, oldData); err != nil {
+			t.Fatalf("seeding: %v", err)
+		}
+		m.Inject(Fault{Op: OpAny, N: n, Keep: 5})
+		err := WriteFileAtomic(m, path, newData)
+		tripped := m.Tripped()
+		if tripped != (err != nil) {
+			t.Fatalf("fault %d: tripped=%v but err=%v", n, tripped, err)
+		}
+		if err != nil && !errors.Is(err, ErrInjected) {
+			t.Fatalf("fault %d: error does not wrap the injected fault: %v", n, err)
+		}
+		m.Crash()
+		got, rerr := m.ReadFile(path)
+		if rerr != nil {
+			t.Fatalf("fault %d: file gone after crash: %v", n, rerr)
+		}
+		want := oldData
+		if err == nil {
+			want = newData
+		}
+		if string(got) != string(want) {
+			t.Fatalf("fault %d (err=%v): after crash %q, want %q", n, err, got, want)
+		}
+		if _, serr := m.Stat(path + ".tmp"); !errors.Is(serr, fs.ErrNotExist) {
+			t.Fatalf("fault %d: temp file left behind (stat err %v)", n, serr)
+		}
+		if !tripped {
+			if n < 4 {
+				t.Fatalf("sweep ended at fault %d: fewer countable operations than create/write/sync/rename", n)
+			}
+			return
+		}
+	}
+}

@@ -58,7 +58,8 @@ const (
 	CtrRetries    = "gate.write.retries" // write retry attempts
 	CtrMapSwaps   = "gate.map.swaps"     // shard map epochs installed
 	HistLatency   = "gate.latency.us"    // all-routes gate latency (µs)
-	// HistWriteLatency is the upstream write-attempt latency (µs).
+	// HistWriteLatency is the latency (µs) of one answered upstream POST
+	// attempt — client inserts and migration copies alike.
 	HistWriteLatency = "gate.write.latency.us"
 )
 

@@ -3,13 +3,13 @@ package gate
 // Live dataset migration: the five-phase state machine that moves
 // datasets between shards while the gate keeps serving.
 //
-//	copy        bootstrap the target from the source's /v1/snapshot:
-//	            register the migrating datasets' schemas, then replay
-//	            their observations. The snapshot's WAL position is the
-//	            pump cursor.
-//	catch-up    tail the source's /v1/wal from the cursor, relaying
-//	            records for migrating datasets, until the cursor reaches
-//	            the source's durable end.
+//	copy        bootstrap the target from the source's image: register
+//	            the migrating datasets' schemas, then replay their
+//	            observations. The image's WAL position is the pump
+//	            cursor.
+//	catch-up    tail the source's WAL from the cursor, relaying records
+//	            for migrating datasets, until the cursor reaches the
+//	            source's durable end.
 //	double-read fan sampled reads to BOTH owners and byte-compare the
 //	            canonicalized answers. Mismatches are metrics, never
 //	            client errors; cutover requires consecutive clean rounds.
@@ -18,6 +18,12 @@ package gate
 //	            swap, so a crash between the two resumes forward.
 //	drain       keep pumping until the source has been continuously quiet
 //	            for a window — the writes that raced the cutover land.
+//
+// The source is read through a replica.Source — the same client of the
+// replication protocol a follower uses, with the same rule: the cursor
+// moves only over what has been relayed to the target, and a cursor the
+// source no longer holds (replica.ErrGone) means copy again. A migration
+// is that Source plus a dataset filter plus a remote POST.
 //
 // Every phase is idempotent: copy re-registers (200) and re-inserts
 // (409) harmlessly, the pump skips duplicates the same way, and cutover
@@ -37,20 +43,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"rdfcube/internal/faultfs"
+	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
+	"rdfcube/internal/replica"
 	"rdfcube/internal/serve"
-	"rdfcube/internal/snapshot"
 	"rdfcube/internal/wal"
 	"rdfcube/internal/wire"
 )
@@ -82,9 +88,9 @@ var (
 	ErrMigrationCutOver = errors.New("gate: migration already cut over; abort is only possible before cutover")
 )
 
-// errRecopy says the source's WAL no longer retains the cursor (410):
-// the bootstrap must be redone from a fresh snapshot.
-var errRecopy = errors.New("gate: wal cursor gone; re-copy from snapshot")
+// maxRecopies bounds how often one phase bootstraps the target again
+// because the source truncated its WAL past the cursor.
+const maxRecopies = 5
 
 // MigratorOptions tunes the migration state machine. Zero values get
 // sane defaults.
@@ -183,9 +189,9 @@ type Migrator struct {
 	mu    sync.Mutex
 	state MigrationState
 
-	// Transient pump cursor, rebuilt by copy() on every (re)start.
-	stream     string
-	pos        int64
+	// src reads the source shard; its cursor is transient, rebuilt by
+	// copy() on every (re)start together with what copy() learned.
+	src        *replica.Source
 	srcSchemas []dsSchema
 	sampleURIs []string
 }
@@ -234,7 +240,7 @@ func (m *Migrator) spec() MigrationSpec {
 	return m.state.Spec
 }
 
-// persist writes the state file atomically (tmp + rename). A persist
+// persist writes the state file atomically (tmp + fsync + rename). A persist
 // failure is logged, not fatal: the migration itself keeps working, it
 // just loses crash-resumability.
 func (m *Migrator) persist() {
@@ -248,12 +254,7 @@ func (m *Migrator) persist() {
 		m.g.log("migration %s: marshal state: %v", m.spec().ID, err)
 		return
 	}
-	tmp := m.statePath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		m.g.log("migration %s: persist state: %v", m.spec().ID, err)
-		return
-	}
-	if err := os.Rename(tmp, m.statePath); err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS{}, m.statePath, data); err != nil {
 		m.g.log("migration %s: persist state: %v", m.spec().ID, err)
 	}
 }
@@ -344,9 +345,10 @@ func (m *Migrator) shardURL(name string) (string, error) {
 
 // ---------------------------------------------------------------- copy
 
-// copy bootstraps the target: fetch the source snapshot, register the
+// copy bootstraps the target: pull the source's image, register the
 // migrating datasets' schemas on the target, replay their observations.
-// Rebuilds the pump cursor (stream, pos) as a side effect.
+// The pump cursor moves to the image's position only when all of that
+// has landed.
 func (m *Migrator) copy() error {
 	spec := m.spec()
 	srcURL, err := m.shardURL(spec.From)
@@ -357,39 +359,23 @@ func (m *Migrator) copy() error {
 	if err != nil {
 		return err
 	}
-
+	m.src.Primary = srcURL
 	ctx, cancel := context.WithTimeout(m.ctx, m.opt.phaseTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", srcURL+"/v1/snapshot", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := m.g.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("fetch source snapshot: %w", err)
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		return fmt.Errorf("read source snapshot: %w", rerr)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("source snapshot: status %d", resp.StatusCode)
-	}
-	snap, err := snapshot.Read(bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("decode source snapshot: %w", err)
-	}
-	stream := resp.Header.Get(serve.WALStreamHeader)
-	pos, _ := strconv.ParseInt(resp.Header.Get(serve.WALPositionHeader), 10, 64)
+	return m.src.Bootstrap(ctx, func(img replica.Image) error {
+		return m.copyImage(spec, tgtURL, img.Snapshot.Space.Corpus)
+	})
+}
 
+// copyImage relays the migrating datasets of one source image.
+func (m *Migrator) copyImage(spec MigrationSpec, tgtURL string, corpus *qb.Corpus) error {
 	migrating := map[string]bool{}
 	for _, ds := range spec.Datasets {
 		migrating[ds] = true
 	}
-	schemas := make([]dsSchema, len(snap.Space.Corpus.Datasets))
+	schemas := make([]dsSchema, len(corpus.Datasets))
 	found := 0
-	for i, ds := range snap.Space.Corpus.Datasets {
+	for i, ds := range corpus.Datasets {
 		schemas[i] = dsSchema{
 			uri:       ds.URI.Value,
 			dims:      termValues(ds.Schema.Dimensions),
@@ -421,12 +407,12 @@ func (m *Migrator) copy() error {
 	}
 	var copied int64
 	var samples []string
-	for _, ds := range snap.Space.Corpus.Datasets {
-		if !migrating[ds.URI.Value] {
+	for i, ds := range corpus.Datasets {
+		if !schemas[i].migrating {
 			continue
 		}
 		for _, o := range ds.Observations {
-			if err := m.postObservation(tgtURL, ds.URI.Value, schemas, o.URI.Value, o.DimValues, o.MeasureValues); err != nil {
+			if err := m.postObservation(tgtURL, &schemas[i], o.URI.Value, o.DimValues, o.MeasureValues); err != nil {
 				return err
 			}
 			copied++
@@ -434,7 +420,6 @@ func (m *Migrator) copy() error {
 		}
 	}
 
-	m.stream, m.pos = stream, pos
 	m.srcSchemas = schemas
 	m.sampleURIs = sampleStride(samples, m.opt.sampleReads())
 	m.mu.Lock()
@@ -474,17 +459,7 @@ func trimBody(b []byte) string {
 
 // postObservation relays one observation to the target, building the
 // serve insert body from the source dataset's schema order.
-func (m *Migrator) postObservation(tgtURL, dsURI string, schemas []dsSchema, obsURI string, dimVals, measVals []rdf.Term) error {
-	var sc *dsSchema
-	for i := range schemas {
-		if schemas[i].uri == dsURI {
-			sc = &schemas[i]
-			break
-		}
-	}
-	if sc == nil {
-		return fmt.Errorf("gate: no schema for dataset %s", dsURI)
-	}
+func (m *Migrator) postObservation(tgtURL string, sc *dsSchema, obsURI string, dimVals, measVals []rdf.Term) error {
 	dims := map[string]string{}
 	for i, v := range dimVals {
 		if i < len(sc.dims) && !v.IsZero() {
@@ -497,7 +472,7 @@ func (m *Migrator) postObservation(tgtURL, dsURI string, schemas []dsSchema, obs
 			meas[sc.measures[i]] = v.Value
 		}
 	}
-	body := map[string]any{"dataset": dsURI, "uri": obsURI, "dimensions": dims, "measures": meas}
+	body := map[string]any{"dataset": sc.uri, "uri": obsURI, "dimensions": dims, "measures": meas}
 	status, rb, err := m.postJSON(tgtURL, "/v1/observations", body)
 	if err != nil {
 		return fmt.Errorf("copy %s to target: %w", obsURI, err)
@@ -512,54 +487,37 @@ func (m *Migrator) postObservation(tgtURL, dsURI string, schemas []dsSchema, obs
 
 // postJSON POSTs with bounded retries, honoring Retry-After hints and
 // Leader redirects (a target mid-failover names its leader; the
-// migration follows rather than failing).
+// migration follows rather than failing). The attempt is the gate's one
+// shard POST; the policy — five attempts, no breaker, no inbound
+// deadline — is the migration's own.
 func (m *Migrator) postJSON(base, path string, v any) (int, []byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return 0, nil, err
 	}
 	bo := serve.Backoff{Base: 50 * time.Millisecond}
-	url := base
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
 		if err := m.ctx.Err(); err != nil {
 			return 0, nil, err
 		}
-		ctx, cancel := context.WithTimeout(m.ctx, m.g.cfg.shardTimeout())
-		req, err := http.NewRequestWithContext(ctx, "POST", url+path, bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			return 0, nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := m.g.client.Do(req)
-		if err != nil {
-			cancel()
+		status, rb, header, err := m.g.postShard(m.ctx, base, path, body)
+		wait := bo.Next()
+		switch {
+		case err != nil:
 			lastErr = err
-		} else {
-			rb, rerr := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody))
-			resp.Body.Close()
-			cancel()
-			if rerr != nil {
-				lastErr = rerr
-			} else if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-				lastErr = fmt.Errorf("status %d: %s", resp.StatusCode, trimBody(rb))
-				if leader := resp.Header.Get(serve.LeaderHeader); leader != "" {
-					url = trimBase(leader)
-				}
-				wait := bo.Next()
-				if ra := retryAfterHint(resp.Header); ra > 0 && ra < m.g.cfg.maxRetryWait() {
-					wait = ra
-				}
-				if !m.sleep(wait) {
-					return 0, nil, m.ctx.Err()
-				}
-				continue
-			} else {
-				return resp.StatusCode, rb, nil
+		case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
+			lastErr = fmt.Errorf("status %d: %s", status, trimBody(rb))
+			if leader := header.Get(serve.LeaderHeader); leader != "" {
+				base = trimBase(leader)
 			}
+			if ra := retryAfterHint(header); ra > 0 && ra < m.g.cfg.maxRetryWait() {
+				wait = ra
+			}
+		default:
+			return status, rb, nil
 		}
-		if !m.sleep(bo.Next()) {
+		if !m.sleep(wait) {
 			return 0, nil, m.ctx.Err()
 		}
 	}
@@ -583,43 +541,38 @@ func (m *Migrator) sleep(d time.Duration) bool {
 // catchup pumps the source WAL until the cursor reaches the durable end.
 func (m *Migrator) catchup() error {
 	deadline := time.Now().Add(m.opt.phaseTimeout())
-	recopies := 0
+	var ps pumpState
 	for {
-		caughtUp, err := m.pumpOnce(m.opt.interval())
-		switch {
-		case err == nil:
-			if caughtUp {
-				return nil
-			}
-		case errors.Is(err, errRecopy):
-			// The source checkpointed past our cursor: bootstrap again.
-			recopies++
-			if recopies > 5 {
-				return fmt.Errorf("gate: source truncated the WAL %d times during catch-up", recopies)
-			}
-			if cerr := m.copy(); cerr != nil {
-				return cerr
-			}
-		case m.ctx.Err() != nil:
-			return m.ctx.Err()
-		default:
-			if time.Now().After(deadline) {
-				return fmt.Errorf("gate: catch-up did not converge within %v: %w", m.opt.phaseTimeout(), err)
-			}
-			if !m.sleep(m.opt.interval()) {
-				return m.ctx.Err()
-			}
+		caughtUp, err := m.pump(m.opt.interval(), &ps)
+		if err != nil || caughtUp {
+			return err
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("gate: catch-up did not converge within %v", m.opt.phaseTimeout())
+			return fmt.Errorf("gate: catch-up did not converge within %v (last pump error: %v)", m.opt.phaseTimeout(), ps.lastErr)
 		}
 	}
 }
 
-// pumpOnce tails one chunk of the source WAL and relays migrating
-// records to the target. Returns whether the cursor is at the source's
-// durable end.
-func (m *Migrator) pumpOnce(wait time.Duration) (bool, error) {
+// pumpState is one phase's pump bookkeeping.
+type pumpState struct {
+	recopies int   // bootstraps redone because the source no longer held the cursor
+	lastErr  error // most recent transient failure, for the phase's timeout message
+}
+
+// pump tails one chunk of the source WAL and relays the migrating
+// datasets' records to the target; the cursor moves over the chunk only
+// once every one of them has landed. It reports whether the cursor is at
+// the source's durable end. The three ways a pump can go wrong are
+// settled here, once, for every phase that pumps:
+//
+//   - the source no longer holds the cursor (it checkpointed past it, it
+//     restarted, the frame there is corrupt): bootstrap the target again —
+//     idempotent — at most maxRecopies times a phase;
+//   - the migration was canceled: the phase ends;
+//   - anything else (a cut link, a refusal, a target that would not take a
+//     record) is transient: remembered in ps, paced by one interval, and
+//     reported as "not caught up" for the phase's deadline to judge.
+func (m *Migrator) pump(wait time.Duration, ps *pumpState) (caughtUp bool, err error) {
 	spec := m.spec()
 	srcURL, err := m.shardURL(spec.From)
 	if err != nil {
@@ -629,82 +582,47 @@ func (m *Migrator) pumpOnce(wait time.Duration) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	m.src.Primary = srcURL
 	ctx, cancel := context.WithTimeout(m.ctx, wait+m.g.cfg.shardTimeout())
 	defer cancel()
-	url := fmt.Sprintf("%s/v1/wal?from=%d&stream=%s&wait=%s", srcURL, m.pos, m.stream, wait)
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := m.g.client.Do(req)
-	if err != nil {
-		return false, fmt.Errorf("tail source wal: %w", err)
-	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxWALBody))
-	resp.Body.Close()
-	if rerr != nil {
-		return false, fmt.Errorf("read wal chunk: %w", rerr)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusGone:
-		return false, errRecopy
-	default:
-		return false, fmt.Errorf("tail source wal: status %d: %s", resp.StatusCode, trimBody(body))
-	}
-
-	recs, good, perr := wal.ParseFrames(body)
-	if perr != nil && good == 0 && len(body) > 0 {
-		return false, fmt.Errorf("parse wal chunk at %d: %w", m.pos, perr)
-	}
-	for _, rec := range recs {
-		// Records for datasets born after our snapshot have indices past
-		// our schema list; they cannot be migrating (migrating datasets
-		// predate the copy), so they are skipped like any other
-		// non-migrating dataset's records.
-		if rec.Dataset < 0 || rec.Dataset >= len(m.srcSchemas) || !m.srcSchemas[rec.Dataset].migrating {
-			continue
-		}
-		sc := m.srcSchemas[rec.Dataset]
-		if err := m.postObservation(tgtURL, sc.uri, m.srcSchemas, rec.URI.Value, rec.DimValues, rec.MeasureValues); err != nil {
-			return false, err
-		}
-		m.mu.Lock()
-		m.state.Pumped++
-		m.mu.Unlock()
-		m.g.count(CtrMigrationPumped, 1)
-	}
-
-	// Advance by the cleanly parsed prefix. The server's next-offset
-	// header is only trusted when the whole body parsed: a truncated
-	// response (a proxy cutting the stream mid-frame) yields a shorter
-	// frame prefix, and jumping to the header offset would silently skip
-	// the records in the lost tail. The replica follower advances the
-	// same way.
-	next := m.pos + good
-	if perr == nil {
-		if nh := resp.Header.Get(serve.WALNextHeader); nh != "" {
-			if v, err := strconv.ParseInt(nh, 10, 64); err == nil {
-				next = v
+	tail, err := m.src.Poll(ctx, wait, func(recs []wal.Record) error {
+		for _, rec := range recs {
+			// Records for datasets born after our snapshot have indices past
+			// our schema list; they cannot be migrating (migrating datasets
+			// predate the copy), so they are skipped like any other
+			// non-migrating dataset's records.
+			if rec.Dataset < 0 || rec.Dataset >= len(m.srcSchemas) || !m.srcSchemas[rec.Dataset].migrating {
+				continue
 			}
+			if err := m.postObservation(tgtURL, &m.srcSchemas[rec.Dataset], rec.URI.Value, rec.DimValues, rec.MeasureValues); err != nil {
+				return err
+			}
+			m.mu.Lock()
+			m.state.Pumped++
+			m.mu.Unlock()
+			m.g.count(CtrMigrationPumped, 1)
 		}
+		return nil
+	})
+	switch {
+	case err == nil:
+		return tail.CaughtUp, nil
+	case errors.Is(err, replica.ErrGone):
+		if ps.recopies++; ps.recopies > maxRecopies {
+			return false, fmt.Errorf("gate: source moved its WAL out from under the cursor %d times in one phase: %w", ps.recopies, err)
+		}
+		m.g.log("migration %s: %v; copying again", spec.ID, err)
+		return false, m.copy()
+	case m.ctx.Err() != nil:
+		return false, m.ctx.Err()
+	default:
+		ps.lastErr = err
+		if !m.sleep(m.opt.interval()) {
+			return false, m.ctx.Err()
+		}
+		return false, nil
 	}
-	m.pos = next
-	eh := resp.Header.Get(serve.WALEndHeader)
-	if eh == "" {
-		return false, fmt.Errorf("gate: wal response without %s header", serve.WALEndHeader)
-	}
-	end, err := strconv.ParseInt(eh, 10, 64)
-	if err != nil {
-		return false, fmt.Errorf("gate: bad %s header %q", serve.WALEndHeader, eh)
-	}
-	// end == 0 is a WAL with no records yet: cursor 0 IS caught up.
-	return m.pos >= end, nil
 }
-
-// maxWALBody bounds one pump read (the server's chunk cap plus frame
-// overhead headroom).
-const maxWALBody = 5 << 20
 
 // ---------------------------------------------------------- doubleread
 
@@ -717,6 +635,7 @@ func (m *Migrator) doubleRead() error {
 	spec := m.spec()
 	deadline := time.Now().Add(m.opt.phaseTimeout())
 	clean := 0
+	var ps pumpState
 	for clean < m.opt.matchRounds() {
 		if err := m.ctx.Err(); err != nil {
 			return err
@@ -725,20 +644,15 @@ func (m *Migrator) doubleRead() error {
 			return fmt.Errorf("gate: double-read did not reach %d clean rounds within %v (mismatches: %d)",
 				m.opt.matchRounds(), m.opt.phaseTimeout(), m.State().Mismatches)
 		}
-		caughtUp, err := m.pumpOnce(0)
-		if err != nil || !caughtUp {
+		caughtUp, err := m.pump(0, &ps)
+		if err != nil {
+			return err
+		}
+		if !caughtUp {
 			// Not an error round, just not a verifiable one: comparing a
 			// target that is known to be behind would count phantom
 			// mismatches.
-			if errors.Is(err, errRecopy) {
-				if cerr := m.copy(); cerr != nil {
-					return cerr
-				}
-			}
 			clean = 0
-			if !m.sleep(m.opt.interval()) {
-				return m.ctx.Err()
-			}
 			continue
 		}
 		srcURL, err := m.shardURL(spec.From)
@@ -914,7 +828,7 @@ func moveDatasets(cur ShardMap, spec MigrationSpec) (ShardMap, error) {
 // drain window: the writes that raced the cutover have all landed on
 // the target, and the migration is complete.
 func (m *Migrator) drain() error {
-	if m.stream == "" {
+	if m.src.Cursor().Stream == "" {
 		// Resumed directly into drain: rebuild the cursor. The fresh
 		// snapshot supersedes whatever the pre-crash pump had relayed.
 		if err := m.copy(); err != nil {
@@ -922,46 +836,28 @@ func (m *Migrator) drain() error {
 		}
 	}
 	deadline := time.Now().Add(m.opt.phaseTimeout())
-	recopies := 0
+	var ps pumpState
 	var quietSince time.Time
 	for {
 		if err := m.ctx.Err(); err != nil {
 			return err
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("gate: drain did not quiesce within %v", m.opt.phaseTimeout())
+			return fmt.Errorf("gate: drain did not quiesce within %v (last pump error: %v)", m.opt.phaseTimeout(), ps.lastErr)
 		}
-		caughtUp, err := m.pumpOnce(m.opt.interval() / 2)
-		switch {
-		case errors.Is(err, errRecopy):
-			recopies++
-			if recopies > 5 {
-				return fmt.Errorf("gate: source truncated the WAL %d times during drain", recopies)
-			}
-			if cerr := m.copy(); cerr != nil {
-				return cerr
-			}
+		caughtUp, err := m.pump(m.opt.interval()/2, &ps)
+		if err != nil {
+			return err
+		}
+		if !caughtUp {
 			quietSince = time.Time{}
 			continue
-		case err != nil:
-			if m.ctx.Err() != nil {
-				return m.ctx.Err()
-			}
-			quietSince = time.Time{}
-			if !m.sleep(m.opt.interval()) {
-				return m.ctx.Err()
-			}
-			continue
 		}
-		if caughtUp {
-			if quietSince.IsZero() {
-				quietSince = time.Now()
-			}
-			if time.Since(quietSince) >= m.opt.drainWindow() {
-				return nil
-			}
-		} else {
-			quietSince = time.Time{}
+		if quietSince.IsZero() {
+			quietSince = time.Now()
+		}
+		if time.Since(quietSince) >= m.opt.drainWindow() {
+			return nil
 		}
 	}
 }
@@ -1023,6 +919,7 @@ func (g *Gate) launchLocked(state MigrationState, statePath string) (*Migrator, 
 		cancel:    cancel,
 		done:      make(chan struct{}),
 		state:     state,
+		src:       &replica.Source{Client: g.client, Logf: g.log},
 	}
 	m.persist()
 	g.migrations[state.Spec.ID] = m

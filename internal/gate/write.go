@@ -2,6 +2,7 @@ package gate
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -66,7 +67,7 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var lastBody []byte
 	var lastHeader http.Header
 	for attempt := 0; ; attempt++ {
-		status, respBody, header, err := g.forwardInsert(r, target, body)
+		status, respBody, header, err := g.postShard(r.Context(), target, "/v1/observations", body)
 		if err == nil && status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
 			// The shard answered substantively; relay verbatim.
 			if status < 500 {
@@ -129,11 +130,14 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 // statusClientGone mirrors serve's 499 convention.
 const statusClientGone = 499
 
-// forwardInsert performs one POST attempt against one target.
-func (g *Gate) forwardInsert(r *http.Request, target string, body []byte) (int, []byte, http.Header, error) {
-	ctx, cancel := g.shardContext(r.Context())
+// postShard performs one POST attempt against one target: the shard
+// deadline carved from ctx, a bounded read of the answer. Client inserts
+// and migration copies both go through it; what to do with a refusal is
+// the caller's policy.
+func (g *Gate) postShard(ctx context.Context, target, path string, body []byte) (int, []byte, http.Header, error) {
+	ctx, cancel := g.shardContext(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "POST", target+"/v1/observations", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, "POST", target+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -4,7 +4,10 @@
 // format is the replication wire format — applying each record through
 // the same incremental-maintenance path live inserts use. The follower
 // serves every read route of the /v1 API from its own copy; writes are
-// refused with 503 plus a Leader header pointing at the primary.
+// refused with 503 plus a Leader header pointing at the primary. The
+// protocol's client half — requests, validation, the cursor and the rule
+// that moves it — is Source (source.go); a Follower is a Source plus a
+// local chain plus a serve.Server.
 //
 // # Positions and re-bootstrap
 //
@@ -41,17 +44,13 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"io/fs"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -77,14 +76,6 @@ const (
 	HistApplyUS   = "repl.apply.us" // applying one pulled batch
 	HistBootUS    = "repl.bootstrap.us"
 )
-
-// maxSnapshotBody bounds a bootstrap transfer (1 GiB, the snapshot
-// section limit).
-const maxSnapshotBody = 1 << 30
-
-// errRebootstrap is the internal signal that the primary answered 410:
-// the position is gone and a fresh snapshot is the only way forward.
-var errRebootstrap = errors.New("replica: position gone; re-bootstrap required")
 
 // Config tunes a Follower. Primary is required; everything else has
 // serviceable defaults.
@@ -198,15 +189,6 @@ func (c Config) statePath() string {
 	return ""
 }
 
-// position is the persisted replication position: the primary stream the
-// local chain belongs to and the logical offset / frame count the chain
-// reaches. A torn or garbage file is treated as absent (re-bootstrap).
-type position struct {
-	Stream string `json:"stream"`
-	Offset int64  `json:"offset"`
-	Seq    int64  `json:"seq"`
-}
-
 // served pairs a server with its prebuilt handler so the hot path swaps
 // both atomically and never rebuilds a mux per request.
 type served struct {
@@ -218,23 +200,23 @@ type served struct {
 // in its own goroutine), serve Handler(), stop by canceling Run's
 // context and calling Close.
 type Follower struct {
-	cfg    Config
-	client *http.Client
-	fs     faultfs.FS
-	rot    *snapshot.Rotator // nil without persistence
-	wlog   *wal.Log          // nil without persistence
-	state  *serve.FollowerState
+	cfg   Config
+	src   *Source
+	fs    faultfs.FS
+	rot   *snapshot.Rotator // nil without persistence
+	wlog  *wal.Log          // nil without persistence
+	state *serve.FollowerState
 
 	cur atomic.Pointer[served]
-
-	// Replication position; touched only by the Run goroutine.
-	stream string
-	offset int64
-	seq    int64
 
 	// pendingReplay carries local WAL records from openLocal to
 	// resumeLocal (Run goroutine only).
 	pendingReplay []wal.Record
+	// holed says a batch was applied in memory that the local WAL failed
+	// to take: the chain no longer reaches the cursor, so no position is
+	// written until a local checkpoint or a bootstrap makes it whole again
+	// (Run goroutine only).
+	holed bool
 }
 
 // New builds a follower. It performs no I/O; Run does the bootstrap.
@@ -243,13 +225,13 @@ func New(cfg Config) (*Follower, error) {
 		return nil, fmt.Errorf("replica: Config.Primary is required")
 	}
 	f := &Follower{
-		cfg:    cfg,
-		client: cfg.Client,
-		fs:     cfg.FS,
-		state:  &serve.FollowerState{Leader: cfg.Primary, MaxStaleness: cfg.MaxStaleness},
+		cfg:   cfg,
+		src:   &Source{Primary: cfg.Primary, Client: cfg.Client, Logf: cfg.Logf},
+		fs:    cfg.FS,
+		state: &serve.FollowerState{Leader: cfg.Primary, MaxStaleness: cfg.MaxStaleness},
 	}
-	if f.client == nil {
-		f.client = defaultClient(cfg.pollWait(), cfg.HeaderTimeout)
+	if f.src.Client == nil {
+		f.src.Client = defaultClient(cfg.pollWait(), cfg.HeaderTimeout)
 	}
 	if f.fs == nil {
 		f.fs = faultfs.OS{}
@@ -422,18 +404,18 @@ func (f *Follower) resumeLocal() error {
 			return fmt.Errorf("replaying local wal: %w", err)
 		}
 	}
-	var pos position
+	var pos Cursor
 	if data, err := f.fs.ReadFile(f.cfg.statePath()); err == nil {
 		if jerr := json.Unmarshal(data, &pos); jerr != nil {
-			pos = position{} // torn position file: bootstrap decides
+			pos = Cursor{} // torn position file: bootstrap decides
 		}
 	}
-	f.stream, f.offset, f.seq = pos.Stream, pos.Offset, pos.Seq
+	f.src.Seek(pos)
 	f.install(srv)
-	f.state.SetOffset(f.offset)
+	f.state.SetOffset(pos.Offset)
 	f.count(CtrResumes, 1)
 	f.logf("replica: resumed %d observations from %s (+%d local wal records), position %s@%d",
-		sn.Space.N(), from, len(f.pendingReplay), f.stream, f.offset)
+		sn.Space.N(), from, len(f.pendingReplay), pos.Stream, pos.Offset)
 	f.pendingReplay = nil
 	return nil
 }
@@ -469,7 +451,7 @@ func (f *Follower) buildServer(sn *snapshot.Snapshot) (*serve.Server, error) {
 // succeeded (so the caller resets its backoff) and the error that ended
 // the session (nil only on ctx cancellation).
 func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
-	if f.Server() == nil || f.stream == "" {
+	if f.Server() == nil || f.src.Cursor().Stream == "" {
 		if err := f.bootstrap(ctx); err != nil {
 			return false, err
 		}
@@ -479,8 +461,8 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 		switch err := f.pollOnce(ctx); {
 		case err == nil:
 			progressed = true
-		case errors.Is(err, errRebootstrap):
-			f.logf("replica: %v", err)
+		case errors.Is(err, ErrGone):
+			f.logf("%v", err)
 			if err := f.bootstrap(ctx); err != nil {
 				return progressed, err
 			}
@@ -492,203 +474,123 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	return progressed, nil
 }
 
-// bootstrap pulls the primary's full snapshot, verifies and decodes it,
-// commits it to the local chain, and swaps in a fresh server at the
-// position the snapshot names.
+// bootstrap pulls the primary's image and commits it: the local chain
+// first, the embedded server second. The Source moves its cursor to the
+// image's position only once all of that has succeeded, so a follower
+// whose disk refuses the new chain keeps its old state AND its old
+// cursor, and tries again.
 func (f *Follower) bootstrap(ctx context.Context) error {
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Primary+"/v1/snapshot", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("bootstrap: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("bootstrap: primary answered %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSnapshotBody+1))
-	if err != nil {
-		return fmt.Errorf("bootstrap: reading snapshot: %w", err)
-	}
-	if len(data) > maxSnapshotBody {
-		return fmt.Errorf("bootstrap: snapshot exceeds %d bytes", maxSnapshotBody)
-	}
-	if want := resp.Header.Get(serve.SnapshotCRCHeader); want != "" {
-		if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(data)); got != want {
-			return fmt.Errorf("bootstrap: snapshot CRC mismatch: got %s want %s (torn transfer?)", got, want)
+	return f.src.Bootstrap(ctx, func(img Image) error {
+		srv, err := f.buildServer(img.Snapshot)
+		if err != nil {
+			return err
 		}
-	}
-	stream := resp.Header.Get(serve.WALStreamHeader)
-	if stream == "" {
-		return fmt.Errorf("bootstrap: primary %s does not replicate (no %s header — is it running with a WAL?)",
-			f.cfg.Primary, serve.WALStreamHeader)
-	}
-	pos, err := strconv.ParseInt(resp.Header.Get(serve.WALPositionHeader), 10, 64)
-	if err != nil {
-		return fmt.Errorf("bootstrap: bad %s header %q", serve.WALPositionHeader, resp.Header.Get(serve.WALPositionHeader))
-	}
-	seq, _ := strconv.ParseInt(resp.Header.Get(serve.WALSeqHeader), 10, 64)
-
-	sn, err := snapshot.Read(bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("bootstrap: decoding snapshot: %w", err)
-	}
-	srv, err := f.buildServer(sn)
-	if err != nil {
-		return fmt.Errorf("bootstrap: %w", err)
-	}
-
-	// Persist the new chain before serving it: local generation first,
-	// then a truncated local WAL (the image covers everything), then the
-	// position file. A crash between the steps re-bootstraps — never
-	// serves a chain that disagrees with its position.
-	f.stream, f.offset, f.seq = stream, pos, seq
-	if f.rot != nil {
-		if err := f.rot.Write(data); err != nil {
-			return fmt.Errorf("bootstrap: committing local generation: %w", err)
+		// Persist the new chain before serving it: local generation first,
+		// then a truncated local WAL (the image covers everything), then the
+		// position file. A crash between the steps re-bootstraps — never
+		// serves a chain that disagrees with its position.
+		if f.rot != nil {
+			if err := f.rot.Write(img.Data); err != nil {
+				return fmt.Errorf("committing local generation: %w", err)
+			}
 		}
-	}
-	if f.wlog != nil {
-		if err := f.wlog.Truncate(); err != nil {
-			return fmt.Errorf("bootstrap: resetting local wal: %w", err)
+		if f.wlog != nil {
+			if err := f.wlog.Truncate(); err != nil {
+				return fmt.Errorf("resetting local wal: %w", err)
+			}
 		}
-	}
-	if err := f.writePosition(); err != nil {
-		return fmt.Errorf("bootstrap: %w", err)
-	}
+		if err := f.writePosition(img.At); err != nil {
+			return err
+		}
+		f.holed = false
 
-	f.install(srv)
-	f.state.SetOffset(pos)
-	f.state.MarkBootstrap()
-	f.state.SetConnected(true)
-	f.count(CtrBootstraps, 1)
-	f.observe(HistBootUS, time.Since(start).Microseconds())
-	if gen := resp.Header.Get(serve.SnapshotGenHeader); gen != "" {
-		f.logf("replica: bootstrapped %d observations from %s (generation %s, stream %s, position %d) in %s",
-			sn.Space.N(), f.cfg.Primary, gen, stream, pos, time.Since(start).Round(time.Millisecond))
-	} else {
-		f.logf("replica: bootstrapped %d observations from %s (stream %s, position %d) in %s",
-			sn.Space.N(), f.cfg.Primary, stream, pos, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+		f.install(srv)
+		f.state.SetOffset(img.At.Offset)
+		f.state.MarkBootstrap()
+		f.state.SetConnected(true)
+		f.count(CtrBootstraps, 1)
+		f.observe(HistBootUS, time.Since(start).Microseconds())
+		f.logf("replica: bootstrapped %d observations from %s (generation %q, stream %s, position %d) in %s",
+			img.Snapshot.Space.N(), f.cfg.Primary, img.Generation, img.At.Stream, img.At.Offset,
+			time.Since(start).Round(time.Millisecond))
+		return nil
+	})
 }
 
-// pollOnce issues one tail request and applies whatever it returns.
+// pollOnce issues one tail request and commits whatever it returns.
 func (f *Follower) pollOnce(ctx context.Context) error {
 	wait := f.cfg.pollWait()
 	reqCtx, cancel := context.WithTimeout(ctx, wait+15*time.Second)
 	defer cancel()
-	url := fmt.Sprintf("%s/v1/wal?from=%d&stream=%s&wait=%s", f.cfg.Primary, f.offset, f.stream, wait)
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url, nil)
+	start := time.Now()
+	var applying time.Duration
+	tail, err := f.src.Poll(reqCtx, wait, func(recs []wal.Record) error {
+		t := time.Now()
+		err := f.apply(recs)
+		applying = time.Since(t)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("tail: %w", err)
-	}
-	defer resp.Body.Close()
-	f.observe(HistPollUS, time.Since(start).Microseconds())
-
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusGone:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("%w (primary stream %s, ours %s@%d)",
-			errRebootstrap, resp.Header.Get(serve.WALStreamHeader), f.stream, f.offset)
-	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("tail: primary answered %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxWALBody))
-	if err != nil {
-		// The stream was cut mid-response. Whatever complete frames arrived
-		// are still usable: apply them and resume at the last good offset.
-		f.logf("replica: tail response cut (%v); applying the complete prefix", err)
-	}
+	f.observe(HistPollUS, (time.Since(start) - applying).Microseconds())
 	f.state.SetConnected(true)
 	f.count(CtrPolls, 1)
-
-	// Re-validate every frame — the same CRC check WAL recovery uses. A
-	// torn tail parses as a shorter prefix; a corrupt COMPLETE frame is an
-	// error (retrying won't fix bad bytes; re-bootstrap will).
-	recs, good, perr := wal.ParseFrames(data)
-	if perr != nil && good == 0 {
-		return fmt.Errorf("%w (frames at %d corrupt: %v)", errRebootstrap, f.offset, perr)
+	if tail.Records > 0 {
+		f.applied(tail.Records, applying)
 	}
-	if len(recs) > 0 {
-		if err := f.apply(recs, good); err != nil {
-			return err
-		}
+	f.state.SetLagRecords(tail.Lag)
+	f.gauge(GaugeLag, float64(tail.Lag))
+	if tail.CaughtUp {
+		f.state.MarkCaughtUp()
 	}
-	f.updateLag(resp.Header)
+	f.gauge(GaugeStaleUS, float64(f.state.Staleness().Microseconds()))
 	return nil
 }
 
-// maxWALBody bounds one tail response (the primary chunks at 4 MiB; the
-// slack tolerates growth).
-const maxWALBody = 8 << 20
-
-// apply makes one pulled batch durable on the local chain, applies it to
-// the embedded server, and advances the position.
-func (f *Follower) apply(recs []wal.Record, good int64) error {
-	start := time.Now()
+// apply is the commit of one pulled batch: durable on the local chain,
+// then applied to the embedded server. Returning nil is what lets the
+// Source advance over the batch.
+func (f *Follower) apply(recs []wal.Record) error {
 	if f.wlog != nil {
 		if err := f.wlog.AppendBatch(recs); err != nil {
 			// The local disk failed; state in memory is still correct, so
 			// keep serving — but the chain no longer covers the position, so
-			// drop it: the next restart re-bootstraps instead of resuming a
-			// hole.
+			// drop it and write none until the chain is whole again: the next
+			// restart re-bootstraps instead of resuming a hole.
 			f.logf("replica: local wal append failed (%v); next restart will re-bootstrap", err)
-			f.removePosition()
+			f.holed = true
+			if path := f.cfg.statePath(); path != "" {
+				_ = f.fs.Remove(path) // a missing position file IS the intended state
+			}
 		}
 	}
-	srv := f.Server()
-	applied, err := srv.ApplyReplicated(recs)
-	if err != nil {
-		return fmt.Errorf("%w (apply at %d: %v)", errRebootstrap, f.offset, err)
-	}
-	f.offset += good
-	f.seq += int64(len(recs))
-	f.state.SetOffset(f.offset)
-	if err := f.writePosition(); err != nil {
-		f.logf("replica: persisting position: %v", err)
-	}
-	f.count(CtrRecords, int64(len(recs)))
-	f.gauge(GaugeOffset, float64(f.offset))
-	f.observe(HistApplyUS, time.Since(start).Microseconds())
-	_ = applied // dup-skips are expected after re-pulls; counted by serve.wal.replayed
-	if f.wlog != nil && f.wlog.RecordBytes() >= f.cfg.checkpointBytes() {
-		if err := f.checkpointLocal(srv); err != nil {
-			f.logf("replica: local checkpoint failed (chain keeps growing): %v", err)
-		}
+	// Dup-skips are expected after re-pulls; serve.wal.replayed counts them.
+	if _, err := f.Server().ApplyReplicated(recs); err != nil {
+		return fmt.Errorf("%w (apply at %d: %v)", ErrGone, f.src.Cursor().Offset, err)
 	}
 	return nil
 }
 
-// updateLag derives record lag from the tail response headers and marks
-// the follower caught up when it is level with the durable end.
-func (f *Follower) updateLag(h http.Header) {
-	end, err1 := strconv.ParseInt(h.Get(serve.WALEndHeader), 10, 64)
-	seqEnd, err2 := strconv.ParseInt(h.Get(serve.WALSeqHeader), 10, 64)
-	if err2 == nil {
-		lag := seqEnd - f.seq
-		if lag < 0 {
-			lag = 0
+// applied records a committed batch: the position file follows the
+// cursor, and the local WAL is checkpointed once it is long enough.
+func (f *Follower) applied(n int, took time.Duration) {
+	cur := f.src.Cursor()
+	f.state.SetOffset(cur.Offset)
+	if !f.holed {
+		if err := f.writePosition(cur); err != nil {
+			f.logf("replica: persisting position: %v", err)
 		}
-		f.state.SetLagRecords(lag)
-		f.gauge(GaugeLag, float64(lag))
 	}
-	if err1 == nil && f.offset >= end {
-		f.state.MarkCaughtUp()
+	f.count(CtrRecords, int64(n))
+	f.gauge(GaugeOffset, float64(cur.Offset))
+	f.observe(HistApplyUS, took.Microseconds())
+	if f.wlog != nil && f.wlog.RecordBytes() >= f.cfg.checkpointBytes() {
+		if err := f.checkpointLocal(f.Server()); err != nil {
+			f.logf("replica: local checkpoint failed (chain keeps growing): %v", err)
+		}
 	}
-	f.gauge(GaugeStaleUS, float64(f.state.Staleness().Microseconds()))
 }
 
 // checkpointLocal commits the follower's current state as a local
@@ -710,17 +612,21 @@ func (f *Follower) checkpointLocal(srv *serve.Server) error {
 			return err
 		}
 	}
-	return f.writePosition()
+	if err := f.writePosition(f.src.Cursor()); err != nil {
+		return err
+	}
+	f.holed = false // the generation holds everything the memory does
+	return nil
 }
 
-// writePosition persists the replication position (create + write +
+// writePosition persists a replication position (create + write +
 // fsync). The file is a hint: a torn write just means re-bootstrap.
-func (f *Follower) writePosition() error {
+func (f *Follower) writePosition(pos Cursor) error {
 	path := f.cfg.statePath()
 	if path == "" {
 		return nil
 	}
-	data, err := json.Marshal(position{Stream: f.stream, Offset: f.offset, Seq: f.seq})
+	data, err := json.Marshal(pos)
 	if err != nil {
 		return err
 	}
@@ -737,12 +643,4 @@ func (f *Follower) writePosition() error {
 		return err
 	}
 	return file.Close()
-}
-
-// removePosition drops the persisted position so the next start cannot
-// resume a chain with a hole in it.
-func (f *Follower) removePosition() {
-	if path := f.cfg.statePath(); path != "" {
-		_ = f.fs.Remove(path)
-	}
 }

@@ -183,34 +183,6 @@ func (r *Rotator) retry(what string, step func() error) error {
 	return fmt.Errorf("snapshot: %s: %w", what, err)
 }
 
-// writeAtomic writes data to path via temp file + fsync + rename.
-func (r *Rotator) writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := r.FS.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		r.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		r.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		r.FS.Remove(tmp)
-		return err
-	}
-	if err := r.FS.Rename(tmp, path); err != nil {
-		r.FS.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 // Write durably commits data as the next generation: generation file
 // first (atomic), CURRENT pointer second (atomic), old generations
 // pruned last (best-effort). Every step retries transient errors with
@@ -228,12 +200,12 @@ func (r *Rotator) Write(data []byte) error {
 	}
 	genPath := r.genPath(next)
 	if err := r.retry("writing generation "+filepath.Base(genPath), func() error {
-		return r.writeAtomic(genPath, data)
+		return faultfs.WriteFileAtomic(r.FS, genPath, data)
 	}); err != nil {
 		return err
 	}
 	if err := r.retry("updating "+filepath.Base(r.currentPath()), func() error {
-		return r.writeAtomic(r.currentPath(), []byte(filepath.Base(genPath)+"\n"))
+		return faultfs.WriteFileAtomic(r.FS, r.currentPath(), []byte(filepath.Base(genPath)+"\n"))
 	}); err != nil {
 		return err
 	}

@@ -50,9 +50,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"rdfcube/internal/core"
+	"rdfcube/internal/faultfs"
 	"rdfcube/internal/lattice"
 )
 
@@ -141,24 +141,7 @@ func (sn *Snapshot) WriteFile(path string) error {
 // WriteFileBytes atomically replaces path with an already-encoded
 // snapshot (temp file + fsync + rename).
 func WriteFileBytes(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS{}, path, data); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil
