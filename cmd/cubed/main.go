@@ -512,7 +512,8 @@ func loadCorpus(load, genK string, n int, seed int64) (*qb.Corpus, error) {
 }
 
 // runCheck verifies a snapshot round trip: the persisted relationship
-// sets must equal a fresh recomputation over the reconstructed space.
+// sets must equal a fresh recomputation over the reconstructed space, and
+// every persisted degree the one the space derives.
 // The snapshot is resolved through the same rotation fallback the
 // serving path uses, so -check exercises exactly what a restart loads.
 func runCheck(rot *snapshot.Rotator, alg core.Algorithm, tasks core.Tasks, stdout io.Writer, logf func(string, ...any)) int {
@@ -545,6 +546,15 @@ func runCheck(rot *snapshot.Rotator, alg core.Algorithm, tasks core.Tasks, stdou
 	if !equalPairs(persisted.ComplSet, fresh.ComplSet) {
 		logf("check failed: complementarity differs (persisted %d, fresh %d)", len(persisted.ComplSet), len(fresh.ComplSet))
 		return 1
+	}
+	// A persisted degree is the OCM cell over |P|, bit for bit
+	// (core.TestDerivedDegreeLicence).
+	for _, p := range persisted.PartialSet {
+		got := sn.Result.PartialDegree[p]
+		if want := float64(sn.Space.ContainDegree(p.A, p.B)) / float64(sn.Space.NumDims()); got != want {
+			logf("check failed: partial degree of pair (%d, %d) is %v, the space derives %v", p.A, p.B, got, want)
+			return 1
+		}
 	}
 	fmt.Fprintf(stdout, "ok: %d observations, %d/%d/%d full/partial/compl pairs match a fresh recomputation\n",
 		sn.Space.N(), len(fresh.FullSet), len(fresh.PartialSet), len(fresh.ComplSet))

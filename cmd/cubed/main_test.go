@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	rdfcube "rdfcube"
+	"rdfcube/internal/snapshot"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: the daemon goroutine
@@ -73,6 +75,33 @@ func TestOnceBuildsSnapshotAndCheckPasses(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "loaded snapshot") {
 		t.Fatalf("expected snapshot load on second run, stderr: %q", errOut.String())
+	}
+}
+
+// TestCheckComparesDegrees: a snapshot whose pair sets are right but which
+// carries a degree the space does not derive — decodable, because it is
+// inside (0, 1) — fails -check, naming the pair.
+func TestCheckComparesDegrees(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "idx.bin")
+	var out, errOut bytes.Buffer
+	if code := run(context.Background(), []string{"-gen", "example", "-snapshot", snap, "-once"}, &out, &errOut); code != 0 {
+		t.Fatalf("build: exit %d\nstderr: %s", code, errOut.String())
+	}
+	sn, err := snapshot.ReadFile(snap + ".000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sn.Result.PartialSet[0]
+	sn.Result.PartialDegree[p] = 0.9
+	if err := sn.WriteFile(snap + ".000001"); err != nil {
+		t.Fatal(err)
+	}
+	errOut.Reset()
+	if code := run(context.Background(), []string{"-snapshot", snap, "-check"}, &out, &errOut); code != 1 {
+		t.Fatalf("check of a wrong degree: exit %d, want 1\nstderr: %s", code, errOut.String())
+	}
+	if want := fmt.Sprintf("partial degree of pair (%d, %d) is 0.9", p.A, p.B); !strings.Contains(errOut.String(), want) {
+		t.Fatalf("stderr does not name the pair (%q): %s", want, errOut.String())
 	}
 }
 

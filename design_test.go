@@ -2,6 +2,7 @@ package rdfcube_test
 
 import (
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -47,5 +48,28 @@ func TestDesignInventoryListsEveryPackage(t *testing.T) {
 				t.Errorf("DESIGN.md §3 does not list %s%s/", root, e.Name())
 			}
 		}
+	}
+}
+
+// TestBenchmarkModuleVets compiles what tier-1 otherwise never sees:
+// benchmark/ is a module of its own (replace rdfcube => ../), so the root
+// `go build ./... && go test ./...` passes while a renamed core.Result
+// field or Options knob has already broken the benchmark the driver runs
+// next. `go vet` type-checks the module and its tests against this tree.
+func TestBenchmarkModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the go tool")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go binary on PATH")
+	}
+	cmd := exec.Command(goBin, "vet", "./...")
+	cmd.Dir = "benchmark"
+	// The module needs nothing but this tree; GOPROXY=off and a local
+	// toolchain make any attempt to fetch a failure instead of a download.
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off", "GOTOOLCHAIN=local")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("(cd benchmark && go vet ./...): %v\n%s", err, out)
 	}
 }

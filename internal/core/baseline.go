@@ -110,54 +110,17 @@ func rowBlocks(n, targetBlocks int) [][2]int {
 	return blocks
 }
 
-// dimArena hands out small []int slices carved from large slabs, so
-// recording the partial-containment dimension lists (map_P) costs one
-// allocation per slab instead of one per partial pair. Handed-out slices
-// are owned by the receiving sink forever: the arena only ever appends —
-// len never rewinds within a slab — so recycled arenas can keep filling a
-// slab's tail without touching memory already given away.
-type dimArena struct{ buf []int }
-
-const dimArenaSlab = 8192
-
-// alloc returns a capacity-capped slice of n ints from the current slab
-// (nil for n == 0) that the caller may fill and hand off permanently.
-func (a *dimArena) alloc(n int) []int {
-	if n == 0 {
-		return nil
-	}
-	if cap(a.buf)-len(a.buf) < n {
-		a.buf = make([]int, 0, max(dimArenaSlab, n))
-	}
-	start := len(a.buf)
-	a.buf = a.buf[:start+n]
-	return a.buf[start : start+n : start+n]
-}
-
-// take copies src into the arena.
-func (a *dimArena) take(src []int) []int {
-	dst := a.alloc(len(src))
-	copy(dst, src)
-	return dst
-}
-
 // baselineScratch is the per-call working set of baselineRows: the identity
-// index (when the caller scans everything), the candidate-row batch with
-// its per-lane degree counters and flat dimension buffers, and the map_P
-// arena. Scratches are recycled through a sync.Pool so repeated scans —
-// per cluster in the clustering algorithm, per row block in the pooled
-// baseline — allocate nothing in steady state.
+// index (when the caller scans everything) and the candidate-row batch with
+// its per-lane degree counters. Scratches are recycled through a sync.Pool
+// so repeated scans — per cluster in the clustering algorithm, per row
+// block in the pooled baseline — allocate nothing in steady state.
 type baselineScratch struct {
 	idx  []int
 	rows []*bitvec.Vector
-	// degIJ/degJI count containing dimensions per batch lane; dimsIJ and
-	// dimsJI are lane-major flat buffers (lane k's dims at [k*p, k*p+deg))
-	// recording WHICH dimensions contained, for map_P.
-	degIJ  [bitvec.BatchMax]int
-	degJI  [bitvec.BatchMax]int
-	dimsIJ []int
-	dimsJI []int
-	arena  dimArena
+	// degIJ/degJI count containing dimensions per batch lane.
+	degIJ [bitvec.BatchMax]int
+	degJI [bitvec.BatchMax]int
 }
 
 var baselineScratchPool = sync.Pool{New: func() any { return new(baselineScratch) }}
@@ -178,8 +141,7 @@ func (sc *baselineScratch) identity(n int) []int {
 // pair loop against every later row of idx. The serial baseline passes the
 // whole range, the clustering algorithm one cluster's members, and the
 // pooled baseline one row block. The scan itself is allocation-free:
-// scratch state comes from a pool and the map_P dimension lists are carved
-// from a slab arena.
+// scratch state comes from a pool.
 func baselineRows(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, sink Sink, g *guard) error {
 	sc := baselineScratchPool.Get().(*baselineScratch)
 	defer baselineScratchPool.Put(sc)
@@ -207,11 +169,6 @@ func baselineScan(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, sink
 	s := om.Space
 	p := s.NumDims()
 	needPartial := tasks.Has(TaskPartial)
-	recorder, _ := sink.(DimsRecorder)
-	if recorder != nil && cap(sc.dimsIJ) < bitvec.BatchMax*p {
-		sc.dimsIJ = make([]int, bitvec.BatchMax*p)
-		sc.dimsJI = make([]int, bitvec.BatchMax*p)
-	}
 	if cap(sc.rows) < bitvec.BatchMax {
 		sc.rows = make([]*bitvec.Vector, 0, bitvec.BatchMax)
 	}
@@ -259,18 +216,10 @@ func baselineScan(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, sink
 				revAcc &= rev
 				if needPartial {
 					for m := fwd; m != 0; m &= m - 1 {
-						k := mbits.TrailingZeros64(m)
-						if recorder != nil {
-							sc.dimsIJ[k*p+sc.degIJ[k]] = d
-						}
-						sc.degIJ[k]++
+						sc.degIJ[mbits.TrailingZeros64(m)]++
 					}
 					for m := rev; m != 0; m &= m - 1 {
-						k := mbits.TrailingZeros64(m)
-						if recorder != nil {
-							sc.dimsJI[k*p+sc.degJI[k]] = d
-						}
-						sc.degJI[k]++
+						sc.degJI[mbits.TrailingZeros64(m)]++
 					}
 				} else if fwdAcc|revAcc == 0 {
 					// The paper's pruning, batch-wide: without the partial
@@ -296,15 +245,9 @@ func baselineScan(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, sink
 				if needPartial && shares {
 					if deg := sc.degIJ[k]; deg > 0 && deg < p {
 						sink.Partial(i, j, float64(deg)/float64(p))
-						if recorder != nil {
-							recorder.RecordPartialDims(i, j, sc.arena.take(sc.dimsIJ[k*p:k*p+deg]))
-						}
 					}
 					if deg := sc.degJI[k]; deg > 0 && deg < p {
 						sink.Partial(j, i, float64(deg)/float64(p))
-						if recorder != nil {
-							recorder.RecordPartialDims(j, i, sc.arena.take(sc.dimsJI[k*p:k*p+deg]))
-						}
 					}
 				}
 				if tasks.Has(TaskCompl) && okIJ && okJI {

@@ -38,9 +38,6 @@ func (c *cancelSink) Partial(a, b int, degree float64) {
 	c.inner.Partial(a, b, degree)
 	c.hit()
 }
-func (c *cancelSink) RecordPartialDims(a, b int, dims []int) {
-	c.inner.RecordPartialDims(a, b, dims)
-}
 
 // countEmissions counts the emissions in an eventSink stream by walking
 // its records.
@@ -53,9 +50,6 @@ func countEmissions(buf []byte) int {
 			i += 7
 		case 'P':
 			i += 15
-		case 'D':
-			n-- // dims records ride along with their Partial
-			i += 8 + int(buf[i+7])
 		default:
 			return -1
 		}

@@ -97,9 +97,7 @@ type Options struct {
 	// /v1/related) wants anyway. The sink is never called concurrently.
 	// A pooled run also has the pooled cancel contract (see ComputeCtx):
 	// what a canceled run leaves in the sink is a salvaged subset, not an
-	// ordered prefix. When the sink is a *Result and Workers > 1, the
-	// Result's two partial maps are built on two goroutines at the end of
-	// the run.
+	// ordered prefix.
 	Workers int
 	// Obs, when non-nil, receives phase spans, counters and gauges from
 	// the run (see obs.go for the name glossary). All algorithms consult
@@ -200,9 +198,9 @@ func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
 //
 // A sink that is a *Result is bulk-loaded: the run emits into append-only
 // columns and the Result receives them — sets appended in emission order,
-// PartialDegree and PartialDims each built once at their final size —
-// when the run ends, however it ends. Until ComputeCtx returns the Result
-// is unchanged; afterwards it holds what per-event calls would have left.
+// PartialDegree built once at its final size — when the run ends, however
+// it ends. Until ComputeCtx returns the Result is unchanged; afterwards it
+// holds what per-event calls would have left.
 func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink Sink) error {
 	if opts.Strict {
 		if err := opts.Validate(alg); err != nil {
@@ -240,7 +238,7 @@ func dispatch(s *Space, alg Algorithm, opts Options, sink Sink, g *guard) error 
 	}
 	if res, ok := sink.(*Result); ok {
 		st := &resultStage{res: res}
-		defer st.commit(workers > 1)
+		defer st.commit()
 		sink = st
 	}
 	switch alg {

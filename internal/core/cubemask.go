@@ -206,18 +206,14 @@ func (pc *pairCharge) flush(g *guard) error {
 
 // cubeScratch is the pooled working set of the cube sweep, shared by the
 // serial sweep and (one per worker) the shard pool: the candidate-dims
-// buffer, the guard pair-charge accumulator, the batch row/index buffers
-// with their per-lane degree counters, the lane-major dims buffer, and the
-// map_P arena — the arena replaces the per-pair `append([]int{}, dims...)`
-// allocation the first version paid for every partial pair.
+// buffer, the guard pair-charge accumulator, and the batch row/index
+// buffers with their per-lane degree counters.
 type cubeScratch struct {
-	cand  []int
-	pc    pairCharge
-	rows  []*bitvec.Vector
-	js    []int
-	deg   [bitvec.BatchMax]int
-	dims  []int // lane-major: lane k's containing dims at [k*p, k*p+deg)
-	arena dimArena
+	cand []int
+	pc   pairCharge
+	rows []*bitvec.Vector
+	js   []int
+	deg  [bitvec.BatchMax]int
 }
 
 var cubeScratchPool = sync.Pool{New: func() any { return new(cubeScratch) }}
@@ -252,10 +248,6 @@ func comparePair(om *OccurrenceMatrix, a, b *lattice.Cube, p int, tasks Tasks, s
 	allLE := cand == nil
 	needPartial := tasks.Has(TaskPartial)
 	guarded := g != nil
-	recorder, _ := sink.(DimsRecorder)
-	if recorder != nil && cap(sc.dims) < bitvec.BatchMax*p {
-		sc.dims = make([]int, bitvec.BatchMax*p)
-	}
 	if cap(sc.rows) < bitvec.BatchMax {
 		sc.rows = make([]*bitvec.Vector, 0, bitvec.BatchMax)
 		sc.js = make([]int, 0, bitvec.BatchMax)
@@ -301,11 +293,7 @@ func comparePair(om *OccurrenceMatrix, a, b *lattice.Cube, p int, tasks Tasks, s
 					alive &= fwd
 					if needPartial {
 						for m := fwd; m != 0; m &= m - 1 {
-							k := mbits.TrailingZeros64(m)
-							if recorder != nil {
-								sc.dims[k*p+sc.deg[k]] = d
-							}
-							sc.deg[k]++
+							sc.deg[mbits.TrailingZeros64(m)]++
 						}
 					} else if alive == 0 {
 						// The paper's pruning, batch-wide: every lane has
@@ -323,11 +311,7 @@ func comparePair(om *OccurrenceMatrix, a, b *lattice.Cube, p int, tasks Tasks, s
 						dimTests += int64(kk)
 						fwd := bitvec.SubsetBatch(ri, rows, dlo, dhi)
 						for m := fwd; m != 0; m &= m - 1 {
-							k := mbits.TrailingZeros64(m)
-							if recorder != nil {
-								sc.dims[k*p+sc.deg[k]] = d
-							}
-							sc.deg[k]++
+							sc.deg[mbits.TrailingZeros64(m)]++
 						}
 					}
 				}
@@ -346,9 +330,6 @@ func comparePair(om *OccurrenceMatrix, a, b *lattice.Cube, p int, tasks Tasks, s
 				} else if needPartial {
 					if deg := sc.deg[k]; deg > 0 && deg < p && s.SharesMeasure(i, j) {
 						sink.Partial(i, j, float64(deg)/float64(p))
-						if recorder != nil {
-							recorder.RecordPartialDims(i, j, sc.arena.take(sc.dims[k*p:k*p+deg]))
-						}
 					}
 				}
 			}

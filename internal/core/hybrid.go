@@ -141,15 +141,10 @@ func clusterWithin(s *Space, members []int, tasks Tasks, sink Sink, opts Cluster
 // of one cube share a signature, so equality per dimension decides
 // containment in both directions at once.
 func pairwiseDirect(s *Space, i, j, p int, tasks Tasks, sink Sink) {
-	recorder, _ := sink.(DimsRecorder)
 	eq := 0
-	var dims []int
 	for d := 0; d < p; d++ {
 		if s.ValueIndex(i, d) == s.ValueIndex(j, d) {
 			eq++
-			if recorder != nil {
-				dims = append(dims, d)
-			}
 		}
 	}
 	shares := s.SharesMeasure(i, j)
@@ -166,9 +161,5 @@ func pairwiseDirect(s *Space, i, j, p int, tasks Tasks, sink Sink) {
 	if tasks.Has(TaskPartial) && shares && eq > 0 {
 		sink.Partial(i, j, float64(eq)/float64(p))
 		sink.Partial(j, i, float64(eq)/float64(p))
-		if recorder != nil {
-			recorder.RecordPartialDims(i, j, dims)
-			recorder.RecordPartialDims(j, i, append([]int{}, dims...))
-		}
 	}
 }

@@ -89,10 +89,6 @@ type Incremental struct {
 
 	l     *lattice.Lattice
 	tasks Tasks
-	// arena backs the map_P dimension lists inserts record, the way the
-	// batch kernels' arenas do: one slab allocation per ~8 k recorded ints
-	// instead of an append-grown slice per compared pair.
-	arena dimArena
 }
 
 // NewIncremental computes the initial relationships over s and returns the
@@ -121,9 +117,6 @@ func NewIncrementalFrom(s *Space, tasks Tasks, res *Result, l *lattice.Lattice) 
 	if res.PartialDegree == nil {
 		res.PartialDegree = map[Pair]float64{}
 	}
-	if res.PartialDims == nil {
-		res.PartialDims = map[Pair][]int{}
-	}
 	if l == nil {
 		l = BuildLattice(s)
 	}
@@ -149,7 +142,6 @@ func (inc *Incremental) Insert(o *qb.Observation) (int, error) {
 	var considered, pruned, compared, candTests, ordered, dimTests int64
 	candA := make([]int, 0, p) // dimensions where new may contain cube
 	candB := make([]int, 0, p) // dimensions where cube may contain new
-	dims := make([]int, 2*p)   // per-pair scratch: containing dimensions, one half per direction
 	for _, c := range inc.l.Cubes() {
 		considered++
 		candTests += 2
@@ -163,7 +155,7 @@ func (inc *Incremental) Insert(o *qb.Observation) (int, error) {
 		ordered += 2 * int64(len(c.Obs))
 		dimTests += int64(len(candA)+len(candB)) * int64(len(c.Obs))
 		for _, j := range c.Obs {
-			inc.comparePairBoth(i, j, candA, candB, dims)
+			inc.comparePairBoth(i, j, candA, candB)
 		}
 	}
 	inc.l.Add(i, sig)
@@ -178,22 +170,20 @@ func (inc *Incremental) Insert(o *qb.Observation) (int, error) {
 }
 
 // comparePairBoth resolves both directions of the pair (i, j) over the
-// candidate dimensions. dims is the caller's 2·|P| scratch; only a list
-// that is recorded is copied out of it, into the arena.
-func (inc *Incremental) comparePairBoth(i, j int, candA, candB, dims []int) {
+// candidate dimensions.
+func (inc *Incremental) comparePairBoth(i, j int, candA, candB []int) {
 	s, p := inc.S, inc.S.NumDims()
-	dimsIJ, dimsJI := dims[:0:p], dims[p:p:2*p]
+	var degIJ, degJI int
 	for _, d := range candA {
 		if s.DimContains(i, j, d) {
-			dimsIJ = append(dimsIJ, d)
+			degIJ++
 		}
 	}
 	for _, d := range candB {
 		if s.DimContains(j, i, d) {
-			dimsJI = append(dimsJI, d)
+			degJI++
 		}
 	}
-	degIJ, degJI := len(dimsIJ), len(dimsJI)
 	shares := s.SharesMeasure(i, j)
 	if inc.tasks.Has(TaskFull) && shares {
 		if degIJ == p {
@@ -206,11 +196,9 @@ func (inc *Incremental) comparePairBoth(i, j int, candA, candB, dims []int) {
 	if inc.tasks.Has(TaskPartial) && shares {
 		if degIJ > 0 && degIJ < p {
 			inc.Res.Partial(i, j, float64(degIJ)/float64(p))
-			inc.Res.RecordPartialDims(i, j, inc.arena.take(dimsIJ))
 		}
 		if degJI > 0 && degJI < p {
 			inc.Res.Partial(j, i, float64(degJI)/float64(p))
-			inc.Res.RecordPartialDims(j, i, inc.arena.take(dimsJI))
 		}
 	}
 	if inc.tasks.Has(TaskCompl) && degIJ == p && degJI == p {

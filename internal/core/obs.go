@@ -144,28 +144,11 @@ func (c countingSink) Compl(a, b int) {
 	c.sink.Compl(a, b)
 }
 
-// countingDimsSink additionally forwards the DimsRecorder extension, so
-// wrapping does not hide map_P recording from the algorithms.
-type countingDimsSink struct {
-	countingSink
-	dims DimsRecorder
-}
-
-// RecordPartialDims implements DimsRecorder.
-func (c countingDimsSink) RecordPartialDims(a, b int, dims []int) {
-	c.dims.RecordPartialDims(a, b, dims)
-}
-
 // instrumentSink wraps sink with emission counting when the space has a
-// recorder; otherwise it returns sink unchanged. The wrapper preserves the
-// optional DimsRecorder extension.
+// recorder; otherwise it returns sink unchanged.
 func instrumentSink(s *Space, sink Sink) Sink {
 	if s.rec == nil {
 		return sink
 	}
-	cs := countingSink{sink: sink, rec: s.rec}
-	if dr, ok := sink.(DimsRecorder); ok {
-		return countingDimsSink{countingSink: cs, dims: dr}
-	}
-	return cs
+	return countingSink{sink: sink, rec: s.rec}
 }

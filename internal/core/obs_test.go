@@ -304,11 +304,7 @@ func TestNoRecorderNoWrap(t *testing.T) {
 		t.Errorf("instrumentSink without recorder must be the identity")
 	}
 	s.SetRecorder(obsv.NewCollector())
-	wrapped := instrumentSink(s, sink)
-	if _, ok := wrapped.(DimsRecorder); !ok {
-		t.Errorf("wrapping must preserve the DimsRecorder extension")
-	}
-	if _, ok := instrumentSink(s, &Counter{}).(DimsRecorder); ok {
-		t.Errorf("wrapping must not invent a DimsRecorder")
+	if _, ok := instrumentSink(s, sink).(countingSink); !ok {
+		t.Errorf("instrumentSink with a recorder must wrap the sink in a countingSink")
 	}
 }

@@ -56,18 +56,8 @@ type shardPool struct {
 // most once: chunks as they fill, the remainder only after the scan
 // returned cleanly (see flushTail for the retry of a panicked shard).
 type tapeMerge struct {
-	mu    sync.Mutex
-	sink  Sink
-	rec   DimsRecorder
-	arena dimArena // backs the dims slices handed to rec; guarded by mu
-}
-
-// newTapeMerge instruments the sink once up front and captures its
-// optional DimsRecorder extension.
-func newTapeMerge(s *Space, sink Sink) *tapeMerge {
-	sink = instrumentSink(s, sink)
-	rec, _ := sink.(DimsRecorder)
-	return &tapeMerge{sink: sink, rec: rec}
+	mu   sync.Mutex
+	sink Sink
 }
 
 // emit decodes buf into the shared sink. The buffer was produced by this
@@ -76,7 +66,7 @@ func newTapeMerge(s *Space, sink Sink) *tapeMerge {
 func (m *tapeMerge) emit(buf []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := decodeTape(buf, m.sink, m.rec, &m.arena); err != nil {
+	if err := decodeTape(buf, m.sink); err != nil {
 		panic(err)
 	}
 }
@@ -132,30 +122,13 @@ func (c chunkedTape) Partial(a, b int, degree float64) {
 	c.after()
 }
 
-// chunkedDimsTape adds the DimsRecorder extension for dims-aware sinks.
-type chunkedDimsTape struct{ chunkedTape }
-
-func (c chunkedDimsTape) RecordPartialDims(a, b int, dims []int) {
-	dimsTape{c.t}.RecordPartialDims(a, b, dims)
-	c.after()
-}
-
-// chunked wraps a borrowed tape as the chunk-flushing local sink; like
-// borrowTape it exposes DimsRecorder only when the caller's sink does.
-func (m *tapeMerge) chunked(t *tape) Sink {
-	if m.rec != nil {
-		return chunkedDimsTape{chunkedTape{t, m}}
-	}
-	return chunkedTape{t, m}
-}
-
 // runShardPool scans nShards shards on workers goroutines, merging their
 // emissions into sink. It returns nil for a clean, complete run, the
 // guard's *CanceledError when the run was cut short (the sink then holds
 // the salvage described above), or a *ShardPanicError.
 func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *guard, fault func(int)) error {
 	s.gauge(GaugeWorkers, float64(workers))
-	merge := newTapeMerge(s, sink)
+	merge := &tapeMerge{sink: instrumentSink(s, sink)}
 
 	// panicked[si] >= 0 marks a shard whose scan panicked under a worker
 	// and holds the bytes its chunks had flushed by then. Each shard index
@@ -169,7 +142,7 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *gu
 	// runOne scans shard si on a fresh private tape, recording a panic
 	// instead of letting it unwind the worker.
 	runOne := func(si int, ws any) {
-		t, _ := borrowTape(false)
+		t := borrowTape()
 		defer func() {
 			if v := recover(); v != nil {
 				panicked[si] = t.flushed
@@ -179,7 +152,7 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *gu
 		if fault != nil {
 			fault(si)
 		}
-		if err := sp.scan(si, merge.chunked(t), ws); err != nil {
+		if err := sp.scan(si, chunkedTape{t, merge}, ws); err != nil {
 			// The guard tripped mid-shard: drop the unflushed remainder.
 			// Chunks flushed before the trip stay in the sink (whole events
 			// of the deterministic stream — a subset of the full run,
@@ -250,7 +223,7 @@ func retryShard(sp shardPool, si, flushed int, merge *tapeMerge, fault func(int)
 	if sp.newWorker != nil {
 		ws = sp.newWorker()
 	}
-	t, local := borrowTape(merge.rec != nil)
+	t := borrowTape()
 	defer func() {
 		if v := recover(); v != nil {
 			err = &ShardPanicError{Shard: si, Fingerprint: sp.fingerprint(si), Value: v}
@@ -260,7 +233,7 @@ func retryShard(sp shardPool, si, flushed int, merge *tapeMerge, fault func(int)
 	if fault != nil {
 		fault(si)
 	}
-	if sp.scan(si, local, ws) == nil {
+	if sp.scan(si, t, ws) == nil {
 		merge.flushTail(t, flushed)
 	}
 	return nil

@@ -36,13 +36,6 @@ func (e *eventSink) Partial(a, b int, degree float64) {
 		byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
 }
 
-func (e *eventSink) RecordPartialDims(a, b int, dims []int) {
-	e.rec('D', a, b, byte(len(dims)))
-	for _, d := range dims {
-		e.buf = append(e.buf, byte(d))
-	}
-}
-
 // records splits the stream into one string per emission record; ok is
 // false when the stream is not a whole number of well-formed records.
 func (e *eventSink) records() (out []string, ok bool) {
@@ -53,8 +46,6 @@ func (e *eventSink) records() (out []string, ok bool) {
 			n = 7
 		case 'P':
 			n = 15
-		case 'D':
-			n = 8 + int(e.buf[i+7])
 		default:
 			return nil, false
 		}
@@ -108,7 +99,7 @@ func forEachGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestParityDirectEmitSetEquivalence: pooled runs deliver the same
-// relationship sets, degrees and map_P as serial — the sorted-set
+// relationship sets and degrees as serial — the sorted-set
 // equivalence oracle — for every worker count (0 included: GOMAXPROCS for
 // AlgorithmParallel, serial for the others), even though shard order is
 // not preserved. Run under -race this exercises the completion-order
@@ -140,12 +131,12 @@ func TestParityDirectEmitSetEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(got.PartialDegree, want.PartialDegree) {
 					t.Errorf("%s workers=%d: pooled degrees differ from serial", alg, workers)
 				}
-				if !reflect.DeepEqual(got.PartialDims, want.PartialDims) {
-					t.Errorf("%s workers=%d: pooled map_P differs from serial", alg, workers)
+				if len(got.PartialDims) != 0 {
+					t.Errorf("%s workers=%d: the run filled PartialDims (%d entries)", alg, workers, len(got.PartialDims))
 				}
 			}
-			if len(want.PartialDims) == 0 {
-				t.Errorf("%s: degenerate input: no partial dims recorded", alg)
+			if len(want.PartialDegree) == 0 {
+				t.Errorf("%s: degenerate input: no partial pairs", alg)
 			}
 		}
 	})

@@ -28,19 +28,8 @@ type Sink interface {
 	Compl(a, b int)
 }
 
-// DimsRecorder is an optional Sink extension: when a sink implements it
-// and the partial task is active, algorithms additionally report which
-// dimensions exhibit containment in every partial pair — the paper's
-// map_P output of Algorithm 2.
-type DimsRecorder interface {
-	// RecordPartialDims records the containing dimension indices of the
-	// ordered partial pair (a, b). The slice is owned by the callee.
-	RecordPartialDims(a, b int, dims []int)
-}
-
 // Result collects relationship sets in memory: the paper's S_F, S_P and
-// S_C, plus partial-containment degrees and (when filled by an algorithm)
-// the map_P dimension map.
+// S_C, plus partial-containment degrees.
 type Result struct {
 	// FullSet is S_F: ordered fully-containing pairs.
 	FullSet []Pair
@@ -50,9 +39,10 @@ type Result struct {
 	ComplSet []Pair
 	// PartialDegree maps each S_P pair to its OCM degree.
 	PartialDegree map[Pair]float64
-	// PartialDims is Algorithm 2's map_P: for each S_P pair, the indices
-	// of the dimensions (in Space.Dims order) on which the pair exhibits
-	// containment.
+	// Not filled by Compute, Incremental or snapshot.Read — it stays nil:
+	// Algorithm 2's map_P is derived by Space.ContainDims. The field is
+	// kept only because benchmark/state.go names it; the next
+	// benchmark-archetype PR (ROADMAP 1(a)) drops that name and this field.
 	PartialDims map[Pair][]int
 }
 
@@ -60,30 +50,24 @@ type Result struct {
 func NewResult() *Result { return NewResultSized(0) }
 
 // NewResultSized returns an empty collecting sink with room for nPartial
-// partial pairs in PartialSet and both partial maps — for a loader that
-// reads the count before the pairs (snapshot decode) and so can skip the
-// maps' growth. The caller vouches for nPartial; nothing here bounds it.
+// partial pairs in PartialSet and PartialDegree — for a loader that reads
+// the count before the pairs (snapshot decode) and so can skip the map's
+// growth. The caller vouches for nPartial; nothing here bounds it.
 func NewResultSized(nPartial int) *Result {
-	r := &Result{
-		PartialDegree: make(map[Pair]float64, nPartial),
-		PartialDims:   make(map[Pair][]int, nPartial),
-	}
+	r := &Result{PartialDegree: make(map[Pair]float64, nPartial)}
 	if nPartial > 0 {
 		r.PartialSet = make([]Pair, 0, nPartial)
 	}
 	return r
 }
 
-// RecordPartialDims implements DimsRecorder.
-func (r *Result) RecordPartialDims(a, b int, dims []int) { r.PartialDims[Pair{a, b}] = dims }
-
 // Bulk load. ComputeCtx does not let a kernel update a *Result event by
-// event: two inserts per partial pair into maps that rehash as they grow
-// cost more than the sweep that finds the pairs. The run emits into a
+// event: an insert per partial pair into a map that rehashes as it grows
+// costs more than the sweep that finds the pairs. The run emits into a
 // resultStage instead — append-only columns — and one commit, on every
-// exit path of the run, appends the three sets and builds each map once
-// at its final size. Result.Partial / RecordPartialDims called directly
-// (core.Incremental, snapshot decode) keep their immediate-map semantics.
+// exit path of the run, appends the three sets and builds the degree map
+// once at its final size. Result.Partial called directly (core.Incremental,
+// snapshot decode) keeps its immediate-map semantics.
 
 // stageChunk is the length of one column chunk. Columns grow chunk by
 // chunk, never by one doubling append over the whole run, so staging
@@ -107,28 +91,17 @@ func (c *column[T]) push(v T) {
 	c.n++
 }
 
-// stagedDegree and stagedDims are the partial columns' records. The dims
-// events carry their own pair: kernels usually report a pair's dimensions
-// right after its Partial call, but the Sink contract does not promise it.
+// stagedDegree is the partial column's record.
 type stagedDegree struct {
 	p      Pair
 	degree float64
 }
 
-type stagedDims struct {
-	p    Pair
-	dims []int
-}
-
-// resultStage is the Sink a run into a *Result really emits into. The
-// dims slices it is handed are already carved from slabs the receiver owns
-// (the kernels' and the tape merge's dimArena), so the stage keeps them
-// as they are.
+// resultStage is the Sink a run into a *Result really emits into.
 type resultStage struct {
 	res         *Result
 	full, compl column[Pair]
 	partial     column[stagedDegree]
-	dims        column[stagedDims]
 }
 
 // Full implements Sink.
@@ -147,34 +120,11 @@ func (st *resultStage) Compl(a, b int) {
 	st.compl.push(Pair{a, b})
 }
 
-// RecordPartialDims implements DimsRecorder.
-func (st *resultStage) RecordPartialDims(a, b int, dims []int) {
-	st.dims.push(stagedDims{Pair{a, b}, dims})
-}
-
 // commit moves the staged run into the Result, in emission order. Entries
 // the Result already held are kept; a staged pair that repeats one
-// overwrites its map entries, as the direct calls would. The two maps
-// share nothing, so with concurrent set the dims map is built on a second
-// goroutine — two, not more: a Go map takes one writer, and there are two
-// maps.
-func (st *resultStage) commit(concurrent bool) {
+// overwrites its map entry, as the direct call would.
+func (st *resultStage) commit() {
 	r := st.res
-	dimsDone := make(chan struct{})
-	fillDims := func() {
-		defer close(dimsDone)
-		r.PartialDims = sizedMap(r.PartialDims, st.dims.n)
-		for _, ch := range st.dims.chunks {
-			for _, e := range ch {
-				r.PartialDims[e.p] = e.dims
-			}
-		}
-	}
-	if concurrent {
-		go fillDims()
-	} else {
-		fillDims()
-	}
 	r.FullSet = appendColumn(r.FullSet, st.full)
 	r.ComplSet = appendColumn(r.ComplSet, st.compl)
 	r.PartialSet = slices.Grow(r.PartialSet, st.partial.n)
@@ -185,7 +135,6 @@ func (st *resultStage) commit(concurrent bool) {
 			r.PartialDegree[e.p] = e.degree
 		}
 	}
-	<-dimsDone
 }
 
 // appendColumn appends a staged pair column to a set with one growth.
@@ -203,11 +152,11 @@ func appendColumn(set []Pair, c column[Pair]) []Pair {
 // sizedMap returns m with room for extra more entries: m itself when
 // nothing is coming, else a map allocated once at the final size with m's
 // entries copied over (a Go map cannot be grown in place).
-func sizedMap[V any](m map[Pair]V, extra int) map[Pair]V {
+func sizedMap(m map[Pair]float64, extra int) map[Pair]float64 {
 	if m != nil && extra == 0 {
 		return m
 	}
-	out := make(map[Pair]V, len(m)+extra)
+	out := make(map[Pair]float64, len(m)+extra)
 	for k, v := range m {
 		out[k] = v
 	}
@@ -224,28 +173,23 @@ func sizedMap[V any](m map[Pair]V, extra int) map[Pair]V {
 //	'F' uvarint(a) uvarint(b)                    Full(a, b)
 //	'P' uvarint(a) uvarint(b) 8-byte LE float    Partial(a, b, degree)
 //	'C' uvarint(a) uvarint(b)                    Compl(a, b)
-//	'D' uvarint(a) uvarint(b) uvarint(n) n×uvarint(dim)
-//	                                             RecordPartialDims(a, b, dims)
 const (
 	tapeFull    = 'F'
 	tapePartial = 'P'
 	tapeCompl   = 'C'
-	tapeDims    = 'D'
 )
 
 // errTapeCorrupt reports a tape buffer decodeTape cannot walk: a truncated
-// event, an unknown kind byte, an index outside the int32 range the
-// encoder produces, or a dimension count larger than the bytes that are
-// supposed to hold it.
+// event, an unknown kind byte, or an index outside the int32 range the
+// encoder produces.
 var errTapeCorrupt = errors.New("core: corrupt tape buffer")
 
 // tape is the private sink of a pooled work item: it records the shard's
-// emissions — the exact call sequence, dimension lists included — onto its
-// byte buffer until the merge decodes them into the caller's sink, so
-// Sink implementations need not be thread-safe. Tapes are the workers'
-// reusable pair buffers: recycled through a pool, they make steady-state
-// pooled runs allocate nothing per work item beyond first-use buffer
-// growth.
+// emissions — the exact call sequence — onto its byte buffer until the
+// merge decodes them into the caller's sink, so Sink implementations need
+// not be thread-safe. Tapes are the workers' reusable pair buffers:
+// recycled through a pool, they make steady-state pooled runs allocate
+// nothing per work item beyond first-use buffer growth.
 type tape struct {
 	buf []byte
 	// flushed counts bytes already decoded into the shared sink by the
@@ -274,23 +218,6 @@ func (t *tape) Partial(a, b int, degree float64) {
 // Compl implements Sink.
 func (t *tape) Compl(a, b int) { t.appendPair(tapeCompl, a, b) }
 
-// dimsTape extends a tape with the DimsRecorder interface. Workers use it
-// only when the caller's sink wants dimension lists: a plain tape does not
-// satisfy DimsRecorder, so the algorithms skip the map_P bookkeeping
-// exactly when a serial run against the caller's sink would. Dimension
-// VALUES are copied into the buffer — the caller's slice is not retained,
-// and decode hands the downstream recorder a fresh slice it owns.
-type dimsTape struct{ *tape }
-
-// RecordPartialDims implements DimsRecorder.
-func (d dimsTape) RecordPartialDims(a, b int, dims []int) {
-	d.appendPair(tapeDims, a, b)
-	d.buf = binary.AppendUvarint(d.buf, uint64(len(dims)))
-	for _, dim := range dims {
-		d.buf = binary.AppendUvarint(d.buf, uint64(uint32(dim)))
-	}
-}
-
 // tapeUvarint decodes one uvarint bounded to the int32 range the tape
 // encoder writes, returning the remaining buffer and ok=false on a
 // truncated, overlong, or out-of-range value.
@@ -302,15 +229,10 @@ func tapeUvarint(buf []byte) (int, []byte, bool) {
 	return int(uint32(v)), buf[n:], true
 }
 
-// decodeTape walks an encoded tape buffer, replaying each event into sink
-// (and rec, when non-nil, for 'D' events). It is total over arbitrary
-// bytes: every read is bounds-checked, unknown kinds fail, and a 'D'
-// event's dimension count is validated against the bytes remaining —
-// every encoded dimension occupies at least one byte, so a length prefix
-// larger than len(rest) is a lie and is rejected before any allocation
-// sized from it. The dimension lists handed to rec are carved from arena:
-// one allocation per slab, not one per 'D' event.
-func decodeTape(buf []byte, sink Sink, rec DimsRecorder, arena *dimArena) error {
+// decodeTape walks an encoded tape buffer, replaying each event into sink.
+// It is total over arbitrary bytes: every read is bounds-checked and
+// unknown kinds fail. No event carries a length, so it allocates nothing.
+func decodeTape(buf []byte, sink Sink) error {
 	for len(buf) > 0 {
 		kind := buf[0]
 		rest := buf[1:]
@@ -333,21 +255,6 @@ func decodeTape(buf []byte, sink Sink, rec DimsRecorder, arena *dimArena) error 
 			}
 			sink.Partial(a, b, math.Float64frombits(binary.LittleEndian.Uint64(rest)))
 			rest = rest[8:]
-		case tapeDims:
-			n, r, ok := tapeUvarint(rest)
-			if !ok || n > len(r) {
-				return errTapeCorrupt
-			}
-			rest = r
-			dims := arena.alloc(n)
-			for k := range dims {
-				if dims[k], rest, ok = tapeUvarint(rest); !ok {
-					return errTapeCorrupt
-				}
-			}
-			if rec != nil {
-				rec.RecordPartialDims(a, b, dims)
-			}
 		default:
 			return errTapeCorrupt
 		}
@@ -359,21 +266,12 @@ func decodeTape(buf []byte, sink Sink, rec DimsRecorder, arena *dimArena) error 
 // tapePool recycles tapes across work items and runs.
 var tapePool = sync.Pool{New: func() any { return new(tape) }}
 
-// borrowTape takes an empty tape from the pool and returns it both as the
-// concrete type (for the merge) and as the Sink a scan should emit into —
-// a dims-recording wrapper when wantDims is set.
-func borrowTape(wantDims bool) (*tape, Sink) {
-	t := tapePool.Get().(*tape)
-	if wantDims {
-		return t, dimsTape{t}
-	}
-	return t, t
-}
+// borrowTape takes an empty tape from the pool.
+func borrowTape() *tape { return tapePool.Get().(*tape) }
 
 // releaseTape empties the tape's buffer and returns it to the pool,
-// keeping capacity. Decoded payloads (the dims slices) are carved from the
-// merge's arena at decode time, so nothing the downstream sink kept
-// aliases pooled memory.
+// keeping capacity. Decoding copies every value out of the buffer, so
+// nothing the downstream sink kept aliases pooled memory.
 func releaseTape(t *tape) {
 	t.buf = t.buf[:0]
 	t.flushed = 0

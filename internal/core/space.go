@@ -232,6 +232,21 @@ func (s *Space) ContainDegree(i, j int) int {
 	return n
 }
 
+// ContainDims returns the dimensions (indices in ascending Space.Dims
+// order) on which i's value contains j's — Algorithm 2's map_P for the
+// ordered pair (i, j), and len(ContainDims) == ContainDegree. This is the
+// definition, kept for the paper's Algorithm 2: no kernel reports the list,
+// nothing stores it, and it has no caller outside tests and no re-export.
+func (s *Space) ContainDims(i, j int) []int {
+	var dims []int
+	for d := range s.Dims {
+		if s.DimContains(i, j, d) {
+			dims = append(dims, d)
+		}
+	}
+	return dims
+}
+
 // FullContains reports Cont_full(i, j) per the canonical semantics.
 func (s *Space) FullContains(i, j int) bool {
 	if i == j || !s.SharesMeasure(i, j) {

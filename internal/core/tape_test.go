@@ -15,7 +15,7 @@ import (
 func randTapeStream(rng *rand.Rand, n int, sinks ...Sink) {
 	for e := 0; e < n; e++ {
 		a, b := rng.Intn(1<<20), rng.Intn(1<<20)
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			for _, s := range sinks {
 				s.Full(a, b)
@@ -24,20 +24,10 @@ func randTapeStream(rng *rand.Rand, n int, sinks ...Sink) {
 			for _, s := range sinks {
 				s.Compl(a, b)
 			}
-		case 2:
+		default:
 			deg := rng.Float64()
 			for _, s := range sinks {
 				s.Partial(a, b, deg)
-			}
-		default:
-			dims := make([]int, rng.Intn(6))
-			for i := range dims {
-				dims[i] = rng.Intn(200)
-			}
-			for _, s := range sinks {
-				if rec, ok := s.(DimsRecorder); ok {
-					rec.RecordPartialDims(a, b, dims)
-				}
 			}
 		}
 	}
@@ -46,17 +36,17 @@ func randTapeStream(rng *rand.Rand, n int, sinks ...Sink) {
 // TestTapeCodecRoundTrip is the property test of the varint tape codec:
 // random event streams encode onto a tape and decode back into a stream
 // that is BYTE-EXACT against a direct recording of the same calls —
-// including degrees (bit-preserved through Float64bits) and dimension
-// lists. 200 trials across stream lengths.
+// including degrees (bit-preserved through Float64bits). 200 trials
+// across stream lengths.
 func TestTapeCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
-		tp, local := borrowTape(true)
+		tp := borrowTape()
 		want := &eventSink{}
-		randTapeStream(rng, rng.Intn(50), local, want)
+		randTapeStream(rng, rng.Intn(50), tp, want)
 
 		got := &eventSink{}
-		if err := decodeTape(tp.buf, got, got, &dimArena{}); err != nil {
+		if err := decodeTape(tp.buf, got); err != nil {
 			t.Fatalf("trial %d: decode of freshly encoded tape failed: %v", trial, err)
 		}
 		if !bytes.Equal(got.buf, want.buf) {
@@ -72,10 +62,10 @@ func TestTapeCodecRoundTrip(t *testing.T) {
 func TestTapeCodecSpecialDegrees(t *testing.T) {
 	degrees := []float64{0, math.Copysign(0, -1), 0.5, 1.0 / 3.0,
 		math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
-	tp, local := borrowTape(false)
+	tp := borrowTape()
 	defer releaseTape(tp)
 	for _, d := range degrees {
-		local.Partial(1, 2, d)
+		tp.Partial(1, 2, d)
 	}
 	i := 0
 	err := decodeTape(tp.buf, sinkFuncs{partial: func(a, b int, deg float64) {
@@ -83,7 +73,7 @@ func TestTapeCodecSpecialDegrees(t *testing.T) {
 			t.Errorf("degree %d: got bits %x, want %x", i, math.Float64bits(deg), math.Float64bits(degrees[i]))
 		}
 		i++
-	}}, nil, &dimArena{})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +106,16 @@ func (s sinkFuncs) Partial(a, b int, degree float64) {
 
 // TestTapeCodecDifferentialResult: replaying a tape into a Result produces
 // exactly the Result a direct serial run of the same calls would build —
-// sets, degrees and map_P.
+// sets and degrees.
 func TestTapeCodecDifferentialResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 50; trial++ {
-		tp, local := borrowTape(true)
+		tp := borrowTape()
 		want := NewResult()
-		randTapeStream(rng, 40, local, want)
+		randTapeStream(rng, 40, tp, want)
 
 		got := NewResult()
-		if err := decodeTape(tp.buf, got, got, &dimArena{}); err != nil {
+		if err := decodeTape(tp.buf, got); err != nil {
 			t.Fatal(err)
 		}
 		releaseTape(tp)
@@ -137,22 +127,6 @@ func TestTapeCodecDifferentialResult(t *testing.T) {
 			!reflect.DeepEqual(got.PartialDegree, want.PartialDegree) {
 			t.Fatalf("trial %d: replayed Result differs from direct Result", trial)
 		}
-		// map_P: nil vs empty slices may differ in representation; compare
-		// per pair.
-		if len(got.PartialDims) != len(want.PartialDims) {
-			t.Fatalf("trial %d: map_P sizes differ: %d vs %d", trial, len(got.PartialDims), len(want.PartialDims))
-		}
-		for p, dims := range want.PartialDims {
-			gd := got.PartialDims[p]
-			if len(gd) != len(dims) {
-				t.Fatalf("trial %d: map_P[%v] differs: %v vs %v", trial, p, gd, dims)
-			}
-			for k := range dims {
-				if gd[k] != dims[k] {
-					t.Fatalf("trial %d: map_P[%v] differs: %v vs %v", trial, p, gd, dims)
-				}
-			}
-		}
 	}
 }
 
@@ -160,20 +134,19 @@ func TestTapeCodecDifferentialResult(t *testing.T) {
 // decodes a prefix of the events or fails with errTapeCorrupt — never a
 // panic, never an invented event.
 func TestDecodeTapeTruncations(t *testing.T) {
-	tp, local := borrowTape(true)
+	tp := borrowTape()
 	defer releaseTape(tp)
-	local.Full(70000, 3)
-	local.Partial(1, 2, 0.25)
-	local.(DimsRecorder).RecordPartialDims(1, 2, []int{0, 5, 17})
-	local.Compl(9, 1<<19)
+	tp.Full(70000, 3)
+	tp.Partial(1, 2, 0.25)
+	tp.Compl(9, 1<<19)
 
 	full := &eventSink{}
-	if err := decodeTape(tp.buf, full, full, &dimArena{}); err != nil {
+	if err := decodeTape(tp.buf, full); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(tp.buf); cut++ {
 		got := &eventSink{}
-		err := decodeTape(tp.buf[:cut], got, got, &dimArena{})
+		err := decodeTape(tp.buf[:cut], got)
 		if err != nil && !errors.Is(err, errTapeCorrupt) {
 			t.Fatalf("cut=%d: unexpected error type %v", cut, err)
 		}
@@ -183,77 +156,71 @@ func TestDecodeTapeTruncations(t *testing.T) {
 	}
 }
 
-// TestDecodeTapeLyingLength: a 'D' event whose count prefix claims more
-// dimensions than the buffer could possibly hold is rejected BEFORE any
-// allocation sized from the lie — the over-allocation cap the fuzz target
-// watches for.
-func TestDecodeTapeLyingLength(t *testing.T) {
-	buf := []byte{tapeDims, 1, 2}
-	buf = binary.AppendUvarint(buf, 1<<30) // claims a gigabyte of dims
-	before := testing.AllocsPerRun(10, func() {
-		if err := decodeTape(buf, &Counter{}, discardDims{}, &dimArena{}); !errors.Is(err, errTapeCorrupt) {
-			t.Fatalf("want errTapeCorrupt, got %v", err)
+// TestDecodeTapeUnknownKinds: the grammar is 'F', 'P' and 'C' and nothing
+// else. 'D' — the dimension-list event earlier builds wrote — is an unknown
+// kind like any other, whatever follows it, and is rejected without
+// allocating; out-of-range indices fail too.
+func TestDecodeTapeUnknownKinds(t *testing.T) {
+	for _, buf := range [][]byte{
+		{'D', 1, 2, 2, 0, 1}, // a well-formed dims event of the old grammar
+		binary.AppendUvarint([]byte{'D', 1, 2}, 1<<30),
+		{'Z', 1, 2},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := decodeTape(buf, &Counter{}); !errors.Is(err, errTapeCorrupt) {
+				t.Fatalf("kind %q: want errTapeCorrupt, got %v", buf[0], err)
+			}
+		})
+		if allocs > 1 { // the Counter
+			t.Errorf("kind %q: %.0f allocations per rejected decode", buf[0], allocs)
 		}
-	})
-	// The decode path may allocate small constant state, but nothing on
-	// the order of the claimed length.
-	if before > 4 {
-		t.Errorf("lying length prefix caused %.0f allocations per decode", before)
-	}
-
-	// Unknown event kinds and out-of-range indices fail too.
-	if err := decodeTape([]byte{'Z', 1, 2}, &Counter{}, nil, &dimArena{}); !errors.Is(err, errTapeCorrupt) {
-		t.Fatalf("unknown kind: want errTapeCorrupt, got %v", err)
 	}
 	big := []byte{tapeFull}
 	big = binary.AppendUvarint(big, math.MaxUint64)
 	big = binary.AppendUvarint(big, 1)
-	if err := decodeTape(big, &Counter{}, nil, &dimArena{}); !errors.Is(err, errTapeCorrupt) {
+	if err := decodeTape(big, &Counter{}); !errors.Is(err, errTapeCorrupt) {
 		t.Fatalf("out-of-range index: want errTapeCorrupt, got %v", err)
 	}
 }
 
-// discardDims is a DimsRecorder that drops everything.
-type discardDims struct{}
-
-func (discardDims) RecordPartialDims(a, b int, dims []int) {}
-
-// FuzzTapeDecode: arbitrary bytes never panic the tape decoder and never
-// over-allocate from lying length prefixes; successfully decoded streams
-// canonicalize idempotently (decode → re-encode → decode is a fixpoint).
+// FuzzTapeDecode: arbitrary bytes never panic the tape decoder;
+// successfully decoded streams canonicalize idempotently (decode →
+// re-encode → decode is a fixpoint).
 func FuzzTapeDecode(f *testing.F) {
-	// Seeds: a well-formed multi-event tape, its truncations, adversarial
-	// length prefixes, and junk.
-	tp, local := borrowTape(true)
-	local.Full(1, 2)
-	local.Partial(3, 4, 0.75)
-	local.(DimsRecorder).RecordPartialDims(3, 4, []int{0, 2})
-	local.Compl(5, 6)
+	// Seeds: a well-formed multi-event tape, its truncations, a 'D' event
+	// of the old grammar (rejected as an unknown kind), and junk.
+	tp := borrowTape()
+	tp.Full(1, 2)
+	tp.Partial(3, 4, 0.75)
+	tp.Compl(5, 6)
 	valid := append([]byte(nil), tp.buf...)
 	releaseTape(tp)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add(valid[:1])
 	f.Add([]byte{})
-	f.Add([]byte{tapeDims, 1, 2, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{'D', 3, 4, 2, 0, 2})
 	f.Add([]byte{tapePartial, 1, 2, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0x80}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		canon, rec := borrowTape(true)
+		canon := borrowTape()
 		defer releaseTape(canon)
-		if err := decodeTape(data, rec, rec.(DimsRecorder), &dimArena{}); err != nil {
+		if err := decodeTape(data, canon); err != nil {
 			if !errors.Is(err, errTapeCorrupt) {
 				t.Fatalf("decode error is not errTapeCorrupt: %v", err)
 			}
 			return
 		}
+		if len(data) > 0 && data[0] == 'D' {
+			t.Fatalf("a tape starting with a 'D' event decoded")
+		}
 		// The canonical re-encoding must itself decode, and re-encoding IT
 		// must be a byte-level fixpoint — non-canonical varints in the
 		// input normalize exactly once.
-		canon2, rec2 := borrowTape(true)
+		canon2 := borrowTape()
 		defer releaseTape(canon2)
-		if err := decodeTape(canon.buf, rec2, rec2.(DimsRecorder), &dimArena{}); err != nil {
+		if err := decodeTape(canon.buf, canon2); err != nil {
 			t.Fatalf("canonical re-encoding failed to decode: %v", err)
 		}
 		if !bytes.Equal(canon.buf, canon2.buf) {

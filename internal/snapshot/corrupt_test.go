@@ -2,8 +2,12 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
+	"math"
+	"os"
 	"testing"
 
 	"rdfcube/internal/faultfs"
@@ -285,5 +289,143 @@ func TestCrossSectionSwap(t *testing.T) {
 	swapped = append(swapped, data[frames[2].end:]...)
 	if _, err := Read(bytes.NewReader(swapped)); err == nil {
 		t.Fatalf("section swap accepted")
+	}
+}
+
+// patchSection returns a copy of a valid snapshot with one section's
+// payload replaced by edit(payload) and the frame's length and CRC
+// recomputed: damage that framing and checksums vouch for, as a buggy or
+// hostile peer's /v1/snapshot would carry it, so only the decoder's own
+// validation can refuse it.
+func patchSection(t testing.TB, data []byte, tag [4]byte, edit func(payload []byte) []byte) []byte {
+	t.Helper()
+	for off := 12; off+8 <= len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off+4:]))
+		if [4]byte(data[off:off+4]) == tag {
+			payload := edit(bytes.Clone(data[off+8 : off+8+n]))
+			out := bytes.Clone(data[:off+4])
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+			out = append(out, payload...)
+			out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+			return append(out, data[off+8+n+4:]...)
+		}
+		off += 8 + n + 4
+	}
+	t.Fatalf("no %s section", tag[:])
+	return nil
+}
+
+// firstPartial returns the offsets, inside an RSLT payload, of the first
+// S_P pair's degree and of the length of its dimension list.
+func firstPartial(t testing.TB, rslt []byte) (degreeAt, listAt int) {
+	t.Helper()
+	off := 0
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(rslt[off:])
+		if n <= 0 {
+			t.Fatalf("RSLT payload does not parse at offset %d", off)
+		}
+		off += n
+		return v
+	}
+	for n := uvarint(); n > 0; n-- { // S_F
+		uvarint()
+		uvarint()
+	}
+	if uvarint() == 0 {
+		t.Fatal("degenerate fixture: no partial pairs")
+	}
+	uvarint()
+	uvarint()
+	return off, off + 8
+}
+
+// TestPartialDegreeOutsideUnitInterval: a degree is a count of containing
+// dimensions over |P| with at least one and not all of them containing, so
+// anything not strictly inside (0, 1) is refused however intact the frame
+// around it — cubed would otherwise serve it, and followers would fetch it.
+func TestPartialDegreeOutsideUnitInterval(t *testing.T) {
+	withDegree := func(deg float64) []byte {
+		return patchSection(t, validBytes(t), tagRslt, func(rslt []byte) []byte {
+			at, _ := firstPartial(t, rslt)
+			binary.LittleEndian.PutUint64(rslt[at:], math.Float64bits(deg))
+			return rslt
+		})
+	}
+	if _, err := Read(bytes.NewReader(withDegree(0.5))); err != nil {
+		t.Fatalf("a patched degree of 0.5 must still decode: %v", err)
+	}
+	for _, deg := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3, 7.5, 0, math.Copysign(0, -1), 1} {
+		if _, err := Read(bytes.NewReader(withDegree(deg))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("degree %v: got %v, want ErrCorrupt", deg, err)
+		}
+	}
+}
+
+// dimsFixture is the golden paper example as the builds before map_P
+// became derived wrote it: every S_P pair carries its dimension list.
+const dimsFixture = "testdata/paper_example_dims.snap"
+
+// damagedDimsFixtures returns the old fixture and two copies of it whose
+// first dimension list lies — an index that is no dimension, and a length
+// the payload cannot hold — under recomputed CRCs.
+func damagedDimsFixtures(t testing.TB) (old, badIndex, badLength []byte) {
+	t.Helper()
+	old, err := os.ReadFile(dimsFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badIndex = patchSection(t, old, tagRslt, func(rslt []byte) []byte {
+		_, at := firstPartial(t, rslt)
+		if rslt[at] == 0 {
+			t.Fatal("the old fixture's first partial pair has no dimension list")
+		}
+		rslt[at+1] = 0x7f
+		return rslt
+	})
+	badLength = patchSection(t, old, tagRslt, func(rslt []byte) []byte {
+		_, at := firstPartial(t, rslt)
+		lying := binary.AppendUvarint(bytes.Clone(rslt[:at]), 1<<30)
+		return append(lying, rslt[at+1:]...)
+	})
+	return old, badIndex, badLength
+}
+
+// TestOldDimensionListsValidatedAndDropped: a snapshot written before map_P
+// became derived loads to the state today's encoder writes — same sets,
+// same degrees, no dimension map, and byte for byte the new golden file
+// when written back — but its lists are still input: one that lies fails
+// the load, it is not skipped blind.
+func TestOldDimensionListsValidatedAndDropped(t *testing.T) {
+	oldBytes, badIndex, badLength := damagedDimsFixtures(t)
+	old, err := Read(bytes.NewReader(oldBytes))
+	if err != nil {
+		t.Fatalf("decoding the old fixture: %v", err)
+	}
+	golden, err := os.ReadFile("testdata/paper_example.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Read(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEqual(t, cur, old)
+	if len(old.Result.PartialSet) == 0 || old.Result.PartialDims != nil || cur.Result.PartialDims != nil {
+		t.Errorf("%d partial pairs; PartialDims must stay nil, got %v (old file) and %v (new file)",
+			len(old.Result.PartialSet), old.Result.PartialDims, cur.Result.PartialDims)
+	}
+	var buf bytes.Buffer
+	if err := old.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Errorf("the old fixture re-encodes to %d bytes that are not the golden file's %d", buf.Len(), len(golden))
+	}
+	if _, err := Read(bytes.NewReader(badIndex)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("dimension index >= |P|: got %v, want ErrCorrupt", err)
+	}
+	if _, err := Read(bytes.NewReader(badLength)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("list length larger than the bytes left: got %v, want ErrCorrupt", err)
 	}
 }

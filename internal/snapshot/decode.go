@@ -435,19 +435,14 @@ func decode(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 	// count has checked nPartial against the bytes that remain, so sizing
-	// the partial set and both maps from it allocates nothing a lying
-	// header could inflate. The dimension lists are carved from slabs for
-	// the same reason the kernels carve them: one allocation per slab, not
-	// one (or, appending, three) per pair. Every index still to be read
-	// takes at least a byte, which bounds a slab by the remaining payload.
+	// the partial set and the degree map from it allocates nothing a lying
+	// header could inflate.
 	nPartial, err := c.count(11) // two refs + float64 + dims count
 	if err != nil {
 		return nil, err
 	}
 	res = core.NewResultSized(nPartial)
 	res.FullSet = fullSet
-	const dimSlab = 8192
-	var slab []int
 	for i := 0; i < nPartial; i++ {
 		var p core.Pair
 		if p.A, err = c.index(nObs, "pair source"); err != nil {
@@ -460,26 +455,23 @@ func decode(r io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !(deg > 0 && deg < 1) { // NaN fails both comparisons
+			return nil, corrupt("RSLT: partial degree %v of pair (%d, %d) is not inside (0, 1)", deg, p.A, p.B)
+		}
+		// The pair's dimension list: empty since map_P is derived
+		// (core.Space.ContainDims); one found in an older file is checked
+		// like any other input and dropped.
 		nd, err := c.count(1)
 		if err != nil {
 			return nil, err
 		}
-		if cap(slab)-len(slab) < nd {
-			slab = make([]int, 0, max(nd, min(dimSlab, c.rem())))
-		}
-		start := len(slab)
 		for j := 0; j < nd; j++ {
-			di, err := c.index(len(dims), "partial dimension")
-			if err != nil {
+			if _, err := c.index(len(dims), "partial dimension"); err != nil {
 				return nil, err
 			}
-			slab = append(slab, di)
 		}
 		res.PartialSet = append(res.PartialSet, p)
 		res.PartialDegree[p] = deg
-		if nd > 0 {
-			res.PartialDims[p] = slab[start:len(slab):len(slab)]
-		}
 	}
 	if res.ComplSet, err = readPairs(c); err != nil {
 		return nil, err

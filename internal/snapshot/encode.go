@@ -151,11 +151,7 @@ func encode(w io.Writer, sn *Snapshot) error {
 		rslt.uvarint(uint64(p.A))
 		rslt.uvarint(uint64(p.B))
 		rslt.f64(res.PartialDegree[p])
-		pd := res.PartialDims[p]
-		rslt.uvarint(uint64(len(pd)))
-		for _, dd := range pd {
-			rslt.uvarint(uint64(dd))
-		}
+		rslt.uvarint(0) // the pair's dimension list, not written (see decode)
 	}
 	rslt.uvarint(uint64(len(res.ComplSet)))
 	for _, p := range res.ComplSet {

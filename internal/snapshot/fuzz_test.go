@@ -50,6 +50,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(huge)
 	f.Add([]byte{})
 	f.Add([]byte("RDFCSNAP"))
+	// The same example as older builds wrote it, with a dimension list per
+	// partial pair, and two copies whose lists lie under valid CRCs.
+	old, badIndex, badLength := damagedDimsFixtures(f)
+	f.Add(old)
+	f.Add(badIndex)
+	f.Add(badLength)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sn, err := Read(bytes.NewReader(data))

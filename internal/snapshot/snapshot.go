@@ -29,7 +29,9 @@
 //	OBSV  observations in Space.Obs order (dataset index, URI, values) —
 //	      NOT grouped by dataset, so the observation indices that Result
 //	      pairs reference survive live inserts into any dataset
-//	RSLT  S_F, S_P (with degrees and Algorithm 2's map_P) and S_C
+//	RSLT  S_F, S_P (each pair with its degree and a dimension list of
+//	      length 0 — Algorithm 2's map_P is derived, not stored; a list
+//	      in a file an older build wrote is validated and dropped) and S_C
 //	LATT  the lattice cubes (presence-flagged; an absent lattice is
 //	      rebuilt on load by core.NewIncrementalFrom when needed)
 //	END\0 terminator (empty payload)
@@ -85,7 +87,8 @@ type Snapshot struct {
 	// Space is the compiled corpus (reconstructed on Read with the exact
 	// observation order the Result indices reference).
 	Space *core.Space
-	// Result holds S_F, S_P (degrees + map_P) and S_C.
+	// Result holds S_F, S_P (with degrees) and S_C. Read fills no
+	// dimension map: map_P is derived (core.Space.ContainDims).
 	Result *core.Result
 	// Lattice is the cube lattice, or nil (rebuilt on demand by
 	// core.NewIncrementalFrom).
