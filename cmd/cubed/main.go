@@ -274,8 +274,9 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// checkpoint commits a new snapshot generation, optionally bounded by
 	// a wall-clock deadline. CheckpointWith holds the server's checkpoint
-	// mutex, so a SIGTERM arriving mid-way through a timer checkpoint
-	// queues the shutdown checkpoint behind it instead of racing it; the
+	// mutex, and shutdown joins the timer goroutine before its own
+	// checkpoint, so a SIGTERM arriving mid-way through a timer checkpoint
+	// runs the shutdown checkpoint after it instead of racing it; the
 	// WAL is truncated only after the generation commits. The shutdown
 	// call passes -shutdown-timeout: an fsync wedged against a dead disk
 	// is uninterruptible, and the daemon must exit anyway — the WAL covers
@@ -292,20 +293,26 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		logf("checkpoint (%s) written to %s in %s", reason, *snapPath, time.Since(start).Round(time.Millisecond))
 	}
 
-	if *interval > 0 && *snapPath != "" {
-		go func() {
-			t := time.NewTicker(*interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
+	timerDone := make(chan struct{})
+	go func() {
+		defer close(timerDone)
+		if *interval <= 0 || rot == nil {
+			return
+		}
+		t := time.NewTicker(*interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if ctx.Err() != nil { // select picks at random when both are ready
 					return
-				case <-t.C:
-					checkpoint("timer", 0)
 				}
+				checkpoint("timer", 0)
 			}
-		}()
-	}
+		}
+	}()
 
 	<-ctx.Done()
 	stop()
@@ -319,7 +326,21 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		logf("shutdown: %v", err)
 	}
-	checkpoint("shutdown", *shutTO)
+	// Join the timer goroutine first: a timer checkpoint queued on the
+	// checkpoint mutex could otherwise win it after the shutdown
+	// checkpoint and commit a generation after "bye". One wedged in an
+	// fsync is abandoned on the same bound as the shutdown checkpoint,
+	// which could only queue behind it.
+	var overdue <-chan time.Time
+	if *shutTO > 0 {
+		overdue = time.After(*shutTO)
+	}
+	select {
+	case <-timerDone:
+		checkpoint("shutdown", *shutTO)
+	case <-overdue:
+		logf("checkpoint (shutdown): a timer checkpoint is still running after %v; abandoned, the wal still covers acknowledged writes", *shutTO)
+	}
 	logf("bye")
 	return 0
 }
@@ -512,8 +533,9 @@ func loadCorpus(load, genK string, n int, seed int64) (*qb.Corpus, error) {
 }
 
 // runCheck verifies a snapshot round trip: the persisted relationship
-// sets must equal a fresh recomputation over the reconstructed space, and
-// every persisted degree the one the space derives.
+// sets must equal a fresh recomputation over the reconstructed space (the
+// decoder has already compared every persisted degree with the one that
+// space derives, as it does on every load).
 // The snapshot is resolved through the same rotation fallback the
 // serving path uses, so -check exercises exactly what a restart loads.
 func runCheck(rot *snapshot.Rotator, alg core.Algorithm, tasks core.Tasks, stdout io.Writer, logf func(string, ...any)) int {
@@ -546,15 +568,6 @@ func runCheck(rot *snapshot.Rotator, alg core.Algorithm, tasks core.Tasks, stdou
 	if !equalPairs(persisted.ComplSet, fresh.ComplSet) {
 		logf("check failed: complementarity differs (persisted %d, fresh %d)", len(persisted.ComplSet), len(fresh.ComplSet))
 		return 1
-	}
-	// A persisted degree is the OCM cell over |P|, bit for bit
-	// (core.TestDerivedDegreeLicence).
-	for _, p := range persisted.PartialSet {
-		got := sn.Result.PartialDegree[p]
-		if want := float64(sn.Space.ContainDegree(p.A, p.B)) / float64(sn.Space.NumDims()); got != want {
-			logf("check failed: partial degree of pair (%d, %d) is %v, the space derives %v", p.A, p.B, got, want)
-			return 1
-		}
 	}
 	fmt.Fprintf(stdout, "ok: %d observations, %d/%d/%d full/partial/compl pairs match a fresh recomputation\n",
 		sn.Space.N(), len(fresh.FullSet), len(fresh.PartialSet), len(fresh.ComplSet))

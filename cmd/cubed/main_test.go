@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -15,7 +18,6 @@ import (
 	"time"
 
 	rdfcube "rdfcube"
-	"rdfcube/internal/snapshot"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: the daemon goroutine
@@ -78,29 +80,68 @@ func TestOnceBuildsSnapshotAndCheckPasses(t *testing.T) {
 	}
 }
 
+// patchFirstDegree overwrites, in the snapshot file at path, the stored
+// degree of the first S_P pair and recomputes the RSLT frame's CRC — the
+// patchSection approach of snapshot's corrupt_test.go: damage that framing
+// and checksum vouch for, so only the decoder's own validation sees it. It
+// returns the pair.
+func patchFirstDegree(t *testing.T, path string, deg float64) (a, b uint64) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 12; off+8 <= len(data); { // sections: tag, length, payload, CRC
+		n := int(binary.LittleEndian.Uint32(data[off+4:]))
+		payload := data[off+8 : off+8+n]
+		if string(data[off:off+4]) != "RSLT" {
+			off += 8 + n + 4
+			continue
+		}
+		at := 0
+		uvarint := func() uint64 {
+			v, k := binary.Uvarint(payload[at:])
+			if k <= 0 {
+				t.Fatalf("RSLT payload does not parse at offset %d", at)
+			}
+			at += k
+			return v
+		}
+		for nFull := uvarint(); nFull > 0; nFull-- {
+			uvarint()
+			uvarint()
+		}
+		if uvarint() == 0 {
+			t.Fatal("degenerate fixture: no partial pairs")
+		}
+		a, b = uvarint(), uvarint()
+		binary.LittleEndian.PutUint64(payload[at:], math.Float64bits(deg))
+		binary.LittleEndian.PutUint32(data[off+8+n:], crc32.ChecksumIEEE(payload))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return a, b
+	}
+	t.Fatal("no RSLT section")
+	return 0, 0
+}
+
 // TestCheckComparesDegrees: a snapshot whose pair sets are right but which
-// carries a degree the space does not derive — decodable, because it is
-// inside (0, 1) — fails -check, naming the pair.
+// carries a degree the space does not derive — inside (0, 1), under a valid
+// CRC — fails -check, naming the pair. The comparison is the decoder's, made
+// on every load, so -check needs no loop of its own.
 func TestCheckComparesDegrees(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "idx.bin")
 	var out, errOut bytes.Buffer
 	if code := run(context.Background(), []string{"-gen", "example", "-snapshot", snap, "-once"}, &out, &errOut); code != 0 {
 		t.Fatalf("build: exit %d\nstderr: %s", code, errOut.String())
 	}
-	sn, err := snapshot.ReadFile(snap + ".000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sn.Result.PartialSet[0]
-	sn.Result.PartialDegree[p] = 0.9
-	if err := sn.WriteFile(snap + ".000001"); err != nil {
-		t.Fatal(err)
-	}
+	a, b := patchFirstDegree(t, snap+".000001", 0.9)
 	errOut.Reset()
 	if code := run(context.Background(), []string{"-snapshot", snap, "-check"}, &out, &errOut); code != 1 {
 		t.Fatalf("check of a wrong degree: exit %d, want 1\nstderr: %s", code, errOut.String())
 	}
-	if want := fmt.Sprintf("partial degree of pair (%d, %d) is 0.9", p.A, p.B); !strings.Contains(errOut.String(), want) {
+	if want := fmt.Sprintf("partial degree of pair (%d, %d) is 0.9", a, b); !strings.Contains(errOut.String(), want) {
 		t.Fatalf("stderr does not name the pair (%q): %s", want, errOut.String())
 	}
 }

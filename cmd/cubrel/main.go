@@ -193,7 +193,7 @@ func main() {
 		}
 		for _, pr := range comp.Result.PartialSet {
 			fmt.Printf("partial,%s,%s,%.4f\n", comp.Obs(pr.A).URI.Value, comp.Obs(pr.B).URI.Value,
-				comp.Result.PartialDegree[pr])
+				comp.Space.Degree(pr.A, pr.B))
 		}
 		for _, pr := range comp.Result.ComplSet {
 			fmt.Printf("complementarity,%s,%s,1\n", comp.Obs(pr.A).URI.Value, comp.Obs(pr.B).URI.Value)

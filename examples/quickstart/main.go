@@ -88,7 +88,7 @@ func main() {
 	fmt.Println("Partial containment (containing dimensions / all dimensions):")
 	for _, p := range comp.Result.PartialSet {
 		fmt.Printf("  %s partially contains %s (degree %.2f)\n",
-			comp.Obs(p.A).URI.Local(), comp.Obs(p.B).URI.Local(), comp.Result.PartialDegree[p])
+			comp.Obs(p.A).URI.Local(), comp.Obs(p.B).URI.Local(), comp.Space.Degree(p.A, p.B))
 	}
 	fmt.Println("Complementarity (same point, combinable measures):")
 	for _, p := range comp.Result.ComplSet {

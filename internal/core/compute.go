@@ -197,10 +197,9 @@ func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
 // an ordered prefix. A nil ctx behaves like context.Background().
 //
 // A sink that is a *Result is bulk-loaded: the run emits into append-only
-// columns and the Result receives them — sets appended in emission order,
-// PartialDegree built once at its final size — when the run ends, however
-// it ends. Until ComputeCtx returns the Result is unchanged; afterwards it
-// holds what per-event calls would have left.
+// columns and the Result receives them — sets appended in emission order —
+// when the run ends, however it ends. Until ComputeCtx returns the Result
+// is unchanged; afterwards it holds what per-event calls would have left.
 func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink Sink) error {
 	if opts.Strict {
 		if err := opts.Validate(alg); err != nil {

@@ -8,27 +8,29 @@ import (
 	"rdfcube/internal/qb"
 )
 
-// checkDerivedDegrees asserts, for every partial pair of res, that the
-// stored degree is the normalised OCM cell read off the space — with
-// exact float equality: both sides are the same division.
-func checkDerivedDegrees(t *testing.T, what string, s *Space, res *Result) {
+// checkDerivedDegrees asserts that every degree rec saw emitted is the one
+// Space.Degree derives for that pair — the normalised OCM cell, with exact
+// float equality: both sides are the same division.
+func checkDerivedDegrees(t *testing.T, what string, s *Space, rec naiveResult) {
 	t.Helper()
-	if len(res.PartialSet) == 0 {
-		t.Errorf("%s: degenerate fixture, no partial pairs", what)
+	if len(rec.degree) == 0 {
+		t.Errorf("%s: degenerate fixture, no partial pair emitted", what)
 	}
 	p := s.NumDims()
-	for _, pr := range res.PartialSet {
+	for pr, got := range rec.degree {
 		deg := s.ContainDegree(pr.A, pr.B)
-		if got, want := res.PartialDegree[pr], float64(deg)/float64(p); got != want {
-			t.Fatalf("%s: PartialDegree[%v] = %v, the space derives %d/%d = %v", what, pr, got, deg, p, want)
+		if want := float64(deg) / float64(p); got != want || s.Degree(pr.A, pr.B) != want {
+			t.Fatalf("%s: pair %v emitted with degree %v, Space.Degree says %v, the OCM cell is %d/%d = %v",
+				what, pr, got, s.Degree(pr.A, pr.B), deg, p, want)
 		}
 	}
 }
 
-// holdOutEveryThird splits c into a base corpus and the held-out third of
-// its observations (spread over every dataset), re-homed onto the base
-// corpus's datasets so they can be inserted into a space compiled from it.
-func holdOutEveryThird(c *qb.Corpus) (base *qb.Corpus, tail []*qb.Observation) {
+// holdOut splits c into a base corpus and every k-th of its observations
+// (spread over every dataset; k = 1 holds out all of them, in Space.Obs
+// order), re-homed onto the base corpus's datasets so they can be inserted
+// into a space compiled from it.
+func holdOut(c *qb.Corpus, k int) (base *qb.Corpus, tail []*qb.Observation) {
 	base = qb.NewCorpus(c.Hierarchies)
 	idx := 0
 	for _, ds := range c.Datasets {
@@ -36,7 +38,7 @@ func holdOutEveryThird(c *qb.Corpus) (base *qb.Corpus, tail []*qb.Observation) {
 		for _, o := range ds.Observations {
 			no := *o
 			no.Dataset = nds
-			if idx%3 == 2 {
+			if idx%k == k-1 {
 				tail = append(tail, &no)
 			} else {
 				nds.Observations = append(nds.Observations, &no)
@@ -48,12 +50,12 @@ func holdOutEveryThird(c *qb.Corpus) (base *qb.Corpus, tail []*qb.Observation) {
 	return base, tail
 }
 
-// TestDerivedDegreeLicence is what licenses a reader to derive a partial
-// pair's degree from the compiled Space instead of looking it up in
-// Result.PartialDegree (the serving layer's /v1/related does): whichever
-// path produced the pair — any of the six algorithms, serial or pooled, or
-// Incremental.Insert — the stored degree equals
-// float64(ContainDegree(a, b))/float64(NumDims()) bit for bit.
+// TestDerivedDegreeLicence is what licenses every reader to derive a
+// partial pair's degree from the compiled Space, and Result to store none:
+// whichever path emits the pair — any of the six algorithms, serial or
+// pooled, or Incremental.Insert — the degree it emits equals
+// float64(ContainDegree(a, b))/float64(NumDims()) = Space.Degree(a, b) bit
+// for bit.
 func TestDerivedDegreeLicence(t *testing.T) {
 	_, shardWorlds := gen.ShardWorlds(gen.ShardWorldsConfig{ObsPerDataset: 100, Seed: 5})
 	corpora := map[string]*qb.Corpus{
@@ -67,13 +69,13 @@ func TestDerivedDegreeLicence(t *testing.T) {
 		}
 		for _, alg := range Algorithms() {
 			for _, workers := range []int{1, 2} {
-				res := NewResult()
-				mustCompute(t, s, alg, bulkTestOptions(workers), res)
-				checkDerivedDegrees(t, fmt.Sprintf("%s %s workers=%d", name, alg, workers), s, res)
+				rec := newNaiveResult()
+				mustCompute(t, s, alg, bulkTestOptions(workers), rec)
+				checkDerivedDegrees(t, fmt.Sprintf("%s %s workers=%d", name, alg, workers), s, rec)
 			}
 		}
 
-		base, tail := holdOutEveryThird(c)
+		base, tail := holdOut(c, 3)
 		if len(tail) < 200 {
 			t.Fatalf("%s: only %d observations held out, want ≥ 200", name, len(tail))
 		}
@@ -83,14 +85,18 @@ func TestDerivedDegreeLicence(t *testing.T) {
 		}
 		inc := NewIncremental(bs, TaskAll)
 		grown := len(inc.Res.PartialSet)
+		// rec writes through to inc.Res, so the maintained state is what
+		// Insert would have left; it records the inserts' emissions only.
+		rec := naiveResult{inc.Res, map[Pair]float64{}}
 		for _, o := range tail {
-			if _, err := inc.Insert(o); err != nil {
+			if _, err := inc.insert(o, rec); err != nil {
 				t.Fatalf("%s: insert %s: %v", name, o.URI, err)
 			}
 		}
-		if len(inc.Res.PartialSet) == grown {
-			t.Errorf("%s: %d inserts added no partial pair", name, len(tail))
+		if got := len(inc.Res.PartialSet) - grown; got == 0 || got != len(rec.degree) {
+			t.Errorf("%s: %d inserts added %d partial pairs and emitted %d degrees", name, len(tail), got, len(rec.degree))
 		}
-		checkDerivedDegrees(t, name+" after inserts", inc.S, inc.Res)
+		checkDerivedDegrees(t, name+" inserts", inc.S, rec)
+		checkNoDegreeTable(t, name+" after inserts", inc.Res)
 	}
 }

@@ -1,51 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"rdfcube/internal/lattice"
 	"rdfcube/internal/qb"
 )
-
-// compileObservation resolves o against the space's fixed feature space,
-// returning its code row and measure mask without mutating anything.
-func (s *Space) compileObservation(o *qb.Observation) ([]int32, uint64, error) {
-	row := make([]int32, len(s.Dims))
-	for d, dim := range s.Dims {
-		cl := s.Lists[d]
-		v := o.Value(dim)
-		if v.IsZero() {
-			row[d] = 0
-			continue
-		}
-		found := int32(-1)
-		for i, code := range cl.Codes() {
-			if code == v {
-				found = int32(i)
-				break
-			}
-		}
-		if found < 0 {
-			return nil, 0, fmt.Errorf("core: observation %s: value %s not in code list of %s", o.URI, v, dim)
-		}
-		row[d] = found
-	}
-	var mask uint64
-	for _, m := range o.Dataset.Schema.Measures {
-		bit := -1
-		for i, gm := range s.Measures {
-			if gm == m {
-				bit = i
-				break
-			}
-		}
-		if bit < 0 {
-			return nil, 0, fmt.Errorf("core: observation %s: measure %s not in the space", o.URI, m)
-		}
-		mask |= 1 << uint(bit)
-	}
-	return row, mask, nil
-}
 
 // ValidateObservation checks that o can join the space — its dataset
 // schema uses only known dimensions and measures, and its values belong
@@ -53,7 +11,7 @@ func (s *Space) compileObservation(o *qb.Observation) ([]int32, uint64, error) {
 // call it before durably logging an insert, so a record that reaches the
 // write-ahead log is guaranteed to apply cleanly on replay.
 func (s *Space) ValidateObservation(o *qb.Observation) error {
-	_, _, err := s.compileObservation(o)
+	_, err := s.compileRow(o, make([]int32, len(s.Dims)))
 	return err
 }
 
@@ -65,7 +23,8 @@ func (s *Space) ValidateObservation(o *qb.Observation) error {
 // It returns the new observation's index. Validation happens before any
 // mutation: on error the space is unchanged.
 func (s *Space) AppendObservation(o *qb.Observation) (int, error) {
-	row, mask, err := s.compileObservation(o)
+	row := make([]int32, len(s.Dims))
+	mask, err := s.compileRow(o, row)
 	if err != nil {
 		return 0, err
 	}
@@ -114,9 +73,6 @@ func NewIncrementalFrom(s *Space, tasks Tasks, res *Result, l *lattice.Lattice) 
 	if res == nil {
 		res = NewResult()
 	}
-	if res.PartialDegree == nil {
-		res.PartialDegree = map[Pair]float64{}
-	}
 	if l == nil {
 		l = BuildLattice(s)
 	}
@@ -130,7 +86,10 @@ func (inc *Incremental) Lattice() *lattice.Lattice { return inc.l }
 // relationship the new observation participates in, and returns its index.
 // With a recorder attached to the space, each insert batches its pruning
 // and comparison counters and flushes them once on return.
-func (inc *Incremental) Insert(o *qb.Observation) (int, error) {
+func (inc *Incremental) Insert(o *qb.Observation) (int, error) { return inc.insert(o, inc.Res) }
+
+// insert is Insert emitting into sink (tests record what it emits).
+func (inc *Incremental) insert(o *qb.Observation, sink Sink) (int, error) {
 	s := inc.S
 	i, err := s.AppendObservation(o)
 	if err != nil {
@@ -155,7 +114,7 @@ func (inc *Incremental) Insert(o *qb.Observation) (int, error) {
 		ordered += 2 * int64(len(c.Obs))
 		dimTests += int64(len(candA)+len(candB)) * int64(len(c.Obs))
 		for _, j := range c.Obs {
-			inc.comparePairBoth(i, j, candA, candB)
+			inc.comparePairBoth(i, j, candA, candB, sink)
 		}
 	}
 	inc.l.Add(i, sig)
@@ -171,7 +130,7 @@ func (inc *Incremental) Insert(o *qb.Observation) (int, error) {
 
 // comparePairBoth resolves both directions of the pair (i, j) over the
 // candidate dimensions.
-func (inc *Incremental) comparePairBoth(i, j int, candA, candB []int) {
+func (inc *Incremental) comparePairBoth(i, j int, candA, candB []int, sink Sink) {
 	s, p := inc.S, inc.S.NumDims()
 	var degIJ, degJI int
 	for _, d := range candA {
@@ -187,21 +146,21 @@ func (inc *Incremental) comparePairBoth(i, j int, candA, candB []int) {
 	shares := s.SharesMeasure(i, j)
 	if inc.tasks.Has(TaskFull) && shares {
 		if degIJ == p {
-			inc.Res.Full(i, j)
+			sink.Full(i, j)
 		}
 		if degJI == p {
-			inc.Res.Full(j, i)
+			sink.Full(j, i)
 		}
 	}
 	if inc.tasks.Has(TaskPartial) && shares {
 		if degIJ > 0 && degIJ < p {
-			inc.Res.Partial(i, j, float64(degIJ)/float64(p))
+			sink.Partial(i, j, float64(degIJ)/float64(p))
 		}
 		if degJI > 0 && degJI < p {
-			inc.Res.Partial(j, i, float64(degJI)/float64(p))
+			sink.Partial(j, i, float64(degJI)/float64(p))
 		}
 	}
 	if inc.tasks.Has(TaskCompl) && degIJ == p && degJI == p {
-		inc.Res.Compl(i, j)
+		sink.Compl(i, j)
 	}
 }

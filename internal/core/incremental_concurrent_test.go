@@ -41,14 +41,14 @@ func TestIncrementalConcurrentReaders(t *testing.T) {
 				}
 				mu.RLock()
 				// Walk the structures a query handler reads: the sets,
-				// the degree map, the space and a signature.
+				// the derived degrees, the space and a signature.
 				n := inc.S.N()
 				for _, p := range inc.Res.FullSet {
 					_ = inc.S.Obs[p.A].URI
 					_ = inc.S.Obs[p.B].URI
 				}
 				for _, p := range inc.Res.PartialSet {
-					_ = inc.Res.PartialDegree[p]
+					_ = inc.S.Degree(p.A, p.B)
 				}
 				_ = len(inc.Res.ComplSet)
 				_ = inc.S.Signature(i % n)

@@ -14,7 +14,6 @@ type Index struct {
 	containedBy [][]int32 // containedBy[i]: observations fully containing i
 	partials    [][]int32 // partials[i]: observations i partially contains
 	complements [][]int32 // complements[i]: complementary partners of i
-	degree      map[Pair]float64
 }
 
 // BuildIndex computes all relationships with the given algorithm and
@@ -35,7 +34,6 @@ func NewIndex(s *Space, res *Result) *Index {
 		containedBy: make([][]int32, s.N()),
 		partials:    make([][]int32, s.N()),
 		complements: make([][]int32, s.N()),
-		degree:      res.PartialDegree,
 	}
 	for _, p := range res.FullSet {
 		ix.contains[p.A] = append(ix.contains[p.A], int32(p.B))
@@ -71,8 +69,14 @@ func (ix *Index) PartiallyContains(i int) []int { return toInts(ix.partials[i]) 
 // Complements returns i's complementary partners.
 func (ix *Index) Complements(i int) []int { return toInts(ix.complements[i]) }
 
-// Degree returns the partial-containment degree for the ordered pair, or 0.
-func (ix *Index) Degree(a, b int) float64 { return ix.degree[Pair{a, b}] }
+// Degree returns the partial-containment degree for the ordered pair, or 0
+// when the pair is not in S_P.
+func (ix *Index) Degree(a, b int) float64 {
+	if _, ok := slices.BinarySearch(ix.partials[a], int32(b)); !ok {
+		return 0
+	}
+	return ix.space.Degree(a, b)
+}
 
 // TopLevel returns the observations contained by nobody — the skyline, read
 // directly off the materialized sets ("computation of containment between
@@ -89,17 +93,8 @@ func (ix *Index) TopLevel() []int {
 
 // hasEdge reports whether the full-containment edge a → b is materialized.
 func (ix *Index) hasEdge(a, b int32) bool {
-	l := ix.contains[a]
-	lo, hi := 0, len(l)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l[mid] < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(l) && l[lo] == b
+	_, ok := slices.BinarySearch(ix.contains[a], b)
+	return ok
 }
 
 // equivalent reports mutual full containment: the pair carries identical

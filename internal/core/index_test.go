@@ -47,6 +47,14 @@ func TestIndexNeighborhoods(t *testing.T) {
 	if d := ix.Degree(idx["o21"], idx["o31"]); d < 0.66 || d > 0.67 {
 		t.Errorf("Degree(o21, o31) = %v", d)
 	}
+	// A pair outside S_P answers 0 although the space derives a degree for
+	// it: o21 fully contains o32 (degree 1), o12 → o11 has degree 0.
+	if d := ix.Degree(idx["o21"], idx["o32"]); d != 0 || ix.Space().Degree(idx["o21"], idx["o32"]) != 1 {
+		t.Errorf("Degree(o21, o32) = %v for a full pair the space gives %v, want 0 and 1", d, ix.Space().Degree(idx["o21"], idx["o32"]))
+	}
+	if d := ix.Degree(idx["o12"], idx["o11"]); d != 0 {
+		t.Errorf("Degree(o12, o11) = %v for a non-pair, want 0", d)
+	}
 }
 
 func TestIndexTopLevelMatchesSkyline(t *testing.T) {

@@ -115,12 +115,12 @@ func TestParityDirectEmitSetEquivalence(t *testing.T) {
 		for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
 			opts := Options{Tasks: TaskAll}
 			opts.Clustering.Config.Seed = 7
-			want := NewResult()
+			want := newNaiveResult()
 			mustCompute(t, s, alg, serialOptions(opts), want)
 			want.Sort()
 			for _, workers := range []int{0, 1, 2, 8} {
 				opts.Workers = workers
-				got := NewResult()
+				got := newNaiveResult()
 				mustCompute(t, s, alg, opts, got)
 				got.Sort()
 				if !reflect.DeepEqual(got.FullSet, want.FullSet) ||
@@ -128,14 +128,11 @@ func TestParityDirectEmitSetEquivalence(t *testing.T) {
 					!reflect.DeepEqual(got.ComplSet, want.ComplSet) {
 					t.Errorf("%s workers=%d: pooled sets differ from serial", alg, workers)
 				}
-				if !reflect.DeepEqual(got.PartialDegree, want.PartialDegree) {
+				if !reflect.DeepEqual(got.degree, want.degree) {
 					t.Errorf("%s workers=%d: pooled degrees differ from serial", alg, workers)
 				}
-				if len(got.PartialDims) != 0 {
-					t.Errorf("%s workers=%d: the run filled PartialDims (%d entries)", alg, workers, len(got.PartialDims))
-				}
 			}
-			if len(want.PartialDegree) == 0 {
+			if len(want.degree) == 0 {
 				t.Errorf("%s: degenerate input: no partial pairs", alg)
 			}
 		}

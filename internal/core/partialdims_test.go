@@ -37,8 +37,7 @@ func TestPartialDimsMapOnExample(t *testing.T) {
 // report: for every S_P pair of every algorithm, serial and pooled, on
 // random corpora, ContainDims is strictly ascending, holds only dimensions
 // DimContains confirms, and has exactly ContainDegree members — which is
-// the degree the kernel stored, times |P|. The kernels fill no dimension
-// map of their own.
+// the degree the kernel emitted, times |P|.
 func TestPartialDimsConsistency(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		s, err := NewSpace(randomCorpus(seed))
@@ -48,13 +47,10 @@ func TestPartialDimsConsistency(t *testing.T) {
 		p := s.NumDims()
 		for _, alg := range Algorithms() {
 			for _, workers := range []int{0, 2, 4} {
-				res := NewResult()
+				res := newNaiveResult()
 				mustCompute(t, s, alg, Options{Workers: workers}, res)
 				if len(res.PartialSet) == 0 {
 					t.Errorf("seed %d %s workers=%d: degenerate fixture, no partial pairs", seed, alg, workers)
-				}
-				if res.PartialDims != nil {
-					t.Errorf("seed %d %s workers=%d: the run filled PartialDims (%d entries)", seed, alg, workers, len(res.PartialDims))
 				}
 				for _, pr := range res.PartialSet {
 					dims := s.ContainDims(pr.A, pr.B)
@@ -67,9 +63,9 @@ func TestPartialDimsConsistency(t *testing.T) {
 						}
 					}
 					deg := s.ContainDegree(pr.A, pr.B)
-					if stored := int(math.Round(res.PartialDegree[pr] * float64(p))); len(dims) != deg || deg != stored {
-						t.Fatalf("seed %d %s workers=%d: pair %v: |map_P| = %d, ContainDegree = %d, stored degree·|P| = %d",
-							seed, alg, workers, pr, len(dims), deg, stored)
+					if emitted := int(math.Round(res.degree[pr] * float64(p))); len(dims) != deg || deg != emitted {
+						t.Fatalf("seed %d %s workers=%d: pair %v: |map_P| = %d, ContainDegree = %d, emitted degree·|P| = %d",
+							seed, alg, workers, pr, len(dims), deg, emitted)
 					}
 				}
 			}

@@ -80,11 +80,11 @@ func TestQuickAlgorithmsAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		truth := NewResult()
+		truth := newNaiveResult() // records emitted degrees, as res below
 		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, truth)
 		truth.Sort()
 		for _, alg := range []Algorithm{AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch, AlgorithmParallel} {
-			res := NewResult()
+			res := newNaiveResult()
 			if err := Compute(s, alg, Options{}, res); err != nil {
 				return false
 			}
@@ -94,8 +94,8 @@ func TestQuickAlgorithmsAgree(t *testing.T) {
 				!samePairs(truth.ComplSet, res.ComplSet) {
 				return false
 			}
-			for p, d := range truth.PartialDegree {
-				if res.PartialDegree[p] != d {
+			for p, d := range truth.degree {
+				if res.degree[p] != d {
 					return false
 				}
 			}
@@ -133,7 +133,7 @@ func TestParityRandomSpacesAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		truth := NewResult()
+		truth := newNaiveResult() // records emitted degrees, as res below
 		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, truth)
 		truth.Sort()
 		tf, tp, tc := pairSet(truth.FullSet), pairSet(truth.PartialSet), pairSet(truth.ComplSet)
@@ -141,7 +141,7 @@ func TestParityRandomSpacesAcrossWorkers(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			// Exact algorithms: identical sorted sets and degrees.
 			for _, name := range []Algorithm{AlgorithmBaseline, AlgorithmParallel} {
-				res := NewResult()
+				res := newNaiveResult()
 				mustCompute(t, s, name, Options{Tasks: TaskAll, Workers: workers}, res)
 				res.Sort()
 				if !samePairs(truth.FullSet, res.FullSet) ||
@@ -149,10 +149,10 @@ func TestParityRandomSpacesAcrossWorkers(t *testing.T) {
 					!samePairs(truth.ComplSet, res.ComplSet) {
 					t.Errorf("seed %d workers %d: %s diverged from baseline", seed, workers, name)
 				}
-				for p, d := range truth.PartialDegree {
-					if res.PartialDegree[p] != d {
+				for p, d := range truth.degree {
+					if res.degree[p] != d {
 						t.Errorf("seed %d workers %d: %s degree(%v) = %v, want %v",
-							seed, workers, name, p, res.PartialDegree[p], d)
+							seed, workers, name, p, res.degree[p], d)
 					}
 				}
 			}
@@ -180,7 +180,7 @@ func TestParityRandomSpacesAcrossWorkers(t *testing.T) {
 					t.Errorf("seed %d workers %d: clustering invented compl pair %v", seed, workers, p)
 				}
 			}
-			_, _, _, overall := Recall(truth, cres)
+			_, _, _, overall := Recall(truth.Result, cres)
 			if overall < 0 || overall > 1 {
 				t.Errorf("seed %d workers %d: recall %v out of range", seed, workers, overall)
 			}

@@ -47,10 +47,7 @@ func (s *Space) RegisterDataset(ds *qb.Dataset) error {
 	if len(merged) > MaxMeasures {
 		return fmt.Errorf("core: register dataset %s: %d measures exceed the %d-measure limit", ds.URI.Value, len(merged), MaxMeasures)
 	}
-	measureBit := make(map[rdf.Term]uint64, len(merged))
-	for i, m := range merged {
-		measureBit[m] = 1 << uint(i)
-	}
+	measureBit := measureBits(merged)
 	// Recompute every observation's mask under the new bit assignment.
 	// The relationship sets are untouched: SharesMeasure is a set
 	// intersection, invariant under bit renumbering.
@@ -65,6 +62,7 @@ func (s *Space) RegisterDataset(ds *qb.Dataset) error {
 
 	s.Corpus.AddDataset(ds)
 	s.Measures = merged
+	s.measureBit = measureBit
 	s.mmask = mmask
 	return nil
 }

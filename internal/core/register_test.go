@@ -58,6 +58,17 @@ func TestRegisterDatasetGrowsMeasureUniverse(t *testing.T) {
 	if got := s.Corpus.Datasets[len(s.Corpus.Datasets)-1]; got != ds {
 		t.Errorf("registered dataset not appended to corpus")
 	}
+	// An observation appended afterwards gets its mask under the new
+	// numbering too: a twin of o31 shares what o31 shares.
+	twin := *s.Obs[idx["o31"]]
+	twin.URI = rdf.NewIRI("http://example.org/obs/o31-twin")
+	ti, err := s.AppendObservation(&twin)
+	if err != nil {
+		t.Fatalf("append after registration: %v", err)
+	}
+	if s.MeasureMask(ti) != s.MeasureMask(idx["o31"]) || !s.SharesMeasure(ti, idx["o21"]) || s.SharesMeasure(ti, idx["o11"]) {
+		t.Errorf("twin of o31 appended with mask %b, o31 has %b", s.MeasureMask(ti), s.MeasureMask(idx["o31"]))
+	}
 }
 
 func TestRegisterDatasetAcceptsInsertsAfterwards(t *testing.T) {

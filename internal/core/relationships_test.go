@@ -75,23 +75,23 @@ func TestBaselineFigure3(t *testing.T) {
 // holds at degree 1/3.
 func TestBaselinePartialExample(t *testing.T) {
 	s, idx := exampleSpace(t)
-	res := NewResult()
+	res := newNaiveResult() // records the degree each pair is emitted with
 	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, res)
 
 	p := Pair{idx["o21"], idx["o31"]}
-	if got := res.PartialDegree[p]; got < 0.66 || got > 0.67 {
-		t.Errorf("degree(o21→o31) = %v, want 2/3", got)
+	if got := res.degree[p]; got < 0.66 || got > 0.67 || got != s.Degree(p.A, p.B) {
+		t.Errorf("degree(o21→o31) = %v emitted, %v derived, want 2/3", got, s.Degree(p.A, p.B))
 	}
 	q := Pair{idx["o31"], idx["o21"]}
-	if got := res.PartialDegree[q]; got < 0.33 || got > 0.34 {
-		t.Errorf("degree(o31→o21) = %v, want 1/3", got)
+	if got := res.degree[q]; got < 0.33 || got > 0.34 || got != s.Degree(q.A, q.B) {
+		t.Errorf("degree(o31→o21) = %v emitted, %v derived, want 1/3", got, s.Degree(q.A, q.B))
 	}
 	// o11 → o12 is partial (sex only); the reverse direction has degree 0
 	// and must not appear.
-	if _, ok := res.PartialDegree[Pair{idx["o11"], idx["o12"]}]; !ok {
+	if _, ok := res.degree[Pair{idx["o11"], idx["o12"]}]; !ok {
 		t.Errorf("missing partial (o11, o12)")
 	}
-	if _, ok := res.PartialDegree[Pair{idx["o12"], idx["o11"]}]; ok {
+	if _, ok := res.degree[Pair{idx["o12"], idx["o11"]}]; ok {
 		t.Errorf("unexpected partial (o12, o11): degree 0 must not be partial")
 	}
 	// o11 and o31 share no measure: despite OCM degree 1 both ways they

@@ -29,7 +29,8 @@ type Sink interface {
 }
 
 // Result collects relationship sets in memory: the paper's S_F, S_P and
-// S_C, plus partial-containment degrees.
+// S_C, three pair columns. A partial pair's degree is derived on read
+// (Space.Degree), never stored.
 type Result struct {
 	// FullSet is S_F: ordered fully-containing pairs.
 	FullSet []Pair
@@ -37,37 +38,35 @@ type Result struct {
 	PartialSet []Pair
 	// ComplSet is S_C: unordered complementary pairs, stored with A < B.
 	ComplSet []Pair
-	// PartialDegree maps each S_P pair to its OCM degree.
+	// PartialDegree and PartialDims are not filled by Compute, Incremental
+	// or snapshot.Read — they stay nil: a pair's degree is Space.Degree and
+	// Algorithm 2's map_P is Space.ContainDims, both functions of the two
+	// rows. The fields are kept only because benchmark/state.go names them;
+	// the benchmark-archetype PR of ROADMAP 2(a) drops those names and
+	// these fields.
 	PartialDegree map[Pair]float64
-	// Not filled by Compute, Incremental or snapshot.Read — it stays nil:
-	// Algorithm 2's map_P is derived by Space.ContainDims. The field is
-	// kept only because benchmark/state.go names it; the next
-	// benchmark-archetype PR (ROADMAP 1(a)) drops that name and this field.
-	PartialDims map[Pair][]int
+	PartialDims   map[Pair][]int
 }
 
 // NewResult returns an empty collecting sink.
-func NewResult() *Result { return NewResultSized(0) }
+func NewResult() *Result { return &Result{} }
 
 // NewResultSized returns an empty collecting sink with room for nPartial
-// partial pairs in PartialSet and PartialDegree — for a loader that reads
-// the count before the pairs (snapshot decode) and so can skip the map's
-// growth. The caller vouches for nPartial; nothing here bounds it.
+// pairs in PartialSet — for a loader that reads the count before the pairs
+// (snapshot decode). The caller vouches for nPartial; nothing here bounds
+// it.
 func NewResultSized(nPartial int) *Result {
-	r := &Result{PartialDegree: make(map[Pair]float64, nPartial)}
+	r := NewResult()
 	if nPartial > 0 {
 		r.PartialSet = make([]Pair, 0, nPartial)
 	}
 	return r
 }
 
-// Bulk load. ComputeCtx does not let a kernel update a *Result event by
-// event: an insert per partial pair into a map that rehashes as it grows
-// costs more than the sweep that finds the pairs. The run emits into a
-// resultStage instead — append-only columns — and one commit, on every
-// exit path of the run, appends the three sets and builds the degree map
-// once at its final size. Result.Partial called directly (core.Incremental,
-// snapshot decode) keeps its immediate-map semantics.
+// Bulk load. ComputeCtx does not let a kernel grow a *Result event by
+// event: the run emits into a resultStage instead — three append-only pair
+// columns — and one commit, on every exit path of the run, appends each to
+// its set with a single growth.
 
 // stageChunk is the length of one column chunk. Columns grow chunk by
 // chunk, never by one doubling append over the whole run, so staging
@@ -91,26 +90,17 @@ func (c *column[T]) push(v T) {
 	c.n++
 }
 
-// stagedDegree is the partial column's record.
-type stagedDegree struct {
-	p      Pair
-	degree float64
-}
-
 // resultStage is the Sink a run into a *Result really emits into.
 type resultStage struct {
-	res         *Result
-	full, compl column[Pair]
-	partial     column[stagedDegree]
+	res                  *Result
+	full, partial, compl column[Pair]
 }
 
 // Full implements Sink.
 func (st *resultStage) Full(a, b int) { st.full.push(Pair{a, b}) }
 
-// Partial implements Sink.
-func (st *resultStage) Partial(a, b int, degree float64) {
-	st.partial.push(stagedDegree{Pair{a, b}, degree})
-}
+// Partial implements Sink; the degree is not kept (see Result.Partial).
+func (st *resultStage) Partial(a, b int, _ float64) { st.partial.push(Pair{a, b}) }
 
 // Compl implements Sink.
 func (st *resultStage) Compl(a, b int) {
@@ -120,21 +110,13 @@ func (st *resultStage) Compl(a, b int) {
 	st.compl.push(Pair{a, b})
 }
 
-// commit moves the staged run into the Result, in emission order. Entries
-// the Result already held are kept; a staged pair that repeats one
-// overwrites its map entry, as the direct call would.
+// commit moves the staged run into the Result, in emission order, after
+// whatever the Result already held.
 func (st *resultStage) commit() {
 	r := st.res
 	r.FullSet = appendColumn(r.FullSet, st.full)
+	r.PartialSet = appendColumn(r.PartialSet, st.partial)
 	r.ComplSet = appendColumn(r.ComplSet, st.compl)
-	r.PartialSet = slices.Grow(r.PartialSet, st.partial.n)
-	r.PartialDegree = sizedMap(r.PartialDegree, st.partial.n)
-	for _, ch := range st.partial.chunks {
-		for _, e := range ch {
-			r.PartialSet = append(r.PartialSet, e.p)
-			r.PartialDegree[e.p] = e.degree
-		}
-	}
 }
 
 // appendColumn appends a staged pair column to a set with one growth.
@@ -147,20 +129,6 @@ func appendColumn(set []Pair, c column[Pair]) []Pair {
 		set = append(set, ch...)
 	}
 	return set
-}
-
-// sizedMap returns m with room for extra more entries: m itself when
-// nothing is coming, else a map allocated once at the final size with m's
-// entries copied over (a Go map cannot be grown in place).
-func sizedMap(m map[Pair]float64, extra int) map[Pair]float64 {
-	if m != nil && extra == 0 {
-		return m
-	}
-	out := make(map[Pair]float64, len(m)+extra)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // Tape encoding. A pool worker's private tape is a single event-packed
@@ -281,12 +249,9 @@ func releaseTape(t *tape) {
 // Full implements Sink.
 func (r *Result) Full(a, b int) { r.FullSet = append(r.FullSet, Pair{a, b}) }
 
-// Partial implements Sink.
-func (r *Result) Partial(a, b int, degree float64) {
-	p := Pair{a, b}
-	r.PartialSet = append(r.PartialSet, p)
-	r.PartialDegree[p] = degree
-}
+// Partial implements Sink. The degree is not stored: it is a function of
+// the two observations' rows, and readers take it from Space.Degree.
+func (r *Result) Partial(a, b int, _ float64) { r.PartialSet = append(r.PartialSet, Pair{a, b}) }
 
 // Compl implements Sink.
 func (r *Result) Compl(a, b int) {

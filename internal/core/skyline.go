@@ -128,8 +128,7 @@ func KDominantSkylineFromResult(s *Space, res *Result, k int) []int {
 		consider(pr.A, pr.B, p)
 	}
 	for _, pr := range res.PartialSet {
-		deg := int(res.PartialDegree[pr]*float64(p) + 0.5)
-		consider(pr.A, pr.B, deg)
+		consider(pr.A, pr.B, s.ContainDegree(pr.A, pr.B))
 	}
 	var out []int
 	for i := 0; i < s.N(); i++ {

@@ -61,6 +61,9 @@ type Space struct {
 	levels [][]uint8 // levels[d][c]: hierarchy level of code c
 	mmask  []uint64  // mmask[i]: measure-set bitmask of obs i
 
+	codeIdx    []map[rdf.Term]int32 // codeIdx[d][code]: index in Lists[d].Codes()
+	measureBit map[rdf.Term]uint64  // measureBit[m]: m's bit in a measure mask
+
 	colStart []int // occurrence-matrix column offset per dimension
 	numCols  int
 
@@ -92,13 +95,10 @@ func NewSpaceObs(c *qb.Corpus, rec obsv.Recorder) (*Space, error) {
 	if len(s.Measures) > MaxMeasures {
 		return nil, fmt.Errorf("core: %d measures exceed the %d-measure limit", len(s.Measures), MaxMeasures)
 	}
-	measureBit := make(map[rdf.Term]uint64, len(s.Measures))
-	for i, m := range s.Measures {
-		measureBit[m] = 1 << uint(i)
-	}
+	s.measureBit = measureBits(s.Measures)
 
 	s.Lists = make([]*hierarchy.CodeList, len(s.Dims))
-	codeIdx := make([]map[rdf.Term]int32, len(s.Dims))
+	s.codeIdx = make([]map[rdf.Term]int32, len(s.Dims))
 	s.parent = make([][]int32, len(s.Dims))
 	s.levels = make([][]uint8, len(s.Dims))
 	s.colStart = make([]int, len(s.Dims)+1)
@@ -127,7 +127,7 @@ func NewSpaceObs(c *qb.Corpus, rec obsv.Recorder) (*Space, error) {
 			}
 			lev[i] = uint8(l)
 		}
-		codeIdx[d] = idx
+		s.codeIdx[d] = idx
 		s.parent[d] = par
 		s.levels[d] = lev
 		s.colStart[d+1] = s.colStart[d] + len(codes)
@@ -140,31 +140,52 @@ func NewSpaceObs(c *qb.Corpus, rec obsv.Recorder) (*Space, error) {
 	flat := make([]int32, len(s.Obs)*len(s.Dims))
 	for i, o := range s.Obs {
 		row := flat[i*len(s.Dims) : (i+1)*len(s.Dims)]
-		for d, dim := range s.Dims {
-			cl := s.Lists[d]
-			v := o.Value(dim)
-			if v.IsZero() {
-				row[d] = 0 // root: absent dimension means c_root
-				continue
-			}
-			ci, ok := codeIdx[d][v]
-			if !ok {
-				return nil, fmt.Errorf("core: observation %s: value %s not in code list of %s", o.URI, v, dim)
-			}
-			row[d] = ci
-			_ = cl
+		mask, err := s.compileRow(o, row)
+		if err != nil {
+			return nil, err
 		}
-		s.vals[i] = row
-		var mask uint64
-		for _, m := range o.Dataset.Schema.Measures {
-			mask |= measureBit[m]
-		}
-		s.mmask[i] = mask
+		s.vals[i], s.mmask[i] = row, mask
 	}
 	s.gauge(GaugeObservations, float64(len(s.Obs)))
 	s.gauge(GaugeDimensions, float64(len(s.Dims)))
 	s.gauge(GaugeColumns, float64(s.numCols))
 	return s, nil
+}
+
+// measureBits assigns each measure of a sorted measure set its mask bit.
+func measureBits(measures []rdf.Term) map[rdf.Term]uint64 {
+	bits := make(map[rdf.Term]uint64, len(measures))
+	for i, m := range measures {
+		bits[m] = 1 << uint(i)
+	}
+	return bits
+}
+
+// compileRow resolves o against the space's fixed feature space: it fills
+// row with o's code index per dimension (the root, index 0, for an absent
+// one) and returns o's measure mask, without mutating the space.
+func (s *Space) compileRow(o *qb.Observation, row []int32) (uint64, error) {
+	for d, dim := range s.Dims {
+		v := o.Value(dim)
+		if v.IsZero() {
+			row[d] = 0
+			continue
+		}
+		ci, ok := s.codeIdx[d][v]
+		if !ok {
+			return 0, fmt.Errorf("core: observation %s: value %s not in code list of %s", o.URI, v, dim)
+		}
+		row[d] = ci
+	}
+	var mask uint64
+	for _, m := range o.Dataset.Schema.Measures {
+		bit, ok := s.measureBit[m]
+		if !ok {
+			return 0, fmt.Errorf("core: observation %s: measure %s not in the space", o.URI, m)
+		}
+		mask |= bit
+	}
+	return mask, nil
 }
 
 // N returns the number of observations.
@@ -230,6 +251,14 @@ func (s *Space) ContainDegree(i, j int) int {
 		}
 	}
 	return n
+}
+
+// Degree returns the normalized OCM cell for the ordered pair (i, j) — the
+// degree of Cont_partial(i, j) when it lies strictly between 0 and 1. It is
+// the division every kernel performs when it emits the pair, so the two
+// agree bit for bit.
+func (s *Space) Degree(i, j int) float64 {
+	return float64(s.ContainDegree(i, j)) / float64(len(s.Dims))
 }
 
 // ContainDims returns the dimensions (indices in ascending Space.Dims

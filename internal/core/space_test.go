@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"rdfcube/internal/gen"
+	"rdfcube/internal/qb"
+	"rdfcube/internal/rdf"
 )
 
 func TestSpaceAccessors(t *testing.T) {
@@ -59,5 +64,56 @@ func TestSignatureMatchesLevels(t *testing.T) {
 	sD := dimIndex(t, s, gen.DimSex)
 	if sig[aD] != 3 || sig[tD] != 2 || sig[sD] != 0 {
 		t.Errorf("signature(o32) = %v", sig)
+	}
+}
+
+// TestAppendObservationMatchesCompile: the code and measure maps NewSpace
+// keeps for the insert path give an appended observation the row and the
+// mask the compile pass gives it — every observation of several corpora,
+// appended to a space compiled from the same datasets emptied — and an
+// unknown value or measure is still refused by name.
+func TestAppendObservationMatchesCompile(t *testing.T) {
+	corpora := map[string]*qb.Corpus{
+		"example":   gen.PaperExample(),
+		"realworld": gen.RealWorld(gen.RealWorldConfig{TotalObs: 300, Seed: 9}),
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		corpora[fmt.Sprintf("random-%d", seed)] = randomCorpus(seed)
+	}
+	for name, c := range corpora {
+		want, err := NewSpace(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, all := holdOut(c, 1)
+		s, err := NewSpace(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range all {
+			if err := s.ValidateObservation(o); err != nil {
+				t.Fatalf("%s: validate %s: %v", name, o.URI, err)
+			}
+			if got, err := s.AppendObservation(o); err != nil || got != i {
+				t.Fatalf("%s: append %s: index %d, %v; want %d", name, o.URI, got, err, i)
+			}
+			if !slices.Equal(s.vals[i], want.vals[i]) || s.mmask[i] != want.mmask[i] {
+				t.Fatalf("%s: observation %d appended as row %v mask %b, compiled as row %v mask %b",
+					name, i, s.vals[i], s.mmask[i], want.vals[i], want.mmask[i])
+			}
+		}
+
+		stray := *all[0]
+		stray.DimValues = slices.Clone(stray.DimValues)
+		stray.DimValues[0] = rdf.NewIRI("http://nowhere/code")
+		if err := s.ValidateObservation(&stray); err == nil || !strings.Contains(err.Error(), "not in code list of") {
+			t.Errorf("%s: unknown value: got %v", name, err)
+		}
+		foreign := *all[0]
+		foreign.Dataset = &qb.Dataset{URI: all[0].Dataset.URI,
+			Schema: qb.NewSchema(all[0].Dataset.Schema.Dimensions, []rdf.Term{rdf.NewIRI("http://nowhere/measure")})}
+		if _, err := s.AppendObservation(&foreign); err == nil || !strings.Contains(err.Error(), "not in the space") || s.N() != len(all) {
+			t.Errorf("%s: unknown measure: got %v with %d observations, want an error and %d", name, err, s.N(), len(all))
+		}
 	}
 }

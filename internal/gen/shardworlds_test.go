@@ -161,22 +161,22 @@ func TestSplitWorldUnionExact(t *testing.T) {
 	}
 	type rel struct{ kind, a, b string }
 	want := map[rel]float64{}
-	add := func(m map[rel]float64, kind string, sp *core.Space, pairs []core.Pair, deg map[core.Pair]float64) {
+	add := func(m map[rel]float64, kind string, sp *core.Space, pairs []core.Pair) {
 		for _, p := range pairs {
 			if sp == s && !owned[sp.Obs[p.A].Dataset.URI.Value] {
 				continue
 			}
 			k := rel{kind, sp.Obs[p.A].URI.Value, sp.Obs[p.B].URI.Value}
-			if deg != nil {
-				m[k] = deg[p]
+			if kind == "partial" {
+				m[k] = sp.Degree(p.A, p.B) // each space derives its own
 			} else {
 				m[k] = 1
 			}
 		}
 	}
-	add(want, "full", s, res.FullSet, nil)
-	add(want, "partial", s, res.PartialSet, res.PartialDegree)
-	add(want, "compl", s, res.ComplSet, nil)
+	add(want, "full", s, res.FullSet)
+	add(want, "partial", s, res.PartialSet)
+	add(want, "compl", s, res.ComplSet)
 
 	subs, err := SplitWorld(w)
 	if err != nil {
@@ -188,9 +188,9 @@ func TestSplitWorldUnionExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compute(%s): %v", sub.Name, err)
 		}
-		add(got, "full", ss, sres.FullSet, nil)
-		add(got, "partial", ss, sres.PartialSet, sres.PartialDegree)
-		add(got, "compl", ss, sres.ComplSet, nil)
+		add(got, "full", ss, sres.FullSet)
+		add(got, "partial", ss, sres.PartialSet)
+		add(got, "compl", ss, sres.ComplSet)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("union has %d relations, oracle restriction has %d", len(got), len(want))

@@ -23,7 +23,8 @@ import (
 // The reflective rendering the fan-out routes used before render.go, kept
 // as the oracle of the byte-identity tests: neighbour structs collected
 // into a map[string]any and handed to encoding/json, partial degrees
-// looked up in Result.PartialDegree.
+// formatted by it from Space.Degree (the kernel's division; until the
+// degree table was retired, a lookup of what the kernel had stored).
 
 type oracleRef struct {
 	Obs int    `json:"obs"`
@@ -47,11 +48,11 @@ func (s *Server) oracleRefs(ids []int32) []oracleRef {
 func (s *Server) oraclePartialRefs(from int, ids []int32, fromIsSource bool) []oraclePartialRef {
 	out := make([]oraclePartialRef, len(ids))
 	for k, j := range ids {
-		p := core.Pair{A: from, B: int(j)}
+		a, b := from, int(j)
 		if !fromIsSource {
-			p = core.Pair{A: int(j), B: from}
+			a, b = b, a
 		}
-		out[k] = oraclePartialRef{Obs: int(j), URI: s.inc.S.Obs[j].URI.Value, Degree: s.inc.Res.PartialDegree[p]}
+		out[k] = oraclePartialRef{Obs: int(j), URI: s.inc.S.Obs[j].URI.Value, Degree: s.inc.S.Degree(a, b)}
 	}
 	return out
 }

@@ -340,23 +340,48 @@ func firstPartial(t testing.TB, rslt []byte) (degreeAt, listAt int) {
 	return off, off + 8
 }
 
+// withFirstDegree returns a valid snapshot of the paper example with the
+// first S_P pair's stored degree replaced under a recomputed CRC, and the
+// degree the space derives for that pair.
+func withFirstDegree(t testing.TB, deg float64) (patched []byte, derived float64) {
+	t.Helper()
+	golden, err := os.ReadFile("testdata/paper_example.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := Read(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sn.Result.PartialSet[0]
+	return patchSection(t, golden, tagRslt, func(rslt []byte) []byte {
+		at, _ := firstPartial(t, rslt)
+		binary.LittleEndian.PutUint64(rslt[at:], math.Float64bits(deg))
+		return rslt
+	}), sn.Space.Degree(first.A, first.B)
+}
+
 // TestPartialDegreeOutsideUnitInterval: a degree is a count of containing
 // dimensions over |P| with at least one and not all of them containing, so
 // anything not strictly inside (0, 1) is refused however intact the frame
-// around it — cubed would otherwise serve it, and followers would fetch it.
+// around it — and so is a value inside it that is not the one the decoded
+// space derives for the pair: nothing keeps the stored copy, so a load that
+// accepted it would hide that the file and the space disagree.
 func TestPartialDegreeOutsideUnitInterval(t *testing.T) {
-	withDegree := func(deg float64) []byte {
-		return patchSection(t, validBytes(t), tagRslt, func(rslt []byte) []byte {
-			at, _ := firstPartial(t, rslt)
-			binary.LittleEndian.PutUint64(rslt[at:], math.Float64bits(deg))
-			return rslt
-		})
+	wrong, derived := withFirstDegree(t, 0.5)
+	if derived != 1.0/3 {
+		t.Fatalf("the first partial pair of the paper example derives %v, want 1/3", derived)
 	}
-	if _, err := Read(bytes.NewReader(withDegree(0.5))); err != nil {
-		t.Fatalf("a patched degree of 0.5 must still decode: %v", err)
+	if _, err := Read(bytes.NewReader(wrong)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("degree 0.5 where the space derives 1/3: got %v, want ErrCorrupt", err)
+	}
+	control, _ := withFirstDegree(t, derived)
+	if _, err := Read(bytes.NewReader(control)); err != nil {
+		t.Fatalf("re-patching the derived degree must still decode: %v", err)
 	}
 	for _, deg := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3, 7.5, 0, math.Copysign(0, -1), 1} {
-		if _, err := Read(bytes.NewReader(withDegree(deg))); !errors.Is(err, ErrCorrupt) {
+		patched, _ := withFirstDegree(t, deg)
+		if _, err := Read(bytes.NewReader(patched)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("degree %v: got %v, want ErrCorrupt", deg, err)
 		}
 	}

@@ -435,8 +435,8 @@ func decode(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 	// count has checked nPartial against the bytes that remain, so sizing
-	// the partial set and the degree map from it allocates nothing a lying
-	// header could inflate.
+	// the partial set from it allocates nothing a lying header could
+	// inflate.
 	nPartial, err := c.count(11) // two refs + float64 + dims count
 	if err != nil {
 		return nil, err
@@ -458,6 +458,12 @@ func decode(r io.Reader) (*Snapshot, error) {
 		if !(deg > 0 && deg < 1) { // NaN fails both comparisons
 			return nil, corrupt("RSLT: partial degree %v of pair (%d, %d) is not inside (0, 1)", deg, p.A, p.B)
 		}
+		// The degree is a function of the two rows and is not kept: the
+		// stored copy is a redundancy, checked against the space decoded
+		// above — the same division the writer's kernel performed.
+		if want := space.Degree(p.A, p.B); deg != want {
+			return nil, corrupt("RSLT: partial degree of pair (%d, %d) is %v, the space derives %v", p.A, p.B, deg, want)
+		}
 		// The pair's dimension list: empty since map_P is derived
 		// (core.Space.ContainDims); one found in an older file is checked
 		// like any other input and dropped.
@@ -471,7 +477,6 @@ func decode(r io.Reader) (*Snapshot, error) {
 			}
 		}
 		res.PartialSet = append(res.PartialSet, p)
-		res.PartialDegree[p] = deg
 	}
 	if res.ComplSet, err = readPairs(c); err != nil {
 		return nil, err

@@ -150,8 +150,8 @@ func encode(w io.Writer, sn *Snapshot) error {
 	for _, p := range res.PartialSet {
 		rslt.uvarint(uint64(p.A))
 		rslt.uvarint(uint64(p.B))
-		rslt.f64(res.PartialDegree[p])
-		rslt.uvarint(0) // the pair's dimension list, not written (see decode)
+		rslt.f64(s.Degree(p.A, p.B)) // derived here, checked by decode
+		rslt.uvarint(0)              // the pair's dimension list, not written (see decode)
 	}
 	rslt.uvarint(uint64(len(res.ComplSet)))
 	for _, p := range res.ComplSet {

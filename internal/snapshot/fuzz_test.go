@@ -56,6 +56,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(old)
 	f.Add(badIndex)
 	f.Add(badLength)
+	// A degree inside (0, 1) that is not the one the space derives.
+	wrongDegree, _ := withFirstDegree(f, 0.5)
+	f.Add(wrongDegree)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sn, err := Read(bytes.NewReader(data))

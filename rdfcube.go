@@ -10,6 +10,10 @@
 //	corpus, err := rdfcube.LoadTurtle(ttl)
 //	res, err := rdfcube.Compute(corpus, rdfcube.CubeMasking, rdfcube.Options{})
 //	for _, p := range res.Result.FullSet { ... }
+//	for _, p := range res.Result.PartialSet { deg := res.Space.Degree(p.A, p.B); ... }
+//
+// A Result is three pair sets; a partial pair's degree is not stored but
+// derived from the compiled Space on read.
 //
 // Three algorithm families are provided, as in the paper: the quadratic
 // Baseline, lossy Clustering, and the exact lattice-pruned CubeMasking
@@ -59,7 +63,8 @@ type (
 	Registry = hierarchy.Registry
 	// Space is a compiled corpus ready for relationship computation.
 	Space = core.Space
-	// Result holds the computed relationship sets S_F, S_P, S_C.
+	// Result holds the computed relationship sets S_F, S_P, S_C; the degree
+	// of an S_P pair is Space.Degree.
 	Result = core.Result
 	// Pair is an ordered observation index pair.
 	Pair = core.Pair
@@ -141,7 +146,8 @@ var (
 )
 
 // Computation is a computed result with its compiled space, so pair
-// indices can be resolved back to observations.
+// indices can be resolved back to observations and partial pairs to their
+// degrees (Space.Degree).
 type Computation struct {
 	// Space is the compiled corpus.
 	Space *Space
@@ -224,7 +230,7 @@ func ExportRelationships(c *Computation) string {
 		node := rdf.NewBlank(fmt.Sprintf("pc%d", i))
 		g.Add(node, rdf.NewIRI(qb.QBRNS+"source"), c.Obs(p.A).URI)
 		g.Add(node, rdf.NewIRI(qb.QBRNS+"target"), c.Obs(p.B).URI)
-		g.Add(node, degree, rdf.NewDecimal(c.Result.PartialDegree[p]))
+		g.Add(node, degree, rdf.NewDecimal(c.Space.Degree(p.A, p.B)))
 	}
 	for _, p := range sortedPairs(c.Result.ComplSet) {
 		g.Add(c.Obs(p.A).URI, compl, c.Obs(p.B).URI)
