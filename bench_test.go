@@ -341,10 +341,10 @@ func clusterMethod(s string) cluster.Method {
 
 // ---- Parallel extension: worker-pool variants vs serial (§6) --------------
 //
-// These mirror the cubebench regression suite (`cubebench -baseline-out /
-// -compare BENCH_*.json`): same algorithms, same TaskAll workload, with
-// allocs/op reported so `go test -bench=Parallel -benchmem` shows the
-// steady-state allocation profile of the pooled tapes and scratch rows.
+// The three kernels serial and on four workers, TaskAll into a Counter,
+// with allocs/op reported so `go test -bench=Parallel -benchmem` shows the
+// steady-state allocation profile of the pooled tapes and scratch rows
+// (core's TestKernelAllocations puts ceilings on the same runs).
 
 func benchCoreWorkers(b *testing.B, alg core.Algorithm, size, workers int) {
 	s := realWorldSpace(b, size)
@@ -390,8 +390,8 @@ func BenchmarkParallelCubeMaskingWorkers4(b *testing.B) {
 
 // BenchmarkSubsetTestLoop is the §3.1 inner loop in isolation: the
 // per-dimension CM_i bit-AND subset test over real occurrence-matrix
-// rows. It must run allocation-free (TestSubsetTestLoopZeroAlloc pins
-// that; the committed BENCH_0.json records it as subset-loop).
+// rows. It must run allocation-free (TestSubsetTestLoopZeroAlloc is the
+// gate; the benchmark's bitvec.subset_ns_per_row times the batch form).
 func BenchmarkSubsetTestLoop(b *testing.B) {
 	s := realWorldSpace(b, benchSize)
 	om := core.BuildOccurrenceMatrix(s)
@@ -414,8 +414,8 @@ func BenchmarkSubsetTestLoop(b *testing.B) {
 	b.ReportMetric(float64(len(rows)*len(rows)), "tests/op")
 }
 
-// TestSubsetTestLoopZeroAlloc pins the hot-path invariant outside the
-// benchmark harness so plain `go test` enforces it on every run.
+// TestSubsetTestLoopZeroAlloc is the gate on the hot path's invariant:
+// the subset test allocates nothing, on every `go test`.
 func TestSubsetTestLoopZeroAlloc(t *testing.T) {
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: benchSeed})
 	s, err := core.NewSpace(c)

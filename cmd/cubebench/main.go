@@ -47,28 +47,11 @@ func main() {
 		jsonDir   = flag.String("json", "", "directory to write per-figure JSON files into (counters included in full)")
 		table4Obs = flag.Int("table4-obs", 246500, "total observations for the Table 4 manifest")
 
-		benchOut    = flag.String("baseline-out", "", "run the perf-regression suite and write its BENCH_*.json report to this path (skips the figure sweeps)")
-		benchCmp    = flag.String("compare", "", "run the perf-regression suite and compare against this committed BENCH_*.json; exit 1 on regression")
-		nsTolerance = flag.Float64("ns-tolerance", 0.15, "allowed fractional ns/op increase for -compare, after calibration normalization")
-		minScaling  = flag.Float64("min-scaling", 2.5, "parallel pairs/sec scaling floor at full capacity for -compare (capacity-normalized; negative disables)")
-		allowProcs  = flag.Bool("allow-procs-mismatch", false, "compare against a baseline recorded at a different GOMAXPROCS anyway (warns instead of refusing)")
-		benchTime   = flag.Duration("bench-time", 500*time.Millisecond, "minimum measuring time per regression-suite entry")
-		benchNote   = flag.String("bench-note", "", "provenance note recorded in the -baseline-out report")
-
 		metrics   = flag.Bool("metrics", false, "print the suite-wide run report (phase tree + counter table) to stderr at the end")
 		progress  = flag.Bool("progress", false, "stream phase transitions and counter digests to stderr while running")
 		debugAddr = flag.String("debug-addr", "", "serve live /metrics, /metrics.json, /debug/vars and /debug/pprof/ on this address for the duration of the suite")
 	)
 	flag.Parse()
-
-	if *benchOut != "" || *benchCmp != "" {
-		runRegression(regressArgs{
-			outPath: *benchOut, cmpPath: *benchCmp,
-			nsTol: *nsTolerance, minScaling: *minScaling, allowProcs: *allowProcs,
-			benchTime: *benchTime, note: *benchNote, seed: *seed, workers: *workers,
-		})
-		return
-	}
 
 	var col *obsv.Collector
 	if *metrics || *debugAddr != "" {
@@ -199,65 +182,6 @@ func main() {
 
 	if *metrics {
 		fmt.Fprint(os.Stderr, col.Report())
-	}
-}
-
-// regressArgs carries the -baseline-out/-compare flag set.
-type regressArgs struct {
-	outPath, cmpPath  string
-	nsTol, minScaling float64
-	allowProcs        bool
-	benchTime         time.Duration
-	note              string
-	seed              int64
-	workers           int
-}
-
-// runRegression drives the perf-regression harness: measure the suite,
-// then write a fresh baseline (-baseline-out), diff against a committed
-// one (-compare), or both. Regressions exit 1 with one line each. A
-// baseline recorded at a different GOMAXPROCS is refused before any diff
-// runs — its parallel entries measured a different configuration, so the
-// comparison would gate noise — unless -allow-procs-mismatch downgrades
-// the refusal to a warning.
-func runRegression(a regressArgs) {
-	cfg := bench.RegressConfig{Seed: a.seed, Workers: a.workers, BenchTime: a.benchTime, Note: a.note}
-	rep, err := bench.RunRegression(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cubebench: regression suite: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(rep.Text())
-	if a.outPath != "" {
-		if err := rep.WriteFile(a.outPath); err != nil {
-			fmt.Fprintf(os.Stderr, "cubebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", a.outPath)
-	}
-	if a.cmpPath != "" {
-		base, err := bench.ReadBenchReport(a.cmpPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cubebench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.CheckProcs(base, rep); err != nil {
-			if !a.allowProcs {
-				fmt.Fprintf(os.Stderr, "cubebench: %v (pass -allow-procs-mismatch to compare anyway)\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "cubebench: warning: %v; comparing anyway (-allow-procs-mismatch)\n", err)
-		}
-		regs := bench.Compare(base, rep, bench.Tolerance{NsFrac: a.nsTol, MinScaling: a.minScaling})
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "cubebench: %d regression(s) against %s:\n", len(regs), a.cmpPath)
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("no regressions against %s (ns tolerance %.0f%%, allocs strict, scaling floor %.2fx at full capacity)\n",
-			a.cmpPath, a.nsTol*100, a.minScaling)
 	}
 }
 

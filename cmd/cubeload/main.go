@@ -1,8 +1,8 @@
 // Command cubeload drives a relationship-serving server with
 // deterministic, corpus-derived traffic and reports latency quantiles,
-// goodput and shed rates. With -baseline-out / -compare it writes and
-// gates against a committed LOAD_*.json, giving CI an end-to-end
-// serving-path SLO check alongside cubebench's kernel gate.
+// goodput and shed rates. It is a traffic driver, not a gate: it exits 0
+// whatever the latencies were (performance is compared by BENCHMARK.json
+// and benchmark/, which builds its traffic with the same loadgen plans).
 //
 // Usage:
 //
@@ -10,13 +10,11 @@
 //	cubeload -gen realworld -n 2000 -mix mixed -requests 4000 -concurrency 8
 //	cubeload -mix storm -rps 500               # open-loop pacing
 //	cubeload -url http://127.0.0.1:8080        # drive a running cubed
-//	cubeload -baseline-out LOAD_0.json         # record the baseline
-//	cubeload -compare LOAD_0.json              # replay it; exit 1 on regression
+//	cubeload -url http://gate:8080 -retry      # polite client against a gate
+//	cubeload -json run.json                    # also write the report as JSON
 //
-// A -compare run rebuilds the workload from the baseline file (generator,
-// seed, mix, request count, concurrency), so the flags cannot drift from
-// what the baseline measured; the plan digest in the report proves both
-// runs issued byte-identical request sequences.
+// The same -gen/-n/-seed/-mix/-requests always expand to the same request
+// sequence; the plan digest in the report says so.
 package main
 
 import (
@@ -48,12 +46,8 @@ func main() {
 		concurrency = flag.Int("concurrency", 8, "closed-loop workers / open-loop in-flight cap")
 		rps         = flag.Float64("rps", 0, "open-loop request rate (0 = closed loop)")
 		url         = flag.String("url", "", "drive a running server instead of in-process; a comma-separated list round-robins reads across all targets and sends writes to the first (the leader)")
-		baselineOut = flag.String("baseline-out", "", "write the run's LOAD_*.json report to this path")
-		compare     = flag.String("compare", "", "compare against this committed LOAD_*.json (workload is taken from the file); exit 1 on regression")
-		jsonOut     = flag.String("json", "", "also write the report JSON to this path")
+		jsonOut     = flag.String("json", "", "also write the report as JSON to this path")
 		note        = flag.String("note", "", "provenance note recorded in the report")
-		p99Frac     = flag.Float64("p99-tolerance", 0.75, "allowed fractional p99 increase for -compare, after calibration normalization")
-		injectDelay = flag.Duration("inject-delay", 0, "artificial added delay per request (validates that the gate catches a slowdown)")
 		retry       = flag.Bool("retry", false, "polite-client mode: retry 429/503 with backoff, honoring Retry-After; latency then covers the whole exchange")
 	)
 	flag.Parse()
@@ -62,20 +56,7 @@ func main() {
 	defer stop()
 
 	cfg := loadgen.PlanConfig{Gen: *genName, N: *n, Seed: *seed, Mix: *mix, Requests: *requests}
-	opts := loadgen.Options{Concurrency: *concurrency, RPS: *rps, InjectDelay: *injectDelay, Retry: *retry}
-
-	var base *loadgen.LoadReport
-	if *compare != "" {
-		var err error
-		base, err = loadgen.ReadReport(*compare)
-		if err != nil {
-			fatal("read baseline: %v", err)
-		}
-		// The baseline defines the workload; flags must not drift from it.
-		cfg = base.Config
-		opts.Concurrency = base.Concurrency
-		opts.RPS = base.RPS
-	}
+	opts := loadgen.Options{Concurrency: *concurrency, RPS: *rps, Retry: *retry}
 
 	corpus := buildCorpus(cfg)
 	plan, err := loadgen.BuildPlan(cfg, corpus)
@@ -111,26 +92,11 @@ func main() {
 	rep := loadgen.NewReport(plan, opts, stats, *note)
 	fmt.Print(rep.Text())
 
-	for _, path := range []string{*baselineOut, *jsonOut} {
-		if path == "" {
-			continue
+	if *jsonOut != "" {
+		if err := rep.WriteFile(*jsonOut); err != nil {
+			fatal("write %s: %v", *jsonOut, err)
 		}
-		if err := rep.WriteFile(path); err != nil {
-			fatal("write %s: %v", path, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	if base != nil {
-		regs := loadgen.Compare(base, rep, loadgen.Tolerance{P99Frac: *p99Frac})
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "\nLOAD REGRESSIONS vs %s:\n", *compare)
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "no regressions vs %s\n", *compare)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 	}
 }
 

@@ -4,7 +4,8 @@
 // of Fig. 5(e), the cube-ratio curve of Fig. 5(f) and the children-
 // prefetching ablation of Fig. 5(g) — over the Table-4 replica and the
 // §4.2 synthetic workloads, and formats them as the rows/series the paper
-// reports.
+// reports. It is the figure runners and nothing else: it compares no run
+// with an earlier one (that is BENCHMARK.json and benchmark/).
 package bench
 
 import (

@@ -238,6 +238,99 @@ func TestBulkLoadAllocations(t *testing.T) {
 	}
 }
 
+// kernelAllocs runs one TaskAll Compute into a Counter (clustering seed 1)
+// and returns the heap objects and bytes it allocated, the Counter
+// included. One unmeasured run first fills the pools and the space's
+// occurrence-matrix cache; a GC can still drain a pool between that run and
+// the measured one and charge the refill to it, so the best of up to five
+// attempts counts, re-warming before each (TestGuardNilFastPath's rule),
+// and the attempts stop at the first one within both ceilings.
+func kernelAllocs(t *testing.T, s *Space, alg Algorithm, workers int, maxObjects, maxBytes uint64) (objects, bytes uint64) {
+	t.Helper()
+	opts := Options{Tasks: TaskAll, Workers: workers}
+	opts.Clustering.Config.Seed = 1
+	objects, bytes = ^uint64(0), ^uint64(0)
+	for attempt := 0; attempt < 5 && (objects > maxObjects || bytes > maxBytes); attempt++ {
+		mustCompute(t, s, alg, opts, &Counter{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mustCompute(t, s, alg, opts, &Counter{})
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
+}
+
+// TestKernelAllocations is the allocation gate of the three kernels: what
+// one run allocates is bounded in observations and cubes, never in pairs.
+// At n = 2 400 there are 5.76 M ordered pairs, 90 000 batches of 64 and
+// 239 000 cube pairs, so one allocation per pair, per batch or per cube
+// pair is at least 13 times over every ceiling below.
+//
+// Serial ceilings (measured 1, 236 / 337 and 1 585 / 4 614 at n = 600 /
+// 2 400 with 250 / 489 cubes, the same at -cpu 1, 2 and 4):
+//   - baseline: 1, the Counter. The scan's index and batch rows come from
+//     baselineScratchPool.
+//   - clustering: n/4 + 256. x-means runs on a 10 % sample, and each of
+//     its rounds allocates an assignment, the member lists and one
+//     majority-vote count array per centroid; then come one assignment of
+//     all n rows and Members' per-cluster lists with their doublings.
+//     Rounds and clusters are capped (MaxIter, k ≤ √(n/2)), so this grows
+//     far slower than n. The per-cluster scans are the baseline's and add
+//     nothing.
+//   - cubeMasking: 2·n + 4·cubes + 64. Each run hashes the observations
+//     into a new lattice: a signature key per observation and at most one
+//     doubling of a cube's member list per observation (2·n); a Cube, its
+//     signature copy and its share of the map's buckets and of the sorted
+//     key list per cube (4·cubes); the map, the lists' headers and the
+//     scratch (64). The sweep itself adds nothing.
+//
+// A pooled run (Workers 4; not under the race detector, where sync.Pool
+// drops the tapes) adds about one allocation per shard — 489 cube shards at
+// most here — and some dozens for goroutines, channels and merge state:
+// measured 46 / 46, 262 / 367 and 1 871 / 5 145, up to 25 more at -cpu 4.
+// The ceiling is the serial reading + 5 % + 600. Its bytes stay under
+// 1 MiB a run (measured ≤ 773 KB, clustering at n = 2 400, of which 675 KB
+// are the serial assignment's): a shard's events go through a tape of
+// 64 KiB chunks that is flushed into the sink chunk by chunk and then
+// reused, so a pooled run holds O(workers) chunks, not its 1.4 M events;
+// with tapes that buffer a whole shard the baseline's row blocks alone
+// allocate 3.4 MB.
+func TestKernelAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n = 2400")
+	}
+	for _, n := range []int{600, 2400} {
+		s := obsTestSpace(t, n)
+		cubes := BuildLattice(s).Len()
+		for _, tc := range []struct {
+			alg     Algorithm
+			ceiling int
+		}{
+			{AlgorithmBaseline, 1},
+			{AlgorithmClustering, n/4 + 256},
+			{AlgorithmCubeMasking, 2*n + 4*cubes + 64},
+		} {
+			serial, _ := kernelAllocs(t, s, tc.alg, 0, uint64(tc.ceiling), ^uint64(0))
+			if serial > uint64(tc.ceiling) {
+				t.Errorf("n=%d (%d cubes) %s serial: %d allocations a run, want ≤ %d", n, cubes, tc.alg, serial, tc.ceiling)
+			}
+			if raceEnabled {
+				continue
+			}
+			ceiling := serial + serial/20 + 600
+			pooled, bytes := kernelAllocs(t, s, tc.alg, 4, ceiling, 1<<20)
+			if pooled > ceiling {
+				t.Errorf("n=%d (%d cubes) %s on 4 workers: %d allocations a run, want ≤ %d (serial %d + 5 %% + 600)", n, cubes, tc.alg, pooled, ceiling, serial)
+			}
+			if bytes > 1<<20 {
+				t.Errorf("n=%d (%d cubes) %s on 4 workers: %d bytes allocated a run, want ≤ 1 MiB", n, cubes, tc.alg, bytes)
+			}
+		}
+	}
+}
+
 // TestResultHeapPerPair is the memory guard of the derived degree: a
 // computed Result is three pair columns, so what it keeps live is the
 // 16-byte Pair per stored pair and next to nothing else — no table keyed

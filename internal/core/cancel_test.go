@@ -445,8 +445,8 @@ func TestCanceledRunCounter(t *testing.T) {
 // TestGuardNilFastPath: the unguarded serial baseline allocates nothing
 // per run beyond its pooled scratch, through both doors — Compute, and
 // ComputeCtx with a context that can never be canceled (newGuard returns
-// nil for it). The BENCH_0.json invariant asserted in-process so the bench
-// harness is not the only guard.
+// nil for it). This is the gate on the cancellation layer's fast path;
+// TestKernelAllocations holds the same ceiling at n = 600 and 2 400.
 func TestGuardNilFastPath(t *testing.T) {
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 200, Seed: 3})
 	s, err := NewSpace(c)
@@ -460,8 +460,7 @@ func TestGuardNilFastPath(t *testing.T) {
 	} {
 		// A GC between the warm-up and the measurement can drain the
 		// scratch pool and charge its refill to the measured runs, so take
-		// the best of a few attempts, re-warming before each; the strict
-		// cross-run gate lives in the BENCH_0.json compare.
+		// the best of a few attempts, re-warming before each.
 		best := float64(1 << 30)
 		for attempt := 0; attempt < 5 && best > 1; attempt++ {
 			if err := run(&Counter{}); err != nil { // warm the scratch pool

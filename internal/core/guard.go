@@ -20,7 +20,7 @@ import (
 //     the obsv counters) and poll the guard only every guardPairStride
 //     ordered pairs, so the no-guard path — plain Compute with no
 //     budgets — costs one predictable nil-check per pair and zero
-//     allocations, preserving the committed BENCH_0.json gates.
+//     allocations (TestGuardNilFastPath, TestKernelAllocations).
 //   - A tripped guard makes the kernel return a *CanceledError (matching
 //     errors.Is(err, ErrCanceled)). What is already in the caller's sink
 //     stays usable: a serial kernel emits in order and stops, so its sink

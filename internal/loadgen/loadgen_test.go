@@ -2,8 +2,10 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -32,8 +34,25 @@ func newServer(t *testing.T, n int, seed int64) *serve.Server {
 }
 
 // TestPlanDeterministic: same config, same corpus → byte-identical plan;
-// a different seed changes it.
+// a different seed changes it; and one plan's digest is the same as on
+// every earlier commit.
 func TestPlanDeterministic(t *testing.T) {
+	// The golden: the only check of BuildPlan + gen.RealWorld ACROSS
+	// commits (the rest of this test compares two builds in one process).
+	// The benchmark times parent and change on plans built from the same
+	// config and assumes they are the same requests; a change to the
+	// generator, the mixes, the zipf draw or the body encoding moves this
+	// digest, and must then say that numbers before and after it are not
+	// comparable.
+	golden := PlanConfig{Gen: "realworld", N: 2000, Seed: 1, Mix: "mixed", Requests: 4000}
+	g, err := BuildPlan(golden, gen.RealWorld(gen.RealWorldConfig{TotalObs: golden.N, Seed: golden.Seed}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "73217b548c73b06b"; g.Digest != want {
+		t.Errorf("plan %+v has digest %s, want %s as on every commit since the load generator was added", golden, g.Digest, want)
+	}
+
 	cfg := PlanConfig{Gen: "realworld", N: 300, Seed: 7, Mix: "mixed", Requests: 400}
 	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 300, Seed: 7})
 	a, err := BuildPlan(cfg, corpus)
@@ -78,9 +97,10 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunAndCompareSelf: an in-process run succeeds on every request,
-// and its report passes comparison against itself.
-func TestRunAndCompareSelf(t *testing.T) {
+// TestRunInProcessAndReport: an in-process run succeeds on every request,
+// its report is plausible, and WriteFile produces JSON that encoding/json
+// reads back.
+func TestRunInProcessAndReport(t *testing.T) {
 	srv := newServer(t, 300, 7)
 	cfg := PlanConfig{Gen: "realworld", N: 300, Seed: 7, Mix: "mixed", Requests: 300}
 	plan, err := BuildPlan(cfg, gen.RealWorld(gen.RealWorldConfig{TotalObs: 300, Seed: 7}))
@@ -99,64 +119,25 @@ func TestRunAndCompareSelf(t *testing.T) {
 		t.Fatalf("latency histogram holds %d samples, want 300", got)
 	}
 	rep := NewReport(plan, opts, stats, "test")
-	if regs := Compare(rep, rep, Tolerance{}); len(regs) != 0 {
-		t.Fatalf("self-comparison regressed: %v", regs)
-	}
 	if rep.GoodputRPS <= 0 || rep.Latency.P99 < rep.Latency.P50 {
 		t.Fatalf("implausible report: %+v", rep.Latency)
 	}
 
-	// Round-trip through the file format.
 	path := t.TempDir() + "/load.json"
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regs := Compare(back, rep, Tolerance{}); len(regs) != 0 {
-		t.Fatalf("file round-trip regressed: %v", regs)
+	var back LoadReport
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("WriteFile wrote JSON that does not parse: %v", err)
 	}
-}
-
-// TestCompareCatchesSlowdownAndMismatch: an injected uniform delay trips
-// the p50 gate; a different workload refuses to compare at all.
-func TestCompareCatchesSlowdownAndMismatch(t *testing.T) {
-	srv := newServer(t, 300, 7)
-	cfg := PlanConfig{Gen: "realworld", N: 300, Seed: 7, Mix: "explorer", Requests: 200}
-	plan, err := BuildPlan(cfg, gen.RealWorld(gen.RealWorldConfig{TotalObs: 300, Seed: 7}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Transport: HandlerTransport{H: srv.Handler()}, Concurrency: 4}
-	fast, err := Run(context.Background(), plan, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := NewReport(plan, opts, fast, "")
-
-	slowOpts := opts
-	slowOpts.InjectDelay = 5 * time.Millisecond
-	slow, err := Run(context.Background(), plan, slowOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := NewReport(plan, slowOpts, slow, "")
-	if regs := Compare(base, cur, Tolerance{}); len(regs) == 0 {
-		t.Fatalf("5ms injected slowdown passed the gate: base p50=%.0f cur p50=%.0f",
-			base.Latency.P50, cur.Latency.P50)
-	}
-
-	other := *base
-	other.PlanDigest = "0000000000000000"
-	if regs := Compare(&other, base, Tolerance{}); len(regs) == 0 {
-		t.Fatal("plan digest mismatch passed the gate")
-	}
-	diffCfg := *base
-	diffCfg.Config.Requests++
-	if regs := Compare(&diffCfg, base, Tolerance{}); len(regs) == 0 {
-		t.Fatal("config mismatch passed the gate")
+	if back.Config != rep.Config || back.PlanDigest != plan.Digest || back.Good != 300 || back.Latency != rep.Latency {
+		t.Fatalf("report read back with config %+v, plan %s, %d good, latency %+v; wrote %+v, %s, 300, %+v",
+			back.Config, back.PlanDigest, back.Good, back.Latency, rep.Config, plan.Digest, rep.Latency)
 	}
 }
 

@@ -2,14 +2,14 @@
 // behind cmd/cubeload: it expands a seeded workload description into a
 // concrete request sequence (the plan), drives a serve.Server with it —
 // in-process through its http.Handler or over the network — and reports
-// goodput, shed rate and latency quantiles in a comparable LoadReport.
-// The committed LOAD_0.json baseline gates serving-path regressions in
-// CI the same way BENCH_0.json gates kernel regressions.
+// goodput, shed rate and latency quantiles in a LoadReport.
 //
 // Determinism is the load generator's core property: the same
 // PlanConfig always expands to byte-identical requests in the same
-// order (the plan digest proves it), so a baseline comparison measures
-// the server, not the workload.
+// order (the plan digest proves it; TestPlanDeterministic pins one digest
+// across commits), so two runs of one plan — the two sides of a benchmark
+// comparison, which builds its traffic with BuildPlan — differ in the
+// server, not in the workload.
 package loadgen
 
 import (
@@ -42,8 +42,7 @@ type Op struct {
 }
 
 // PlanConfig describes a workload. It is embedded verbatim in the
-// LoadReport so a -compare run can rebuild the exact same plan without
-// trusting command-line flags to match.
+// LoadReport, so a report names the plan it ran.
 type PlanConfig struct {
 	// Gen selects the corpus generator: "realworld" (Table-4 replica) or
 	// "paper" (the worked example).
@@ -104,7 +103,7 @@ type weightedOp struct {
 //	explorer  read-heavy browsing: fan-out queries dominate
 //	ingest    insert-heavy ingestion with verification reads
 //	storm     read pressure punctuated by full recomputes
-//	mixed     the balanced default used by the committed baseline
+//	mixed     the balanced default: reads of every kind beside inserts
 var mixes = map[string][]weightedOp{
 	"explorer": {
 		{OpRelated, 45}, {OpContains, 25}, {OpComplements, 15}, {OpObs, 10}, {OpStats, 5},

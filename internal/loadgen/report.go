@@ -12,11 +12,10 @@ import (
 	"rdfcube/internal/obsv"
 )
 
-// LoadReport is the serialized outcome of one load run — the LOAD_*.json
-// schema. It embeds the full PlanConfig so a -compare run rebuilds the
-// exact workload from the baseline file instead of trusting flags, and a
-// calibration measurement so wall-clock latency gates transfer across
-// machines the same way BENCH_*.json's do.
+// LoadReport is the serialized outcome of one load run — what cubeload
+// prints and what its -json flag writes. It embeds the full PlanConfig and
+// the plan digest, so a reader of two reports can tell whether they drove
+// the same request sequence.
 type LoadReport struct {
 	Version int `json:"version"`
 	// Environment provenance — informational.
@@ -36,10 +35,6 @@ type LoadReport struct {
 	Concurrency int     `json:"concurrency"`
 	RPS         float64 `json:"rps,omitempty"`
 
-	// CalibrateNs anchors cross-machine latency comparison: the ns/op of
-	// a fixed pure-CPU loop on the measuring machine.
-	CalibrateNs float64 `json:"calibrateNs"`
-
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
 	Sent           int64   `json:"sent"`
 	Dropped        int64   `json:"dropped,omitempty"`
@@ -47,8 +42,7 @@ type LoadReport struct {
 	Shed           int64   `json:"shed"`
 	Errors         int64   `json:"errors"`
 	// Partial counts answers flagged "partial": true by a degraded
-	// sharded gate; Retried counts polite-mode (-retry) re-sends. Both
-	// omit when zero so pre-gate baselines stay byte-compatible.
+	// sharded gate; Retried counts polite-mode (-retry) re-sends.
 	Partial int64 `json:"partial,omitempty"`
 	Retried int64 `json:"retried,omitempty"`
 	// GoodputRPS is successful responses per wall-clock second.
@@ -73,7 +67,6 @@ func NewReport(p *Plan, opts Options, stats *RunStats, note string) *LoadReport 
 		PlanDigest:     p.Digest,
 		Concurrency:    opts.concurrency(),
 		RPS:            opts.RPS,
-		CalibrateNs:    Calibrate(),
 		ElapsedSeconds: stats.Elapsed.Seconds(),
 		Sent:           stats.Sent,
 		Dropped:        stats.Dropped,
@@ -94,10 +87,11 @@ func NewReport(p *Plan, opts Options, stats *RunStats, note string) *LoadReport 
 	return rep
 }
 
-// Calibrate measures the fixed pure-CPU anchor loop (1024 width-4096
-// bit-AND sweeps) and returns its minimum ns/op over a short window —
-// the same technique (and instruction mix) as the bench calibration, so
-// latency baselines recorded on other machines still gate meaningfully.
+// Calibrate measures a fixed pure-CPU loop (1024 width-4096 bit-AND
+// sweeps, the instruction mix of the kernels' subset test) and returns its
+// minimum ns/op over a 100 ms window. The benchmark brackets each workload
+// with two calls to tell a busy host from a slow program; nothing in this
+// package reads it.
 func Calibrate() float64 {
 	v := bitvec.New(4096)
 	u := bitvec.New(4096)
@@ -128,131 +122,6 @@ func (r *LoadReport) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadReport loads a report written by WriteFile.
-func ReadReport(path string) (*LoadReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r LoadReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("loadgen: parse %s: %w", path, err)
-	}
-	if r.Version != 1 {
-		return nil, fmt.Errorf("loadgen: %s: unsupported report version %d", path, r.Version)
-	}
-	return &r, nil
-}
-
-// Tolerance bounds how much a fresh run may degrade before Compare calls
-// it a regression. Zero values select defaults.
-//
-// Only the OVERALL latency distribution gates: per-op quantiles sit on a
-// few dozen samples each, where p99 is just the sample maximum and trips
-// on scheduler noise (they stay in the report for humans). Two latency
-// gates complement each other: the p50 gate is tight — the median over
-// thousands of requests is stable, so it reliably catches a uniform
-// per-request slowdown of a millisecond or two — while the p99 gate is
-// loose (tails under concurrency are noisy) and catches outright tail
-// explosions like lock stampedes.
-type Tolerance struct {
-	// P50Frac / P50AbsUs bound the calibration-scaled median increase
-	// (defaults 0.5 and 1000µs).
-	P50Frac  float64
-	P50AbsUs float64
-	// P99Frac / P99AbsUs bound the calibration-scaled p99 increase
-	// (defaults 1.0 and 5000µs).
-	P99Frac  float64
-	P99AbsUs float64
-	// GoodputDrop is the allowed decrease of the goodput FRACTION
-	// (good/sent, default 0.02): under a deterministic plan the share of
-	// successful responses is stable, so a drop means shedding or errors.
-	GoodputDrop float64
-	// ShedRise is the allowed increase of the shed fraction (default 0.05).
-	ShedRise float64
-}
-
-func (t Tolerance) withDefaults() Tolerance {
-	if t.P50Frac == 0 {
-		t.P50Frac = 0.5
-	}
-	if t.P50AbsUs == 0 {
-		t.P50AbsUs = 1000
-	}
-	if t.P99Frac == 0 {
-		t.P99Frac = 1.0
-	}
-	if t.P99AbsUs == 0 {
-		t.P99AbsUs = 5000
-	}
-	if t.GoodputDrop == 0 {
-		t.GoodputDrop = 0.02
-	}
-	if t.ShedRise == 0 {
-		t.ShedRise = 0.05
-	}
-	return t
-}
-
-// Compare diffs a fresh run against a committed baseline and returns one
-// human-readable line per regression (empty means pass):
-//
-//   - the workload must be identical: config, concurrency/RPS and plan
-//     digest all match, or the comparison is meaningless;
-//   - the overall p50 and p99 may not exceed the calibration-scaled
-//     baseline by more than their tolerances;
-//   - the goodput fraction may not drop, and the shed fraction may not
-//     rise, beyond their tolerances;
-//   - errors may not appear in a run whose baseline had none.
-func Compare(base, cur *LoadReport, tol Tolerance) []string {
-	tol = tol.withDefaults()
-	var regs []string
-	if base.Config != cur.Config {
-		return []string{fmt.Sprintf("workload config mismatch: baseline %+v vs current %+v", base.Config, cur.Config)}
-	}
-	if base.Concurrency != cur.Concurrency || base.RPS != cur.RPS {
-		return []string{fmt.Sprintf("execution mismatch: baseline %d workers @ %.0f rps vs current %d @ %.0f",
-			base.Concurrency, base.RPS, cur.Concurrency, cur.RPS)}
-	}
-	if base.PlanDigest != cur.PlanDigest {
-		return []string{fmt.Sprintf("plan digest mismatch: baseline %s vs current %s (the generator is no longer deterministic, or the plan changed)",
-			base.PlanDigest, cur.PlanDigest)}
-	}
-
-	scale := 1.0
-	if base.CalibrateNs > 0 && cur.CalibrateNs > 0 {
-		scale = cur.CalibrateNs / base.CalibrateNs
-	}
-	gate := func(quantile string, baseQ, curQ, frac, absUs float64) {
-		limit := baseQ*scale*(1+frac) + absUs
-		if curQ > limit {
-			regs = append(regs, fmt.Sprintf("latency: %s %.0fµs exceeds %.0fµs (baseline %.0f × calibration %.2f %+.0f%% + %.0fµs)",
-				quantile, curQ, limit, baseQ, scale, frac*100, absUs))
-		}
-	}
-	gate("p50", base.Latency.P50, cur.Latency.P50, tol.P50Frac, tol.P50AbsUs)
-	gate("p99", base.Latency.P99, cur.Latency.P99, tol.P99Frac, tol.P99AbsUs)
-
-	frac := func(part, whole int64) float64 {
-		if whole == 0 {
-			return 0
-		}
-		return float64(part) / float64(whole)
-	}
-	if bg, cg := frac(base.Good, base.Sent), frac(cur.Good, cur.Sent); cg < bg-tol.GoodputDrop {
-		regs = append(regs, fmt.Sprintf("goodput: %.1f%% of requests succeeded, baseline %.1f%% (tolerance -%.0fpp)",
-			cg*100, bg*100, tol.GoodputDrop*100))
-	}
-	if bs, cs := frac(base.Shed, base.Sent), frac(cur.Shed, cur.Sent); cs > bs+tol.ShedRise {
-		regs = append(regs, fmt.Sprintf("shed: %.1f%% of requests shed, baseline %.1f%% (tolerance +%.0fpp)",
-			cs*100, bs*100, tol.ShedRise*100))
-	}
-	if base.Errors == 0 && cur.Errors > 0 {
-		regs = append(regs, fmt.Sprintf("errors: %d error responses, baseline had none", cur.Errors))
-	}
-	return regs
 }
 
 // Text renders the report for terminal output.

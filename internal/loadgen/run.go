@@ -51,16 +51,12 @@ type Options struct {
 	// the load does NOT slow down to match a struggling server, which is
 	// what makes open-loop numbers honest under overload.
 	RPS float64
-	// InjectDelay adds a fixed server-side-style delay inside every
-	// request's measured window. It exists to validate the regression
-	// gate: a run with 5ms injected must fail a healthy baseline.
-	InjectDelay time.Duration
 	// Retry switches to polite-client mode: a 429 or 503 is retried (up
 	// to RetryMax times) after the response's Retry-After hint, or a
 	// doubling backoff when the server gave none. The measured latency
 	// then covers the whole polite exchange, waits included — that IS
-	// the latency a well-behaved client sees. Off by default: open-loop
-	// honesty (measure what the server sheds) is the baseline's point.
+	// the latency a well-behaved client sees. Off by default: an impolite
+	// client measures what the server sheds.
 	Retry bool
 	// RetryMax bounds the re-sends per op in Retry mode; zero means 3.
 	RetryMax int
@@ -183,9 +179,6 @@ func Run(ctx context.Context, p *Plan, opts Options) (*RunStats, error) {
 
 	execute := func(i int, op Op) {
 		start := time.Now()
-		if opts.InjectDelay > 0 {
-			time.Sleep(opts.InjectDelay)
-		}
 		status, partial, retryAfter, err := attempt(i, op)
 		if opts.Retry && err == nil && retryable(status) {
 			bo := backoff{base: 50 * time.Millisecond}
