@@ -1,18 +1,14 @@
 package bitvec
 
-import "math/bits"
-
-// Batched word-parallel subset tests. The pair scans of the §3.1 baseline
-// and the §3.3 cube sweep spend their time in v ⊆ u range tests; testing
-// one row against candidates one pair at a time re-reads v's words and
-// recomputes the range masks once per candidate. The batch kernels below
-// walk the word range ONCE for up to BatchMax candidate rows, loading
-// each v word a single time and amortizing the boundary-mask arithmetic
-// across the whole batch — the candidate results live as bits of a packed
-// uint64 mask (one lane per candidate, SWAR style) that is updated
-// branch-free per word. Callers fold the masks with popcount
-// (bits.OnesCount64) to count surviving candidates without re-walking
-// them.
+// Batched word-parallel subset tests. The pair scan of the §3.1 baseline
+// (and of §3.2's per-cluster scans, which are the baseline's) spends its
+// time in v ⊆ u range tests; testing one row against candidates one pair at
+// a time re-reads v's words and recomputes the range masks once per
+// candidate. The batch kernels below walk the word range ONCE for up to
+// BatchMax candidate rows, loading each v word a single time and
+// amortizing the boundary-mask arithmetic across the whole batch — the
+// candidate results live as bits of a packed uint64 mask (one lane per
+// candidate, SWAR style) that is updated branch-free per word.
 
 // BatchMax is the largest candidate batch the kernels accept: one result
 // lane per bit of the packed result mask.
@@ -43,19 +39,14 @@ func rangeWords(lo, hi int) (first, last int, firstMask, lastMask uint64) {
 	return
 }
 
-// AndNotAnyBatch reports, for up to BatchMax candidate rows, whether
-// v AND NOT us[k] has any set bit within [lo, hi) — i.e. whether v ⊄
-// us[k] on the range. Bit k of the result is set exactly when candidate
-// k VIOLATES the subset relation. It panics on range errors, length
-// mismatches, or more than BatchMax candidates.
-func AndNotAnyBatch(v *Vector, us []*Vector, lo, hi int) uint64 {
-	return ^SubsetBatch(v, us, lo, hi) & batchMask(len(us))
-}
-
 // SubsetBatch reports, for up to BatchMax candidate rows, whether
 // v AND us[k] == v restricted to [lo, hi): bit k of the result is set
 // exactly when v ⊆ us[k] on the range. One pass over v's words tests
 // every candidate; the scan stops early once every lane has failed.
+//
+// No kernel calls it since the §3.3 sweep moved to code rows: its callers
+// are this package's tests and the benchmark's bitvec.subset_ns_per_row
+// probe, which is what keeps it (ROADMAP 2(a)).
 func SubsetBatch(v *Vector, us []*Vector, lo, hi int) uint64 {
 	checkBatch(v, us, lo, hi)
 	fwd := batchMask(len(us))
@@ -119,11 +110,6 @@ func SubsetBatchBoth(v *Vector, us []*Vector, lo, hi int) (fwd, rev uint64) {
 	}
 	return fwd, rev
 }
-
-// CountLanes returns the number of set lanes in a batch result mask —
-// popcount over the packed per-candidate bits, the fused counting step
-// of the batch kernels.
-func CountLanes(mask uint64) int { return bits.OnesCount64(mask) }
 
 // checkBatch validates the shared preconditions of the batch kernels.
 func checkBatch(v *Vector, us []*Vector, lo, hi int) {

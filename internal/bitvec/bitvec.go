@@ -11,7 +11,6 @@ package bitvec
 import (
 	"math/bits"
 	"strings"
-	"sync"
 )
 
 const wordBits = 64
@@ -138,11 +137,6 @@ func (v *Vector) AndEqualsRange(u *Vector, lo, hi int) bool {
 	return true
 }
 
-// EqualRange reports whether v and u agree on every bit of [lo, hi).
-func (v *Vector) EqualRange(u *Vector, lo, hi int) bool {
-	return v.AndEqualsRange(u, lo, hi) && u.AndEqualsRange(v, lo, hi)
-}
-
 // AndCount returns |v AND u|, the size of the bit-set intersection.
 func (v *Vector) AndCount(u *Vector) int {
 	c := 0
@@ -184,40 +178,6 @@ func (v *Vector) Ones(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Pool recycles fixed-width vectors through a sync.Pool, so hot loops that
-// need scratch rows (per-worker occurrence-matrix sweeps, incremental row
-// materialization) run allocation-free in steady state. Get always returns
-// an all-zero vector of the pool's width; Put accepts vectors of any
-// provenance but silently drops ones of the wrong width, so a resized
-// feature space can never poison the pool.
-type Pool struct {
-	n int
-	p sync.Pool
-}
-
-// NewPool returns a pool of n-bit vectors.
-func NewPool(n int) *Pool {
-	pl := &Pool{n: n}
-	pl.p.New = func() any { return New(n) }
-	return pl
-}
-
-// Width returns the bit width of the pool's vectors.
-func (p *Pool) Width() int { return p.n }
-
-// Get returns an all-zero vector of the pool's width.
-func (p *Pool) Get() *Vector { return p.p.Get().(*Vector) }
-
-// Put zeroes v and returns it to the pool. Vectors of the wrong width (or
-// nil) are dropped.
-func (p *Pool) Put(v *Vector) {
-	if v == nil || v.n != p.n {
-		return
-	}
-	v.Reset()
-	p.p.Put(v)
 }
 
 // String renders the vector as a 0/1 string, most significant bit last

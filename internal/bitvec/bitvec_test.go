@@ -84,19 +84,6 @@ func TestAndEqualsRangeMasksOutside(t *testing.T) {
 	}
 }
 
-func TestEqualRange(t *testing.T) {
-	a, b := New(128), New(128)
-	a.Set(5)
-	b.Set(5)
-	a.Set(70)
-	if !a.EqualRange(b, 0, 64) {
-		t.Errorf("first word equal")
-	}
-	if a.EqualRange(b, 64, 128) {
-		t.Errorf("second word differs")
-	}
-}
-
 func TestJaccard(t *testing.T) {
 	a, b := New(64), New(64)
 	if a.Jaccard(b) != 1 {
@@ -249,44 +236,5 @@ func TestResetZeroesAllBits(t *testing.T) {
 	}
 	if v.Len() != 130 {
 		t.Errorf("Reset changed width to %d", v.Len())
-	}
-}
-
-func TestPoolReturnsZeroedVectors(t *testing.T) {
-	p := NewPool(200)
-	if p.Width() != 200 {
-		t.Fatalf("Width = %d", p.Width())
-	}
-	v := p.Get()
-	if v.Len() != 200 || v.Count() != 0 {
-		t.Fatalf("Get: len=%d count=%d", v.Len(), v.Count())
-	}
-	v.Set(3)
-	v.Set(199)
-	p.Put(v)
-	// Whatever Get returns next — recycled or fresh — must be all-zero.
-	u := p.Get()
-	if u.Len() != 200 || u.Count() != 0 {
-		t.Errorf("recycled vector not zeroed: len=%d count=%d", u.Len(), u.Count())
-	}
-	// Wrong-width and nil Puts are dropped, not stored.
-	p.Put(New(64))
-	p.Put(nil)
-	w := p.Get()
-	if w.Len() != 200 {
-		t.Errorf("pool handed out a foreign-width vector (len=%d)", w.Len())
-	}
-}
-
-func TestPoolGetAllocFree(t *testing.T) {
-	p := NewPool(512)
-	// Prime the pool so steady state recycles.
-	p.Put(p.Get())
-	allocs := testing.AllocsPerRun(100, func() {
-		v := p.Get()
-		p.Put(v)
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state Get/Put allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -229,30 +229,20 @@ func baselineScan(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, sink
 				}
 			}
 
-			for k := 0; k < kk; k++ {
+			// Without the partial task no degrees were counted: only a
+			// lane that survived in some direction can emit, and it is full.
+			emitting := lanes
+			if !needPartial {
+				emitting = fwdAcc | revAcc
+			}
+			for m := emitting; m != 0; m &= m - 1 {
+				k := mbits.TrailingZeros64(m)
 				j := idx[y0+k]
-				bit := uint64(1) << uint(k)
-				okIJ, okJI := fwdAcc&bit != 0, revAcc&bit != 0
-				shares := s.SharesMeasure(i, j)
-				if tasks.Has(TaskFull) && shares {
-					if okIJ {
-						sink.Full(i, j)
-					}
-					if okJI {
-						sink.Full(j, i)
-					}
+				degIJ, degJI := sc.degIJ[k], sc.degJI[k]
+				if !needPartial {
+					degIJ, degJI = p*int(fwdAcc>>uint(k)&1), p*int(revAcc>>uint(k)&1)
 				}
-				if needPartial && shares {
-					if deg := sc.degIJ[k]; deg > 0 && deg < p {
-						sink.Partial(i, j, float64(deg)/float64(p))
-					}
-					if deg := sc.degJI[k]; deg > 0 && deg < p {
-						sink.Partial(j, i, float64(deg)/float64(p))
-					}
-				}
-				if tasks.Has(TaskCompl) && okIJ && okJI {
-					sink.Compl(i, j)
-				}
+				emitPair(sink, tasks, p, i, j, degIJ, degJI, s.SharesMeasure(i, j))
 			}
 		}
 		s.count(CtrObsPairsCompared, ordered)

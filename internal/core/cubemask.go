@@ -1,10 +1,8 @@
 package core
 
 import (
-	mbits "math/bits"
 	"sync"
 
-	"rdfcube/internal/bitvec"
 	"rdfcube/internal/lattice"
 )
 
@@ -40,7 +38,10 @@ func BuildLattice(s *Space) *lattice.Lattice {
 // cubeMasking runs the paper's §3.3 algorithm: observations are hashed to
 // lattice cubes, cube pairs are pruned by schema-level (level-wise)
 // comparability, and only observations of comparable cube pairs are
-// compared. Unlike clustering, the pruning is exact, so recall is 1.
+// compared. Unlike clustering, the pruning is exact, so recall is 1. The
+// comparison is sweepRow over the code rows: the cube signatures already
+// are levels of those codes, and no lattice kernel builds or reads the
+// occurrence matrix (TestLatticeKernelsLeaveOMUnbuilt).
 //
 // With a recorder attached, the sweep reports cubes.pairs.considered,
 // cubes.pairs.pruned and cubes.pairs.compared; pruned + compared equals
@@ -60,7 +61,6 @@ func BuildLattice(s *Space) *lattice.Lattice {
 // sink's contract.
 func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers int, g *guard, fault func(int)) error {
 	l := BuildLattice(s)
-	om := BuildOccurrenceMatrix(s)
 	cubes := l.Cubes()
 	p := s.NumDims()
 	nc := int64(len(cubes))
@@ -77,7 +77,7 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 			weight:    func(int) int64 { return 1 },
 			newWorker: func() any { return borrowCubeScratch(p) },
 			scan: func(ai int, local Sink, ws any) error {
-				return sweepCube(om, cubes[ai], cubes, p, tasks, local, g, ws.(*cubeScratch))
+				return sweepCube(s, cubes[ai], cubes, tasks, local, g, ws.(*cubeScratch))
 			},
 			fingerprint: func(ai int) string {
 				return shardFingerprint("cubemask", ai, 0, 0, cubes[ai].Obs)
@@ -93,7 +93,7 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 		// identical signatures: only same-cube pairs can qualify. Every
 		// cross-cube pair is pruned without even a signature test.
 		for _, c := range cubes {
-			if err := comparePair(om, c, c, p, tasks, sink, nil, g, sc); err != nil {
+			if err := comparePair(s, c, c, tasks, sink, nil, g, sc); err != nil {
 				return err
 			}
 		}
@@ -115,7 +115,7 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 			children := l.Children(ai)
 			compared += int64(len(children))
 			for _, b := range children {
-				if err := comparePair(om, a, b, p, tasks, sink, nil, g, sc); err != nil {
+				if err := comparePair(s, a, b, tasks, sink, nil, g, sc); err != nil {
 					return err
 				}
 			}
@@ -131,7 +131,7 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 		if err := g.poll(); err != nil {
 			return err
 		}
-		if err := sweepCube(om, a, cubes, p, tasks, sink, g, sc); err != nil {
+		if err := sweepCube(s, a, cubes, tasks, sink, g, sc); err != nil {
 			return err
 		}
 	}
@@ -144,8 +144,8 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 // observable pruning accounting stays consistent with the work actually
 // done — which keeps live progress moving while bounding recorder traffic
 // to one call set per cube.
-func sweepCube(om *OccurrenceMatrix, a *lattice.Cube, cubes []*lattice.Cube, p int, tasks Tasks, sink Sink, g *guard, sc *cubeScratch) error {
-	s := om.Space
+func sweepCube(s *Space, a *lattice.Cube, cubes []*lattice.Cube, tasks Tasks, sink Sink, g *guard, sc *cubeScratch) error {
+	p := s.NumDims()
 	var considered, pruned, compared, candTests int64
 	var err error
 	for _, b := range cubes {
@@ -156,18 +156,15 @@ func sweepCube(om *OccurrenceMatrix, a *lattice.Cube, cubes []*lattice.Cube, p i
 			pruned++
 			continue
 		}
-		allLE := len(sc.cand) == p
-		if !tasks.Has(TaskPartial) && !allLE {
+		cand := sc.cand
+		if len(cand) == p {
+			cand = nil
+		} else if !tasks.Has(TaskPartial) {
 			pruned++
 			continue
 		}
 		compared++
-		if allLE {
-			err = comparePair(om, a, b, p, tasks, sink, nil, g, sc)
-		} else {
-			err = comparePair(om, a, b, p, tasks, sink, sc.cand, g, sc)
-		}
-		if err != nil {
+		if err = comparePair(s, a, b, tasks, sink, cand, g, sc); err != nil {
 			break
 		}
 	}
@@ -206,14 +203,10 @@ func (pc *pairCharge) flush(g *guard) error {
 
 // cubeScratch is the pooled working set of the cube sweep, shared by the
 // serial sweep and (one per worker) the shard pool: the candidate-dims
-// buffer, the guard pair-charge accumulator, and the batch row/index
-// buffers with their per-lane degree counters.
+// buffer and the guard pair-charge accumulator.
 type cubeScratch struct {
 	cand []int
 	pc   pairCharge
-	rows []*bitvec.Vector
-	js   []int
-	deg  [bitvec.BatchMax]int
 }
 
 var cubeScratchPool = sync.Pool{New: func() any { return new(cubeScratch) }}
@@ -228,114 +221,33 @@ func borrowCubeScratch(p int) *cubeScratch {
 	return sc
 }
 
-// comparePair compares every observation of cube a against every
-// observation of cube b, testing containment only on cand dimensions
-// (nil means all dimensions, implying a.Sig ≤ b.Sig level-wise). The
-// inner rows are visited in batches of up to bitvec.BatchMax: one
-// SubsetBatch pass per dimension resolves the whole batch against the
-// outer row's occurrence-matrix words, loaded once per batch instead of
-// once per pair. Emissions flush lane by lane in the pair-at-a-time
-// order.
+// comparePair compares every observation of cube a with every observation
+// of cube b through sweepRow. Across two cubes each member of a is tested
+// forward against b's members on the cand dimensions (nil means all of
+// them: a.Sig ≤ b.Sig level-wise); the pair (b, a) is another visit of the
+// sweep. Inside one cube (cand is nil) the upper triangle is visited once
+// with both directions resolved, which also settles complementarity.
 //
-// Observation-pair and dimension-test counters are batched locally and
-// flushed once per cube pair; the flush is atomic-safe, so the shard
-// pool's workers call this concurrently. A non-nil guard is charged through
-// sc.pc (which carries the pair count across calls) at batch granularity;
-// on trip the local counters are flushed and the guard's error returned.
-func comparePair(om *OccurrenceMatrix, a, b *lattice.Cube, p int, tasks Tasks, sink Sink, cand []int, g *guard, sc *cubeScratch) error {
-	s := om.Space
-	sameCube := a == b
-	allLE := cand == nil
-	needPartial := tasks.Has(TaskPartial)
-	guarded := g != nil
-	if cap(sc.rows) < bitvec.BatchMax {
-		sc.rows = make([]*bitvec.Vector, 0, bitvec.BatchMax)
-		sc.js = make([]int, 0, bitvec.BatchMax)
-	}
+// Observation-pair and dimension-test counters are flushed once per cube
+// pair, also when the guard (charged through sc.pc, which carries the pair
+// count across calls) trips; the flush is atomic-safe, so the shard pool's
+// workers call this concurrently.
+func comparePair(s *Space, a, b *lattice.Cube, tasks Tasks, sink Sink, cand []int, g *guard, sc *cubeScratch) error {
 	var ordered, dimTests int64
-	for _, i := range a.Obs {
-		ri := om.Rows[i]
-		for bi := 0; bi < len(b.Obs); {
-			js, rows := sc.js[:0], sc.rows[:0]
-			for bi < len(b.Obs) && len(js) < bitvec.BatchMax {
-				j := b.Obs[bi]
-				bi++
-				if j == i {
-					continue
-				}
-				js = append(js, j)
-				rows = append(rows, om.Rows[j])
-			}
-			kk := len(js)
-			if kk == 0 {
-				continue
-			}
-			if guarded {
-				if err := sc.pc.add(g, int64(kk)); err != nil {
-					s.count(CtrObsPairsCompared, ordered)
-					s.count(CtrDimTests, dimTests)
-					return err
-				}
-			}
-			ordered += int64(kk)
-			lanes := ^uint64(0) >> uint(64-kk)
-			alive := lanes
-			if needPartial {
-				for k := 0; k < kk; k++ {
-					sc.deg[k] = 0
-				}
-			}
-			if allLE {
-				for d := 0; d < p; d++ {
-					dlo, dhi := s.ColRange(d)
-					dimTests += int64(kk)
-					fwd := bitvec.SubsetBatch(ri, rows, dlo, dhi)
-					alive &= fwd
-					if needPartial {
-						for m := fwd; m != 0; m &= m - 1 {
-							sc.deg[mbits.TrailingZeros64(m)]++
-						}
-					} else if alive == 0 {
-						// The paper's pruning, batch-wide: every lane has
-						// already failed full containment.
-						break
-					}
-				}
-			} else {
-				// Off the all-LE path full containment is impossible; only
-				// partial degrees (over the candidate dims) matter.
-				alive = 0
-				if needPartial {
-					for _, d := range cand {
-						dlo, dhi := s.ColRange(d)
-						dimTests += int64(kk)
-						fwd := bitvec.SubsetBatch(ri, rows, dlo, dhi)
-						for m := fwd; m != 0; m &= m - 1 {
-							sc.deg[mbits.TrailingZeros64(m)]++
-						}
-					}
-				}
-			}
-			for k := 0; k < kk; k++ {
-				j := js[k]
-				if allLE && alive&(uint64(1)<<uint(k)) != 0 {
-					if tasks.Has(TaskFull) && s.SharesMeasure(i, j) {
-						sink.Full(i, j)
-					}
-					// Mutual full containment means value equality, which
-					// only happens inside one cube; emit once per pair.
-					if tasks.Has(TaskCompl) && sameCube && i < j {
-						sink.Compl(i, j)
-					}
-				} else if needPartial {
-					if deg := sc.deg[k]; deg > 0 && deg < p && s.SharesMeasure(i, j) {
-						sink.Partial(i, j, float64(deg)/float64(p))
-					}
-				}
-			}
+	var err error
+	for x, i := range a.Obs {
+		js := b.Obs
+		if a == b {
+			js = js[x+1:]
+		}
+		var pairs, tests int64
+		pairs, tests, err = sweepRow(s, i, js, cand, a == b, tasks, sink, g, &sc.pc)
+		ordered, dimTests = ordered+pairs, dimTests+tests
+		if err != nil {
+			break
 		}
 	}
 	s.count(CtrObsPairsCompared, ordered)
 	s.count(CtrDimTests, dimTests)
-	return nil
+	return err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"rdfcube/internal/bitvec"
 	"rdfcube/internal/cluster"
+	"rdfcube/internal/lattice"
 )
 
 // HybridOptions configure the hybrid algorithm.
@@ -27,7 +28,6 @@ func hybrid(s *Space, tasks Tasks, sink Sink, opts HybridOptions, g *guard) erro
 		maxSize = 512
 	}
 	l := BuildLattice(s)
-	om := BuildOccurrenceMatrix(s)
 	sink = instrumentSink(s, sink)
 	cubes := l.Cubes()
 	p := s.NumDims()
@@ -46,7 +46,7 @@ func hybrid(s *Space, tasks Tasks, sink Sink, opts HybridOptions, g *guard) erro
 			if a == b && len(a.Obs) > maxSize {
 				clustered++
 				compared++
-				if err := clusterWithin(s, a.Obs, tasks, sink, opts.Clustering, g, &sc.pc); err != nil {
+				if err := clusterWithin(s, a, tasks, sink, opts.Clustering, g, sc); err != nil {
 					return err
 				}
 				continue
@@ -57,19 +57,15 @@ func hybrid(s *Space, tasks Tasks, sink Sink, opts HybridOptions, g *guard) erro
 				pruned++
 				continue
 			}
-			allLE := len(sc.cand) == p
-			if !tasks.Has(TaskPartial) && !allLE {
+			cand := sc.cand
+			if len(cand) == p {
+				cand = nil
+			} else if !tasks.Has(TaskPartial) {
 				pruned++
 				continue
 			}
 			compared++
-			var err error
-			if allLE {
-				err = comparePair(om, a, b, p, tasks, sink, nil, g, sc)
-			} else {
-				err = comparePair(om, a, b, p, tasks, sink, sc.cand, g, sc)
-			}
-			if err != nil {
+			if err := comparePair(s, a, b, tasks, sink, cand, g, sc); err != nil {
 				s.count(CtrCubePairsConsidered, considered)
 				s.count(CtrCubePairsPruned, pruned)
 				s.count(CtrCubePairsCompared, compared)
@@ -89,12 +85,15 @@ func hybrid(s *Space, tasks Tasks, sink Sink, opts HybridOptions, g *guard) erro
 }
 
 // clusterWithin clusters one oversized cube's members on their occurrence
-// rows and compares observations only inside each cluster. Indices emitted
-// to the sink are global observation indices.
-func clusterWithin(s *Space, members []int, tasks Tasks, sink Sink, opts ClusteringOptions, g *guard, pc *pairCharge) error {
-	rows := make([]*bitvec.Vector, len(members))
-	for i, m := range members {
-		rows[i] = s.Row(m)
+// rows (the space's cached matrix, built on first use: a corpus without an
+// oversized cube never builds it) and compares observations only inside
+// each cluster — a sub-cube swept against itself. Indices emitted to the
+// sink are global observation indices.
+func clusterWithin(s *Space, cube *lattice.Cube, tasks Tasks, sink Sink, opts ClusteringOptions, g *guard, sc *cubeScratch) error {
+	om := BuildOccurrenceMatrix(s)
+	rows := make([]*bitvec.Vector, len(cube.Obs))
+	for i, m := range cube.Obs {
+		rows[i] = om.Rows[m]
 	}
 	cfg := opts.Config
 	if cfg.Poll == nil {
@@ -104,62 +103,18 @@ func clusterWithin(s *Space, members []int, tasks Tasks, sink Sink, opts Cluster
 	if err != nil {
 		return err
 	}
-	p := s.NumDims()
-	guarded := g != nil
-	var ordered, dimTests, intra int64
+	n := int64(len(cube.Obs))
+	skipped := n * (n - 1)
 	for _, local := range cl.Members() {
-		m := int64(len(local))
-		// pairwiseDirect resolves both directions per unordered visit and
-		// always tests all p dimensions.
-		ordered += m * (m - 1)
-		dimTests += int64(p) * m * (m - 1) / 2
-		intra += m * (m - 1)
-		for x := 0; x < len(local); x++ {
-			i := members[local[x]]
-			for y := x + 1; y < len(local); y++ {
-				if guarded {
-					if err := pc.add(g, 2); err != nil {
-						s.count(CtrObsPairsCompared, ordered)
-						s.count(CtrDimTests, dimTests)
-						return err
-					}
-				}
-				j := members[local[y]]
-				pairwiseDirect(s, i, j, p, tasks, sink)
-			}
+		sub := &lattice.Cube{Sig: cube.Sig, Obs: make([]int, len(local))}
+		for x, li := range local {
+			sub.Obs[x] = cube.Obs[li]
 		}
+		if err := comparePair(s, sub, sub, tasks, sink, nil, g, sc); err != nil {
+			return err
+		}
+		skipped -= int64(len(local)) * int64(len(local)-1)
 	}
-	n := int64(len(members))
-	s.count(CtrObsPairsCompared, ordered)
-	s.count(CtrDimTests, dimTests)
-	s.count(CtrClusterPairsSkipped, n*(n-1)-intra)
+	s.count(CtrClusterPairsSkipped, skipped)
 	return nil
-}
-
-// pairwiseDirect resolves one unordered pair in both directions with
-// direct value checks (no bit vectors) and emits to the sink. All members
-// of one cube share a signature, so equality per dimension decides
-// containment in both directions at once.
-func pairwiseDirect(s *Space, i, j, p int, tasks Tasks, sink Sink) {
-	eq := 0
-	for d := 0; d < p; d++ {
-		if s.ValueIndex(i, d) == s.ValueIndex(j, d) {
-			eq++
-		}
-	}
-	shares := s.SharesMeasure(i, j)
-	if eq == p {
-		if tasks.Has(TaskFull) && shares {
-			sink.Full(i, j)
-			sink.Full(j, i)
-		}
-		if tasks.Has(TaskCompl) {
-			sink.Compl(i, j)
-		}
-		return
-	}
-	if tasks.Has(TaskPartial) && shares && eq > 0 {
-		sink.Partial(i, j, float64(eq)/float64(p))
-		sink.Partial(j, i, float64(eq)/float64(p))
-	}
 }

@@ -36,10 +36,11 @@ func (s *Space) AppendObservation(o *qb.Observation) (int, error) {
 
 // Incremental maintains relationship sets under observation insertions —
 // the paper's §6 "efficient incremental techniques" future-work item. The
-// initial batch is computed with cubeMasking; each insertion compares the
-// new observation only against cubes that are lattice-comparable with its
-// signature, so an insert costs O(comparable observations) instead of a
-// recomputation.
+// initial batch is computed with cubeMasking; each insertion is one
+// sweepRow of the new observation, both directions at once, against every
+// cube that is lattice-comparable with its signature under the task mask
+// (cubesComparable), so an insert costs O(comparable observations) instead
+// of a recomputation.
 type Incremental struct {
 	// S is the underlying space (grows with insertions).
 	S *Space
@@ -85,7 +86,8 @@ func (inc *Incremental) Lattice() *lattice.Lattice { return inc.l }
 // Insert adds one observation, updates the relationship sets with every
 // relationship the new observation participates in, and returns its index.
 // With a recorder attached to the space, each insert batches its pruning
-// and comparison counters and flushes them once on return.
+// and comparison counters and flushes them once on return; pruned +
+// compared cube pairs equal the cubes considered, as in the batch sweep.
 func (inc *Incremental) Insert(o *qb.Observation) (int, error) { return inc.insert(o, inc.Res) }
 
 // insert is Insert emitting into sink (tests record what it emits).
@@ -95,72 +97,46 @@ func (inc *Incremental) insert(o *qb.Observation, sink Sink) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p := s.NumDims()
 	sig := s.Signature(i)
 
-	var considered, pruned, compared, candTests, ordered, dimTests int64
-	candA := make([]int, 0, p) // dimensions where new may contain cube
-	candB := make([]int, 0, p) // dimensions where cube may contain new
-	for _, c := range inc.l.Cubes() {
-		considered++
-		candTests += 2
-		candA = sig.CandidateDims(c.Sig, candA)
-		candB = c.Sig.CandidateDims(sig, candB)
-		if len(candA) == 0 && len(candB) == 0 {
-			pruned++
+	cubes := inc.l.Cubes()
+	considered := int64(len(cubes))
+	var compared, ordered, dimTests int64
+	for _, c := range cubes {
+		if !cubesComparable(inc.tasks, sig, c.Sig) {
 			continue
 		}
 		compared++
-		ordered += 2 * int64(len(c.Obs))
-		dimTests += int64(len(candA)+len(candB)) * int64(len(c.Obs))
-		for _, j := range c.Obs {
-			inc.comparePairBoth(i, j, candA, candB, sink)
-		}
+		// An insert runs unguarded, so the sweep cannot fail.
+		pairs, tests, _ := sweepRow(s, i, c.Obs, nil, true, inc.tasks, sink, nil, nil)
+		ordered, dimTests = ordered+pairs, dimTests+tests
 	}
 	inc.l.Add(i, sig)
 	s.count(CtrIncInserts, 1)
 	s.count(CtrCubePairsConsidered, considered)
-	s.count(CtrCubePairsPruned, pruned)
+	s.count(CtrCubePairsPruned, considered-compared)
 	s.count(CtrCubePairsCompared, compared)
-	s.count(CtrCandidateDimTests, candTests)
+	if !inc.tasks.Has(TaskPartial) {
+		s.count(CtrCandidateDimTests, considered)
+	}
 	s.count(CtrObsPairsCompared, ordered)
 	s.count(CtrDimTests, dimTests)
 	return i, nil
 }
 
-// comparePairBoth resolves both directions of the pair (i, j) over the
-// candidate dimensions.
-func (inc *Incremental) comparePairBoth(i, j int, candA, candB []int, sink Sink) {
-	s, p := inc.S, inc.S.NumDims()
-	var degIJ, degJI int
-	for _, d := range candA {
-		if s.DimContains(i, j, d) {
-			degIJ++
-		}
-	}
-	for _, d := range candB {
-		if s.DimContains(j, i, d) {
-			degJI++
-		}
-	}
-	shares := s.SharesMeasure(i, j)
-	if inc.tasks.Has(TaskFull) && shares {
-		if degIJ == p {
-			sink.Full(i, j)
-		}
-		if degJI == p {
-			sink.Full(j, i)
-		}
-	}
-	if inc.tasks.Has(TaskPartial) && shares {
-		if degIJ > 0 && degIJ < p {
-			sink.Partial(i, j, float64(degIJ)/float64(p))
-		}
-		if degJI > 0 && degJI < p {
-			sink.Partial(j, i, float64(degJI)/float64(p))
-		}
-	}
-	if inc.tasks.Has(TaskCompl) && degIJ == p && degJI == p {
-		sink.Compl(i, j)
+// cubesComparable reports whether members of cubes a and b can be related
+// under tasks in either direction. With the partial task every pair of
+// cubes is: on each dimension one signature is ≤ the other, so one
+// direction always keeps a candidate dimension. Full containment needs one
+// signature level-wise ≤ the other on every dimension; complementarity
+// alone, equal values, needs the same cube.
+func cubesComparable(tasks Tasks, a, b lattice.Signature) bool {
+	switch {
+	case tasks.Has(TaskPartial):
+		return true
+	case tasks.Has(TaskFull):
+		return a.LE(b) || b.LE(a)
+	default:
+		return a.Equal(b)
 	}
 }

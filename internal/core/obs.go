@@ -18,8 +18,12 @@ import "rdfcube/internal/obsv"
 //     the member-comparison loop. Pruned + Compared = Considered always —
 //     the pruned ratio is the paper's Fig. 5 cubeMasking speedup argument.
 //   - CtrCandidateDimTests: cube-signature candidate-dimension tests.
-//   - CtrDimTests: per-dimension containment tests on observation values.
-//   - CtrBitAndTests: word-parallel bit-AND subset tests (packed OM rows).
+//   - CtrDimTests: per-dimension ancestor tests on code rows, made by
+//     sweepRow — cubeMasking, hybrid and Insert. A visit that resolves
+//     both directions of a pair counts one test per dimension.
+//   - CtrBitAndTests: word-parallel bit-AND subset tests on packed
+//     occurrence-matrix rows — the baseline and clustering's per-cluster
+//     scans, nothing else.
 //   - CtrPrefetchHits: cube pairs served from the prefetched child lists
 //     (Fig. 5(g)).
 //   - CtrEmitFull / Partial / Compl: relationships emitted into the sink.

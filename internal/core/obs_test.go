@@ -189,6 +189,54 @@ func TestIncrementalCounters(t *testing.T) {
 	}
 }
 
+// TestIncrementalPrunesIncomparableCubes: without the partial task an
+// insert skips every cube whose signature is level-wise incomparable with
+// the new observation's (every other cube, for complementarity alone),
+// counts it pruned, and still leaves the sets of a batch run.
+func TestIncrementalPrunesIncomparableCubes(t *testing.T) {
+	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 1})
+	for _, tasks := range []Tasks{TaskFull | TaskCompl, TaskCompl} {
+		base, tail := splitCorpus(c, len(c.Observations())-20)
+		s, err := NewSpace(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc := NewIncremental(s, tasks)
+		col := obsv.NewCollector()
+		s.SetRecorder(col)
+		incomparable := false
+		for _, o := range tail {
+			i, err := inc.Insert(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig := s.Signature(i)
+			for _, cube := range inc.Lattice().Cubes() {
+				incomparable = incomparable || !sig.LE(cube.Sig) && !cube.Sig.LE(sig)
+			}
+		}
+		s.SetRecorder(nil)
+		if !incomparable {
+			t.Fatalf("degenerate input: every cube is comparable with every inserted observation")
+		}
+		snap := col.Snapshot()
+		considered, pruned, compared := snap[CtrCubePairsConsidered], snap[CtrCubePairsPruned], snap[CtrCubePairsCompared]
+		if pruned == 0 || compared == 0 || pruned+compared != considered {
+			t.Errorf("tasks %03b: considered %d, pruned %d, compared %d: want pruned > 0, compared > 0 and pruned + compared = considered",
+				tasks, considered, pruned, compared)
+		}
+		batch := NewResult()
+		mustCompute(t, s, AlgorithmBaseline, Options{Tasks: tasks}, batch)
+		batch.Sort()
+		inc.Res.Sort()
+		if !samePairs(batch.FullSet, inc.Res.FullSet) || !samePairs(batch.PartialSet, inc.Res.PartialSet) || !samePairs(batch.ComplSet, inc.Res.ComplSet) {
+			f, p, cc := inc.Res.Counts()
+			bf, bp, bc := batch.Counts()
+			t.Errorf("tasks %03b: incremental sets (%d, %d, %d) differ from the batch baseline's (%d, %d, %d)", tasks, f, p, cc, bf, bp, bc)
+		}
+	}
+}
+
 // TestOptionsValidate covers the Strict/Validate satellite: ignored
 // non-zero fields are reported, consumed fields pass.
 func TestOptionsValidate(t *testing.T) {

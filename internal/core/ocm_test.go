@@ -72,21 +72,13 @@ func TestOCMTable3b(t *testing.T) {
 	}
 }
 
-// TestOCMAgreesWithDegrees cross-checks the materialized OCM against the
-// streaming Degrees computation used by the baseline scan.
+// TestOCMAgreesWithDegrees cross-checks the materialized OCM, computed
+// from the occurrence-matrix rows, against the degree the code rows give.
 func TestOCMAgreesWithDegrees(t *testing.T) {
 	s, _ := exampleSpace(t)
-	om := BuildOccurrenceMatrix(s)
-	ocm := ComputeOCM(om)
+	ocm := ComputeOCM(BuildOccurrenceMatrix(s))
 	for i := 0; i < s.N(); i++ {
 		for j := 0; j < s.N(); j++ {
-			ij, ji := om.Degrees(i, j)
-			if int(ocm.Counts[i][j]) != ij {
-				t.Fatalf("counts[%d][%d]=%d, Degrees=%d", i, j, ocm.Counts[i][j], ij)
-			}
-			if int(ocm.Counts[j][i]) != ji {
-				t.Fatalf("counts[%d][%d]=%d, Degrees=%d", j, i, ocm.Counts[j][i], ji)
-			}
 			if int(ocm.Counts[i][j]) != s.ContainDegree(i, j) {
 				t.Fatalf("OCM vs direct degree mismatch at (%d,%d)", i, j)
 			}

@@ -62,20 +62,3 @@ func (om *OccurrenceMatrix) ContainsDim(i, j, d int) bool {
 	lo, hi := om.Space.ColRange(d)
 	return om.Rows[i].AndEqualsRange(om.Rows[j], lo, hi)
 }
-
-// Degrees computes, for the ordered pair (i, j), the number of dimensions
-// on which i contains j and on which j contains i, in one pass over the
-// rows. The normalized OCM cells are the returned counts divided by |P|.
-func (om *OccurrenceMatrix) Degrees(i, j int) (ij, ji int) {
-	ri, rj := om.Rows[i], om.Rows[j]
-	for d := 0; d < om.Space.NumDims(); d++ {
-		lo, hi := om.Space.ColRange(d)
-		if ri.AndEqualsRange(rj, lo, hi) {
-			ij++
-		}
-		if rj.AndEqualsRange(ri, lo, hi) {
-			ji++
-		}
-	}
-	return ij, ji
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rdfcube/internal/gen"
+	"rdfcube/internal/obsv"
 	"rdfcube/internal/rdf"
 )
 
@@ -126,5 +127,46 @@ func TestRowMatchesDirectChecks(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLatticeKernelsLeaveOMUnbuilt pins the lattice kernels off the
+// occurrence matrix: cubeMasking, its prefetched and pooled forms and
+// Insert compare code rows, so a space that only ever runs them — a
+// service restarted from a snapshot — never materializes NumCols bits per
+// observation. The §3.1 baseline builds the matrix, once.
+func TestLatticeKernelsLeaveOMUnbuilt(t *testing.T) {
+	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 1})
+	base, tail := splitCorpus(c, len(c.Observations())-50)
+	col := obsv.NewCollector()
+	s, err := NewSpaceObs(base, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	omBuilds := func() (n int) {
+		for _, sp := range col.Spans() {
+			if sp.Name == SpanOMBuild {
+				n++
+			}
+		}
+		return n
+	}
+	for _, alg := range []Algorithm{AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch, AlgorithmParallel} {
+		for _, workers := range []int{1, 4} {
+			mustCompute(t, s, alg, Options{Tasks: TaskAll, Workers: workers}, &Counter{})
+		}
+	}
+	inc := NewIncrementalFrom(s, TaskAll, nil, nil)
+	for _, o := range tail {
+		if _, err := inc.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := omBuilds(); n != 0 {
+		t.Errorf("the lattice kernels and %d inserts built the occurrence matrix %d times, want 0", len(tail), n)
+	}
+	mustCompute(t, s, AlgorithmBaseline, Options{Tasks: TaskAll}, &Counter{})
+	if n := omBuilds(); n != 1 {
+		t.Errorf("one baseline run recorded %d %s spans, want 1", n, SpanOMBuild)
 	}
 }

@@ -233,28 +233,67 @@ func TestQuickEmissionsMatchDefinitions(t *testing.T) {
 	}
 }
 
-// TestQuickBitvecMatchesDirect cross-checks the occurrence-matrix sf test
-// against direct parent-chain ancestry on random corpora.
+// oneListCorpus builds a corpus over a single dimension whose code list
+// has n codes below the root, code c under parentOf(c) (a smaller code, or
+// -1 for the root), with one observation per code and one at the root.
+func oneListCorpus(n int, parentOf func(c int) int) *qb.Corpus {
+	dim := rdf.NewIRI("http://l/dim")
+	codes := []rdf.Term{rdf.NewIRI("http://l/code/root")}
+	cl := hierarchy.New(dim, codes[0])
+	for c := 0; c < n; c++ {
+		code := rdf.NewIRI(fmt.Sprintf("http://l/code/c%d", c))
+		cl.Add(code, codes[parentOf(c)+1])
+		codes = append(codes, code)
+	}
+	reg := hierarchy.NewRegistry()
+	reg.Register(cl.MustSeal())
+	ds := &qb.Dataset{
+		URI:    rdf.NewIRI("http://l/ds"),
+		Schema: qb.NewSchema([]rdf.Term{dim}, []rdf.Term{rdf.NewIRI("http://l/m")}),
+	}
+	for i, code := range codes {
+		uri := rdf.NewIRI(fmt.Sprintf("http://l/obs/%d", i))
+		if _, err := ds.AddObservation(uri, []rdf.Term{code}, []rdf.Term{rdf.NewInteger(int64(i))}); err != nil {
+			panic(err)
+		}
+	}
+	corpus := qb.NewCorpus(reg)
+	corpus.AddDataset(ds)
+	return corpus
+}
+
+// TestQuickBitvecMatchesDirect pins the two representations to each other:
+// the occurrence-matrix sf test (baseline, clustering) and the code-row
+// level lift (every lattice kernel) agree on every (i, j, d) of random
+// corpora, of one single-chain code list eight levels deep and of one flat
+// list (root and leaves).
 func TestQuickBitvecMatchesDirect(t *testing.T) {
-	f := func(seed int64) bool {
-		c := randomCorpus(seed)
+	agree := func(c *qb.Corpus) bool {
 		s, err := NewSpace(c)
 		if err != nil {
 			return false
 		}
 		om := BuildOccurrenceMatrix(s)
-		r := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 50; trial++ {
-			i, j := r.Intn(s.N()), r.Intn(s.N())
-			d := r.Intn(s.NumDims())
-			if om.ContainsDim(i, j, d) != s.DimContains(i, j, d) {
-				return false
+		for i := 0; i < s.N(); i++ {
+			for j := 0; j < s.N(); j++ {
+				for d := 0; d < s.NumDims(); d++ {
+					if om.ContainsDim(i, j, d) != s.DimContains(i, j, d) {
+						t.Logf("obs %d, %d on dimension %d: OM says %v", i, j, d, om.ContainsDim(i, j, d))
+						return false
+					}
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(func(seed int64) bool { return agree(randomCorpus(seed)) }, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+	if !agree(oneListCorpus(8, func(c int) int { return c - 1 })) {
+		t.Error("single chain: the representations disagree")
+	}
+	if !agree(oneListCorpus(8, func(int) int { return -1 })) {
+		t.Error("flat list: the representations disagree")
 	}
 }
 
@@ -283,67 +322,92 @@ func TestQuickMutualFullImpliesEqual(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesBatch inserts observations one by one and compares
-// the maintained sets against a batch recomputation.
+// splitCorpus copies c's schemas and code lists, keeps the first keep
+// observations (in corpus order) in the copy and returns the others,
+// re-pointed at the copied datasets, as the tail to insert. With keep 0
+// the copy's datasets hold no observations at all.
+func splitCorpus(c *qb.Corpus, keep int) (*qb.Corpus, []*qb.Observation) {
+	base := qb.NewCorpus(c.Hierarchies)
+	var tail []*qb.Observation
+	idx := 0
+	for _, ds := range c.Datasets {
+		nds := &qb.Dataset{URI: ds.URI, Schema: ds.Schema}
+		for _, o := range ds.Observations {
+			no := *o
+			no.Dataset = nds
+			if idx < keep {
+				nds.Observations = append(nds.Observations, &no)
+			} else {
+				tail = append(tail, &no)
+			}
+			idx++
+		}
+		base.AddDataset(nds)
+	}
+	return base, tail
+}
+
+// TestIncrementalMatchesBatch is "insert in any order ≡ batch": for every
+// non-empty task mask, starting from half the corpus and from a space that
+// holds schemas and code lists only, the rest is inserted one by one in a
+// seeded shuffle, and the maintained sets must equal a batch baseline run
+// over the final space and — so that a defect the baseline and the sweep
+// share through emitPair cannot hide in their agreement — the definitional
+// checkers of the Space.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		c := randomCorpus(seed)
-		all := c.Observations()
-		if len(all) < 4 {
-			continue
-		}
-		split := len(all) / 2
-
-		// Base corpus: first half of each dataset (rebuild by index).
-		baseCorpus := qb.NewCorpus(c.Hierarchies)
-		idx := 0
-		var tail []*qb.Observation
-		for _, ds := range c.Datasets {
-			nds := &qb.Dataset{URI: ds.URI, Schema: ds.Schema}
-			for _, o := range ds.Observations {
-				if idx < split {
-					no := *o
-					no.Dataset = nds
-					nds.Observations = append(nds.Observations, &no)
-				} else {
-					no := *o
-					no.Dataset = nds
-					tail = append(tail, &no)
+		n := len(c.Observations())
+		for _, keep := range []int{n / 2, 0} {
+			for tasks := Tasks(1); tasks <= TaskAll; tasks++ {
+				base, tail := splitCorpus(c, keep)
+				rand.New(rand.NewSource(seed)).Shuffle(len(tail), func(x, y int) { tail[x], tail[y] = tail[y], tail[x] })
+				s, err := NewSpace(base)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-				idx++
+				inc := NewIncremental(s, tasks)
+				for _, o := range tail {
+					if _, err := inc.Insert(o); err != nil {
+						t.Fatalf("seed %d keep %d tasks %03b: insert: %v", seed, keep, tasks, err)
+					}
+				}
+				inc.Res.Sort()
+
+				// The incremental space now holds everything, in
+				// insertion order.
+				batch := NewResult()
+				mustCompute(t, s, AlgorithmBaseline, Options{Tasks: tasks}, batch)
+				batch.Sort()
+				for _, set := range []struct {
+					name       string
+					got, batch []Pair
+					on         bool
+					holds      func(i, j int) bool
+				}{
+					{"S_F", inc.Res.FullSet, batch.FullSet, tasks.Has(TaskFull), s.FullContains},
+					{"S_P", inc.Res.PartialSet, batch.PartialSet, tasks.Has(TaskPartial), s.PartialContains},
+					{"S_C", inc.Res.ComplSet, batch.ComplSet, tasks.Has(TaskCompl),
+						func(i, j int) bool { return i < j && s.Complementary(i, j) }},
+				} {
+					if !samePairs(set.batch, set.got) {
+						t.Errorf("seed %d keep %d tasks %03b: %s differs: batch %d vs incremental %d",
+							seed, keep, tasks, set.name, len(set.batch), len(set.got))
+					}
+					got := pairSet(set.got)
+					if len(got) != len(set.got) {
+						t.Errorf("seed %d keep %d tasks %03b: %s holds a pair twice", seed, keep, tasks, set.name)
+					}
+					for i := 0; i < s.N(); i++ {
+						for j := 0; j < s.N(); j++ {
+							if want := set.on && set.holds(i, j); got[Pair{i, j}] != want {
+								t.Fatalf("seed %d keep %d tasks %03b: %s(%d, %d) = %v, the definition says %v",
+									seed, keep, tasks, set.name, i, j, !want, want)
+							}
+						}
+					}
+				}
 			}
-			baseCorpus.AddDataset(nds)
-		}
-
-		s, err := NewSpace(baseCorpus)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		inc := NewIncremental(s, TaskAll)
-		for _, o := range tail {
-			if _, err := inc.Insert(o); err != nil {
-				t.Fatalf("seed %d: insert: %v", seed, err)
-			}
-		}
-		inc.Res.Sort()
-
-		// Batch over the same final space (the incremental space already
-		// contains everything, in its insertion order).
-		batch := NewResult()
-		mustCompute(t, inc.S, AlgorithmBaseline, Options{Tasks: TaskAll}, batch)
-		batch.Sort()
-
-		if !samePairs(batch.FullSet, inc.Res.FullSet) {
-			t.Errorf("seed %d: S_F differs: batch %d vs incremental %d",
-				seed, len(batch.FullSet), len(inc.Res.FullSet))
-		}
-		if !samePairs(batch.PartialSet, inc.Res.PartialSet) {
-			t.Errorf("seed %d: S_P differs: batch %d vs incremental %d",
-				seed, len(batch.PartialSet), len(inc.Res.PartialSet))
-		}
-		if !samePairs(batch.ComplSet, inc.Res.ComplSet) {
-			t.Errorf("seed %d: S_C differs: batch %d vs incremental %d",
-				seed, len(batch.ComplSet), len(inc.Res.ComplSet))
 		}
 	}
 }

@@ -217,21 +217,24 @@ func (s *Space) MeasureMask(i int) uint64 { return s.mmask[i] }
 func (s *Space) SharesMeasure(i, j int) bool { return s.mmask[i]&s.mmask[j] != 0 }
 
 // IsAncestorIdx reports reflexive ancestry a ≻ b between code indices of
-// dimension d: b's ancestor at a's level (a parent is one level up) is a.
+// dimension d: b's ancestor at a's level is a. A code that is not strictly
+// shallower than a different one cannot be its ancestor.
 func (s *Space) IsAncestorIdx(d int, a, b int32) bool {
 	if a == b {
 		return true
 	}
-	// A strictly deeper (or equal-level different) code cannot be an ancestor.
 	la, lb := s.levels[d][a], s.levels[d][b]
-	if la >= lb {
-		return false
-	}
+	return la < lb && s.ancestor(d, b, lb-la) == a
+}
+
+// ancestor lifts code c of dimension d by n levels (a parent is one level
+// up); n must not exceed c's level.
+func (s *Space) ancestor(d int, c int32, n uint8) int32 {
 	par := s.parent[d]
-	for ; lb > la; lb-- {
-		b = par[b]
+	for ; n > 0; n-- {
+		c = par[c]
 	}
-	return b == a
+	return c
 }
 
 // DimContains reports whether observation i's value contains (reflexive

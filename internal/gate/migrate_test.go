@@ -285,6 +285,12 @@ func TestMigrationLifecycle(t *testing.T) {
 	}
 
 	// The state file is terminal and the phase is visible in /readyz.
+	// setPhase publishes a phase before it persists it, so the file is
+	// only known to say "done" once the migration goroutine has exited.
+	g.migMu.Lock()
+	m := g.migrations["m1"]
+	g.migMu.Unlock()
+	<-m.Done()
 	data, err := os.ReadFile(filepath.Join(stateDir, "m1.json"))
 	if err != nil {
 		t.Fatalf("state file: %v", err)

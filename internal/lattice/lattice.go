@@ -46,17 +46,6 @@ func (s Signature) LE(t Signature) bool {
 	return true
 }
 
-// AnyLE reports whether s is ≤ t on at least one dimension — the necessary
-// condition for partial containment between the cubes' members.
-func (s Signature) AnyLE(t Signature) bool {
-	for i := range s {
-		if s[i] <= t[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // CandidateDims appends to dst the dimensions on which members of cube s
 // may contain members of cube t (those with s[i] ≤ t[i]); on all other
 // dimensions containment is impossible at the schema level.

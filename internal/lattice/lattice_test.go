@@ -20,12 +20,6 @@ func TestSignatureRelations(t *testing.T) {
 	if !a.LE(a) {
 		t.Errorf("≤ reflexive")
 	}
-	if !b.AnyLE(a) { // dim 2 equal
-		t.Errorf("AnyLE via equality")
-	}
-	if sig(3, 3).AnyLE(sig(1, 1)) {
-		t.Errorf("AnyLE all-greater must be false")
-	}
 	if !a.Equal(sig(1, 0, 2)) || a.Equal(b) || a.Equal(sig(1, 0)) {
 		t.Errorf("Equal")
 	}
@@ -169,10 +163,6 @@ func TestQuickLEPartialOrder(t *testing.T) {
 		}
 		if a.LE(b) && b.LE(c) && !a.LE(c) {
 			return false // transitive
-		}
-		// AnyLE is implied by LE on non-empty signatures.
-		if a.LE(b) && !a.AnyLE(b) {
-			return false
 		}
 		// CandidateDims covers exactly the ≤ dimensions.
 		cand := a.CandidateDims(b, nil)
