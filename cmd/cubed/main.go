@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	cubed -load corpus.ttl -alg cubemasking -snapshot idx.bin -addr :8080
+//	cubed -load corpus.ttl -snapshot idx.bin -addr :8080
 //	cubed -gen synthetic -n 10000 -snapshot idx.bin -once        # build only
 //	cubed -snapshot idx.bin -check                               # verify
 //	cubed -snapshot idx.bin -addr :8080 -checkpoint 2m
@@ -14,15 +14,15 @@
 // CURRENT pointer's generation, else older generations newest-first,
 // else a legacy plain file — quarantining (never deleting) any corrupt
 // candidate along the way. When nothing loads, the corpus is loaded or
-// generated, the algorithm runs, and the state is committed as the first
-// generation. The write-ahead log (-wal, defaulting to <snapshot>.wal)
-// is then replayed on top, so inserts acknowledged before a crash
-// survive the restart. While serving, every accepted insert is fsynced
-// to the WAL before its 201; the state is checkpointed on the
-// -checkpoint interval and once more during graceful shutdown
-// (SIGINT/SIGTERM) — each checkpoint commits a new generation atomically
-// and only then truncates the WAL. If the WAL fails mid-flight the
-// daemon degrades to read-only: queries keep working, inserts get 503.
+// generated, the cubeMasking kernel (§3.3) runs, and the state is
+// committed as the first generation. The write-ahead log (-wal,
+// defaulting to <snapshot>.wal) is then replayed on top, so inserts
+// acknowledged before a crash survive the restart. While serving, every
+// accepted insert is fsynced to the WAL before its 201; the state is
+// checkpointed on the -checkpoint interval and once more during graceful
+// shutdown (SIGINT/SIGTERM) — each checkpoint commits a new generation
+// atomically and only then truncates the WAL. If the WAL fails mid-flight
+// the daemon degrades to read-only: queries keep working, inserts get 503.
 //
 // The main address serves the /v1 query API (see internal/serve) next to
 // the observability endpoints (/metrics, /metrics.json, /debug/vars,
@@ -72,7 +72,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		genK     = fs.String("gen", "", "generate a corpus instead of loading: example, real, synthetic")
 		n        = fs.Int("n", 10000, "observation count for -gen real/synthetic")
 		seed     = fs.Int64("seed", 1, "generator seed")
-		algStr   = fs.String("alg", "cubemasking", "initial computation algorithm: "+core.AlgorithmNames())
 		taskStr  = fs.String("tasks", "all", "relationship tasks: all, or a comma list of full,partial,compl")
 		snapPath = fs.String("snapshot", "", "snapshot base path: generations <path>.NNNNNN rotate under a <path>.CURRENT pointer")
 		walPath  = fs.String("wal", "", "write-ahead log path for live inserts (default <snapshot>.wal; \"off\" disables durability)")
@@ -81,9 +80,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request timeout")
 		inflight = fs.Int("max-inflight", 128, "max concurrently executing requests before 429 shedding")
 		once     = fs.Bool("once", false, "compute or load the snapshot, write it, and exit without serving")
-		check    = fs.Bool("check", false, "load the snapshot, recompute relationships from its space, verify they match, and exit")
-		workers  = fs.Int("workers", 0, "worker-pool size for POST /v1/recompute (0 keeps the serial scan; baseline, clustering, cubemasking and parallel honour it, cubemasking-prefetch and hybrid are always serial)")
-		recompTO = fs.Duration("recompute-timeout", 60*time.Second, "deadline for one POST /v1/recompute batch pass")
+		check    = fs.Bool("check", false, "load the snapshot, verify its pair sets equal a fresh cubeMasking run over its space, and exit")
 		shutTO   = fs.Duration("shutdown-timeout", 10*time.Second, "bound on the final shutdown checkpoint (0 waits forever; a hung disk then hangs shutdown)")
 		traceN   = fs.Int("trace-ring", 128, "recent request traces retained for GET /debug/traces")
 		slowTh   = fs.Duration("slow-threshold", 0, "write requests at least this slow to the slow-query log as JSON lines (0 disables)")
@@ -98,7 +95,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	logf := func(format string, a ...any) { fmt.Fprintf(stderr, "cubed: "+format+"\n", a...) }
 
-	alg := normalizeAlg(*algStr)
 	tasks, err := parseTasks(*taskStr)
 	if err != nil {
 		logf("%v", err)
@@ -142,10 +138,10 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 			logf("-check requires -snapshot")
 			return 2
 		}
-		return runCheck(rot, alg, tasks, stdout, logf)
+		return runCheck(rot, tasks, stdout, logf)
 	}
 
-	sn, err := loadOrCompute(ctx, rot, *load, *genK, *n, *seed, alg, tasks, col, logf)
+	sn, err := loadOrCompute(ctx, rot, *load, *genK, *n, *seed, tasks, col, logf)
 	if err != nil {
 		if errors.Is(err, core.ErrCanceled) {
 			logf("startup compute canceled by termination signal; nothing written")
@@ -232,9 +228,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		CheckpointNow:        ckptNow,
 		DisableDatasetCreate: !*dsCreate,
 		Logf:                 logf,
-		Algorithm:            alg,
-		Workers:              *workers,
-		RecomputeTimeout:     *recompTO,
 		TraceRing:            *traceN,
 		SlowThreshold:        *slowTh,
 		SlowLog:              slowLog,
@@ -317,9 +310,9 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	<-ctx.Done()
 	stop()
 	logf("shutting down, draining in-flight requests")
-	// Cancel in-flight recomputes FIRST: Shutdown waits for in-flight
-	// requests, and an Θ(n²) batch pass would otherwise hold it hostage.
-	// The canceled recompute discards its partial result and answers 503.
+	// Release parked /v1/wal long-polls FIRST: Shutdown waits for
+	// in-flight requests, and a caught-up follower's poll would otherwise
+	// hold it for up to the poll budget.
 	srv.BeginShutdown()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -426,17 +419,6 @@ func runFollower(ctx context.Context, stop func(), ff followerFlags, disk faultf
 	return 0
 }
 
-// normalizeAlg accepts a few spelling shortcuts for algorithm names.
-func normalizeAlg(s string) core.Algorithm {
-	switch s {
-	case "cubemask":
-		return core.AlgorithmCubeMasking
-	case "cubemask-prefetch":
-		return core.AlgorithmCubeMaskingPrefetch
-	}
-	return core.Algorithm(s)
-}
-
 // parseTasks parses the -tasks flag: "all" or a comma list of
 // full, partial, compl.
 func parseTasks(s string) (core.Tasks, error) {
@@ -466,12 +448,12 @@ func parseTasks(s string) (core.Tasks, error) {
 // loadOrCompute resolves the startup state through the rotator: the
 // freshest readable generation wins (corrupt candidates are quarantined
 // and fallen past); when nothing exists yet the corpus is loaded or
-// generated, the algorithm runs, and the result is committed as the
+// generated, cubeMasking runs, and the result is committed as the
 // first generation. When candidates exist but none decodes, startup
-// stops with a clean error rather than recomputing — a recompute from
+// stops with a clean error rather than building again — a build from
 // the base corpus would silently drop every previously checkpointed
 // live insert, and the quarantined files deserve an operator's look.
-func loadOrCompute(ctx context.Context, rot *snapshot.Rotator, load, genK string, n int, seed int64, alg core.Algorithm, tasks core.Tasks, col *obsv.Collector, logf func(string, ...any)) (*snapshot.Snapshot, error) {
+func loadOrCompute(ctx context.Context, rot *snapshot.Rotator, load, genK string, n int, seed int64, tasks core.Tasks, col *obsv.Collector, logf func(string, ...any)) (*snapshot.Snapshot, error) {
 	if rot != nil {
 		start := time.Now()
 		sn, from, err := rot.Load()
@@ -491,12 +473,12 @@ func loadOrCompute(ctx context.Context, rot *snapshot.Rotator, load, genK string
 		return nil, err
 	}
 	start := time.Now()
-	s, res, err := core.ComputeCorpusCtx(ctx, corpus, alg, core.Options{Tasks: tasks, Obs: col})
+	s, res, err := core.ComputeCorpusCtx(ctx, corpus, core.AlgorithmCubeMasking, core.Options{Tasks: tasks, Obs: col})
 	if err != nil {
 		return nil, err
 	}
-	logf("computed %d/%d/%d full/partial/compl pairs over %d observations with %s in %s",
-		len(res.FullSet), len(res.PartialSet), len(res.ComplSet), s.N(), alg, time.Since(start).Round(time.Millisecond))
+	logf("computed %d/%d/%d full/partial/compl pairs over %d observations in %s",
+		len(res.FullSet), len(res.PartialSet), len(res.ComplSet), s.N(), time.Since(start).Round(time.Millisecond))
 	sn := snapshot.New(s, res, core.BuildLattice(s))
 	if rot != nil {
 		data, err := sn.Encode()
@@ -533,12 +515,13 @@ func loadCorpus(load, genK string, n int, seed int64) (*qb.Corpus, error) {
 }
 
 // runCheck verifies a snapshot round trip: the persisted relationship
-// sets must equal a fresh recomputation over the reconstructed space (the
-// decoder has already compared every persisted degree with the one that
-// space derives, as it does on every load).
+// sets must equal a fresh cubeMasking run over the reconstructed space —
+// the exact kernel, whatever wrote the file, so a self-consistent but
+// lossy state fails (the decoder has already compared every persisted
+// degree with the one that space derives, as it does on every load).
 // The snapshot is resolved through the same rotation fallback the
 // serving path uses, so -check exercises exactly what a restart loads.
-func runCheck(rot *snapshot.Rotator, alg core.Algorithm, tasks core.Tasks, stdout io.Writer, logf func(string, ...any)) int {
+func runCheck(rot *snapshot.Rotator, tasks core.Tasks, stdout io.Writer, logf func(string, ...any)) int {
 	sn, from, err := rot.Load()
 	if err != nil {
 		logf("%v", err)
@@ -546,7 +529,7 @@ func runCheck(rot *snapshot.Rotator, alg core.Algorithm, tasks core.Tasks, stdou
 	}
 	logf("checking snapshot %s", from)
 	fresh := core.NewResult()
-	if err := core.Compute(sn.Space, alg, core.Options{Tasks: tasks}, fresh); err != nil {
+	if err := core.Compute(sn.Space, core.AlgorithmCubeMasking, core.Options{Tasks: tasks}, fresh); err != nil {
 		logf("%v", err)
 		return 1
 	}

@@ -18,6 +18,10 @@ import (
 	"time"
 
 	rdfcube "rdfcube"
+	"rdfcube/internal/core"
+	"rdfcube/internal/faultfs"
+	"rdfcube/internal/gen"
+	"rdfcube/internal/snapshot"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: the daemon goroutine
@@ -41,7 +45,7 @@ func (b *syncBuffer) String() string {
 
 // TestOnceBuildsSnapshotAndCheckPasses drives the batch path: -gen
 // example -once writes a snapshot, -check verifies it, and a second
-// -once run loads it instead of recomputing.
+// -once run loads it instead of computing again.
 func TestOnceBuildsSnapshotAndCheckPasses(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "idx.bin")
 
@@ -146,6 +150,34 @@ func TestCheckComparesDegrees(t *testing.T) {
 	}
 }
 
+// TestCheckRejectsLossySnapshot: -check recomputes with the exact kernel,
+// not with whatever wrote the file, so a state that is self-consistent
+// but lossy fails it. Clustering (§3.2) on RealWorld n = 1 500, seed 4
+// misses 2 434 of 546 972 partial pairs.
+func TestCheckRejectsLossySnapshot(t *testing.T) {
+	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 4})
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmClustering, core.Options{Tasks: core.TaskAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := snapshot.New(s, res, core.BuildLattice(s)).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "lossy.bin")
+	if err := snapshot.NewRotator(faultfs.OS{}, snap).Write(data); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := run(context.Background(), []string{"-snapshot", snap, "-check"}, &out, &errOut); code != 1 {
+		t.Fatalf("check of a clustering snapshot: exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "partial containment differs") {
+		t.Fatalf("stderr does not name partial containment: %s", errOut.String())
+	}
+	t.Logf("%s", strings.TrimSpace(errOut.String()))
+}
+
 // TestBadFlags pins the usage-error exits.
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
@@ -158,6 +190,7 @@ func TestBadFlags(t *testing.T) {
 		{"-snapshot", "/does/not/exist", "-check"}, // missing snapshot
 		{"-tasks", "bogus", "-gen", "example"},     // unknown task
 		{"-tasks", ",", "-gen", "example"},         // empty task list
+		{"-alg", "clustering", "-gen", "example"},  // no kernel choice: the build is cubeMasking
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(context.Background(), args, &out, &errOut); code == 0 {

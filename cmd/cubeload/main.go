@@ -8,7 +8,7 @@
 //
 //	cubeload                                   # in-process run, defaults
 //	cubeload -gen realworld -n 2000 -mix mixed -requests 4000 -concurrency 8
-//	cubeload -mix storm -rps 500               # open-loop pacing
+//	cubeload -mix explorer -rps 500            # open-loop pacing
 //	cubeload -url http://127.0.0.1:8080        # drive a running cubed
 //	cubeload -url http://gate:8080 -retry      # polite client against a gate
 //	cubeload -json run.json                    # also write the report as JSON
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 
 	"rdfcube/internal/core"
@@ -121,10 +120,7 @@ func buildServer(corpus *qb.Corpus, cfg loadgen.PlanConfig) *serve.Server {
 	if err != nil {
 		fatal("compute: %v", err)
 	}
-	srv, err := serve.New(snapshot.New(s, res, core.BuildLattice(s)), serve.Config{
-		Recorder: obsv.NewCollector(),
-		Workers:  runtime.GOMAXPROCS(0),
-	})
+	srv, err := serve.New(snapshot.New(s, res, core.BuildLattice(s)), serve.Config{Recorder: obsv.NewCollector()})
 	if err != nil {
 		fatal("serve.New: %v", err)
 	}

@@ -81,12 +81,11 @@ func (n *node) start() error {
 	rot := n.rot
 	var srv *serve.Server
 	srv, err = serve.New(sn, serve.Config{
-		Recorder:         n.col,
-		WAL:              wlog,
-		MaxInFlight:      64,
-		RecomputeTimeout: 30 * time.Second,
-		SnapshotGen:      func() uint64 { g, _ := rot.CurrentGen(); return g },
-		CheckpointNow:    func() error { return srv.CheckpointWith(rot.Write) },
+		Recorder:      n.col,
+		WAL:           wlog,
+		MaxInFlight:   64,
+		SnapshotGen:   func() uint64 { g, _ := rot.CurrentGen(); return g },
+		CheckpointNow: func() error { return srv.CheckpointWith(rot.Write) },
 		// Short long-poll budget: a dying node must not leave follower
 		// tails parked for the default 10s.
 		WALPollWait: 250 * time.Millisecond,

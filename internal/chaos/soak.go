@@ -1,15 +1,14 @@
 package chaos
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"testing"
 	"time"
 
+	"rdfcube/internal/core"
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/rdf"
@@ -46,49 +45,11 @@ func (w *World) paperNode(name string) *node {
 	return n
 }
 
-// statusClientClosedRequest mirrors serve's non-exported 499.
-const statusClientClosedRequest = 499
-
-// recomputeOnce triggers a batch recompute. Sometimes the client hangs
-// up almost immediately — exercising the 499 path and the discard-
-// partial-keep-previous-state guarantee under real concurrency.
-func (w *World) recomputeOnce(rng *rand.Rand) error {
-	ctx := context.Background()
-	if rng.IntN(2) == 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(1+rng.IntN(3))*time.Millisecond)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, "POST", w.baseURL()+"/v1/recompute", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil // client-side deadline fired: the 499 path on the server
-	}
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusTooManyRequests, http.StatusServiceUnavailable,
-		http.StatusGatewayTimeout, statusClientClosedRequest:
-		return nil
-	}
-	return fmt.Errorf("recompute: unexpected status %d", resp.StatusCode)
-}
-
-// relCounts is the part of /v1/stats and of a recompute answer that says
-// how many relationships the server holds.
-type relCounts struct {
-	Full     int  `json:"full"`
-	Partial  int  `json:"partial"`
-	Compl    int  `json:"complementary"`
-	Degraded bool `json:"degraded"`
-}
-
 // verifyRecovered checks a restarted node: every acknowledged URI must
-// answer, the server must not be degraded, and a batch recompute must
-// agree with the incrementally maintained counts — recall 1 survived the
-// crash.
+// answer, the server must not be degraded, and the incrementally
+// maintained pair sets must equal, pair for pair, a cubeMasking batch
+// run over the recovered space — recall 1 survived the crash. It runs
+// after traffic stopped, so nothing writes the state while it is read.
 func (w *World) verifyRecovered(n *node, round int) {
 	w.t.Helper()
 	for _, uri := range w.ackedCopy() {
@@ -97,30 +58,48 @@ func (w *World) verifyRecovered(n *node, round int) {
 			w.fatalf("round %d: acked observation %s lost: status %d err %v after restart", round, uri, code, err)
 		}
 	}
-	var before, batch relCounts
-	w.must(w.getJSON(n.url(), "/v1/stats", &before), fmt.Sprintf("round %d stats", round))
-	if before.Degraded {
+	var st struct {
+		Degraded bool `json:"degraded"`
+	}
+	w.must(w.getJSON(n.url(), "/v1/stats", &st), fmt.Sprintf("round %d stats", round))
+	if st.Degraded {
 		w.fatalf("round %d: server degraded after a clean restart", round)
 	}
-	code, body, _, err := w.post(n.url(), "/v1/recompute", nil)
-	if err != nil || code != http.StatusOK {
-		w.fatalf("round %d: recompute after restart: status %d err %v: %s", round, code, err, body)
+	inc := n.srv.Incremental()
+	batch := core.NewResult()
+	w.must(core.Compute(inc.S, core.AlgorithmCubeMasking, core.Options{Tasks: core.TaskAll}, batch),
+		fmt.Sprintf("round %d batch compute", round))
+	batch.Sort()
+	held := &core.Result{
+		FullSet:    slices.Clone(inc.Res.FullSet),
+		PartialSet: slices.Clone(inc.Res.PartialSet),
+		ComplSet:   slices.Clone(inc.Res.ComplSet),
 	}
-	w.must(json.Unmarshal(body, &batch), fmt.Sprintf("round %d recompute answer", round))
-	before.Degraded = false
-	if batch != before {
-		w.fatalf("round %d: incremental state drifted from batch recompute: incremental %+v vs batch %+v", round, before, batch)
+	held.Sort()
+	for _, rel := range []struct {
+		name        string
+		held, batch []core.Pair
+	}{
+		{"full containment", held.FullSet, batch.FullSet},
+		{"partial containment", held.PartialSet, batch.PartialSet},
+		{"complementarity", held.ComplSet, batch.ComplSet},
+	} {
+		if !slices.Equal(rel.held, rel.batch) {
+			w.fatalf("round %d: incremental %s drifted from a batch run over the recovered space: %d pairs held, %d computed",
+				round, rel.name, len(rel.held), len(rel.batch))
+		}
 	}
 }
 
-// Soak runs rounds of concurrent inserts, reads and recomputes against
+// Soak runs rounds of concurrent inserts and reads against
 // one node while WAL faults fire and checkpoints race mid-round, then
 // kills it — a power cut on even rounds, a graceful stop on odd ones —
 // restarts it from snapshot + WAL replay, and checks what the durability
 // layer promises: every acknowledged insert is still queryable, the
-// server is not degraded, incremental counts match a batch recompute, and
+// server is not degraded, the incremental pair sets equal a batch run, and
 // traffic during faults was only ever answered with the documented
-// statuses (201/409/429/499/503/504), never a hang.
+// statuses (201/409/429/503 to inserts, 200/429/503 to reads), never a
+// hang.
 func Soak(t testing.TB, opt Options) {
 	t.Helper()
 	w := New(t, opt)
@@ -128,7 +107,7 @@ func Soak(t testing.TB, opt Options) {
 	n := w.paperNode("node")
 	faults := 0
 	for round := 0; round < opt.rounds(); round++ {
-		w.traffic(round, op{55, w.insertOnce}, op{30, w.readOnce}, op{8, w.recomputeOnce}, op{7, pause})
+		w.traffic(round, op{60, w.insertOnce}, op{33, w.readOnce}, op{7, pause})
 		// The controller: sleep in slices, firing a fault or a checkpoint
 		// at random points of the round.
 		for deadline := time.Now().Add(opt.round()); time.Now().Before(deadline); {

@@ -26,12 +26,12 @@ func soakRound(t *testing.T, rounds int) time.Duration {
 	return 300 * time.Millisecond
 }
 
-// TestSoak is the chaos soak: concurrent inserts, queries and
-// recomputes against a live server over a fault-injecting disk, with
-// WAL faults and checkpoints firing mid-round, then alternating power
-// cuts and graceful SIGTERM-shaped stops. After every restart the
-// invariants hold: acked observations survive, incremental counts match
-// a batch recompute, the server is not degraded, and — via leakcheck —
+// TestSoak is the chaos soak: concurrent inserts and queries against a
+// live server over a fault-injecting disk, with WAL faults and
+// checkpoints firing mid-round, then alternating power cuts and graceful
+// SIGTERM-shaped stops. After every restart the invariants hold: acked
+// observations survive, the incremental pair sets equal a batch run over
+// the recovered space, the server is not degraded, and — via leakcheck —
 // no goroutine from any incarnation outlives its teardown.
 func TestSoak(t *testing.T) {
 	leakcheck.Check(t)

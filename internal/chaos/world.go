@@ -2,9 +2,9 @@
 // replication, routing and rebalancing machinery. There is one World and
 // five scripts over it:
 //
-//	Soak               one node on a fault-injecting disk: inserts, reads
-//	                   and recomputes while WAL faults fire and checkpoints
-//	                   race, then alternating power cuts and graceful stops
+//	Soak               one node on a fault-injecting disk: inserts and
+//	                   reads while WAL faults fire and checkpoints race,
+//	                   then alternating power cuts and graceful stops
 //	Failover           a primary node and two replica.Followers behind a
 //	                   stable front; the primary dies mid-insert and returns
 //	GatePartition      three shards behind netchaos proxies and a gate; one

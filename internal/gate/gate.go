@@ -10,7 +10,7 @@
 //
 // Robustness is the design center, not an afterthought:
 //
-//   - Per-target circuit breakers (serve.Breaker) and /readyz probing
+//   - Per-target circuit breakers (breaker.go) and /readyz probing
 //     take a dead shard out of the fan-out within a probe interval and
 //     let it back in via the breaker's half-open probe discipline.
 //   - Hedged reads: a read goes to the shard's primary first; if it has
@@ -125,7 +125,7 @@ type Config struct {
 	// negative disables probing (tests drive health by hand).
 	ProbeInterval time.Duration
 	// BreakerThreshold / BreakerBackoff configure each target's circuit
-	// breaker (serve.NewBreaker defaults: 3 failures, 5s base).
+	// breaker (newBreaker defaults: 3 failures, 5s base).
 	BreakerThreshold int
 	BreakerBackoff   time.Duration
 	// HedgeQuantile is the primary-latency quantile after which the
@@ -277,11 +277,6 @@ func New(cfg Config) (*Gate, error) {
 		go g.probeLoop(iv)
 	}
 	return g, nil
-}
-
-// serveNewBreaker builds a target breaker from the gate config.
-func serveNewBreaker(cfg Config) *serve.Breaker {
-	return serve.NewBreaker(cfg.BreakerThreshold, cfg.BreakerBackoff)
 }
 
 // Close stops the prober, stops every running migration (their state

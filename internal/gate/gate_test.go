@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -213,6 +214,85 @@ func TestMergeMatchesOracle(t *testing.T) {
 			if !bytes.Equal(gb, ob) {
 				t.Fatalf("%s %s: gate body differs from oracle:\n gate:   %s\n oracle: %s", ep, uri, gb, ob)
 			}
+		}
+	}
+}
+
+// TestGateMissesCrossShardPairs pins the gap in the sharding contract:
+// the gate returns only the pairs inside the owning shard. A
+// gen.RealWorld corpus split dataset-wise over three shards has
+// relationships between shards (ShardWorlds are built to have none), and
+// every one of them is missing from the gate's answer for its first
+// endpoint. This is a change detector, not the contract we want: ROADMAP
+// item 8 (a foreign row swept against every other shard's lattice) turns
+// it into gate ≡ unsharded oracle.
+func TestGateMissesCrossShardPairs(t *testing.T) {
+	leakcheck.Check(t)
+	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 7})
+	const nShards = 3
+	worlds := make([]*gen.ShardWorld, nShards)
+	shardOf := map[*qb.Dataset]int{}
+	for k := range worlds {
+		worlds[k] = &gen.ShardWorld{Name: fmt.Sprintf("g%d", k), Corpus: qb.NewCorpus(corpus.Hierarchies)}
+	}
+	for i, ds := range corpus.Datasets {
+		w := worlds[i%nShards]
+		w.Corpus.AddDataset(ds)
+		w.Datasets = append(w.Datasets, ds.URI.Value)
+		shardOf[ds] = i % nShards
+	}
+	f := newFleet(t, worlds, corpus)
+	h := f.newGate(t, nil).Handler()
+
+	// lists[i] holds the URIs the gate's /v1/related answer for observation
+	// i names as its full, partial and complementarity partners.
+	lists := map[int][3][]string{}
+	answer := func(obs string, i int) [3][]string {
+		if l, ok := lists[i]; ok {
+			return l
+		}
+		code, body := get(t, h, relatedPath(obs))
+		var a struct {
+			Contains          []string `json:"contains"`
+			PartiallyContains []struct {
+				URI string `json:"uri"`
+			} `json:"partiallyContains"`
+			Complements []string `json:"complements"`
+			Partial     bool     `json:"partial"`
+		}
+		if err := json.Unmarshal(body, &a); code != http.StatusOK || err != nil || a.Partial {
+			t.Fatalf("gate related %s: status %d, %v: %.300s", obs, code, err, body)
+		}
+		l := [3][]string{a.Contains, nil, a.Complements}
+		for _, r := range a.PartiallyContains {
+			l[1] = append(l[1], r.URI)
+		}
+		lists[i] = l
+		return l
+	}
+
+	sp, res := f.oracle.Incremental().S, f.oracle.Incremental().Res
+	for k, rel := range []struct {
+		name  string
+		pairs []core.Pair
+	}{{"full", res.FullSet}, {"partial", res.PartialSet}, {"compl", res.ComplSet}} {
+		cross, found := 0, 0
+		for _, p := range rel.pairs {
+			a, b := sp.Obs[p.A], sp.Obs[p.B]
+			if shardOf[a.Dataset] == shardOf[b.Dataset] {
+				continue
+			}
+			cross++
+			if slices.Contains(answer(a.URI.Value, p.A)[k], b.URI.Value) {
+				found++
+			}
+		}
+		t.Logf("%s: %d of %d oracle pairs cross shards, %d of those in the gate's answer", rel.name, cross, len(rel.pairs), found)
+		if found != 0 {
+			t.Errorf("%s: the gate found %d cross-shard pairs; if cross-shard reads landed, turn this test into equality with the oracle", rel.name, found)
+		}
+		if cross == 0 {
+			t.Errorf("%s: no pair crosses shards; the split exercises nothing", rel.name)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"rdfcube/internal/obsv"
-	"rdfcube/internal/serve"
 	"rdfcube/internal/wire"
 )
 
@@ -27,7 +26,7 @@ type target struct {
 	shardName string
 	role      string // "primary" | "replica"
 	url       string
-	breaker   *serve.Breaker
+	breaker   *breaker
 	healthy   atomic.Bool
 }
 

@@ -220,7 +220,7 @@ func (g *Gate) pooledTarget(shardName, role, url string) *target {
 		shardName: shardName,
 		role:      role,
 		url:       url,
-		breaker:   serveNewBreaker(g.cfg),
+		breaker:   newBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerBackoff),
 	}
 	t.healthy.Store(true)
 	g.targets[key] = t

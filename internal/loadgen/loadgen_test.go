@@ -97,47 +97,53 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunInProcessAndReport: an in-process run succeeds on every request,
-// its report is plausible, and WriteFile produces JSON that encoding/json
-// reads back.
+// TestRunInProcessAndReport: an in-process run of every mix succeeds on
+// every request — so a mix that names a route the server does not have
+// fails here — its report is plausible, and WriteFile produces JSON that
+// encoding/json reads back.
 func TestRunInProcessAndReport(t *testing.T) {
-	srv := newServer(t, 300, 7)
-	cfg := PlanConfig{Gen: "realworld", N: 300, Seed: 7, Mix: "mixed", Requests: 300}
-	plan, err := BuildPlan(cfg, gen.RealWorld(gen.RealWorldConfig{TotalObs: 300, Seed: 7}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Transport: HandlerTransport{H: srv.Handler()}, Concurrency: 4}
-	stats, err := Run(context.Background(), plan, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Sent != 300 || stats.Good != 300 || stats.Errors != 0 {
-		t.Fatalf("sent=%d good=%d errors=%d, want 300/300/0", stats.Sent, stats.Good, stats.Errors)
-	}
-	if got := stats.Hist.Snapshot().Count; got != 300 {
-		t.Fatalf("latency histogram holds %d samples, want 300", got)
-	}
-	rep := NewReport(plan, opts, stats, "test")
-	if rep.GoodputRPS <= 0 || rep.Latency.P99 < rep.Latency.P50 {
-		t.Fatalf("implausible report: %+v", rep.Latency)
-	}
+	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 300, Seed: 7})
+	for _, mix := range Mixes() {
+		t.Run(mix, func(t *testing.T) {
+			srv := newServer(t, 300, 7)
+			cfg := PlanConfig{Gen: "realworld", N: 300, Seed: 7, Mix: mix, Requests: 300}
+			plan, err := BuildPlan(cfg, corpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Transport: HandlerTransport{H: srv.Handler()}, Concurrency: 4}
+			stats, err := Run(context.Background(), plan, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Sent != 300 || stats.Good != 300 || stats.Errors != 0 {
+				t.Fatalf("sent=%d good=%d errors=%d, want 300/300/0", stats.Sent, stats.Good, stats.Errors)
+			}
+			if got := stats.Hist.Snapshot().Count; got != 300 {
+				t.Fatalf("latency histogram holds %d samples, want 300", got)
+			}
+			rep := NewReport(plan, opts, stats, "test")
+			if rep.GoodputRPS <= 0 || rep.Latency.P99 < rep.Latency.P50 {
+				t.Fatalf("implausible report: %+v", rep.Latency)
+			}
 
-	path := t.TempDir() + "/load.json"
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back LoadReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("WriteFile wrote JSON that does not parse: %v", err)
-	}
-	if back.Config != rep.Config || back.PlanDigest != plan.Digest || back.Good != 300 || back.Latency != rep.Latency {
-		t.Fatalf("report read back with config %+v, plan %s, %d good, latency %+v; wrote %+v, %s, 300, %+v",
-			back.Config, back.PlanDigest, back.Good, back.Latency, rep.Config, plan.Digest, rep.Latency)
+			path := t.TempDir() + "/load.json"
+			if err := rep.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back LoadReport
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatalf("WriteFile wrote JSON that does not parse: %v", err)
+			}
+			if back.Config != rep.Config || back.PlanDigest != plan.Digest || back.Good != 300 || back.Latency != rep.Latency {
+				t.Fatalf("report read back with config %+v, plan %s, %d good, latency %+v; wrote %+v, %s, 300, %+v",
+					back.Config, back.PlanDigest, back.Good, back.Latency, rep.Config, plan.Digest, rep.Latency)
+			}
+		})
 	}
 }
 

@@ -30,7 +30,6 @@ const (
 	OpObs         = "obs"
 	OpStats       = "stats"
 	OpInsert      = "insert"
-	OpRecompute   = "recompute"
 )
 
 // Op is one concrete request of the plan.
@@ -51,7 +50,7 @@ type PlanConfig struct {
 	N int `json:"n"`
 	// Seed drives corpus generation AND request sequencing.
 	Seed int64 `json:"seed"`
-	// Mix names the traffic mix: explorer, ingest, storm or mixed.
+	// Mix names the traffic mix: explorer, ingest or mixed.
 	Mix string `json:"mix"`
 	// Requests is the plan length.
 	Requests int `json:"requests"`
@@ -98,11 +97,10 @@ type weightedOp struct {
 	weight int
 }
 
-// mixes defines the four traffic shapes. Weights are percentages.
+// mixes defines the three traffic shapes. Weights are percentages.
 //
 //	explorer  read-heavy browsing: fan-out queries dominate
 //	ingest    insert-heavy ingestion with verification reads
-//	storm     read pressure punctuated by full recomputes
 //	mixed     the balanced default: reads of every kind beside inserts
 var mixes = map[string][]weightedOp{
 	"explorer": {
@@ -110,9 +108,6 @@ var mixes = map[string][]weightedOp{
 	},
 	"ingest": {
 		{OpInsert, 60}, {OpRelated, 15}, {OpContains, 10}, {OpObs, 10}, {OpStats, 5},
-	},
-	"storm": {
-		{OpRecompute, 2}, {OpRelated, 48}, {OpContains, 25}, {OpComplements, 15}, {OpStats, 10},
 	},
 	"mixed": {
 		{OpRelated, 35}, {OpContains, 20}, {OpComplements, 10}, {OpObs, 10}, {OpInsert, 20}, {OpStats, 5},
@@ -191,8 +186,6 @@ func BuildPlan(cfg PlanConfig, corpus *qb.Corpus) (*Plan, error) {
 			op = Op{Kind: kind, Method: "GET", Path: fmt.Sprintf("/v1/obs/%d", idx)}
 		case OpStats:
 			op = Op{Kind: kind, Method: "GET", Path: "/v1/stats"}
-		case OpRecompute:
-			op = Op{Kind: kind, Method: "POST", Path: "/v1/recompute"}
 		case OpInsert:
 			// Template the insert on an existing observation: same dataset,
 			// same dimension values, fresh URI and measure. The new

@@ -8,8 +8,8 @@ import (
 // TraceCollector is the per-request Recorder behind request tracing: it
 // records a span tree exactly like Collector, but attributes every Count
 // delta to the innermost open span, so one request's trace shows which
-// phase did which work (e.g. a /v1/recompute trace carries the kernel's
-// compare span with its cubes.pairs.pruned delta attached). One
+// phase did which work (e.g. an insert's trace carries the incremental
+// sweep's cubes.pairs.pruned delta on its apply span). One
 // TraceCollector serves one request and is then read once; it is still
 // safe for concurrent use because parallel kernels flush counters from
 // worker goroutines while the compare span is open.

@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// Backoff is the doubling, capped, jittered retry policy the recompute
-// circuit breaker uses, extracted so every reconnect loop in the tree
-// (the breaker's open interval, the replica follower's reconnect) shares
-// one implementation instead of growing ad-hoc sleep loops.
+// Backoff is the doubling, capped, jittered retry policy every reconnect
+// loop in the tree shares (the gate's per-target breaker interval, the
+// replica follower's reconnect) instead of growing ad-hoc sleep loops.
 //
 // Next returns the delay to wait before the attempt it is called for:
 // the first call returns a jittered Base, each later call doubles the

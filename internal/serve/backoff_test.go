@@ -28,6 +28,18 @@ func TestBackoffDoublesCapsAndResets(t *testing.T) {
 	}
 }
 
+// TestJitteredRange: jitter spreads over [d/2, d) so synchronized
+// clients desynchronize.
+func TestJitteredRange(t *testing.T) {
+	d := 8 * time.Second
+	for i := 0; i < 100; i++ {
+		j := Jittered(d)
+		if j < d/2 || j >= d {
+			t.Fatalf("jittered(%v) = %v outside [%v, %v)", d, j, d/2, d)
+		}
+	}
+}
+
 // TestBackoffZeroValueDefaults: the zero value is usable and never
 // returns a zero delay.
 func TestBackoffZeroValueDefaults(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"rdfcube/internal/core"
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
+	"rdfcube/internal/leakcheck"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/snapshot"
 	"rdfcube/internal/wal"
@@ -448,6 +450,42 @@ func TestCheckpointCommitFailureKeepsWAL(t *testing.T) {
 	}
 	if wlog.RecordBytes() != before {
 		t.Fatalf("failed checkpoint truncated the WAL: %d -> %d bytes", before, wlog.RecordBytes())
+	}
+}
+
+// TestCheckpointWithinHungFsync is the shutdown regression: a checkpoint
+// whose commit wedges in an uninterruptible fsync (a dead NFS mount)
+// must not hang the daemon — CheckpointWithin abandons it at the bound
+// and returns ErrCheckpointTimeout.
+func TestCheckpointWithinHungFsync(t *testing.T) {
+	leakcheck.Check(t)
+	srv, err := New(decodeSnapshot(t, paperSnapshotBytes(t)), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mem := faultfs.NewMemFS()
+	block := make(chan struct{})
+	mem.Inject(faultfs.Fault{Op: faultfs.OpSync, N: 1, Block: block})
+	rot := snapshot.NewRotator(mem, "idx.bin")
+
+	start := time.Now()
+	err = srv.CheckpointWithin(100*time.Millisecond, rot.Write)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrCheckpointTimeout) {
+		t.Fatalf("want ErrCheckpointTimeout, got %v", err)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("CheckpointWithin took %v; the bound did not hold", elapsed)
+	}
+	// Release the wedged fsync so the abandoned goroutine can finish and
+	// the leak check passes — modeling the device coming back.
+	close(block)
+
+	// The checkpoint path is not poisoned: a later checkpoint (the device
+	// recovered) succeeds.
+	if err := srv.CheckpointWithin(5*time.Second, rot.Write); err != nil {
+		t.Fatalf("checkpoint after recovery: %v", err)
 	}
 }
 

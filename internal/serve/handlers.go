@@ -505,8 +505,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp["latency"] = snap.Summary()
 		}
 	}
-	state, fails := s.breaker.Snapshot()
-	resp["recomputeBreaker"] = state
-	resp["recomputeFailures"] = fails
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -242,6 +242,34 @@ func TestWALTailLongPollWakesOnInsert(t *testing.T) {
 	}
 }
 
+// TestWALTailReleasedByShutdown: BeginShutdown answers a tail parked at
+// the durable end at once — an empty 200 that resumes from the same
+// offset — so http.Server.Shutdown does not wait out the poll budget.
+func TestWALTailReleasedByShutdown(t *testing.T) {
+	srv, ts, _ := newDurableServer(t, faultfs.NewMemFS(), paperSnapshotBytes(t), Config{})
+	done := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/wal?from=0&wait=10s")
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- resp
+	}()
+	time.Sleep(50 * time.Millisecond) // let the poller park
+	srv.BeginShutdown()
+	select {
+	case resp := <-done:
+		if resp == nil {
+			t.Fatal("parked tail failed in transport")
+		}
+		if resp.StatusCode != http.StatusOK || header64(t, resp, WALNextHeader) != 0 {
+			t.Fatalf("released tail: status %d, next %q; want 200 resuming at 0", resp.StatusCode, resp.Header.Get(WALNextHeader))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("BeginShutdown did not release the parked tail")
+	}
+}
+
 // TestWALTailOffsetsSurviveCheckpoint: a checkpoint truncates the
 // physical WAL, but logical offsets keep advancing — a caught-up
 // follower's position stays valid (empty 200 at the end), while a
@@ -301,8 +329,8 @@ func TestWALTailOffsetsSurviveCheckpoint(t *testing.T) {
 }
 
 // TestFollowerRejectsWrites: a server wearing a FollowerState refuses
-// inserts and recomputes with 503 plus the Leader redirect hint, while
-// reads keep working.
+// inserts with 503 plus the Leader redirect hint, while reads keep
+// working.
 func TestFollowerRejectsWrites(t *testing.T) {
 	fs := &FollowerState{Leader: "http://leader.example:8080"}
 	fs.MarkCaughtUp()
@@ -319,15 +347,6 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	}
 	if got := resp.Header.Get(LeaderHeader); got != fs.Leader {
 		t.Fatalf("Leader header %q, want %q", got, fs.Leader)
-	}
-	resp, err = http.Post(ts.URL+"/v1/recompute", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("follower recompute: status %d, want 503", resp.StatusCode)
 	}
 
 	var rel map[string]any

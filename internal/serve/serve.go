@@ -73,8 +73,6 @@ const (
 	CtrWALAppends   = "serve.wal.appends"     // records durably logged
 	CtrWALReplayed  = "serve.wal.replayed"    // records replayed at startup
 	CtrRetryAfter   = "serve.retry_after"     // responses that told the client when to retry
-	CtrRecomputes   = "serve.recomputes"      // successful batch recomputes
-	CtrBreakerOpen  = "serve.breaker.open"    // recomputes refused by the open circuit
 	CtrLatencyMicro = "serve.latency.us"      // summed handler latency (µs)
 	GaugeInFlight   = "serve.inflight"        // requests currently executing
 	GaugeLastMicro  = "serve.latency.last.us" // last handler latency (µs)
@@ -122,23 +120,6 @@ type Config struct {
 	// Logf receives operational log lines (recovered panics, degraded-
 	// mode transitions, replay summaries). Nil discards them.
 	Logf func(format string, a ...any)
-	// Algorithm selects the kernel POST /v1/recompute runs; zero means
-	// cubemasking (the exact lattice-pruned method).
-	Algorithm core.Algorithm
-	// Workers sets the recompute kernel's worker-pool size (see
-	// core.Options.Workers for which algorithms honour it); zero keeps the
-	// serial scan.
-	Workers int
-	// RecomputeTimeout bounds one batch recompute; zero means 60s. The
-	// recompute endpoint is exempt from RequestTimeout and bounded by
-	// this instead.
-	RecomputeTimeout time.Duration
-	// BreakerThreshold is the number of consecutive kernel failures that
-	// trip the recompute circuit breaker open; zero means 3.
-	BreakerThreshold int
-	// BreakerBackoff is the breaker's initial open interval (doubled per
-	// failed half-open probe, capped at 16×); zero means 5s.
-	BreakerBackoff time.Duration
 	// TraceRing bounds the in-memory ring of recent request traces served
 	// at /debug/traces; zero means 128. Every request is traced — the
 	// per-request cost is one small span-tree allocation, far below the
@@ -156,9 +137,10 @@ type Config struct {
 	// from /v1/stats and bootstrap responses to see what they negotiated.
 	SnapshotGen func() uint64
 	// Follower, when non-nil, puts the server in read-only replica mode:
-	// writes (inserts, recomputes) are refused with 503 plus a Leader
-	// header, and /readyz + /v1/stats report the replication lag and
-	// staleness recorded on it (see internal/replica, which maintains it).
+	// writes (inserts, dataset registrations) are refused with 503 plus a
+	// Leader header, and /readyz + /v1/stats report the replication lag
+	// and staleness recorded on it (see internal/replica, which maintains
+	// it).
 	Follower *FollowerState
 	// WALPollWait is the default long-poll budget for a /v1/wal request
 	// whose offset is at the durable end; zero means 10s, capped at 30s.
@@ -190,20 +172,6 @@ func (c Config) maxInFlight() int {
 		return 128
 	}
 	return c.MaxInFlight
-}
-
-func (c Config) algorithm() core.Algorithm {
-	if c.Algorithm == "" {
-		return core.AlgorithmCubeMasking
-	}
-	return c.Algorithm
-}
-
-func (c Config) recomputeTimeout() time.Duration {
-	if c.RecomputeTimeout <= 0 {
-		return 60 * time.Second
-	}
-	return c.RecomputeTimeout
 }
 
 func (c Config) walPollWait() time.Duration {
@@ -246,19 +214,10 @@ type Server struct {
 	slowMu     sync.Mutex
 	slowLog    io.Writer
 
-	// Recompute machinery: the algorithm and worker count the endpoint
-	// runs with, its deadline, the circuit breaker that degrades the
-	// endpoint after repeated kernel failures, the one-at-a-time guard,
-	// and the server-lifetime context whose cancellation (BeginShutdown)
-	// stops in-flight computes.
-	tasks            core.Tasks
-	alg              core.Algorithm
-	workers          int
-	recomputeTimeout time.Duration
-	breaker          *Breaker
-	recomputing      atomic.Bool
-	runCtx           context.Context
-	stopRuns         context.CancelFunc
+	// runCtx lives as long as the server; BeginShutdown cancels it so
+	// /v1/wal long-polls parked at the tail return at once.
+	runCtx   context.Context
+	stopRuns context.CancelFunc
 
 	// ckptMu serializes checkpoints: a SIGTERM arriving during a timer
 	// checkpoint must not start a second concurrent Checkpoint on the
@@ -322,12 +281,6 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 		slowThresh: cfg.SlowThreshold,
 		slowLog:    cfg.SlowLog,
 
-		tasks:            cfg.Tasks,
-		alg:              cfg.algorithm(),
-		workers:          cfg.Workers,
-		recomputeTimeout: cfg.recomputeTimeout(),
-		breaker:          NewBreaker(cfg.BreakerThreshold, cfg.BreakerBackoff),
-
 		streamID:  newStreamID(),
 		walNotify: make(chan struct{}),
 		snapGen:   cfg.SnapshotGen,
@@ -376,11 +329,11 @@ func (s *Server) log(format string, a ...any) {
 	}
 }
 
-// BeginShutdown cancels the server-lifetime run context, cooperatively
-// stopping any in-flight recompute at its next pair-budget poll. Call it
-// BEFORE http.Server.Shutdown: Shutdown waits for in-flight requests to
-// finish, and a recompute legitimately runs for minutes — without this,
-// a SIGTERM would hang behind an Θ(n²) scan. Idempotent.
+// BeginShutdown cancels the server-lifetime run context, releasing every
+// /v1/wal long-poll parked at the durable end. Call it BEFORE
+// http.Server.Shutdown: Shutdown waits for in-flight requests to finish,
+// and a caught-up follower's poll would otherwise hold it for up to the
+// poll budget. Idempotent.
 func (s *Server) BeginShutdown() { s.stopRuns() }
 
 // Replay applies WAL records recovered at startup through the same
@@ -574,11 +527,7 @@ func (s *Server) CheckpointWithin(d time.Duration, commit func(data []byte) erro
 }
 
 // Handler returns the service's HTTP handler: the /v1 API plus health
-// endpoints, instrumented, concurrency-limited and timeout-bounded. The
-// recompute route is registered on the outer mux, OUTSIDE the
-// http.TimeoutHandler wrapping everything else: a batch recompute
-// legitimately outlives the per-request timeout and is bounded by
-// RecomputeTimeout inside its handler instead.
+// endpoints, instrumented, concurrency-limited and timeout-bounded.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /healthz", s.wrap("healthz", s.handleHealthz))
@@ -591,7 +540,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/stats", s.wrap("stats", s.handleStats))
 	inner := http.TimeoutHandler(mux, s.timeout, `{"error":"request timed out"}`)
 	outer := http.NewServeMux()
-	outer.Handle("POST /v1/recompute", s.wrap("recompute", s.handleRecompute))
 	// Replication endpoints live outside the TimeoutHandler: a snapshot
 	// bootstrap legitimately streams for longer than one query's budget,
 	// and /v1/wal long-polls at the tail by design.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"rdfcube/internal/core"
 	"rdfcube/internal/gen"
+	"rdfcube/internal/leakcheck"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/snapshot"
 )
@@ -340,6 +342,30 @@ func TestShedding(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("after draining: status %d", resp.StatusCode)
+	}
+}
+
+// TestShedRetryAfterJitter: the 429 shed path carries a jittered
+// Retry-After and counts serve.retry_after.
+func TestShedRetryAfterJitter(t *testing.T) {
+	leakcheck.Check(t)
+	col := obsv.NewCollector()
+	srv, ts := newPaperServer(t, Config{Recorder: col, MaxInFlight: 1})
+	srv.sem <- struct{}{} // occupy the only slot
+	defer func() { <-srv.sem }()
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", resp.StatusCode)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+		t.Fatalf("Retry-After = %q", resp.Header.Get("Retry-After"))
+	}
+	if col.Snapshot()[CtrRetryAfter] == 0 {
+		t.Error("serve.retry_after not counted")
 	}
 }
 

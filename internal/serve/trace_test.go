@@ -342,35 +342,3 @@ func newDurableServerForTrace(t *testing.T, col *obsv.Collector) (*Server, *http
 	srv, ts, _ := newDurableServer(t, faultfs.NewMemFS(), paperSnapshotBytes(t), Config{Recorder: col})
 	return srv, ts
 }
-
-// TestRecomputeTraceAndRecorderRestore: a recompute's trace embeds the
-// kernel's phase spans, and the Space's recorder is restored afterwards
-// so later kernel work does not feed a dead request's trace.
-func TestRecomputeTraceAndRecorderRestore(t *testing.T) {
-	col := obsv.NewCollector()
-	srv, ts := newPaperServer(t, Config{Recorder: col})
-
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/recompute", nil)
-	req.Header.Set(TraceIDHeader, "recompute-probe")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("recompute: status %d", resp.StatusCode)
-	}
-
-	var traces tracesResponse
-	getJSON(t, ts.URL+"/debug/traces?id=recompute-probe", &traces)
-	if len(traces.Traces) != 1 {
-		t.Fatalf("got %d traces, want 1", len(traces.Traces))
-	}
-	root := traces.Traces[0].Spans[0]
-	if root.Name != "recompute" || len(root.Children) == 0 {
-		t.Fatalf("recompute trace has no kernel phase spans: %+v", root)
-	}
-	if got := srv.inc.S.Recorder(); got != obsv.Recorder(col) {
-		t.Errorf("space recorder not restored after recompute: %T", got)
-	}
-}

@@ -5,7 +5,7 @@
 //
 // The paper computes S_F, S_P and S_C as a one-shot batch job; a serving
 // system pays that multi-minute cubeMasking pass once, writes a snapshot,
-// and every restart reloads it in milliseconds instead of recomputing
+// and every restart reloads it in milliseconds instead of computing again
 // (§6's incremental maintenance then keeps it fresh as observations
 // arrive; see internal/serve and cmd/cubed).
 //
