@@ -76,7 +76,7 @@ func main() {
 
 	// Two-stage interrupt: the first ^C cancels the sweep cooperatively
 	// (completed figures stay printed, the in-flight run aborts at its
-	// next pair-budget poll); a second ^C force-quits.
+	// next guard poll); a second ^C force-quits.
 	ctx, stopSig := sigctx.Install(context.Background(), func(second bool) {
 		if second {
 			fmt.Fprintln(os.Stderr, "cubebench: second interrupt, exiting now")

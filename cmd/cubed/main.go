@@ -105,8 +105,8 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// The termination context is armed before the first compute: a SIGTERM
 	// during the startup batch pass (minutes on a large corpus) cancels it
-	// at the next pair-budget poll instead of being ignored until serving
-	// starts. Tests cancel parent in place of a signal.
+	// at the kernel's next guard poll instead of being ignored until
+	// serving starts. Tests cancel parent in place of a signal.
 	ctx, stop := signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -178,6 +178,35 @@ func TestCheckRejectsLossySnapshot(t *testing.T) {
 	t.Logf("%s", strings.TrimSpace(errOut.String()))
 }
 
+// TestTerminationDuringStartupBuild: a termination signal that arrives
+// before or during the startup build exits 130 and writes nothing — no
+// generation file, no CURRENT pointer. The parent context stands in for
+// SIGTERM.
+func TestTerminationDuringStartupBuild(t *testing.T) {
+	for _, when := range []time.Duration{0, 10 * time.Millisecond} {
+		dir := t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		if when == 0 {
+			cancel()
+		} else {
+			time.AfterFunc(when, cancel)
+		}
+		var out, errOut bytes.Buffer
+		code := run(ctx, []string{"-gen", "real", "-n", "1500", "-snapshot", filepath.Join(dir, "idx.bin"), "-once"}, &out, &errOut)
+		cancel()
+		if code != 130 {
+			t.Fatalf("canceled after %v: exit %d, want 130\nstderr: %s", when, code, errOut.String())
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Fatalf("canceled after %v: the snapshot directory holds %v, want nothing", when, entries)
+		}
+	}
+}
+
 // TestBadFlags pins the usage-error exits.
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{

@@ -343,7 +343,7 @@ func exploreObservation(corpus *rdfcube.Corpus, target string) error {
 	}
 	fmt.Println("complemented by:")
 	for _, j := range ix.Complements(pick) {
-		fmt.Println("  " + describe(j))
+		fmt.Println("  " + describe(int(j)))
 	}
 	return nil
 }

@@ -50,7 +50,7 @@ type Config struct {
 	Obs obsv.Recorder
 	// Ctx, when non-nil, cancels the rest of the suite cooperatively:
 	// every core run starts under it, and once it is canceled the figure
-	// aborts at the next pair-budget poll with an error satisfying
+	// aborts at the next guard poll with an error satisfying
 	// errors.Is(err, core.ErrCanceled). Nil means uncancellable (as
 	// before).
 	Ctx context.Context

@@ -58,7 +58,7 @@ func taskFor(rel rules.Relationship) core.Tasks {
 
 // RunCoreCtx times one core algorithm computing one relationship over the
 // space, counting (not materializing) the result pairs. A canceled ctx
-// aborts the run at the kernel's next pair-budget poll and returns the
+// aborts the run at the kernel's next guard poll and returns the
 // *CanceledError, so a ^C during a long sweep does not have to ride out a
 // Θ(n²) scan. A nil ctx behaves like context.Background().
 func RunCoreCtx(ctx context.Context, s *core.Space, alg core.Algorithm, rel rules.Relationship, opts core.Options) (Measurement, error) {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -130,9 +132,10 @@ func TestBulkLoadKeepsExistingEntries(t *testing.T) {
 	}
 }
 
-// TestBulkLoadCommitsOnErrorPaths: whatever ends the run — a pair budget
-// in a serial sweep, a budget in a pooled one, a shard that panics twice —
-// the Result holds what the run emitted before it ended, exactly once.
+// TestBulkLoadCommitsOnErrorPaths: whatever ends the run — a context
+// canceled in a serial sweep or in a pooled one, a shard that panics
+// twice — the Result holds what the run emitted before it ended, exactly
+// once.
 func TestBulkLoadCommitsOnErrorPaths(t *testing.T) {
 	leakcheck.Check(t)
 	s := obsTestSpace(t, 400)
@@ -145,24 +148,44 @@ func TestBulkLoadCommitsOnErrorPaths(t *testing.T) {
 		}
 	}
 
+	// Each case starts a run: its context, and the options that end it.
 	cases := []struct {
-		name string
-		opts Options
-		is   func(error) bool
+		name  string
+		start func() (context.Context, Options, context.CancelFunc)
+		is    func(error) bool
 	}{
-		{"serial budget", Options{Tasks: TaskAll, MaxPairs: 4 * guardPairStride},
-			func(err error) bool { return errors.Is(err, ErrCanceled) }},
-		{"pooled budget", Options{Tasks: TaskAll, Workers: 4, MaxPairs: 16 * guardPairStride},
-			func(err error) bool { return errors.Is(err, ErrCanceled) }},
-		{"shard panics twice", Options{Tasks: TaskAll, Workers: 4, ShardFault: func(shard int) {
-			if shard == 1 {
-				panic("persistent fault")
-			}
-		}}, func(err error) bool { var spe *ShardPanicError; return errors.As(err, &spe) }},
+		{"serial cancel", func() (context.Context, Options, context.CancelFunc) {
+			// The serial sweep flushes its counters per compared cube pair
+			// and per outer cube: cancel after 200 flushes.
+			ctx, rec, stop := newCancelAfter(200)
+			return ctx, Options{Tasks: TaskAll, Obs: rec}, stop
+		}, func(err error) bool { return errors.Is(err, ErrCanceled) }},
+		{"pooled cancel", func() (context.Context, Options, context.CancelFunc) {
+			ctx, fault, stop := cancelAtShard(4)
+			return ctx, Options{Tasks: TaskAll, Workers: 4, ShardFault: fault}, stop
+		}, func(err error) bool { return errors.Is(err, ErrCanceled) }},
+		{"shard panics twice", func() (context.Context, Options, context.CancelFunc) {
+			return context.Background(), Options{Tasks: TaskAll, Workers: 4, ShardFault: func(shard int) {
+				if shard == 1 {
+					panic("persistent fault")
+				}
+			}}, func() {}
+		}, func(err error) bool { var spe *ShardPanicError; return errors.As(err, &spe) }},
 	}
-	for _, tc := range cases {
+	run := func(start func() (context.Context, Options, context.CancelFunc)) (*Result, error) {
+		ctx, opts, stop := start()
+		defer stop()
 		got := NewResult()
-		err := Compute(s, AlgorithmCubeMasking, tc.opts, got)
+		err := ComputeCtx(ctx, s, AlgorithmCubeMasking, opts, got)
+		s.SetRecorder(nil)
+		return got, err
+	}
+	var serial *Result
+	for _, tc := range cases {
+		got, err := run(tc.start)
+		if serial == nil {
+			serial = got
+		}
 		if !tc.is(err) {
 			t.Fatalf("%s: unexpected error %v", tc.name, err)
 		}
@@ -189,15 +212,19 @@ func TestBulkLoadCommitsOnErrorPaths(t *testing.T) {
 		checkNoDegreeTable(t, tc.name, got)
 	}
 
-	// The serial budget's salvage is an ordered prefix of the full run.
-	got := NewResult()
-	if err := Compute(s, AlgorithmCubeMasking, cases[0].opts, got); !errors.Is(err, ErrCanceled) {
+	// The serial cancel's salvage is an ordered prefix of the full run, and
+	// canceling at the same hook again cuts at the same pair.
+	got, err := run(cases[0].start)
+	if !errors.Is(err, ErrCanceled) {
 		t.Fatal(err)
 	}
 	for i, p := range got.PartialSet {
 		if full.PartialSet[i] != p {
-			t.Fatalf("serial budget: partial pair %d is %v, the full run's is %v", i, p, full.PartialSet[i])
+			t.Fatalf("serial cancel: partial pair %d is %v, the full run's is %v", i, p, full.PartialSet[i])
 		}
+	}
+	if !slices.Equal(got.FullSet, serial.FullSet) || !slices.Equal(got.PartialSet, serial.PartialSet) || !slices.Equal(got.ComplSet, serial.ComplSet) {
+		t.Errorf("serial cancel: two runs canceled at the same hook salvaged different results")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 
 // cancelSink wraps an eventSink and fires cancel after the K-th emission
 // — the tool of the cancel-at-every-emission-index sweep. The kernel
-// keeps running until its next pair-budget poll, so the recorded stream
+// keeps running until its next guard poll, so the recorded stream
 // is a (generally longer) prefix of the full run, never a truncation
 // mid-emission.
 type cancelSink struct {
@@ -131,52 +132,8 @@ func TestCancelSweepSerialPrefix(t *testing.T) {
 	}
 }
 
-// TestMaxPairsDeterministic: a serial run canceled by the MaxPairs budget
-// is bit-for-bit reproducible (checks happen at fixed pair counts), and
-// its stream is a prefix of the full run.
-func TestMaxPairsDeterministic(t *testing.T) {
-	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 300, Seed: 3})
-	s, err := NewSpace(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range serialAlgorithms() {
-		want := &eventSink{}
-		if err := Compute(s, alg, cancelTestOptions(), want); err != nil {
-			t.Fatal(err)
-		}
-		for _, budget := range []int64{1, guardPairStride / 2, guardPairStride, guardPairStride + 1, 3 * guardPairStride} {
-			var prev []byte
-			for rep := 0; rep < 2; rep++ {
-				opts := cancelTestOptions()
-				opts.MaxPairs = budget
-				got := &eventSink{}
-				err := Compute(s, alg, opts, got)
-				if err != nil {
-					if !errors.Is(err, ErrCanceled) {
-						t.Fatalf("%s budget=%d: %v", alg, budget, err)
-					}
-					var ce *CanceledError
-					if !errors.As(err, &ce) || !errors.Is(ce.Cause, ErrPairBudget) {
-						t.Fatalf("%s budget=%d: want cause ErrPairBudget, got %v", alg, budget, err)
-					}
-				}
-				if !bytes.HasPrefix(want.buf, got.buf) {
-					t.Fatalf("%s budget=%d: stream is not a prefix of the full run", alg, budget)
-				}
-				if rep == 1 && !bytes.Equal(prev, got.buf) {
-					t.Fatalf("%s budget=%d: two identical budgeted runs produced different streams (%d vs %d bytes)",
-						alg, budget, len(prev), len(got.buf))
-				}
-				prev = got.buf
-			}
-		}
-	}
-}
-
-// TestDeadlineCause: an expired Options.Deadline cancels with cause
-// context.DeadlineExceeded.
+// TestDeadlineCause: a run under an expired context.WithTimeout cancels
+// with cause context.DeadlineExceeded.
 func TestDeadlineCause(t *testing.T) {
 	leakcheck.Check(t)
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 600, Seed: 3})
@@ -186,9 +143,9 @@ func TestDeadlineCause(t *testing.T) {
 	}
 	// A sink slow enough that the deadline always expires mid-run.
 	slow := &slowSink{delay: 200 * time.Microsecond}
-	opts := cancelTestOptions()
-	opts.Deadline = 2 * time.Millisecond
-	err = Compute(s, AlgorithmBaseline, opts, slow)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	err = ComputeCtx(ctx, s, AlgorithmBaseline, cancelTestOptions(), slow)
 	if err == nil {
 		t.Skip("fixture completed inside the deadline; nothing to assert")
 	}
@@ -202,50 +159,48 @@ func TestDeadlineCause(t *testing.T) {
 }
 
 // slowSink delays every emission; it turns fast fixtures into runs long
-// enough for deadlines and watchdogs to observe.
-type slowSink struct {
-	delay time.Duration
-	once  bool
-	stall time.Duration
+// enough for a deadline to expire mid-run.
+type slowSink struct{ delay time.Duration }
+
+func (s *slowSink) Full(a, b int)                    { time.Sleep(s.delay) }
+func (s *slowSink) Compl(a, b int)                   { time.Sleep(s.delay) }
+func (s *slowSink) Partial(a, b int, degree float64) { time.Sleep(s.delay) }
+
+// cancelAfter is an Options.Obs recorder that cancels the run's context on
+// its k-th Count call: the run stops itself, from its own counter flushes,
+// without a wrapper around its sink (a *Result sink still goes through the
+// stage's commit). A serial run flushes counters at fixed points of its
+// scan, so where it stops is reproducible.
+type cancelAfter struct {
+	obsv.Nop
+	left   atomic.Int64
+	cancel context.CancelFunc
 }
 
-func (s *slowSink) emit() {
-	if s.stall > 0 && !s.once {
-		s.once = true
-		time.Sleep(s.stall)
-		return
-	}
-	if s.delay > 0 {
-		time.Sleep(s.delay)
+// newCancelAfter returns a context and the recorder that cancels it after
+// k Count calls; the test must call stop when done with the context.
+func newCancelAfter(k int64) (ctx context.Context, rec *cancelAfter, stop context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	rec = &cancelAfter{cancel: cancel}
+	rec.left.Store(k)
+	return ctx, rec, cancel
+}
+
+func (c *cancelAfter) Count(string, int64) {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
 	}
 }
-func (s *slowSink) Full(a, b int)                    { s.emit() }
-func (s *slowSink) Compl(a, b int)                   { s.emit() }
-func (s *slowSink) Partial(a, b int, degree float64) { s.emit() }
 
-// TestStallWatchdog: a run whose pair counter stops moving for
-// StallTimeout is tripped with cause ErrStalled by the watchdog.
-func TestStallWatchdog(t *testing.T) {
-	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 600, Seed: 3})
-	s, err := NewSpace(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first emission sleeps far past the stall timeout while the pair
-	// counter sits still — the model of a wedged sink (a full pipe, a
-	// stuck downstream consumer).
-	sink := &slowSink{stall: 300 * time.Millisecond}
-	opts := cancelTestOptions()
-	opts.StallTimeout = 30 * time.Millisecond
-	err = Compute(s, AlgorithmBaseline, opts, sink)
-	if err == nil {
-		t.Fatal("want ErrStalled, got nil")
-	}
-	var ce *CanceledError
-	if !errors.As(err, &ce) || !errors.Is(ce.Cause, ErrStalled) {
-		t.Fatalf("want *CanceledError with cause ErrStalled, got %v", err)
-	}
+// cancelAtShard returns a context and an Options.ShardFault that cancels
+// it when pooled shard k starts.
+func cancelAtShard(k int) (ctx context.Context, fault func(int), stop context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	return ctx, func(shard int) {
+		if shard == k {
+			cancel()
+		}
+	}, cancel
 }
 
 // TestParallelCancelDirectSalvage: canceled pooled runs deliver complete
@@ -271,24 +226,30 @@ func TestParallelCancelDirectSalvage(t *testing.T) {
 		record(0, full.FullSet)
 		record(1, full.PartialSet)
 		record(2, full.ComplSet)
-		for _, budget := range []int64{guardPairStride, 16 * guardPairStride} {
+		canceled := 0
+		for _, shard := range []int{0, 2} {
+			ctx, fault, stop := cancelAtShard(shard)
 			opts := cancelTestOptions()
 			opts.Workers = 4
-			opts.MaxPairs = budget
+			opts.ShardFault = fault
 			got := NewResult()
-			err := Compute(s, alg, opts, got)
-			if err != nil && !errors.Is(err, ErrCanceled) {
-				t.Fatalf("%s budget=%d: %v", alg, budget, err)
+			err := ComputeCtx(ctx, s, alg, opts, got)
+			stop()
+			if err != nil {
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("%s shard=%d: %v", alg, shard, err)
+				}
+				canceled++
 			}
 			check := func(kind int, name string, ps []Pair) {
 				t.Helper()
 				dup := map[Pair]bool{}
 				for _, p := range ps {
 					if !seen[[3]int{kind, p.A, p.B}] {
-						t.Fatalf("%s budget=%d: salvaged %s pair %v not in the full run", alg, budget, name, p)
+						t.Fatalf("%s shard=%d: salvaged %s pair %v not in the full run", alg, shard, name, p)
 					}
 					if dup[p] {
-						t.Fatalf("%s budget=%d: %s pair %v emitted twice", alg, budget, name, p)
+						t.Fatalf("%s shard=%d: %s pair %v emitted twice", alg, shard, name, p)
 					}
 					dup[p] = true
 				}
@@ -296,6 +257,9 @@ func TestParallelCancelDirectSalvage(t *testing.T) {
 			check(0, "full", got.FullSet)
 			check(1, "partial", got.PartialSet)
 			check(2, "compl", got.ComplSet)
+		}
+		if canceled == 0 {
+			t.Errorf("%s: no run was canceled", alg)
 		}
 	}
 }
@@ -396,11 +360,10 @@ func TestComputeCorpusCtxSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Tasks: TaskAll, MaxPairs: guardPairStride}
-	s, partial, cerr := ComputeCorpusCtx(nil, c, AlgorithmBaseline, opts)
-	if cerr == nil {
-		t.Skip("budget larger than the fixture; nothing to assert")
-	}
+	// The baseline flushes two counters per outer row: cancel ten rows in.
+	ctx, rec, stop := newCancelAfter(20)
+	defer stop()
+	s, partial, cerr := ComputeCorpusCtx(ctx, c, AlgorithmBaseline, Options{Tasks: TaskAll, Obs: rec})
 	if !errors.Is(cerr, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", cerr)
 	}
@@ -432,8 +395,10 @@ func TestCanceledRunCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := obsv.NewCollector()
-	opts := Options{Tasks: TaskAll, MaxPairs: 1, Obs: col}
-	if err := Compute(s, AlgorithmBaseline, opts, &eventSink{}); !errors.Is(err, ErrCanceled) {
+	ctx, rec, stop := newCancelAfter(1)
+	defer stop()
+	opts := Options{Tasks: TaskAll, Obs: obsv.Multi(col, rec)}
+	if err := ComputeCtx(ctx, s, AlgorithmBaseline, opts, &eventSink{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 	s.SetRecorder(nil)

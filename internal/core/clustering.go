@@ -10,16 +10,6 @@ type ClusteringOptions struct {
 	Config cluster.Config
 }
 
-// isZero reports whether the options are entirely unset. (cluster.Config
-// carries a Poll func, so the struct is not comparable to its zero value
-// directly.)
-func (o ClusteringOptions) isZero() bool {
-	c := o.Config
-	return c.Method == "" && c.K == 0 && c.SampleFrac == 0 && c.Seed == 0 &&
-		c.MaxIter == 0 && c.T1 == 0 && c.T2 == 0 && c.MaxHierarchical == 0 &&
-		c.Poll == nil
-}
-
 // clustering runs the paper's §3.2 algorithm: cluster the occurrence-matrix
 // rows, then run the baseline pair scan independently inside every cluster.
 // Comparisons across clusters are skipped, which makes the method lossy:

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/qb"
@@ -61,10 +60,8 @@ func AlgorithmNames() string {
 // Options bundle per-algorithm settings for Compute.
 //
 // Each field is consumed only by the algorithms named in its comment; the
-// others ignore it. By default Compute is lenient about that — a non-zero
-// Clustering passed to the baseline is silently unused, so one Options
-// value can drive several algorithms (as the benchmark harness does). Set
-// Strict to make Compute reject such ignored settings instead.
+// others ignore it, so one Options value can drive several algorithms (as
+// the benchmark harness does).
 type Options struct {
 	// Tasks selects the relationship types; zero means TaskAll. All
 	// algorithms consult it.
@@ -103,26 +100,6 @@ type Options struct {
 	// the run (see obs.go for the name glossary). All algorithms consult
 	// it; nil disables instrumentation entirely.
 	Obs obsv.Recorder
-	// Strict makes Compute return an error when a field not consumed by
-	// the selected algorithm is set to a non-zero value, instead of
-	// silently ignoring it.
-	Strict bool
-	// Deadline bounds the wall-clock duration of the run. Zero means no
-	// deadline. A run that exceeds it is cooperatively canceled and
-	// returns a *CanceledError whose cause is context.DeadlineExceeded;
-	// see ComputeCtx for what the sink then holds. All algorithms consult
-	// it.
-	Deadline time.Duration
-	// MaxPairs bounds the number of ordered observation pairs the run may
-	// charge before it is canceled with cause ErrPairBudget. Zero means
-	// unlimited. Budget checks happen at fixed pair counts, so a serial
-	// run canceled by MaxPairs is bit-for-bit reproducible. All
-	// algorithms consult it.
-	MaxPairs int64
-	// StallTimeout arms a progress watchdog: when no pair progress is
-	// observed for this long, the run is canceled with cause ErrStalled.
-	// Zero disables the watchdog. All algorithms consult it.
-	StallTimeout time.Duration
 	// ShardFault, when non-nil, is invoked with the shard index at the
 	// start of every pooled shard scan (and again on its serial retry).
 	// It exists for fault-injection tests of the panic-isolation path —
@@ -138,60 +115,23 @@ func (o Options) tasks() Tasks {
 	return o.Tasks
 }
 
-// Validate reports which non-zero Options fields the given algorithm
-// would ignore. It returns nil when every set field is consumed. Compute
-// calls it when Strict is set; callers may invoke it directly for
-// up-front flag validation.
-func (o Options) Validate(alg Algorithm) error {
-	known := false
-	for _, a := range Algorithms() {
-		if a == alg {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("core: unknown algorithm %q (supported: %s)", alg, AlgorithmNames())
-	}
-	var ignored []string
-	if !o.Clustering.isZero() && alg != AlgorithmClustering {
-		ignored = append(ignored, "Clustering")
-	}
-	if o.CubeMask != (CubeMaskOptions{}) && alg != AlgorithmCubeMasking && alg != AlgorithmCubeMaskingPrefetch {
-		ignored = append(ignored, "CubeMask")
-	}
-	if !(o.Hybrid.MaxCubeSize == 0 && o.Hybrid.Clustering.isZero()) && alg != AlgorithmHybrid {
-		ignored = append(ignored, "Hybrid")
-	}
-	if o.Workers != 0 && (alg == AlgorithmCubeMaskingPrefetch || alg == AlgorithmHybrid) {
-		ignored = append(ignored, "Workers")
-	}
-	if len(ignored) > 0 {
-		return fmt.Errorf("core: algorithm %q ignores Options.%s; clear the field(s) or pick an algorithm that uses them",
-			alg, strings.Join(ignored, ", Options."))
-	}
-	return nil
-}
-
 // Compute runs the selected algorithm over the space, streaming
 // relationships into sink. When opts.Obs is non-nil it is attached to the
 // space for the duration of the run (and left attached afterwards).
-// Compute is ComputeCtx with a background context: it cannot be canceled
-// externally, but still honors the Options budgets (Deadline, MaxPairs,
-// StallTimeout). With all budgets zero the kernels keep their unguarded
-// fast path — no atomics, no polls, zero allocations on the serial scans.
+// Compute is ComputeCtx with a background context: it cannot be canceled,
+// so the kernels keep their unguarded fast path — no atomics, no polls,
+// zero allocations on the serial scans.
 func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
 	return ComputeCtx(context.Background(), s, alg, opts, sink)
 }
 
 // ComputeCtx is Compute with cooperative cancellation. The run stops at
 // the next poll point (every guardPairStride ordered pairs) after ctx is
-// canceled, the Options.Deadline expires, the MaxPairs budget runs out,
-// or the stall watchdog fires — whichever comes first — and returns a
-// *CanceledError (errors.Is(err, ErrCanceled)) wrapping the specific
-// cause. A canceled serial run leaves an exact, deterministic prefix of
-// its full emission stream in the sink: serial kernels emit in order and
-// stop. A canceled pooled run (see Options.Workers) leaves the shards that
+// done and returns a *CanceledError (errors.Is(err, ErrCanceled)) whose
+// Cause is context.Cause(ctx); a caller that wants a deadline passes a
+// context.WithTimeout. A canceled serial run leaves an exact prefix of its
+// full emission stream in the sink: serial kernels emit in order and stop.
+// A canceled pooled run (see Options.Workers) leaves the shards that
 // completed plus the whole-event chunks in-flight shards had already
 // flushed — still exactly-once, still a subset of the full run, but not
 // an ordered prefix. A nil ctx behaves like context.Background().
@@ -201,26 +141,10 @@ func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
 // when the run ends, however it ends. Until ComputeCtx returns the Result
 // is unchanged; afterwards it holds what per-event calls would have left.
 func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink Sink) error {
-	if opts.Strict {
-		if err := opts.Validate(alg); err != nil {
-			return err
-		}
-	}
 	if opts.Obs != nil {
 		s.SetRecorder(opts.Obs)
 	}
-	if opts.Deadline > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, opts.Deadline, context.DeadlineExceeded)
-		defer cancel()
-	}
-	g := newGuard(ctx, opts.MaxPairs, opts.StallTimeout)
-	g.startWatchdog()
-	defer g.stopWatchdog()
-	err := dispatch(s, alg, opts, sink, g)
+	err := dispatch(s, alg, opts, sink, newGuard(ctx))
 	if err != nil && errors.Is(err, ErrCanceled) {
 		s.count(CtrRunCanceled, 1)
 	}

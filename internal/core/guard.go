@@ -7,19 +7,20 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Cooperative cancellation. The paper's algorithms are Θ(n²) pair scans;
-// run inside a long-lived daemon they must be interruptible: a request
-// deadline, a SIGTERM, or an exhausted work budget has to be able to stop
-// a scan mid-flight without corrupting state and without losing the work
-// already done. The mechanism is a *guard threaded through every kernel:
+// run inside a long-lived process they must be interruptible: a SIGINT,
+// a SIGTERM or a caller's deadline has to be able to stop a scan
+// mid-flight without corrupting state and without losing the work already
+// done. The run's context is the only stop signal; a caller that wants a
+// deadline wraps its context in context.WithTimeout. The mechanism is a
+// *guard threaded through every kernel:
 //
 //   - The hot loops accumulate pair counts locally (they already do, for
 //     the obsv counters) and poll the guard only every guardPairStride
-//     ordered pairs, so the no-guard path — plain Compute with no
-//     budgets — costs one predictable nil-check per pair and zero
+//     ordered pairs, so the no-guard path — a context that can never be
+//     canceled — costs one predictable nil-check per pair and zero
 //     allocations (TestGuardNilFastPath, TestKernelAllocations).
 //   - A tripped guard makes the kernel return a *CanceledError (matching
 //     errors.Is(err, ErrCanceled)). What is already in the caller's sink
@@ -28,11 +29,9 @@ import (
 //     holds its completed shards plus the whole-event chunks in-flight
 //     shards had flushed (see runShardPool) — a subset of the full run's
 //     set, exactly once. Partial results are salvageable, never garbage.
-//   - Poll points sit at fixed pair counts, so a serial run canceled by a
-//     MaxPairs budget is bit-for-bit reproducible.
 //
-// Guards are built by newGuard from a context plus Options budgets; a nil
-// *guard (the zero-cost path) is a valid receiver for every method.
+// Guards are built by newGuard from the run's context; a nil *guard (the
+// zero-cost path) is a valid receiver for every method.
 
 // guardPairStride is the number of ordered pair comparisons between
 // cooperative cancellation checks. Small enough that cancellation latency
@@ -42,27 +41,20 @@ import (
 const guardPairStride = 4096
 
 // ErrCanceled is the sentinel matched by errors.Is for every cooperative
-// abort: context cancellation, deadline expiry, pair-budget exhaustion and
-// watchdog stalls all return a *CanceledError wrapping the specific cause.
+// abort: a canceled or expired context returns a *CanceledError wrapping
+// the context's cause.
 var ErrCanceled = errors.New("core: run canceled")
 
-// ErrPairBudget is the cause when Options.MaxPairs ran out.
-var ErrPairBudget = errors.New("core: pair budget exhausted")
-
-// ErrStalled is the cause when the run watchdog observed no pair progress
-// for Options.StallTimeout.
-var ErrStalled = errors.New("core: run stalled: no pair progress")
-
 // CanceledError reports a cooperatively aborted run. The partial result
-// is not carried in the error but in the caller's sink: an exact,
-// deterministic prefix of the emission stream for a serial run, a subset
-// of the full run's set for a pooled one (see ComputeCtx).
+// is not carried in the error but in the caller's sink: an exact prefix of
+// the emission stream for a serial run, a subset of the full run's set
+// for a pooled one (see ComputeCtx).
 type CanceledError struct {
-	// Cause is the specific trigger: context.Canceled,
-	// context.DeadlineExceeded, ErrPairBudget or ErrStalled.
+	// Cause is context.Cause of the run's context: context.Canceled,
+	// context.DeadlineExceeded, or the cause the caller canceled with.
 	Cause error
 	// Pairs is the count of ordered observation pairs charged to the run
-	// before the trip — the budget position of the cancellation.
+	// before the trip.
 	Pairs int64
 }
 
@@ -96,41 +88,26 @@ func (e *ShardPanicError) Error() string {
 	return fmt.Sprintf("core: shard %d (%s) panicked twice: %v", e.Shard, e.Fingerprint, e.Value)
 }
 
-// guard enforces cooperative cancellation and run budgets. All methods
-// are safe on a nil receiver (the zero-cost "no limits" path) and safe
-// for concurrent use by worker pools.
+// guard enforces cooperative cancellation. All methods are safe on a nil
+// receiver (the zero-cost "cannot be canceled" path) and safe for
+// concurrent use by worker pools.
 type guard struct {
-	ctx      context.Context
-	done     <-chan struct{}
-	maxPairs int64
-	pairs    atomic.Int64
+	ctx   context.Context
+	done  <-chan struct{}
+	pairs atomic.Int64
 
 	tripped atomic.Bool
 	mu      sync.Mutex
 	cause   *CanceledError
-
-	// watchdog
-	stall    time.Duration
-	stop     chan struct{}
-	watchWG  sync.WaitGroup
-	watching bool
 }
 
-// newGuard builds a guard for a run, or returns nil when there is nothing
-// to enforce: a context that can never be canceled and no budgets means
-// the kernels keep their unguarded fast path.
-func newGuard(ctx context.Context, maxPairs int64, stall time.Duration) *guard {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	if done == nil && maxPairs <= 0 && stall <= 0 {
+// newGuard builds a guard for a run, or returns nil when ctx can never be
+// canceled: the kernels then keep their unguarded fast path.
+func newGuard(ctx context.Context) *guard {
+	if ctx == nil || ctx.Done() == nil {
 		return nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &guard{ctx: ctx, done: done, maxPairs: maxPairs, stall: stall}
+	return &guard{ctx: ctx, done: ctx.Done()}
 }
 
 // charge adds delta ordered pairs to the run's progress and returns the
@@ -140,7 +117,8 @@ func (g *guard) charge(delta int64) error {
 	if g == nil {
 		return nil
 	}
-	return g.check(g.pairs.Add(delta))
+	g.pairs.Add(delta)
+	return g.poll()
 }
 
 // poll checks for cancellation without charging progress — the poll point
@@ -150,7 +128,15 @@ func (g *guard) poll() error {
 	if g == nil {
 		return nil
 	}
-	return g.check(g.pairs.Load())
+	if g.tripped.Load() {
+		return g.err()
+	}
+	select {
+	case <-g.done:
+		return g.trip(context.Cause(g.ctx))
+	default:
+		return nil
+	}
 }
 
 // pollFunc adapts poll for substrates that accept a plain check callback
@@ -161,27 +147,6 @@ func (g *guard) pollFunc() func() error {
 		return nil
 	}
 	return g.poll
-}
-
-func (g *guard) check(total int64) error {
-	if g.tripped.Load() {
-		return g.err()
-	}
-	if g.maxPairs > 0 && total >= g.maxPairs {
-		return g.trip(ErrPairBudget)
-	}
-	if g.done != nil {
-		select {
-		case <-g.done:
-			cause := context.Cause(g.ctx)
-			if cause == nil {
-				cause = context.Canceled
-			}
-			return g.trip(cause)
-		default:
-		}
-	}
-	return nil
 }
 
 // trip records the first cause and returns the run's CanceledError; later
@@ -212,60 +177,6 @@ func (g *guard) err() error {
 // isTripped reports whether the run must stop, without running checks —
 // the cheap flag workers consult before claiming another shard.
 func (g *guard) isTripped() bool { return g != nil && g.tripped.Load() }
-
-// startWatchdog spawns the progress-stall detector: a goroutine sampling
-// the run's pair counter (the same quantity obsv exports as
-// obs.pairs.compared) every stall/4 and tripping the guard with ErrStalled
-// when a full StallTimeout passes without the counter moving. The trip is
-// observed at the kernels' next poll point — the watchdog converts "silent
-// no-progress" into a typed error but cannot interrupt a hard-stuck
-// goroutine (nothing can, cooperatively).
-func (g *guard) startWatchdog() {
-	if g == nil || g.stall <= 0 {
-		return
-	}
-	g.stop = make(chan struct{})
-	g.watching = true
-	g.watchWG.Add(1)
-	go func() {
-		defer g.watchWG.Done()
-		tick := g.stall / 4
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		last := g.pairs.Load()
-		lastMove := time.Now()
-		for {
-			select {
-			case <-g.stop:
-				return
-			case <-t.C:
-				cur := g.pairs.Load()
-				if cur != last {
-					last, lastMove = cur, time.Now()
-					continue
-				}
-				if time.Since(lastMove) >= g.stall {
-					g.trip(ErrStalled)
-					return
-				}
-			}
-		}
-	}()
-}
-
-// stopWatchdog terminates the stall detector and waits for it, so a
-// finished run leaves no goroutine behind (the leakcheck invariant).
-func (g *guard) stopWatchdog() {
-	if g == nil || !g.watching {
-		return
-	}
-	close(g.stop)
-	g.watchWG.Wait()
-	g.watching = false
-}
 
 // shardFingerprint hashes a shard's identity — kind, serial index, and
 // the observation indices it covers — into a short stable token for

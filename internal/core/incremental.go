@@ -55,7 +55,7 @@ type Incremental struct {
 // maintained state.
 func NewIncremental(s *Space, tasks Tasks) *Incremental {
 	res := NewResult()
-	// A known algorithm with no budgets set: Compute cannot fail.
+	// A known algorithm under a background context: Compute cannot fail.
 	_ = Compute(s, AlgorithmCubeMasking, Options{Tasks: tasks}, res)
 	return NewIncrementalFrom(s, tasks, res, nil)
 }

@@ -5,19 +5,26 @@ import "slices"
 // Index is a materialized relationship store for online exploration — the
 // paper's §1 motivation: "materialization of these relationships helps
 // speed up online exploration". It answers per-observation neighborhood
-// queries (what do I contain, who contains me, what complements me) in
-// O(1) lookups over the precomputed sets.
+// queries (what do I contain, who contains me, what do I partially
+// contain and who partially contains me, what complements me) in O(1)
+// lookups over the precomputed sets, and it grows: Apply folds the pairs
+// an Incremental.Insert appended to its Result into the lists. The list
+// accessors return the stored, sorted lists; callers must not modify them.
+//
+// Index carries no lock of its own; a caller that applies inserts while
+// others read guards both (serve.Server's RWMutex does).
 type Index struct {
 	space *Space
 
 	contains    [][]int32 // contains[i]: observations i fully contains
 	containedBy [][]int32 // containedBy[i]: observations fully containing i
 	partials    [][]int32 // partials[i]: observations i partially contains
+	partialBy   [][]int32 // partialBy[i]: observations partially containing i
 	complements [][]int32 // complements[i]: complementary partners of i
 }
 
 // BuildIndex computes all relationships with the given algorithm and
-// materializes the adjacency lists.
+// materializes the neighbour lists.
 func BuildIndex(s *Space, alg Algorithm, opts Options) (*Index, error) {
 	res := NewResult()
 	if err := Compute(s, alg, opts, res); err != nil {
@@ -28,46 +35,62 @@ func BuildIndex(s *Space, alg Algorithm, opts Options) (*Index, error) {
 
 // NewIndex materializes an index from an already-computed result.
 func NewIndex(s *Space, res *Result) *Index {
-	ix := &Index{
-		space:       s,
-		contains:    make([][]int32, s.N()),
-		containedBy: make([][]int32, s.N()),
-		partials:    make([][]int32, s.N()),
-		complements: make([][]int32, s.N()),
-	}
-	for _, p := range res.FullSet {
+	ix := &Index{space: s}
+	ix.Apply(res, 0, 0, 0)
+	return ix
+}
+
+// Apply folds the pairs of res past the first f0 full, p0 partial and c0
+// complementarity pairs into the lists, and grows the lists to cover every
+// observation of the space. Only the lists of the observations it adds
+// are sorted: Apply serves the two ways the state grows — from zero, and
+// one Incremental.Insert at a time, whose pairs all involve the new
+// observation, the largest index, so an older observation's list stays
+// sorted when that observation is appended to it.
+func (ix *Index) Apply(res *Result, f0, p0, c0 int) {
+	n0 := len(ix.contains)
+	added := make([][]int32, ix.space.N()-n0)
+	ix.contains = append(ix.contains, added...)
+	ix.containedBy = append(ix.containedBy, added...)
+	ix.partials = append(ix.partials, added...)
+	ix.partialBy = append(ix.partialBy, added...)
+	ix.complements = append(ix.complements, added...)
+	for _, p := range res.FullSet[f0:] {
 		ix.contains[p.A] = append(ix.contains[p.A], int32(p.B))
 		ix.containedBy[p.B] = append(ix.containedBy[p.B], int32(p.A))
 	}
-	for _, p := range res.PartialSet {
+	for _, p := range res.PartialSet[p0:] {
 		ix.partials[p.A] = append(ix.partials[p.A], int32(p.B))
+		ix.partialBy[p.B] = append(ix.partialBy[p.B], int32(p.A))
 	}
-	for _, p := range res.ComplSet {
+	for _, p := range res.ComplSet[c0:] {
 		ix.complements[p.A] = append(ix.complements[p.A], int32(p.B))
 		ix.complements[p.B] = append(ix.complements[p.B], int32(p.A))
 	}
-	for _, lists := range [][][]int32{ix.contains, ix.containedBy, ix.partials, ix.complements} {
-		for _, l := range lists {
+	for _, lists := range [][][]int32{ix.contains, ix.containedBy, ix.partials, ix.partialBy, ix.complements} {
+		for _, l := range lists[n0:] {
 			slices.Sort(l)
 		}
 	}
-	return ix
 }
 
 // Space returns the indexed space.
 func (ix *Index) Space() *Space { return ix.space }
 
 // Contains returns the observations that i fully contains (its details).
-func (ix *Index) Contains(i int) []int { return toInts(ix.contains[i]) }
+func (ix *Index) Contains(i int) []int32 { return ix.contains[i] }
 
 // ContainedBy returns the observations fully containing i (its roll-ups).
-func (ix *Index) ContainedBy(i int) []int { return toInts(ix.containedBy[i]) }
+func (ix *Index) ContainedBy(i int) []int32 { return ix.containedBy[i] }
 
 // PartiallyContains returns the observations i partially contains.
-func (ix *Index) PartiallyContains(i int) []int { return toInts(ix.partials[i]) }
+func (ix *Index) PartiallyContains(i int) []int32 { return ix.partials[i] }
+
+// PartiallyContainedBy returns the observations partially containing i.
+func (ix *Index) PartiallyContainedBy(i int) []int32 { return ix.partialBy[i] }
 
 // Complements returns i's complementary partners.
-func (ix *Index) Complements(i int) []int { return toInts(ix.complements[i]) }
+func (ix *Index) Complements(i int) []int32 { return ix.complements[i] }
 
 // Degree returns the partial-containment degree for the ordered pair, or 0
 // when the pair is not in S_P.
@@ -190,12 +213,4 @@ func (ix *Index) Stats() Stats {
 	st.ComplPairs /= 2 // stored on both endpoints
 	st.SkylineSize = len(ix.TopLevel())
 	return st
-}
-
-func toInts(xs []int32) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = int(x)
-	}
-	return out
 }

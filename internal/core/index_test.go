@@ -23,24 +23,24 @@ func TestIndexNeighborhoods(t *testing.T) {
 
 	got := map[string]bool{}
 	for _, j := range ix.Contains(idx["o21"]) {
-		got[name(j)] = true
+		got[name(int(j))] = true
 	}
 	if !got["o32"] || !got["o34"] || len(got) != 2 {
 		t.Errorf("Contains(o21) = %v", got)
 	}
 
 	cb := ix.ContainedBy(idx["o32"])
-	if len(cb) != 1 || name(cb[0]) != "o21" {
+	if len(cb) != 1 || name(int(cb[0])) != "o21" {
 		t.Errorf("ContainedBy(o32) = %v", cb)
 	}
 
 	comp := ix.Complements(idx["o11"])
-	if len(comp) != 1 || name(comp[0]) != "o31" {
+	if len(comp) != 1 || name(int(comp[0])) != "o31" {
 		t.Errorf("Complements(o11) = %v", comp)
 	}
 	// Symmetric view.
 	comp = ix.Complements(idx["o31"])
-	if len(comp) != 1 || name(comp[0]) != "o11" {
+	if len(comp) != 1 || name(int(comp[0])) != "o11" {
 		t.Errorf("Complements(o31) = %v", comp)
 	}
 

@@ -40,8 +40,8 @@ import "rdfcube/internal/obsv"
 //     parallel.worker.<id>.rows.
 //   - CtrParallelClusters: clusters scanned by the pooled clustering
 //     run; per-worker throughput is parallel.worker.<id>.clusters.
-//   - CtrRunCanceled: runs that ended in cooperative cancellation (context,
-//     deadline, pair budget or stall watchdog).
+//   - CtrRunCanceled: runs that ended in cooperative cancellation (a
+//     canceled or expired context).
 //   - CtrShardPanics: parallel shards whose worker panicked (each is
 //     retried serially once).
 //   - CtrShardRetries: serial retries of panicked shards that were

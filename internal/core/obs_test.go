@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -237,89 +238,16 @@ func TestIncrementalPrunesIncomparableCubes(t *testing.T) {
 	}
 }
 
-// TestOptionsValidate covers the Strict/Validate satellite: ignored
-// non-zero fields are reported, consumed fields pass.
-func TestOptionsValidate(t *testing.T) {
-	var opts Options
-	opts.Workers = 4
-	// Workers is consumed by every algorithm with a pooled branch —
-	// cubeMasking included — and reported for the two that are always
-	// serial.
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmCubeMasking, AlgorithmParallel} {
-		if err := opts.Validate(alg); err != nil {
-			t.Errorf("%s consumes Workers: %v", alg, err)
-		}
-	}
-	for _, alg := range []Algorithm{AlgorithmCubeMaskingPrefetch, AlgorithmHybrid} {
-		if err := opts.Validate(alg); err == nil {
-			t.Errorf("%s must reject Workers (it is always serial)", alg)
-		} else if !strings.Contains(err.Error(), "Workers") {
-			t.Errorf("error must name the field: %v", err)
-		}
-	}
-	// The sparse occurrence matrix is gone: its name is as unknown as any
-	// other, and the error lists exactly the six that remain.
-	if err := (Options{}).Validate("baseline-sparse"); err == nil {
-		t.Errorf("baseline-sparse must be rejected as unknown")
-	} else if want := `unknown algorithm "baseline-sparse" (supported: baseline, clustering, cubemasking, cubemasking-prefetch, hybrid, parallel)`; !strings.Contains(err.Error(), want) {
-		t.Errorf("unknown-algorithm error = %q, want it to contain %q", err, want)
-	}
-
-	opts = Options{}
-	opts.Clustering.Config.Seed = 7
-	if err := opts.Validate(AlgorithmCubeMasking); err == nil {
-		t.Errorf("cubemasking must reject Clustering")
-	}
-	if err := opts.Validate(AlgorithmClustering); err != nil {
-		t.Errorf("clustering consumes Clustering: %v", err)
-	}
-
-	opts = Options{CubeMask: CubeMaskOptions{PrefetchChildren: true}}
-	if err := opts.Validate(AlgorithmBaseline); err == nil {
-		t.Errorf("baseline must reject CubeMask")
-	}
-	for _, alg := range []Algorithm{AlgorithmCubeMasking, AlgorithmCubeMaskingPrefetch} {
-		if err := opts.Validate(alg); err != nil {
-			t.Errorf("%s consumes CubeMask: %v", alg, err)
-		}
-	}
-
-	opts = Options{Hybrid: HybridOptions{MaxCubeSize: 9}}
-	if err := opts.Validate(AlgorithmCubeMasking); err == nil {
-		t.Errorf("cubemasking must reject Hybrid")
-	}
-	if err := opts.Validate(AlgorithmHybrid); err != nil {
-		t.Errorf("hybrid consumes Hybrid: %v", err)
-	}
-
-	if err := (Options{}).Validate(Algorithm("nope")); err == nil {
-		t.Errorf("unknown algorithm must fail")
-	}
-
-	// Strict threads through Compute.
+// TestUnknownAlgorithm: Compute rejects a name that is not one of the six
+// algorithms, and its error lists exactly the six. The sparse occurrence
+// matrix is gone, so its name is as unknown as any other.
+func TestUnknownAlgorithm(t *testing.T) {
 	s := obsTestSpace(t, 100)
-	bad := Options{CubeMask: CubeMaskOptions{PrefetchChildren: true}, Strict: true}
-	if err := Compute(s, AlgorithmBaseline, bad, &Counter{}); err == nil {
-		t.Errorf("strict Compute must reject ignored CubeMask")
-	}
-	bad.Strict = false
-	if err := Compute(s, AlgorithmBaseline, bad, &Counter{}); err != nil {
-		t.Errorf("lenient Compute must ignore CubeMask: %v", err)
-	}
-	// Workers is consumed by the baseline now: Strict must accept it, and
-	// the parallel run must succeed.
-	ok := Options{Workers: 2, Strict: true}
-	if err := Compute(s, AlgorithmBaseline, ok, &Counter{}); err != nil {
-		t.Errorf("strict Compute must accept Workers for baseline: %v", err)
-	}
-	if err := Compute(s, AlgorithmClustering, ok, &Counter{}); err != nil {
-		t.Errorf("strict Compute must accept Workers for clustering: %v", err)
-	}
-	if err := Compute(s, AlgorithmCubeMasking, ok, &Counter{}); err != nil {
-		t.Errorf("strict Compute must accept Workers for cubemasking: %v", err)
-	}
-	if err := Compute(s, AlgorithmHybrid, ok, &Counter{}); err == nil {
-		t.Errorf("strict Compute must reject Workers for hybrid")
+	for _, alg := range []Algorithm{"baseline-sparse", "nope"} {
+		err := Compute(s, alg, Options{}, &Counter{})
+		if want := fmt.Sprintf(`unknown algorithm %q (supported: baseline, clustering, cubemasking, cubemasking-prefetch, hybrid, parallel)`, alg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Compute(%q) = %v, want an error containing %q", alg, err, want)
+		}
 	}
 }
 

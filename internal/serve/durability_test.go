@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/leakcheck"
+	"rdfcube/internal/loadgen"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/snapshot"
 	"rdfcube/internal/wal"
@@ -534,4 +536,79 @@ func TestReplayRejectsMismatchedRecord(t *testing.T) {
 	if _, err := srv.Replay(bad); err == nil {
 		t.Fatal("out-of-range dataset index accepted")
 	}
+}
+
+// assertIndexMatchesResult: every list the server renders from equals the
+// one core.NewIndex builds from scratch over a sorted copy of the server's
+// result — the index grown insert by insert holds what a rebuild would.
+func assertIndexMatchesResult(t *testing.T, what string, srv *Server) {
+	t.Helper()
+	res := &core.Result{
+		FullSet:    slices.Clone(srv.inc.Res.FullSet),
+		PartialSet: slices.Clone(srv.inc.Res.PartialSet),
+		ComplSet:   slices.Clone(srv.inc.Res.ComplSet),
+	}
+	res.Sort()
+	want := core.NewIndex(srv.inc.S, res)
+	lists := []struct {
+		name string
+		list func(*core.Index, int) []int32
+	}{
+		{"Contains", (*core.Index).Contains},
+		{"ContainedBy", (*core.Index).ContainedBy},
+		{"PartiallyContains", (*core.Index).PartiallyContains},
+		{"PartiallyContainedBy", (*core.Index).PartiallyContainedBy},
+		{"Complements", (*core.Index).Complements},
+	}
+	for i := 0; i < srv.inc.S.N(); i++ {
+		for _, l := range lists {
+			if got, w := l.list(srv.index, i), l.list(want, i); !slices.Equal(got, w) {
+				t.Fatalf("%s: %s(%d) = %v, a rebuilt index has %v", what, l.name, i, got, w)
+			}
+		}
+	}
+}
+
+// TestIndexMatchesRebuild: after 200 live inserts, and again after the
+// same inserts are replayed from the WAL onto a restarted server, the
+// served index equals one rebuilt from the result sets.
+func TestIndexMatchesRebuild(t *testing.T) {
+	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 11})
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.New(s, res, core.BuildLattice(s)).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := loadgen.BuildPlan(loadgen.PlanConfig{Gen: "realworld", N: 400, Seed: 11, Mix: "ingest", Requests: 400}, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := faultfs.NewMemFS()
+	srv, _, _ := newDurableServer(t, m, snap, Config{})
+	h := srv.Handler()
+	const inserts = 200
+	done := 0
+	for _, op := range plan.Ops {
+		if op.Kind != loadgen.OpInsert || done == inserts {
+			continue
+		}
+		if rec := fetch(t, h, op.Method, op.Path, op.Body); rec.Code != http.StatusCreated {
+			t.Fatalf("insert %d: status %d: %s", done, rec.Code, rec.Body.Bytes())
+		}
+		done++
+	}
+	if done != inserts {
+		t.Fatalf("plan held %d inserts, want %d", done, inserts)
+	}
+	assertIndexMatchesResult(t, "after live inserts", srv)
+
+	restarted, _, _ := newDurableServer(t, m.Clone(), snap, Config{})
+	if restarted.inc.S.N() != srv.inc.S.N() {
+		t.Fatalf("restarted server holds %d observations, want %d", restarted.inc.S.N(), srv.inc.S.N())
+	}
+	assertIndexMatchesResult(t, "after WAL replay", restarted)
 }

@@ -179,9 +179,9 @@ func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
 	bp, b := getBody()
 	defer func() { putBody(bp, b) }()
 	b = append(b, `{"containedBy":`...)
-	b = s.appendRefs(b, s.adj.containedBy[i])
+	b = s.appendRefs(b, s.index.ContainedBy(i))
 	b = append(b, `,"contains":`...)
-	b = s.appendRefs(b, s.adj.contains[i])
+	b = s.appendRefs(b, s.index.Contains(i))
 	b = appendObsMember(b, i)
 	b = s.appendEnd(b, i)
 	writeBody(w, b)
@@ -201,7 +201,7 @@ func (s *Server) handleComplements(w http.ResponseWriter, r *http.Request) {
 	bp, b := getBody()
 	defer func() { putBody(bp, b) }()
 	b = append(b, `{"complements":`...)
-	b = s.appendRefs(b, s.adj.complements[i])
+	b = s.appendRefs(b, s.index.Complements(i))
 	b = appendObsMember(b, i)
 	b = s.appendEnd(b, i)
 	writeBody(w, b)
@@ -231,16 +231,16 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	defer func() { putBody(bp, b) }()
 	endCompl := tr.span("fanout.complements")
 	b = append(b, `{"complements":`...)
-	b = s.appendRefs(b, s.adj.complements[i])
+	b = s.appendRefs(b, s.index.Complements(i))
 	endCompl()
 	if s.ctxAbort(w, r) {
 		return
 	}
 	endFull := tr.span("fanout.full")
 	b = append(b, `,"containedBy":`...)
-	b = s.appendRefs(b, s.adj.containedBy[i])
+	b = s.appendRefs(b, s.index.ContainedBy(i))
 	b = append(b, `,"contains":`...)
-	b = s.appendRefs(b, s.adj.contains[i])
+	b = s.appendRefs(b, s.index.Contains(i))
 	endFull()
 	if s.ctxAbort(w, r) {
 		return
@@ -248,9 +248,9 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	b = appendObsMember(b, i)
 	endPartial := tr.span("fanout.partial")
 	b = append(b, `,"partiallyContainedBy":`...)
-	b = s.appendPartialRefs(b, i, s.adj.partialBy[i], false)
+	b = s.appendPartialRefs(b, i, s.index.PartiallyContainedBy(i), false)
 	b = append(b, `,"partiallyContains":`...)
-	b = s.appendPartialRefs(b, i, s.adj.partials[i], true)
+	b = s.appendPartialRefs(b, i, s.index.PartiallyContains(i), true)
 	endPartial()
 	b = s.appendEnd(b, i)
 	writeBody(w, b)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -57,23 +58,59 @@ func (s *Server) oraclePartialRefs(from int, ids []int32, fromIsSource bool) []o
 	return out
 }
 
+// oracleLists reads observation i's neighbour lists straight off the
+// server's result sets, a filter and a sort per list: independent of the
+// core.Index the handlers render from.
+func (s *Server) oracleLists(i int) (contains, containedBy, partials, partialBy, complements []int32) {
+	res := s.inc.Res
+	for _, p := range res.FullSet {
+		if p.A == i {
+			contains = append(contains, int32(p.B))
+		}
+		if p.B == i {
+			containedBy = append(containedBy, int32(p.A))
+		}
+	}
+	for _, p := range res.PartialSet {
+		if p.A == i {
+			partials = append(partials, int32(p.B))
+		}
+		if p.B == i {
+			partialBy = append(partialBy, int32(p.A))
+		}
+	}
+	for _, p := range res.ComplSet {
+		if p.A == i {
+			complements = append(complements, int32(p.B))
+		}
+		if p.B == i {
+			complements = append(complements, int32(p.A))
+		}
+	}
+	for _, l := range [][]int32{contains, containedBy, partials, partialBy, complements} {
+		slices.Sort(l)
+	}
+	return
+}
+
 // oracleBody is the body the reflective handlers wrote for route and
 // observation i.
 func (s *Server) oracleBody(t testing.TB, route string, i int) []byte {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	contains, containedBy, partials, partialBy, complements := s.oracleLists(i)
 	resp := map[string]any{"obs": i, "uri": s.inc.S.Obs[i].URI.Value}
 	if route == "contains" || route == "related" {
-		resp["contains"] = s.oracleRefs(s.adj.contains[i])
-		resp["containedBy"] = s.oracleRefs(s.adj.containedBy[i])
+		resp["contains"] = s.oracleRefs(contains)
+		resp["containedBy"] = s.oracleRefs(containedBy)
 	}
 	if route == "related" {
-		resp["partiallyContains"] = s.oraclePartialRefs(i, s.adj.partials[i], true)
-		resp["partiallyContainedBy"] = s.oraclePartialRefs(i, s.adj.partialBy[i], false)
+		resp["partiallyContains"] = s.oraclePartialRefs(i, partials, true)
+		resp["partiallyContainedBy"] = s.oraclePartialRefs(i, partialBy, false)
 	}
 	if route == "complements" || route == "related" {
-		resp["complements"] = s.oracleRefs(s.adj.complements[i])
+		resp["complements"] = s.oracleRefs(complements)
 	}
 	return encodeNoHTMLEscape(t, resp)
 }
@@ -129,7 +166,7 @@ func assertFanoutBytes(t *testing.T, what string, srv *Server) {
 				t.Fatalf("%s: %s obs=%d: body differs from the reflective rendering\n got: %q\nwant: %q", what, route, i, rec.Body.Bytes(), want)
 			}
 		}
-		neighbours += len(srv.adj.partials[i]) + len(srv.adj.contains[i]) + len(srv.adj.complements[i])
+		neighbours += len(srv.index.PartiallyContains(i)) + len(srv.index.Contains(i)) + len(srv.index.Complements(i))
 	}
 	if neighbours == 0 {
 		t.Fatalf("%s: degenerate fixture: no relationships rendered", what)
@@ -209,8 +246,8 @@ func TestRelatedAllocationsIndependentOfFanout(t *testing.T) {
 		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so a request regrows its buffer now and then")
 	}
 	fanout := func(srv *Server, i int) int {
-		a := srv.adj
-		return len(a.contains[i]) + len(a.containedBy[i]) + len(a.partials[i]) + len(a.partialBy[i]) + len(a.complements[i])
+		ix := srv.index
+		return len(ix.Contains(i)) + len(ix.ContainedBy(i)) + len(ix.PartiallyContains(i)) + len(ix.PartiallyContainedBy(i)) + len(ix.Complements(i))
 	}
 	// extreme returns the observation of srv whose fan-out is smallest
 	// (sign < 0) or largest.

@@ -2,7 +2,7 @@
 // query service — the shape the ROADMAP's production north star needs:
 // pay the batch cubeMasking pass once (or load its snapshot), keep the
 // sets in memory behind a single-writer/many-readers lock, answer
-// per-observation queries from inverted adjacency lists, and route live
+// per-observation queries from a core.Index's inverted lists, and route live
 // inserts through core.Incremental so new observations are queryable
 // without a restart.
 //
@@ -191,7 +191,9 @@ func (c Config) walPollWait() time.Duration {
 type Server struct {
 	mu  sync.RWMutex
 	inc *core.Incremental
-	adj *adjacency
+	// index holds every observation's neighbour lists; applyInsertLocked
+	// grows it with each insert's pairs.
+	index *core.Index
 	// uriIdx resolves a full observation URI to its index; maintained
 	// under mu alongside the space.
 	uriIdx map[string]int
@@ -266,7 +268,7 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		inc:     inc,
-		adj:     newAdjacency(sn.Space.N(), sn.Result),
+		index:   core.NewIndex(sn.Space, sn.Result),
 		uriIdx:  make(map[string]int, sn.Space.N()),
 		dsIdx:   make(map[string]int, len(sn.Space.Corpus.Datasets)),
 		degText: degreeTexts(sn.Space.NumDims()),
@@ -400,7 +402,7 @@ func (s *Server) applyInsertLocked(dsIndex int, o *qb.Observation) error {
 	}
 	s.inc.S.Corpus.Datasets[dsIndex].Observations = append(s.inc.S.Corpus.Datasets[dsIndex].Observations, o)
 	s.uriIdx[o.URI.Value] = idx
-	s.adj.applyDelta(s.inc.Res, idx, f0, p0, c0)
+	s.index.Apply(s.inc.Res, f0, p0, c0)
 	return nil
 }
 
@@ -484,16 +486,6 @@ func (s *Server) CheckpointWith(commit func(data []byte) error) error {
 		s.mu.Unlock()
 	}
 	return nil
-}
-
-// Checkpoint atomically persists the current state to path: encode under
-// the lock, write outside it. It runs through CheckpointWith, so it is
-// serialized against concurrent checkpoints and truncates the WAL after
-// the commit.
-func (s *Server) Checkpoint(path string) error {
-	return s.CheckpointWith(func(data []byte) error {
-		return snapshot.WriteFileBytes(path, data)
-	})
 }
 
 // ErrCheckpointTimeout reports that a bounded checkpoint overran its

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rdfcube/internal/core"
+	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/leakcheck"
 	"rdfcube/internal/obsv"
@@ -467,13 +468,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("insert status %d: %v", code, created)
 	}
 
-	path := t.TempDir() + "/live.snap"
-	if err := srv.Checkpoint(path); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	rot := snapshot.NewRotator(faultfs.OS{}, t.TempDir()+"/live.snap")
+	if err := srv.CheckpointWith(rot.Write); err != nil {
+		t.Fatalf("CheckpointWith: %v", err)
 	}
-	sn, err := snapshot.ReadFile(path)
+	sn, _, err := rot.Load()
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("Rotator.Load: %v", err)
 	}
 	if sn.Space.N() != srv.inc.S.N() {
 		t.Fatalf("reloaded %d observations, want %d", sn.Space.N(), srv.inc.S.N())

@@ -1,6 +1,6 @@
 // Package sigctx implements the two-stage interrupt contract the CLIs
 // share: the FIRST SIGINT/SIGTERM cancels a context — the running
-// computation stops cooperatively at its next pair-budget poll and the
+// computation stops cooperatively at its next guard poll and the
 // caller salvages the partial result — and a SECOND signal force-exits
 // the process immediately for the operator who has decided they do not
 // care about salvage. This is the standard ^C UX of well-behaved batch

@@ -51,10 +51,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 
 	"rdfcube/internal/core"
-	"rdfcube/internal/faultfs"
 	"rdfcube/internal/lattice"
 )
 
@@ -128,34 +126,4 @@ func (sn *Snapshot) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// WriteFile writes the snapshot to path atomically: the bytes land in a
-// temporary file in the same directory which is fsynced and renamed over
-// path, so a crash mid-checkpoint never clobbers the previous snapshot.
-func (sn *Snapshot) WriteFile(path string) error {
-	data, err := sn.Encode()
-	if err != nil {
-		return err
-	}
-	return WriteFileBytes(path, data)
-}
-
-// WriteFileBytes atomically replaces path with an already-encoded
-// snapshot (temp file + fsync + rename).
-func WriteFileBytes(path string, data []byte) error {
-	if err := faultfs.WriteFileAtomic(faultfs.OS{}, path, data); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return nil
-}
-
-// ReadFile loads a snapshot from path.
-func ReadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rdfcube/internal/core"
+	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
@@ -268,22 +269,30 @@ func TestGoldenPaperExample(t *testing.T) {
 	checkEqual(t, sn, got)
 }
 
+// TestWriteFileReadFile: a snapshot committed to disk through a Rotator
+// loads back equal, and committing the loaded state again (the next
+// checkpoint) keeps it loadable.
 func TestWriteFileReadFile(t *testing.T) {
 	sn := computeSnapshot(t, gen.PaperExample())
-	path := filepath.Join(t.TempDir(), "idx.bin")
-	if err := sn.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	rot := NewRotator(faultfs.OS{}, filepath.Join(t.TempDir(), "idx.bin"))
+	commit := func(sn *Snapshot) {
+		t.Helper()
+		data, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rot.Write(data); err != nil {
+			t.Fatalf("Rotator.Write: %v", err)
+		}
 	}
-	got, err := ReadFile(path)
+	commit(sn)
+	got, _, err := rot.Load()
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("Rotator.Load: %v", err)
 	}
 	checkEqual(t, sn, got)
-	// Overwriting checkpoints atomically must keep working.
-	if err := got.WriteFile(path); err != nil {
-		t.Fatalf("second WriteFile: %v", err)
-	}
-	if _, err := ReadFile(path); err != nil {
+	commit(got)
+	if _, _, err := rot.Load(); err != nil {
 		t.Fatalf("re-read after checkpoint: %v", err)
 	}
 }

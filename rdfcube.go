@@ -158,15 +158,15 @@ type Computation struct {
 // Obs returns the observation behind index i of any Result pair.
 func (c *Computation) Obs(i int) *Observation { return c.Space.Obs[i] }
 
-// Compute compiles the corpus and runs the selected algorithm over it. A
-// run cut short by an Options budget returns what ComputeContext would.
+// Compute compiles the corpus and runs the selected algorithm over it. It
+// cannot be canceled; use ComputeContext to stop a run.
 func Compute(corpus *Corpus, alg Algorithm, opts Options) (*Computation, error) {
 	return ComputeContext(context.Background(), corpus, alg, opts)
 }
 
 // ComputeContext is Compute with cooperative cancellation: the run stops
-// shortly after ctx is canceled (or an Options budget — Deadline,
-// MaxPairs, StallTimeout — runs out) and returns an error matching
+// shortly after ctx is canceled or its deadline passes (wrap ctx in
+// context.WithTimeout for one) and returns an error matching
 // errors.Is(err, ErrCanceled). On cancellation the returned Computation is
 // NOT nil: it carries the sorted partial result — a subset of the full
 // run's sets — so callers can report what was salvaged.
@@ -287,7 +287,7 @@ func CheckIntegrity(corpus *Corpus) ([]IntegrityViolation, error) {
 type ExplorationIndex = core.Index
 
 // BuildExplorationIndex computes all relationships with cubeMasking and
-// materializes the per-observation adjacency lists.
+// materializes the per-observation neighbour lists.
 func BuildExplorationIndex(corpus *Corpus) (*ExplorationIndex, error) {
 	s, err := core.NewSpace(corpus)
 	if err != nil {
@@ -368,9 +368,8 @@ type Server = serve.Server
 // limit, write-ahead log). The zero value is serviceable.
 type ServerConfig = serve.Config
 
-// ErrCanceled matches, via errors.Is, every cooperatively aborted run:
-// context cancellation, deadline expiry, an exhausted Options.MaxPairs
-// budget and a fired stall watchdog.
+// ErrCanceled matches, via errors.Is, every cooperatively aborted run: a
+// canceled context or an expired deadline.
 var ErrCanceled = core.ErrCanceled
 
 var (

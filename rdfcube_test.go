@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	rdfcube "rdfcube"
+	"rdfcube/internal/faultfs"
 	"rdfcube/internal/snapshot"
 )
 
@@ -286,14 +287,17 @@ func TestFacadeSnapshotServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn := rdfcube.NewSnapshot(comp)
-	path := t.TempDir() + "/facade.snap"
-	if err := sn.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	sn2, err := snapshot.ReadFile(path)
+	data, err := rdfcube.NewSnapshot(comp).Encode()
 	if err != nil {
-		t.Fatalf("snapshot.ReadFile: %v", err)
+		t.Fatalf("Encode: %v", err)
+	}
+	rot := snapshot.NewRotator(faultfs.OS{}, t.TempDir()+"/facade.snap")
+	if err := rot.Write(data); err != nil {
+		t.Fatalf("Rotator.Write: %v", err)
+	}
+	sn2, _, err := rot.Load()
+	if err != nil {
+		t.Fatalf("Rotator.Load: %v", err)
 	}
 	if sn2.Space.N() != comp.Space.N() {
 		t.Fatalf("round trip lost observations: %d != %d", sn2.Space.N(), comp.Space.N())
