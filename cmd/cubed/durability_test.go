@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"os"
@@ -9,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rdfcube/internal/snapshot"
 )
 
 // startDaemon boots run() in a goroutine against dir/idx.bin and waits
@@ -163,6 +167,56 @@ func TestShutdownDuringTimerCheckpoints(t *testing.T) {
 	}
 	if !strings.Contains(out2.String(), "11 observations") {
 		t.Fatalf("post-race state lost the insert: %q", out2.String())
+	}
+}
+
+// TestV1SnapshotUpgradesOnCheckpoint: a plain snapshot file in format
+// version 1, as builds before version 2 wrote it, passes -check, serves,
+// and the next checkpoint commits it as a version 2 generation that
+// -check passes again.
+func TestV1SnapshotUpgradesOnCheckpoint(t *testing.T) {
+	v1, err := os.ReadFile("../../internal/snapshot/testdata/paper_example_v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(v1[8:]); v != 1 {
+		t.Fatalf("fixture is version %d, want 1", v)
+	}
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "idx.bin")
+	if err := os.WriteFile(snap, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func() string {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if code := run(context.Background(), []string{"-snapshot", snap, "-check"}, &out, &errOut); code != 0 {
+			t.Fatalf("check: exit %d\nstderr: %s", code, errOut.String())
+		}
+		return out.String()
+	}
+	check()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base, errOut, done := startDaemon(t, ctx, snap)
+	if !strings.Contains(errOut.String(), "loaded snapshot "+snap) {
+		t.Fatalf("daemon did not load the v1 file: %s", errOut.String())
+	}
+	insertLive(t, base, 300)
+	cancel()
+	if code := <-done; code != 0 {
+		t.Fatalf("daemon exit %d\nstderr: %s", code, errOut.String())
+	}
+	gen, err := os.ReadFile(snap + ".000001")
+	if err != nil {
+		t.Fatalf("shutdown checkpoint wrote no generation: %v", err)
+	}
+	if v := binary.LittleEndian.Uint32(gen[8:]); v != snapshot.Version {
+		t.Fatalf("checkpoint wrote version %d, want %d", v, snapshot.Version)
+	}
+	if out := check(); !strings.Contains(out, "11 observations") {
+		t.Fatalf("the upgraded generation lost the insert: %q", out)
 	}
 }
 

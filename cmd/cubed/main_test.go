@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -84,16 +83,33 @@ func TestOnceBuildsSnapshotAndCheckPasses(t *testing.T) {
 	}
 }
 
-// patchFirstDegree overwrites, in the snapshot file at path, the stored
-// degree of the first S_P pair and recomputes the RSLT frame's CRC — the
-// patchSection approach of snapshot's corrupt_test.go: damage that framing
+// patchFirstPartial replaces, in the snapshot file at path, the first S_P
+// pair with a pair of distinct observations whose derived degree is 0 or 1
+// — not a partial pair — and rebuilds the RSLT frame's length and CRC: the
+// patchSection approach of snapshot's corrupt_test.go, damage that framing
 // and checksum vouch for, so only the decoder's own validation sees it. It
 // returns the pair.
-func patchFirstDegree(t *testing.T, path string, deg float64) (a, b uint64) {
+func patchFirstPartial(t *testing.T, path string) (a, b int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sn, err := snapshot.Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b = -1, -1
+	for i := 0; i < sn.Space.N() && a < 0; i++ {
+		for j := 0; j < sn.Space.N(); j++ {
+			if deg := sn.Space.Degree(i, j); i != j && (deg == 0 || deg == 1) {
+				a, b = i, j
+				break
+			}
+		}
+	}
+	if a < 0 {
+		t.Fatal("no pair of degree 0 or 1")
 	}
 	for off := 12; off+8 <= len(data); { // sections: tag, length, payload, CRC
 		n := int(binary.LittleEndian.Uint32(data[off+4:]))
@@ -118,10 +134,14 @@ func patchFirstDegree(t *testing.T, path string, deg float64) (a, b uint64) {
 		if uvarint() == 0 {
 			t.Fatal("degenerate fixture: no partial pairs")
 		}
-		a, b = uvarint(), uvarint()
-		binary.LittleEndian.PutUint64(payload[at:], math.Float64bits(deg))
-		binary.LittleEndian.PutUint32(data[off+8+n:], crc32.ChecksumIEEE(payload))
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		start := at
+		uvarint()
+		uvarint()
+		patched := binary.AppendUvarint(bytes.Clone(payload[:start]), uint64(a))
+		patched = append(binary.AppendUvarint(patched, uint64(b)), payload[at:]...)
+		out := binary.LittleEndian.AppendUint32(bytes.Clone(data[:off+4]), uint32(len(patched)))
+		out = binary.LittleEndian.AppendUint32(append(out, patched...), crc32.ChecksumIEEE(patched))
+		if err := os.WriteFile(path, append(out, data[off+8+n+4:]...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return a, b
@@ -130,22 +150,23 @@ func patchFirstDegree(t *testing.T, path string, deg float64) (a, b uint64) {
 	return 0, 0
 }
 
-// TestCheckComparesDegrees: a snapshot whose pair sets are right but which
-// carries a degree the space does not derive — inside (0, 1), under a valid
-// CRC — fails -check, naming the pair. The comparison is the decoder's, made
-// on every load, so -check needs no loop of its own.
+// TestCheckComparesDegrees: a snapshot whose S_P lists a pair the space
+// cannot hold as partial — its derived degree is 0 or 1 — under a valid
+// CRC fails -check, naming the pair. The check is the decoder's, made on
+// every load from the degree it derives, so -check needs no loop of its
+// own.
 func TestCheckComparesDegrees(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "idx.bin")
 	var out, errOut bytes.Buffer
 	if code := run(context.Background(), []string{"-gen", "example", "-snapshot", snap, "-once"}, &out, &errOut); code != 0 {
 		t.Fatalf("build: exit %d\nstderr: %s", code, errOut.String())
 	}
-	a, b := patchFirstDegree(t, snap+".000001", 0.9)
+	a, b := patchFirstPartial(t, snap+".000001")
 	errOut.Reset()
 	if code := run(context.Background(), []string{"-snapshot", snap, "-check"}, &out, &errOut); code != 1 {
-		t.Fatalf("check of a wrong degree: exit %d, want 1\nstderr: %s", code, errOut.String())
+		t.Fatalf("check of a pair that is not partial: exit %d, want 1\nstderr: %s", code, errOut.String())
 	}
-	if want := fmt.Sprintf("partial degree of pair (%d, %d) is 0.9", a, b); !strings.Contains(errOut.String(), want) {
+	if want := fmt.Sprintf("partial pair (%d, %d) derives degree", a, b); !strings.Contains(errOut.String(), want) {
 		t.Fatalf("stderr does not name the pair (%q): %s", want, errOut.String())
 	}
 }

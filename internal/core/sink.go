@@ -51,18 +51,6 @@ type Result struct {
 // NewResult returns an empty collecting sink.
 func NewResult() *Result { return &Result{} }
 
-// NewResultSized returns an empty collecting sink with room for nPartial
-// pairs in PartialSet — for a loader that reads the count before the pairs
-// (snapshot decode). The caller vouches for nPartial; nothing here bounds
-// it.
-func NewResultSized(nPartial int) *Result {
-	r := NewResult()
-	if nPartial > 0 {
-		r.PartialSet = make([]Pair, 0, nPartial)
-	}
-	return r
-}
-
 // Bulk load. ComputeCtx does not let a kernel grow a *Result event by
 // event: the run emits into a resultStage instead — three append-only pair
 // columns — and one commit, on every exit path of the run, appends each to

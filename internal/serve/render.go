@@ -77,9 +77,9 @@ func (s *Server) appendRefs(b []byte, ids []int32) []byte {
 // JSON array of {obs, uri, degree} objects, for the ordered direction
 // (fromIsSource: from contains the neighbour). The degree of
 // Cont_partial(a, b) is the normalised OCM cell ContainDegree(a, b)/|P| —
-// a function of the two observations' code rows, which is also how every
-// kernel computes what it stores in Result.PartialDegree (core's
-// TestDerivedDegreeLicence pins the equality) — so it is read off the
+// a function of the two observations' code rows, the same division every
+// kernel performs when it emits the pair (core's TestDerivedDegreeLicence
+// pins the equality; nothing stores the result) — so it is read off the
 // Space and looked up in the pre-rendered degText table.
 func (s *Server) appendPartialRefs(b []byte, from int, ids []int32, fromIsSource bool) []byte {
 	sp := s.inc.S

@@ -4,14 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"math"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
+	"rdfcube/internal/core"
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
+	"rdfcube/internal/qb"
+	"rdfcube/internal/rdf"
 )
 
 // validBytes returns one valid encoded snapshot for mutation testing.
@@ -81,6 +87,12 @@ func TestGarbageInputs(t *testing.T) {
 		"random noise":    bytes.Repeat([]byte{0xA5, 0x5A, 0x3C}, 400),
 		"huge section":    append([]byte("RDFCSNAP\x01\x00\x00\x00TERM\xff\xff\xff\xff"), bytes.Repeat([]byte{1}, 64)...),
 		"wrong first tag": append([]byte("RDFCSNAP\x01\x00\x00\x00DIMS\x00\x00\x00\x00"), []byte{0, 0, 0, 0}...),
+	}
+	// A valid body under any version but 1 and 2 is refused by the header.
+	for _, v := range []uint32{0, 3} {
+		data := validBytes(t)
+		binary.LittleEndian.PutUint32(data[8:], v)
+		cases[fmt.Sprintf("version %d", v)] = data
 	}
 	for name, in := range cases {
 		if _, err := Read(bytes.NewReader(in)); err == nil {
@@ -315,9 +327,10 @@ func patchSection(t testing.TB, data []byte, tag [4]byte, edit func(payload []by
 	return nil
 }
 
-// firstPartial returns the offsets, inside an RSLT payload, of the first
-// S_P pair's degree and of the length of its dimension list.
-func firstPartial(t testing.TB, rslt []byte) (degreeAt, listAt int) {
+// firstPartial returns the offsets, inside an RSLT payload, where the
+// first S_P pair starts and ends. In a version 1 file the pair's degree
+// follows at end and the length of its dimension list at end+8.
+func firstPartial(t testing.TB, rslt []byte) (start, end int) {
 	t.Helper()
 	off := 0
 	uvarint := func() uint64 {
@@ -335,37 +348,50 @@ func firstPartial(t testing.TB, rslt []byte) (degreeAt, listAt int) {
 	if uvarint() == 0 {
 		t.Fatal("degenerate fixture: no partial pairs")
 	}
+	start = off
 	uvarint()
 	uvarint()
-	return off, off + 8
+	return start, off
 }
 
-// withFirstDegree returns a valid snapshot of the paper example with the
-// first S_P pair's stored degree replaced under a recomputed CRC, and the
-// degree the space derives for that pair.
-func withFirstDegree(t testing.TB, deg float64) (patched []byte, derived float64) {
+// v1Fixture is the golden paper example as version 1 wrote it: every S_P
+// pair followed by its degree and an empty dimension list, then a LATT
+// section.
+const v1Fixture = "testdata/paper_example_v1.snap"
+
+func readFile(t testing.TB, name string) []byte {
 	t.Helper()
-	golden, err := os.ReadFile("testdata/paper_example.snap")
+	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := Read(bytes.NewReader(golden))
+	return data
+}
+
+// withFirstDegree returns the version 1 fixture with the first S_P pair's
+// stored degree replaced under a recomputed CRC, and the degree the space
+// derives for that pair.
+func withFirstDegree(t testing.TB, deg float64) (patched []byte, derived float64) {
+	t.Helper()
+	v1 := readFile(t, v1Fixture)
+	sn, err := Read(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := sn.Result.PartialSet[0]
-	return patchSection(t, golden, tagRslt, func(rslt []byte) []byte {
-		at, _ := firstPartial(t, rslt)
+	return patchSection(t, v1, tagRslt, func(rslt []byte) []byte {
+		_, at := firstPartial(t, rslt)
 		binary.LittleEndian.PutUint64(rslt[at:], math.Float64bits(deg))
 		return rslt
 	}), sn.Space.Degree(first.A, first.B)
 }
 
-// TestPartialDegreeOutsideUnitInterval: a degree is a count of containing
-// dimensions over |P| with at least one and not all of them containing, so
-// anything not strictly inside (0, 1) is refused however intact the frame
-// around it — and so is a value inside it that is not the one the decoded
-// space derives for the pair: nothing keeps the stored copy, so a load that
+// TestPartialDegreeOutsideUnitInterval: a version 1 file's stored degree
+// is input like any other. A degree is a count of containing dimensions
+// over |P| with at least one and not all of them containing, so anything
+// not strictly inside (0, 1) is refused however intact the frame around it
+// — and so is a value inside it that is not the one the decoded space
+// derives for the pair: nothing keeps the stored copy, so a load that
 // accepted it would hide that the file and the space disagree.
 func TestPartialDegreeOutsideUnitInterval(t *testing.T) {
 	wrong, derived := withFirstDegree(t, 0.5)
@@ -387,8 +413,51 @@ func TestPartialDegreeOutsideUnitInterval(t *testing.T) {
 	}
 }
 
+// withFirstPartialNotPartial returns the golden file with its first S_P
+// pair replaced, under a recomputed CRC, by a pair of distinct observations
+// whose derived degree is 0 or 1 — no partial pair at all — and that pair.
+func withFirstPartialNotPartial(t testing.TB) (patched []byte, a, b int) {
+	t.Helper()
+	golden := readFile(t, "testdata/paper_example.snap")
+	sn, err := Read(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sn.Space
+	for a = 0; a < s.N(); a++ {
+		for b = 0; b < s.N(); b++ {
+			if deg := s.Degree(a, b); a != b && (deg == 0 || deg == 1) {
+				return patchSection(t, golden, tagRslt, func(rslt []byte) []byte {
+					start, end := firstPartial(t, rslt)
+					out := binary.AppendUvarint(bytes.Clone(rslt[:start]), uint64(a))
+					out = binary.AppendUvarint(out, uint64(b))
+					return append(out, rslt[end:]...)
+				}), a, b
+			}
+		}
+	}
+	t.Fatal("the paper example has no pair of degree 0 or 1")
+	return nil, 0, 0
+}
+
+// TestPartialPairMustDeriveInteriorDegree: S_P is stored as bare pairs, but
+// the check the stored degree used to carry stays — a pair whose derived
+// degree is not strictly inside (0, 1) cannot be a partial pair, and a
+// CRC-valid file that lists one is refused, naming the pair.
+func TestPartialPairMustDeriveInteriorDegree(t *testing.T) {
+	patched, a, b := withFirstPartialNotPartial(t)
+	_, err := Read(bytes.NewReader(patched))
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("pair (%d, %d) of degree 0 or 1 in S_P: got %v, want ErrCorrupt", a, b, err)
+	}
+	if want := fmt.Sprintf("pair (%d, %d)", a, b); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error does not name %s: %v", want, err)
+	}
+}
+
 // dimsFixture is the golden paper example as the builds before map_P
-// became derived wrote it: every S_P pair carries its dimension list.
+// became derived wrote it (version 1): every S_P pair carries its
+// dimension list.
 const dimsFixture = "testdata/paper_example_dims.snap"
 
 // damagedDimsFixtures returns the old fixture and two copies of it whose
@@ -396,61 +465,136 @@ const dimsFixture = "testdata/paper_example_dims.snap"
 // the payload cannot hold — under recomputed CRCs.
 func damagedDimsFixtures(t testing.TB) (old, badIndex, badLength []byte) {
 	t.Helper()
-	old, err := os.ReadFile(dimsFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
+	old = readFile(t, dimsFixture)
 	badIndex = patchSection(t, old, tagRslt, func(rslt []byte) []byte {
 		_, at := firstPartial(t, rslt)
-		if rslt[at] == 0 {
+		if rslt[at+8] == 0 {
 			t.Fatal("the old fixture's first partial pair has no dimension list")
 		}
-		rslt[at+1] = 0x7f
+		rslt[at+9] = 0x7f
 		return rslt
 	})
 	badLength = patchSection(t, old, tagRslt, func(rslt []byte) []byte {
 		_, at := firstPartial(t, rslt)
-		lying := binary.AppendUvarint(bytes.Clone(rslt[:at]), 1<<30)
-		return append(lying, rslt[at+1:]...)
+		lying := binary.AppendUvarint(bytes.Clone(rslt[:at+8]), 1<<30)
+		return append(lying, rslt[at+9:]...)
 	})
 	return old, badIndex, badLength
 }
 
-// TestOldDimensionListsValidatedAndDropped: a snapshot written before map_P
-// became derived loads to the state today's encoder writes — same sets,
-// same degrees, no dimension map, and byte for byte the new golden file
-// when written back — but its lists are still input: one that lies fails
-// the load, it is not skipped blind.
+// TestOldDimensionListsValidatedAndDropped: both version 1 fixtures — with empty
+// dimension lists and with the lists older builds wrote — load to the state
+// today's encoder writes: same sets, same degrees, no dimension map, and
+// byte for byte the version 2 golden file when written back. Their lists
+// are still input: one that lies fails the load, it is not skipped blind.
 func TestOldDimensionListsValidatedAndDropped(t *testing.T) {
-	oldBytes, badIndex, badLength := damagedDimsFixtures(t)
-	old, err := Read(bytes.NewReader(oldBytes))
-	if err != nil {
-		t.Fatalf("decoding the old fixture: %v", err)
-	}
-	golden, err := os.ReadFile("testdata/paper_example.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := readFile(t, "testdata/paper_example.snap")
 	cur, err := Read(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEqual(t, cur, old)
-	if len(old.Result.PartialSet) == 0 || old.Result.PartialDims != nil || cur.Result.PartialDims != nil {
-		t.Errorf("%d partial pairs; PartialDims must stay nil, got %v (old file) and %v (new file)",
-			len(old.Result.PartialSet), old.Result.PartialDims, cur.Result.PartialDims)
-	}
-	var buf bytes.Buffer
-	if err := old.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), golden) {
-		t.Errorf("the old fixture re-encodes to %d bytes that are not the golden file's %d", buf.Len(), len(golden))
+	dims, badIndex, badLength := damagedDimsFixtures(t)
+	for name, data := range map[string][]byte{v1Fixture: readFile(t, v1Fixture), dimsFixture: dims} {
+		if v := binary.LittleEndian.Uint32(data[8:]); v != 1 {
+			t.Fatalf("%s: version %d, want 1", name, v)
+		}
+		old, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("decoding %s: %v", name, err)
+		}
+		checkEqual(t, cur, old)
+		if len(old.Result.PartialSet) == 0 {
+			t.Fatalf("%s: no partial pairs", name)
+		}
+		var buf bytes.Buffer
+		if err := old.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), golden) {
+			t.Errorf("%s re-encodes to %d bytes that are not the golden file's %d", name, buf.Len(), len(golden))
+		}
 	}
 	if _, err := Read(bytes.NewReader(badIndex)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("dimension index >= |P|: got %v, want ErrCorrupt", err)
 	}
 	if _, err := Read(bytes.NewReader(badLength)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("list length larger than the bytes left: got %v, want ErrCorrupt", err)
+	}
+}
+
+// withoutFirstCubeMember returns the version 1 fixture with the first
+// member of the first LATT cube removed under a recomputed CRC — a lattice
+// that disagrees with the space it was written beside — and that member.
+func withoutFirstCubeMember(t testing.TB) (patched []byte, member int) {
+	t.Helper()
+	v1 := readFile(t, v1Fixture)
+	return patchSection(t, v1, tagLatt, func(latt []byte) []byte {
+		off := 0
+		uvarint := func() uint64 {
+			v, n := binary.Uvarint(latt[off:])
+			if n <= 0 {
+				t.Fatalf("LATT payload does not parse at offset %d", off)
+			}
+			off += n
+			return v
+		}
+		if uvarint() != 1 {
+			t.Fatal("the v1 fixture carries no lattice")
+		}
+		nd := int(uvarint())
+		if uvarint() == 0 {
+			t.Fatal("the v1 fixture's lattice has no cubes")
+		}
+		off += nd // first cube's signature
+		countAt := off
+		n := uvarint()
+		member = int(uvarint())
+		out := binary.AppendUvarint(bytes.Clone(latt[:countAt]), n-1)
+		return append(out, latt[off:]...)
+	}), member
+}
+
+// TestV1LatticeIsRebuiltNotTrusted: a version 1 file's LATT section is
+// not read. One whose CRC is valid but which leaves out an observation
+// still loads, to the lattice the space derives, and an insert over it
+// finds every pair it finds over the intact file — a stored lattice that
+// was trusted would hide the dropped observation from every later insert.
+func TestV1LatticeIsRebuiltNotTrusted(t *testing.T) {
+	patched, member := withoutFirstCubeMember(t)
+	sn, err := Read(bytes.NewReader(patched))
+	if err != nil {
+		t.Fatalf("Read of a v1 file with a short LATT: %v", err)
+	}
+	sameLattice(t, core.BuildLattice(sn.Space), sn.Lattice)
+
+	intact, err := Read(bytes.NewReader(readFile(t, v1Fixture)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// insertCopy inserts a copy of the dropped observation and returns the
+	// pairs the insert added to each set.
+	insertCopy := func(sn *Snapshot) [3][]core.Pair {
+		res := sn.Result
+		n0 := [3]int{len(res.FullSet), len(res.PartialSet), len(res.ComplSet)}
+		src := sn.Space.Obs[member]
+		o := &qb.Observation{
+			URI:           rdf.NewIRI(src.URI.Value + "-copy"),
+			Dataset:       src.Dataset,
+			DimValues:     append([]rdf.Term{}, src.DimValues...),
+			MeasureValues: append([]rdf.Term{}, src.MeasureValues...),
+		}
+		if _, err := core.NewIncrementalFrom(sn.Space, core.TaskAll, res, sn.Lattice).Insert(o); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		return [3][]core.Pair{res.FullSet[n0[0]:], res.PartialSet[n0[1]:], res.ComplSet[n0[2]:]}
+	}
+	got, want := insertCopy(sn), insertCopy(intact)
+	if len(want[0])+len(want[1])+len(want[2]) == 0 {
+		t.Fatalf("degenerate: a copy of observation %d relates to nothing", member)
+	}
+	for i, name := range []string{"full", "partial", "complementarity"} {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s pairs of a copy of observation %d: got %v over the short LATT, want %v", name, member, got[i], want[i])
+		}
 	}
 }

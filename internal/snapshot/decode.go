@@ -10,7 +10,6 @@ import (
 
 	"rdfcube/internal/core"
 	"rdfcube/internal/hierarchy"
-	"rdfcube/internal/lattice"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 )
@@ -88,14 +87,6 @@ func (c *cur) str() (string, error) {
 	return string(b), err
 }
 
-func (c *cur) f64() (float64, error) {
-	b, err := c.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-}
-
 func (c *cur) done() error {
 	if c.rem() != 0 {
 		return corrupt("%s: %d trailing bytes", c.sec, c.rem())
@@ -113,6 +104,67 @@ func (c *cur) term(dict []rdf.Term) (rdf.Term, error) {
 		return rdf.Term{}, corrupt("%s: term ref %d out of range (dictionary has %d)", c.sec, r, len(dict))
 	}
 	return dict[r], nil
+}
+
+// pair reads one (a, b) pair of observation indices below nObs.
+func (c *cur) pair(nObs int) (p core.Pair, err error) {
+	if p.A, err = c.index(nObs, "pair source"); err != nil {
+		return p, err
+	}
+	p.B, err = c.index(nObs, "pair target")
+	return p, err
+}
+
+// readPairs reads one relationship set: a count, then that many pairs.
+func readPairs(c *cur, nObs int) ([]core.Pair, error) {
+	n, err := c.count(2)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make([]core.Pair, n)
+	for i := range out {
+		if out[i], err = c.pair(nObs); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// readV1Partials reads S_P as version 1 wrote it: each pair followed by
+// its degree as 8 bytes of float64 and a dimension list (empty since
+// map_P became derived). Neither is kept, but both are input: the degree
+// must be the one the decoded space derives, and every list entry must
+// name a dimension.
+func readV1Partials(c *cur, space *core.Space) ([]core.Pair, error) {
+	n, err := c.count(11) // two refs + float64 + list length
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make([]core.Pair, n)
+	for i := range out {
+		p, err := c.pair(space.N())
+		if err != nil {
+			return nil, err
+		}
+		b, err := c.bytes(8)
+		if err != nil {
+			return nil, err
+		}
+		if deg, want := math.Float64frombits(binary.LittleEndian.Uint64(b)), space.Degree(p.A, p.B); deg != want {
+			return nil, corrupt("RSLT: partial degree of pair (%d, %d) is %v, the space derives %v", p.A, p.B, deg, want)
+		}
+		nd, err := c.count(1)
+		if err != nil {
+			return nil, err
+		}
+		for j := 0; j < nd; j++ {
+			if _, err := c.index(space.NumDims(), "partial dimension"); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = p
+	}
+	return out, nil
 }
 
 // index reads a varint and bounds-checks it against limit.
@@ -181,8 +233,15 @@ func decode(r io.Reader) (*Snapshot, error) {
 	if string(hdr[:8]) != Magic {
 		return nil, corrupt("bad magic %q", hdr[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != Version {
-		return nil, corrupt("unsupported version %d (reader speaks %d)", v, Version)
+	// The one version switch: version 1 differs only in how S_P is
+	// stored and in a trailing LATT section, both handled below.
+	var v1 bool
+	switch v := binary.LittleEndian.Uint32(hdr[8:]); v {
+	case 1:
+		v1 = true
+	case Version:
+	default:
+		return nil, corrupt("unsupported version %d (reader speaks 1 and %d)", v, Version)
 	}
 
 	// TERM: the dictionary every later section references.
@@ -408,131 +467,45 @@ func decode(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 
-	// RSLT: the relationship sets.
+	// RSLT: the relationship sets. A partial pair is stored bare; its
+	// degree is derived from the space decoded above and must lie strictly
+	// inside (0, 1) — at least one dimension contains and not all do — or
+	// the pair is not one the space can hold.
 	c, err = expectSection(r, tagRslt)
 	if err != nil {
 		return nil, err
 	}
-	var res *core.Result
-	readPairs := func(c *cur) ([]core.Pair, error) {
-		n, err := c.count(2)
-		if err != nil || n == 0 {
-			return nil, err
-		}
-		out := make([]core.Pair, n)
-		for i := range out {
-			if out[i].A, err = c.index(nObs, "pair source"); err != nil {
-				return nil, err
-			}
-			if out[i].B, err = c.index(nObs, "pair target"); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+	res := core.NewResult()
+	if res.FullSet, err = readPairs(c, nObs); err != nil {
+		return nil, err
 	}
-	fullSet, err := readPairs(c)
+	if v1 {
+		res.PartialSet, err = readV1Partials(c, space)
+	} else {
+		res.PartialSet, err = readPairs(c, nObs)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// count has checked nPartial against the bytes that remain, so sizing
-	// the partial set from it allocates nothing a lying header could
-	// inflate.
-	nPartial, err := c.count(11) // two refs + float64 + dims count
-	if err != nil {
-		return nil, err
-	}
-	res = core.NewResultSized(nPartial)
-	res.FullSet = fullSet
-	for i := 0; i < nPartial; i++ {
-		var p core.Pair
-		if p.A, err = c.index(nObs, "pair source"); err != nil {
-			return nil, err
-		}
-		if p.B, err = c.index(nObs, "pair target"); err != nil {
-			return nil, err
-		}
-		deg, err := c.f64()
-		if err != nil {
-			return nil, err
-		}
-		if !(deg > 0 && deg < 1) { // NaN fails both comparisons
-			return nil, corrupt("RSLT: partial degree %v of pair (%d, %d) is not inside (0, 1)", deg, p.A, p.B)
-		}
-		// The degree is a function of the two rows and is not kept: the
-		// stored copy is a redundancy, checked against the space decoded
-		// above — the same division the writer's kernel performed.
-		if want := space.Degree(p.A, p.B); deg != want {
-			return nil, corrupt("RSLT: partial degree of pair (%d, %d) is %v, the space derives %v", p.A, p.B, deg, want)
-		}
-		// The pair's dimension list: empty since map_P is derived
-		// (core.Space.ContainDims); one found in an older file is checked
-		// like any other input and dropped.
-		nd, err := c.count(1)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nd; j++ {
-			if _, err := c.index(len(dims), "partial dimension"); err != nil {
-				return nil, err
-			}
-		}
-		res.PartialSet = append(res.PartialSet, p)
-	}
-	if res.ComplSet, err = readPairs(c); err != nil {
+	if res.ComplSet, err = readPairs(c, nObs); err != nil {
 		return nil, err
 	}
 	if err := c.done(); err != nil {
 		return nil, err
+	}
+	for _, p := range res.PartialSet {
+		if deg := space.Degree(p.A, p.B); !(deg > 0 && deg < 1) { // NaN fails both comparisons
+			return nil, corrupt("RSLT: partial pair (%d, %d) derives degree %v, not inside (0, 1)", p.A, p.B, deg)
+		}
 	}
 
-	// LATT: the optional lattice.
-	c, err = expectSection(r, tagLatt)
-	if err != nil {
-		return nil, err
-	}
-	var l *lattice.Lattice
-	present, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	switch present {
-	case 0:
-	case 1:
-		nd, err := c.uvarint()
-		if err != nil {
+	// A version 1 file carries the lattice it was written with; it is
+	// checksummed by expectSection and discarded unparsed, since the
+	// lattice is rebuilt from the space below.
+	if v1 {
+		if _, err := expectSection(r, tagLatt); err != nil {
 			return nil, err
 		}
-		if nd != uint64(space.NumDims()) {
-			return nil, corrupt("LATT: %d dimensions, space has %d", nd, space.NumDims())
-		}
-		nCubes, err := c.count(int(nd) + 1)
-		if err != nil {
-			return nil, err
-		}
-		l = lattice.New(int(nd))
-		for i := 0; i < nCubes; i++ {
-			sigB, err := c.bytes(int(nd))
-			if err != nil {
-				return nil, err
-			}
-			sig := lattice.Signature(append([]byte{}, sigB...))
-			nCubeObs, err := c.count(1)
-			if err != nil {
-				return nil, err
-			}
-			for j := 0; j < nCubeObs; j++ {
-				oi, err := c.index(nObs, "cube member")
-				if err != nil {
-					return nil, err
-				}
-				l.Add(oi, sig)
-			}
-		}
-	default:
-		return nil, corrupt("LATT: bad presence flag %d", present)
-	}
-	if err := c.done(); err != nil {
-		return nil, err
 	}
 
 	// END, then clean EOF.
@@ -548,7 +521,7 @@ func decode(r io.Reader) (*Snapshot, error) {
 		return nil, corrupt("trailing data after END section")
 	}
 
-	return &Snapshot{Space: space, Result: res, Lattice: l}, nil
+	return &Snapshot{Space: space, Result: res, Lattice: core.BuildLattice(space)}, nil
 }
 
 // sameTerms verifies that two sorted term slices are identical.

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
+	"rdfcube/internal/core"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 )
@@ -42,10 +42,17 @@ type enc struct{ buf []byte }
 
 func (e *enc) uvarint(v uint64)         { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *enc) byte(b byte)              { e.buf = append(e.buf, b) }
-func (e *enc) raw(b []byte)             { e.buf = append(e.buf, b...) }
-func (e *enc) f64(v float64)            { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
 func (e *enc) str(s string)             { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
 func (e *enc) term(d *dict, t rdf.Term) { e.uvarint(d.ref(t)) }
+
+// pairs writes one relationship set: its length, then each (a, b).
+func (e *enc) pairs(ps []core.Pair) {
+	e.uvarint(uint64(len(ps)))
+	for _, p := range ps {
+		e.uvarint(uint64(p.A))
+		e.uvarint(uint64(p.B))
+	}
+}
 
 // writeSection frames one payload: tag, length, bytes, CRC-32.
 func writeSection(w io.Writer, tag [4]byte, payload []byte) error {
@@ -140,40 +147,11 @@ func encode(w io.Writer, sn *Snapshot) error {
 		}
 	}
 
+	// S_F, S_P and S_C as bare pairs: a partial pair's degree and map_P
+	// are functions of its two rows, derived again by the reader.
 	var rslt enc
-	rslt.uvarint(uint64(len(res.FullSet)))
-	for _, p := range res.FullSet {
-		rslt.uvarint(uint64(p.A))
-		rslt.uvarint(uint64(p.B))
-	}
-	rslt.uvarint(uint64(len(res.PartialSet)))
-	for _, p := range res.PartialSet {
-		rslt.uvarint(uint64(p.A))
-		rslt.uvarint(uint64(p.B))
-		rslt.f64(s.Degree(p.A, p.B)) // derived here, checked by decode
-		rslt.uvarint(0)              // the pair's dimension list, not written (see decode)
-	}
-	rslt.uvarint(uint64(len(res.ComplSet)))
-	for _, p := range res.ComplSet {
-		rslt.uvarint(uint64(p.A))
-		rslt.uvarint(uint64(p.B))
-	}
-
-	var latt enc
-	if sn.Lattice == nil {
-		latt.uvarint(0)
-	} else {
-		latt.uvarint(1)
-		latt.uvarint(uint64(sn.Lattice.NumDims()))
-		cubes := sn.Lattice.Cubes()
-		latt.uvarint(uint64(len(cubes)))
-		for _, c := range cubes {
-			latt.raw([]byte(c.Sig))
-			latt.uvarint(uint64(len(c.Obs)))
-			for _, o := range c.Obs {
-				latt.uvarint(uint64(o))
-			}
-		}
+	for _, set := range [][]core.Pair{res.FullSet, res.PartialSet, res.ComplSet} {
+		rslt.pairs(set)
 	}
 
 	// The dictionary is complete now; build its payload.
@@ -204,7 +182,6 @@ func encode(w io.Writer, sn *Snapshot) error {
 		{tagDset, dset.buf},
 		{tagObsv, obsv.buf},
 		{tagRslt, rslt.buf},
-		{tagLatt, latt.buf},
 		{tagEnd, nil},
 	} {
 		if len(sec.pay) > maxSection {

@@ -3,7 +3,6 @@ package snapshot
 import (
 	"bytes"
 	"errors"
-	"os"
 	"testing"
 )
 
@@ -16,32 +15,32 @@ import (
 // approximated by re-encoding accepted inputs and checking they decode
 // to the same byte stream).
 //
-// The corpus is seeded from the golden paper-example snapshot plus
-// systematic damage: truncations at every section boundary granularity,
-// single-bit flips across the header and early payload, and a few
-// adversarial length prefixes.
+// The corpus is seeded from the golden paper-example snapshot in both
+// formats the reader accepts (version 2, and version 1 with its stored
+// degrees and LATT section) plus systematic damage to each: truncations
+// at every section boundary granularity, single-bit flips across the
+// header and early payload, and a few adversarial length prefixes.
 func FuzzDecodeSnapshot(f *testing.F) {
-	golden, err := os.ReadFile("testdata/paper_example.snap")
-	if err != nil {
-		f.Fatalf("golden snapshot: %v", err)
-	}
-	f.Add(golden)
-	// Truncations: dense over the 12-byte header and the first section
-	// frame, then coarse steps through the body. (Keep the seed corpus
-	// small: every seed is re-executed for baseline coverage before
-	// fuzzing proper starts, so hundreds of seeds eat the smoke budget.)
-	for cut := 0; cut < len(golden) && cut < 24; cut += 3 {
-		f.Add(golden[:cut])
-	}
-	for cut := 24; cut < len(golden); cut += 199 {
-		f.Add(golden[:cut])
-	}
-	// Bit flips through the header and the first sections.
-	for pos := 0; pos < len(golden) && pos < 256; pos += 29 {
-		for _, bit := range []byte{0x01, 0x80} {
-			mut := append([]byte(nil), golden...)
-			mut[pos] ^= bit
-			f.Add(mut)
+	golden := readFile(f, "testdata/paper_example.snap")
+	for _, snap := range [][]byte{golden, readFile(f, v1Fixture)} {
+		f.Add(snap)
+		// Truncations: dense over the 12-byte header and the first section
+		// frame, then coarse steps through the body. (Keep the seed corpus
+		// small: every seed is re-executed for baseline coverage before
+		// fuzzing proper starts, so hundreds of seeds eat the smoke budget.)
+		for cut := 0; cut < len(snap) && cut < 24; cut += 3 {
+			f.Add(snap[:cut])
+		}
+		for cut := 24; cut < len(snap); cut += 199 {
+			f.Add(snap[:cut])
+		}
+		// Bit flips through the header and the first sections.
+		for pos := 0; pos < len(snap) && pos < 256; pos += 29 {
+			for _, bit := range []byte{0x01, 0x80} {
+				mut := append([]byte(nil), snap...)
+				mut[pos] ^= bit
+				f.Add(mut)
+			}
 		}
 	}
 	// Adversarial declared lengths: a section claiming a huge payload.
@@ -56,9 +55,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(old)
 	f.Add(badIndex)
 	f.Add(badLength)
-	// A degree inside (0, 1) that is not the one the space derives.
+	// A version 1 degree inside (0, 1) that is not the one the space
+	// derives; a version 2 S_P pair that derives 0 or 1; a version 1 LATT
+	// that leaves out an observation.
 	wrongDegree, _ := withFirstDegree(f, 0.5)
 	f.Add(wrongDegree)
+	notPartial, _, _ := withFirstPartialNotPartial(f)
+	f.Add(notPartial)
+	shortLatt, _ := withoutFirstCubeMember(f)
+	f.Add(shortLatt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sn, err := Read(bytes.NewReader(data))

@@ -12,6 +12,7 @@ import (
 	"rdfcube/internal/core"
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
+	"rdfcube/internal/lattice"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 )
@@ -107,21 +108,28 @@ func checkEqual(t *testing.T, want, got *Snapshot) {
 			t.Fatalf("PartialDegree (%d entries) and PartialDims (%d entries) must stay nil", len(res.PartialDegree), len(res.PartialDims))
 		}
 	}
-	if (want.Lattice == nil) != (got.Lattice == nil) {
-		t.Fatalf("lattice presence: got %v, want %v", got.Lattice != nil, want.Lattice != nil)
-	}
+	// Read rebuilds the lattice from the space it decoded.
 	if want.Lattice != nil {
-		wc, gc := want.Lattice.Cubes(), got.Lattice.Cubes()
-		if len(wc) != len(gc) {
-			t.Fatalf("lattice: got %d cubes, want %d", len(gc), len(wc))
+		sameLattice(t, want.Lattice, got.Lattice)
+	}
+}
+
+// sameLattice compares two lattices cube by cube: signature and members.
+func sameLattice(t *testing.T, want, got *lattice.Lattice) {
+	t.Helper()
+	if got == nil {
+		t.Fatal("no lattice")
+	}
+	wc, gc := want.Cubes(), got.Cubes()
+	if len(wc) != len(gc) {
+		t.Fatalf("lattice: got %d cubes, want %d", len(gc), len(wc))
+	}
+	for i := range wc {
+		if !wc[i].Sig.Equal(gc[i].Sig) {
+			t.Fatalf("cube %d signature differs", i)
 		}
-		for i := range wc {
-			if !wc[i].Sig.Equal(gc[i].Sig) {
-				t.Fatalf("cube %d signature differs", i)
-			}
-			if !reflect.DeepEqual(wc[i].Obs, gc[i].Obs) {
-				t.Fatalf("cube %d members differ", i)
-			}
+		if !reflect.DeepEqual(wc[i].Obs, gc[i].Obs) {
+			t.Fatalf("cube %d members: got %v, want %v", i, gc[i].Obs, wc[i].Obs)
 		}
 	}
 }
@@ -145,10 +153,26 @@ func TestRoundTripPaperExample(t *testing.T) {
 	}
 }
 
+// TestRoundTripWithoutLattice: the lattice is derived, so Write ignores
+// it — with or without one, the same state encodes to the same bytes — and
+// Read hands back the lattice the space derives.
 func TestRoundTripWithoutLattice(t *testing.T) {
 	sn := computeSnapshot(t, gen.PaperExample())
-	sn.Lattice = nil
-	got := roundTrip(t, sn)
+	without, err := New(sn.Space, sn.Result, nil).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	with, err := New(sn.Space, sn.Result, core.BuildLattice(sn.Space)).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(without, with) {
+		t.Fatalf("a lattice changes the encoding: %d bytes without, %d with", len(without), len(with))
+	}
+	got, err := Read(bytes.NewReader(without))
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkEqual(t, sn, got)
 }
 
@@ -190,7 +214,8 @@ func TestRoundTripRealWorldMultiDataset(t *testing.T) {
 
 // TestRoundTripAfterInserts pins the interleaving property the service
 // depends on: observations inserted into arbitrary datasets keep their
-// Space.Obs indices across a write/read cycle.
+// Space.Obs indices across a write/read cycle, and the lattice Read
+// rebuilds equals the one the inserts maintained.
 func TestRoundTripAfterInserts(t *testing.T) {
 	sn := computeSnapshot(t, gen.PaperExample())
 	inc := core.NewIncrementalFrom(sn.Space, core.TaskAll, sn.Result, sn.Lattice)

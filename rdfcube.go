@@ -382,8 +382,8 @@ var (
 )
 
 // NewSnapshot captures a computation as a persistable snapshot. The
-// lattice is rebuilt on load, so it is not retained here; use
-// snapshot.New directly to keep one.
+// lattice is derived from the space: it is never written, and Read
+// rebuilds it.
 func NewSnapshot(c *Computation) *Snapshot {
 	return snapshot.New(c.Space, c.Result, nil)
 }
