@@ -41,6 +41,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -517,10 +518,10 @@ func loadCorpus(load, genK string, n int, seed int64) (*qb.Corpus, error) {
 // runCheck verifies a snapshot round trip: the persisted relationship
 // sets must equal a fresh cubeMasking run over the reconstructed space —
 // the exact kernel, whatever wrote the file, so a self-consistent but
-// lossy state fails (the decoder has already compared every persisted
-// degree with the one that space derives, as it does on every load).
-// The snapshot is resolved through the same rotation fallback the
-// serving path uses, so -check exercises exactly what a restart loads.
+// lossy state fails (the decoder has already derived each S_P pair's
+// degree from that space and refused one outside (0, 1), as it does on
+// every load). The snapshot is resolved through the same rotation fallback
+// the serving path uses, so -check exercises exactly what a restart loads.
 func runCheck(rot *snapshot.Rotator, tasks core.Tasks, stdout io.Writer, logf func(string, ...any)) int {
 	sn, from, err := rot.Load()
 	if err != nil {
@@ -534,39 +535,21 @@ func runCheck(rot *snapshot.Rotator, tasks core.Tasks, stdout io.Writer, logf fu
 		return 1
 	}
 	fresh.Sort()
-	persisted := &core.Result{
-		FullSet:    append([]core.Pair{}, sn.Result.FullSet...),
-		PartialSet: append([]core.Pair{}, sn.Result.PartialSet...),
-		ComplSet:   append([]core.Pair{}, sn.Result.ComplSet...),
-	}
+	persisted := sn.Result
 	persisted.Sort()
-	if !equalPairs(persisted.FullSet, fresh.FullSet) {
+	if !slices.Equal(persisted.FullSet, fresh.FullSet) {
 		logf("check failed: full containment differs (persisted %d, fresh %d)", len(persisted.FullSet), len(fresh.FullSet))
 		return 1
 	}
-	if !equalPairs(persisted.PartialSet, fresh.PartialSet) {
+	if !slices.Equal(persisted.PartialSet, fresh.PartialSet) {
 		logf("check failed: partial containment differs (persisted %d, fresh %d)", len(persisted.PartialSet), len(fresh.PartialSet))
 		return 1
 	}
-	if !equalPairs(persisted.ComplSet, fresh.ComplSet) {
+	if !slices.Equal(persisted.ComplSet, fresh.ComplSet) {
 		logf("check failed: complementarity differs (persisted %d, fresh %d)", len(persisted.ComplSet), len(fresh.ComplSet))
 		return 1
 	}
 	fmt.Fprintf(stdout, "ok: %d observations, %d/%d/%d full/partial/compl pairs match a fresh recomputation\n",
 		sn.Space.N(), len(fresh.FullSet), len(fresh.PartialSet), len(fresh.ComplSet))
 	return 0
-}
-
-// equalPairs compares two sorted pair sets, treating nil and empty as
-// equal (the decoder returns nil for empty sections).
-func equalPairs(a, b []core.Pair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -13,11 +13,8 @@ import (
 	"rdfcube/internal/leakcheck"
 )
 
-// naiveResult is the per-event reference sink of the bulk-load tests and
-// the one test-side recorder of what a run emits: a Result written event by
-// event, the way every Compute wrote one before the stage, beside the
-// degree each Partial call carried — Result itself keeps none. It is not a
-// *Result, so ComputeCtx does not stage it.
+// naiveResult is the one test-side recorder of what a run emits: a Result
+// beside the degree each Partial call carried — Result itself keeps none.
 type naiveResult struct {
 	*Result
 	degree map[Pair]float64
@@ -63,11 +60,10 @@ func bulkTestOptions(workers int) Options {
 	return opts
 }
 
-// TestBulkLoadMatchesPerEventSink is the differential test of the stage:
-// for every algorithm and worker count, Compute into a *Result (staged,
-// committed once) leaves exactly what Compute into the per-event
-// reference leaves — the same three sorted sets — and the degree the
-// reference saw emitted for each partial pair is the one the Space derives
+// TestBulkLoadMatchesPerEventSink: for every algorithm and worker count,
+// Compute into a *Result leaves exactly what Compute into the per-event
+// recorder leaves — the same three sorted sets — and the degree the
+// recorder saw emitted for each partial pair is the one the Space derives
 // for a reader of the Result.
 func TestBulkLoadMatchesPerEventSink(t *testing.T) {
 	leakcheck.Check(t)
@@ -135,7 +131,7 @@ func TestBulkLoadKeepsExistingEntries(t *testing.T) {
 // TestBulkLoadCommitsOnErrorPaths: whatever ends the run — a context
 // canceled in a serial sweep or in a pooled one, a shard that panics
 // twice — the Result holds what the run emitted before it ended, exactly
-// once.
+// once, and a serial run's salvage is an ordered prefix of the full run.
 func TestBulkLoadCommitsOnErrorPaths(t *testing.T) {
 	leakcheck.Check(t)
 	s := obsTestSpace(t, 400)
@@ -228,9 +224,9 @@ func TestBulkLoadCommitsOnErrorPaths(t *testing.T) {
 	}
 }
 
-// TestBulkLoadAllocations is the allocation gate of the stage: a run into
-// a *Result allocates per column chunk, not per pair, so what it allocates
-// beyond the same run into a Counter is bounded.
+// TestBulkLoadAllocations is the allocation gate of a Result: a run into a
+// *Result allocates per growth of its three sets, not per pair, so what it
+// allocates beyond the same run into a Counter is bounded.
 func TestBulkLoadAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n = 1500")
@@ -255,9 +251,8 @@ func TestBulkLoadAllocations(t *testing.T) {
 		if nPartial < 100_000 || nCounted != nPartial {
 			t.Fatalf("degenerate input: %d partial pairs in the Result, %d counted", nPartial, nCounted)
 		}
-		// Measured 83–99 at -cpu 1, 2 and 4: one per 8 192-entry chunk of
-		// the three columns (67 of them the partial column's), the chunk
-		// lists' growth and three slices.Grow.
+		// Measured 53–92 at -cpu 1, 2 and 4: one per growth of the three
+		// sets, each append-grown from empty to its final length.
 		if extra := intoResult - intoCounter; extra > 150 {
 			t.Errorf("workers=%d: materialising %d partial pairs cost %.0f allocations (%.0f into a Result, %.0f into a Counter), want ≤ 150",
 				workers, nPartial, extra, intoResult, intoCounter)
@@ -314,16 +309,16 @@ func kernelAllocs(t *testing.T, s *Space, alg Algorithm, workers int, maxObjects
 //     scratch (64). The sweep itself adds nothing.
 //
 // A pooled run (Workers 4; not under the race detector, where sync.Pool
-// drops the tapes) adds about one allocation per shard — 489 cube shards at
-// most here — and some dozens for goroutines, channels and merge state:
-// measured 46 / 46, 262 / 367 and 1 871 / 5 145, up to 25 more at -cpu 4.
-// The ceiling is the serial reading + 5 % + 600. Its bytes stay under
-// 1 MiB a run (measured ≤ 773 KB, clustering at n = 2 400, of which 675 KB
-// are the serial assignment's): a shard's events go through a tape of
-// 64 KiB chunks that is flushed into the sink chunk by chunk and then
+// drops the tapes) adds some dozens of allocations for goroutines,
+// channels, merge state and tape growth: measured 30–33 / 31–57,
+// 260–263 / 361–366 and 1 617–1 621 / 4 646–4 651 at -cpu 1, 2 and 4. The
+// ceiling is the serial reading + 5 % + 600. Its bytes stay under 1 MiB a
+// run (measured ≤ 678 KB, clustering at n = 2 400, of which 675 KB are the
+// serial assignment's): a shard's events go through a tape of 2 048-event
+// (48 KiB) chunks that is flushed into the sink chunk by chunk and then
 // reused, so a pooled run holds O(workers) chunks, not its 1.4 M events;
-// with tapes that buffer a whole shard the baseline's row blocks alone
-// allocate 3.4 MB.
+// with tapes dropped instead of reused on release, cubeMasking at
+// n = 2 400 allocates 39 MB.
 func TestKernelAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n = 2400")

@@ -168,9 +168,8 @@ func (s *slowSink) Partial(a, b int, degree float64) { time.Sleep(s.delay) }
 
 // cancelAfter is an Options.Obs recorder that cancels the run's context on
 // its k-th Count call: the run stops itself, from its own counter flushes,
-// without a wrapper around its sink (a *Result sink still goes through the
-// stage's commit). A serial run flushes counters at fixed points of its
-// scan, so where it stops is reproducible.
+// without a wrapper around its sink. A serial run flushes counters at fixed
+// points of its scan, so where it stops is reproducible.
 type cancelAfter struct {
 	obsv.Nop
 	left   atomic.Int64

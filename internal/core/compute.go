@@ -89,7 +89,7 @@ type Options struct {
 	//
 	// A pooled run emits the same relationship SET as the serial run, but
 	// shards stream into the sink in completion order, in bounded chunks
-	// (peak tape memory is O(workers × one 64 KiB chunk)): order-free,
+	// (peak tape memory is O(workers × one 2 048-event chunk)): order-free,
 	// which is what every sorting consumer (Result.Sort, snapshots,
 	// /v1/related) wants anyway. The sink is never called concurrently.
 	// A pooled run also has the pooled cancel contract (see ComputeCtx):
@@ -135,11 +135,6 @@ func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
 // completed plus the whole-event chunks in-flight shards had already
 // flushed — still exactly-once, still a subset of the full run, but not
 // an ordered prefix. A nil ctx behaves like context.Background().
-//
-// A sink that is a *Result is bulk-loaded: the run emits into append-only
-// columns and the Result receives them — sets appended in emission order —
-// when the run ends, however it ends. Until ComputeCtx returns the Result
-// is unchanged; afterwards it holds what per-event calls would have left.
 func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink Sink) error {
 	if opts.Obs != nil {
 		s.SetRecorder(opts.Obs)
@@ -151,18 +146,12 @@ func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink
 	return err
 }
 
-// dispatch maps an algorithm name to its kernel and its Workers rule, and
-// swaps a *Result sink for its stage (see resultStage).
+// dispatch maps an algorithm name to its kernel and its Workers rule.
 func dispatch(s *Space, alg Algorithm, opts Options, sink Sink, g *guard) error {
 	tasks := opts.tasks()
 	workers := opts.Workers
 	if alg == AlgorithmParallel && workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if res, ok := sink.(*Result); ok {
-		st := &resultStage{res: res}
-		defer st.commit()
-		sink = st
 	}
 	switch alg {
 	case AlgorithmBaseline:

@@ -8,7 +8,7 @@ import (
 // Shard pool. The pooled runs of baseline, clustering and cubeMasking
 // follow one shape: deterministic shards (row blocks, clusters, outer
 // cubes) are fed to a worker pool, each worker records its shard's
-// emissions onto a pooled private tape, and tapes are decoded into the
+// emissions onto a pooled private tape, and tapes are replayed into the
 // caller's sink under one mutex — in bounded chunks while the shard is
 // still being scanned, and the remainder when it completes. The sink
 // therefore sees whole events, one caller at a time, in shard COMPLETION
@@ -50,9 +50,9 @@ type shardPool struct {
 	fingerprint func(shard int) string
 }
 
-// tapeMerge decodes shard tapes straight into the (already instrumented)
+// tapeMerge replays shard tapes straight into the (already instrumented)
 // caller sink, serialized by the mutex. Exactly-once holds because a
-// shard's scan is deterministic and every byte of its tape is decoded at
+// shard's scan is deterministic and every event of its tape is replayed at
 // most once: chunks as they fill, the remainder only after the scan
 // returned cleanly (see flushTail for the retry of a panicked shard).
 type tapeMerge struct {
@@ -60,67 +60,50 @@ type tapeMerge struct {
 	sink Sink
 }
 
-// emit decodes buf into the shared sink. The buffer was produced by this
-// package's encoder, so a decode error is a programming bug, not an input
-// condition — it panics rather than silently dropping emissions.
-func (m *tapeMerge) emit(buf []byte) {
+// emit replays events into the shared sink.
+func (m *tapeMerge) emit(events []event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := decodeTape(buf, m.sink); err != nil {
-		panic(err)
+	for _, e := range events {
+		a, b := int(e.a), int(e.b)
+		switch e.kind {
+		case tapeFull:
+			m.sink.Full(a, b)
+		case tapePartial:
+			m.sink.Partial(a, b, e.degree)
+		default:
+			m.sink.Compl(a, b)
+		}
 	}
 }
 
-// flushTail decodes a completed shard's tape minus its first skip bytes —
+// flushTail replays a completed shard's tape minus its first skip events —
 // the retry path's dedup. A re-scanned shard reproduces its deterministic
 // emission stream from the start; skip marks how much of it the first
-// attempt already chunk-flushed into the sink, and chunk boundaries always
-// fall between whole events.
+// attempt already chunk-flushed into the sink.
 func (m *tapeMerge) flushTail(t *tape, skip int) {
-	if skip > len(t.buf) {
-		skip = len(t.buf) // defensive: a non-deterministic scan shrank
+	if skip > len(t.events) {
+		skip = len(t.events) // defensive: a non-deterministic scan shrank
 	}
-	m.emit(t.buf[skip:])
+	m.emit(t.events[skip:])
 }
 
-// flushChunk decodes the tape's current buffer into the shared sink and
-// rewinds it, remembering how many bytes the sink has consumed. The scan
+// flushChunk replays the tape's current events into the shared sink and
+// rewinds it, remembering how many events the sink has consumed. The scan
 // keeps appending into the rewound buffer.
 func (m *tapeMerge) flushChunk(t *tape) {
-	m.emit(t.buf)
-	t.flushed += len(t.buf)
-	t.buf = t.buf[:0]
+	m.emit(t.events)
+	t.flushed += len(t.events)
+	t.events = t.events[:0]
 }
 
-// tapeChunkSize bounds a shard tape between flushes: once the private
-// buffer crosses it, the chunk is decoded into the shared sink and the
-// buffer rewinds. Peak tape memory per worker is therefore one chunk
-// (plus one in-flight event), independent of shard size — the property the
-// bench harness's parallel bytes/op cap enforces. A var, not a const, so
-// tests can shrink it to force mid-shard flushes.
-var tapeChunkSize = 64 << 10
-
-// chunkedTape is a pool worker's local sink: every event lands on the
-// private tape, and crossing tapeChunkSize hands the buffer to the merge.
-// Flushes happen only after whole appends, so chunk boundaries are event
-// boundaries.
-type chunkedTape struct {
-	t *tape
-	m *tapeMerge
-}
-
-func (c chunkedTape) after() {
-	if len(c.t.buf) >= tapeChunkSize {
-		c.m.flushChunk(c.t)
-	}
-}
-
-func (c chunkedTape) Full(a, b int)  { c.t.Full(a, b); c.after() }
-func (c chunkedTape) Compl(a, b int) { c.t.Compl(a, b); c.after() }
-func (c chunkedTape) Partial(a, b int, degree float64) {
-	c.t.Partial(a, b, degree)
-	c.after()
-}
+// tapeChunkSize bounds a worker's tape, in events, between flushes: once
+// it holds that many, the chunk is replayed into the shared sink and the
+// tape rewinds. Peak tape memory per worker is therefore one 48 KiB chunk,
+// independent of shard size — the property TestKernelAllocations' pooled
+// bytes ceiling enforces. A var, not a const, so tests can shrink it to
+// force mid-shard flushes.
+var tapeChunkSize = 2048
 
 // runShardPool scans nShards shards on workers goroutines, merging their
 // emissions into sink. It returns nil for a clean, complete run, the
@@ -131,7 +114,7 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *gu
 	merge := &tapeMerge{sink: instrumentSink(s, sink)}
 
 	// panicked[si] >= 0 marks a shard whose scan panicked under a worker
-	// and holds the bytes its chunks had flushed by then. Each shard index
+	// and holds the events its chunks had flushed by then. Each shard index
 	// is claimed by exactly one worker, so the per-index writes are
 	// race-free.
 	panicked := make([]int, nShards)
@@ -142,7 +125,7 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *gu
 	// runOne scans shard si on a fresh private tape, recording a panic
 	// instead of letting it unwind the worker.
 	runOne := func(si int, ws any) {
-		t := borrowTape()
+		t := borrowTape(merge)
 		defer func() {
 			if v := recover(); v != nil {
 				panicked[si] = t.flushed
@@ -152,7 +135,7 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *gu
 		if fault != nil {
 			fault(si)
 		}
-		if err := sp.scan(si, chunkedTape{t, merge}, ws); err != nil {
+		if err := sp.scan(si, t, ws); err != nil {
 			// The guard tripped mid-shard: drop the unflushed remainder.
 			// Chunks flushed before the trip stay in the sink (whole events
 			// of the deterministic stream — a subset of the full run,
@@ -214,16 +197,16 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *gu
 // retryShard re-scans one panicked shard serially. Chunks the panicked
 // attempt already flushed are in the sink for good; the retry re-scans the
 // whole shard (deterministically) and flushTail skips exactly that many
-// bytes, keeping emission exactly-once. The retry runs on a plain,
-// unchunked tape: it is serial and single-shard, so bounding its buffer
-// buys nothing. A second panic converts into a ShardPanicError; a guard
-// trip during the retry drops the shard like any aborted scan.
+// events, keeping emission exactly-once. The retry's tape is unchunked, so
+// flushTail sees the whole re-scanned stream. A second panic converts into
+// a ShardPanicError; a guard trip during the retry drops the shard like
+// any aborted scan.
 func retryShard(sp shardPool, si, flushed int, merge *tapeMerge, fault func(int)) (err error) {
 	var ws any
 	if sp.newWorker != nil {
 		ws = sp.newWorker()
 	}
-	t := borrowTape()
+	t := borrowTape(nil)
 	defer func() {
 		if v := recover(); v != nil {
 			err = &ShardPanicError{Shard: si, Fingerprint: sp.fingerprint(si), Value: v}

@@ -9,53 +9,75 @@ import (
 	"rdfcube/internal/leakcheck"
 )
 
-// countSink records every emission with a per-pair count, behind its own
+// countSink counts every emission by kind, pair and degree, behind its own
 // mutex so the test can peek at it from inside a running scan.
 type countSink struct {
 	mu sync.Mutex
-	m  map[[2]int]int
+	m  map[emission]int
 }
 
-func (s *countSink) add(a, b int) {
+type emission struct {
+	kind   byte
+	a, b   int
+	degree float64
+}
+
+func (s *countSink) add(e emission) {
 	s.mu.Lock()
-	s.m[[2]int{a, b}]++
+	s.m[e]++
 	s.mu.Unlock()
 }
 
-func (s *countSink) Full(a, b int)                 { s.add(a, b) }
-func (s *countSink) Compl(a, b int)                { s.add(a, b) }
-func (s *countSink) Partial(a, b int, deg float64) { s.add(a, b) }
-func (s *countSink) shardEvents(shard, total int) int {
+func (s *countSink) Full(a, b int)                 { s.add(emission{'F', a, b, 0}) }
+func (s *countSink) Compl(a, b int)                { s.add(emission{'C', a, b, 0}) }
+func (s *countSink) Partial(a, b int, deg float64) { s.add(emission{'P', a, b, deg}) }
+func (s *countSink) shardEvents(shard int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for k, c := range s.m {
-		if k[0]/1000 == shard {
+	for e, c := range s.m {
+		if e.a/1000 == shard {
 			n += c
 		}
 	}
 	return n
 }
 
+// shardEmission is event i of a test shard's deterministic stream: the
+// three kinds in turn, each Partial with a degree of its own.
+func shardEmission(shard, i int) emission {
+	a := shard*1000 + i
+	switch i % 3 {
+	case 0:
+		return emission{'F', a, shard, 0}
+	case 1:
+		return emission{'P', a, shard, 1 / float64(a+2)}
+	default:
+		return emission{'C', a, shard, 0}
+	}
+}
+
 // TestDirectEmitChunkedRetryExactlyOnce pins the hardest shard-pool
 // invariant: a shard that panics AFTER some of its chunks were already
 // flushed into the shared sink must, once retried, contribute every event
-// exactly once — the retry's flushTail skips precisely the bytes the first
-// attempt flushed. The chunk size is shrunk so the flushes really happen
-// mid-scan, and the test asserts the panicking shard had flushed chunks
-// before its panic (otherwise it would not exercise the skip path at all).
+// exactly once — the retry's flushTail skips precisely the events the
+// first attempt flushed. The chunk size is shrunk so the flushes really
+// happen mid-scan, and the test asserts the panicking shard had flushed
+// chunks before its panic (otherwise it would not exercise the skip path
+// at all). Every shard emits all three kinds, so each (kind, pair, degree)
+// must also come through the tape unchanged.
 func TestDirectEmitChunkedRetryExactlyOnce(t *testing.T) {
 	leakcheck.Check(t)
 	defer func(old int) { tapeChunkSize = old }(tapeChunkSize)
-	tapeChunkSize = 64 // a handful of events per chunk
+	tapeChunkSize = 4 // events per chunk
 
 	s, err := NewSpace(gen.RealWorld(gen.RealWorldConfig{TotalObs: 80, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const nShards, perShard, panicShard, panicAfter = 4, 100, 2, 60
-	sink := &countSink{m: map[[2]int]int{}}
+	const nShards, perShard, panicShard, panicAfter = 4, 100, 2, 61
+	sink := &countSink{m: map[emission]int{}}
 	var attempts [nShards]int
 	var attemptsMu sync.Mutex
 	flushedAtPanic := -1
@@ -71,10 +93,17 @@ func TestDirectEmitChunkedRetryExactlyOnce(t *testing.T) {
 			attemptsMu.Unlock()
 			for i := 0; i < perShard; i++ {
 				if shard == panicShard && first && i == panicAfter {
-					flushedAtPanic = sink.shardEvents(panicShard, perShard)
+					flushedAtPanic = sink.shardEvents(panicShard)
 					panic("injected mid-scan panic")
 				}
-				local.Full(shard*1000+i, shard)
+				switch e := shardEmission(shard, i); e.kind {
+				case 'F':
+					local.Full(e.a, e.b)
+				case 'P':
+					local.Partial(e.a, e.b, e.degree)
+				default:
+					local.Compl(e.a, e.b)
+				}
 			}
 			return nil
 		},
@@ -90,14 +119,14 @@ func TestDirectEmitChunkedRetryExactlyOnce(t *testing.T) {
 	if flushedAtPanic <= 0 {
 		t.Fatalf("panic landed before any chunk flush (%d events in sink): the test did not exercise the skip path", flushedAtPanic)
 	}
-	total := 0
-	for k, c := range sink.m {
-		if c != 1 {
-			t.Errorf("event %v emitted %d times, want exactly once", k, c)
+	for shard := 0; shard < nShards; shard++ {
+		for i := 0; i < perShard; i++ {
+			if e := shardEmission(shard, i); sink.m[e] != 1 {
+				t.Errorf("event %+v arrived %d times, want exactly once", e, sink.m[e])
+			}
 		}
-		total += c
 	}
-	if want := nShards * perShard; total != want {
-		t.Errorf("sink holds %d events, want %d", total, want)
+	if want := nShards * perShard; len(sink.m) != want {
+		t.Errorf("sink holds %d distinct events, want %d", len(sink.m), want)
 	}
 }

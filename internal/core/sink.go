@@ -2,8 +2,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
-	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -51,185 +49,74 @@ type Result struct {
 // NewResult returns an empty collecting sink.
 func NewResult() *Result { return &Result{} }
 
-// Bulk load. ComputeCtx does not let a kernel grow a *Result event by
-// event: the run emits into a resultStage instead — three append-only pair
-// columns — and one commit, on every exit path of the run, appends each to
-// its set with a single growth.
-
-// stageChunk is the length of one column chunk. Columns grow chunk by
-// chunk, never by one doubling append over the whole run, so staging
-// copies nothing and its peak overhead is one partly filled chunk per
-// column.
-const stageChunk = 8192
-
-// column is an append-only sequence held as fixed-capacity chunks.
-type column[T any] struct {
-	chunks [][]T
-	n      int
-}
-
-func (c *column[T]) push(v T) {
-	last := len(c.chunks) - 1
-	if last < 0 || len(c.chunks[last]) == stageChunk {
-		c.chunks = append(c.chunks, make([]T, 0, stageChunk))
-		last++
-	}
-	c.chunks[last] = append(c.chunks[last], v)
-	c.n++
-}
-
-// resultStage is the Sink a run into a *Result really emits into.
-type resultStage struct {
-	res                  *Result
-	full, partial, compl column[Pair]
-}
-
-// Full implements Sink.
-func (st *resultStage) Full(a, b int) { st.full.push(Pair{a, b}) }
-
-// Partial implements Sink; the degree is not kept (see Result.Partial).
-func (st *resultStage) Partial(a, b int, _ float64) { st.partial.push(Pair{a, b}) }
-
-// Compl implements Sink.
-func (st *resultStage) Compl(a, b int) {
-	if a > b {
-		a, b = b, a
-	}
-	st.compl.push(Pair{a, b})
-}
-
-// commit moves the staged run into the Result, in emission order, after
-// whatever the Result already held.
-func (st *resultStage) commit() {
-	r := st.res
-	r.FullSet = appendColumn(r.FullSet, st.full)
-	r.PartialSet = appendColumn(r.PartialSet, st.partial)
-	r.ComplSet = appendColumn(r.ComplSet, st.compl)
-}
-
-// appendColumn appends a staged pair column to a set with one growth.
-func appendColumn(set []Pair, c column[Pair]) []Pair {
-	if c.n == 0 {
-		return set // keep a nil set nil
-	}
-	set = slices.Grow(set, c.n)
-	for _, ch := range c.chunks {
-		set = append(set, ch...)
-	}
-	return set
-}
-
-// Tape encoding. A pool worker's private tape is a single event-packed
-// byte buffer, not a []struct log: one kind byte per event followed by the
-// varint-encoded pair indices, so a Full/Compl event costs ~3 bytes and a
-// Partial ~11 instead of the 48-byte struct the first version recorded.
-// That representation, flushed in bounded chunks (parallel.go), is what
-// keeps the pooled runs' bytes/op in the low kilobytes.
-//
-//	'F' uvarint(a) uvarint(b)                    Full(a, b)
-//	'P' uvarint(a) uvarint(b) 8-byte LE float    Partial(a, b, degree)
-//	'C' uvarint(a) uvarint(b)                    Compl(a, b)
+// A pool worker's private tape records its shard's emissions — the exact
+// call sequence — as fixed-size events until the merge replays them into
+// the caller's sink, so Sink implementations need not be thread-safe.
 const (
-	tapeFull    = 'F'
-	tapePartial = 'P'
-	tapeCompl   = 'C'
+	tapeFull byte = iota
+	tapePartial
+	tapeCompl
 )
 
-// errTapeCorrupt reports a tape buffer decodeTape cannot walk: a truncated
-// event, an unknown kind byte, or an index outside the int32 range the
-// encoder produces.
-var errTapeCorrupt = errors.New("core: corrupt tape buffer")
+// event is one recorded Sink call: 24 bytes, the degree set only for
+// tapePartial.
+type event struct {
+	kind   byte
+	a, b   int32
+	degree float64
+}
 
-// tape is the private sink of a pooled work item: it records the shard's
-// emissions — the exact call sequence — onto its byte buffer until the
-// merge decodes them into the caller's sink, so Sink implementations need
-// not be thread-safe. Tapes are the workers' reusable pair buffers:
-// recycled through a pool, they make steady-state pooled runs allocate
-// nothing per work item beyond first-use buffer growth.
+// tape is the private sink of a pooled work item. With merge set (a
+// worker's tape), reaching tapeChunkSize events hands them to the merge
+// and rewinds, so chunk boundaries are event boundaries; with merge nil
+// (a retry's tape) it records the whole shard. Tapes are the workers'
+// reusable buffers: recycled through a pool, they make steady-state pooled
+// runs allocate nothing per work item beyond first-use buffer growth.
 type tape struct {
-	buf []byte
-	// flushed counts bytes already decoded into the shared sink by the
+	events []event
+	merge  *tapeMerge
+	// flushed counts events already replayed into the shared sink by the
 	// chunk flush; the retry of a panicked shard skips this prefix so
 	// chunks flushed by the first attempt are never emitted twice (see
 	// tapeMerge.flushTail).
 	flushed int
 }
 
-// appendPair appends an event header: kind byte plus the varint pair.
-func (t *tape) appendPair(kind byte, a, b int) {
-	t.buf = append(t.buf, kind)
-	t.buf = binary.AppendUvarint(t.buf, uint64(uint32(a)))
-	t.buf = binary.AppendUvarint(t.buf, uint64(uint32(b)))
+func (t *tape) push(e event) {
+	t.events = append(t.events, e)
+	if t.merge != nil && len(t.events) >= tapeChunkSize {
+		t.merge.flushChunk(t)
+	}
 }
 
 // Full implements Sink.
-func (t *tape) Full(a, b int) { t.appendPair(tapeFull, a, b) }
+func (t *tape) Full(a, b int) { t.push(event{kind: tapeFull, a: int32(a), b: int32(b)}) }
 
 // Partial implements Sink.
 func (t *tape) Partial(a, b int, degree float64) {
-	t.appendPair(tapePartial, a, b)
-	t.buf = binary.LittleEndian.AppendUint64(t.buf, math.Float64bits(degree))
+	t.push(event{kind: tapePartial, a: int32(a), b: int32(b), degree: degree})
 }
 
 // Compl implements Sink.
-func (t *tape) Compl(a, b int) { t.appendPair(tapeCompl, a, b) }
-
-// tapeUvarint decodes one uvarint bounded to the int32 range the tape
-// encoder writes, returning the remaining buffer and ok=false on a
-// truncated, overlong, or out-of-range value.
-func tapeUvarint(buf []byte) (int, []byte, bool) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 || v > math.MaxUint32 {
-		return 0, buf, false
-	}
-	return int(uint32(v)), buf[n:], true
-}
-
-// decodeTape walks an encoded tape buffer, replaying each event into sink.
-// It is total over arbitrary bytes: every read is bounds-checked and
-// unknown kinds fail. No event carries a length, so it allocates nothing.
-func decodeTape(buf []byte, sink Sink) error {
-	for len(buf) > 0 {
-		kind := buf[0]
-		rest := buf[1:]
-		a, rest, ok := tapeUvarint(rest)
-		if !ok {
-			return errTapeCorrupt
-		}
-		b, rest, ok := tapeUvarint(rest)
-		if !ok {
-			return errTapeCorrupt
-		}
-		switch kind {
-		case tapeFull:
-			sink.Full(a, b)
-		case tapeCompl:
-			sink.Compl(a, b)
-		case tapePartial:
-			if len(rest) < 8 {
-				return errTapeCorrupt
-			}
-			sink.Partial(a, b, math.Float64frombits(binary.LittleEndian.Uint64(rest)))
-			rest = rest[8:]
-		default:
-			return errTapeCorrupt
-		}
-		buf = rest
-	}
-	return nil
-}
+func (t *tape) Compl(a, b int) { t.push(event{kind: tapeCompl, a: int32(a), b: int32(b)}) }
 
 // tapePool recycles tapes across work items and runs.
 var tapePool = sync.Pool{New: func() any { return new(tape) }}
 
-// borrowTape takes an empty tape from the pool.
-func borrowTape() *tape { return tapePool.Get().(*tape) }
+// borrowTape takes an empty tape from the pool; merge is nil for an
+// unchunked tape.
+func borrowTape(merge *tapeMerge) *tape {
+	t := tapePool.Get().(*tape)
+	t.merge = merge
+	return t
+}
 
-// releaseTape empties the tape's buffer and returns it to the pool,
-// keeping capacity. Decoding copies every value out of the buffer, so
-// nothing the downstream sink kept aliases pooled memory.
+// releaseTape empties the tape and returns it to the pool, keeping
+// capacity. Replay copies every value out of the events, so nothing the
+// downstream sink kept aliases pooled memory.
 func releaseTape(t *tape) {
-	t.buf = t.buf[:0]
+	t.events = t.events[:0]
+	t.merge = nil
 	t.flushed = 0
 	tapePool.Put(t)
 }

@@ -2,17 +2,17 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// randTapeStream drives a random event sequence into both sinks, so the
-// tape encoding can be compared differentially against a direct recording.
+// randTapeStream drives a random event sequence into every sink, so a
+// tape's replay can be compared differentially against a direct
+// recording.
 func randTapeStream(rng *rand.Rand, n int, sinks ...Sink) {
 	for e := 0; e < n; e++ {
 		a, b := rng.Intn(1<<20), rng.Intn(1<<20)
@@ -34,56 +34,62 @@ func randTapeStream(rng *rand.Rand, n int, sinks ...Sink) {
 	}
 }
 
-// TestTapeCodecRoundTrip is the property test of the varint tape codec:
-// random event streams encode onto a tape and decode back into a stream
-// that is BYTE-EXACT against a direct recording of the same calls —
-// including degrees (bit-preserved through Float64bits). 200 trials
-// across stream lengths.
+// recordOnTape hands stream a worker tape whose chunks of chunk events
+// replay into sink through a tapeMerge, then replays the remainder the way
+// a shard whose scan returned cleanly does.
+func recordOnTape(sink Sink, chunk int, stream func(Sink)) {
+	defer func(old int) { tapeChunkSize = old }(tapeChunkSize)
+	tapeChunkSize = chunk
+	m := &tapeMerge{sink: sink}
+	tp := borrowTape(m)
+	defer releaseTape(tp)
+	stream(tp)
+	m.flushTail(tp, 0)
+}
+
+// TestTapeCodecRoundTrip is the property test of a worker's event tape:
+// random event streams recorded on a tape chunked at 1 to 8 events, so
+// chunk flushes land anywhere in the stream, replay into a stream that is
+// BYTE-EXACT against a direct recording of the same calls — degrees
+// included. 200 trials across stream lengths.
 func TestTapeCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
-		tp := borrowTape()
-		want := &eventSink{}
-		randTapeStream(rng, rng.Intn(50), tp, want)
-
-		got := &eventSink{}
-		if err := decodeTape(tp.buf, got); err != nil {
-			t.Fatalf("trial %d: decode of freshly encoded tape failed: %v", trial, err)
-		}
+		chunk, n := 1+rng.Intn(8), rng.Intn(50)
+		want, got := &eventSink{}, &eventSink{}
+		recordOnTape(got, chunk, func(tp Sink) { randTapeStream(rng, n, tp, want) })
 		if !bytes.Equal(got.buf, want.buf) {
-			t.Fatalf("trial %d: decoded stream differs from direct recording (%d vs %d bytes)",
-				trial, len(got.buf), len(want.buf))
+			t.Fatalf("trial %d (chunk %d): replayed stream differs from direct recording (%d vs %d bytes)",
+				trial, chunk, len(got.buf), len(want.buf))
 		}
-		releaseTape(tp)
 	}
 }
 
-// TestTapeCodecSpecialDegrees pins bit-exact degree transport for values a
-// lossy encoding would mangle: denormals, negative zero, infinities, NaN.
+// TestTapeCodecSpecialDegrees pins bit-exact degree transport through a
+// chunked tape for values a lossy event layout would mangle: denormals,
+// negative zero, infinities, NaN.
 func TestTapeCodecSpecialDegrees(t *testing.T) {
 	degrees := []float64{0, math.Copysign(0, -1), 0.5, 1.0 / 3.0,
 		math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
-	tp := borrowTape()
-	defer releaseTape(tp)
-	for _, d := range degrees {
-		tp.Partial(1, 2, d)
-	}
 	i := 0
-	err := decodeTape(tp.buf, sinkFuncs{partial: func(a, b int, deg float64) {
+	sink := sinkFuncs{partial: func(a, b int, deg float64) {
 		if math.Float64bits(deg) != math.Float64bits(degrees[i]) {
 			t.Errorf("degree %d: got bits %x, want %x", i, math.Float64bits(deg), math.Float64bits(degrees[i]))
 		}
 		i++
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}
+	recordOnTape(sink, 3, func(tp Sink) {
+		for _, d := range degrees {
+			tp.Partial(1, 2, d)
+		}
+	})
 	if i != len(degrees) {
-		t.Fatalf("decoded %d events, want %d", i, len(degrees))
+		t.Fatalf("replayed %d events, want %d", i, len(degrees))
 	}
 }
 
-// sinkFuncs adapts closures to the Sink interface for focused decode tests.
+// sinkFuncs adapts closures to the Sink interface for focused replay
+// tests.
 type sinkFuncs struct {
 	full, compl func(a, b int)
 	partial     func(a, b int, degree float64)
@@ -105,21 +111,14 @@ func (s sinkFuncs) Partial(a, b int, degree float64) {
 	}
 }
 
-// TestTapeCodecDifferentialResult: replaying a tape into a Result produces
-// exactly the Result a direct serial run of the same calls would build —
-// sets and degrees.
+// TestTapeCodecDifferentialResult: replaying a chunked tape into a Result
+// produces exactly the Result a direct serial run of the same calls would
+// build — sets and degrees.
 func TestTapeCodecDifferentialResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 50; trial++ {
-		tp := borrowTape()
-		want := newNaiveResult()
-		randTapeStream(rng, 40, tp, want)
-
-		got := newNaiveResult()
-		if err := decodeTape(tp.buf, got); err != nil {
-			t.Fatal(err)
-		}
-		releaseTape(tp)
+		want, got := newNaiveResult(), newNaiveResult()
+		recordOnTape(got, 1+rng.Intn(8), func(tp Sink) { randTapeStream(rng, 40, tp, want) })
 		want.Sort()
 		got.Sort()
 		sameResult(t, fmt.Sprintf("trial %d", trial), got.Result, want.Result)
@@ -129,101 +128,99 @@ func TestTapeCodecDifferentialResult(t *testing.T) {
 	}
 }
 
-// TestDecodeTapeTruncations: every truncation of a valid tape either
-// decodes a prefix of the events or fails with errTapeCorrupt — never a
-// panic, never an invented event.
+// TestDecodeTapeTruncations: flushTail with any skip replays exactly the
+// tape's events after the first skip — the suffix a retried shard owes
+// the sink once its first attempt flushed skip events — and a skip past
+// the end replays nothing instead of panicking.
 func TestDecodeTapeTruncations(t *testing.T) {
-	tp := borrowTape()
+	tp := borrowTape(nil)
 	defer releaseTape(tp)
-	tp.Full(70000, 3)
-	tp.Partial(1, 2, 0.25)
-	tp.Compl(9, 1<<19)
-
-	full := &eventSink{}
-	if err := decodeTape(tp.buf, full); err != nil {
-		t.Fatal(err)
+	direct := &eventSink{}
+	for _, s := range []Sink{tp, direct} {
+		s.Full(70000, 3)
+		s.Partial(1, 2, 0.25)
+		s.Compl(9, 1<<19)
 	}
-	for cut := 0; cut < len(tp.buf); cut++ {
+	all, ok := direct.records()
+	if !ok || len(all) != 3 {
+		t.Fatalf("direct recording holds %d records (well-formed %v), want 3", len(all), ok)
+	}
+	for skip := 0; skip <= len(all)+1; skip++ {
 		got := &eventSink{}
-		err := decodeTape(tp.buf[:cut], got)
-		if err != nil && !errors.Is(err, errTapeCorrupt) {
-			t.Fatalf("cut=%d: unexpected error type %v", cut, err)
-		}
-		if !bytes.HasPrefix(full.buf, got.buf) {
-			t.Fatalf("cut=%d: truncated decode emitted events the full decode did not", cut)
+		(&tapeMerge{sink: got}).flushTail(tp, skip)
+		recs, ok := got.records()
+		if want := all[min(skip, len(all)):]; !ok || !slices.Equal(recs, want) {
+			t.Fatalf("skip=%d: replayed %q, want %q", skip, recs, want)
 		}
 	}
 }
 
-// TestDecodeTapeUnknownKinds: the grammar is 'F', 'P' and 'C' and nothing
-// else. 'D' — the dimension-list event earlier builds wrote — is an unknown
-// kind like any other, whatever follows it, and is rejected without
-// allocating; out-of-range indices fail too.
-func TestDecodeTapeUnknownKinds(t *testing.T) {
-	for _, buf := range [][]byte{
-		{'D', 1, 2, 2, 0, 1}, // a well-formed dims event of the old grammar
-		binary.AppendUvarint([]byte{'D', 1, 2}, 1<<30),
-		{'Z', 1, 2},
-	} {
-		allocs := testing.AllocsPerRun(10, func() {
-			if err := decodeTape(buf, &Counter{}); !errors.Is(err, errTapeCorrupt) {
-				t.Fatalf("kind %q: want errTapeCorrupt, got %v", buf[0], err)
-			}
-		})
-		if allocs > 1 { // the Counter
-			t.Errorf("kind %q: %.0f allocations per rejected decode", buf[0], allocs)
-		}
-	}
-	big := []byte{tapeFull}
-	big = binary.AppendUvarint(big, math.MaxUint64)
-	big = binary.AppendUvarint(big, 1)
-	if err := decodeTape(big, &Counter{}); !errors.Is(err, errTapeCorrupt) {
-		t.Fatalf("out-of-range index: want errTapeCorrupt, got %v", err)
-	}
-}
-
-// FuzzTapeDecode: arbitrary bytes never panic the tape decoder;
-// successfully decoded streams canonicalize idempotently (decode →
-// re-encode → decode is a fixpoint).
+// FuzzTapeDecode: any event stream, decoded from the fuzz input, reaches
+// the sink exactly once and in order through a worker's chunked tape, also
+// when the first attempt stops partway — a panicked scan, its unflushed
+// remainder dropped — and the retry's unchunked tape skips the events the
+// first attempt's chunks had flushed. Input: the chunk size, the event at
+// which the first attempt stops, then 4-byte events (kind, a, b, and a
+// degree byte whose bit pattern is repeated eight times, so degrees span
+// zero, both signs, huge values and NaN).
 func FuzzTapeDecode(f *testing.F) {
-	// Seeds: a well-formed multi-event tape, its truncations, a 'D' event
-	// of the old grammar (rejected as an unknown kind), and junk.
-	tp := borrowTape()
-	tp.Full(1, 2)
-	tp.Partial(3, 4, 0.75)
-	tp.Compl(5, 6)
-	valid := append([]byte(nil), tp.buf...)
-	releaseTape(tp)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add(valid[:1])
+	// Seeds: no input, no events, all three kinds with a stop mid-stream
+	// on one-event chunks, a stream that stops after a mid-shard flush, a
+	// NaN degree, a stop before the first event, and junk.
 	f.Add([]byte{})
-	f.Add([]byte{'D', 3, 4, 2, 0, 2})
-	f.Add([]byte{tapePartial, 1, 2, 0, 0, 0})
+	f.Add([]byte{3, 0})
+	f.Add([]byte{0, 2, 0, 1, 2, 0, 1, 3, 4, 0x3f, 2, 5, 6, 0})
+	f.Add([]byte{3, 7,
+		0, 1, 2, 0, 1, 2, 3, 0x3f, 2, 3, 4, 0, 0, 4, 5, 0, 1, 5, 6, 0x3e,
+		2, 6, 7, 0, 0, 7, 8, 0, 1, 8, 9, 0x3d, 2, 9, 10, 0, 0, 10, 11, 0})
+	f.Add([]byte{1, 1, 1, 3, 4, 0xff})
+	f.Add([]byte{2, 0, 1, 1, 2, 0x80, 0, 3, 4, 0})
 	f.Add(bytes.Repeat([]byte{0x80}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		canon := borrowTape()
-		defer releaseTape(canon)
-		if err := decodeTape(data, canon); err != nil {
-			if !errors.Is(err, errTapeCorrupt) {
-				t.Fatalf("decode error is not errTapeCorrupt: %v", err)
-			}
+		if len(data) < 2 {
 			return
 		}
-		if len(data) > 0 && data[0] == 'D' {
-			t.Fatalf("a tape starting with a 'D' event decoded")
+		chunk := 1 + int(data[0]%8)
+		events := data[2:]
+		n := len(events) / 4
+		stop := int(data[1]) % (n + 1)
+		stream := func(s Sink, upto int) {
+			for i := 0; i < upto; i++ {
+				e := events[4*i : 4*i+4]
+				a, b := int(e[1]), int(e[2])
+				switch e[0] % 3 {
+				case 0:
+					s.Full(a, b)
+				case 1:
+					s.Partial(a, b, math.Float64frombits(uint64(e[3])*0x0101010101010101))
+				default:
+					s.Compl(a, b)
+				}
+			}
 		}
-		// The canonical re-encoding must itself decode, and re-encoding IT
-		// must be a byte-level fixpoint — non-canonical varints in the
-		// input normalize exactly once.
-		canon2 := borrowTape()
-		defer releaseTape(canon2)
-		if err := decodeTape(canon.buf, canon2); err != nil {
-			t.Fatalf("canonical re-encoding failed to decode: %v", err)
+		want := &eventSink{}
+		stream(want, n)
+
+		defer func(old int) { tapeChunkSize = old }(tapeChunkSize)
+		tapeChunkSize = chunk
+		got := &eventSink{}
+		m := &tapeMerge{sink: got}
+		first := borrowTape(m)
+		stream(first, stop)
+		flushed := first.flushed
+		releaseTape(first)
+		if flushed != stop-stop%chunk {
+			t.Fatalf("first attempt flushed %d of %d events in %d-event chunks", flushed, stop, chunk)
 		}
-		if !bytes.Equal(canon.buf, canon2.buf) {
-			t.Fatalf("canonicalization is not idempotent (%d vs %d bytes)", len(canon.buf), len(canon2.buf))
+
+		retry := borrowTape(nil)
+		stream(retry, n)
+		m.flushTail(retry, flushed)
+		releaseTape(retry)
+		if !bytes.Equal(got.buf, want.buf) {
+			t.Fatalf("chunk %d, stop %d: sink received %d bytes of records, want %d",
+				chunk, stop, len(got.buf), len(want.buf))
 		}
 	})
 }
