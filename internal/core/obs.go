@@ -18,9 +18,10 @@ import "rdfcube/internal/obsv"
 //     the member-comparison loop. Pruned + Compared = Considered always —
 //     the pruned ratio is the paper's Fig. 5 cubeMasking speedup argument.
 //   - CtrCandidateDimTests: cube-signature candidate-dimension tests.
-//   - CtrDimTests: per-dimension ancestor tests on code rows, made by
-//     sweepRow — cubeMasking, hybrid and Insert. A visit that resolves
-//     both directions of a pair counts one test per dimension.
+//   - CtrDimTests: dimensions compared on code rows, by sweepRow —
+//     cubeMasking, hybrid and Insert. A visit that resolves both
+//     directions of a pair makes two interval tests a dimension and
+//     counts it once.
 //   - CtrBitAndTests: word-parallel bit-AND subset tests on packed
 //     occurrence-matrix rows — the baseline and clustering's per-cluster
 //     scans, nothing else.

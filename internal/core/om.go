@@ -45,13 +45,12 @@ func (om *OccurrenceMatrix) NumCols() int { return om.Space.numCols }
 // Column returns the global column index of code value within dimension d,
 // or -1 when the value is not in d's code list.
 func (om *OccurrenceMatrix) Column(d int, value rdf.Term) int {
-	cl := om.Space.Lists[d]
-	for i, c := range cl.Codes() {
-		if c == value {
-			return om.Space.colStart[d] + i
-		}
+	s := om.Space
+	r, ok := s.codeIdx[d][value]
+	if !ok {
+		return -1
 	}
-	return -1
+	return s.colStart[d] + int(s.col[d][r])
 }
 
 // ContainsDim applies the per-dimension conditional function sf on the

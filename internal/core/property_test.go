@@ -264,7 +264,7 @@ func oneListCorpus(n int, parentOf func(c int) int) *qb.Corpus {
 
 // TestQuickBitvecMatchesDirect pins the two representations to each other:
 // the occurrence-matrix sf test (baseline, clustering) and the code-row
-// level lift (every lattice kernel) agree on every (i, j, d) of random
+// interval test (every lattice kernel) agree on every (i, j, d) of random
 // corpora, of one single-chain code list eight levels deep and of one flat
 // list (root and leaves).
 func TestQuickBitvecMatchesDirect(t *testing.T) {

@@ -173,14 +173,23 @@ func sortPairs(ps []Pair) {
 	}
 	tmp := make([]Pair, len(ps))
 	next := make([]int, hi+1)
-	countingPass(tmp, ps, next, func(p Pair) int { return p.B })
+	countingPass(tmp, ps, next, false)
 	clear(next)
-	countingPass(ps, tmp, next, func(p Pair) int { return p.A })
+	countingPass(ps, tmp, next, true)
 }
 
-// countingPass scatters src into dst in stable order of key, which must
-// lie in [0, len(next)); next must come in zeroed.
-func countingPass(dst, src []Pair, next []int, key func(Pair) int) {
+// countingPass scatters src into dst in stable order of A (byA) or of B,
+// which must lie in [0, len(next)); next must come in zeroed. A flag picks
+// the key because a func argument is not inlined: it cost one indirect
+// call per pair per loop. The local key closure is called directly, so it
+// is inlined.
+func countingPass(dst, src []Pair, next []int, byA bool) {
+	key := func(p Pair) int {
+		if byA {
+			return p.A
+		}
+		return p.B
+	}
 	for _, p := range src {
 		next[key(p)]++
 	}

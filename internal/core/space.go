@@ -56,12 +56,18 @@ type Space struct {
 	// Measures is the global sorted measure set M.
 	Measures []rdf.Term
 
-	vals   [][]int32 // vals[i][d]: code index of obs i on dimension d
-	parent [][]int32 // parent[d][c]: parent code index, -1 for the root
-	levels [][]uint8 // levels[d][c]: hierarchy level of code c
+	// Codes are numbered per dimension in depth-first preorder (the root
+	// is 0, children in CodeList.Children order), so the subtree of rank
+	// r is the rank interval [r, end[d][r]) and ancestry is an interval
+	// test. Every per-code table is indexed by rank.
+	vals   [][]int32 // vals[i][d]: rank of obs i's code on dimension d
+	end    [][]int32 // end[d][r]: one past the last rank under r
+	col    [][]int32 // col[d][r]: index of r's code in Lists[d].Codes()
+	parent [][]int32 // parent[d][r]: rank of r's parent, -1 for the root
+	levels [][]uint8 // levels[d][r]: hierarchy level of rank r
 	mmask  []uint64  // mmask[i]: measure-set bitmask of obs i
 
-	codeIdx    []map[rdf.Term]int32 // codeIdx[d][code]: index in Lists[d].Codes()
+	codeIdx    []map[rdf.Term]int32 // codeIdx[d][code]: code's rank on dimension d
 	measureBit map[rdf.Term]uint64  // measureBit[m]: m's bit in a measure mask
 
 	colStart []int // occurrence-matrix column offset per dimension
@@ -99,6 +105,8 @@ func NewSpaceObs(c *qb.Corpus, rec obsv.Recorder) (*Space, error) {
 
 	s.Lists = make([]*hierarchy.CodeList, len(s.Dims))
 	s.codeIdx = make([]map[rdf.Term]int32, len(s.Dims))
+	s.end = make([][]int32, len(s.Dims))
+	s.col = make([][]int32, len(s.Dims))
 	s.parent = make([][]int32, len(s.Dims))
 	s.levels = make([][]uint8, len(s.Dims))
 	s.colStart = make([]int, len(s.Dims)+1)
@@ -107,27 +115,34 @@ func NewSpaceObs(c *qb.Corpus, rec obsv.Recorder) (*Space, error) {
 		if cl == nil {
 			return nil, fmt.Errorf("core: dimension %s has no code list", dim)
 		}
+		if cl.Depth() > 255 {
+			return nil, fmt.Errorf("core: dimension %s deeper than 255 levels", dim)
+		}
 		s.Lists[d] = cl
 		codes := cl.Codes()
 		idx := make(map[rdf.Term]int32, len(codes))
-		par := make([]int32, len(codes))
-		lev := make([]uint8, len(codes))
-		for i, code := range codes {
-			idx[code] = int32(i)
+		end := make([]int32, len(codes))
+		par := make([]int32, 0, len(codes))
+		lev := make([]uint8, 0, len(codes))
+		var visit func(code rdf.Term, up int32, l uint8)
+		visit = func(code rdf.Term, up int32, l uint8) {
+			r := int32(len(par))
+			idx[code] = r
+			par = append(par, up)
+			lev = append(lev, l)
+			for _, kid := range cl.Children(code) {
+				visit(kid, r, l+1)
+			}
+			end[r] = int32(len(par))
 		}
+		visit(cl.Root, -1, 0)
+		col := make([]int32, len(codes))
 		for i, code := range codes {
-			if code == cl.Root {
-				par[i] = -1
-			} else {
-				par[i] = idx[cl.Parent(code)]
-			}
-			l, _ := cl.Level(code)
-			if l > 255 {
-				return nil, fmt.Errorf("core: dimension %s deeper than 255 levels", dim)
-			}
-			lev[i] = uint8(l)
+			col[idx[code]] = int32(i)
 		}
 		s.codeIdx[d] = idx
+		s.end[d] = end
+		s.col[d] = col
 		s.parent[d] = par
 		s.levels[d] = lev
 		s.colStart[d+1] = s.colStart[d] + len(codes)
@@ -162,7 +177,7 @@ func measureBits(measures []rdf.Term) map[rdf.Term]uint64 {
 }
 
 // compileRow resolves o against the space's fixed feature space: it fills
-// row with o's code index per dimension (the root, index 0, for an absent
+// row with o's code rank per dimension (the root, rank 0, for an absent
 // one) and returns o's measure mask, without mutating the space.
 func (s *Space) compileRow(o *qb.Observation, row []int32) (uint64, error) {
 	for d, dim := range s.Dims {
@@ -201,11 +216,12 @@ func (s *Space) NumCols() int { return s.numCols }
 // dimension d — the boundaries of sub-matrix OM_d.
 func (s *Space) ColRange(d int) (lo, hi int) { return s.colStart[d], s.colStart[d+1] }
 
-// ValueIndex returns the code index of observation i on dimension d.
+// ValueIndex returns the rank of observation i's code on dimension d: equal
+// ranks are equal codes.
 func (s *Space) ValueIndex(i, d int) int32 { return s.vals[i][d] }
 
 // Value returns the code term of observation i on dimension d.
-func (s *Space) Value(i, d int) rdf.Term { return s.Lists[d].Codes()[s.vals[i][d]] }
+func (s *Space) Value(i, d int) rdf.Term { return s.Lists[d].Codes()[s.col[d][s.vals[i][d]]] }
 
 // Level returns the hierarchy level of observation i's value on dimension d.
 func (s *Space) Level(i, d int) int { return int(s.levels[d][s.vals[i][d]]) }
@@ -216,25 +232,11 @@ func (s *Space) MeasureMask(i int) uint64 { return s.mmask[i] }
 // SharesMeasure reports condition (3) of Definition 4: M_i ∩ M_j ≠ ∅.
 func (s *Space) SharesMeasure(i, j int) bool { return s.mmask[i]&s.mmask[j] != 0 }
 
-// IsAncestorIdx reports reflexive ancestry a ≻ b between code indices of
-// dimension d: b's ancestor at a's level is a. A code that is not strictly
-// shallower than a different one cannot be its ancestor.
+// IsAncestorIdx reports reflexive ancestry a ≻ b between code ranks of
+// dimension d: b lies in a's preorder interval [a, end[d][a]). One unsigned
+// comparison tests both bounds, since b < a wraps to a large value.
 func (s *Space) IsAncestorIdx(d int, a, b int32) bool {
-	if a == b {
-		return true
-	}
-	la, lb := s.levels[d][a], s.levels[d][b]
-	return la < lb && s.ancestor(d, b, lb-la) == a
-}
-
-// ancestor lifts code c of dimension d by n levels (a parent is one level
-// up); n must not exceed c's level.
-func (s *Space) ancestor(d int, c int32, n uint8) int32 {
-	par := s.parent[d]
-	for ; n > 0; n-- {
-		c = par[c]
-	}
-	return c
+	return uint32(b-a) < uint32(s.end[d][a]-a)
 }
 
 // DimContains reports whether observation i's value contains (reflexive
@@ -332,18 +334,12 @@ func (s *Space) Signature(i int) lattice.Signature {
 // root (§3.1's bottom-up encoding).
 func (s *Space) Row(i int) *bitvec.Vector {
 	v := bitvec.New(s.numCols)
-	s.fillRow(i, v)
-	return v
-}
-
-func (s *Space) fillRow(i int, v *bitvec.Vector) {
 	for d := range s.Dims {
-		c := s.vals[i][d]
-		par := s.parent[d]
+		par, col := s.parent[d], s.col[d]
 		base := s.colStart[d]
-		for c != -1 {
-			v.Set(base + int(c))
-			c = par[c]
+		for c := s.vals[i][d]; c != -1; c = par[c] {
+			v.Set(base + int(col[c]))
 		}
 	}
+	return v
 }

@@ -117,3 +117,76 @@ func TestAppendObservationMatchesCompile(t *testing.T) {
 		}
 	}
 }
+
+// TestIntervalMatchesParentChain pins the preorder numbering to the code
+// lists it numbers: for every dimension and every ordered pair of codes,
+// used by an observation or not, the interval test IsAncestorIdx answers
+// what the parent chain answers (a ≻ b iff a is on CodeList.Ancestors(b),
+// which the hierarchy package pins to CodeList.IsAncestor; one chain per b
+// keeps the 1 806-code refArea list cheap under -race), and Value
+// maps each observation's rank back to its own term (the root for an
+// absent dimension). In every case but the chain and the flat list the
+// breadth-first (Codes) and preorder orders differ, so a rank used as a
+// Codes index, or the reverse, shows; the bushy tree is the smallest such.
+func TestIntervalMatchesParentChain(t *testing.T) {
+	cases := []struct {
+		name     string
+		c        *qb.Corpus
+		reorders bool
+	}{
+		{"realworld", gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 7}), true},
+		{"figure 1", gen.PaperExample(), true},
+		{"chain of 256", oneListCorpus(255, func(c int) int { return c - 1 }), false},
+		{"flat", oneListCorpus(8, func(int) int { return -1 }), false},
+		{"bushy", oneListCorpus(39, func(c int) int { return c/3 - 1 }), true},
+	}
+	for _, tc := range cases {
+		s, err := NewSpace(tc.c)
+		if err != nil {
+			t.Fatalf("%s: NewSpace: %v", tc.name, err)
+		}
+		reordered := false
+		for d, cl := range s.Lists {
+			codes := cl.Codes()
+			pos := make(map[rdf.Term]int, len(codes))
+			ranks := make([]int32, len(codes))
+			for ci, code := range codes {
+				pos[code] = ci
+				ranks[ci] = s.codeIdx[d][code]
+				reordered = reordered || ranks[ci] != int32(ci)
+			}
+			onChain := make([]bool, len(codes))
+			for bi, b := range codes {
+				chain := cl.Ancestors(b)
+				for _, c := range chain {
+					onChain[pos[c]] = true
+				}
+				for ai, ra := range ranks {
+					if got := s.IsAncestorIdx(d, ra, ranks[bi]); got != onChain[ai] {
+						t.Fatalf("%s: dimension %s: IsAncestorIdx(%s, %s) = %v, parent chain says %v", tc.name, s.Dims[d], codes[ai], b, got, onChain[ai])
+					}
+				}
+				for _, c := range chain {
+					onChain[pos[c]] = false
+				}
+			}
+		}
+		if reordered != tc.reorders {
+			t.Errorf("%s: preorder differs from Codes order: %v, want %v", tc.name, reordered, tc.reorders)
+		}
+		for i, o := range s.Obs {
+			for d, dim := range s.Dims {
+				want := o.Value(dim)
+				if want.IsZero() {
+					want = s.Lists[d].Root
+				}
+				if got := s.Value(i, d); got != want {
+					t.Fatalf("%s: Value(%d, %s) = %s, want %s", tc.name, i, dim, got, want)
+				}
+			}
+		}
+	}
+	if _, err := NewSpace(oneListCorpus(256, func(c int) int { return c - 1 })); err == nil {
+		t.Error("a chain 256 levels deep was accepted")
+	}
+}

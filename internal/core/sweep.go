@@ -7,13 +7,12 @@ const sweepChunk = 64
 
 // sweepRow is the lattice side's only comparison: observation i against
 // each observation of js (none of them i), over the code rows — the
-// level lift of IsAncestorIdx, no occurrence-matrix row is read. Forward
-// ("does i contain j") is tested on the cand dimensions; nil means every
-// dimension. With both set (and cand nil) the backward direction is
-// resolved on every dimension in the same pass, so one visit settles the
-// unordered pair:
-// equal codes count for both directions, otherwise the levels say which
-// single lift can still succeed. Without the partial task a pair is
+// preorder interval test of IsAncestorIdx, no occurrence-matrix row is
+// read. Forward ("does i contain j") is tested on the cand dimensions; nil
+// means every dimension. With both set (and cand nil) the backward
+// direction is resolved on every dimension in the same pass, so one visit
+// settles the unordered pair: each direction is its own interval test, and
+// equal codes pass both. Without the partial task a pair is
 // dropped at the first dimension that rules out every direction asked for
 // (the paper's "at least one 0" pruning).
 //
@@ -50,16 +49,10 @@ func sweepRow(s *Space, i int, js []int, cand []int, both bool, tasks Tasks, sin
 				for d, a := range vi {
 					dimTests++
 					b := vj[d]
-					if a == b {
+					if s.IsAncestorIdx(d, a, b) {
 						degIJ++
-						degJI++
-						continue
 					}
-					if la, lb := s.levels[d][a], s.levels[d][b]; la < lb {
-						if s.ancestor(d, b, lb-la) == a {
-							degIJ++
-						}
-					} else if lb < la && s.ancestor(d, a, la-lb) == b {
+					if s.IsAncestorIdx(d, b, a) {
 						degJI++
 					}
 					if !partial && degIJ <= d && degJI <= d {
