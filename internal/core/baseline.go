@@ -51,7 +51,7 @@ const minParallelRows = 64
 // A tripped guard makes the serial scan return a *CanceledError having
 // emitted an exact prefix of its emission stream; a nil guard keeps the
 // unguarded fast path (one nil check per pair batch).
-func baseline(s *Space, tasks Tasks, sink Sink, workers int, g *guard, fault func(int)) error {
+func baseline(s *Space, tasks Tasks, sink Sink, workers int, g *guard) error {
 	om := BuildOccurrenceMatrix(s)
 	n := s.N()
 	endCompare := s.span(SpanCompare)
@@ -70,11 +70,7 @@ func baseline(s *Space, tasks Tasks, sink Sink, workers int, g *guard, fault fun
 			b := blocks[bi]
 			return baselineRows(om, nil, b[0], b[1], tasks, local, g)
 		},
-		fingerprint: func(bi int) string {
-			b := blocks[bi]
-			return shardFingerprint("baseline", bi, b[0], b[1], nil)
-		},
-	}, len(blocks), workers, sink, g, fault)
+	}, len(blocks), workers, sink, g)
 }
 
 // rowBlocks splits the outer-row index range [0, n) of an upper-triangle

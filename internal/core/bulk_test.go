@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"rdfcube/internal/leakcheck"
@@ -129,61 +130,55 @@ func TestBulkLoadKeepsExistingEntries(t *testing.T) {
 }
 
 // TestBulkLoadCommitsOnErrorPaths: whatever ends the run — a context
-// canceled in a serial sweep or in a pooled one, a shard that panics
-// twice — the Result holds what the run emitted before it ended, exactly
-// once, and a serial run's salvage is an ordered prefix of the full run.
+// canceled in a serial sweep or in a pooled one, a sink that panics in a
+// pooled run — the Result holds what the run emitted before it ended,
+// exactly once, and a serial run's salvage is an ordered prefix of the
+// full run.
 func TestBulkLoadCommitsOnErrorPaths(t *testing.T) {
 	leakcheck.Check(t)
 	s := obsTestSpace(t, 400)
 	full := NewResult()
 	mustCompute(t, s, AlgorithmCubeMasking, Options{Tasks: TaskAll}, full)
-	inFull := map[[3]int]bool{}
-	for kind, ps := range [][]Pair{full.FullSet, full.PartialSet, full.ComplSet} {
-		for _, p := range ps {
-			inFull[[3]int{kind, p.A, p.B}] = true
-		}
-	}
+	inFull := relationships(full)
 
-	// Each case starts a run: its context, and the options that end it.
+	canceled := func(v any, err error) bool { return v == nil && errors.Is(err, ErrCanceled) }
+	// Each case starts a run into res: its context, the options and the
+	// sink that end it.
 	cases := []struct {
 		name  string
-		start func() (context.Context, Options, context.CancelFunc)
-		is    func(error) bool
+		start func(res *Result) (context.Context, Options, Sink, context.CancelFunc)
+		ended func(panicked any, err error) bool
 	}{
-		{"serial cancel", func() (context.Context, Options, context.CancelFunc) {
+		{"serial cancel", func(res *Result) (context.Context, Options, Sink, context.CancelFunc) {
 			// The serial sweep flushes its counters per compared cube pair
 			// and per outer cube: cancel after 200 flushes.
 			ctx, rec, stop := newCancelAfter(200)
-			return ctx, Options{Tasks: TaskAll, Obs: rec}, stop
-		}, func(err error) bool { return errors.Is(err, ErrCanceled) }},
-		{"pooled cancel", func() (context.Context, Options, context.CancelFunc) {
-			ctx, fault, stop := cancelAtShard(4)
-			return ctx, Options{Tasks: TaskAll, Workers: 4, ShardFault: fault}, stop
-		}, func(err error) bool { return errors.Is(err, ErrCanceled) }},
-		{"shard panics twice", func() (context.Context, Options, context.CancelFunc) {
-			return context.Background(), Options{Tasks: TaskAll, Workers: 4, ShardFault: func(shard int) {
-				if shard == 1 {
-					panic("persistent fault")
-				}
-			}}, func() {}
-		}, func(err error) bool { var spe *ShardPanicError; return errors.As(err, &spe) }},
+			return ctx, Options{Tasks: TaskAll, Obs: rec}, res, stop
+		}, canceled},
+		{"pooled cancel", func(res *Result) (context.Context, Options, Sink, context.CancelFunc) {
+			ctx, rec, stop := newCancelAfter(200)
+			return ctx, Options{Tasks: TaskAll, Workers: 4, Obs: rec}, res, stop
+		}, canceled},
+		{"the sink panics in a pooled run", func(res *Result) (context.Context, Options, Sink, context.CancelFunc) {
+			return context.Background(), Options{Tasks: TaskAll, Workers: 4}, &panicAtCall{inner: res, k: 3000}, func() {}
+		}, func(v any, err error) bool { return strings.Contains(fmt.Sprint(v), "sink fault at call 3000") }},
 	}
-	run := func(start func() (context.Context, Options, context.CancelFunc)) (*Result, error) {
-		ctx, opts, stop := start()
-		defer stop()
+	run := func(start func(*Result) (context.Context, Options, Sink, context.CancelFunc)) (*Result, any, error) {
 		got := NewResult()
-		err := ComputeCtx(ctx, s, AlgorithmCubeMasking, opts, got)
+		ctx, opts, sink, stop := start(got)
+		defer stop()
+		v, err := computeRecovering(ctx, s, AlgorithmCubeMasking, opts, sink)
 		s.SetRecorder(nil)
-		return got, err
+		return got, v, err
 	}
 	var serial *Result
 	for _, tc := range cases {
-		got, err := run(tc.start)
+		got, v, err := run(tc.start)
 		if serial == nil {
 			serial = got
 		}
-		if !tc.is(err) {
-			t.Fatalf("%s: unexpected error %v", tc.name, err)
+		if !tc.ended(v, err) {
+			t.Fatalf("%s: unexpected end: panic %v, error %v", tc.name, v, err)
 		}
 		nf, np, nc := got.Counts()
 		if nf+np+nc == 0 {
@@ -192,27 +187,15 @@ func TestBulkLoadCommitsOnErrorPaths(t *testing.T) {
 		if nf+np+nc >= len(inFull) {
 			t.Errorf("%s: the run was not cut short (%d of %d relationships)", tc.name, nf+np+nc, len(inFull))
 		}
-		seen := map[[3]int]bool{}
-		for kind, ps := range [][]Pair{got.FullSet, got.PartialSet, got.ComplSet} {
-			for _, p := range ps {
-				k := [3]int{kind, p.A, p.B}
-				if !inFull[k] {
-					t.Fatalf("%s: committed pair %v (set %d) is not in the full run", tc.name, p, kind)
-				}
-				if seen[k] {
-					t.Fatalf("%s: pair %v (set %d) committed twice", tc.name, p, kind)
-				}
-				seen[k] = true
-			}
-		}
+		checkSalvage(t, tc.name, got, inFull)
 		checkNoDegreeTable(t, tc.name, got)
 	}
 
 	// The serial cancel's salvage is an ordered prefix of the full run, and
 	// canceling at the same hook again cuts at the same pair.
-	got, err := run(cases[0].start)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatal(err)
+	got, v, err := run(cases[0].start)
+	if !canceled(v, err) {
+		t.Fatalf("serial cancel: panic %v, error %v", v, err)
 	}
 	for i, p := range got.PartialSet {
 		if full.PartialSet[i] != p {

@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,15 +191,35 @@ func (c *cancelAfter) Count(string, int64) {
 	}
 }
 
-// cancelAtShard returns a context and an Options.ShardFault that cancels
-// it when pooled shard k starts.
-func cancelAtShard(k int) (ctx context.Context, fault func(int), stop context.CancelFunc) {
-	ctx, cancel := context.WithCancel(context.Background())
-	return ctx, func(shard int) {
-		if shard == k {
-			cancel()
+// relationships keys every pair of a Result by its set (0 full, 1
+// partial, 2 compl) and its members.
+func relationships(res *Result) map[[3]int]bool {
+	m := map[[3]int]bool{}
+	for kind, ps := range [][]Pair{res.FullSet, res.PartialSet, res.ComplSet} {
+		for _, p := range ps {
+			m[[3]int{kind, p.A, p.B}] = true
 		}
-	}, cancel
+	}
+	return m
+}
+
+// checkSalvage fails the test unless every pair got holds is one of the
+// full run's relationships and none arrived twice.
+func checkSalvage(t *testing.T, what string, got *Result, full map[[3]int]bool) {
+	t.Helper()
+	seen := map[[3]int]bool{}
+	for kind, ps := range [][]Pair{got.FullSet, got.PartialSet, got.ComplSet} {
+		for _, p := range ps {
+			k := [3]int{kind, p.A, p.B}
+			if !full[k] {
+				t.Fatalf("%s: pair %v (set %d) is not in the full run", what, p, kind)
+			}
+			if seen[k] {
+				t.Fatalf("%s: pair %v (set %d) reached the sink twice", what, p, kind)
+			}
+			seen[k] = true
+		}
+	}
 }
 
 // TestParallelCancelDirectSalvage: canceled pooled runs deliver complete
@@ -216,46 +236,26 @@ func TestParallelCancelDirectSalvage(t *testing.T) {
 	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
 		full := NewResult()
 		mustCompute(t, s, alg, serialOptions(cancelTestOptions()), full)
-		seen := map[[3]int]bool{}
-		record := func(kind int, ps []Pair) {
-			for _, p := range ps {
-				seen[[3]int{kind, p.A, p.B}] = true
-			}
-		}
-		record(0, full.FullSet)
-		record(1, full.PartialSet)
-		record(2, full.ComplSet)
+		inFull := relationships(full)
 		canceled := 0
 		for _, shard := range []int{0, 2} {
-			ctx, fault, stop := cancelAtShard(shard)
+			// Pooled workers flush counters per shard and inside it:
+			// cancel early in the first shards, then a few shards later.
+			ctx, rec, stop := newCancelAfter(int64(20 + 200*shard))
 			opts := cancelTestOptions()
 			opts.Workers = 4
-			opts.ShardFault = fault
+			opts.Obs = rec
 			got := NewResult()
 			err := ComputeCtx(ctx, s, alg, opts, got)
 			stop()
+			s.SetRecorder(nil)
 			if err != nil {
 				if !errors.Is(err, ErrCanceled) {
 					t.Fatalf("%s shard=%d: %v", alg, shard, err)
 				}
 				canceled++
 			}
-			check := func(kind int, name string, ps []Pair) {
-				t.Helper()
-				dup := map[Pair]bool{}
-				for _, p := range ps {
-					if !seen[[3]int{kind, p.A, p.B}] {
-						t.Fatalf("%s shard=%d: salvaged %s pair %v not in the full run", alg, shard, name, p)
-					}
-					if dup[p] {
-						t.Fatalf("%s shard=%d: %s pair %v emitted twice", alg, shard, name, p)
-					}
-					dup[p] = true
-				}
-			}
-			check(0, "full", got.FullSet)
-			check(1, "partial", got.PartialSet)
-			check(2, "compl", got.ComplSet)
+			checkSalvage(t, fmt.Sprintf("%s shard=%d", alg, shard), got, inFull)
 		}
 		if canceled == 0 {
 			t.Errorf("%s: no run was canceled", alg)
@@ -263,11 +263,40 @@ func TestParallelCancelDirectSalvage(t *testing.T) {
 	}
 }
 
-// TestShardPanicRetry: a shard that panics once under a worker is retried
-// serially and the run completes with output identical, as a set, to a
-// clean serial run (the retried shard's flush lands out of order but
-// exactly once); the retry is visible in the counters.
-func TestShardPanicRetry(t *testing.T) {
+// panicAtCall forwards Sink calls to inner and panics, instead of
+// forwarding, on call k: a caller's sink that fails once.
+type panicAtCall struct {
+	inner    Sink
+	k, calls int
+}
+
+func (p *panicAtCall) call() {
+	p.calls++
+	if p.calls == p.k {
+		panic(fmt.Sprintf("sink fault at call %d", p.k))
+	}
+}
+
+func (p *panicAtCall) Full(a, b int)  { p.call(); p.inner.Full(a, b) }
+func (p *panicAtCall) Compl(a, b int) { p.call(); p.inner.Compl(a, b) }
+func (p *panicAtCall) Partial(a, b int, degree float64) {
+	p.call()
+	p.inner.Partial(a, b, degree)
+}
+
+// computeRecovering runs ComputeCtx and returns the value it panicked
+// with, if it did, instead of unwinding the test.
+func computeRecovering(ctx context.Context, s *Space, alg Algorithm, opts Options, sink Sink) (panicked any, err error) {
+	defer func() { panicked = recover() }()
+	return nil, ComputeCtx(ctx, s, alg, opts, sink)
+}
+
+// TestPooledPanicReachesCaller: a pooled run whose sink panics once fails
+// as a serial run does — Compute panics on the caller's goroutine, with
+// the sink's value and the worker's stack — and nothing reaches the sink
+// twice. A clean run on the same Space afterwards still equals the serial
+// run, so the pooled tapes went back intact.
+func TestPooledPanicReachesCaller(t *testing.T) {
 	leakcheck.Check(t)
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
 	s, err := NewSpace(c)
@@ -276,77 +305,31 @@ func TestShardPanicRetry(t *testing.T) {
 	}
 	forEachGOMAXPROCS(t, func(t *testing.T) {
 		for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
-			want := &eventSink{}
+			want := NewResult()
 			mustCompute(t, s, alg, serialOptions(cancelTestOptions()), want)
-			var mu sync.Mutex
-			panicked := false
-			col := obsv.NewCollector()
+			want.Sort()
+			inFull := relationships(want)
 			opts := cancelTestOptions()
 			opts.Workers = 4
-			opts.Obs = col
-			opts.ShardFault = func(shard int) {
-				mu.Lock()
-				defer mu.Unlock()
-				if shard == 0 && !panicked {
-					panicked = true
-					panic(fmt.Sprintf("injected fault in shard %d", shard))
+			for _, k := range []int{10, 1000, 3000} {
+				what := fmt.Sprintf("%s k=%d", alg, k)
+				got := NewResult()
+				v, err := computeRecovering(context.Background(), s, alg, opts, &panicAtCall{inner: got, k: k})
+				if v == nil {
+					t.Errorf("%s: Compute returned err=%v; want a panic on the caller's goroutine", what, err)
+				} else if msg := fmt.Sprint(v); !strings.Contains(msg, fmt.Sprintf("sink fault at call %d", k)) ||
+					!strings.Contains(msg, "(*panicAtCall).call") {
+					t.Errorf("%s: panic value does not name the sink's panic and its worker stack:\n%s", what, msg)
 				}
-			}
-			got := &eventSink{}
-			if err := Compute(s, alg, opts, got); err != nil {
-				t.Fatalf("%s: run with a once-panicking shard should recover, got %v", alg, err)
-			}
-			s.SetRecorder(nil)
-			if !got.equalAsSets(want) {
-				t.Fatalf("%s: recovered run's emissions differ as a set from the clean serial run", alg)
-			}
-			snap := col.Snapshot()
-			if snap[CtrShardPanics] == 0 || snap[CtrShardRetries] == 0 {
-				t.Errorf("%s: retry not visible in counters: panics=%v retries=%v",
-					alg, snap[CtrShardPanics], snap[CtrShardRetries])
+				checkSalvage(t, what, got, inFull)
+
+				clean := NewResult()
+				mustCompute(t, s, alg, opts, clean)
+				clean.Sort()
+				sameResult(t, what+": clean run afterwards", clean, want)
 			}
 		}
 	})
-}
-
-// TestShardPanicTwice: a shard that panics under the worker AND during
-// the serial retry surfaces as a *ShardPanicError carrying a stable
-// input fingerprint — and the pool still drains without deadlock.
-func TestShardPanicTwice(t *testing.T) {
-	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
-	s, err := NewSpace(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
-		opts := cancelTestOptions()
-		opts.Workers = 4
-		opts.ShardFault = func(shard int) {
-			if shard == 1 {
-				panic("persistent fault")
-			}
-		}
-		var fp1 string
-		for rep := 0; rep < 2; rep++ {
-			err := Compute(s, alg, opts, &eventSink{})
-			var spe *ShardPanicError
-			if !errors.As(err, &spe) {
-				t.Fatalf("%s: want *ShardPanicError, got %v", alg, err)
-			}
-			if errors.Is(err, ErrCanceled) {
-				t.Fatalf("%s: a shard panic is a hard failure, not a cancellation", alg)
-			}
-			if spe.Fingerprint == "" || spe.Value == nil {
-				t.Fatalf("%s: incomplete ShardPanicError: %+v", alg, spe)
-			}
-			if rep == 0 {
-				fp1 = spe.Fingerprint
-			} else if spe.Fingerprint != fp1 {
-				t.Errorf("%s: fingerprint not stable across runs: %q vs %q", alg, fp1, spe.Fingerprint)
-			}
-		}
-	}
 }
 
 // TestComputeCorpusCtxSalvage: the façade returns the sorted partial

@@ -26,7 +26,7 @@ type ClusteringOptions struct {
 // parallel.worker.<id>.clusters. Both the assignment phase (which does no
 // pair work but can dominate on large samples) and the per-cluster pair
 // scans poll the guard; see baseline for the canceled sink's contract.
-func clustering(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, workers int, g *guard, fault func(int)) error {
+func clustering(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, workers int, g *guard) error {
 	om := BuildOccurrenceMatrix(s)
 	cfg := opts.Config
 	if cfg.Poll == nil {
@@ -60,10 +60,7 @@ func clustering(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, worker
 				scan: func(wi int, local Sink, _ any) error {
 					return baselineRows(om, work[wi], 0, len(work[wi]), tasks, local, g)
 				},
-				fingerprint: func(wi int) string {
-					return shardFingerprint("clustering", wi, 0, 0, work[wi])
-				},
-			}, len(work), workers, sink, g, fault)
+			}, len(work), workers, sink, g)
 		}
 	}
 	sink = instrumentSink(s, sink)

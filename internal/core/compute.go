@@ -94,18 +94,13 @@ type Options struct {
 	// /v1/related) wants anyway. The sink is never called concurrently.
 	// A pooled run also has the pooled cancel contract (see ComputeCtx):
 	// what a canceled run leaves in the sink is a salvaged subset, not an
-	// ordered prefix.
+	// ordered prefix. A panic, in a kernel or in the sink, ends a pooled
+	// run as it ends a serial one: on the caller's goroutine.
 	Workers int
 	// Obs, when non-nil, receives phase spans, counters and gauges from
 	// the run (see obs.go for the name glossary). All algorithms consult
 	// it; nil disables instrumentation entirely.
 	Obs obsv.Recorder
-	// ShardFault, when non-nil, is invoked with the shard index at the
-	// start of every pooled shard scan (and again on its serial retry).
-	// It exists for fault-injection tests of the panic-isolation path —
-	// a ShardFault that panics simulates a crashing worker. Consumed only
-	// by pooled runs; never set it in production code.
-	ShardFault func(shard int)
 }
 
 func (o Options) tasks() Tasks {
@@ -135,6 +130,11 @@ func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
 // completed plus the whole-event chunks in-flight shards had already
 // flushed — still exactly-once, still a subset of the full run, but not
 // an ordered prefix. A nil ctx behaves like context.Background().
+//
+// A panic is not an error: it unwinds the caller. A pooled run re-raises
+// the first panic under a worker once the pool has drained, naming the
+// shard and carrying the worker's stack; the sink keeps what it accepted
+// before, each event once, and no shard is retried.
 func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink Sink) error {
 	if opts.Obs != nil {
 		s.SetRecorder(opts.Obs)
@@ -155,19 +155,19 @@ func dispatch(s *Space, alg Algorithm, opts Options, sink Sink, g *guard) error 
 	}
 	switch alg {
 	case AlgorithmBaseline:
-		return baseline(s, tasks, sink, workers, g, opts.ShardFault)
+		return baseline(s, tasks, sink, workers, g)
 	case AlgorithmClustering:
-		return clustering(s, tasks, sink, opts.Clustering, workers, g, opts.ShardFault)
+		return clustering(s, tasks, sink, opts.Clustering, workers, g)
 	case AlgorithmCubeMasking:
-		return cubeMasking(s, tasks, sink, opts.CubeMask, workers, g, opts.ShardFault)
+		return cubeMasking(s, tasks, sink, opts.CubeMask, workers, g)
 	case AlgorithmCubeMaskingPrefetch:
 		cm := opts.CubeMask
 		cm.PrefetchChildren = true
-		return cubeMasking(s, tasks, sink, cm, 1, g, nil)
+		return cubeMasking(s, tasks, sink, cm, 1, g)
 	case AlgorithmHybrid:
 		return hybrid(s, tasks, sink, opts.Hybrid, g)
 	case AlgorithmParallel:
-		return cubeMasking(s, tasks, sink, CubeMaskOptions{}, workers, g, opts.ShardFault)
+		return cubeMasking(s, tasks, sink, CubeMaskOptions{}, workers, g)
 	default:
 		return fmt.Errorf("core: unknown algorithm %q (supported: %s)", alg, AlgorithmNames())
 	}

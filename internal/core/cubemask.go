@@ -59,7 +59,7 @@ func BuildLattice(s *Space) *lattice.Lattice {
 // serial sweeps poll the guard at every outer cube and charge it every
 // guardPairStride ordered observation pairs; see baseline for the canceled
 // sink's contract.
-func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers int, g *guard, fault func(int)) error {
+func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers int, g *guard) error {
 	l := BuildLattice(s)
 	cubes := l.Cubes()
 	p := s.NumDims()
@@ -79,10 +79,7 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 			scan: func(ai int, local Sink, ws any) error {
 				return sweepCube(s, cubes[ai], cubes, tasks, local, g, ws.(*cubeScratch))
 			},
-			fingerprint: func(ai int) string {
-				return shardFingerprint("cubemask", ai, 0, 0, cubes[ai].Obs)
-			},
-		}, len(cubes), workers, sink, g, fault)
+		}, len(cubes), workers, sink, g)
 	}
 
 	sink = instrumentSink(s, sink)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 )
@@ -68,25 +67,6 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 
 // Is matches the ErrCanceled sentinel.
 func (e *CanceledError) Is(target error) bool { return target == ErrCanceled }
-
-// ShardPanicError reports a parallel shard whose scan panicked twice: once
-// under a worker and once more during the serial retry. The fingerprint
-// identifies the shard's input deterministically so the failure is
-// reproducible from a bug report.
-type ShardPanicError struct {
-	// Shard is the shard index in the algorithm's serial iteration order.
-	Shard int
-	// Fingerprint is a stable hash of the shard's input (kind, index
-	// range, member indices) — enough to re-select the failing work item.
-	Fingerprint string
-	// Value is the recovered panic value of the serial retry.
-	Value any
-}
-
-// Error implements error.
-func (e *ShardPanicError) Error() string {
-	return fmt.Sprintf("core: shard %d (%s) panicked twice: %v", e.Shard, e.Fingerprint, e.Value)
-}
 
 // guard enforces cooperative cancellation. All methods are safe on a nil
 // receiver (the zero-cost "cannot be canceled" path) and safe for
@@ -177,20 +157,3 @@ func (g *guard) err() error {
 // isTripped reports whether the run must stop, without running checks —
 // the cheap flag workers consult before claiming another shard.
 func (g *guard) isTripped() bool { return g != nil && g.tripped.Load() }
-
-// shardFingerprint hashes a shard's identity — kind, serial index, and
-// the observation indices it covers — into a short stable token for
-// ShardPanicError reports.
-func shardFingerprint(kind string, shard int, lo, hi int, members []int) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d/%d:%d", kind, shard, lo, hi)
-	for _, m := range members {
-		var b [4]byte
-		b[0], b[1], b[2], b[3] = byte(m), byte(m>>8), byte(m>>16), byte(m>>24)
-		h.Write(b[:])
-	}
-	if members != nil {
-		return fmt.Sprintf("%s shard %d (%d members) fp=%016x", kind, shard, len(members), h.Sum64())
-	}
-	return fmt.Sprintf("%s shard %d rows [%d,%d) fp=%016x", kind, shard, lo, hi, h.Sum64())
-}

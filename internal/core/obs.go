@@ -43,10 +43,6 @@ import "rdfcube/internal/obsv"
 //     run; per-worker throughput is parallel.worker.<id>.clusters.
 //   - CtrRunCanceled: runs that ended in cooperative cancellation (a
 //     canceled or expired context).
-//   - CtrShardPanics: parallel shards whose worker panicked (each is
-//     retried serially once).
-//   - CtrShardRetries: serial retries of panicked shards that were
-//     attempted (equal to CtrShardPanics; a second panic fails the run).
 const (
 	CtrObsPairsCompared     = "obs.pairs.compared"
 	CtrCubePairsConsidered  = "cubes.pairs.considered"
@@ -66,8 +62,6 @@ const (
 	CtrParallelRows         = "parallel.rows"
 	CtrParallelClusters     = "parallel.clusters"
 	CtrRunCanceled          = "run.canceled"
-	CtrShardPanics          = "run.shard.panics"
-	CtrShardRetries         = "run.shard.retries"
 )
 
 // Span (phase) names, forming the run's phase tree: compile (with om.build

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Shard pool. The pooled runs of baseline, clustering and cubeMasking
@@ -25,12 +27,14 @@ import (
 //     plus the chunks in-flight shards had flushed before the trip; an
 //     aborted shard's unflushed remainder is dropped. Everything delivered
 //     is a whole event of the full run's set, exactly once.
-//   - Panic isolation: a shard whose scan panics under a worker is
-//     retried once, serially, on a fresh tape after the pool drains. A
-//     second panic fails the run with a ShardPanicError carrying the
-//     shard's deterministic input fingerprint. One crashing shard
-//     therefore costs a retry, not the process; two prove a reproducible
-//     bug and are reported as one.
+//   - Panics: a panic in a shard's scan — or in the caller's sink, which
+//     the scan's chunk flushes call — ends the run the way it ends a
+//     serial run, on the caller's goroutine. The worker records the first
+//     panic with its stack; workers then skip the remaining shards, drain
+//     the feed as they do for a tripped guard, and the pool panics again
+//     once they are done. Nothing is retried: a shard's scan is
+//     deterministic, and a sink that already accepted part of a chunk
+//     cannot take it again.
 
 // shardPool describes one pooled run for runShardPool.
 type shardPool struct {
@@ -45,16 +49,12 @@ type shardPool struct {
 	// scan runs one shard onto its private sink; a non-nil error means
 	// the guard tripped mid-shard.
 	scan func(shard int, local Sink, ws any) error
-	// fingerprint identifies a shard's input deterministically for
-	// ShardPanicError reports.
-	fingerprint func(shard int) string
 }
 
 // tapeMerge replays shard tapes straight into the (already instrumented)
-// caller sink, serialized by the mutex. Exactly-once holds because a
-// shard's scan is deterministic and every event of its tape is replayed at
-// most once: chunks as they fill, the remainder only after the scan
-// returned cleanly (see flushTail for the retry of a panicked shard).
+// caller sink, serialized by the mutex. Every event of a tape is replayed
+// at most once: chunks as they fill, the remainder only after the scan
+// returned cleanly.
 type tapeMerge struct {
 	mu   sync.Mutex
 	sink Sink
@@ -77,26 +77,6 @@ func (m *tapeMerge) emit(events []event) {
 	}
 }
 
-// flushTail replays a completed shard's tape minus its first skip events —
-// the retry path's dedup. A re-scanned shard reproduces its deterministic
-// emission stream from the start; skip marks how much of it the first
-// attempt already chunk-flushed into the sink.
-func (m *tapeMerge) flushTail(t *tape, skip int) {
-	if skip > len(t.events) {
-		skip = len(t.events) // defensive: a non-deterministic scan shrank
-	}
-	m.emit(t.events[skip:])
-}
-
-// flushChunk replays the tape's current events into the shared sink and
-// rewinds it, remembering how many events the sink has consumed. The scan
-// keeps appending into the rewound buffer.
-func (m *tapeMerge) flushChunk(t *tape) {
-	m.emit(t.events)
-	t.flushed += len(t.events)
-	t.events = t.events[:0]
-}
-
 // tapeChunkSize bounds a worker's tape, in events, between flushes: once
 // it holds that many, the chunk is replayed into the shared sink and the
 // tape rewinds. Peak tape memory per worker is therefore one 48 KiB chunk,
@@ -105,36 +85,39 @@ func (m *tapeMerge) flushChunk(t *tape) {
 // force mid-shard flushes.
 var tapeChunkSize = 2048
 
+// shardPanic is the first panic recovered under a pool worker.
+type shardPanic struct {
+	shard int
+	value any
+	stack []byte
+}
+
 // runShardPool scans nShards shards on workers goroutines, merging their
-// emissions into sink. It returns nil for a clean, complete run, the
+// emissions into sink. It returns nil for a clean, complete run, or the
 // guard's *CanceledError when the run was cut short (the sink then holds
-// the salvage described above), or a *ShardPanicError.
-func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *guard, fault func(int)) error {
+// the salvage described above). A panic under a worker panics again here,
+// after the pool drained, with the shard index, the original value and
+// the worker's stack; an error value stays reachable through errors.As.
+func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *guard) error {
 	s.gauge(GaugeWorkers, float64(workers))
 	merge := &tapeMerge{sink: instrumentSink(s, sink)}
 
-	// panicked[si] >= 0 marks a shard whose scan panicked under a worker
-	// and holds the events its chunks had flushed by then. Each shard index
-	// is claimed by exactly one worker, so the per-index writes are
-	// race-free.
-	panicked := make([]int, nShards)
-	for si := range panicked {
-		panicked[si] = -1
-	}
-
-	// runOne scans shard si on a fresh private tape, recording a panic
+	// failed is set, and first written, by the worker that recovers the
+	// run's first panic.
+	var (
+		failed atomic.Bool
+		first  shardPanic
+	)
+	// runOne scans shard si on a pooled private tape, recording a panic
 	// instead of letting it unwind the worker.
 	runOne := func(si int, ws any) {
 		t := borrowTape(merge)
 		defer func() {
-			if v := recover(); v != nil {
-				panicked[si] = t.flushed
+			if v := recover(); v != nil && failed.CompareAndSwap(false, true) {
+				first = shardPanic{shard: si, value: v, stack: debug.Stack()}
 			}
 			releaseTape(t)
 		}()
-		if fault != nil {
-			fault(si)
-		}
 		if err := sp.scan(si, t, ws); err != nil {
 			// The guard tripped mid-shard: drop the unflushed remainder.
 			// Chunks flushed before the trip stay in the sink (whole events
@@ -142,7 +125,7 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *gu
 			// never a duplicate).
 			return
 		}
-		merge.flushTail(t, 0)
+		t.flush()
 	}
 
 	next := make(chan int)
@@ -157,11 +140,11 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *gu
 			}
 			var claimed int64
 			for si := range next {
-				// Always drain the feed: a tripped guard stops the work,
-				// never the channel — the no-deadlock invariant (the
-				// feeder below must not block forever on an unconsumed
-				// send).
-				if g.isTripped() {
+				// Always drain the feed: a tripped guard or a recorded
+				// panic stops the work, never the channel — the
+				// no-deadlock invariant (the feeder below must not block
+				// forever on an unconsumed send).
+				if g.isTripped() || failed.Load() {
 					continue
 				}
 				claimed += sp.weight(si)
@@ -177,47 +160,11 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *gu
 	close(next)
 	wg.Wait()
 
-	// Serial retry of panicked shards, in shard order: one panic is
-	// isolated (a crashing worker must not take down the run); a second,
-	// reproduced panic fails the run with the shard's input fingerprint so
-	// the bug report pins the failing work item.
-	for si, flushed := range panicked {
-		if flushed < 0 {
-			continue
+	if failed.Load() {
+		if err, ok := first.value.(error); ok {
+			panic(fmt.Errorf("core: pooled shard %d panicked: %w\n\nworker stack:\n%s", first.shard, err, first.stack))
 		}
-		s.count(CtrShardPanics, 1)
-		s.count(CtrShardRetries, 1)
-		if err := retryShard(sp, si, flushed, merge, fault); err != nil {
-			return err
-		}
+		panic(fmt.Sprintf("core: pooled shard %d panicked: %v\n\nworker stack:\n%s", first.shard, first.value, first.stack))
 	}
 	return g.err()
-}
-
-// retryShard re-scans one panicked shard serially. Chunks the panicked
-// attempt already flushed are in the sink for good; the retry re-scans the
-// whole shard (deterministically) and flushTail skips exactly that many
-// events, keeping emission exactly-once. The retry's tape is unchunked, so
-// flushTail sees the whole re-scanned stream. A second panic converts into
-// a ShardPanicError; a guard trip during the retry drops the shard like
-// any aborted scan.
-func retryShard(sp shardPool, si, flushed int, merge *tapeMerge, fault func(int)) (err error) {
-	var ws any
-	if sp.newWorker != nil {
-		ws = sp.newWorker()
-	}
-	t := borrowTape(nil)
-	defer func() {
-		if v := recover(); v != nil {
-			err = &ShardPanicError{Shard: si, Fingerprint: sp.fingerprint(si), Value: v}
-		}
-		releaseTape(t)
-	}()
-	if fault != nil {
-		fault(si)
-	}
-	if sp.scan(si, t, ws) == nil {
-		merge.flushTail(t, flushed)
-	}
-	return nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rdfcube/internal/gen"
@@ -57,15 +59,15 @@ func shardEmission(shard, i int) emission {
 	}
 }
 
-// TestDirectEmitChunkedRetryExactlyOnce pins the hardest shard-pool
-// invariant: a shard that panics AFTER some of its chunks were already
-// flushed into the shared sink must, once retried, contribute every event
-// exactly once — the retry's flushTail skips precisely the events the
-// first attempt flushed. The chunk size is shrunk so the flushes really
-// happen mid-scan, and the test asserts the panicking shard had flushed
-// chunks before its panic (otherwise it would not exercise the skip path
-// at all). Every shard emits all three kinds, so each (kind, pair, degree)
-// must also come through the tape unchanged.
+// TestDirectEmitChunkedRetryExactlyOnce pins what a shard that panics
+// AFTER some of its chunks were already flushed into the shared sink
+// leaves behind: the shard runs once, runShardPool panics again with its
+// value, and every event reaches the sink at most once — the chunks the
+// shard flushed stay, its unflushed remainder is dropped, nothing is
+// replayed. The chunk size is shrunk so the flushes really happen
+// mid-scan, and the test asserts the panicking shard had flushed chunks
+// before its panic. Every shard emits all three kinds, so each (kind,
+// pair, degree) must also come through the tape unchanged.
 func TestDirectEmitChunkedRetryExactlyOnce(t *testing.T) {
 	leakcheck.Check(t)
 	defer func(old int) { tapeChunkSize = old }(tapeChunkSize)
@@ -77,9 +79,9 @@ func TestDirectEmitChunkedRetryExactlyOnce(t *testing.T) {
 	}
 
 	const nShards, perShard, panicShard, panicAfter = 4, 100, 2, 61
+	const fault = "injected mid-scan panic"
 	sink := &countSink{m: map[emission]int{}}
-	var attempts [nShards]int
-	var attemptsMu sync.Mutex
+	var attempts [nShards]atomic.Int32
 	flushedAtPanic := -1
 
 	sp := shardPool{
@@ -87,14 +89,11 @@ func TestDirectEmitChunkedRetryExactlyOnce(t *testing.T) {
 		totalCtr: "test.chunks.total",
 		weight:   func(int) int64 { return 1 },
 		scan: func(shard int, local Sink, _ any) error {
-			attemptsMu.Lock()
-			attempts[shard]++
-			first := attempts[shard] == 1
-			attemptsMu.Unlock()
+			attempts[shard].Add(1)
 			for i := 0; i < perShard; i++ {
-				if shard == panicShard && first && i == panicAfter {
+				if shard == panicShard && i == panicAfter {
 					flushedAtPanic = sink.shardEvents(panicShard)
-					panic("injected mid-scan panic")
+					panic(fault)
 				}
 				switch e := shardEmission(shard, i); e.kind {
 				case 'F':
@@ -107,26 +106,31 @@ func TestDirectEmitChunkedRetryExactlyOnce(t *testing.T) {
 			}
 			return nil
 		},
-		fingerprint: func(shard int) string { return fmt.Sprintf("chunk-test-%d", shard) },
 	}
 
-	if err := runShardPool(s, sp, nShards, 2, sink, nil, nil); err != nil {
-		t.Fatalf("runShardPool: %v", err)
-	}
-	if attempts[panicShard] != 2 {
-		t.Fatalf("panicked shard ran %d times, want 2 (scan + retry)", attempts[panicShard])
-	}
-	if flushedAtPanic <= 0 {
-		t.Fatalf("panic landed before any chunk flush (%d events in sink): the test did not exercise the skip path", flushedAtPanic)
-	}
-	for shard := 0; shard < nShards; shard++ {
-		for i := 0; i < perShard; i++ {
-			if e := shardEmission(shard, i); sink.m[e] != 1 {
-				t.Errorf("event %+v arrived %d times, want exactly once", e, sink.m[e])
-			}
+	v := func() (v any) {
+		defer func() { v = recover() }()
+		if err := runShardPool(s, sp, nShards, 2, sink, nil); err != nil {
+			t.Fatalf("runShardPool: %v", err)
 		}
+		return nil
+	}()
+	if msg := fmt.Sprint(v); !strings.Contains(msg, fault) || !strings.Contains(msg, fmt.Sprintf("shard %d", panicShard)) {
+		t.Fatalf("runShardPool did not panic again with shard %d's value; recovered %q", panicShard, msg)
 	}
-	if want := nShards * perShard; len(sink.m) != want {
-		t.Errorf("sink holds %d distinct events, want %d", len(sink.m), want)
+	if n := attempts[panicShard].Load(); n != 1 {
+		t.Fatalf("panicked shard ran %d times, want 1", n)
+	}
+	if want := panicAfter - panicAfter%tapeChunkSize; flushedAtPanic != want {
+		t.Fatalf("the panicking shard had flushed %d events before its panic, want its %d whole chunks", flushedAtPanic, want)
+	}
+	for e, n := range sink.m {
+		if n != 1 {
+			t.Errorf("event %+v arrived %d times, want at most once", e, n)
+		}
+		shard, i := e.a/1000, e.a%1000
+		if e != shardEmission(shard, i) || (shard == panicShard && i >= flushedAtPanic) {
+			t.Errorf("event %+v was never flushed by its shard", e)
+		}
 	}
 }

@@ -66,27 +66,28 @@ type event struct {
 	degree float64
 }
 
-// tape is the private sink of a pooled work item. With merge set (a
-// worker's tape), reaching tapeChunkSize events hands them to the merge
-// and rewinds, so chunk boundaries are event boundaries; with merge nil
-// (a retry's tape) it records the whole shard. Tapes are the workers'
-// reusable buffers: recycled through a pool, they make steady-state pooled
-// runs allocate nothing per work item beyond first-use buffer growth.
+// tape is the private sink of a pooled work item. Reaching tapeChunkSize
+// events hands them to the merge and rewinds, so chunk boundaries are
+// event boundaries. Tapes are the workers' reusable buffers: recycled
+// through a pool, they make steady-state pooled runs allocate nothing per
+// work item beyond first-use buffer growth.
 type tape struct {
 	events []event
 	merge  *tapeMerge
-	// flushed counts events already replayed into the shared sink by the
-	// chunk flush; the retry of a panicked shard skips this prefix so
-	// chunks flushed by the first attempt are never emitted twice (see
-	// tapeMerge.flushTail).
-	flushed int
 }
 
 func (t *tape) push(e event) {
 	t.events = append(t.events, e)
-	if t.merge != nil && len(t.events) >= tapeChunkSize {
-		t.merge.flushChunk(t)
+	if len(t.events) >= tapeChunkSize {
+		t.flush()
 	}
+}
+
+// flush replays the tape's events into the shared sink and rewinds it;
+// the scan keeps appending into the rewound buffer.
+func (t *tape) flush() {
+	t.merge.emit(t.events)
+	t.events = t.events[:0]
 }
 
 // Full implements Sink.
@@ -103,8 +104,7 @@ func (t *tape) Compl(a, b int) { t.push(event{kind: tapeCompl, a: int32(a), b: i
 // tapePool recycles tapes across work items and runs.
 var tapePool = sync.Pool{New: func() any { return new(tape) }}
 
-// borrowTape takes an empty tape from the pool; merge is nil for an
-// unchunked tape.
+// borrowTape takes an empty tape from the pool that flushes into merge.
 func borrowTape(merge *tapeMerge) *tape {
 	t := tapePool.Get().(*tape)
 	t.merge = merge
@@ -117,7 +117,6 @@ func borrowTape(merge *tapeMerge) *tape {
 func releaseTape(t *tape) {
 	t.events = t.events[:0]
 	t.merge = nil
-	t.flushed = 0
 	tapePool.Put(t)
 }
 

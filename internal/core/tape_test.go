@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -40,11 +39,10 @@ func randTapeStream(rng *rand.Rand, n int, sinks ...Sink) {
 func recordOnTape(sink Sink, chunk int, stream func(Sink)) {
 	defer func(old int) { tapeChunkSize = old }(tapeChunkSize)
 	tapeChunkSize = chunk
-	m := &tapeMerge{sink: sink}
-	tp := borrowTape(m)
+	tp := borrowTape(&tapeMerge{sink: sink})
 	defer releaseTape(tp)
 	stream(tp)
-	m.flushTail(tp, 0)
+	tp.flush()
 }
 
 // TestTapeCodecRoundTrip is the property test of a worker's event tape:
@@ -128,41 +126,14 @@ func TestTapeCodecDifferentialResult(t *testing.T) {
 	}
 }
 
-// TestDecodeTapeTruncations: flushTail with any skip replays exactly the
-// tape's events after the first skip — the suffix a retried shard owes
-// the sink once its first attempt flushed skip events — and a skip past
-// the end replays nothing instead of panicking.
-func TestDecodeTapeTruncations(t *testing.T) {
-	tp := borrowTape(nil)
-	defer releaseTape(tp)
-	direct := &eventSink{}
-	for _, s := range []Sink{tp, direct} {
-		s.Full(70000, 3)
-		s.Partial(1, 2, 0.25)
-		s.Compl(9, 1<<19)
-	}
-	all, ok := direct.records()
-	if !ok || len(all) != 3 {
-		t.Fatalf("direct recording holds %d records (well-formed %v), want 3", len(all), ok)
-	}
-	for skip := 0; skip <= len(all)+1; skip++ {
-		got := &eventSink{}
-		(&tapeMerge{sink: got}).flushTail(tp, skip)
-		recs, ok := got.records()
-		if want := all[min(skip, len(all)):]; !ok || !slices.Equal(recs, want) {
-			t.Fatalf("skip=%d: replayed %q, want %q", skip, recs, want)
-		}
-	}
-}
-
 // FuzzTapeDecode: any event stream, decoded from the fuzz input, reaches
-// the sink exactly once and in order through a worker's chunked tape, also
-// when the first attempt stops partway — a panicked scan, its unflushed
-// remainder dropped — and the retry's unchunked tape skips the events the
-// first attempt's chunks had flushed. Input: the chunk size, the event at
-// which the first attempt stops, then 4-byte events (kind, a, b, and a
-// degree byte whose bit pattern is repeated eight times, so degrees span
-// zero, both signs, huge values and NaN).
+// the sink exactly once and in order through a worker's chunked tape. A
+// tape whose scan stops partway — a panicked or canceled shard, released
+// unflushed — has delivered exactly its whole chunks, in order, and
+// dropped the rest. Input: the chunk size, the event at which the stopped
+// tape stops, then 4-byte events (kind, a, b, and a degree byte whose bit
+// pattern is repeated eight times, so degrees span zero, both signs, huge
+// values and NaN).
 func FuzzTapeDecode(f *testing.F) {
 	// Seeds: no input, no events, all three kinds with a stop mid-stream
 	// on one-event chunks, a stream that stops after a mid-shard flush, a
@@ -201,26 +172,26 @@ func FuzzTapeDecode(f *testing.F) {
 		}
 		want := &eventSink{}
 		stream(want, n)
+		whole := &eventSink{}
+		stream(whole, stop-stop%chunk)
 
+		// A tape stopped partway and released unflushed.
 		defer func(old int) { tapeChunkSize = old }(tapeChunkSize)
 		tapeChunkSize = chunk
 		got := &eventSink{}
-		m := &tapeMerge{sink: got}
-		first := borrowTape(m)
-		stream(first, stop)
-		flushed := first.flushed
-		releaseTape(first)
-		if flushed != stop-stop%chunk {
-			t.Fatalf("first attempt flushed %d of %d events in %d-event chunks", flushed, stop, chunk)
+		stopped := borrowTape(&tapeMerge{sink: got})
+		stream(stopped, stop)
+		releaseTape(stopped)
+		if !bytes.Equal(got.buf, whole.buf) {
+			t.Fatalf("chunk %d, stop %d: stopped tape delivered %d bytes of records, want its whole chunks' %d",
+				chunk, stop, len(got.buf), len(whole.buf))
 		}
 
-		retry := borrowTape(nil)
-		stream(retry, n)
-		m.flushTail(retry, flushed)
-		releaseTape(retry)
+		// The full stream, flushed at the end like a clean scan.
+		got = &eventSink{}
+		recordOnTape(got, chunk, func(tp Sink) { stream(tp, n) })
 		if !bytes.Equal(got.buf, want.buf) {
-			t.Fatalf("chunk %d, stop %d: sink received %d bytes of records, want %d",
-				chunk, stop, len(got.buf), len(want.buf))
+			t.Fatalf("chunk %d: sink received %d bytes of records, want %d", chunk, len(got.buf), len(want.buf))
 		}
 	})
 }
