@@ -112,38 +112,6 @@ func Match(source, target []rdf.Term, cfg Config) []Link {
 	return out
 }
 
-// Mapping is a source→target term substitution.
-type Mapping map[rdf.Term]rdf.Term
-
-// ToMapping converts links to a substitution map.
-func ToMapping(links []Link) Mapping {
-	m := make(Mapping, len(links))
-	for _, l := range links {
-		m[l.Source] = l.Target
-	}
-	return m
-}
-
-// Rewrite returns t's image under the mapping (t itself when unmapped).
-func (m Mapping) Rewrite(t rdf.Term) rdf.Term {
-	if r, ok := m[t]; ok {
-		return r
-	}
-	return t
-}
-
-// RewriteGraph applies the mapping to every subject and object of src,
-// producing a new graph (predicates are left alone: dimension property
-// alignment is a schema-level decision made separately).
-func RewriteGraph(src *rdf.Graph, m Mapping) *rdf.Graph {
-	out := rdf.NewGraph()
-	src.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}, func(t rdf.Triple) bool {
-		out.Add(m.Rewrite(t.S), t.P, m.Rewrite(t.O))
-		return true
-	})
-	return out
-}
-
 func normalize(t rdf.Term, cfg Config) string {
 	s := t.Local()
 	if !cfg.DisableCaseFold {

@@ -94,33 +94,6 @@ func TestMatchMetrics(t *testing.T) {
 	}
 }
 
-func TestMappingRewrite(t *testing.T) {
-	m := ToMapping([]Link{{Source: iri("a", "x"), Target: iri("ref", "X"), Score: 1}})
-	if m.Rewrite(iri("a", "x")) != iri("ref", "X") {
-		t.Errorf("Rewrite mapped term")
-	}
-	if m.Rewrite(iri("a", "y")) != iri("a", "y") {
-		t.Errorf("Rewrite unmapped term must be identity")
-	}
-}
-
-func TestRewriteGraph(t *testing.T) {
-	g := rdf.NewGraph()
-	g.Add(iri("a", "s"), iri("a", "p"), iri("a", "x"))
-	g.Add(iri("a", "x"), iri("a", "p"), rdf.NewLiteral("lit"))
-	m := Mapping{iri("a", "x"): iri("ref", "X")}
-	out := RewriteGraph(g, m)
-	if !out.Has(iri("a", "s"), iri("a", "p"), iri("ref", "X")) {
-		t.Errorf("object not rewritten")
-	}
-	if !out.Has(iri("ref", "X"), iri("a", "p"), rdf.NewLiteral("lit")) {
-		t.Errorf("subject not rewritten")
-	}
-	if out.Len() != 2 {
-		t.Errorf("triple count changed: %d", out.Len())
-	}
-}
-
 func TestBestMatchIsUnique(t *testing.T) {
 	// Each source yields at most one link even with several candidates
 	// above threshold.

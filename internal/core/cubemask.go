@@ -77,7 +77,7 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 			weight:    func(int) int64 { return 1 },
 			newWorker: func() any { return borrowCubeScratch(p) },
 			scan: func(ai int, local Sink, ws any) error {
-				return sweepCube(s, cubes[ai], cubes, tasks, local, g, ws.(*cubeScratch))
+				return sweepCube(s, cubes[ai], cubes, tasks, local, nil, g, ws.(*cubeScratch))
 			},
 		}, len(cubes), workers, sink, g)
 	}
@@ -128,7 +128,7 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 		if err := g.poll(); err != nil {
 			return err
 		}
-		if err := sweepCube(s, a, cubes, tasks, sink, g, sc); err != nil {
+		if err := sweepCube(s, a, cubes, tasks, sink, nil, g, sc); err != nil {
 			return err
 		}
 	}
@@ -141,12 +141,25 @@ func cubeMasking(s *Space, tasks Tasks, sink Sink, opts CubeMaskOptions, workers
 // observable pruning accounting stays consistent with the work actually
 // done — which keeps live progress moving while bounding recorder traffic
 // to one call set per cube.
-func sweepCube(s *Space, a *lattice.Cube, cubes []*lattice.Cube, tasks Tasks, sink Sink, g *guard, sc *cubeScratch) error {
+//
+// A non-nil self may take over the diagonal pair (a, a): when it reports
+// true the pair counts as compared and skips the signature test.
+func sweepCube(s *Space, a *lattice.Cube, cubes []*lattice.Cube, tasks Tasks, sink Sink, self func(*lattice.Cube) (bool, error), g *guard, sc *cubeScratch) error {
 	p := s.NumDims()
 	var considered, pruned, compared, candTests int64
 	var err error
 	for _, b := range cubes {
 		considered++
+		if a == b && self != nil {
+			var took bool
+			if took, err = self(a); took {
+				compared++
+				if err != nil {
+					break
+				}
+				continue
+			}
+		}
 		candTests++
 		sc.cand = a.Sig.CandidateDims(b.Sig, sc.cand)
 		if len(sc.cand) == 0 {

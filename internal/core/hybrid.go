@@ -20,8 +20,9 @@ type HybridOptions struct {
 // cubeMasking), but inside cubes whose population exceeds MaxCubeSize —
 // where the quadratic intra-cube scan dominates — observations are
 // clustered and compared only within clusters. Cross-cube comparisons stay
-// exact, so any recall loss is confined to oversized cubes. See baseline
-// for the canceled sink's contract.
+// exact, so any recall loss is confined to oversized cubes. The sweep is
+// cubeMasking's serial sweepCube with the oversized diagonal pairs handed
+// to clusterWithin. See baseline for the canceled sink's contract.
 func hybrid(s *Space, tasks Tasks, sink Sink, opts HybridOptions, g *guard) error {
 	maxSize := opts.MaxCubeSize
 	if maxSize <= 0 {
@@ -30,56 +31,29 @@ func hybrid(s *Space, tasks Tasks, sink Sink, opts HybridOptions, g *guard) erro
 	l := BuildLattice(s)
 	sink = instrumentSink(s, sink)
 	cubes := l.Cubes()
-	p := s.NumDims()
 
 	endCompare := s.span(SpanCompare)
 	defer endCompare()
-	sc := borrowCubeScratch(p)
+	sc := borrowCubeScratch(s.NumDims())
 	defer cubeScratchPool.Put(sc)
-	var considered, pruned, compared, candTests, clustered int64
+	var clustered int64
+	self := func(c *lattice.Cube) (bool, error) {
+		if len(c.Obs) <= maxSize {
+			return false, nil
+		}
+		clustered++
+		return true, clusterWithin(s, c, tasks, sink, opts.Clustering, g, sc)
+	}
 	for _, a := range cubes {
 		if err := g.poll(); err != nil {
 			return err
 		}
-		for _, b := range cubes {
-			considered++
-			if a == b && len(a.Obs) > maxSize {
-				clustered++
-				compared++
-				if err := clusterWithin(s, a, tasks, sink, opts.Clustering, g, sc); err != nil {
-					return err
-				}
-				continue
-			}
-			candTests++
-			sc.cand = a.Sig.CandidateDims(b.Sig, sc.cand)
-			if len(sc.cand) == 0 {
-				pruned++
-				continue
-			}
-			cand := sc.cand
-			if len(cand) == p {
-				cand = nil
-			} else if !tasks.Has(TaskPartial) {
-				pruned++
-				continue
-			}
-			compared++
-			if err := comparePair(s, a, b, tasks, sink, cand, g, sc); err != nil {
-				s.count(CtrCubePairsConsidered, considered)
-				s.count(CtrCubePairsPruned, pruned)
-				s.count(CtrCubePairsCompared, compared)
-				s.count(CtrCandidateDimTests, candTests)
-				s.count(CtrHybridCubesClustered, clustered)
-				return err
-			}
-		}
-		s.count(CtrCubePairsConsidered, considered)
-		s.count(CtrCubePairsPruned, pruned)
-		s.count(CtrCubePairsCompared, compared)
-		s.count(CtrCandidateDimTests, candTests)
+		err := sweepCube(s, a, cubes, tasks, sink, self, g, sc)
 		s.count(CtrHybridCubesClustered, clustered)
-		considered, pruned, compared, candTests, clustered = 0, 0, 0, 0, 0
+		clustered = 0
+		if err != nil {
+			return err
+		}
 	}
 	return sc.pc.flush(g)
 }

@@ -77,6 +77,41 @@ func TestPrefetchPruningAccounting(t *testing.T) {
 	}
 }
 
+// TestHybridPruningAccounting pins the hybrid's emitted set and its six
+// sweep counters on a corpus with oversized cubes. Every cube pair is
+// considered once; an oversized diagonal pair counts as compared and is
+// clustered instead of signature-tested, so candidate tests fall short of
+// considered by exactly the clustered cubes.
+func TestHybridPruningAccounting(t *testing.T) {
+	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 7})
+	s, err := NewSpace(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obsv.NewCollector()
+	opts := Options{Tasks: TaskFull | TaskCompl, Obs: col, Hybrid: HybridOptions{MaxCubeSize: 8}}
+	opts.Hybrid.Clustering.Config.Seed = 1
+	res := NewResult()
+	mustCompute(t, s, AlgorithmHybrid, opts, res)
+
+	if full, _, compl := res.Counts(); full != 821 || compl != 1 {
+		t.Errorf("|S_F| = %d, |S_C| = %d, want 821 and 1", full, compl)
+	}
+	snap := col.Snapshot()
+	for name, want := range map[string]int64{
+		CtrCubePairsConsidered:  156025,
+		CtrCubePairsPruned:      142341,
+		CtrCubePairsCompared:    13684,
+		CtrCandidateDimTests:    155992,
+		CtrHybridCubesClustered: 33,
+		CtrClusterPairsSkipped:  6642,
+	} {
+		if snap[name] != want {
+			t.Errorf("%s = %d, want %d", name, snap[name], want)
+		}
+	}
+}
+
 // TestBaselineComparisonCount is the acceptance check of the baseline
 // counter: a full baseline run performs exactly n·(n−1) ordered
 // observation comparisons (each unordered pair visit resolves both

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync/atomic"
 )
 
@@ -286,16 +285,6 @@ func (g *Gate) handleSwapShardMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": g.Epoch(), "shards": len(g.table().shards)})
-}
-
-// sortedShardNames returns the table's shard names, sorted.
-func sortedShardNames(t *routeTable) []string {
-	names := make([]string, len(t.shards))
-	for i, sh := range t.shards {
-		names[i] = sh.name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // rtPointer aliases the atomic pointer type (kept short at use sites).

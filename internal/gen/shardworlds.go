@@ -10,7 +10,7 @@ import (
 )
 
 // ShardWorlds generates a corpus purpose-built for sharding by dataset:
-// K dataset groups that are provably RELATIONSHIP-CLOSED — no full,
+// three dataset groups that are provably RELATIONSHIP-CLOSED — no full,
 // partial or complementarity pair ever crosses a group boundary — while
 // every group's datasets span the SAME dimension universe, so a space
 // compiled over one group normalizes partial-containment degrees by the
@@ -53,9 +53,6 @@ import (
 // inside one dataset, so the planted pairs are intra-group by
 // construction and the closure argument above is untouched.
 type ShardWorldsConfig struct {
-	// Groups is the number of dataset groups (shards); 0 means 3, the
-	// maximum is 3 (six 2-subsets, two per group).
-	Groups int
 	// ObsPerDataset scales each dataset; zero means 40.
 	ObsPerDataset int
 	// Seed drives all random choices deterministically.
@@ -68,20 +65,14 @@ type ShardWorldsConfig struct {
 	// shards. With DisjointMeasures no relationship of any kind links two
 	// datasets anywhere in the corpus (containment lacks a shared
 	// measure; complementarity is already blocked by the incomparable
-	// variable-dimension sets), so SplitWorld can carve the group down to
-	// single-dataset sub-shards safely.
+	// variable-dimension sets), so live rebalancing can move one dataset
+	// at a time between shards.
 	DisjointMeasures bool
 }
 
-func (c ShardWorldsConfig) groups() int {
-	if c.Groups <= 0 {
-		return 3
-	}
-	if c.Groups > 3 {
-		return 3
-	}
-	return c.Groups
-}
+// shardGroups is the number of dataset groups (shards): the six
+// 2-subsets of the four variable dimensions, two per group.
+const shardGroups = 3
 
 func (c ShardWorldsConfig) obsPerDataset() int {
 	if c.ObsPerDataset <= 0 {
@@ -107,7 +98,6 @@ type ShardWorld struct {
 // combined corpus lists datasets in group order, so observation URIs and
 // dimension universes line up exactly.
 func ShardWorlds(cfg ShardWorldsConfig) (worlds []*ShardWorld, combined *qb.Corpus) {
-	k := cfg.groups()
 	per := cfg.obsPerDataset()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	reg := RealWorldHierarchies()
@@ -125,7 +115,7 @@ func ShardWorlds(cfg ShardWorldsConfig) (worlds []*ShardWorld, combined *qb.Corp
 	}
 
 	combined = qb.NewCorpus(reg)
-	for g := 0; g < k; g++ {
+	for g := 0; g < shardGroups; g++ {
 		world := &ShardWorld{
 			Name:   fmt.Sprintf("g%d", g),
 			Corpus: qb.NewCorpus(reg),
@@ -176,58 +166,6 @@ func ShardWorlds(cfg ShardWorldsConfig) (worlds []*ShardWorld, combined *qb.Corp
 		worlds = append(worlds, world)
 	}
 	return worlds, combined
-}
-
-// SplitWorld carves one oversized shard into per-dataset sub-shards —
-// the shape live rebalancing migrates one dataset at a time into.
-//
-// A split is only safe when it cannot separate a related pair across
-// shards. Complementarity between two datasets of one world is already
-// blocked by the generator's incomparable variable-dimension schemas,
-// so the remaining channel is containment, which requires a shared
-// measure: SplitWorld therefore refuses any world where two datasets
-// share a measure (the default ShardWorlds shape; generate with
-// DisjointMeasures for splittable worlds).
-//
-// Each sub-shard keeps the OTHER datasets' schemas as empty stubs.
-// That is load-bearing, not cosmetic: a space compiled over a lone
-// 4-dimension dataset would normalize partial-containment degrees by
-// |P|=4 while the oracle divides by 6. The stubs contribute their
-// dimensions and measures to the sub-shard's universe without
-// contributing observations, so every sub-shard's answers stay
-// byte-equal to the oracle's. Stub URIs are NOT listed in the
-// sub-world's Datasets — shard-map ownership stays disjoint.
-//
-// Dataset objects are shared with the input world (the generator's
-// corpora already share them); callers serving multiple corpora must
-// not mutate one dataset from two servers concurrently.
-func SplitWorld(w *ShardWorld) ([]*ShardWorld, error) {
-	dss := w.Corpus.Datasets
-	for i := 0; i < len(dss); i++ {
-		for j := i + 1; j < len(dss); j++ {
-			if dss[i].Schema.SharesMeasure(dss[j].Schema) {
-				return nil, fmt.Errorf("gen: split %s: datasets %s and %s share a measure; splitting would cut containment pairs across shards",
-					w.Name, dss[i].URI.Value, dss[j].URI.Value)
-			}
-		}
-	}
-	subs := make([]*ShardWorld, 0, len(dss))
-	for d, ds := range dss {
-		sub := &ShardWorld{
-			Name:     fmt.Sprintf("%s.s%d", w.Name, d),
-			Corpus:   qb.NewCorpus(w.Corpus.Hierarchies),
-			Datasets: []string{ds.URI.Value},
-		}
-		for _, e := range dss {
-			if e == ds {
-				sub.Corpus.AddDataset(e)
-			} else {
-				sub.Corpus.AddDataset(&qb.Dataset{URI: e.URI, Schema: e.Schema})
-			}
-		}
-		subs = append(subs, sub)
-	}
-	return subs, nil
 }
 
 // drawBelowRoot draws a code strictly below the root: level-0 values

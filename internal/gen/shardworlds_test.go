@@ -86,13 +86,12 @@ func TestShardWorldsEqualDimensionUniverse(t *testing.T) {
 	}
 }
 
-// TestSplitWorldClosure proves the property a per-dataset split needs:
-// over a DisjointMeasures corpus, NO related pair links two datasets,
-// so carving a world into single-dataset sub-shards can never separate
-// a related pair across shards.
-func TestSplitWorldClosure(t *testing.T) {
+// TestShardWorldsDisjointMeasuresClosure proves the property moving one
+// dataset at a time between shards needs: over a DisjointMeasures corpus,
+// NO related pair links two datasets.
+func TestShardWorldsDisjointMeasuresClosure(t *testing.T) {
 	for _, seed := range []int64{2, 9} {
-		worlds, combined := ShardWorlds(ShardWorldsConfig{Seed: seed, ObsPerDataset: 50, DisjointMeasures: true})
+		_, combined := ShardWorlds(ShardWorldsConfig{Seed: seed, ObsPerDataset: 50, DisjointMeasures: true})
 		s, res, err := core.ComputeCorpusCtx(context.Background(), combined, core.AlgorithmBaseline, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: compute: %v", seed, err)
@@ -106,7 +105,7 @@ func TestSplitWorldClosure(t *testing.T) {
 				da := s.Obs[p.A].Dataset.URI
 				db := s.Obs[p.B].Dataset.URI
 				if da != db {
-					t.Fatalf("seed %d: cross-dataset %s pair: %s (%s) vs %s (%s); a split would cut it",
+					t.Fatalf("seed %d: cross-dataset %s pair: %s (%s) vs %s (%s)",
 						seed, kind, s.Obs[p.A].URI.Value, da.Value, s.Obs[p.B].URI.Value, db.Value)
 				}
 			}
@@ -114,105 +113,6 @@ func TestSplitWorldClosure(t *testing.T) {
 		check("full", res.FullSet)
 		check("partial", res.PartialSet)
 		check("compl", res.ComplSet)
-
-		// Every sub-shard compiles to the oracle's dimension universe
-		// (stub schemas carry the missing dimensions), so partial degrees
-		// normalize by the same |P|.
-		for _, w := range worlds {
-			subs, err := SplitWorld(w)
-			if err != nil {
-				t.Fatalf("seed %d: SplitWorld(%s): %v", seed, w.Name, err)
-			}
-			if len(subs) != 2 {
-				t.Fatalf("seed %d: %s split into %d sub-shards, want 2", seed, w.Name, len(subs))
-			}
-			for _, sub := range subs {
-				ss, err := core.NewSpace(sub.Corpus)
-				if err != nil {
-					t.Fatalf("seed %d: NewSpace(%s): %v", seed, sub.Name, err)
-				}
-				if len(ss.Dims) != len(s.Dims) {
-					t.Fatalf("seed %d: sub-shard %s spans %d dims, oracle spans %d",
-						seed, sub.Name, len(ss.Dims), len(s.Dims))
-				}
-				if len(sub.Datasets) != 1 {
-					t.Fatalf("seed %d: sub-shard %s owns %d datasets, want 1", seed, sub.Name, len(sub.Datasets))
-				}
-			}
-		}
-	}
-}
-
-// TestSplitWorldUnionExact computes relationships per sub-shard and
-// checks their union (keyed by URI, degrees included) equals the
-// combined computation restricted to the split world's datasets —
-// the sharded-serving exactness property, post-split.
-func TestSplitWorldUnionExact(t *testing.T) {
-	worlds, combined := ShardWorlds(ShardWorldsConfig{Seed: 5, ObsPerDataset: 40, DisjointMeasures: true})
-	s, res, err := core.ComputeCorpusCtx(context.Background(), combined, core.AlgorithmBaseline, core.Options{})
-	if err != nil {
-		t.Fatalf("compute(combined): %v", err)
-	}
-
-	w := worlds[0]
-	owned := map[string]bool{}
-	for _, u := range w.Datasets {
-		owned[u] = true
-	}
-	type rel struct{ kind, a, b string }
-	want := map[rel]float64{}
-	add := func(m map[rel]float64, kind string, sp *core.Space, pairs []core.Pair) {
-		for _, p := range pairs {
-			if sp == s && !owned[sp.Obs[p.A].Dataset.URI.Value] {
-				continue
-			}
-			k := rel{kind, sp.Obs[p.A].URI.Value, sp.Obs[p.B].URI.Value}
-			if kind == "partial" {
-				m[k] = sp.Degree(p.A, p.B) // each space derives its own
-			} else {
-				m[k] = 1
-			}
-		}
-	}
-	add(want, "full", s, res.FullSet)
-	add(want, "partial", s, res.PartialSet)
-	add(want, "compl", s, res.ComplSet)
-
-	subs, err := SplitWorld(w)
-	if err != nil {
-		t.Fatalf("SplitWorld: %v", err)
-	}
-	got := map[rel]float64{}
-	for _, sub := range subs {
-		ss, sres, err := core.ComputeCorpusCtx(context.Background(), sub.Corpus, core.AlgorithmBaseline, core.Options{})
-		if err != nil {
-			t.Fatalf("compute(%s): %v", sub.Name, err)
-		}
-		add(got, "full", ss, sres.FullSet)
-		add(got, "partial", ss, sres.PartialSet)
-		add(got, "compl", ss, sres.ComplSet)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("union has %d relations, oracle restriction has %d", len(got), len(want))
-	}
-	for k, d := range want {
-		gd, ok := got[k]
-		if !ok {
-			t.Fatalf("missing %s %s -> %s in split union", k.kind, k.a, k.b)
-		}
-		if gd != d {
-			t.Fatalf("%s %s -> %s: degree %v vs oracle %v", k.kind, k.a, k.b, gd, d)
-		}
-	}
-}
-
-// TestSplitWorldRejectsSharedMeasures: the default ShardWorlds shape
-// shares one measure per group, so containment CAN link a group's two
-// datasets and a split must be refused.
-func TestSplitWorldRejectsSharedMeasures(t *testing.T) {
-	worlds, _ := ShardWorlds(ShardWorldsConfig{Seed: 1})
-	if _, err := SplitWorld(worlds[0]); err == nil {
-		t.Fatalf("SplitWorld accepted a shared-measure world; the split could cut containment pairs")
 	}
 }
 

@@ -20,26 +20,13 @@ type SyntheticConfig struct {
 	N int
 	// Seed drives all random choices deterministically.
 	Seed int64
-	// CubeExponent is the α of the cube-count projection
-	// cubes(n) = CubeBase · n^α (fitted to Fig. 5(f)'s decreasing
-	// cubes-per-observation ratio). Zero means 0.55.
-	CubeExponent float64
-	// CubeBase is the projection's multiplier. Zero means 2.
-	CubeBase float64
 }
 
 // ProjectedCubes returns the target number of active lattice nodes for n
-// observations under the configured projection.
+// observations: cubes(n) = 2 · n^0.55, fitted to Fig. 5(f)'s decreasing
+// cubes-per-observation ratio.
 func (cfg SyntheticConfig) ProjectedCubes(n int) int {
-	alpha := cfg.CubeExponent
-	if alpha == 0 {
-		alpha = 0.55
-	}
-	base := cfg.CubeBase
-	if base == 0 {
-		base = 2
-	}
-	c := int(base * math.Pow(float64(n), alpha))
+	c := int(2 * math.Pow(float64(n), 0.55))
 	if c < 1 {
 		c = 1
 	}

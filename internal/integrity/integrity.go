@@ -167,12 +167,3 @@ func Check(g *rdf.Graph) ([]Violation, error) {
 	}
 	return out, nil
 }
-
-// Constraints returns the identifiers of the implemented constraints.
-func Constraints() []string {
-	out := make([]string, len(checks))
-	for i, c := range checks {
-		out[i] = c.id
-	}
-	return out
-}

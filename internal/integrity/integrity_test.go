@@ -155,7 +155,4 @@ func TestViolationStringAndConstraints(t *testing.T) {
 	if !strings.Contains(v.String(), "IC-1") || !strings.Contains(v.String(), "http://x/n") {
 		t.Errorf("String: %s", v)
 	}
-	if len(Constraints()) != 9 {
-		t.Errorf("Constraints() = %v", Constraints())
-	}
 }

@@ -154,14 +154,3 @@ func (l *Lattice) Children(i int) []*Cube {
 
 // HasPrefetched reports whether descendant lists are materialized.
 func (l *Lattice) HasPrefetched() bool { return l.children != nil }
-
-// MaxCubes returns the size of the full (virtual) lattice for the given
-// per-dimension depths: ∏(depth_i + 1). It can overflow for pathological
-// inputs; callers use it only for reporting.
-func MaxCubes(depths []int) int {
-	n := 1
-	for _, d := range depths {
-		n *= d + 1
-	}
-	return n
-}

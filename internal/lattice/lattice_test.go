@@ -133,15 +133,6 @@ func TestAddInvalidatesPrefetchAndOrder(t *testing.T) {
 	}
 }
 
-func TestMaxCubes(t *testing.T) {
-	if MaxCubes([]int{2, 1, 3}) != 3*2*4 {
-		t.Errorf("MaxCubes = %d", MaxCubes([]int{2, 1, 3}))
-	}
-	if MaxCubes(nil) != 1 {
-		t.Errorf("empty dims")
-	}
-}
-
 // TestQuickLEPartialOrder checks the partial-order laws of LE on random
 // signatures.
 func TestQuickLEPartialOrder(t *testing.T) {

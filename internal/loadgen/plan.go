@@ -54,11 +54,12 @@ type PlanConfig struct {
 	Mix string `json:"mix"`
 	// Requests is the plan length.
 	Requests int `json:"requests"`
-	// ZipfS is the skew of the observation-popularity distribution
-	// (> 1; zero means 1.1). Hot observations get most of the reads, the
-	// long tail keeps cache-hostile variety.
-	ZipfS float64 `json:"zipfS,omitempty"`
 }
+
+// zipfS is the skew of the observation-popularity distribution: hot
+// observations get most of the reads, the long tail keeps cache-hostile
+// variety.
+const zipfS = 1.1
 
 func (c PlanConfig) withDefaults() PlanConfig {
 	if c.Gen == "" {
@@ -75,9 +76,6 @@ func (c PlanConfig) withDefaults() PlanConfig {
 	}
 	if c.Requests == 0 {
 		c.Requests = 4000
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.1
 	}
 	return c
 }
@@ -160,7 +158,7 @@ func BuildPlan(cfg PlanConfig, corpus *qb.Corpus) (*Plan, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(n-1))
+	zipf := rand.NewZipf(rng, zipfS, 1, uint64(n-1))
 
 	ops := make([]Op, 0, cfg.Requests)
 	inserts := 0

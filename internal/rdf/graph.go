@@ -37,9 +37,6 @@ func NewGraph() *Graph {
 // Len returns the number of distinct triples in the graph.
 func (g *Graph) Len() int { return g.size }
 
-// TermCount returns the number of distinct terms in the dictionary.
-func (g *Graph) TermCount() int { return len(g.terms) }
-
 // Intern returns the ID for t, assigning a fresh one if t is new.
 func (g *Graph) Intern(t Term) ID {
 	if id, ok := g.ids[t]; ok {
@@ -58,9 +55,6 @@ func (g *Graph) Lookup(t Term) ID {
 	}
 	return NoID
 }
-
-// TermOf returns the term for a dictionary ID. It panics on out-of-range IDs.
-func (g *Graph) TermOf(id ID) Term { return g.terms[id] }
 
 // Add inserts the triple (s, p, o). Duplicate insertions are ignored.
 // It reports whether the triple was newly added.
@@ -271,21 +265,6 @@ func (g *Graph) Subjects(p, o Term) []Term {
 	return out
 }
 
-// Predicates returns, in deterministic order, all distinct predicates of s.
-func (g *Graph) Predicates(s Term) []Term {
-	seen := map[Term]bool{}
-	var out []Term
-	g.Match(s, Term{}, Term{}, func(t Triple) bool {
-		if !seen[t.P] {
-			seen[t.P] = true
-			out = append(out, t.P)
-		}
-		return true
-	})
-	sortTerms(out)
-	return out
-}
-
 // Triples returns all triples, sorted. Intended for tests and serialization.
 func (g *Graph) Triples() []Triple {
 	out := make([]Triple, 0, g.size)
@@ -295,14 +274,6 @@ func (g *Graph) Triples() []Triple {
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
-}
-
-// AddAll copies every triple of src into g.
-func (g *Graph) AddAll(src *Graph) {
-	src.Match(Term{}, Term{}, Term{}, func(t Triple) bool {
-		g.AddTriple(t)
-		return true
-	})
 }
 
 func sortTerms(ts []Term) {

@@ -93,11 +93,9 @@ type Config struct {
 	// persistence: the follower re-bootstraps on every start.
 	SnapshotPath string
 	// WALPath is the local WAL; empty means SnapshotPath+".wal" (or no
-	// local WAL when SnapshotPath is empty too).
+	// local WAL when SnapshotPath is empty too). The replication
+	// position file sits beside it at WALPath+".pos".
 	WALPath string
-	// StatePath is the replication position file; empty means
-	// WALPath+".pos".
-	StatePath string
 	// Tasks selects the relationship types maintained on apply; zero
 	// means all three.
 	Tasks core.Tasks
@@ -180,9 +178,6 @@ func (c Config) walPath() string {
 }
 
 func (c Config) statePath() string {
-	if c.StatePath != "" {
-		return c.StatePath
-	}
 	if p := c.walPath(); p != "" {
 		return p + ".pos"
 	}

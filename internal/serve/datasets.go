@@ -25,7 +25,6 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 	"time"
 
 	"rdfcube/internal/qb"
@@ -156,15 +155,4 @@ func schemaEqual(a, b *qb.Schema) bool {
 		}
 	}
 	return true
-}
-
-// sortedIRIStrings renders terms as their IRI strings, sorted — the wire
-// shape migration clients send back into datasetRequest.
-func sortedIRIStrings(ts []rdf.Term) []string {
-	out := make([]string, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, t.Value)
-	}
-	sort.Strings(out)
-	return out
 }

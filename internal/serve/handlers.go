@@ -26,14 +26,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // error writes a JSON error body carrying the request's trace ID, so a
 // 4xx/5xx response is correlatable with the /debug/traces ring, the
-// slow-query log and the panic log line. Handlers use this instead of
-// bare writeError whenever a request is in scope.
+// slow-query log and the panic log line.
 func (s *Server) error(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
 	payload := map[string]string{"error": fmt.Sprintf(format, args...)}
 	if id := TraceID(r.Context()); id != "" {

@@ -114,21 +114,21 @@ func (s *Server) walWait() <-chan struct{} {
 }
 
 // handleSnapshot streams the full current state for a follower
-// bootstrap. The image is encoded under the write lock (the same pause a
-// checkpoint pays) together with the WAL position it corresponds to, so
-// "apply this snapshot, then tail the WAL from X-Wal-Position" is exact:
-// every record at or past the position is either in the image already
-// (replay dup-skips it) or newer than it.
+// bootstrap. The image is encoded under the read lock (the same pause a
+// checkpoint pays: writers wait, readers do not) together with the WAL
+// position it corresponds to, so "apply this snapshot, then tail the WAL
+// from X-Wal-Position" is exact: every record at or past the position is
+// either in the image already (replay dup-skips it) or newer than it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	s.mu.Lock()
+	s.mu.RLock()
 	data, err := s.encodeSnapshotLocked()
 	var pos, seq int64
 	if err == nil && s.wlog != nil {
 		pos = s.walEndLocked()
 		seq = s.walSeq
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if err != nil {
 		s.error(w, r, http.StatusInternalServerError, "encoding snapshot: %v", err)
 		return

@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"rdfcube/internal/faultfs"
+	"rdfcube/internal/snapshot"
 	"rdfcube/internal/wal"
 )
 
@@ -93,6 +96,91 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	tresp, tbody := tailRaw(t, ts.URL, pos, stream, "&wait=1ms")
 	if tresp.StatusCode != http.StatusOK || len(tbody) != 0 {
 		t.Fatalf("tail at snapshot position: status %d, %d bytes; want empty 200", tresp.StatusCode, len(tbody))
+	}
+}
+
+// TestSnapshotEncodesRunConcurrently: an encode takes the read lock, so
+// /v1/snapshot ships, EncodeSnapshot calls, checkpoints and reads all
+// overlap while inserts land between them. Every shipped image must
+// still pair with the WAL sequence captured beside it: the paper
+// corpus's 10 observations plus one per insert frame before it.
+func TestSnapshotEncodesRunConcurrently(t *testing.T) {
+	srv, ts, _ := newDurableServer(t, faultfs.NewMemFS(), paperSnapshotBytes(t), Config{})
+
+	ship := func() error {
+		resp, err := http.Get(ts.URL + "/v1/snapshot")
+		if err != nil {
+			return err
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("snapshot: status %d", resp.StatusCode)
+		}
+		seq, err := strconv.ParseInt(resp.Header.Get(WALSeqHeader), 10, 64)
+		if err != nil {
+			return err
+		}
+		sn, err := snapshot.Read(bytes.NewReader(data))
+		if err != nil {
+			return err
+		}
+		if int64(sn.Space.N()) != 10+seq {
+			return fmt.Errorf("image holds %d observations at WAL sequence %d, want %d", sn.Space.N(), seq, 10+seq)
+		}
+		return nil
+	}
+	encode := func() error {
+		data, err := srv.EncodeSnapshot()
+		if err == nil {
+			_, err = snapshot.Read(bytes.NewReader(data))
+		}
+		return err
+	}
+	checkpoint := func() error { return srv.CheckpointWith(func([]byte) error { return nil }) }
+	read := func() error {
+		resp, err := http.Get(ts.URL + "/v1/related?obs=0")
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("related: status %d", resp.StatusCode)
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for _, f := range []func() error{ship, ship, encode, checkpoint, read} {
+		wg.Add(1)
+		go func(f func() error) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := f(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(f)
+	}
+	var created map[string]any
+	for i := 0; i < 20; i++ {
+		if code := postJSON(t, ts.URL+"/v1/observations", insertBody(fmt.Sprintf("-conc%d", i)), &created); code != http.StatusCreated {
+			t.Errorf("insert %d: status %d", i, code)
+		}
 	}
 }
 

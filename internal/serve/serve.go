@@ -407,24 +407,24 @@ func (s *Server) applyInsertLocked(dsIndex int, o *qb.Observation) error {
 }
 
 // EncodeSnapshot captures a consistent snapshot of the current state as
-// encoded bytes. It takes the write lock (the lattice's lazily sorted
-// cube order makes even encoding a logical write) but performs no I/O, so
-// the pause is bounded by encoding speed, not disk speed.
+// encoded bytes. It takes the read lock, which excludes every writer
+// (inserts, replays and dataset registration take the write lock) while
+// readers keep being served, and performs no I/O, so the pause writers
+// see is bounded by encoding speed, not disk speed.
 func (s *Server) EncodeSnapshot() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.encodeSnapshotLocked()
 }
 
-// encodeSnapshotLocked encodes the current state; callers hold the write
-// lock (the lattice's lazily sorted cube order makes encoding a logical
-// write).
+// encodeSnapshotLocked encodes the current state; callers hold s.mu
+// (either mode: encoding only reads the space and the result).
 func (s *Server) encodeSnapshotLocked() ([]byte, error) {
 	return snapshot.New(s.inc.S, s.inc.Res, s.inc.Lattice()).Encode()
 }
 
 // CheckpointWith runs one full checkpoint cycle: encode the state under
-// the lock, hand the bytes to commit (which must make them durable —
+// the read lock, hand the bytes to commit (which must make them durable —
 // e.g. a snapshot.Rotator's Write), and only after commit succeeds
 // truncate the WAL, because every record the log held is now covered by
 // the committed snapshot. ckptMu serializes whole cycles: the shutdown
@@ -444,7 +444,7 @@ func (s *Server) CheckpointWith(commit func(data []byte) error) error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 
-	s.mu.Lock()
+	s.mu.RLock()
 	encStart := time.Now()
 	data, err := s.encodeSnapshotLocked()
 	s.observe(HistCheckpointEncode, time.Since(encStart).Microseconds())
@@ -452,7 +452,7 @@ func (s *Server) CheckpointWith(commit func(data []byte) error) error {
 	if err == nil && s.wlog != nil {
 		mark = s.wlog.Size()
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if err != nil {
 		return err
 	}

@@ -29,20 +29,18 @@ import (
 //
 // Write commits a new generation and only then moves CURRENT; a crash
 // at any point leaves either the old pointer (and the old, intact
-// generation) or the new pointer over a fully-synced file. Transient
-// I/O errors are retried with capped exponential backoff. Load walks
-// CURRENT, then remaining generations newest-first, then the legacy
-// file, quarantining each corrupt candidate and falling back to the
-// next — it returns an error only when nothing loads, and never panics.
+// generation) or the new pointer over a fully-synced file. A successful
+// Write then prunes all but the keepGenerations newest generations
+// (quarantined files are never pruned). Transient I/O errors are retried
+// with capped exponential backoff. Load walks CURRENT, then remaining
+// generations newest-first, then the legacy file, quarantining each
+// corrupt candidate and falling back to the next — it returns an error
+// only when nothing loads, and never panics.
 type Rotator struct {
 	// FS is the filesystem (faultfs.OS{} in production).
 	FS faultfs.FS
 	// Path is the base snapshot path.
 	Path string
-	// Keep is how many generations to retain (older ones are pruned
-	// after a successful Write). Zero means 2. Quarantined files are
-	// never pruned.
-	Keep int
 	// Retries is how many times a failed step is retried (zero means 4).
 	Retries int
 	// Backoff is the initial retry delay, doubling per attempt and
@@ -63,14 +61,8 @@ const (
 	currentSuffix    = ".CURRENT"
 	quarantineSuffix = ".corrupt"
 	genDigits        = 6
+	keepGenerations  = 2
 )
-
-func (r *Rotator) keep() int {
-	if r.Keep <= 0 {
-		return 2
-	}
-	return r.Keep
-}
 
 func (r *Rotator) retries() int {
 	if r.Retries <= 0 {
@@ -212,8 +204,8 @@ func (r *Rotator) Write(data []byte) error {
 	// Prune beyond the retention window (best effort; never the ones we
 	// just wrote about, never quarantined files — they have a different
 	// suffix and are invisible to generations()).
-	if all, err := r.generations(); err == nil && len(all) > r.keep() {
-		for _, n := range all[:len(all)-r.keep()] {
+	if all, err := r.generations(); err == nil && len(all) > keepGenerations {
+		for _, n := range all[:len(all)-keepGenerations] {
 			if err := r.FS.Remove(r.genPath(n)); err != nil {
 				r.logf("snapshot: pruning generation %d: %v", n, err)
 			}
