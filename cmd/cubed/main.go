@@ -264,7 +264,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	httpSrv := &http.Server{Handler: mux}
 	go func() { _ = httpSrv.Serve(ln) }()
-	logf("serving on %s (%d observations, %d lattice cubes)", ln.Addr(), sn.Space.N(), srv.Incremental().Lattice().Len())
+	logf("serving on %s (%d observations, %d lattice cubes)", ln.Addr(), sn.Space.N(), sn.Lattice.Len())
 
 	// checkpoint commits a new snapshot generation, optionally bounded by
 	// a wall-clock deadline. CheckpointWith holds the server's checkpoint

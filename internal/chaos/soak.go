@@ -1,10 +1,10 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/url"
-	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +12,7 @@ import (
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/rdf"
+	"rdfcube/internal/snapshot"
 )
 
 // Dimension values the single-primary worlds insert with: real hierarchy
@@ -46,10 +47,11 @@ func (w *World) paperNode(name string) *node {
 }
 
 // verifyRecovered checks a restarted node: every acknowledged URI must
-// answer, the server must not be degraded, and the incrementally
-// maintained pair sets must equal, pair for pair, a cubeMasking batch
-// run over the recovered space — recall 1 survived the crash. It runs
-// after traffic stopped, so nothing writes the state while it is read.
+// answer, the server must not be degraded, and the image the node would
+// checkpoint must equal, byte for byte, the encoding of a sorted
+// cubeMasking batch run over the recovered space — the incrementally
+// maintained sets kept recall 1 through the crash. It runs after traffic
+// stopped, so nothing writes the state while it is read.
 func (w *World) verifyRecovered(n *node, round int) {
 	w.t.Helper()
 	for _, uri := range w.ackedCopy() {
@@ -65,29 +67,21 @@ func (w *World) verifyRecovered(n *node, round int) {
 	if st.Degraded {
 		w.fatalf("round %d: server degraded after a clean restart", round)
 	}
-	inc := n.srv.Incremental()
+	served, err := n.srv.EncodeSnapshot()
+	w.must(err, fmt.Sprintf("round %d encode", round))
+	held, err := snapshot.Read(bytes.NewReader(served))
+	w.must(err, fmt.Sprintf("round %d decode", round))
 	batch := core.NewResult()
-	w.must(core.Compute(inc.S, core.AlgorithmCubeMasking, core.Options{Tasks: core.TaskAll}, batch),
+	w.must(core.Compute(held.Space, core.AlgorithmCubeMasking, core.Options{Tasks: core.TaskAll}, batch),
 		fmt.Sprintf("round %d batch compute", round))
 	batch.Sort()
-	held := &core.Result{
-		FullSet:    slices.Clone(inc.Res.FullSet),
-		PartialSet: slices.Clone(inc.Res.PartialSet),
-		ComplSet:   slices.Clone(inc.Res.ComplSet),
-	}
-	held.Sort()
-	for _, rel := range []struct {
-		name        string
-		held, batch []core.Pair
-	}{
-		{"full containment", held.FullSet, batch.FullSet},
-		{"partial containment", held.PartialSet, batch.PartialSet},
-		{"complementarity", held.ComplSet, batch.ComplSet},
-	} {
-		if !slices.Equal(rel.held, rel.batch) {
-			w.fatalf("round %d: incremental %s drifted from a batch run over the recovered space: %d pairs held, %d computed",
-				round, rel.name, len(rel.held), len(rel.batch))
-		}
+	want, err := snapshot.New(held.Space, batch, nil).Encode()
+	w.must(err, fmt.Sprintf("round %d batch encode", round))
+	if !bytes.Equal(served, want) {
+		f, p, c := held.Result.Counts()
+		bf, bp, bc := batch.Counts()
+		w.fatalf("round %d: the served image drifted from the batch encode over the recovered space: %d/%d/%d full/partial/compl pairs held, %d/%d/%d computed",
+			round, f, p, c, bf, bp, bc)
 	}
 }
 

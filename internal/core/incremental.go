@@ -44,7 +44,9 @@ func (s *Space) AppendObservation(o *qb.Observation) (int, error) {
 type Incremental struct {
 	// S is the underlying space (grows with insertions).
 	S *Space
-	// Res accumulates the relationship sets.
+	// Res accumulates the relationship sets the inserts emit. A caller
+	// that stores them elsewhere empties it before each insert, so that it
+	// holds one insert's delta (serve folds that into a core.Index).
 	Res *Result
 
 	l     *lattice.Lattice

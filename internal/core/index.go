@@ -8,8 +8,13 @@ import "slices"
 // queries (what do I contain, who contains me, what do I partially
 // contain and who partially contains me, what complements me) in O(1)
 // lookups over the precomputed sets, and it grows: Apply folds the pairs
-// an Incremental.Insert appended to its Result into the lists. The list
-// accessors return the stored, sorted lists; callers must not modify them.
+// one Incremental.Insert emitted into the lists. The list accessors return
+// the stored, sorted lists; callers must not modify them.
+//
+// The index is a complete store of S_F, S_P and S_C, not a view of one: a
+// server keeps no other copy. S_F is the walk of Contains, S_P the walk of
+// PartiallyContains and S_C the walk of Complements keeping b > a, each in
+// (a, b) order, and Counts gives the three sizes without a walk.
 //
 // Index carries no lock of its own; a caller that applies inserts while
 // others read guards both (serve.Server's RWMutex does).
@@ -21,6 +26,8 @@ type Index struct {
 	partials    [][]int32 // partials[i]: observations i partially contains
 	partialBy   [][]int32 // partialBy[i]: observations partially containing i
 	complements [][]int32 // complements[i]: complementary partners of i
+
+	full, partial, compl int // |S_F|, |S_P|, |S_C|
 }
 
 // BuildIndex computes all relationships with the given algorithm and
@@ -33,21 +40,22 @@ func BuildIndex(s *Space, alg Algorithm, opts Options) (*Index, error) {
 	return NewIndex(s, res), nil
 }
 
-// NewIndex materializes an index from an already-computed result.
+// NewIndex materializes an index from an already-computed result. The
+// index shares nothing with res: the caller may drop or reuse it.
 func NewIndex(s *Space, res *Result) *Index {
 	ix := &Index{space: s}
-	ix.Apply(res, 0, 0, 0)
+	ix.Apply(res)
 	return ix
 }
 
-// Apply folds the pairs of res past the first f0 full, p0 partial and c0
-// complementarity pairs into the lists, and grows the lists to cover every
-// observation of the space. Only the lists of the observations it adds
-// are sorted: Apply serves the two ways the state grows — from zero, and
-// one Incremental.Insert at a time, whose pairs all involve the new
-// observation, the largest index, so an older observation's list stays
-// sorted when that observation is appended to it.
-func (ix *Index) Apply(res *Result, f0, p0, c0 int) {
+// Apply folds every pair of delta into the lists, and grows the lists to
+// cover every observation of the space. Only the lists of the observations
+// it adds are sorted: Apply serves the two ways the state grows — from
+// zero, and one Incremental.Insert at a time, whose delta pairs all involve
+// the new observation, the largest index, so an older observation's list
+// stays sorted when that observation is appended to it. Every S_C pair of
+// delta must have A < B, as Result.Compl stores it.
+func (ix *Index) Apply(delta *Result) {
 	n0 := len(ix.contains)
 	added := make([][]int32, ix.space.N()-n0)
 	ix.contains = append(ix.contains, added...)
@@ -55,15 +63,15 @@ func (ix *Index) Apply(res *Result, f0, p0, c0 int) {
 	ix.partials = append(ix.partials, added...)
 	ix.partialBy = append(ix.partialBy, added...)
 	ix.complements = append(ix.complements, added...)
-	for _, p := range res.FullSet[f0:] {
+	for _, p := range delta.FullSet {
 		ix.contains[p.A] = append(ix.contains[p.A], int32(p.B))
 		ix.containedBy[p.B] = append(ix.containedBy[p.B], int32(p.A))
 	}
-	for _, p := range res.PartialSet[p0:] {
+	for _, p := range delta.PartialSet {
 		ix.partials[p.A] = append(ix.partials[p.A], int32(p.B))
 		ix.partialBy[p.B] = append(ix.partialBy[p.B], int32(p.A))
 	}
-	for _, p := range res.ComplSet[c0:] {
+	for _, p := range delta.ComplSet {
 		ix.complements[p.A] = append(ix.complements[p.A], int32(p.B))
 		ix.complements[p.B] = append(ix.complements[p.B], int32(p.A))
 	}
@@ -72,6 +80,9 @@ func (ix *Index) Apply(res *Result, f0, p0, c0 int) {
 			slices.Sort(l)
 		}
 	}
+	ix.full += len(delta.FullSet)
+	ix.partial += len(delta.PartialSet)
+	ix.compl += len(delta.ComplSet)
 }
 
 // Space returns the indexed space.
@@ -92,14 +103,8 @@ func (ix *Index) PartiallyContainedBy(i int) []int32 { return ix.partialBy[i] }
 // Complements returns i's complementary partners.
 func (ix *Index) Complements(i int) []int32 { return ix.complements[i] }
 
-// Degree returns the partial-containment degree for the ordered pair, or 0
-// when the pair is not in S_P.
-func (ix *Index) Degree(a, b int) float64 {
-	if _, ok := slices.BinarySearch(ix.partials[a], int32(b)); !ok {
-		return 0
-	}
-	return ix.space.Degree(a, b)
-}
+// Counts returns |S_F|, |S_P| and |S_C|.
+func (ix *Index) Counts() (full, partial, compl int) { return ix.full, ix.partial, ix.compl }
 
 // TopLevel returns the observations contained by nobody — the skyline, read
 // directly off the materialized sets ("computation of containment between
@@ -204,13 +209,7 @@ type Stats struct {
 
 // Stats computes summary statistics.
 func (ix *Index) Stats() Stats {
-	st := Stats{Observations: ix.space.N()}
-	for i := range ix.contains {
-		st.FullPairs += len(ix.contains[i])
-		st.PartialPairs += len(ix.partials[i])
-		st.ComplPairs += len(ix.complements[i])
-	}
-	st.ComplPairs /= 2 // stored on both endpoints
-	st.SkylineSize = len(ix.TopLevel())
+	st := Stats{Observations: ix.space.N(), SkylineSize: len(ix.TopLevel())}
+	st.FullPairs, st.PartialPairs, st.ComplPairs = ix.Counts()
 	return st
 }

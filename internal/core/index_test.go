@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"rdfcube/internal/gen"
@@ -44,16 +45,16 @@ func TestIndexNeighborhoods(t *testing.T) {
 		t.Errorf("Complements(o31) = %v", comp)
 	}
 
-	if d := ix.Degree(idx["o21"], idx["o31"]); d < 0.66 || d > 0.67 {
+	// A partial pair's degree is the space's: o21 → o31 is partial with
+	// degree 2/3, and o21 → o32, a full pair, derives degree 1.
+	if !slices.Contains(ix.PartiallyContains(idx["o21"]), int32(idx["o31"])) {
+		t.Errorf("PartiallyContains(o21) = %v, want o31 in it", ix.PartiallyContains(idx["o21"]))
+	}
+	if d := ix.Space().Degree(idx["o21"], idx["o31"]); d < 0.66 || d > 0.67 {
 		t.Errorf("Degree(o21, o31) = %v", d)
 	}
-	// A pair outside S_P answers 0 although the space derives a degree for
-	// it: o21 fully contains o32 (degree 1), o12 → o11 has degree 0.
-	if d := ix.Degree(idx["o21"], idx["o32"]); d != 0 || ix.Space().Degree(idx["o21"], idx["o32"]) != 1 {
-		t.Errorf("Degree(o21, o32) = %v for a full pair the space gives %v, want 0 and 1", d, ix.Space().Degree(idx["o21"], idx["o32"]))
-	}
-	if d := ix.Degree(idx["o12"], idx["o11"]); d != 0 {
-		t.Errorf("Degree(o12, o11) = %v for a non-pair, want 0", d)
+	if d := ix.Space().Degree(idx["o21"], idx["o32"]); d != 1 {
+		t.Errorf("Degree(o21, o32) = %v for a full pair, want 1", d)
 	}
 }
 

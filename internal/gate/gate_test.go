@@ -231,7 +231,9 @@ func TestGateMissesCrossShardPairs(t *testing.T) {
 	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 7})
 	const nShards = 3
 	worlds := make([]*gen.ShardWorld, nShards)
-	shardOf := map[*qb.Dataset]int{}
+	// shardOf is keyed by dataset URI: the oracle state read below is
+	// decoded from its image, with *qb.Dataset values of its own.
+	shardOf := map[string]int{}
 	for k := range worlds {
 		worlds[k] = &gen.ShardWorld{Name: fmt.Sprintf("g%d", k), Corpus: qb.NewCorpus(corpus.Hierarchies)}
 	}
@@ -239,7 +241,7 @@ func TestGateMissesCrossShardPairs(t *testing.T) {
 		w := worlds[i%nShards]
 		w.Corpus.AddDataset(ds)
 		w.Datasets = append(w.Datasets, ds.URI.Value)
-		shardOf[ds] = i % nShards
+		shardOf[ds.URI.Value] = i % nShards
 	}
 	f := newFleet(t, worlds, corpus)
 	h := f.newGate(t, nil).Handler()
@@ -271,7 +273,15 @@ func TestGateMissesCrossShardPairs(t *testing.T) {
 		return l
 	}
 
-	sp, res := f.oracle.Incremental().S, f.oracle.Incremental().Res
+	image, err := f.oracle.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := snapshot.Read(bytes.NewReader(image))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, res := held.Space, held.Result
 	for k, rel := range []struct {
 		name  string
 		pairs []core.Pair
@@ -279,7 +289,7 @@ func TestGateMissesCrossShardPairs(t *testing.T) {
 		cross, found := 0, 0
 		for _, p := range rel.pairs {
 			a, b := sp.Obs[p.A], sp.Obs[p.B]
-			if shardOf[a.Dataset] == shardOf[b.Dataset] {
+			if shardOf[a.Dataset.URI.Value] == shardOf[b.Dataset.URI.Value] {
 				continue
 			}
 			cross++

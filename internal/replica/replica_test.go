@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,8 @@ import (
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/leakcheck"
+	"rdfcube/internal/loadgen"
+	"rdfcube/internal/qb"
 	"rdfcube/internal/serve"
 	"rdfcube/internal/snapshot"
 	"rdfcube/internal/wal"
@@ -33,8 +36,14 @@ type primaryWorld struct {
 
 func newPrimary(t *testing.T) *primaryWorld {
 	t.Helper()
+	return newPrimaryOver(t, gen.PaperExample())
+}
+
+// newPrimaryOver is newPrimary over the cubeMasking state of corpus.
+func newPrimaryOver(t *testing.T, corpus *qb.Corpus) *primaryWorld {
+	t.Helper()
 	p := &primaryWorld{mem: faultfs.NewMemFS()}
-	s, res, err := core.ComputeCorpusCtx(context.Background(), gen.PaperExample(), core.AlgorithmCubeMasking, core.Options{})
+	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +198,90 @@ func TestFollowerResumesFromLocalChain(t *testing.T) {
 	waitHas(t, f2, uriWhileDown)
 	if got := f2.State().Bootstraps(); got != 0 {
 		t.Fatalf("restart bootstrapped %d times; want 0 (resume from the local chain)", got)
+	}
+}
+
+// TestFollowerCheckpointIsBatchEncode: a follower that bootstrapped from
+// a RealWorld state (n = 400) and then applied the primary's log of 200
+// inserts holds, byte for byte, the image a batch run encodes for the same
+// space — a sorted cubeMasking Result over the decoded space.
+func TestFollowerCheckpointIsBatchEncode(t *testing.T) {
+	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 11})
+	plan, err := loadgen.BuildPlan(loadgen.PlanConfig{Gen: "realworld", N: 400, Seed: 11, Mix: "ingest", Requests: 400}, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0 := 0
+	for _, ds := range corpus.Datasets {
+		n0 += len(ds.Observations)
+	}
+	p := newPrimaryOver(t, corpus)
+	f, err := New(Config{
+		Primary:       p.ts.URL,
+		PollWait:      50 * time.Millisecond,
+		ReconnectBase: 10 * time.Millisecond,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFollower(t, f)
+	waitHas(t, f, "0")
+	if got := f.State().Bootstraps(); got != 1 {
+		t.Fatalf("%d bootstraps before the inserts, want 1", got)
+	}
+
+	const inserts = 200
+	var last string
+	for _, op := range plan.Ops {
+		if op.Kind != loadgen.OpInsert || p.n == inserts {
+			continue
+		}
+		resp, err := http.Post(p.ts.URL+op.Path, "application/json", bytes.NewReader(op.Body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ack struct {
+			URI string `json:"uri"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated || err != nil {
+			t.Fatalf("insert %d: status %d, %v", p.n, resp.StatusCode, err)
+		}
+		p.n++
+		last = ack.URI
+	}
+	if p.n != inserts {
+		t.Fatalf("plan held %d inserts, want %d", p.n, inserts)
+	}
+	waitHas(t, f, url.QueryEscape(last))
+	if got := f.State().Bootstraps(); got != 1 {
+		t.Fatalf("%d bootstraps, want 1: the inserts must arrive through the log", got)
+	}
+
+	got, err := f.Server().EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := snapshot.Read(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.Space.N() != n0+inserts {
+		t.Fatalf("follower holds %d observations, want %d", sn.Space.N(), n0+inserts)
+	}
+	res := core.NewResult()
+	if err := core.Compute(sn.Space, core.AlgorithmCubeMasking, core.Options{}, res); err != nil {
+		t.Fatal(err)
+	}
+	res.Sort()
+	want, err := snapshot.New(sn.Space, res, nil).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the follower's image (%d B) differs from the batch encode of its space (%d B)", len(got), len(want))
 	}
 }
 

@@ -41,13 +41,24 @@ func paperSnapshotBytes(t *testing.T) []byte {
 	return data
 }
 
-func decodeSnapshot(t *testing.T, data []byte) *snapshot.Snapshot {
+func decodeSnapshot(t testing.TB, data []byte) *snapshot.Snapshot {
 	t.Helper()
 	sn, err := snapshot.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sn
+}
+
+// servedState decodes the image srv checkpoints: its space and the
+// relationship sets its index holds.
+func servedState(t testing.TB, srv *Server) *snapshot.Snapshot {
+	t.Helper()
+	data, err := srv.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeSnapshot(t, data)
 }
 
 // newDurableServer builds a WAL-backed server over a MemFS so tests can
@@ -538,18 +549,15 @@ func TestReplayRejectsMismatchedRecord(t *testing.T) {
 	}
 }
 
-// assertIndexMatchesResult: every list the server renders from equals the
-// one core.NewIndex builds from scratch over a sorted copy of the server's
-// result — the index grown insert by insert holds what a rebuild would.
-func assertIndexMatchesResult(t *testing.T, what string, srv *Server) {
+// assertIndexMatchesRebuild: every list the server renders from equals the
+// one core.NewIndex builds from scratch over the decoded image of the
+// server's state — the index grown insert by insert holds what a rebuild
+// would, and its inverse lists (ContainedBy, PartiallyContainedBy, which
+// the image does not carry) agree with the lists the image is walked from.
+func assertIndexMatchesRebuild(t *testing.T, what string, srv *Server) {
 	t.Helper()
-	res := &core.Result{
-		FullSet:    slices.Clone(srv.inc.Res.FullSet),
-		PartialSet: slices.Clone(srv.inc.Res.PartialSet),
-		ComplSet:   slices.Clone(srv.inc.Res.ComplSet),
-	}
-	res.Sort()
-	want := core.NewIndex(srv.inc.S, res)
+	held := servedState(t, srv)
+	want := core.NewIndex(held.Space, held.Result)
 	lists := []struct {
 		name string
 		list func(*core.Index, int) []int32
@@ -560,6 +568,9 @@ func assertIndexMatchesResult(t *testing.T, what string, srv *Server) {
 		{"PartiallyContainedBy", (*core.Index).PartiallyContainedBy},
 		{"Complements", (*core.Index).Complements},
 	}
+	if held.Space.N() != srv.inc.S.N() {
+		t.Fatalf("%s: the image holds %d observations, the server %d", what, held.Space.N(), srv.inc.S.N())
+	}
 	for i := 0; i < srv.inc.S.N(); i++ {
 		for _, l := range lists {
 			if got, w := l.list(srv.index, i), l.list(want, i); !slices.Equal(got, w) {
@@ -569,16 +580,18 @@ func assertIndexMatchesResult(t *testing.T, what string, srv *Server) {
 	}
 }
 
-// TestIndexMatchesRebuild: after 200 live inserts, and again after the
-// same inserts are replayed from the WAL onto a restarted server, the
-// served index equals one rebuilt from the result sets.
-func TestIndexMatchesRebuild(t *testing.T) {
+// grownServers serves a RealWorld state (n = 400), pushes 200 live inserts
+// through the handler of a durable server, and restarts a second server
+// from the pre-insert snapshot and the WAL the first one wrote. It returns
+// the live server, the restarted one and the pre-insert snapshot.
+func grownServers(t *testing.T) (live, restarted *Server, snap []byte) {
+	t.Helper()
 	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 11})
 	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := snapshot.New(s, res, core.BuildLattice(s)).Encode()
+	snap, err = snapshot.New(s, res, core.BuildLattice(s)).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,8 +601,8 @@ func TestIndexMatchesRebuild(t *testing.T) {
 	}
 
 	m := faultfs.NewMemFS()
-	srv, _, _ := newDurableServer(t, m, snap, Config{})
-	h := srv.Handler()
+	live, _, _ = newDurableServer(t, m, snap, Config{})
+	h := live.Handler()
 	const inserts = 200
 	done := 0
 	for _, op := range plan.Ops {
@@ -604,11 +617,58 @@ func TestIndexMatchesRebuild(t *testing.T) {
 	if done != inserts {
 		t.Fatalf("plan held %d inserts, want %d", done, inserts)
 	}
-	assertIndexMatchesResult(t, "after live inserts", srv)
-
-	restarted, _, _ := newDurableServer(t, m.Clone(), snap, Config{})
-	if restarted.inc.S.N() != srv.inc.S.N() {
-		t.Fatalf("restarted server holds %d observations, want %d", restarted.inc.S.N(), srv.inc.S.N())
+	restarted, _, _ = newDurableServer(t, m.Clone(), snap, Config{})
+	if restarted.inc.S.N() != live.inc.S.N() {
+		t.Fatalf("restarted server holds %d observations, want %d", restarted.inc.S.N(), live.inc.S.N())
 	}
-	assertIndexMatchesResult(t, "after WAL replay", restarted)
+	return live, restarted, snap
+}
+
+// TestIndexMatchesRebuild: after 200 live inserts, and again after the
+// same inserts are replayed from the WAL onto a restarted server, the
+// served index equals one rebuilt from the decoded checkpoint image.
+func TestIndexMatchesRebuild(t *testing.T) {
+	live, restarted, _ := grownServers(t)
+	assertIndexMatchesRebuild(t, "after live inserts", live)
+	assertIndexMatchesRebuild(t, "after WAL replay", restarted)
+}
+
+// batchEncode is the snapshot a batch run writes for sp: a fresh
+// cubeMasking Result over it, sorted, encoded from its slices.
+func batchEncode(t testing.TB, sp *core.Space) []byte {
+	t.Helper()
+	res := core.NewResult()
+	if err := core.Compute(sp, core.AlgorithmCubeMasking, core.Options{}, res); err != nil {
+		t.Fatal(err)
+	}
+	res.Sort()
+	data, err := snapshot.New(sp, res, nil).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestServedCheckpointIsBatchEncode: the image a server checkpoints, walked
+// off its index, is byte for byte the batch encode of its space — before
+// any insert, after 200 live inserts, and after the same inserts replayed
+// from the WAL onto the pre-insert snapshot.
+func TestServedCheckpointIsBatchEncode(t *testing.T) {
+	live, restarted, snap := grownServers(t)
+	fresh, err := New(decodeSnapshot(t, snap), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what string
+		srv  *Server
+	}{{"before any insert", fresh}, {"after live inserts", live}, {"after WAL replay", restarted}} {
+		got, err := c.srv.EncodeSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := batchEncode(t, c.srv.inc.S); !bytes.Equal(got, want) {
+			t.Errorf("%s: the served image (%d B) differs from the batch encode (%d B)", c.what, len(got), len(want))
+		}
+	}
 }

@@ -407,9 +407,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.notifyAppend()
 	}
 
-	f0 := len(s.inc.Res.FullSet)
-	p0 := len(s.inc.Res.PartialSet)
-	c0 := len(s.inc.Res.ComplSet)
 	// Route the incremental kernel's counters (candidate sizes, emits)
 	// into the request's span tree as well as the global recorder. Safe
 	// only because the write lock excludes every other kernel user; the
@@ -437,9 +434,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"obs":        idx,
 		"uri":        req.URI,
-		"newFull":    len(s.inc.Res.FullSet) - f0,
-		"newPartial": len(s.inc.Res.PartialSet) - p0,
-		"newCompl":   len(s.inc.Res.ComplSet) - c0,
+		"newFull":    len(s.inc.Res.FullSet),
+		"newPartial": len(s.inc.Res.PartialSet),
+		"newCompl":   len(s.inc.Res.ComplSet),
 	})
 }
 
@@ -458,7 +455,7 @@ func measureLiteral(v string) rdf.Term {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	f, p, c := s.inc.Res.Counts()
+	f, p, c := s.index.Counts()
 	resp := map[string]any{
 		"observations":  s.inc.S.N(),
 		"dimensions":    s.inc.S.NumDims(),

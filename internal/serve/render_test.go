@@ -59,10 +59,10 @@ func (s *Server) oraclePartialRefs(from int, ids []int32, fromIsSource bool) []o
 }
 
 // oracleLists reads observation i's neighbour lists straight off the
-// server's result sets, a filter and a sort per list: independent of the
-// core.Index the handlers render from.
-func (s *Server) oracleLists(i int) (contains, containedBy, partials, partialBy, complements []int32) {
-	res := s.inc.Res
+// relationship sets of the server's decoded checkpoint image, a filter and
+// a sort per list: the inverse lists and the rendering are independent of
+// the core.Index the handlers render from.
+func oracleLists(res *core.Result, i int) (contains, containedBy, partials, partialBy, complements []int32) {
 	for _, p := range res.FullSet {
 		if p.A == i {
 			contains = append(contains, int32(p.B))
@@ -94,12 +94,12 @@ func (s *Server) oracleLists(i int) (contains, containedBy, partials, partialBy,
 }
 
 // oracleBody is the body the reflective handlers wrote for route and
-// observation i.
-func (s *Server) oracleBody(t testing.TB, route string, i int) []byte {
+// observation i, given the server's relationship sets.
+func (s *Server) oracleBody(t testing.TB, res *core.Result, route string, i int) []byte {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	contains, containedBy, partials, partialBy, complements := s.oracleLists(i)
+	contains, containedBy, partials, partialBy, complements := oracleLists(res, i)
 	resp := map[string]any{"obs": i, "uri": s.inc.S.Obs[i].URI.Value}
 	if route == "contains" || route == "related" {
 		resp["contains"] = s.oracleRefs(contains)
@@ -152,6 +152,7 @@ func fetch(t testing.TB, h http.Handler, method, target string, body []byte) *ht
 func assertFanoutBytes(t *testing.T, what string, srv *Server) {
 	t.Helper()
 	h := srv.Handler()
+	res := servedState(t, srv).Result
 	neighbours := 0
 	for i := 0; i < srv.inc.S.N(); i++ {
 		for _, route := range []string{"related", "contains", "complements"} {
@@ -162,7 +163,7 @@ func assertFanoutBytes(t *testing.T, what string, srv *Server) {
 			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("%s: %s obs=%d: Content-Type %q", what, route, i, ct)
 			}
-			if want := srv.oracleBody(t, route, i); !bytes.Equal(rec.Body.Bytes(), want) {
+			if want := srv.oracleBody(t, res, route, i); !bytes.Equal(rec.Body.Bytes(), want) {
 				t.Fatalf("%s: %s obs=%d: body differs from the reflective rendering\n got: %q\nwant: %q", what, route, i, rec.Body.Bytes(), want)
 			}
 		}
@@ -220,7 +221,7 @@ func TestFanoutBodiesHostileURIs(t *testing.T) {
 
 	uri := srv.inc.S.Obs[7].URI.Value
 	rec := fetch(t, srv.Handler(), "GET", "/v1/related?obs="+url.QueryEscape(uri), nil)
-	if want := srv.oracleBody(t, "related", 7); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+	if want := srv.oracleBody(t, servedState(t, srv).Result, "related", 7); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("related by URI %q: status %d, body %q, want %q", uri, rec.Code, rec.Body.Bytes(), want)
 	}
 }

@@ -1,10 +1,16 @@
 // Package serve exposes a computed relationship state as an HTTP/JSON
 // query service — the shape the ROADMAP's production north star needs:
 // pay the batch cubeMasking pass once (or load its snapshot), keep the
-// sets in memory behind a single-writer/many-readers lock, answer
+// state in memory behind a single-writer/many-readers lock, answer
 // per-observation queries from a core.Index's inverted lists, and route live
 // inserts through core.Incremental so new observations are queryable
 // without a restart.
+//
+// The served state is the space, the lattice and the index, and nothing
+// else: the index is the one store of S_F, S_P and S_C. Each insert's new
+// pairs land in core.Incremental's Result, emptied before every insert,
+// and Index.Apply folds them in; checkpoints and GET /v1/snapshot encode
+// the index (snapshot.EncodeIndex).
 //
 // Endpoints (all JSON):
 //
@@ -189,10 +195,12 @@ func (c Config) walPollWait() time.Duration {
 // excludes the many readers via an RWMutex; read handlers touch only
 // state guarded by it.
 type Server struct {
-	mu  sync.RWMutex
+	mu sync.RWMutex
+	// inc holds the space and the lattice; its Result is only the current
+	// insert's delta.
 	inc *core.Incremental
-	// index holds every observation's neighbour lists; applyInsertLocked
-	// grows it with each insert's pairs.
+	// index is the relationship store: every observation's neighbour
+	// lists, grown by applyInsertLocked with each insert's delta.
 	index *core.Index
 	// uriIdx resolves a full observation URI to its index; maintained
 	// under mu alongside the space.
@@ -258,11 +266,12 @@ type Server struct {
 	started  time.Time
 }
 
-// New builds a server over the snapshot's state. The snapshot's space,
-// result and lattice are adopted (not copied): the server becomes their
-// owner and mutates them on insert.
+// New builds a server over the snapshot's state. The space and the
+// lattice are adopted (not copied): the server becomes their owner and
+// mutates them on insert. The result is read once into the index and not
+// kept; the caller may drop it.
 func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
-	inc := core.NewIncrementalFrom(sn.Space, cfg.Tasks, sn.Result, sn.Lattice)
+	inc := core.NewIncrementalFrom(sn.Space, cfg.Tasks, nil, sn.Lattice)
 	if cfg.Recorder != nil {
 		sn.Space.SetRecorder(cfg.Recorder)
 	}
@@ -304,10 +313,6 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 	s.ready.Store(true)
 	return s, nil
 }
-
-// Incremental exposes the maintained state (for the daemon's checkpoint
-// and for tests). Callers must not mutate it concurrently with requests.
-func (s *Server) Incremental() *core.Incremental { return s.inc }
 
 // WAL exposes the configured write-ahead log (nil when durability is
 // disabled).
@@ -391,18 +396,19 @@ func (s *Server) ApplyReplicated(recs []wal.Record) (int, error) {
 }
 
 // applyInsertLocked inserts one validated-or-replayed observation into
-// the maintained state. Callers hold the write lock.
+// the maintained state: the insert emits into the emptied delta, and the
+// index folds the delta in. Callers hold the write lock; the delta stays
+// readable until the next insert.
 func (s *Server) applyInsertLocked(dsIndex int, o *qb.Observation) error {
-	f0 := len(s.inc.Res.FullSet)
-	p0 := len(s.inc.Res.PartialSet)
-	c0 := len(s.inc.Res.ComplSet)
+	d := s.inc.Res
+	d.FullSet, d.PartialSet, d.ComplSet = d.FullSet[:0], d.PartialSet[:0], d.ComplSet[:0]
 	idx, err := s.inc.Insert(o)
 	if err != nil {
 		return err
 	}
 	s.inc.S.Corpus.Datasets[dsIndex].Observations = append(s.inc.S.Corpus.Datasets[dsIndex].Observations, o)
 	s.uriIdx[o.URI.Value] = idx
-	s.index.Apply(s.inc.Res, f0, p0, c0)
+	s.index.Apply(d)
 	return nil
 }
 
@@ -418,9 +424,9 @@ func (s *Server) EncodeSnapshot() ([]byte, error) {
 }
 
 // encodeSnapshotLocked encodes the current state; callers hold s.mu
-// (either mode: encoding only reads the space and the result).
+// (either mode: encoding only reads the space and the index).
 func (s *Server) encodeSnapshotLocked() ([]byte, error) {
-	return snapshot.New(s.inc.S, s.inc.Res, s.inc.Lattice()).Encode()
+	return snapshot.EncodeIndex(s.index)
 }
 
 // CheckpointWith runs one full checkpoint cycle: encode the state under

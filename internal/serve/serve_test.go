@@ -479,10 +479,18 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if sn.Space.N() != srv.inc.S.N() {
 		t.Fatalf("reloaded %d observations, want %d", sn.Space.N(), srv.inc.S.N())
 	}
-	if len(sn.Result.FullSet) != len(srv.inc.Res.FullSet) ||
-		len(sn.Result.PartialSet) != len(srv.inc.Res.PartialSet) ||
-		len(sn.Result.ComplSet) != len(srv.inc.Res.ComplSet) {
-		t.Fatal("reloaded result sets differ in size")
+	held := servedState(t, srv)
+	for _, set := range []struct {
+		name           string
+		reloaded, want []core.Pair
+	}{
+		{"S_F", sn.Result.FullSet, held.Result.FullSet},
+		{"S_P", sn.Result.PartialSet, held.Result.PartialSet},
+		{"S_C", sn.Result.ComplSet, held.Result.ComplSet},
+	} {
+		if !slices.Equal(set.reloaded, set.want) {
+			t.Fatalf("reloaded %s (%d pairs) differs from the served one (%d pairs)", set.name, len(set.reloaded), len(set.want))
+		}
 	}
 	// The reloaded state must serve the inserted observation by URI.
 	srv2, err := New(sn, Config{})

@@ -23,12 +23,11 @@ import (
 // validBytes returns one valid encoded snapshot for mutation testing.
 func validBytes(t *testing.T) []byte {
 	t.Helper()
-	sn := computeSnapshot(t, gen.PaperExample())
-	var buf bytes.Buffer
-	if err := sn.Write(&buf); err != nil {
+	data, err := computeSnapshot(t, gen.PaperExample()).Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 // TestTruncationNeverPanics: Read of a prefix of any length must return an
@@ -455,6 +454,91 @@ func TestPartialPairMustDeriveInteriorDegree(t *testing.T) {
 	}
 }
 
+// withStoredSets returns the golden file with its RSLT payload rebuilt,
+// under a recomputed CRC, from the decoded sets after edit changed them:
+// a file whose framing and checksums vouch for every stored pair.
+func withStoredSets(t testing.TB, edit func(s *core.Space, res *core.Result)) []byte {
+	t.Helper()
+	golden := readFile(t, "testdata/paper_example.snap")
+	sn, err := Read(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(sn.Space, sn.Result)
+	return patchSection(t, golden, tagRslt, func([]byte) []byte { return appendResultPairs(nil, sn.Result) })
+}
+
+// somePair returns the first ordered pair of the space that ok accepts.
+func somePair(t testing.TB, s *core.Space, ok func(a, b int) bool) core.Pair {
+	t.Helper()
+	for a := 0; a < s.N(); a++ {
+		for b := 0; b < s.N(); b++ {
+			if ok(a, b) {
+				return core.Pair{A: a, B: b}
+			}
+		}
+	}
+	t.Fatal("the paper example has no such pair")
+	return core.Pair{}
+}
+
+// TestStoredPairsMustHold: the decoder fails closed on every stored pair.
+// Each row replaces the first pair of one set with a pair the decoded
+// space does not relate that way — under a valid CRC, as a buggy or
+// hostile peer's /v1/snapshot would carry it — and must get ErrCorrupt
+// naming the pair. S_C must also be stored with a < b: the index walk a
+// server checkpoints re-emits S_C in that order, so a pair stored the
+// other way round would not survive a checkpoint as stored.
+func TestStoredPairsMustHold(t *testing.T) {
+	if _, err := Read(bytes.NewReader(withStoredSets(t, func(*core.Space, *core.Result) {}))); err != nil {
+		t.Fatalf("the unedited sets must decode: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(s *core.Space, res *core.Result) core.Pair
+	}{
+		{"S_F pair FullContains rejects", func(s *core.Space, res *core.Result) core.Pair {
+			res.FullSet[0] = somePair(t, s, func(a, b int) bool { return a != b && !s.FullContains(a, b) })
+			return res.FullSet[0]
+		}},
+		{"S_F self-pair", func(s *core.Space, res *core.Result) core.Pair {
+			res.FullSet[0].B = res.FullSet[0].A
+			return res.FullSet[0]
+		}},
+		{"S_P pair sharing no measure", func(s *core.Space, res *core.Result) core.Pair {
+			res.PartialSet[0] = somePair(t, s, func(a, b int) bool {
+				deg := s.Degree(a, b)
+				return deg > 0 && deg < 1 && !s.SharesMeasure(a, b)
+			})
+			return res.PartialSet[0]
+		}},
+		{"S_C pair not complementary", func(s *core.Space, res *core.Result) core.Pair {
+			res.ComplSet[0] = somePair(t, s, func(a, b int) bool { return a < b && !s.Complementary(a, b) })
+			return res.ComplSet[0]
+		}},
+		{"S_C self-pair", func(s *core.Space, res *core.Result) core.Pair {
+			res.ComplSet[0].B = res.ComplSet[0].A
+			return res.ComplSet[0]
+		}},
+		{"S_C pair stored with a > b", func(s *core.Space, res *core.Result) core.Pair {
+			p := &res.ComplSet[0]
+			p.A, p.B = p.B, p.A
+			return *p
+		}},
+	} {
+		var bad core.Pair
+		patched := withStoredSets(t, func(s *core.Space, res *core.Result) { bad = c.edit(s, res) })
+		_, err := Read(bytes.NewReader(patched))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s (%d, %d): got %v, want ErrCorrupt", c.name, bad.A, bad.B, err)
+			continue
+		}
+		if want := fmt.Sprintf("pair (%d, %d)", bad.A, bad.B); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error does not name %s: %v", c.name, want, err)
+		}
+	}
+}
+
 // dimsFixture is the golden paper example as the builds before map_P
 // became derived wrote it (version 1): every S_P pair carries its
 // dimension list.
@@ -506,12 +590,12 @@ func TestOldDimensionListsValidatedAndDropped(t *testing.T) {
 		if len(old.Result.PartialSet) == 0 {
 			t.Fatalf("%s: no partial pairs", name)
 		}
-		var buf bytes.Buffer
-		if err := old.Write(&buf); err != nil {
+		again, err := old.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), golden) {
-			t.Errorf("%s re-encodes to %d bytes that are not the golden file's %d", name, buf.Len(), len(golden))
+		if !bytes.Equal(again, golden) {
+			t.Errorf("%s re-encodes to %d bytes that are not the golden file's %d", name, len(again), len(golden))
 		}
 	}
 	if _, err := Read(bytes.NewReader(badIndex)); !errors.Is(err, ErrCorrupt) {

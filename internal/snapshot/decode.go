@@ -467,10 +467,9 @@ func decode(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 
-	// RSLT: the relationship sets. A partial pair is stored bare; its
-	// degree is derived from the space decoded above and must lie strictly
-	// inside (0, 1) — at least one dimension contains and not all do — or
-	// the pair is not one the space can hold.
+	// RSLT: the relationship sets, stored as bare pairs. Each pair must be
+	// one the space decoded above relates that way, or the file and the
+	// space disagree: see checkPairs.
 	c, err = expectSection(r, tagRslt)
 	if err != nil {
 		return nil, err
@@ -493,10 +492,8 @@ func decode(r io.Reader) (*Snapshot, error) {
 	if err := c.done(); err != nil {
 		return nil, err
 	}
-	for _, p := range res.PartialSet {
-		if deg := space.Degree(p.A, p.B); !(deg > 0 && deg < 1) { // NaN fails both comparisons
-			return nil, corrupt("RSLT: partial pair (%d, %d) derives degree %v, not inside (0, 1)", p.A, p.B, deg)
-		}
+	if err := checkPairs(space, res); err != nil {
+		return nil, err
 	}
 
 	// A version 1 file carries the lattice it was written with; it is
@@ -522,6 +519,31 @@ func decode(r io.Reader) (*Snapshot, error) {
 	}
 
 	return &Snapshot{Space: space, Result: res, Lattice: core.BuildLattice(space)}, nil
+}
+
+// checkPairs refuses a stored pair the space does not relate as its set
+// says: S_F pairs must be full containments, S_P pairs partial ones (a
+// shared measure and a derived degree strictly inside (0, 1)), and S_C
+// pairs complementary with A < B, the one order Result.Compl stores and
+// the index walk re-emits. Self-pairs fail all three.
+func checkPairs(space *core.Space, res *core.Result) error {
+	for _, p := range res.FullSet {
+		if !space.FullContains(p.A, p.B) {
+			return corrupt("RSLT: full pair (%d, %d) is not a full containment", p.A, p.B)
+		}
+	}
+	for _, p := range res.PartialSet {
+		if !space.PartialContains(p.A, p.B) {
+			return corrupt("RSLT: partial pair (%d, %d) derives degree %v (shares a measure: %t), not a partial containment",
+				p.A, p.B, space.Degree(p.A, p.B), space.SharesMeasure(p.A, p.B))
+		}
+	}
+	for _, p := range res.ComplSet {
+		if p.A >= p.B || !space.Complementary(p.A, p.B) {
+			return corrupt("RSLT: complementarity pair (%d, %d) is not complementary with a < b", p.A, p.B)
+		}
+	}
+	return nil
 }
 
 // sameTerms verifies that two sorted term slices are identical.

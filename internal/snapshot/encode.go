@@ -1,11 +1,10 @@
 package snapshot
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"slices"
 
 	"rdfcube/internal/core"
 	"rdfcube/internal/qb"
@@ -45,34 +44,47 @@ func (e *enc) byte(b byte)              { e.buf = append(e.buf, b) }
 func (e *enc) str(s string)             { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
 func (e *enc) term(d *dict, t rdf.Term) { e.uvarint(d.ref(t)) }
 
-// pairs writes one relationship set: its length, then each (a, b).
-func (e *enc) pairs(ps []core.Pair) {
-	e.uvarint(uint64(len(ps)))
-	for _, p := range ps {
-		e.uvarint(uint64(p.A))
-		e.uvarint(uint64(p.B))
+// appendResultPairs appends the RSLT payload of a Result: S_F, S_P and S_C,
+// each its length and then its (a, b) pairs in slice order.
+func appendResultPairs(b []byte, res *core.Result) []byte {
+	for _, set := range [][]core.Pair{res.FullSet, res.PartialSet, res.ComplSet} {
+		b = binary.AppendUvarint(b, uint64(len(set)))
+		for _, p := range set {
+			b = binary.AppendUvarint(b, uint64(p.A))
+			b = binary.AppendUvarint(b, uint64(p.B))
+		}
 	}
+	return b
 }
 
-// writeSection frames one payload: tag, length, bytes, CRC-32.
-func writeSection(w io.Writer, tag [4]byte, payload []byte) error {
-	var hdr [8]byte
-	copy(hdr[:4], tag[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// appendIndexPairs appends the RSLT payload of an Index by walking its
+// sorted lists: S_F off Contains, S_P off PartiallyContains and S_C off
+// the partners b > a of Complements. The walk yields each set in (a, b)
+// order, so the payload equals appendResultPairs' for the same sets after
+// Result.Sort.
+func appendIndexPairs(b []byte, ix *core.Index) []byte {
+	f, p, c := ix.Counts()
+	rows := [3]func(a int) []int32{ix.Contains, ix.PartiallyContains, func(a int) []int32 {
+		row := ix.Complements(a)
+		k, _ := slices.BinarySearch(row, int32(a)+1)
+		return row[k:]
+	}}
+	for k, n := range [3]int{f, p, c} {
+		b = binary.AppendUvarint(b, uint64(n))
+		for a := 0; a < ix.Space().N(); a++ {
+			for _, x := range rows[k](a) {
+				b = binary.AppendUvarint(b, uint64(a))
+				b = binary.AppendUvarint(b, uint64(x))
+			}
+		}
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crc[:])
-	return err
+	return b
 }
 
-func encode(w io.Writer, sn *Snapshot) error {
-	s, res := sn.Space, sn.Result
+// encode assembles the header and every section into one slice sized from
+// the section lengths. The RSLT payload comes from res's three slices or,
+// when res is nil, from the walk of ix's lists.
+func encode(s *core.Space, res *core.Result, ix *core.Index) ([]byte, error) {
 	d := newDict()
 
 	// Section payloads are assembled first (interning terms in a fixed
@@ -135,7 +147,7 @@ func encode(w io.Writer, sn *Snapshot) error {
 	for _, o := range s.Obs {
 		di, ok := dsIndex[o.Dataset]
 		if !ok {
-			return fmt.Errorf("snapshot: observation %s belongs to a dataset outside the corpus", o.URI)
+			return nil, fmt.Errorf("snapshot: observation %s belongs to a dataset outside the corpus", o.URI)
 		}
 		obsv.uvarint(uint64(di))
 		obsv.term(d, o.URI)
@@ -145,13 +157,6 @@ func encode(w io.Writer, sn *Snapshot) error {
 		for _, v := range o.MeasureValues {
 			obsv.term(d, v)
 		}
-	}
-
-	// S_F, S_P and S_C as bare pairs: a partial pair's degree and map_P
-	// are functions of its two rows, derived again by the reader.
-	var rslt enc
-	for _, set := range [][]core.Pair{res.FullSet, res.PartialSet, res.ComplSet} {
-		rslt.pairs(set)
 	}
 
 	// The dictionary is complete now; build its payload.
@@ -164,14 +169,20 @@ func encode(w io.Writer, sn *Snapshot) error {
 		term.str(t.Lang)
 	}
 
-	bw := bufio.NewWriter(w)
-	var hdr [12]byte
-	copy(hdr[:8], Magic)
-	binary.LittleEndian.PutUint32(hdr[8:], Version)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
+	// S_F, S_P and S_C as bare pairs: a partial pair's degree and map_P
+	// are functions of its two rows, derived again by the reader. Every
+	// pair member is an observation index below N, so a pair takes at most
+	// twice the varint length of N-1: that bound sizes the payload once.
+	idxLen := len(binary.AppendUvarint(nil, uint64(max(s.N()-1, 0))))
+	sized := func(f, p, c int) []byte { return make([]byte, 0, 3*binary.MaxVarintLen64+2*idxLen*(f+p+c)) }
+	var rslt []byte
+	if res != nil {
+		rslt = appendResultPairs(sized(res.Counts()), res)
+	} else {
+		rslt = appendIndexPairs(sized(ix.Counts()), ix)
 	}
-	for _, sec := range []struct {
+
+	sections := []struct {
 		tag [4]byte
 		pay []byte
 	}{
@@ -181,15 +192,24 @@ func encode(w io.Writer, sn *Snapshot) error {
 		{tagCode, code.buf},
 		{tagDset, dset.buf},
 		{tagObsv, obsv.buf},
-		{tagRslt, rslt.buf},
+		{tagRslt, rslt},
 		{tagEnd, nil},
-	} {
-		if len(sec.pay) > maxSection {
-			return fmt.Errorf("snapshot: section %q exceeds %d bytes", sec.tag, maxSection)
-		}
-		if err := writeSection(bw, sec.tag, sec.pay); err != nil {
-			return err
-		}
 	}
-	return bw.Flush()
+	size := len(Magic) + 4
+	for _, sec := range sections {
+		if len(sec.pay) > maxSection {
+			return nil, fmt.Errorf("snapshot: section %q exceeds %d bytes", sec.tag, maxSection)
+		}
+		size += 12 + len(sec.pay) // tag, length, payload, CRC
+	}
+	out := make([]byte, 0, size)
+	out = append(out, Magic...)
+	out = binary.LittleEndian.AppendUint32(out, Version)
+	for _, sec := range sections {
+		out = append(out, sec.tag[:]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(sec.pay)))
+		out = append(out, sec.pay...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(sec.pay))
+	}
+	return out, nil
 }

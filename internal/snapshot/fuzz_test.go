@@ -76,19 +76,19 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		// Accepted input: it must round-trip — re-encoding the decoded
 		// snapshot and decoding again yields identical bytes, so the
 		// decoder cannot have invented state from junk.
-		var buf bytes.Buffer
-		if err := sn.Write(&buf); err != nil {
+		enc, err := sn.Encode()
+		if err != nil {
 			t.Fatalf("re-encode of accepted snapshot failed: %v", err)
 		}
-		var buf2 bytes.Buffer
-		sn2, err := Read(bytes.NewReader(buf.Bytes()))
+		sn2, err := Read(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("re-decode of accepted snapshot failed: %v", err)
 		}
-		if err := sn2.Write(&buf2); err != nil {
+		enc2, err := sn2.Encode()
+		if err != nil {
 			t.Fatalf("second re-encode failed: %v", err)
 		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("accepted snapshot does not round-trip stably")
 		}
 	})

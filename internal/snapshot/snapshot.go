@@ -1,6 +1,7 @@
 // Package snapshot persists a computed relationship state — the compiled
-// core.Space and the core.Result a relationship algorithm produced over
-// it — as a versioned, self-describing binary file. It stores only what
+// core.Space and the relationship sets over it, from the core.Result a
+// batch run produced (Snapshot.Encode) or the core.Index a server holds
+// (EncodeIndex) — as a versioned, self-describing binary file. It stores only what
 // its reader cannot derive: partial degrees, map_P and the cubeMasking
 // lattice are functions of the space and are rebuilt on load.
 //
@@ -31,8 +32,10 @@
 //	      NOT grouped by dataset, so the observation indices that Result
 //	      pairs reference survive live inserts into any dataset
 //	RSLT  S_F, S_P and S_C, each a count and then (a, b) observation
-//	      indices. Read derives every S_P pair's degree from the space and
-//	      refuses a pair whose degree is not strictly inside (0, 1).
+//	      indices. Read refuses a pair the decoded space does not relate
+//	      that way: an S_F pair must be a full containment, an S_P pair a
+//	      partial one (a shared measure and a derived degree strictly
+//	      inside (0, 1)), an S_C pair complementary with a < b.
 //	END\0 terminator (empty payload)
 //
 // Within payloads, integers are unsigned varints and strings are varint-
@@ -45,8 +48,8 @@
 // float64) and a dimension list: the degree must equal the derived one and
 // every list entry must index a dimension, and both are then dropped. A
 // LATT section (the lattice the writer held) sits between RSLT and END: its
-// CRC is checked and its payload discarded unparsed. Write never emits
-// version 1.
+// CRC is checked and its payload discarded unparsed. The encoder never
+// emits version 1.
 //
 // Read never panics on corrupt input: every length and index is bounds-
 // checked, every section CRC is verified, and truncation at any byte
@@ -54,7 +57,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -65,7 +67,7 @@ import (
 // Magic identifies a snapshot stream.
 const Magic = "RDFCSNAP"
 
-// Version is the format version Write emits. Read also accepts version 1
+// Version is the format version the encoder emits. Read also accepts version 1
 // (see decode) and rejects every other.
 const Version = 2
 
@@ -95,7 +97,7 @@ type Snapshot struct {
 	// Result holds S_F, S_P and S_C. Read fills neither degrees nor a
 	// dimension map: both are derived (core.Space.Degree, ContainDims).
 	Result *core.Result
-	// Lattice is the cube lattice. Write ignores it; Read rebuilds it
+	// Lattice is the cube lattice. Encode ignores it; Read rebuilds it
 	// from the space (core.BuildLattice).
 	Lattice *lattice.Lattice
 }
@@ -109,14 +111,6 @@ func New(s *core.Space, res *core.Result, l *lattice.Lattice) *Snapshot {
 	return &Snapshot{Space: s, Result: res, Lattice: l}
 }
 
-// Write serializes the snapshot to w in the documented format.
-func (sn *Snapshot) Write(w io.Writer) error {
-	if sn.Space == nil {
-		return fmt.Errorf("snapshot: nil Space")
-	}
-	return encode(w, sn)
-}
-
 // Read parses a snapshot from r, verifying the header, section order and
 // per-section checksums, reconstructs the space and result, and rebuilds
 // the lattice from the space.
@@ -125,13 +119,22 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return decode(r)
 }
 
-// Encode serializes the snapshot to a byte slice. Long-running servers
-// use it to capture a consistent image under their lock and push the disk
-// I/O outside the critical section.
+// Encode serializes the snapshot in the documented format, its RSLT
+// section from the Result's three slices in slice order. The batch path
+// uses it; a server, which holds its relationships in a core.Index, uses
+// EncodeIndex.
 func (sn *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := sn.Write(&buf); err != nil {
-		return nil, err
+	if sn.Space == nil {
+		return nil, fmt.Errorf("snapshot: nil Space")
 	}
-	return buf.Bytes(), nil
+	return encode(sn.Space, sn.Result, nil)
+}
+
+// EncodeIndex serializes the index's space and relationship sets, walking
+// the sorted lists for the RSLT section: the bytes equal those Encode
+// writes for the same space and sets after Result.Sort, and no pair slice
+// is built. Long-running servers use it to capture a consistent image
+// under their lock and push the disk I/O outside the critical section.
+func EncodeIndex(ix *core.Index) ([]byte, error) {
+	return encode(ix.Space(), nil, ix)
 }

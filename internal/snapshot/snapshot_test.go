@@ -34,11 +34,11 @@ func computeSnapshotTasks(t *testing.T, corpus *qb.Corpus, tasks core.Tasks) *Sn
 
 func roundTrip(t *testing.T, sn *Snapshot) *Snapshot {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := sn.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
+	data, err := sn.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -251,22 +251,44 @@ func TestRoundTripAfterInserts(t *testing.T) {
 // and golden files depend on it.
 func TestDeterministicEncoding(t *testing.T) {
 	sn := computeSnapshot(t, gen.RealWorld(gen.RealWorldConfig{TotalObs: 200, Seed: 5}))
-	var a, b bytes.Buffer
-	if err := sn.Write(&a); err != nil {
+	a, err := sn.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sn.Write(&b); err != nil {
+	b, err := sn.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Fatalf("two encodings of the same snapshot differ")
+	}
+}
+
+// TestEncodeIndexIsSortedEncode: walking an index's lists writes the bytes
+// Encode writes for the same sets after Result.Sort — on the golden paper
+// example and on a RealWorld state, whose batch Result is not sorted.
+func TestEncodeIndexIsSortedEncode(t *testing.T) {
+	for _, corpus := range []*qb.Corpus{gen.PaperExample(), gen.RealWorld(gen.RealWorldConfig{TotalObs: 300, Seed: 5})} {
+		sn := computeSnapshot(t, corpus)
+		got, err := EncodeIndex(core.NewIndex(sn.Space, sn.Result))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn.Result.Sort()
+		want, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: the index walk encodes %d bytes that differ from the sorted Result's %d", sn.Space.N(), len(got), len(want))
+		}
 	}
 }
 
 func TestGoldenPaperExample(t *testing.T) {
 	sn := computeSnapshot(t, gen.PaperExample())
-	var buf bytes.Buffer
-	if err := sn.Write(&buf); err != nil {
+	data, err := sn.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "paper_example.snap")
@@ -274,7 +296,7 @@ func TestGoldenPaperExample(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,9 +304,9 @@ func TestGoldenPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden file missing (run with -update): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(data, want) {
 		t.Fatalf("encoding of the paper example drifted from the golden file (%d vs %d bytes); if the format changed intentionally, bump Version and run with -update",
-			buf.Len(), len(want))
+			len(data), len(want))
 	}
 	// The golden bytes must still decode to the live computation.
 	got, err := Read(bytes.NewReader(want))

@@ -374,7 +374,8 @@ var ErrCanceled = core.ErrCanceled
 
 var (
 	// NewServer builds a query/insert server over a snapshot's state.
-	// The snapshot is adopted, not copied.
+	// The space and lattice are adopted, not copied; the result is read
+	// into the server's index and not kept.
 	NewServer = serve.New
 	// StartServer listens on an address (port 0 for ephemeral) and
 	// serves a Server until the returned http.Server is shut down.
