@@ -209,24 +209,13 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	if rot != nil {
 		snapGen = func() uint64 { g, _ := rot.CurrentGen(); return g }
 	}
-	// Dataset registration needs a synchronous checkpoint on a durable
-	// server (registrations do not ride the WAL; the checkpoint is what
-	// makes them crash-safe before they are published). Wire it through
-	// the rotator when one exists; srv is captured after serve.New fills
-	// it in.
-	var srv *serve.Server
-	var ckptNow func() error
-	if rot != nil {
-		ckptNow = func() error { return srv.CheckpointWith(rot.Write) }
-	}
-	srv, err = serve.New(sn, serve.Config{
+	srv, err := serve.New(sn, serve.Config{
 		Tasks:                tasks,
 		Recorder:             col,
 		RequestTimeout:       *timeout,
 		MaxInFlight:          *inflight,
 		WAL:                  wlog,
 		SnapshotGen:          snapGen,
-		CheckpointNow:        ckptNow,
 		DisableDatasetCreate: !*dsCreate,
 		Logf:                 logf,
 		TraceRing:            *traceN,

@@ -19,8 +19,8 @@ import (
 
 // node is one cubed-shaped process: a fault-injecting MemFS "disk", the
 // snapshot rotator and WAL on it, and the serve.Server of the current
-// incarnation, wired the way cmd/cubed wires them (registration
-// checkpoints through the rotator, the rotator's generation in /v1/stats).
+// incarnation, wired the way cmd/cubed wires them (the rotator's
+// generation in /v1/stats).
 // It is reached through a front — a stable URL that forwards to the live
 // incarnation and answers 503 while there is none — so a node can die and
 // come back at the address its followers, proxies and clients dial.
@@ -79,13 +79,11 @@ func (n *node) start() error {
 		return fmt.Errorf("loading snapshot: %w", err)
 	}
 	rot := n.rot
-	var srv *serve.Server
-	srv, err = serve.New(sn, serve.Config{
-		Recorder:      n.col,
-		WAL:           wlog,
-		MaxInFlight:   64,
-		SnapshotGen:   func() uint64 { g, _ := rot.CurrentGen(); return g },
-		CheckpointNow: func() error { return srv.CheckpointWith(rot.Write) },
+	srv, err := serve.New(sn, serve.Config{
+		Recorder:    n.col,
+		WAL:         wlog,
+		MaxInFlight: 64,
+		SnapshotGen: func() uint64 { g, _ := rot.CurrentGen(); return g },
 		// Short long-poll budget: a dying node must not leave follower
 		// tails parked for the default 10s.
 		WALPollWait: 250 * time.Millisecond,

@@ -29,23 +29,9 @@ import (
 // serving layer's write lock): the mask swap is not atomic. On error
 // the space is unchanged.
 func (s *Space) RegisterDataset(ds *qb.Dataset) error {
-	if len(ds.Observations) != 0 {
-		return fmt.Errorf("core: register dataset %s: dataset must be empty (has %d observations)", ds.URI.Value, len(ds.Observations))
-	}
-	for _, d := range s.Corpus.Datasets {
-		if d.URI == ds.URI {
-			return fmt.Errorf("core: register dataset %s: already present", ds.URI.Value)
-		}
-	}
-	for _, dim := range ds.Schema.Dimensions {
-		if !hasTerm(s.Dims, dim) {
-			return fmt.Errorf("core: register dataset %s: dimension %s not in the space (the dimension universe is fixed at compile)", ds.URI.Value, dim.Value)
-		}
-	}
-
-	merged := mergeSortedTerms(s.Measures, ds.Schema.Measures)
-	if len(merged) > MaxMeasures {
-		return fmt.Errorf("core: register dataset %s: %d measures exceed the %d-measure limit", ds.URI.Value, len(merged), MaxMeasures)
+	merged, err := s.mergedMeasures(ds)
+	if err != nil {
+		return err
 	}
 	measureBit := measureBits(merged)
 	// Recompute every observation's mask under the new bit assignment.
@@ -65,6 +51,38 @@ func (s *Space) RegisterDataset(ds *qb.Dataset) error {
 	s.measureBit = measureBit
 	s.mmask = mmask
 	return nil
+}
+
+// ValidateDataset checks that ds can be registered — RegisterDataset's
+// checks without the mutation, mirroring ValidateObservation. The
+// serving layer calls it before durably logging a registration, so a
+// record that reaches the write-ahead log always applies on replay.
+func (s *Space) ValidateDataset(ds *qb.Dataset) error {
+	_, err := s.mergedMeasures(ds)
+	return err
+}
+
+// mergedMeasures validates ds for registration and returns the measure
+// universe the space would have with it.
+func (s *Space) mergedMeasures(ds *qb.Dataset) ([]rdf.Term, error) {
+	if len(ds.Observations) != 0 {
+		return nil, fmt.Errorf("core: register dataset %s: dataset must be empty (has %d observations)", ds.URI.Value, len(ds.Observations))
+	}
+	for _, d := range s.Corpus.Datasets {
+		if d.URI == ds.URI {
+			return nil, fmt.Errorf("core: register dataset %s: already present", ds.URI.Value)
+		}
+	}
+	for _, dim := range ds.Schema.Dimensions {
+		if !hasTerm(s.Dims, dim) {
+			return nil, fmt.Errorf("core: register dataset %s: dimension %s not in the space (the dimension universe is fixed at compile)", ds.URI.Value, dim.Value)
+		}
+	}
+	merged := mergeSortedTerms(s.Measures, ds.Schema.Measures)
+	if len(merged) > MaxMeasures {
+		return nil, fmt.Errorf("core: register dataset %s: %d measures exceed the %d-measure limit", ds.URI.Value, len(merged), MaxMeasures)
+	}
+	return merged, nil
 }
 
 // hasTerm reports membership in a sorted term slice.

@@ -93,27 +93,46 @@ func TestRegisterDatasetAcceptsInsertsAfterwards(t *testing.T) {
 	}
 }
 
+// TestRegisterDatasetRejections: every rejection is ValidateDataset's
+// too, and neither call changes the space; ValidateDataset accepts a
+// valid dataset without registering it.
 func TestRegisterDatasetRejections(t *testing.T) {
 	s, _ := registerExample(t)
 	m := rdf.NewIRI("http://example.org/measure/x")
+	datasets := len(s.Corpus.Datasets)
+	reject := func(what string, ds *qb.Dataset) {
+		t.Helper()
+		if err := s.ValidateDataset(ds); err == nil {
+			t.Errorf("ValidateDataset: %s accepted", what)
+		}
+		if err := s.RegisterDataset(ds); err == nil {
+			t.Errorf("RegisterDataset: %s accepted", what)
+		}
+		if len(s.Corpus.Datasets) != datasets {
+			t.Fatalf("%s: rejection changed the space", what)
+		}
+	}
+	ok := &qb.Dataset{
+		URI:    rdf.NewIRI("http://example.org/dataset/D-ok"),
+		Schema: qb.NewSchema([]rdf.Term{gen.DimRefArea}, []rdf.Term{m}),
+	}
+	if err := s.ValidateDataset(ok); err != nil || len(s.Corpus.Datasets) != datasets {
+		t.Fatalf("ValidateDataset on a valid dataset: %v, %d datasets (want %d)", err, len(s.Corpus.Datasets), datasets)
+	}
 
 	// Unknown dimension: the universe is fixed at compile.
 	bad := &qb.Dataset{
 		URI:    rdf.NewIRI("http://example.org/dataset/D-baddim"),
 		Schema: qb.NewSchema([]rdf.Term{rdf.NewIRI("http://example.org/dim/unknown")}, []rdf.Term{m}),
 	}
-	if err := s.RegisterDataset(bad); err == nil {
-		t.Errorf("unknown dimension accepted")
-	}
+	reject("unknown dimension", bad)
 
 	// Duplicate URI.
 	dup := &qb.Dataset{
 		URI:    s.Corpus.Datasets[0].URI,
 		Schema: qb.NewSchema(nil, []rdf.Term{m}),
 	}
-	if err := s.RegisterDataset(dup); err == nil {
-		t.Errorf("duplicate dataset URI accepted")
-	}
+	reject("duplicate dataset URI", dup)
 
 	// Non-empty dataset.
 	full := &qb.Dataset{
@@ -124,9 +143,7 @@ func TestRegisterDatasetRejections(t *testing.T) {
 		[]rdf.Term{gen.GeoAthens}, []rdf.Term{rdf.NewTypedLiteral("1", rdf.XSDInteger)}); err != nil {
 		t.Fatalf("AddObservation: %v", err)
 	}
-	if err := s.RegisterDataset(full); err == nil {
-		t.Errorf("non-empty dataset accepted")
-	}
+	reject("non-empty dataset", full)
 
 	// Measure overflow.
 	over := make([]rdf.Term, 0, MaxMeasures+1)
@@ -137,7 +154,5 @@ func TestRegisterDatasetRejections(t *testing.T) {
 		URI:    rdf.NewIRI("http://example.org/dataset/D-wide"),
 		Schema: qb.NewSchema(nil, over),
 	}
-	if err := s.RegisterDataset(wide); err == nil {
-		t.Errorf("measure overflow accepted")
-	}
+	reject("measure overflow", wide)
 }

@@ -587,11 +587,11 @@ func (m *Migrator) pump(wait time.Duration, ps *pumpState) (caughtUp bool, err e
 	defer cancel()
 	tail, err := m.src.Poll(ctx, wait, func(recs []wal.Record) error {
 		for _, rec := range recs {
-			// Records for datasets born after our snapshot have indices past
-			// our schema list; they cannot be migrating (migrating datasets
-			// predate the copy), so they are skipped like any other
-			// non-migrating dataset's records.
-			if rec.Dataset < 0 || rec.Dataset >= len(m.srcSchemas) || !m.srcSchemas[rec.Dataset].migrating {
+			// Migrating datasets predate the copy, so a registration is never
+			// one of them, and records for datasets born after our snapshot
+			// have indices past our schema list: both are skipped like any
+			// other non-migrating dataset's records.
+			if rec.Register || rec.Dataset < 0 || rec.Dataset >= len(m.srcSchemas) || !m.srcSchemas[rec.Dataset].migrating {
 				continue
 			}
 			if err := m.postObservation(tgtURL, &m.srcSchemas[rec.Dataset], rec.URI.Value, rec.DimValues, rec.MeasureValues); err != nil {

@@ -24,9 +24,9 @@ import (
 	"rdfcube/internal/wal"
 )
 
-// durableShard builds a WAL-backed shard server with the registration
-// checkpoint hook wired — the shape cubed runs in production and the
-// shape migration requires (/v1/snapshot + /v1/wal + POST /v1/datasets).
+// durableShard builds a WAL-backed shard server — the shape cubed runs in
+// production and the shape migration requires (/v1/snapshot + /v1/wal +
+// POST /v1/datasets).
 func durableShard(t *testing.T, c *qb.Corpus) *serve.Server {
 	t.Helper()
 	s, res, err := core.ComputeCorpusCtx(context.Background(), c, core.AlgorithmCubeMasking, core.Options{})
@@ -37,11 +37,7 @@ func durableShard(t *testing.T, c *qb.Corpus) *serve.Server {
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}
-	var srv *serve.Server
-	cfg := serve.Config{WAL: wlog, CheckpointNow: func() error {
-		return srv.CheckpointWith(func([]byte) error { return nil })
-	}}
-	srv, err = serve.New(snapshot.New(s, res, nil), cfg)
+	srv, err := serve.New(snapshot.New(s, res, nil), serve.Config{WAL: wlog})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
@@ -244,6 +240,21 @@ func TestMigrationLifecycle(t *testing.T) {
 		inserted = append(inserted, uri)
 		time.Sleep(10 * time.Millisecond)
 	}
+	// A dataset registered on the source mid-flight, and filled there, is
+	// not migrating: the pump skips its registration and its insert, so the
+	// target neither learns the dataset nor receives the observation. Its
+	// measure is its own, so it relates to nothing the oracle holds.
+	src := f.servers[f.worlds[0].Name].Handler()
+	bornURI, bornMeasure := gen.ExNS+"dataset/born-midflight", gen.ExNS+"measure/born-midflight"
+	born := map[string]any{"uri": bornURI, "dimensions": []string{movedDS.Schema.Dimensions[0].Value}, "measures": []string{bornMeasure}}
+	if code, rb := postBody(t, src, "/v1/datasets", born); code != http.StatusCreated {
+		t.Fatalf("register on the source mid-flight: %d %s", code, rb)
+	}
+	bornObs := gen.ExNS + "obs/born-midflight"
+	bornIns := map[string]any{"dataset": bornURI, "uri": bornObs, "measures": map[string]string{bornMeasure: "1"}}
+	if code, rb := postBody(t, src, "/v1/observations", bornIns); code != http.StatusCreated {
+		t.Fatalf("insert into the mid-flight dataset on the source: %d %s", code, rb)
+	}
 
 	st := waitMigration(t, g, "m1", PhaseDone, 15*time.Second)
 	if st.Copied == 0 || st.MapEpoch != 2 {
@@ -271,6 +282,13 @@ func TestMigrationLifecycle(t *testing.T) {
 	}
 	if code, _ := get(t, f.servers[f.worlds[0].Name].Handler(), relatedPath(postURI)); code == http.StatusOK {
 		t.Fatal("post-cutover observation leaked to the source shard")
+	}
+	if code, _ := get(t, f.servers["spare"].Handler(), relatedPath(bornObs)); code == http.StatusOK {
+		t.Fatal("an observation of the mid-flight dataset reached the target")
+	}
+	bornIns["uri"] = gen.ExNS + "obs/born-midflight-probe"
+	if code, rb := postBody(t, f.servers["spare"].Handler(), "/v1/observations", bornIns); code != http.StatusBadRequest {
+		t.Fatalf("the target accepts inserts into the mid-flight dataset (%d %s): the registration was relayed", code, rb)
 	}
 
 	// Byte-equal oracle convergence over original and mid-flight URIs.

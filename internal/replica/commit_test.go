@@ -24,8 +24,8 @@ func serves(f *Follower, uri string) bool {
 
 // TestFollowerFailedRebootstrapKeepsOldCursor is the cursor-on-commit
 // regression. A follower with a local chain is down across an insert and
-// a dataset registration (whose checkpoint truncates the primary's WAL
-// past that insert), then restarts on a disk whose renames fail: the
+// a checkpoint on the primary that truncates its WAL past that insert,
+// then restarts on a disk whose renames fail: the
 // 410-triggered re-bootstrap cannot commit its local generation. The old
 // code had already moved the cursor to the new image's position, so the
 // next session skipped the bootstrap and tailed the NEW position into the
@@ -66,8 +66,10 @@ func TestFollowerFailedRebootstrapKeepsOldCursor(t *testing.T) {
 	stop1()
 
 	uriInHole := p.insert(t)
-	dsNew := p.registerDataset(t, "Dhole")
-	uriAfterHole := p.insertInto(t, dsNew)
+	if err := p.srv.CheckpointWith(func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	uriAfterHole := p.insert(t)
 
 	disk.Inject(faultfs.Fault{Op: faultfs.OpRename, N: 1, Persistent: true})
 	f2, err := New(cfg)

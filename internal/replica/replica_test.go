@@ -51,15 +51,7 @@ func newPrimaryOver(t *testing.T, corpus *qb.Corpus) *primaryWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The checkpoint hook is what cubed wires in production: dataset
-	// registrations cannot ride the WAL, so POST /v1/datasets runs one
-	// synchronous checkpoint — which truncates the WAL out from under any
-	// lagging follower. The tests below exercise exactly that.
-	cfg := serve.Config{
-		WAL:           p.wlog,
-		WALPollWait:   100 * time.Millisecond,
-		CheckpointNow: func() error { return p.srv.CheckpointWith(func([]byte) error { return nil }) },
-	}
+	cfg := serve.Config{WAL: p.wlog, WALPollWait: 100 * time.Millisecond}
 	p.srv, err = serve.New(snapshot.New(s, res, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -338,8 +330,8 @@ func TestFollowerLocalCheckpointBoundsChain(t *testing.T) {
 }
 
 // registerDataset registers a new dataset on the primary (D3's schema)
-// and returns its URI. The registration runs a synchronous checkpoint,
-// truncating the primary's WAL.
+// and returns its URI. The registration is one WAL record, which the
+// followers apply like an insert.
 func (p *primaryWorld) registerDataset(t *testing.T, name string) string {
 	t.Helper()
 	uri := gen.ExNS + "dataset/" + name
@@ -360,15 +352,44 @@ func (p *primaryWorld) registerDataset(t *testing.T, name string) string {
 	return uri
 }
 
-// TestFollowerRebootstrapsAfterRegistrationCheckpoint is the rebalance
-// regression: admitting a migration target dataset (POST /v1/datasets)
-// checkpoints the primary synchronously, which truncates its WAL. A
-// follower that was down across the registration resumes from its local
-// chain at an offset the primary no longer retains; the tail request
-// must come back 410 Gone and force exactly one re-bootstrap — after
-// which the follower serves the records it missed, the observations in
-// the brand-new dataset, and everything it already had.
-func TestFollowerRebootstrapsAfterRegistrationCheckpoint(t *testing.T) {
+// TestFollowerLiveAcrossRegistration: a live, caught-up follower tails a
+// dataset registration on its primary like any insert — the registration
+// record creates the dataset, so the next insert into it finds its
+// dataset index — and never bootstraps again.
+func TestFollowerLiveAcrossRegistration(t *testing.T) {
+	p := newPrimary(t)
+	uriBefore := p.insert(t)
+	f, err := New(Config{
+		Primary:       p.ts.URL,
+		PollWait:      50 * time.Millisecond,
+		ReconnectBase: 10 * time.Millisecond,
+		ReconnectMax:  100 * time.Millisecond,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFollower(t, f)
+	waitHas(t, f, uriBefore)
+	boots := f.State().Bootstraps()
+
+	dsNew := p.registerDataset(t, "Dlive")
+	uriNew := p.insertInto(t, dsNew)
+	uriAfter := p.insert(t)
+	waitHas(t, f, uriNew)
+	waitHas(t, f, uriAfter)
+	if got := f.State().Bootstraps(); got != boots {
+		t.Fatalf("live follower across a registration bootstrapped %d times, want %d (no re-bootstrap)", got, boots)
+	}
+}
+
+// TestFollowerResumesAcrossRegistrationWhileDown: a follower that was
+// down across a dataset registration resumes from its local chain — the
+// registration is a WAL record, not a checkpoint that truncates the log
+// past the follower's offset — and serves the records it missed, the
+// observation in the brand-new dataset, and everything it already had,
+// without a single bootstrap.
+func TestFollowerResumesAcrossRegistrationWhileDown(t *testing.T) {
 	p := newPrimary(t)
 	uriBefore := p.insert(t)
 
@@ -390,9 +411,8 @@ func TestFollowerRebootstrapsAfterRegistrationCheckpoint(t *testing.T) {
 	waitHas(t, f1, uriBefore)
 	stop1() // graceful: the local chain now ends mid-stream
 
-	// While the follower is down: a record it will miss, then a dataset
-	// registration whose checkpoint truncates the WAL past that record,
-	// then a record into the new dataset.
+	// While the follower is down: a record it will miss, a dataset
+	// registration, then a record into the new dataset.
 	uriMissed := p.insert(t)
 	dsNew := p.registerDataset(t, "Dnew")
 	uriNew := p.insertInto(t, dsNew)
@@ -405,8 +425,8 @@ func TestFollowerRebootstrapsAfterRegistrationCheckpoint(t *testing.T) {
 	waitHas(t, f2, uriBefore)
 	waitHas(t, f2, uriMissed)
 	waitHas(t, f2, uriNew)
-	if got := f2.State().Bootstraps(); got != 1 {
-		t.Fatalf("follower across a registration checkpoint bootstrapped %d times, want exactly 1 (410 -> re-bootstrap)", got)
+	if got := f2.State().Bootstraps(); got != 0 {
+		t.Fatalf("follower across a registration bootstrapped %d times, want 0 (resume from the local chain)", got)
 	}
 }
 

@@ -3,32 +3,27 @@
 // because a migration target must learn the migrating dataset's schema
 // before the source's observations can be replayed into it.
 //
-// Durability is the interesting part. The WAL format has exactly one
-// record kind (an insert); an unknown kind decodes as a torn tail and
-// is truncated on replay, so a registration cannot ride the log. The
-// snapshot is the only durable carrier, which forces this order:
+// A registration is a write like an insert, and takes the insert's path
+// inside one write-locked critical section:
 //
-//  1. register the dataset in the in-memory space (under the write
-//     lock) — it is NOT yet insertable,
-//  2. run one synchronous checkpoint (Config.CheckpointNow): the
-//     snapshot now contains the empty dataset,
-//  3. publish the dataset to dsIdx — only now do inserts route to it.
+//  1. validate (core.Space.ValidateDataset, no mutation),
+//  2. log: append a registration record (WAL kind 2) with fsync,
+//  3. apply: register the dataset in the space and publish it to dsIdx.
 //
-// A crash before step 2 loses an unacknowledged registration (fine); a
-// crash after it replays a snapshot that already carries the dataset,
-// and because dataset indices are append-only, every WAL record written
-// after step 3 still points at the right schema. Registrations are
-// serialized by regMu across the whole cycle; the endpoint is
-// idempotent (re-POSTing an identical schema answers 200).
+// A crash before step 2 completes loses an unacknowledged registration;
+// after it, Replay (at restart) and ApplyReplicated (on a follower)
+// redo the registration from the log at the same corpus index, so every
+// later insert record still points at the right schema. The endpoint is
+// idempotent: re-POSTing an identical schema answers 200.
 package serve
 
 import (
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
+	"rdfcube/internal/wal"
 )
 
 // CtrDatasetsCreated counts datasets registered at runtime.
@@ -50,15 +45,6 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusNotImplemented, "dataset creation is disabled on this server")
 		return
 	}
-	if s.wlog != nil && s.ckptNow == nil {
-		s.error(w, r, http.StatusNotImplemented,
-			"dataset creation needs a checkpoint hook on WAL-backed servers (registration cannot ride the WAL)")
-		return
-	}
-	if s.Degraded() {
-		s.error(w, r, http.StatusServiceUnavailable, "degraded read-only mode: dataset creation refused")
-		return
-	}
 	var req datasetRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInsertBody))
 	dec.DisallowUnknownFields()
@@ -78,64 +64,57 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	for _, m := range req.Measures {
 		measures = append(measures, rdf.NewIRI(m))
 	}
-	schema := qb.NewSchema(dims, measures)
-
-	// regMu serializes whole cycles; it is never taken under mu.
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
+	ds := &qb.Dataset{URI: rdf.NewIRI(req.URI), Schema: qb.NewSchema(dims, measures)}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	// As for inserts: a client that hung up during the lock wait must not
+	// reach the WAL.
+	if s.ctxAbort(w, r) {
+		return
+	}
 	if di, ok := s.dsIdx[req.URI]; ok {
-		same := schemaEqual(s.inc.S.Corpus.Datasets[di].Schema, schema)
-		s.mu.Unlock()
-		if !same {
+		if !schemaEqual(s.inc.S.Corpus.Datasets[di].Schema, ds.Schema) {
 			s.error(w, r, http.StatusConflict, "dataset %q already exists with a different schema", req.URI)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"dataset": req.URI, "index": di, "created": false})
 		return
 	}
-	// Registered but unpublished: a previous attempt's checkpoint failed
-	// after the in-memory registration. Reuse it instead of re-registering.
-	di := -1
-	for i, d := range s.inc.S.Corpus.Datasets {
-		if d.URI.Value == req.URI {
-			di = i
-			break
-		}
-	}
-	if di < 0 {
-		ds := &qb.Dataset{URI: rdf.NewIRI(req.URI), Schema: schema}
-		if err := s.inc.S.RegisterDataset(ds); err != nil {
-			s.mu.Unlock()
-			s.error(w, r, http.StatusBadRequest, "%v", err)
-			return
-		}
-		di = len(s.inc.S.Corpus.Datasets) - 1
-	} else if !schemaEqual(s.inc.S.Corpus.Datasets[di].Schema, schema) {
-		s.mu.Unlock()
-		s.error(w, r, http.StatusConflict, "dataset %q already registered with a different schema", req.URI)
+	if s.Degraded() {
+		s.error(w, r, http.StatusServiceUnavailable, "degraded read-only mode: write-ahead log failed; dataset creation refused")
 		return
 	}
-	s.mu.Unlock()
-
-	// Durability point: the checkpoint carries the empty dataset to disk
-	// before any insert can target it.
-	if s.ckptNow != nil {
-		if err := s.ckptNow(); err != nil {
-			s.log("dataset registration checkpoint for %s failed: %v", req.URI, err)
-			s.setRetryAfter(w, 2*time.Second)
-			s.error(w, r, http.StatusServiceUnavailable, "registration checkpoint failed: %v; retry", err)
-			return
-		}
+	if err := s.inc.S.ValidateDataset(ds); err != nil {
+		s.error(w, r, http.StatusBadRequest, "%v", err)
+		return
 	}
-
-	s.mu.Lock()
-	s.dsIdx[req.URI] = di
-	s.mu.Unlock()
+	di := len(s.inc.S.Corpus.Datasets)
+	rec := wal.Record{Register: true, Dataset: di, URI: ds.URI, DimValues: ds.Schema.Dimensions, MeasureValues: ds.Schema.Measures}
+	if err := s.appendLocked(traceFrom(r.Context()), rec); err != nil {
+		s.error(w, r, http.StatusServiceUnavailable, "durable log append failed; entering read-only mode")
+		return
+	}
+	if err := s.registerLocked(ds); err != nil {
+		// Unreachable after ValidateDataset; the record is already durable,
+		// so surface it loudly rather than pretend it never happened.
+		s.log("dataset %s: validated registration failed to apply: %v", req.URI, err)
+		s.error(w, r, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	s.count(CtrDatasetsCreated, 1)
 	s.log("dataset %s registered at index %d (%d dims, %d measures)", req.URI, di, len(dims), len(measures))
 	writeJSON(w, http.StatusCreated, map[string]any{"dataset": req.URI, "index": di, "created": true})
+}
+
+// registerLocked adds ds to the space and publishes it to dsIdx, so
+// inserts route to it. Callers hold the write lock.
+func (s *Server) registerLocked(ds *qb.Dataset) error {
+	if err := s.inc.S.RegisterDataset(ds); err != nil {
+		return err
+	}
+	s.dsIdx[ds.URI.Value] = len(s.inc.S.Corpus.Datasets) - 1
+	return nil
 }
 
 // schemaEqual compares the sorted dimension and measure lists of two

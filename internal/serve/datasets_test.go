@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
+	"rdfcube/internal/rdf"
 	"rdfcube/internal/wal"
 )
 
@@ -80,37 +78,39 @@ func TestCreateDatasetLifecycle(t *testing.T) {
 	}
 }
 
-// TestCreateDatasetNeedsCheckpointHook: a WAL-backed server without
-// Config.CheckpointNow refuses registration — a durable insert into a
-// volatile dataset would fail replay after a crash.
-func TestCreateDatasetNeedsCheckpointHook(t *testing.T) {
+// TestCreateDatasetWritesNoSnapshot: a WAL-backed server registers a
+// dataset with one log append, no checkpoint — it answers 201 and the
+// disk holds the WAL and nothing else.
+func TestCreateDatasetWritesNoSnapshot(t *testing.T) {
 	m := faultfs.NewMemFS()
-	_, ts, _ := newDurableServer(t, m, paperSnapshotBytes(t), Config{})
+	srv, ts, wlog := newDurableServer(t, m, paperSnapshotBytes(t), Config{})
 	var resp map[string]any
-	if code := postJSON(t, ts.URL+"/v1/datasets", datasetBody(gen.ExNS+"dataset/D-nohook"), &resp); code != http.StatusNotImplemented {
-		t.Fatalf("status %d, want 501", code)
+	if code := postJSON(t, ts.URL+"/v1/datasets", datasetBody(gen.ExNS+"dataset/D-nohook"), &resp); code != http.StatusCreated {
+		t.Fatalf("status %d, want 201 (%v)", code, resp)
+	}
+	names, err := m.ReadDirNames(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0] != "cube.wal" {
+		t.Fatalf("registration left files %v, want only the WAL", names)
+	}
+	if wlog.RecordBytes() == 0 {
+		t.Fatal("registration did not reach the WAL")
+	}
+	if srv.Degraded() {
+		t.Fatal("registration degraded the server")
 	}
 }
 
-// TestCreateDatasetDurableAcrossRestart proves the checkpoint-before-
-// publish ordering: after a register + insert + crash, a fresh server
-// built from the committed snapshot replays the WAL cleanly and serves
-// the observation.
+// TestCreateDatasetDurableAcrossRestart: the registration rides the WAL.
+// Register, insert into the new dataset, cut the power, and restart from
+// the snapshot taken BEFORE the registration: WAL replay alone must bring
+// back both the dataset and the observation.
 func TestCreateDatasetDurableAcrossRestart(t *testing.T) {
 	m := faultfs.NewMemFS()
-	var mu sync.Mutex
-	committed := paperSnapshotBytes(t)
-
-	var srv *Server
-	cfg := Config{CheckpointNow: func() error {
-		return srv.CheckpointWith(func(data []byte) error {
-			mu.Lock()
-			committed = append([]byte(nil), data...)
-			mu.Unlock()
-			return nil
-		})
-	}}
-	srv, ts, _ := newDurableServer(t, m, committed, cfg)
+	before := paperSnapshotBytes(t)
+	_, ts, _ := newDurableServer(t, m, before, Config{})
 
 	uri := gen.ExNS + "dataset/D-durable"
 	var created map[string]any
@@ -132,73 +132,99 @@ func TestCreateDatasetDurableAcrossRestart(t *testing.T) {
 		t.Fatalf("insert: status %d (%v)", code, insResp)
 	}
 
-	// Crash: reopen the surviving MemFS WAL against the committed
-	// snapshot — exactly what the daemon does at startup.
 	crashed := m.Clone()
 	crashed.Crash()
-	wlog2, recs, err := wal.Open(crashed, "cube.wal")
-	if err != nil {
-		t.Fatalf("wal.Open after crash: %v", err)
-	}
-	mu.Lock()
-	snapBytes := committed
-	mu.Unlock()
-	srv2, err := New(decodeSnapshot(t, snapBytes), Config{WAL: wlog2})
-	if err != nil {
-		t.Fatalf("New after crash: %v", err)
-	}
-	applied, err := srv2.Replay(recs)
-	if err != nil {
-		t.Fatalf("Replay after crash: %v (the registration was not durable before the insert)", err)
-	}
-	if applied < 1 {
-		t.Fatalf("replay applied %d records, want >= 1", applied)
-	}
+	srv2, ts2, _ := newDurableServer(t, crashed, before, Config{})
 	srv2.mu.RLock()
-	_, ok := srv2.uriIdx[obsURI]
+	_, dsOK := srv2.dsIdx[uri]
+	_, obsOK := srv2.uriIdx[obsURI]
 	srv2.mu.RUnlock()
-	if !ok {
-		t.Fatalf("observation %s lost across the crash", obsURI)
+	if !dsOK || !obsOK {
+		t.Fatalf("after restart: dataset present %v, observation present %v; want both", dsOK, obsOK)
+	}
+	// The restarted server knows the registration: re-POSTing it is the
+	// idempotent 200.
+	if code := postJSON(t, ts2.URL+"/v1/datasets", datasetBody(uri), &created); code != http.StatusOK {
+		t.Fatalf("re-create after restart: status %d, want 200", code)
 	}
 }
 
-// TestCreateDatasetCheckpointFailureKeepsDatasetUnpublished: when the
-// registration checkpoint fails the client gets a retryable 503 and the
-// dataset does NOT accept inserts; a retry with a healthy checkpoint
-// completes the registration.
-func TestCreateDatasetCheckpointFailureKeepsDatasetUnpublished(t *testing.T) {
-	var fail atomic.Bool
-	fail.Store(true)
-	var srv *Server
-	cfg := Config{CheckpointNow: func() error {
-		if fail.Load() {
-			return fmt.Errorf("injected checkpoint failure")
-		}
-		return srv.CheckpointWith(func([]byte) error { return nil })
-	}}
-	corpusSrv, ts := newPaperServer(t, cfg)
-	srv = corpusSrv
+// TestCreateDatasetWALFailureDegrades: a registration whose WAL append
+// fails is never acknowledged — 503 — the server degrades to read-only
+// as for a failed insert, and the space does not hold the dataset.
+func TestCreateDatasetWALFailureDegrades(t *testing.T) {
+	m := faultfs.NewMemFS()
+	srv, ts, _ := newDurableServer(t, m, paperSnapshotBytes(t), Config{})
+	datasets := len(srv.inc.S.Corpus.Datasets)
 
+	m.Inject(faultfs.Fault{Op: faultfs.OpSync, N: 1})
 	uri := gen.ExNS + "dataset/D-flaky"
 	var resp map[string]any
 	if code := postJSON(t, ts.URL+"/v1/datasets", datasetBody(uri), &resp); code != http.StatusServiceUnavailable {
-		t.Fatalf("failed checkpoint: status %d, want 503 (%v)", code, resp)
+		t.Fatalf("failed append: status %d, want 503 (%v)", code, resp)
 	}
-	ins := map[string]any{
-		"dataset":    uri,
-		"uri":        gen.ExNS + "obs/flaky1",
-		"dimensions": map[string]string{gen.DimRefArea.Value: gen.GeoAthens.Value},
-		"measures":   map[string]string{gen.ExNS + "measure/migrated": "1"},
+	if !srv.Degraded() {
+		t.Fatal("a failed registration append did not degrade the server")
 	}
-	if code := postJSON(t, ts.URL+"/v1/observations", ins, &resp); code != http.StatusBadRequest {
-		t.Fatalf("insert into unpublished dataset: status %d, want 400", code)
+	srv.mu.RLock()
+	_, published := srv.dsIdx[uri]
+	n := len(srv.inc.S.Corpus.Datasets)
+	srv.mu.RUnlock()
+	if published || n != datasets {
+		t.Fatalf("after a failed append: dataset published %v, %d datasets (want %d)", published, n, datasets)
 	}
+	if code := postJSON(t, ts.URL+"/v1/datasets", datasetBody(uri), &resp); code != http.StatusServiceUnavailable {
+		t.Fatalf("registration on a degraded server: status %d, want 503", code)
+	}
+}
 
-	fail.Store(false)
-	if code := postJSON(t, ts.URL+"/v1/datasets", datasetBody(uri), &resp); code != http.StatusCreated {
-		t.Fatalf("retry after checkpoint heals: status %d, want 201 (%v)", code, resp)
+// TestReplayRegistrationRecords: a logged registration (WAL kind 2)
+// applies at the next corpus index, is skipped when the space already
+// holds it there with the same schema (a checkpoint landed after it and
+// the truncation was skipped), and is an error — never a panic — when it
+// disagrees with the space.
+func TestReplayRegistrationRecords(t *testing.T) {
+	snap := paperSnapshotBytes(t)
+	reg := func(uri string, index int, dims ...rdf.Term) wal.Record {
+		return wal.Record{
+			Register:      true,
+			Dataset:       index,
+			URI:           rdf.NewIRI(uri),
+			DimValues:     dims,
+			MeasureValues: []rdf.Term{rdf.NewIRI(gen.ExNS + "measure/migrated")},
+		}
 	}
-	if code := postJSON(t, ts.URL+"/v1/observations", ins, &resp); code != http.StatusCreated {
-		t.Fatalf("insert after successful registration: status %d (%v)", code, resp)
+	area, period := gen.DimRefArea, gen.DimRefPeriod
+	srv, err := New(decodeSnapshot(t, snap), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := len(srv.inc.S.Corpus.Datasets)
+	uri := gen.ExNS + "dataset/D-replayed"
+	rows := []struct {
+		name    string
+		rec     wal.Record
+		applied int
+		fails   bool
+	}{
+		{"applies at the next index", reg(uri, next, period, area), 1, false},
+		{"held at the same index with the same schema is skipped", reg(uri, next, area, period), 0, false},
+		{"wrong index", reg(gen.ExNS+"dataset/D-elsewhere", next+5, area), 0, true},
+		{"another schema for a known URI", reg(uri, next, area), 0, true},
+		{"another URI at a held index", reg(gen.ExNS+"dataset/D-usurper", next, area, period), 0, true},
+		{"dimension outside the space", reg(gen.ExNS+"dataset/D-baddim", next+1, rdf.NewIRI(gen.ExNS+"dim/not-in-space")), 0, true},
+	}
+	for _, row := range rows {
+		n, err := srv.Replay([]wal.Record{row.rec})
+		if (err != nil) != row.fails || n != row.applied {
+			t.Fatalf("%s: applied %d, err %v; want applied %d, error %v", row.name, n, err, row.applied, row.fails)
+		}
+	}
+	srv.mu.RLock()
+	di, ok := srv.dsIdx[uri]
+	total := len(srv.inc.S.Corpus.Datasets)
+	srv.mu.RUnlock()
+	if !ok || di != next || total != next+1 {
+		t.Fatalf("dataset at %d (published %v), %d datasets; want index %d of %d", di, ok, total, next, next+1)
 	}
 }

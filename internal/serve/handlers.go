@@ -294,6 +294,31 @@ type insertRequest struct {
 	Measures   map[string]string `json:"measures"`
 }
 
+// appendLocked is every write's durability point: it appends rec to the
+// WAL with fsync (a no-op without one), records the append latency,
+// counts the frame into the replication stream and wakes /v1/wal
+// long-pollers. An append failure flips the server read-only — better
+// to refuse writes than to acknowledge ones a crash would lose — and is
+// returned so the caller answers 503. Callers hold the write lock.
+func (s *Server) appendLocked(tr *reqTrace, rec wal.Record) error {
+	if s.wlog == nil {
+		return nil
+	}
+	endWAL := tr.span("wal.append")
+	walStart := time.Now()
+	err := s.wlog.Append(rec)
+	s.observe(HistWALAppend, time.Since(walStart).Microseconds())
+	endWAL()
+	if err != nil {
+		s.markDegraded(fmt.Sprintf("wal append for %s: %v", rec.URI.Value, err))
+		return err
+	}
+	s.count(CtrWALAppends, 1)
+	s.walSeq++
+	s.notifyAppend()
+	return nil
+}
+
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if s.follower != nil {
 		s.rejectWrite(w, r)
@@ -383,28 +408,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Durability point: the record hits the fsynced log before the client
-	// sees 201. An append failure flips the server read-only — better to
-	// refuse writes than to acknowledge ones a crash would lose.
-	if s.wlog != nil {
-		rec := wal.Record{
-			Dataset:       di,
-			URI:           o.URI,
-			DimValues:     o.DimValues,
-			MeasureValues: o.MeasureValues,
-		}
-		endWAL := tr.span("wal.append")
-		walStart := time.Now()
-		err := s.wlog.Append(rec)
-		s.observe(HistWALAppend, time.Since(walStart).Microseconds())
-		endWAL()
-		if err != nil {
-			s.markDegraded(fmt.Sprintf("wal append for %s: %v", req.URI, err))
-			s.error(w, r, http.StatusServiceUnavailable, "durable log append failed; entering read-only mode")
-			return
-		}
-		s.count(CtrWALAppends, 1)
-		s.walSeq++
-		s.notifyAppend()
+	// sees 201.
+	rec := wal.Record{Dataset: di, URI: o.URI, DimValues: o.DimValues, MeasureValues: o.MeasureValues}
+	if err := s.appendLocked(tr, rec); err != nil {
+		s.error(w, r, http.StatusServiceUnavailable, "durable log append failed; entering read-only mode")
+		return
 	}
 
 	// Route the incremental kernel's counters (candidate sizes, emits)

@@ -20,6 +20,7 @@
 //	                            ways (with degrees), complements
 //	GET  /v1/obs/{i}            observation detail (URI, values, signature)
 //	POST /v1/observations       live insert via core.Incremental
+//	POST /v1/datasets           register a new, empty dataset
 //	GET  /v1/stats              corpus, relationship and service counters
 //	GET  /healthz               liveness (always 200 once the process is up)
 //	GET  /readyz                readiness: 503 while loading, 200 with
@@ -38,14 +39,15 @@
 // use, so the PR-1 /metrics exposition shows serving and computation
 // side by side.
 //
-// Durability: with Config.WAL set, every accepted insert is appended —
-// and fsynced — to the write-ahead log before the 201 acknowledgment,
-// so a crash never loses an acknowledged write. At startup the daemon
-// replays the WAL suffix through Replay (idempotent: records whose URI
-// already exists are skipped). CheckpointWith serializes snapshot
-// checkpoints and truncates the WAL only after the checkpoint commit
-// succeeds. When the log itself fails, the server degrades to read-only:
-// queries keep working, inserts return 503, /readyz reports "degraded".
+// Durability: with Config.WAL set, every accepted write — an insert or a
+// dataset registration — is appended, and fsynced, to the write-ahead
+// log before the 201 acknowledgment, so a crash never loses an
+// acknowledged write. At startup the daemon replays the WAL suffix
+// through Replay (idempotent: records already in the state are
+// skipped). CheckpointWith serializes snapshot checkpoints and truncates
+// the WAL only after the checkpoint commit succeeds. When the log itself
+// fails, the server degrades to read-only: queries keep working, writes
+// return 503, /readyz reports "degraded".
 package serve
 
 import (
@@ -118,10 +120,11 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing requests; beyond it
 	// requests are shed with 429. Zero means 128.
 	MaxInFlight int
-	// WAL, when non-nil, receives every accepted insert — durably, via
-	// fsync — BEFORE the client sees the 201 ack, so a crash never loses
-	// an acknowledged write. An append failure flips the server into
-	// degraded read-only mode: queries keep working, inserts return 503.
+	// WAL, when non-nil, receives every accepted write (insert or dataset
+	// registration) — durably, via fsync — BEFORE the client sees the 201
+	// ack, so a crash never loses an acknowledged write. An append failure
+	// flips the server into degraded read-only mode: queries keep working,
+	// writes return 503.
 	WAL *wal.Log
 	// Logf receives operational log lines (recovered panics, degraded-
 	// mode transitions, replay summaries). Nil discards them.
@@ -151,16 +154,6 @@ type Config struct {
 	// WALPollWait is the default long-poll budget for a /v1/wal request
 	// whose offset is at the durable end; zero means 10s, capped at 30s.
 	WALPollWait time.Duration
-	// CheckpointNow, when set, synchronously runs one full checkpoint
-	// cycle through the daemon's snapshot store (typically a closure over
-	// CheckpointWith and a snapshot.Rotator). POST /v1/datasets calls it
-	// to make a registration durable BEFORE the dataset becomes
-	// insertable: a schema change cannot ride the WAL (an unknown record
-	// kind reads as a torn tail on replay), so the snapshot is the only
-	// durable carrier. Required when WAL is set — a WAL-backed server
-	// without it refuses registrations, because a durable insert into a
-	// volatile dataset would fail replay after a crash.
-	CheckpointNow func() error
 	// DisableDatasetCreate turns POST /v1/datasets off (501). Operators
 	// who want a frozen schema surface set this.
 	DisableDatasetCreate bool
@@ -191,9 +184,9 @@ func (c Config) walPollWait() time.Duration {
 }
 
 // Server answers relationship queries over one snapshot's state and
-// accepts live inserts. One writer (POST /v1/observations, checkpoints)
-// excludes the many readers via an RWMutex; read handlers touch only
-// state guarded by it.
+// accepts live writes. One writer (inserts, dataset registrations,
+// checkpoints) excludes the many readers via an RWMutex; read handlers
+// touch only state guarded by it.
 type Server struct {
 	mu sync.RWMutex
 	// inc holds the space and the lattice; its Result is only the current
@@ -234,12 +227,6 @@ type Server struct {
 	// same path (and WAL truncation must pair with exactly one commit).
 	ckptMu sync.Mutex
 
-	// Dataset registration: the daemon's synchronous-checkpoint hook and
-	// the mutex serializing whole register-then-checkpoint-then-publish
-	// cycles (regMu is held across the checkpoint, so it must never be
-	// acquired while holding mu).
-	ckptNow     func() error
-	regMu       sync.Mutex
 	dsCreateOff bool
 
 	// Replication (primary side): the per-incarnation stream ID, the
@@ -298,7 +285,6 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 		pollWait:  cfg.walPollWait(),
 		follower:  cfg.Follower,
 
-		ckptNow:     cfg.CheckpointNow,
 		dsCreateOff: cfg.DisableDatasetCreate,
 	}
 	s.runCtx, s.stopRuns = context.WithCancel(context.Background())
@@ -344,12 +330,14 @@ func (s *Server) log(format string, a ...any) {
 func (s *Server) BeginShutdown() { s.stopRuns() }
 
 // Replay applies WAL records recovered at startup through the same
-// incremental maintenance path live inserts use. Records whose URI is
-// already present are skipped — that makes replay idempotent when a
-// crash landed between a committed checkpoint and the WAL truncation
-// that should have followed it. It returns the number of records
-// applied. A record that cannot apply (unknown dataset index, schema
-// arity mismatch, validation failure) aborts with an error: the log
+// paths live writes use. Records already reflected in the state are
+// skipped — an insert whose URI is present, a registration the space
+// already holds at the logged index with the logged schema — which makes
+// replay idempotent when a crash landed between a committed checkpoint
+// and the WAL truncation that should have followed it. It returns the
+// number of records applied. A record that cannot apply (unknown dataset
+// index, schema arity mismatch, validation failure, a registration at
+// another index or with another schema) aborts with an error: the log
 // disagrees with the snapshot and silently dropping acknowledged writes
 // is not an option.
 func (s *Server) Replay(recs []wal.Record) (int, error) {
@@ -357,35 +345,71 @@ func (s *Server) Replay(recs []wal.Record) (int, error) {
 	defer s.mu.Unlock()
 	applied := 0
 	for k, rec := range recs {
-		if _, dup := s.uriIdx[rec.URI.Value]; dup {
-			continue
+		var ok bool
+		var err error
+		if rec.Register {
+			ok, err = s.replayRegisterLocked(rec)
+		} else {
+			ok, err = s.replayInsertLocked(rec)
 		}
-		if rec.Dataset < 0 || rec.Dataset >= len(s.inc.S.Corpus.Datasets) {
-			return applied, fmt.Errorf("serve: wal record %d: dataset index %d out of range [0, %d)",
-				k, rec.Dataset, len(s.inc.S.Corpus.Datasets))
-		}
-		ds := s.inc.S.Corpus.Datasets[rec.Dataset]
-		if len(rec.DimValues) != len(ds.Schema.Dimensions) || len(rec.MeasureValues) != len(ds.Schema.Measures) {
-			return applied, fmt.Errorf("serve: wal record %d: value arity (%d dims, %d measures) does not match schema of %s (%d, %d)",
-				k, len(rec.DimValues), len(rec.MeasureValues), ds.URI.Value, len(ds.Schema.Dimensions), len(ds.Schema.Measures))
-		}
-		o := &qb.Observation{
-			URI:           rec.URI,
-			Dataset:       ds,
-			DimValues:     append([]rdf.Term(nil), rec.DimValues...),
-			MeasureValues: append([]rdf.Term(nil), rec.MeasureValues...),
-		}
-		if err := s.applyInsertLocked(rec.Dataset, o); err != nil {
+		if err != nil {
 			return applied, fmt.Errorf("serve: wal record %d (%s): %w", k, rec.URI.Value, err)
 		}
-		applied++
+		if ok {
+			applied++
+		}
 	}
 	s.replayed.Add(int64(applied))
 	s.count(CtrWALReplayed, int64(applied))
 	// Every replayed frame is part of the logical WAL stream whether or not
-	// it applied (dup-skips included): followers count frames, not inserts.
+	// it applied (dup-skips included): followers count frames, not writes.
 	s.walSeq += int64(len(recs))
 	return applied, nil
+}
+
+// replayInsertLocked redoes one logged insert; false means the
+// observation was already present. Callers hold the write lock.
+func (s *Server) replayInsertLocked(rec wal.Record) (bool, error) {
+	if _, dup := s.uriIdx[rec.URI.Value]; dup {
+		return false, nil
+	}
+	if rec.Dataset < 0 || rec.Dataset >= len(s.inc.S.Corpus.Datasets) {
+		return false, fmt.Errorf("dataset index %d out of range [0, %d)", rec.Dataset, len(s.inc.S.Corpus.Datasets))
+	}
+	ds := s.inc.S.Corpus.Datasets[rec.Dataset]
+	if len(rec.DimValues) != len(ds.Schema.Dimensions) || len(rec.MeasureValues) != len(ds.Schema.Measures) {
+		return false, fmt.Errorf("value arity (%d dims, %d measures) does not match schema of %s (%d, %d)",
+			len(rec.DimValues), len(rec.MeasureValues), ds.URI.Value, len(ds.Schema.Dimensions), len(ds.Schema.Measures))
+	}
+	o := &qb.Observation{
+		URI:           rec.URI,
+		Dataset:       ds,
+		DimValues:     append([]rdf.Term(nil), rec.DimValues...),
+		MeasureValues: append([]rdf.Term(nil), rec.MeasureValues...),
+	}
+	return true, s.applyInsertLocked(rec.Dataset, o)
+}
+
+// replayRegisterLocked redoes one logged dataset registration; false
+// means the space already holds it at the logged index with the logged
+// schema. Callers hold the write lock.
+func (s *Server) replayRegisterLocked(rec wal.Record) (bool, error) {
+	ds := &qb.Dataset{URI: rec.URI, Schema: qb.NewSchema(rec.DimValues, rec.MeasureValues)}
+	n := len(s.inc.S.Corpus.Datasets)
+	if rec.Dataset >= 0 && rec.Dataset < n {
+		held := s.inc.S.Corpus.Datasets[rec.Dataset]
+		switch {
+		case held.URI != ds.URI:
+			return false, fmt.Errorf("registration at index %d, but the space holds %s there", rec.Dataset, held.URI.Value)
+		case !schemaEqual(held.Schema, ds.Schema):
+			return false, fmt.Errorf("registration at index %d with another schema than the space holds", rec.Dataset)
+		}
+		return false, nil
+	}
+	if rec.Dataset != n {
+		return false, fmt.Errorf("registration at index %d, but the next dataset index is %d", rec.Dataset, n)
+	}
+	return true, s.registerLocked(ds)
 }
 
 // ApplyReplicated applies record frames a follower pulled from its
@@ -535,6 +559,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/related", s.wrap("related", s.handleRelated))
 	mux.Handle("GET /v1/obs/{i}", s.wrap("obs", s.handleObs))
 	mux.Handle("POST /v1/observations", s.wrap("insert", s.handleInsert))
+	mux.Handle("POST /v1/datasets", s.wrap("datasets", s.handleCreateDataset))
 	mux.Handle("GET /v1/stats", s.wrap("stats", s.handleStats))
 	inner := http.TimeoutHandler(mux, s.timeout, `{"error":"request timed out"}`)
 	outer := http.NewServeMux()
@@ -543,10 +568,6 @@ func (s *Server) Handler() http.Handler {
 	// and /v1/wal long-polls at the tail by design.
 	outer.Handle("GET /v1/snapshot", s.wrap("snapshot", s.handleSnapshot))
 	outer.Handle("GET /v1/wal", s.wrap("waltail", s.handleWALTail))
-	// Dataset registration also lives outside the TimeoutHandler: it
-	// synchronously checkpoints the snapshot (its durability point),
-	// which can legitimately outlast one query's budget.
-	outer.Handle("POST /v1/datasets", s.wrap("datasets", s.handleCreateDataset))
 	// The trace ring is served unwrapped: reading traces must not charge
 	// the semaphore, appear in the ring it is reading, or be shed under
 	// the very overload it is diagnosing.

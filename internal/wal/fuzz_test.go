@@ -40,7 +40,8 @@ func validLogBytes(f *testing.F, n int) []byte {
 //
 // Seeds: valid logs of several lengths, truncations at every byte over
 // the header and frame boundaries, bit flips (header, length prefix,
-// payload, CRC), and foreign data.
+// payload, CRC), foreign data, a log with a registration record, and a
+// version-1 log.
 func FuzzOpenWAL(f *testing.F) {
 	golden := validLogBytes(f, 5)
 	f.Add(golden)
@@ -59,6 +60,17 @@ func FuzzOpenWAL(f *testing.F) {
 	f.Add([]byte("not a wal at all"))
 	f.Add(validLogBytes(f, 0))
 	f.Add(append(golden, 0xde, 0xad, 0xbe, 0xef))
+	// A log holding a registration (kind 2), and a version-1 log.
+	withReg := validLogBytes(f, 2)
+	fsys := faultfs.NewMemFS()
+	if w, _, err := Open(fsys, "reg.wal"); err != nil || w.Append(Record{Register: true, Dataset: 3, URI: rdf.NewIRI("http://example.org/dataset/fuzz")}) != nil {
+		f.Fatal("building the registration seed")
+	}
+	reg, _ := fsys.ReadFile("reg.wal")
+	f.Add(append(withReg, reg[HeaderLen:]...))
+	v1 := append([]byte(nil), golden...)
+	v1[HeaderLen-1] = 1
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fsys := faultfs.NewMemFS()

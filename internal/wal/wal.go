@@ -1,33 +1,48 @@
-// Package wal is the write-ahead log that makes live inserts durable:
-// every observation accepted by the serving layer is appended — length-
-// prefixed, CRC-32-checked, fsynced — before the client sees an ack, so
-// `snapshot + WAL suffix` always reconstructs the pre-crash state.
+// Package wal is the write-ahead log that makes live writes durable:
+// every observation insert and every dataset registration the serving
+// layer accepts is appended — length-prefixed, CRC-32-checked, fsynced —
+// before the client sees an ack, so `snapshot + WAL suffix` always
+// reconstructs the pre-crash state.
 //
 // # Format
 //
-//	header  magic "RDFCWAL\x01" (8 bytes: 7 magic + 1 version)
+//	header  magic "RDFCWAL" ++ version byte (8 bytes; version 2)
 //	record  uint32 LE payload length ++ payload ++ uint32 LE CRC-32
 //	        (IEEE) of the payload
 //
 // Record payloads reuse the snapshot's term-encoding conventions
 // (varints, varint-length-prefixed strings) but carry terms inline —
-// an append-only log cannot share a dictionary section:
+// an append-only log cannot share a dictionary section. Both record
+// kinds share one layout:
 //
-//	byte    record kind (1 = insert)
+//	byte    record kind (1 = insert, 2 = dataset registration)
 //	uvarint dataset index (position in the snapshot's DSET order)
-//	term    observation URI
-//	uvarint n, then n dimension value terms (dataset schema order)
-//	uvarint m, then m measure value terms  (dataset schema order)
+//	term    observation URI (kind 2: the dataset URI)
+//	uvarint n, then n dimension value terms (dataset schema order;
+//	        kind 2: the schema's dimension IRIs)
+//	uvarint m, then m measure value terms  (dataset schema order;
+//	        kind 2: the schema's measure IRIs)
 //	term    = kind byte ++ str value ++ str datatype ++ str lang
+//
+// # Versions
+//
+// Version 1 logs hold inserts only. Version 2 added the registration
+// kind, and the version byte moved with it: a binary that knows only
+// version 1 rejects kind 2, and would read a registration frame as a
+// torn tail and truncate it together with every acknowledged insert
+// after it. The bumped byte makes such a binary refuse the whole file
+// with ErrCorrupt ("bad magic") instead. Open reads a version-1 log and
+// rewrites it atomically as version 2 before anything is appended.
 //
 // # Crash semantics
 //
-// Append frames, writes and fsyncs one record; it returns nil only once
-// the record is durable, and the caller acknowledges the insert only
-// after that. On any write or sync error Append repairs the log by
-// truncating back to the last durable record, so a failed (never-acked)
-// append leaves no trace; if even the repair fails the log reports
-// itself Broken and the caller degrades to read-only.
+// Append and AppendBatch frame, write and fsync their records; they
+// return nil only once every record is durable, and the caller
+// acknowledges the write only after that. On any write or sync error
+// the log is repaired by truncating back to the last durable record, so
+// a failed (never-acked) append leaves no trace; if even the repair
+// fails the log reports itself Broken and the caller degrades to
+// read-only.
 //
 // Open replays the log: it parses records until the first torn or
 // corrupt one, truncates the tail off (a torn tail is the signature of
@@ -53,7 +68,11 @@ import (
 )
 
 // magic identifies a WAL stream; the trailing byte is the format version.
-var magic = [8]byte{'R', 'D', 'F', 'C', 'W', 'A', 'L', 1}
+var magic = [8]byte{'R', 'D', 'F', 'C', 'W', 'A', 'L', 2}
+
+// magicV1 is the header of a version-1 log (inserts only), which Open
+// upgrades in place.
+var magicV1 = [8]byte{'R', 'D', 'F', 'C', 'W', 'A', 'L', 1}
 
 // HeaderLen is the byte length of the log header. Record frames start at
 // this offset; the replication layer's logical offsets count record bytes
@@ -64,36 +83,48 @@ const HeaderLen = int64(len(magic))
 // are treated as corruption before any allocation happens.
 const maxRecord = 1 << 24
 
-// recInsert is the only record kind so far.
-const recInsert = 1
+// Record kinds, the first payload byte.
+const (
+	recInsert   = 1
+	recRegister = 2
+)
 
 // ErrCorrupt wraps structural failures that are not a repairable torn
-// tail: a damaged header or an oversized length prefix at offset zero.
+// tail: a header that is neither a known magic nor a prefix of one.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
 // ErrBroken is returned by Append once the log device has failed in a
 // way repair could not undo; the caller must stop acknowledging writes.
 var ErrBroken = errors.New("wal: log broken, writes disabled")
 
-// Record is one logged insert, carrying everything needed to rebuild
-// the observation against the snapshot's corpus: the dataset's position
-// in the snapshot's DSET order and the full value rows in schema order.
+// Record is one logged write, carrying everything needed to redo it
+// against the snapshot's corpus. The zero value of Register means an
+// insert (kind 1): the observation's dataset position in the snapshot's
+// DSET order and the full value rows in schema order. A registration
+// (kind 2) reuses the same fields: Dataset is the corpus index the new
+// dataset takes, URI is the dataset URI, and DimValues/MeasureValues are
+// the schema's dimension and measure IRIs in schema order.
 type Record struct {
-	// Dataset is the corpus index of the observation's dataset.
+	// Dataset is the corpus index of the observation's dataset (of the
+	// registered dataset, for a registration).
 	Dataset int
-	// URI is the observation URI.
+	// URI is the observation URI (the dataset URI, for a registration).
 	URI rdf.Term
-	// DimValues are the dimension values in dataset schema order.
+	// DimValues are the dimension values in dataset schema order (the
+	// schema's dimensions, for a registration).
 	DimValues []rdf.Term
-	// MeasureValues are the measure values in dataset schema order.
+	// MeasureValues are the measure values in dataset schema order (the
+	// schema's measures, for a registration).
 	MeasureValues []rdf.Term
+	// Register marks a dataset registration (kind 2).
+	Register bool
 }
 
 // Log is an open write-ahead log positioned for appending.
 //
 // A Log is NOT goroutine-safe: callers must serialize Append, Truncate
 // and the accessors under their own lock (the serving layer uses its
-// state RWMutex — inserts append under the write lock, and checkpoint
+// state RWMutex — writes append under the write lock, and checkpoint
 // truncation re-acquires it, so the log never changes between the size
 // check and the truncate).
 type Log struct {
@@ -119,26 +150,30 @@ func Open(fsys faultfs.FS, path string) (*Log, []Record, error) {
 	default:
 		return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
+	if len(data) < len(magic) {
+		// Empty, or a torn header: that can only come from a crash during
+		// creation, before Open ever returned — nothing was logged.
+		// Anything that is not a strict prefix of the magic is foreign data.
+		if !bytes.HasPrefix(magic[:], data) {
+			return nil, nil, fmt.Errorf("%w: %s: bad header %q", ErrCorrupt, path, data)
+		}
+		return create(fsys, path)
+	}
+	header := [8]byte(data[:8])
+	if header != magic && header != magicV1 {
+		return nil, nil, fmt.Errorf("%w: %s: bad magic %q", ErrCorrupt, path, data[:8])
+	}
 
-	var recs []Record
-	good := int64(0)
-	repaired := int64(0)
-	fresh := len(data) == 0
-
-	if !fresh {
-		if len(data) < len(magic) {
-			// A torn header can only come from a crash during creation,
-			// before Open ever returned — nothing was logged. Anything
-			// that is not a strict prefix of the magic is foreign data.
-			if !bytes.HasPrefix(magic[:], data) {
-				return nil, nil, fmt.Errorf("%w: %s: bad header %q", ErrCorrupt, path, data)
-			}
-			fresh = true
-		} else if [8]byte(data[:8]) != magic {
-			return nil, nil, fmt.Errorf("%w: %s: bad magic %q", ErrCorrupt, path, data[:8])
-		} else {
-			recs, good = replay(data)
-			repaired = int64(len(data)) - good
+	// Keep the records up to the first torn or corrupt frame; the rest is
+	// the tail of an append that was never acknowledged.
+	recs, n, _ := ParseFrames(data[HeaderLen:])
+	good := HeaderLen + n
+	upgrade := header == magicV1
+	if upgrade {
+		// The rewrite drops the torn tail too; a crash during it leaves the
+		// version-1 file, which the next Open upgrades again.
+		if err := faultfs.WriteFileAtomic(fsys, path, append(magic[:], data[HeaderLen:good]...)); err != nil {
+			return nil, nil, fmt.Errorf("wal: upgrading %s to version %d: %w", path, magic[7], err)
 		}
 	}
 
@@ -146,25 +181,8 @@ func Open(fsys faultfs.FS, path string) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
-	w := &Log{fs: fsys, f: f, path: path, repaired: repaired}
-	if fresh {
-		// (Re-)write the header and make it durable before any append.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: initializing %s: %w", path, err)
-		}
-		if _, err := f.Write(magic[:]); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: writing header of %s: %w", path, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: syncing header of %s: %w", path, err)
-		}
-		w.size = int64(len(magic))
-		return w, nil, nil
-	}
-	if repaired > 0 {
+	w := &Log{fs: fsys, f: f, path: path, size: good, repaired: int64(len(data)) - good}
+	if w.repaired > 0 && !upgrade {
 		if err := f.Truncate(good); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("wal: repairing torn tail of %s: %w", path, err)
@@ -174,70 +192,64 @@ func Open(fsys faultfs.FS, path string) (*Log, []Record, error) {
 			return nil, nil, fmt.Errorf("wal: syncing repaired %s: %w", path, err)
 		}
 	}
-	w.size = good
 	return w, recs, nil
 }
 
-// replay parses records from data (which starts with a valid header),
-// stopping at the first torn or corrupt record. It returns the decoded
-// records and the offset just past the last valid one.
-func replay(data []byte) ([]Record, int64) {
-	var recs []Record
-	off := len(magic)
-	for {
-		rec, next, ok := parseRecord(data, off)
-		if !ok {
-			return recs, int64(off)
-		}
-		recs = append(recs, rec)
-		off = next
-	}
-}
-
-// parseRecord decodes the record framed at off. ok is false when the
-// bytes at off do not form a complete, checksummed, decodable record.
-func parseRecord(data []byte, off int) (rec Record, next int, ok bool) {
-	if len(data)-off < 4 {
-		return rec, 0, false
-	}
-	n := int(binary.LittleEndian.Uint32(data[off:]))
-	if n > maxRecord || len(data)-off < 4+n+4 {
-		return rec, 0, false
-	}
-	payload := data[off+4 : off+4+n]
-	crc := binary.LittleEndian.Uint32(data[off+4+n:])
-	if crc32.ChecksumIEEE(payload) != crc {
-		return rec, 0, false
-	}
-	r, err := decodeRecord(payload)
+// create (re-)writes a log that is just the header and makes it durable
+// before any append.
+func create(fsys faultfs.FS, path string) (*Log, []Record, error) {
+	f, err := fsys.OpenAppend(path)
 	if err != nil {
-		return rec, 0, false
+		return nil, nil, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
-	return r, off + 4 + n + 4, true
+	if err := f.Truncate(0); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: initializing %s: %w", path, err)
+	}
+	if _, err := f.Write(magic[:]); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: writing header of %s: %w", path, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: syncing header of %s: %w", path, err)
+	}
+	return &Log{fs: fsys, f: f, path: path, size: HeaderLen}, nil, nil
 }
 
 // Append durably logs one record: nil means the record is on stable
-// storage and the insert may be acknowledged. On failure the log
-// truncates back to its last durable record (so the unacknowledged
-// record cannot resurface after a restart); if that repair fails too,
-// the log is Broken and every later Append fails fast.
+// storage and the write may be acknowledged. It is AppendBatch of one
+// record.
 func (w *Log) Append(rec Record) error {
+	return w.AppendBatch([]Record{rec})
+}
+
+// AppendBatch durably logs several records with a single fsync: every
+// frame is written, then one Sync covers them all. nil means ALL records
+// are on stable storage. Followers use it to persist a replicated batch
+// without paying one fsync per record; the primary appends one record
+// per acknowledged write. On failure the log truncates back to its last
+// durable record, so no record of a failed batch can resurface after a
+// restart; if that repair fails too, the log is Broken and every later
+// append fails fast.
+func (w *Log) AppendBatch(recs []Record) error {
 	if w.broken {
 		return ErrBroken
 	}
-	payload := encodeRecord(rec)
-	frame := make([]byte, 0, 4+len(payload)+4)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-
-	if _, err := w.f.Write(frame); err != nil {
+	var frames []byte
+	for _, rec := range recs {
+		frames = appendFrame(frames, rec)
+	}
+	if len(frames) == 0 {
+		return nil
+	}
+	if _, err := w.f.Write(frames); err != nil {
 		return w.repairOr(fmt.Errorf("wal: append: %w", err))
 	}
 	if err := w.f.Sync(); err != nil {
 		return w.repairOr(fmt.Errorf("wal: fsync: %w", err))
 	}
-	w.size += int64(len(frame))
+	w.size += int64(len(frames))
 	return nil
 }
 
@@ -259,7 +271,7 @@ func (w *Log) Truncate() error {
 	if w.broken {
 		return ErrBroken
 	}
-	if err := w.f.Truncate(int64(len(magic))); err != nil {
+	if err := w.f.Truncate(HeaderLen); err != nil {
 		w.broken = true
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
@@ -267,39 +279,7 @@ func (w *Log) Truncate() error {
 		w.broken = true
 		return fmt.Errorf("wal: truncate sync: %w", err)
 	}
-	w.size = int64(len(magic))
-	return nil
-}
-
-// AppendBatch durably logs several records with a single fsync: every
-// frame is written, then one Sync covers them all. nil means ALL records
-// are on stable storage. Followers use it to persist a replicated batch
-// without paying one fsync per record; the primary's insert path keeps
-// the per-record Append (each ack needs its own durability point). The
-// failure semantics match Append: a failed batch is truncated back to
-// the last durable record as a unit, and an unrepairable failure marks
-// the log Broken.
-func (w *Log) AppendBatch(recs []Record) error {
-	if w.broken {
-		return ErrBroken
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	var frame []byte
-	for _, rec := range recs {
-		payload := encodeRecord(rec)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-		frame = append(frame, payload...)
-		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	}
-	if _, err := w.f.Write(frame); err != nil {
-		return w.repairOr(fmt.Errorf("wal: batch append: %w", err))
-	}
-	if err := w.f.Sync(); err != nil {
-		return w.repairOr(fmt.Errorf("wal: batch fsync: %w", err))
-	}
-	w.size += int64(len(frame))
+	w.size = HeaderLen
 	return nil
 }
 
@@ -408,9 +388,9 @@ func ParseFrames(data []byte) (recs []Record, good int64, err error) {
 // Size reports the durable log length in bytes (header included).
 func (w *Log) Size() int64 { return w.size }
 
-// Records reports how many record bytes the log holds (0 right after
+// RecordBytes reports how many record bytes the log holds (0 right after
 // Truncate).
-func (w *Log) RecordBytes() int64 { return w.size - int64(len(magic)) }
+func (w *Log) RecordBytes() int64 { return w.size - HeaderLen }
 
 // RepairedBytes reports how many torn-tail bytes Open discarded.
 func (w *Log) RepairedBytes() int64 { return w.repaired }
@@ -439,8 +419,16 @@ func appendTerm(b []byte, t rdf.Term) []byte {
 	return appendString(b, t.Lang)
 }
 
-func encodeRecord(rec Record) []byte {
-	b := []byte{recInsert}
+// appendFrame appends rec's frame to b: the length prefix, the payload
+// encoded in place, and the payload's CRC.
+func appendFrame(b []byte, rec Record) []byte {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0)
+	kind := byte(recInsert)
+	if rec.Register {
+		kind = recRegister
+	}
+	b = append(b, kind)
 	b = binary.AppendUvarint(b, uint64(rec.Dataset))
 	b = appendTerm(b, rec.URI)
 	b = binary.AppendUvarint(b, uint64(len(rec.DimValues)))
@@ -451,7 +439,9 @@ func encodeRecord(rec Record) []byte {
 	for _, t := range rec.MeasureValues {
 		b = appendTerm(b, t)
 	}
-	return b
+	payload := b[start+4:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 }
 
 // rcur is a bounds-checked cursor over one record payload.
@@ -537,10 +527,10 @@ func decodeRecord(payload []byte) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	if kind != recInsert {
+	if kind != recInsert && kind != recRegister {
 		return Record{}, fmt.Errorf("unknown record kind %d", kind)
 	}
-	var rec Record
+	rec := Record{Register: kind == recRegister}
 	ds, err := c.uvarint()
 	if err != nil {
 		return Record{}, err

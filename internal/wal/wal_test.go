@@ -26,7 +26,7 @@ func rec(i int) Record {
 }
 
 func equalRecords(a, b Record) bool {
-	if a.Dataset != b.Dataset || a.URI != b.URI ||
+	if a.Register != b.Register || a.Dataset != b.Dataset || a.URI != b.URI ||
 		len(a.DimValues) != len(b.DimValues) || len(a.MeasureValues) != len(b.MeasureValues) {
 		return false
 	}
@@ -96,6 +96,114 @@ func TestRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// register builds a distinguishable dataset registration record.
+func register(i int) Record {
+	return Record{
+		Register: true,
+		Dataset:  10 + i,
+		URI:      rdf.NewIRI(fmt.Sprintf("http://example.org/dataset/wal%d", i)),
+		DimValues: []rdf.Term{
+			rdf.NewIRI("http://example.org/dim/refArea"),
+			rdf.NewIRI("http://example.org/dim/refPeriod"),
+		},
+		MeasureValues: []rdf.Term{rdf.NewIRI(fmt.Sprintf("http://example.org/measure/wal%d", i))},
+	}
+}
+
+// TestRegistrationRecordRoundTrip: registrations (kind 2) interleaved
+// with inserts reopen as written, kind included, through Append, through
+// AppendBatch and through ParseFrames.
+func TestRegistrationRecordRoundTrip(t *testing.T) {
+	m := faultfs.NewMemFS()
+	w, _, err := Open(m, "log.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{rec(0), register(0), rec(1)}
+	for _, r := range want {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := []Record{register(1), rec(2)}
+	if err := w.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, batch...)
+	w.Close()
+	_, got, err := Open(m, "log.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqual(t, got, want, "reopen")
+	data, _ := m.ReadFile("log.wal")
+	parsed, good, err := ParseFrames(data[HeaderLen:])
+	if err != nil || good != int64(len(data))-HeaderLen {
+		t.Fatalf("ParseFrames: %d of %d bytes, err %v", good, int64(len(data))-HeaderLen, err)
+	}
+	mustEqual(t, parsed, want, "ParseFrames")
+}
+
+// TestOpenUpgradesVersion1: a version-1 log (inserts only) replays as
+// before, and Open rewrites it as version 2 — torn tail dropped — before
+// anything is appended. A crash during the rewrite leaves the version-1
+// file, which the next Open upgrades again.
+func TestOpenUpgradesVersion1(t *testing.T) {
+	m := faultfs.NewMemFS()
+	w, _, err := Open(m, "log.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{rec(0), rec(1), rec(2)}
+	for _, r := range want {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	v2, _ := m.ReadFile("log.wal")
+	v1 := append(append([]byte(nil), v2...), 0x07, 0x00) // a torn tail
+	v1[len(magic)-1] = 1
+
+	put := func(data []byte) {
+		f, _ := m.Create("log.wal")
+		f.Write(data)
+		f.Sync()
+		f.Close()
+	}
+	put(v1)
+	m.Inject(faultfs.Fault{Op: faultfs.OpRename, N: 1})
+	if _, _, err := Open(m, "log.wal"); err == nil {
+		t.Fatal("Open succeeded although the upgrade rewrite failed")
+	}
+	m.Inject(faultfs.Fault{})
+	if data, _ := m.ReadFile("log.wal"); string(data) != string(v1) {
+		t.Fatal("a failed upgrade changed the version-1 file")
+	}
+
+	w2, got, err := Open(m, "log.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqual(t, got, want, "version-1 replay")
+	if w2.RepairedBytes() != 2 {
+		t.Fatalf("upgrade reported %d repaired bytes, want the 2 torn ones", w2.RepairedBytes())
+	}
+	if data, _ := m.ReadFile("log.wal"); string(data) != string(v2) {
+		t.Fatalf("upgraded file is not the version-2 log of the same records")
+	}
+	if err := w2.Append(register(0)); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	m.Crash()
+	_, got, err = Open(m, "log.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqual(t, got, append(want, register(0)), "after upgrade, append and power cut")
 }
 
 // TestTruncateAfterCheckpoint: records logged before Truncate are gone,
