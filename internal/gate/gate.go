@@ -34,6 +34,7 @@
 package gate
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -315,7 +316,16 @@ func (g *Gate) Handler() http.Handler {
 	mux.Handle("GET /v1/migrations", g.wrap("migrations", g.handleListMigrations))
 	mux.Handle("POST /v1/migrations", g.wrap("migrations", g.handleStartMigration))
 	mux.Handle("POST /v1/migrations/{id}/abort", g.wrap("migrations", g.handleAbortMigration))
-	return http.TimeoutHandler(mux, g.cfg.requestTimeout(), `{"error":"request timed out"}`)
+	// The inbound deadline rides the request context: the scatter, hedge
+	// and write-retry budgets are carved from it, so the gate answers its
+	// own deadline (a partial or structured refusal) instead of a canned
+	// timeout body.
+	timeout := g.cfg.requestTimeout()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		mux.ServeHTTP(w, r.WithContext(ctx))
+	})
 }
 
 // wrap adds counters, latency histograms and panic containment.
@@ -403,7 +413,7 @@ func (g *Gate) probeOne(tgt *target, timeout time.Duration) {
 	if err != nil {
 		return
 	}
-	ctx, cancel := contextWithTimeout(req.Context(), timeout)
+	ctx, cancel := context.WithTimeout(req.Context(), timeout)
 	defer cancel()
 	resp, err := g.client.Do(req.WithContext(ctx))
 	ok := false

@@ -484,6 +484,48 @@ func TestPartialContract(t *testing.T) {
 	}
 }
 
+// TestGateAnswersItsOwnDeadline: a read whose shards stall past the
+// request deadline gets the gate's own structured answer — partial, naming
+// the missing shards — and not a canned timeout body. MergeReserve is cut
+// to nothing so the shard calls run to the inbound deadline itself.
+func TestGateAnswersItsOwnDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	f := buildFleet(t, 21)
+	g := f.newGate(t, func(c *Config) {
+		c.RequestTimeout = 100 * time.Millisecond
+		c.MergeReserve = time.Nanosecond
+		c.BreakerThreshold = 1000 // keep breakers out of this test
+	})
+	h := g.Handler()
+	stall := func(w *gen.ShardWorld) {
+		f.tr.setDelay("shard-"+w.Name+"-primary", time.Minute)
+		f.tr.setDelay("shard-"+w.Name+"-replica", time.Minute)
+	}
+
+	stall(f.worlds[1])
+	code, body := get(t, h, relatedPath(f.worlds[0].Corpus.Datasets[0].Observations[0].URI.Value))
+	var resp relatedResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("status %d, body not an answer: %v (%s)", code, err, body)
+	}
+	if code != http.StatusOK || !resp.Partial || len(resp.MissingShards) != 1 || resp.MissingShards[0] != f.worlds[1].Name {
+		t.Fatalf("one stalled shard: status %d, partial %v, missing %v; want 200 partial missing [%s]",
+			code, resp.Partial, resp.MissingShards, f.worlds[1].Name)
+	}
+
+	for _, w := range f.worlds {
+		stall(w)
+	}
+	code, body = get(t, h, relatedPath(f.worlds[0].Corpus.Datasets[0].Observations[0].URI.Value))
+	var eresp errorResponse
+	if err := json.Unmarshal(body, &eresp); err != nil {
+		t.Fatalf("status %d, body not JSON: %v (%s)", code, err, body)
+	}
+	if code != http.StatusServiceUnavailable || !eresp.Partial || len(eresp.MissingShards) != len(f.worlds) {
+		t.Fatalf("every shard stalled: status %d body %s; want 503 partial with every shard missing", code, body)
+	}
+}
+
 // TestBreakerTripsAndHalfOpenRecovers: repeated failures trip a
 // target's breaker open (the shard drops out of the fan-out without
 // paying the timeout), and after the backoff a request probes it back

@@ -331,12 +331,6 @@ func (g *Gate) hedgeDelay(primary *target) time.Duration {
 	return d
 }
 
-// contextWithTimeout is context.WithTimeout behind a name the prober
-// can share.
-func contextWithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(ctx, d)
-}
-
 // drain discards and closes a response body so the connection is reused.
 func drain(resp *http.Response) {
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))

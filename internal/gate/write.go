@@ -101,7 +101,7 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 			wait = max
 		}
 		// Never sleep past the inbound deadline: better to relay the
-		// refusal than to have the TimeoutHandler answer for us.
+		// refusal now than to answer after the client's budget is spent.
 		if dl, ok := r.Context().Deadline(); ok {
 			if remaining := time.Until(dl) - g.cfg.mergeReserve(); wait > remaining {
 				break

@@ -66,45 +66,45 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	ds := &qb.Dataset{URI: rdf.NewIRI(req.URI), Schema: qb.NewSchema(dims, measures)}
 
+	s.send(w, s.createDatasetReply(r, ds))
+}
+
+// createDatasetReply validates, logs and registers ds under the write
+// lock, and returns the answer.
+func (s *Server) createDatasetReply(r *http.Request, ds *qb.Dataset) reply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// As for inserts: a client that hung up during the lock wait must not
 	// reach the WAL.
-	if s.ctxAbort(w, r) {
-		return
+	if rep, done := s.abandoned(r); done {
+		return rep
 	}
-	if di, ok := s.dsIdx[req.URI]; ok {
+	if di, ok := s.dsIdx[ds.URI.Value]; ok {
 		if !schemaEqual(s.inc.S.Corpus.Datasets[di].Schema, ds.Schema) {
-			s.error(w, r, http.StatusConflict, "dataset %q already exists with a different schema", req.URI)
-			return
+			return errReply(r, http.StatusConflict, "dataset %q already exists with a different schema", ds.URI.Value)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"dataset": req.URI, "index": di, "created": false})
-		return
+		return reply{http.StatusOK, map[string]any{"dataset": ds.URI.Value, "index": di, "created": false}}
 	}
 	if s.Degraded() {
-		s.error(w, r, http.StatusServiceUnavailable, "degraded read-only mode: write-ahead log failed; dataset creation refused")
-		return
+		return errReply(r, http.StatusServiceUnavailable, "degraded read-only mode: write-ahead log failed; dataset creation refused")
 	}
 	if err := s.inc.S.ValidateDataset(ds); err != nil {
-		s.error(w, r, http.StatusBadRequest, "%v", err)
-		return
+		return errReply(r, http.StatusBadRequest, "%v", err)
 	}
 	di := len(s.inc.S.Corpus.Datasets)
 	rec := wal.Record{Register: true, Dataset: di, URI: ds.URI, DimValues: ds.Schema.Dimensions, MeasureValues: ds.Schema.Measures}
 	if err := s.appendLocked(traceFrom(r.Context()), rec); err != nil {
-		s.error(w, r, http.StatusServiceUnavailable, "durable log append failed; entering read-only mode")
-		return
+		return errReply(r, http.StatusServiceUnavailable, "durable log append failed; entering read-only mode")
 	}
 	if err := s.registerLocked(ds); err != nil {
 		// Unreachable after ValidateDataset; the record is already durable,
 		// so surface it loudly rather than pretend it never happened.
-		s.log("dataset %s: validated registration failed to apply: %v", req.URI, err)
-		s.error(w, r, http.StatusInternalServerError, "%v", err)
-		return
+		s.log("dataset %s: validated registration failed to apply: %v", ds.URI.Value, err)
+		return errReply(r, http.StatusInternalServerError, "%v", err)
 	}
 	s.count(CtrDatasetsCreated, 1)
-	s.log("dataset %s registered at index %d (%d dims, %d measures)", req.URI, di, len(dims), len(measures))
-	writeJSON(w, http.StatusCreated, map[string]any{"dataset": req.URI, "index": di, "created": true})
+	s.log("dataset %s registered at index %d (%d dims, %d measures)", ds.URI.Value, di, len(ds.Schema.Dimensions), len(ds.Schema.Measures))
+	return reply{http.StatusCreated, map[string]any{"dataset": ds.URI.Value, "index": di, "created": true}}
 }
 
 // registerLocked adds ds to the space and publishes it to dsIdx, so

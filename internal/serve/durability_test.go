@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -184,6 +185,289 @@ func TestAbandonedRequestStatuses(t *testing.T) {
 
 	if got := col.Snapshot()[CtrCanceled]; got != 2 {
 		t.Fatalf("%s = %d, want 2", CtrCanceled, got)
+	}
+}
+
+// TestDeadlineWhileWaitingForWriteLock: a read that waits for the write
+// lock past its deadline answers the documented 504 with its trace ID
+// once it gets the lock, and that is the answer the trace ring, the
+// canceled counter and the client all see.
+func TestDeadlineWhileWaitingForWriteLock(t *testing.T) {
+	col := obsv.NewCollector()
+	srv, ts := newPaperServer(t, Config{Recorder: col, RequestTimeout: 20 * time.Millisecond})
+
+	srv.mu.Lock()
+	go func() {
+		time.Sleep(200 * time.Millisecond)
+		srv.mu.Unlock()
+	}()
+	req, err := http.NewRequest("GET", ts.URL+"/v1/related?obs=0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(TraceIDHeader, "lock-deadline")
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("body not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout || body["traceId"] != "lock-deadline" {
+		t.Fatalf("status %d body %v, want 504 carrying traceId lock-deadline", resp.StatusCode, body)
+	}
+	if waited := time.Since(start); waited < 150*time.Millisecond {
+		t.Fatalf("answered after %v, before the write lock was released", waited)
+	}
+
+	var traces tracesResponse
+	if code := getJSON(t, ts.URL+"/debug/traces?id=lock-deadline", &traces); code != http.StatusOK || len(traces.Traces) != 1 {
+		t.Fatalf("/debug/traces: status %d, %d traces", code, len(traces.Traces))
+	}
+	if got := traces.Traces[0].Status; got != resp.StatusCode {
+		t.Fatalf("the trace ring recorded %d, the client got %d", got, resp.StatusCode)
+	}
+	if got := col.Snapshot()[CtrCanceled]; got != 1 {
+		t.Fatalf("%s = %d, want 1", CtrCanceled, got)
+	}
+}
+
+// slowSyncFS is a filesystem whose appended files' Sync, once stall is
+// armed, waits until the armed channel is closed and then succeeds: a
+// slow disk, not a failed one. (faultfs's Block fault fails the operation
+// once released.)
+type slowSyncFS struct {
+	faultfs.FS
+	stall *atomic.Pointer[chan struct{}]
+}
+
+func (f slowSyncFS) OpenAppend(path string) (faultfs.File, error) {
+	h, err := f.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{File: h, stall: f.stall}, nil
+}
+
+type slowSyncFile struct {
+	faultfs.File
+	stall *atomic.Pointer[chan struct{}]
+}
+
+func (f slowSyncFile) Sync() error {
+	if c := f.stall.Load(); c != nil {
+		<-*c
+	}
+	return f.File.Sync()
+}
+
+// TestInsertFsyncPastDeadlineAnswers201: an insert whose fsync outlasts
+// the request deadline is durable and applied when the fsync returns, so
+// it answers 201 — not a timeout a retrying client would meet as 409.
+func TestInsertFsyncPastDeadlineAnswers201(t *testing.T) {
+	stall := new(atomic.Pointer[chan struct{}])
+	m := faultfs.NewMemFS()
+	wlog, _, err := wal.Open(slowSyncFS{FS: m, stall: stall}, "cube.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	srv, err := New(decodeSnapshot(t, paperSnapshotBytes(t)), Config{WAL: wlog, RequestTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	release := make(chan struct{})
+	stall.Store(&release)
+	go func() {
+		time.Sleep(200 * time.Millisecond)
+		close(release)
+	}()
+	var created map[string]any
+	if code := postJSON(t, ts.URL+"/v1/observations", insertBody("-slow-fsync"), &created); code != http.StatusCreated {
+		t.Fatalf("insert through a slow fsync: status %d (%v), want 201", code, created)
+	}
+	if srv.Degraded() || wlog.RecordBytes() == 0 || srv.inc.S.N() != 11 {
+		t.Fatalf("degraded %v, %d WAL record bytes, %d observations: want a logged, applied insert",
+			srv.Degraded(), wlog.RecordBytes(), srv.inc.S.N())
+	}
+}
+
+// stalledWriter is a ResponseWriter whose Write blocks until release is
+// closed: a client that leaves its socket unread. entered is closed at
+// the first Write.
+type stalledWriter struct {
+	h       http.Header
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.h }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(b), nil
+}
+
+// TestUnreadAnswerHoldsNoLock: every handler that takes s.mu writes its
+// answer after releasing it, so a client that stops reading one — a
+// fan-out body, an error, an insert's or a registration's answer — does
+// not stop another client's insert (nor, behind a waiting writer, every
+// later read).
+func TestUnreadAnswerHoldsNoLock(t *testing.T) {
+	srv, _ := newPaperServer(t, Config{})
+	h := srv.Handler()
+	mustJSON := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for k, tc := range []struct {
+		name, method, target string
+		body                 []byte
+	}{
+		{"related", "GET", "/v1/related?obs=0", nil},
+		{"contains", "GET", "/v1/contains?obs=0", nil},
+		{"complements", "GET", "/v1/complements?obs=0", nil},
+		{"unknown observation", "GET", "/v1/related?obs=nope", nil},
+		{"obs", "GET", "/v1/obs/0", nil},
+		{"stats", "GET", "/v1/stats", nil},
+		{"insert", "POST", "/v1/observations", mustJSON(insertBody("-unread"))},
+		{"duplicate insert", "POST", "/v1/observations", mustJSON(insertBody("-unread"))},
+		{"dataset", "POST", "/v1/datasets", mustJSON(datasetBody(gen.ExNS + "dataset/D-unread"))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &stalledWriter{h: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+			served := make(chan struct{})
+			go func() {
+				h.ServeHTTP(w, httptest.NewRequest(tc.method, tc.target, bytes.NewReader(tc.body)))
+				close(served)
+			}()
+			defer func() {
+				close(w.release)
+				<-served
+			}()
+			select {
+			case <-w.entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the handler never wrote its answer")
+			}
+			beside := mustJSON(insertBody(fmt.Sprintf("-beside-%d", k)))
+			inserted := make(chan *httptest.ResponseRecorder, 1)
+			go func() { inserted <- fetch(t, h, "POST", "/v1/observations", beside) }()
+			select {
+			case rec := <-inserted:
+				if rec.Code != http.StatusCreated {
+					t.Fatalf("insert beside an unread answer: status %d: %s", rec.Code, rec.Body.Bytes())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("an insert waited behind an unread answer")
+			}
+		})
+	}
+}
+
+// TestUnreadAnswerReleasesItsSlot: a client that pipelines requests for
+// a large answer and reads none of them holds its in-flight slot for one
+// request timeout once its answer stalls, not for good — the next client
+// is admitted.
+func TestUnreadAnswerReleasesItsSlot(t *testing.T) {
+	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 1})
+	sp, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(snapshot.New(sp, res, nil), Config{MaxInFlight: 1, RequestTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	big, most := 0, 0
+	for i := 0; i < srv.inc.S.N(); i++ {
+		if n := fetch(t, h, "GET", fmt.Sprintf("/v1/related?obs=%d", i), nil).Body.Len(); n > most {
+			big, most = i, n
+		}
+	}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := fmt.Sprintf("GET /v1/related?obs=%d HTTP/1.1\r\nHost: cube\r\n\r\n", big)
+	if _, err := conn.Write([]byte(strings.Repeat(req, 256))); err != nil {
+		t.Fatal(err)
+	}
+	// 256 answers of most bytes each overflow the socket buffers well
+	// within this pause; from then on the connection's handler is stuck
+	// in its write.
+	time.Sleep(time.Second)
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("/v1/stats: status %d", resp.StatusCode)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("an unread %d-byte answer still holds the only in-flight slot", most)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// panicOnCount is a Recorder that panics when the named counter moves.
+type panicOnCount struct {
+	obsv.Recorder
+	name string
+}
+
+func (p panicOnCount) Count(name string, delta int64) {
+	if name == p.name {
+		panic("injected at " + name)
+	}
+	p.Recorder.Count(name, delta)
+}
+
+// TestPanicUnderLockReleasesIt: a handler that panics while it holds s.mu
+// releases the lock as it unwinds, so the recovered 500 is not followed
+// by a daemon whose every later request waits for the lock.
+func TestPanicUnderLockReleasesIt(t *testing.T) {
+	srv, _ := newPaperServer(t, Config{Recorder: panicOnCount{Recorder: obsv.NewCollector(), name: CtrInserts}})
+	h := srv.Handler()
+	body, err := json.Marshal(insertBody("-panic"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := fetch(t, h, "POST", "/v1/observations", body); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("insert that panics under the write lock: status %d, want 500", rec.Code)
+	}
+	stats := make(chan int, 1)
+	go func() { stats <- fetch(t, h, "GET", "/v1/stats", nil).Code }()
+	select {
+	case code := <-stats:
+		if code != http.StatusOK {
+			t.Fatalf("/v1/stats after the panic: status %d", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the write lock stayed held after a recovered panic")
 	}
 }
 

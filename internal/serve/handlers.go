@@ -26,15 +26,50 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// error writes a JSON error body carrying the request's trace ID, so a
-// 4xx/5xx response is correlatable with the /debug/traces ring, the
+// errorBody is a JSON error payload carrying the request's trace ID, so
+// a 4xx/5xx response is correlatable with the /debug/traces ring, the
 // slow-query log and the panic log line.
-func (s *Server) error(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
+func errorBody(r *http.Request, format string, args ...any) map[string]string {
 	payload := map[string]string{"error": fmt.Sprintf(format, args...)}
 	if id := TraceID(r.Context()); id != "" {
 		payload["traceId"] = id
 	}
-	writeJSON(w, status, payload)
+	return payload
+}
+
+// error writes a JSON error body (errorBody). Handlers holding s.mu
+// return a reply instead.
+func (s *Server) error(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
+	writeJSON(w, status, errorBody(r, format, args...))
+}
+
+// A reply is an answer decided under s.mu and sent after the lock is
+// released. A write can block for as long as the client leaves its socket
+// unread; it must block only that request's goroutine, never the lock
+// every insert and, behind a waiting insert, every read needs. The
+// functions that decide one (the …Reply methods, fanoutBody) release the
+// lock by defer, so a panic under it unwinds it too.
+type reply struct {
+	status int
+	body   any
+}
+
+func errReply(r *http.Request, status int, format string, args ...any) reply {
+	return reply{status, errorBody(r, format, args...)}
+}
+
+func (s *Server) send(w http.ResponseWriter, rep reply) {
+	s.boundWrite(w)
+	writeJSON(w, rep.status, rep.body)
+}
+
+// boundWrite gives the answer about to be written the request timeout,
+// counted from now, to reach the client: one that leaves its socket
+// unread holds its in-flight slot and its buffer that long, not for as
+// long as it likes. net/http clears the deadline after each response; a
+// writer with no connection beneath it (a test recorder) ignores it.
+func (s *Server) boundWrite(w http.ResponseWriter) {
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(s.timeout))
 }
 
 // statusClientClosedRequest is nginx's convention for a request whose
@@ -50,19 +85,18 @@ func cancelStatus(err error) int {
 	return statusClientClosedRequest
 }
 
-// ctxAbort checks the request context and, when it is already done,
-// counts and reports the abandonment. Handlers call it after any wait
-// (lock acquisition, per-observation fan-out batches) so work for a
-// vanished client stops early — in particular, an insert whose client
-// hung up before the durable log append never reaches the WAL.
-func (s *Server) ctxAbort(w http.ResponseWriter, r *http.Request) bool {
+// abandoned checks the request context and, when it is already done,
+// counts the abandonment and returns its answer. Handlers call it after
+// any wait (lock acquisition, per-observation fan-out batches) so work
+// for a vanished client stops early — in particular, an insert whose
+// client hung up before the durable log append never reaches the WAL.
+func (s *Server) abandoned(r *http.Request) (reply, bool) {
 	err := r.Context().Err()
 	if err == nil {
-		return false
+		return reply{}, false
 	}
 	s.count(CtrCanceled, 1)
-	s.error(w, r, cancelStatus(err), "request abandoned: %v", err)
-	return true
+	return errReply(r, cancelStatus(err), "request abandoned: %v", err), true
 }
 
 // resolveObs resolves the ?obs= parameter (index or full URI) to an
@@ -160,104 +194,109 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ctxAbort(w, r) {
-		return
-	}
-	i, err := s.resolveObs(r)
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
+// fanout answers a fan-out route: fanoutBody renders the answer under the
+// read lock, and the write comes after the lock is released (see reply).
+func (s *Server) fanout(w http.ResponseWriter, r *http.Request, render func(b []byte, i int) ([]byte, error)) {
 	bp, b := getBody()
 	defer func() { putBody(bp, b) }()
-	b = append(b, `{"containedBy":`...)
-	b = s.appendRefs(b, s.index.ContainedBy(i))
-	b = append(b, `,"contains":`...)
-	b = s.appendRefs(b, s.index.Contains(i))
-	b = appendObsMember(b, i)
-	b = s.appendEnd(b, i)
-	writeBody(w, b)
-}
-
-func (s *Server) handleComplements(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ctxAbort(w, r) {
+	var rep reply
+	var failed bool
+	if b, rep, failed = s.fanoutBody(r, b, render); failed {
+		s.send(w, rep)
 		return
 	}
-	i, err := s.resolveObs(r)
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	bp, b := getBody()
-	defer func() { putBody(bp, b) }()
-	b = append(b, `{"complements":`...)
-	b = s.appendRefs(b, s.index.Complements(i))
-	b = appendObsMember(b, i)
-	b = s.appendEnd(b, i)
-	writeBody(w, b)
+	s.writeBody(w, b)
 }
 
-func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
+// fanoutBody resolves ?obs= and renders its answer into b under the read
+// lock, or returns the error reply instead. render returns the request
+// context's error when it stops early.
+func (s *Server) fanoutBody(r *http.Request, b []byte, render func(b []byte, i int) ([]byte, error)) ([]byte, reply, bool) {
 	tr := traceFrom(r.Context())
 	endLock := tr.span("lock.rwait")
 	s.mu.RLock()
 	endLock()
 	defer s.mu.RUnlock()
-	if s.ctxAbort(w, r) {
-		return
+	if rep, done := s.abandoned(r); done {
+		return b, rep, true
 	}
 	endResolve := tr.span("resolve")
 	i, err := s.resolveObs(r)
 	endResolve()
 	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "%v", err)
-		return
+		return b, errReply(r, http.StatusBadRequest, "%v", err), true
 	}
-	// The fan-out renders five neighbor lists, in the sorted key order
-	// encoding/json gave the body; check the context between them so a
-	// hung-up client stops the work mid-way. Each batch gets its own span
-	// so a slow /v1/related trace names the list that ate the budget.
-	bp, b := getBody()
-	defer func() { putBody(bp, b) }()
-	endCompl := tr.span("fanout.complements")
-	b = append(b, `{"complements":`...)
-	b = s.appendRefs(b, s.index.Complements(i))
-	endCompl()
-	if s.ctxAbort(w, r) {
-		return
+	if b, err = render(b, i); err != nil {
+		rep, _ := s.abandoned(r)
+		return b, rep, true
 	}
-	endFull := tr.span("fanout.full")
-	b = append(b, `,"containedBy":`...)
-	b = s.appendRefs(b, s.index.ContainedBy(i))
-	b = append(b, `,"contains":`...)
-	b = s.appendRefs(b, s.index.Contains(i))
-	endFull()
-	if s.ctxAbort(w, r) {
-		return
-	}
-	b = appendObsMember(b, i)
-	endPartial := tr.span("fanout.partial")
-	b = append(b, `,"partiallyContainedBy":`...)
-	b = s.appendPartialRefs(b, i, s.index.PartiallyContainedBy(i), false)
-	b = append(b, `,"partiallyContains":`...)
-	b = s.appendPartialRefs(b, i, s.index.PartiallyContains(i), true)
-	endPartial()
-	b = s.appendEnd(b, i)
-	writeBody(w, b)
+	return b, reply{}, false
+}
+
+func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
+	s.fanout(w, r, func(b []byte, i int) ([]byte, error) {
+		b = append(b, `{"containedBy":`...)
+		b = s.appendRefs(b, s.index.ContainedBy(i))
+		b = append(b, `,"contains":`...)
+		b = s.appendRefs(b, s.index.Contains(i))
+		b = appendObsMember(b, i)
+		return s.appendEnd(b, i), nil
+	})
+}
+
+func (s *Server) handleComplements(w http.ResponseWriter, r *http.Request) {
+	s.fanout(w, r, func(b []byte, i int) ([]byte, error) {
+		b = append(b, `{"complements":`...)
+		b = s.appendRefs(b, s.index.Complements(i))
+		b = appendObsMember(b, i)
+		return s.appendEnd(b, i), nil
+	})
+}
+
+// handleRelated renders five neighbor lists, in the sorted key order
+// encoding/json gave the body, and checks the context between them so a
+// hung-up client stops the work mid-way. Each batch gets its own span so
+// a slow /v1/related trace names the list that ate the budget.
+func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
+	tr := traceFrom(r.Context())
+	s.fanout(w, r, func(b []byte, i int) ([]byte, error) {
+		endCompl := tr.span("fanout.complements")
+		b = append(b, `{"complements":`...)
+		b = s.appendRefs(b, s.index.Complements(i))
+		endCompl()
+		if err := r.Context().Err(); err != nil {
+			return b, err
+		}
+		endFull := tr.span("fanout.full")
+		b = append(b, `,"containedBy":`...)
+		b = s.appendRefs(b, s.index.ContainedBy(i))
+		b = append(b, `,"contains":`...)
+		b = s.appendRefs(b, s.index.Contains(i))
+		endFull()
+		if err := r.Context().Err(); err != nil {
+			return b, err
+		}
+		b = appendObsMember(b, i)
+		endPartial := tr.span("fanout.partial")
+		b = append(b, `,"partiallyContainedBy":`...)
+		b = s.appendPartialRefs(b, i, s.index.PartiallyContainedBy(i), false)
+		b = append(b, `,"partiallyContains":`...)
+		b = s.appendPartialRefs(b, i, s.index.PartiallyContains(i), true)
+		endPartial()
+		return s.appendEnd(b, i), nil
+	})
 }
 
 func (s *Server) handleObs(w http.ResponseWriter, r *http.Request) {
+	s.send(w, s.obsReply(r))
+}
+
+func (s *Server) obsReply(r *http.Request) reply {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	i, err := strconv.Atoi(r.PathValue("i"))
 	if err != nil || i < 0 || i >= s.inc.S.N() {
-		s.error(w, r, http.StatusNotFound, "no observation %q", r.PathValue("i"))
-		return
+		return errReply(r, http.StatusNotFound, "no observation %q", r.PathValue("i"))
 	}
 	o := s.inc.S.Obs[i]
 	dims := map[string]string{}
@@ -273,14 +312,14 @@ func (s *Server) handleObs(w http.ResponseWriter, r *http.Request) {
 	for k, l := range sig {
 		levels[k] = int(l)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return reply{http.StatusOK, map[string]any{
 		"obs":        i,
 		"uri":        o.URI.Value,
 		"dataset":    o.Dataset.URI.Value,
 		"dimensions": dims,
 		"measures":   measures,
 		"signature":  levels,
-	})
+	}}
 }
 
 // insertRequest is the POST /v1/observations body. Dimension values are
@@ -340,6 +379,12 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	s.send(w, s.insertReply(r, &req))
+}
+
+// insertReply validates, logs and applies one insert under the write
+// lock, and returns the answer.
+func (s *Server) insertReply(r *http.Request, req *insertRequest) reply {
 	tr := traceFrom(r.Context())
 	endLock := tr.span("lock.wait")
 	s.mu.Lock()
@@ -350,25 +395,22 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	// stop before anything durable happens — an abandoned insert must
 	// never reach the WAL, or replay would resurrect a write the client
 	// never saw acknowledged.
-	if s.ctxAbort(w, r) {
-		return
+	if rep, done := s.abandoned(r); done {
+		return rep
 	}
 	// Re-check under the lock: another insert may have degraded us while
 	// we waited.
 	if s.Degraded() {
-		s.error(w, r, http.StatusServiceUnavailable, "degraded read-only mode: write-ahead log failed; inserts refused")
-		return
+		return errReply(r, http.StatusServiceUnavailable, "degraded read-only mode: write-ahead log failed; inserts refused")
 	}
 
 	di, ok := s.dsIdx[req.Dataset]
 	if !ok {
-		s.error(w, r, http.StatusBadRequest, "unknown dataset %q", req.Dataset)
-		return
+		return errReply(r, http.StatusBadRequest, "unknown dataset %q", req.Dataset)
 	}
 	ds := s.inc.S.Corpus.Datasets[di]
 	if _, dup := s.uriIdx[req.URI]; dup {
-		s.error(w, r, http.StatusConflict, "observation %q already exists", req.URI)
-		return
+		return errReply(r, http.StatusConflict, "observation %q already exists", req.URI)
 	}
 
 	o := &qb.Observation{
@@ -377,22 +419,20 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		DimValues:     make([]rdf.Term, len(ds.Schema.Dimensions)),
 		MeasureValues: make([]rdf.Term, len(ds.Schema.Measures)),
 	}
-	unknown := func(kind, key string) {
-		s.error(w, r, http.StatusBadRequest, "%s %q is not in the schema of %s", kind, key, req.Dataset)
+	unknown := func(kind, key string) reply {
+		return errReply(r, http.StatusBadRequest, "%s %q is not in the schema of %s", kind, key, req.Dataset)
 	}
 	for key, val := range req.Dimensions {
 		k := ds.Schema.DimIndex(rdf.NewIRI(key))
 		if k < 0 {
-			unknown("dimension", key)
-			return
+			return unknown("dimension", key)
 		}
 		o.DimValues[k] = rdf.NewIRI(val)
 	}
 	for key, val := range req.Measures {
 		k := ds.Schema.MeasureIndex(rdf.NewIRI(key))
 		if k < 0 {
-			unknown("measure", key)
-			return
+			return unknown("measure", key)
 		}
 		o.MeasureValues[k] = measureLiteral(val)
 	}
@@ -403,16 +443,14 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	err := s.inc.S.ValidateObservation(o)
 	endValidate()
 	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "%v", err)
-		return
+		return errReply(r, http.StatusBadRequest, "%v", err)
 	}
 
 	// Durability point: the record hits the fsynced log before the client
 	// sees 201.
 	rec := wal.Record{Dataset: di, URI: o.URI, DimValues: o.DimValues, MeasureValues: o.MeasureValues}
 	if err := s.appendLocked(tr, rec); err != nil {
-		s.error(w, r, http.StatusServiceUnavailable, "durable log append failed; entering read-only mode")
-		return
+		return errReply(r, http.StatusServiceUnavailable, "durable log append failed; entering read-only mode")
 	}
 
 	// Route the incremental kernel's counters (candidate sizes, emits)
@@ -432,20 +470,19 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		// record is already durable, so surface it loudly rather than
 		// pretend the insert never happened.
 		s.log("insert %s: validated observation failed to apply: %v", req.URI, err)
-		s.error(w, r, http.StatusInternalServerError, "%v", err)
-		return
+		return errReply(r, http.StatusInternalServerError, "%v", err)
 	}
 	idx := s.uriIdx[req.URI]
 	s.inserts.Add(1)
 	s.count(CtrInserts, 1)
 
-	writeJSON(w, http.StatusCreated, map[string]any{
+	return reply{http.StatusCreated, map[string]any{
 		"obs":        idx,
 		"uri":        req.URI,
 		"newFull":    len(s.inc.Res.FullSet),
 		"newPartial": len(s.inc.Res.PartialSet),
 		"newCompl":   len(s.inc.Res.ComplSet),
-	})
+	}}
 }
 
 // measureLiteral interprets a lexical measure value: integers and
@@ -461,6 +498,10 @@ func measureLiteral(v string) rdf.Term {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	s.send(w, s.statsReply())
+}
+
+func (s *Server) statsReply() reply {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	f, p, c := s.index.Counts()
@@ -505,5 +546,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp["latency"] = snap.Summary()
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return reply{http.StatusOK, resp}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 
 	"rdfcube/internal/wire"
@@ -16,6 +17,11 @@ import (
 // gate merges and replica parity checks compare bodies across processes.
 // The string, neighbour and float helpers live in internal/wire, beside
 // the scanner cubegate reads these bodies with.
+//
+// Every observation's neighbour fragment, `{"obs":i,"uri":"…"`, is
+// rendered once, when the observation enters the served state (New,
+// applyInsertLocked, through wire.AppendRef); a read copies fragments and
+// never escapes or formats a URI or an index again.
 
 // maxPooledBody is the largest response buffer returned to bodyPool; a
 // larger one (a hub observation's answer) is left to the GC so one outlier
@@ -39,8 +45,9 @@ func putBody(bp *[]byte, b []byte) {
 	bodyPool.Put(bp)
 }
 
-// writeBody sends a rendered 200 body.
-func writeBody(w http.ResponseWriter, b []byte) {
+// writeBody sends a rendered 200 body (boundWrite bounds the send).
+func (s *Server) writeBody(w http.ResponseWriter, b []byte) {
+	s.boundWrite(w)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b) // a failed write means the client is gone: nobody to tell
@@ -61,13 +68,12 @@ func degreeTexts(p int) []string {
 // appendRefs appends ids as a JSON array of {obs, uri} objects. Callers
 // hold at least the read lock.
 func (s *Server) appendRefs(b []byte, ids []int32) []byte {
-	obs := s.inc.S.Obs
 	b = append(b, '[')
 	for k, j := range ids {
 		if k > 0 {
 			b = append(b, ',')
 		}
-		b = wire.AppendRef(b, int(j), obs[j].URI.Value)
+		b = append(b, s.refs[j]...)
 		b = append(b, '}')
 	}
 	return append(b, ']')
@@ -94,7 +100,7 @@ func (s *Server) appendPartialRefs(b []byte, from int, ids []int32, fromIsSource
 		} else {
 			deg = sp.ContainDegree(int(j), from)
 		}
-		b = wire.AppendRef(b, int(j), sp.Obs[j].URI.Value)
+		b = append(b, s.refs[j]...)
 		b = append(b, `,"degree":`...)
 		b = append(b, s.degText[deg]...)
 		b = append(b, '}')
@@ -109,10 +115,11 @@ func appendObsMember(b []byte, i int) []byte {
 }
 
 // appendEnd closes a fan-out answer: `"uri"` of the queried observation
-// sorts last in all three routes, then the object ends and json.Encoder's
-// newline follows.
+// sorts last in all three routes — copied from the observation's own
+// fragment, whose first comma opens it — then the object ends and
+// json.Encoder's newline follows.
 func (s *Server) appendEnd(b []byte, i int) []byte {
-	b = append(b, `,"uri":`...)
-	b = wire.AppendJSONString(b, s.inc.S.Obs[i].URI.Value)
+	f := s.refs[i]
+	b = append(b, f[strings.IndexByte(f, ','):]...)
 	return append(b, "}\n"...)
 }

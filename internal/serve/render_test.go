@@ -8,16 +8,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
 
 	"rdfcube/internal/core"
+	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/loadgen"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/snapshot"
+	"rdfcube/internal/wal"
 	"rdfcube/internal/wire"
 )
 
@@ -174,6 +177,41 @@ func assertFanoutBytes(t *testing.T, what string, srv *Server) {
 	}
 }
 
+// insertPlanned sends the first n inserts of the RealWorld ingest plan
+// over corpus (generated with seed) through h. With uri non-nil the k-th
+// insert's observation URI is replaced by uri(k).
+func insertPlanned(t *testing.T, h http.Handler, corpus *qb.Corpus, seed int64, n int, uri func(k int) string) {
+	t.Helper()
+	plan, err := loadgen.BuildPlan(loadgen.PlanConfig{Gen: "realworld", N: corpus.NumObservations(), Seed: seed, Mix: "ingest", Requests: 400}, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted := 0
+	for _, op := range plan.Ops {
+		if op.Kind != loadgen.OpInsert || inserted == n {
+			continue
+		}
+		body := op.Body
+		if uri != nil {
+			var req map[string]any
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatal(err)
+			}
+			req["uri"] = uri(inserted)
+			if body, err = json.Marshal(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rec := fetch(t, h, op.Method, op.Path, body); rec.Code != http.StatusCreated {
+			t.Fatalf("insert %d: status %d: %s", inserted, rec.Code, rec.Body.Bytes())
+		}
+		inserted++
+	}
+	if inserted != n {
+		t.Fatalf("plan held %d inserts, want %d", inserted, n)
+	}
+}
+
 // TestFanoutBodiesMatchReflectiveRendering: the append-based writer emits,
 // byte for byte, what encoding/json emitted for the same state — on a
 // computed state and again after 100 live inserts (whose degrees come from
@@ -182,31 +220,76 @@ func TestFanoutBodiesMatchReflectiveRendering(t *testing.T) {
 	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 11})
 	srv := serveCorpus(t, corpus)
 	assertFanoutBytes(t, "computed", srv)
-
-	plan, err := loadgen.BuildPlan(loadgen.PlanConfig{Gen: "realworld", N: 400, Seed: 11, Mix: "ingest", Requests: 400}, corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-	inserted := 0
-	for _, op := range plan.Ops {
-		if op.Kind != loadgen.OpInsert || inserted == 100 {
-			continue
-		}
-		if rec := fetch(t, h, op.Method, op.Path, op.Body); rec.Code != http.StatusCreated {
-			t.Fatalf("insert %d: status %d: %s", inserted, rec.Code, rec.Body.Bytes())
-		}
-		inserted++
-	}
-	if inserted != 100 {
-		t.Fatalf("plan held %d inserts, want 100", inserted)
-	}
+	insertPlanned(t, srv.Handler(), corpus, 11, 100, nil)
 	assertFanoutBytes(t, "after 100 inserts", srv)
 }
 
+// loggedInserts serves RealWorld n = 400 (seed 11) from a WAL-backed
+// server, sends it 100 live inserts, and returns the state before them
+// (as snapshot bytes) and the records the WAL holds after them.
+func loggedInserts(t *testing.T) ([]byte, []wal.Record) {
+	t.Helper()
+	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 11})
+	base, err := serveCorpus(t, corpus).EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := faultfs.NewMemFS()
+	wlog, _, err := wal.Open(mem, "cube.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, err := New(decodeSnapshot(t, base), Config{WAL: wlog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertPlanned(t, primary.Handler(), corpus, 11, 100, nil)
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, recs, err := wal.Open(mem, "cube.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reopened.Close() })
+	if len(recs) != 100 {
+		t.Fatalf("the WAL holds %d records, want 100", len(recs))
+	}
+	return base, recs
+}
+
+// TestReplayAndFollowerFanoutBodiesMatchReflectiveRendering: a server
+// rebuilt by replaying a WAL, and a read-only follower grown by
+// ApplyReplicated, render the logged observations' neighbour fragments as
+// the oracle does — both grow the state through the same
+// applyInsertLocked a live insert does.
+func TestReplayAndFollowerFanoutBodiesMatchReflectiveRendering(t *testing.T) {
+	base, recs := loggedInserts(t)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		apply func(*Server, []wal.Record) (int, error)
+	}{
+		{"replay", Config{}, (*Server).Replay},
+		{"follower", Config{Follower: &FollowerState{Leader: "http://primary.invalid"}}, (*Server).ApplyReplicated},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(decodeSnapshot(t, base), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := tc.apply(srv, recs); err != nil || n != len(recs) {
+				t.Fatalf("applied %d of %d records: %v", n, len(recs), err)
+			}
+			assertFanoutBytes(t, tc.name, srv)
+		})
+	}
+}
+
 // TestFanoutBodiesHostileURIs runs the byte-identity check on a corpus
-// whose observation URIs need every kind of escaping, and resolves one of
-// them by its (query-escaped) URI.
+// whose observation URIs need every kind of escaping, resolves one of
+// them by its (query-escaped) URI, and checks again after such URIs
+// arrive as live inserts, which render their fragments on the write path.
 func TestFanoutBodiesHostileURIs(t *testing.T) {
 	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 200, Seed: 12})
 	k := 0
@@ -224,6 +307,11 @@ func TestFanoutBodiesHostileURIs(t *testing.T) {
 	if want := srv.oracleBody(t, servedState(t, srv).Result, "related", 7); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("related by URI %q: status %d, body %q, want %q", uri, rec.Code, rec.Body.Bytes(), want)
 	}
+
+	insertPlanned(t, srv.Handler(), corpus, 12, 2*len(wire.HostileStrings), func(k int) string {
+		return wire.HostileStrings[k%len(wire.HostileStrings)] + "inserted" + strconv.Itoa(k)
+	})
+	assertFanoutBytes(t, "hostile URIs inserted", srv)
 }
 
 // discardWriter is a ResponseWriter that allocates nothing per request, so
@@ -288,6 +376,59 @@ func TestRelatedAllocationsIndependentOfFanout(t *testing.T) {
 			t.Errorf("%d neighbours: %.1f allocs per request, want ≤ %d", fanout(c.srv, c.obs), allocs, bound)
 		}
 	}
+}
+
+// relatedStack serves RealWorld n = 1 500 (seed 1) through the full
+// Server.Handler() stack and builds one GET /v1/related per observation.
+func relatedStack(t testing.TB) (http.Handler, []*http.Request) {
+	t.Helper()
+	srv := serveCorpus(t, gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 1}))
+	reqs := make([]*http.Request, srv.inc.S.N())
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest("GET", "/v1/related?obs="+strconv.Itoa(i), nil)
+	}
+	return srv.Handler(), reqs
+}
+
+// TestRelatedHandlerCopyFree: through the full handler stack a
+// /v1/related answer is rendered into a pooled buffer and written from it,
+// so a request allocates a small fraction of the body it sends — not a
+// second copy of it.
+func TestRelatedHandlerCopyFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so a request regrows its buffer now and then")
+	}
+	h, reqs := relatedStack(t)
+	w := &discardWriter{h: http.Header{}}
+	for _, r := range reqs {
+		h.ServeHTTP(w, r) // size the pooled buffers
+	}
+	w.n = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range reqs {
+		h.ServeHTTP(w, r)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(reqs))
+	body := float64(w.n) / float64(len(reqs))
+	t.Logf("%.0f B allocated for a %.0f B body per request", alloc, body)
+	if alloc >= body/4 {
+		t.Errorf("a request allocates %.0f B for a %.0f-byte body, want under a quarter of it", alloc, body)
+	}
+}
+
+// BenchmarkRelatedHandler is GET /v1/related through the full handler
+// stack, uniform over the observations of RealWorld n = 1 500.
+func BenchmarkRelatedHandler(b *testing.B) {
+	h, reqs := relatedStack(b)
+	w := &discardWriter{h: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		h.ServeHTTP(w, reqs[k%len(reqs)])
+	}
+	b.ReportMetric(float64(w.n)/float64(b.N), "body-B/op")
 }
 
 // refObject is the neighbour object the fan-out routes write for (obs, uri).

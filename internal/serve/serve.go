@@ -29,15 +29,20 @@
 // The ?obs= parameter accepts either an observation index or a full
 // observation URI.
 //
-// Operational behavior: every request runs under a request-scoped timeout
+// Operational behavior: every request's context carries a deadline
 // (Config.RequestTimeout); a semaphore bounds in-flight requests and
 // sheds the excess with 429 (Config.MaxInFlight); a panic in any handler
 // is recovered, logged with its stack and answered with 500; handlers
-// observe the request context, so abandoned requests stop early with 499
-// (client hung up) or 504 (deadline); every handler reports request
-// counters and latency through the same obsv.Recorder the algorithms
-// use, so the PR-1 /metrics exposition shows serving and computation
-// side by side.
+// observe the request context after every wait, so abandoned requests
+// stop early with 499 (client hung up) or 504 (deadline) — a request
+// waiting for the write lock answers when it gets the lock, and an
+// insert whose fsync outlasts the deadline still answers 201, because
+// nothing answers for a handler behind its back; a handler decides its
+// answer under s.mu and writes it after releasing the lock, so a client
+// that leaves its socket unread blocks only its own request, and that for
+// at most Config.RequestTimeout; every handler reports request counters
+// and latency through the same obsv.Recorder the algorithms use, so the
+// /metrics exposition shows serving and computation side by side.
 //
 // Durability: with Config.WAL set, every accepted write — an insert or a
 // dataset registration — is appended, and fsynced, to the write-ahead
@@ -68,6 +73,7 @@ import (
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/snapshot"
 	"rdfcube/internal/wal"
+	"rdfcube/internal/wire"
 )
 
 // Metric names reported through the Recorder.
@@ -203,6 +209,10 @@ type Server struct {
 	// degText[k] is the JSON text of the partial-containment degree k/|P|
 	// (see appendPartialRefs); |P| is fixed when the space is compiled.
 	degText []string
+	// refs[i] is observation i's neighbour fragment `{"obs":i,"uri":"…"`
+	// (wire.AppendRef; see render.go), grown by applyInsertLocked
+	// alongside the space.
+	refs []string
 
 	rec     obsv.Recorder
 	timeout time.Duration
@@ -266,6 +276,7 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 		inc:     inc,
 		index:   core.NewIndex(sn.Space, sn.Result),
 		uriIdx:  make(map[string]int, sn.Space.N()),
+		refs:    make([]string, 0, sn.Space.N()),
 		dsIdx:   make(map[string]int, len(sn.Space.Corpus.Datasets)),
 		degText: degreeTexts(sn.Space.NumDims()),
 		rec:     cfg.Recorder,
@@ -292,6 +303,7 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 		if _, dup := s.uriIdx[o.URI.Value]; !dup {
 			s.uriIdx[o.URI.Value] = i
 		}
+		s.refs = append(s.refs, string(wire.AppendRef(nil, i, o.URI.Value)))
 	}
 	for i, ds := range sn.Space.Corpus.Datasets {
 		s.dsIdx[ds.URI.Value] = i
@@ -432,6 +444,7 @@ func (s *Server) applyInsertLocked(dsIndex int, o *qb.Observation) error {
 	}
 	s.inc.S.Corpus.Datasets[dsIndex].Observations = append(s.inc.S.Corpus.Datasets[dsIndex].Observations, o)
 	s.uriIdx[o.URI.Value] = idx
+	s.refs = append(s.refs, string(wire.AppendRef(nil, idx, o.URI.Value)))
 	s.index.Apply(d)
 	return nil
 }
@@ -549,7 +562,7 @@ func (s *Server) CheckpointWithin(d time.Duration, commit func(data []byte) erro
 }
 
 // Handler returns the service's HTTP handler: the /v1 API plus health
-// endpoints, instrumented, concurrency-limited and timeout-bounded.
+// endpoints, instrumented, concurrency-limited and deadline-bounded.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /healthz", s.wrap("healthz", s.handleHealthz))
@@ -561,9 +574,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/observations", s.wrap("insert", s.handleInsert))
 	mux.Handle("POST /v1/datasets", s.wrap("datasets", s.handleCreateDataset))
 	mux.Handle("GET /v1/stats", s.wrap("stats", s.handleStats))
-	inner := http.TimeoutHandler(mux, s.timeout, `{"error":"request timed out"}`)
 	outer := http.NewServeMux()
-	// Replication endpoints live outside the TimeoutHandler: a snapshot
+	// Replication endpoints run without the request deadline: a snapshot
 	// bootstrap legitimately streams for longer than one query's budget,
 	// and /v1/wal long-polls at the tail by design.
 	outer.Handle("GET /v1/snapshot", s.wrap("snapshot", s.handleSnapshot))
@@ -572,7 +584,14 @@ func (s *Server) Handler() http.Handler {
 	// the semaphore, appear in the ring it is reading, or be shed under
 	// the very overload it is diagnosing.
 	outer.HandleFunc("GET /debug/traces", s.handleTraces)
-	outer.Handle("/", inner)
+	// Every other route runs under the request deadline, carried on the
+	// context the handlers observe (abandoned answers 504 past it), and
+	// writes its answer straight to the connection, after releasing s.mu.
+	outer.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+		defer cancel()
+		mux.ServeHTTP(w, r.WithContext(ctx))
+	})
 	return outer
 }
 
@@ -674,6 +693,9 @@ type statusWriter struct {
 	status int
 	wrote  bool
 }
+
+// Unwrap lets http.ResponseController reach the connection (boundWrite).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
