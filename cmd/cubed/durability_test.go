@@ -222,27 +222,54 @@ func TestV1SnapshotUpgradesOnCheckpoint(t *testing.T) {
 
 // TestCorruptWALIsQuarantinedAtStartup: a WAL whose header is garbage
 // must not stop the daemon — it is renamed aside (evidence intact) and a
-// fresh log replaces it.
+// fresh log replaces it. A second incident quarantines beside the first:
+// both garbage logs survive, byte for byte.
 func TestCorruptWALIsQuarantinedAtStartup(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "idx.bin")
-	if err := os.WriteFile(snap+".wal", []byte("this is not a wal header"), 0o644); err != nil {
-		t.Fatal(err)
+	for i, q := range []string{snap + ".wal.corrupt", snap + ".wal.corrupt.1"} {
+		garbage := fmt.Sprintf("this is not a wal header (incident %d)", i)
+		if err := os.WriteFile(snap+".wal", []byte(garbage), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		base, errOut, done := startDaemon(t, ctx, snap)
+		if !strings.Contains(errOut.String(), "quarantined") {
+			cancel()
+			t.Fatalf("incident %d: no quarantine log line: %s", i, errOut.String())
+		}
+		// Inserts work against the fresh log.
+		insertLive(t, base, 200+i)
+		cancel()
+		if code := <-done; code != 0 {
+			t.Fatalf("incident %d: exit %d", i, code)
+		}
+		if data, err := os.ReadFile(q); err != nil || string(data) != garbage {
+			t.Fatalf("incident %d: quarantined WAL evidence %s missing or altered: %q, %v", i, q, data, err)
+		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	if data, err := os.ReadFile(snap + ".wal.corrupt"); err != nil || string(data) != "this is not a wal header (incident 0)" {
+		t.Fatalf("the second quarantine overwrote the first: %q, %v", data, err)
+	}
+}
+
+// TestWALWithoutSnapshotIsUsageError: -wal PATH without -snapshot exits 2
+// with a usage message and creates no log — no checkpoint would ever
+// truncate it.
+func TestWALWithoutSnapshotIsUsageError(t *testing.T) {
+	wpath := filepath.Join(t.TempDir(), "cube.wal")
+	// A daemon that accepted the flags would serve until the deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	base, errOut, done := startDaemon(t, ctx, snap)
-	if !strings.Contains(errOut.String(), "quarantined") {
-		t.Fatalf("no quarantine log line: %s", errOut.String())
+	var out, errOut syncBuffer
+	if code := run(ctx, []string{"-gen", "example", "-wal", wpath, "-addr", "127.0.0.1:0"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit %d, want 2\nstderr: %s", code, errOut.String())
 	}
-	if data, err := os.ReadFile(snap + ".wal.corrupt"); err != nil || string(data) != "this is not a wal header" {
-		t.Fatalf("quarantined WAL evidence missing or altered: %v", err)
+	if !strings.Contains(errOut.String(), "-wal requires -snapshot") {
+		t.Fatalf("no usage message: %s", errOut.String())
 	}
-	// Inserts work against the fresh log.
-	insertLive(t, base, 200)
-	cancel()
-	if code := <-done; code != 0 {
-		t.Fatalf("exit %d", code)
+	if _, err := os.Stat(wpath); !os.IsNotExist(err) {
+		t.Fatalf("a refused -wal still created the log: %v", err)
 	}
 }
 

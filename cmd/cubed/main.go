@@ -10,19 +10,25 @@
 //	cubed -snapshot idx.bin -check                               # verify
 //	cubed -snapshot idx.bin -addr :8080 -checkpoint 2m
 //
-// Startup: the snapshot is resolved through generation rotation — the
-// CURRENT pointer's generation, else older generations newest-first,
-// else a legacy plain file — quarantining (never deleting) any corrupt
-// candidate along the way. When nothing loads, the corpus is loaded or
-// generated, the cubeMasking kernel (§3.3) runs, and the state is
-// committed as the first generation. The write-ahead log (-wal,
-// defaulting to <snapshot>.wal) is then replayed on top, so inserts
-// acknowledged before a crash survive the restart. While serving, every
-// accepted insert is fsynced to the WAL before its 201; the state is
-// checkpointed on the -checkpoint interval and once more during graceful
-// shutdown (SIGINT/SIGTERM) — each checkpoint commits a new generation
-// atomically and only then truncates the WAL. If the WAL fails mid-flight
-// the daemon degrades to read-only: queries keep working, inserts get 503.
+// Startup goes through serve.Open, the one boot every primary-shaped
+// node shares: the snapshot is resolved through generation rotation —
+// the CURRENT pointer's generation, else older generations
+// newest-first, else a legacy plain file — quarantining (renaming aside,
+// never deleting or overwriting) any corrupt candidate along the way;
+// the write-ahead log (-wal, defaulting to <snapshot>.wal) is then
+// opened, quarantined the same way when its header is unreadable, and
+// replayed on top, so writes acknowledged before a crash survive the
+// restart. When no generation exists yet, the corpus is loaded or
+// generated, the cubeMasking kernel (§3.3) runs, the state is committed
+// as the first generation, and the daemon boots from it exactly as a
+// restart would. Without -snapshot the built state is served from memory
+// only, and -wal is refused: no checkpoint would ever truncate the log.
+// While serving, every accepted write is fsynced to the WAL before its
+// 201; the state is checkpointed on the -checkpoint interval and once
+// more during graceful shutdown (SIGINT/SIGTERM) — each checkpoint
+// commits a new generation atomically and only then truncates the WAL.
+// If the WAL fails mid-flight the daemon degrades to read-only: queries
+// keep working, writes get 503.
 //
 // The main address serves the /v1 query API (see internal/serve) next to
 // the observability endpoints (/metrics, /metrics.json, /debug/vars,
@@ -54,7 +60,6 @@ import (
 	"rdfcube/internal/replica"
 	"rdfcube/internal/serve"
 	"rdfcube/internal/snapshot"
-	"rdfcube/internal/wal"
 
 	rdfcube "rdfcube"
 )
@@ -75,7 +80,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "generator seed")
 		taskStr  = fs.String("tasks", "all", "relationship tasks: all, or a comma list of full,partial,compl")
 		snapPath = fs.String("snapshot", "", "snapshot base path: generations <path>.NNNNNN rotate under a <path>.CURRENT pointer")
-		walPath  = fs.String("wal", "", "write-ahead log path for live inserts (default <snapshot>.wal; \"off\" disables durability)")
+		walPath  = fs.String("wal", "", "write-ahead log path for live writes; needs -snapshot (default <snapshot>.wal; \"off\" disables durability)")
 		addr     = fs.String("addr", ":8080", "HTTP listen address (port 0 for ephemeral)")
 		interval = fs.Duration("checkpoint", 5*time.Minute, "checkpoint interval while serving (0 disables)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request timeout")
@@ -112,17 +117,24 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	if *follow != "" {
-		return runFollower(ctx, stop, followerFlags{
-			primary:  strings.TrimRight(*follow, "/"),
-			snapPath: *snapPath,
-			walPath:  *walPath,
-			addr:     *addr,
-			maxStale: *maxStale,
-			pollWait: *pollWait,
-			timeout:  *timeout,
-			inflight: *inflight,
-			tasks:    tasks,
-		}, disk, col, logf)
+		cfg := replica.Config{
+			Primary:        strings.TrimRight(*follow, "/"),
+			FS:             disk,
+			SnapshotPath:   *snapPath,
+			WALPath:        *walPath,
+			Tasks:          tasks,
+			Recorder:       col,
+			MaxStaleness:   *maxStale,
+			PollWait:       *pollWait,
+			RequestTimeout: *timeout,
+			MaxInFlight:    *inflight,
+			Logf:           logf,
+		}
+		if *walPath == "off" {
+			cfg.SnapshotPath, cfg.WALPath = "", ""
+			logf("follower: -wal off disables the local chain; every restart re-bootstraps")
+		}
+		return runFollower(ctx, stop, cfg, *addr, col, logf)
 	}
 
 	// The rotator owns all snapshot artifacts around the base path:
@@ -134,6 +146,20 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		rot.Logf = logf
 	}
 
+	// The write-ahead log sits beside the snapshot chain: only a checkpoint
+	// that committed a generation truncates it, so without a chain it
+	// would grow forever.
+	wpath := *walPath
+	switch {
+	case wpath == "off":
+		wpath = ""
+	case wpath != "" && rot == nil:
+		logf("-wal requires -snapshot: without a snapshot chain no checkpoint ever truncates the log")
+		return 2
+	case wpath == "" && rot != nil:
+		wpath = *snapPath + ".wal"
+	}
+
 	if *check {
 		if rot == nil {
 			logf("-check requires -snapshot")
@@ -142,8 +168,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		return runCheck(rot, tasks, stdout, logf)
 	}
 
-	sn, err := loadOrCompute(ctx, rot, *load, *genK, *n, *seed, tasks, col, logf)
-	if err != nil {
+	startupFailed := func(err error) int {
 		if errors.Is(err, core.ErrCanceled) {
 			logf("startup compute canceled by termination signal; nothing written")
 			return 130
@@ -151,42 +176,18 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		logf("%v", err)
 		return 1
 	}
+	build := func() (*snapshot.Snapshot, error) {
+		return compute(ctx, rot, *load, *genK, *n, *seed, tasks, col, logf)
+	}
+
 	if *once {
+		sn, err := loadOrBuild(rot, build, logf)
+		if err != nil {
+			return startupFailed(err)
+		}
 		fmt.Fprintf(stdout, "snapshot ready: %d observations, %d/%d/%d full/partial/compl pairs\n",
 			sn.Space.N(), len(sn.Result.FullSet), len(sn.Result.PartialSet), len(sn.Result.ComplSet))
 		return 0
-	}
-
-	// Open the write-ahead log and recover whatever suffix survived the
-	// last run. A log whose header is unreadable is quarantined — the
-	// evidence survives — and a fresh log replaces it; replay failures
-	// (the log disagrees with the snapshot) stop the daemon instead of
-	// silently dropping acknowledged writes.
-	wpath := *walPath
-	if wpath == "" && *snapPath != "" {
-		wpath = *snapPath + ".wal"
-	}
-	var wlog *wal.Log
-	var recs []wal.Record
-	if wpath != "" && wpath != "off" {
-		wlog, recs, err = wal.Open(disk, wpath)
-		if errors.Is(err, wal.ErrCorrupt) {
-			q := wpath + ".corrupt"
-			if rerr := disk.Rename(wpath, q); rerr != nil {
-				logf("quarantining corrupt wal %s: %v", wpath, rerr)
-				return 1
-			}
-			logf("wal %s is corrupt (%v); quarantined to %s, starting a fresh log", wpath, err, q)
-			wlog, recs, err = wal.Open(disk, wpath)
-		}
-		if err != nil {
-			logf("opening wal %s: %v", wpath, err)
-			return 1
-		}
-		defer wlog.Close()
-		if wlog.RepairedBytes() > 0 {
-			logf("wal %s: truncated %d torn trailing bytes from an interrupted append", wpath, wlog.RepairedBytes())
-		}
 	}
 
 	// Slow-query log destination: an explicit file, else stderr whenever a
@@ -204,56 +205,42 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 			slowLog = f
 		}
 	}
-
-	var snapGen func() uint64
-	if rot != nil {
-		snapGen = func() uint64 { g, _ := rot.CurrentGen(); return g }
-	}
-	srv, err := serve.New(sn, serve.Config{
+	cfg := serve.Config{
 		Tasks:                tasks,
 		Recorder:             col,
 		RequestTimeout:       *timeout,
 		MaxInFlight:          *inflight,
-		WAL:                  wlog,
-		SnapshotGen:          snapGen,
 		DisableDatasetCreate: !*dsCreate,
 		Logf:                 logf,
 		TraceRing:            *traceN,
 		SlowThreshold:        *slowTh,
 		SlowLog:              slowLog,
-	})
-	if err != nil {
-		logf("%v", err)
-		return 1
 	}
-	if len(recs) > 0 {
-		applied, err := srv.Replay(recs)
-		if err != nil {
-			logf("replaying wal %s: %v", wpath, err)
-			return 1
+
+	// Boot: from the snapshot chain and the WAL when there is one, else
+	// from a build held only in memory.
+	var srv *serve.Server
+	if rot != nil {
+		srv, err = openOrBuild(rot, wpath, cfg, build)
+	} else {
+		var sn *snapshot.Snapshot
+		if sn, err = build(); err == nil {
+			srv, err = serve.New(sn, cfg)
 		}
-		logf("replayed %d WAL records from %s (%d already in the snapshot)", applied, wpath, len(recs)-applied)
+	}
+	if err != nil {
+		return startupFailed(err)
+	}
+	if wlog := srv.WAL(); wlog != nil {
+		defer wlog.Close()
 	}
 
-	// The query API and the PR-1 observability surface share the address.
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	obsHandler := obsv.Handler(col)
-	mux.Handle("/metrics", obsHandler)
-	mux.Handle("/metrics.json", obsHandler)
-	mux.Handle("/debug/", obsHandler)
-	// The trace ring lives on the serve.Server, not the collector, so it
-	// needs an explicit mount in front of the /debug/ catch-all.
-	mux.Handle("/debug/traces", srv.Handler())
-
-	ln, err := net.Listen("tcp", *addr)
+	addrUp, shutdownHTTP, err := listen(*addr, srv.Handler(), col, logf)
 	if err != nil {
 		logf("listen: %v", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: mux}
-	go func() { _ = httpSrv.Serve(ln) }()
-	logf("serving on %s (%d observations, %d lattice cubes)", ln.Addr(), sn.Space.N(), sn.Lattice.Len())
+	logf("serving on %s", addrUp)
 
 	// checkpoint commits a new snapshot generation, optionally bounded by
 	// a wall-clock deadline. CheckpointWith holds the server's checkpoint
@@ -304,11 +291,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	// in-flight requests, and a caught-up follower's poll would otherwise
 	// hold it for up to the poll budget.
 	srv.BeginShutdown()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		logf("shutdown: %v", err)
-	}
+	shutdownHTTP()
 	// Join the timer goroutine first: a timer checkpoint queued on the
 	// checkpoint mutex could otherwise win it after the shutdown
 	// checkpoint and commit a generation after "bye". One wedged in an
@@ -328,67 +311,27 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// followerFlags carries the subset of flags a read replica uses.
-type followerFlags struct {
-	primary  string
-	snapPath string
-	walPath  string
-	addr     string
-	maxStale time.Duration
-	pollWait time.Duration
-	timeout  time.Duration
-	inflight int
-	tasks    core.Tasks
-}
-
 // runFollower runs cubed as a read replica: bootstrap from the primary's
 // snapshot, tail its WAL, serve the read API locally, refuse writes with
 // a Leader hint. The follower persists its own snapshot/WAL chain under
 // -snapshot/-wal so a restart resumes from the last applied offset
 // instead of re-transferring the whole image; `-wal off` disables the
 // chain (every restart then re-bootstraps).
-func runFollower(ctx context.Context, stop func(), ff followerFlags, disk faultfs.FS, col *obsv.Collector, logf func(string, ...any)) int {
-	snapPath, walPath := ff.snapPath, ff.walPath
-	if walPath == "off" {
-		snapPath, walPath = "", ""
-		logf("follower: -wal off disables the local chain; every restart re-bootstraps")
-	}
-	fol, err := replica.New(replica.Config{
-		Primary:        ff.primary,
-		FS:             disk,
-		SnapshotPath:   snapPath,
-		WALPath:        walPath,
-		Tasks:          ff.tasks,
-		Recorder:       col,
-		MaxStaleness:   ff.maxStale,
-		PollWait:       ff.pollWait,
-		RequestTimeout: ff.timeout,
-		MaxInFlight:    ff.inflight,
-		Logf:           logf,
-	})
+func runFollower(ctx context.Context, stop func(), cfg replica.Config, addr string, col *obsv.Collector, logf func(string, ...any)) int {
+	fol, err := replica.New(cfg)
 	if err != nil {
 		logf("%v", err)
 		return 2
 	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/", fol.Handler())
-	obsHandler := obsv.Handler(col)
-	mux.Handle("/metrics", obsHandler)
-	mux.Handle("/metrics.json", obsHandler)
-	mux.Handle("/debug/", obsHandler)
-
-	ln, err := net.Listen("tcp", ff.addr)
+	addrUp, shutdownHTTP, err := listen(addr, fol.Handler(), col, logf)
 	if err != nil {
 		logf("listen: %v", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: mux}
-	go func() { _ = httpSrv.Serve(ln) }()
-	if ff.maxStale > 0 {
-		logf("following %s on %s (readiness flips after %s of staleness)", ff.primary, ln.Addr(), ff.maxStale)
+	if cfg.MaxStaleness > 0 {
+		logf("following %s on %s (readiness flips after %s of staleness)", cfg.Primary, addrUp, cfg.MaxStaleness)
 	} else {
-		logf("following %s on %s (no staleness bound)", ff.primary, ln.Addr())
+		logf("following %s on %s (no staleness bound)", cfg.Primary, addrUp)
 	}
 
 	runDone := make(chan struct{})
@@ -397,16 +340,40 @@ func runFollower(ctx context.Context, stop func(), ff followerFlags, disk faultf
 	<-ctx.Done()
 	stop()
 	logf("follower shutting down, draining in-flight requests")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		logf("shutdown: %v", err)
-	}
+	shutdownHTTP()
 	// Run's exit path checkpoints the local chain so the next start
 	// resumes instead of re-bootstrapping.
 	<-runDone
 	logf("bye")
 	return 0
+}
+
+// listen serves h on addr beside the observability endpoints backed by
+// col (/metrics, /metrics.json, /debug/). The request-trace ring lives on
+// the server behind h, so /debug/traces is mounted in front of the
+// /debug/ catch-all. The returned shutdown drains in-flight requests for
+// up to 15s.
+func listen(addr string, h http.Handler, col *obsv.Collector, logf func(string, ...any)) (net.Addr, func(), error) {
+	mux := http.NewServeMux()
+	mux.Handle("/", h)
+	mux.Handle("/debug/traces", h)
+	obsHandler := obsv.Handler(col)
+	mux.Handle("/metrics", obsHandler)
+	mux.Handle("/metrics.json", obsHandler)
+	mux.Handle("/debug/", obsHandler)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	httpSrv := &http.Server{Handler: mux}
+	go func() { _ = httpSrv.Serve(ln) }()
+	return ln.Addr(), func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		if err := httpSrv.Shutdown(ctx); err != nil {
+			logf("shutdown: %v", err)
+		}
+	}, nil
 }
 
 // parseTasks parses the -tasks flag: "all" or a comma list of
@@ -435,15 +402,14 @@ func parseTasks(s string) (core.Tasks, error) {
 	return tasks, nil
 }
 
-// loadOrCompute resolves the startup state through the rotator: the
-// freshest readable generation wins (corrupt candidates are quarantined
-// and fallen past); when nothing exists yet the corpus is loaded or
-// generated, cubeMasking runs, and the result is committed as the
-// first generation. When candidates exist but none decodes, startup
-// stops with a clean error rather than building again — a build from
-// the base corpus would silently drop every previously checkpointed
-// live insert, and the quarantined files deserve an operator's look.
-func loadOrCompute(ctx context.Context, rot *snapshot.Rotator, load, genK string, n int, seed int64, tasks core.Tasks, col *obsv.Collector, logf func(string, ...any)) (*snapshot.Snapshot, error) {
+// loadOrBuild resolves the state -once reports: the freshest readable
+// generation the rotator finds (corrupt candidates are quarantined and
+// fallen past), else a fresh build. When candidates exist but none
+// decodes, it stops with a clean error rather than building again — a
+// build from the base corpus would silently drop every previously
+// checkpointed live insert, and the quarantined files deserve an
+// operator's look.
+func loadOrBuild(rot *snapshot.Rotator, build func() (*snapshot.Snapshot, error), logf func(string, ...any)) (*snapshot.Snapshot, error) {
 	if rot != nil {
 		start := time.Now()
 		sn, from, err := rot.Load()
@@ -451,13 +417,37 @@ func loadOrCompute(ctx context.Context, rot *snapshot.Rotator, load, genK string
 		case err == nil:
 			logf("loaded snapshot %s in %s (%d observations)", from, time.Since(start).Round(time.Millisecond), sn.Space.N())
 			return sn, nil
-		case errors.Is(err, fs.ErrNotExist):
-			// Nothing on disk yet: compute from the corpus below.
-		default:
+		case !errors.Is(err, fs.ErrNotExist):
 			return nil, fmt.Errorf("loading snapshot %s: %w", rot.Path, err)
 		}
 	}
+	return build()
+}
 
+// openOrBuild boots the daemon from disk with serve.Open: the freshest
+// readable generation, then the WAL replayed on top (an unreadable log is
+// quarantined, a torn tail cut; a log that disagrees with the snapshot
+// stops the daemon instead of silently dropping acknowledged writes). On
+// an empty directory it builds and writes the first generation, then
+// boots from it exactly as a restart would. Only a missing snapshot
+// triggers the build: Recovery.Snapshot is set once one loaded, so a WAL
+// path in a missing directory stays an error.
+func openOrBuild(rot *snapshot.Rotator, wpath string, cfg serve.Config, build func() (*snapshot.Snapshot, error)) (*serve.Server, error) {
+	srv, rec, err := serve.Open(rot, wpath, cfg)
+	if !errors.Is(err, fs.ErrNotExist) || rec.Snapshot != "" {
+		return srv, err
+	}
+	if _, err := build(); err != nil {
+		return nil, err
+	}
+	srv, _, err = serve.Open(rot, wpath, cfg)
+	return srv, err
+}
+
+// compute loads or generates the corpus, runs the cubeMasking kernel
+// (§3.3) over it and, with a rotator, commits the result as the first
+// snapshot generation.
+func compute(ctx context.Context, rot *snapshot.Rotator, load, genK string, n int, seed int64, tasks core.Tasks, col *obsv.Collector, logf func(string, ...any)) (*snapshot.Snapshot, error) {
 	corpus, err := loadCorpus(load, genK, n, seed)
 	if err != nil {
 		return nil, err
@@ -526,17 +516,18 @@ func runCheck(rot *snapshot.Rotator, tasks core.Tasks, stdout io.Writer, logf fu
 	fresh.Sort()
 	persisted := sn.Result
 	persisted.Sort()
-	if !slices.Equal(persisted.FullSet, fresh.FullSet) {
-		logf("check failed: full containment differs (persisted %d, fresh %d)", len(persisted.FullSet), len(fresh.FullSet))
-		return 1
-	}
-	if !slices.Equal(persisted.PartialSet, fresh.PartialSet) {
-		logf("check failed: partial containment differs (persisted %d, fresh %d)", len(persisted.PartialSet), len(fresh.PartialSet))
-		return 1
-	}
-	if !slices.Equal(persisted.ComplSet, fresh.ComplSet) {
-		logf("check failed: complementarity differs (persisted %d, fresh %d)", len(persisted.ComplSet), len(fresh.ComplSet))
-		return 1
+	for _, set := range []struct {
+		name             string
+		persisted, fresh []core.Pair
+	}{
+		{"full containment", persisted.FullSet, fresh.FullSet},
+		{"partial containment", persisted.PartialSet, fresh.PartialSet},
+		{"complementarity", persisted.ComplSet, fresh.ComplSet},
+	} {
+		if !slices.Equal(set.persisted, set.fresh) {
+			logf("check failed: %s differs (persisted %d, fresh %d)", set.name, len(set.persisted), len(set.fresh))
+			return 1
+		}
 	}
 	fmt.Fprintf(stdout, "ok: %d observations, %d/%d/%d full/partial/compl pairs match a fresh recomputation\n",
 		sn.Space.N(), len(fresh.FullSet), len(fresh.PartialSet), len(fresh.ComplSet))

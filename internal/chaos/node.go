@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -14,13 +13,11 @@ import (
 	"rdfcube/internal/qb"
 	"rdfcube/internal/serve"
 	"rdfcube/internal/snapshot"
-	"rdfcube/internal/wal"
 )
 
 // node is one cubed-shaped process: a fault-injecting MemFS "disk", the
 // snapshot rotator and WAL on it, and the serve.Server of the current
-// incarnation, wired the way cmd/cubed wires them (the rotator's
-// generation in /v1/stats).
+// incarnation, booted by serve.Open exactly as cmd/cubed boots.
 // It is reached through a front — a stable URL that forwards to the live
 // incarnation and answers 503 while there is none — so a node can die and
 // come back at the address its followers, proxies and clients dial.
@@ -32,8 +29,7 @@ type node struct {
 	rot *snapshot.Rotator
 	col *obsv.Collector
 
-	srv  *serve.Server // nil while stopped
-	wlog *wal.Log
+	srv *serve.Server // nil while stopped
 
 	front *httptest.Server
 	live  atomic.Pointer[http.Handler]
@@ -67,38 +63,20 @@ func (w *World) node(name string, c *qb.Corpus) *node {
 func (n *node) url() string { return n.front.URL }
 
 // start boots an incarnation from the freshest snapshot generation plus
-// WAL replay — the cubed startup path — and plugs it into the front.
+// WAL replay — cubed's boot, serve.Open — and plugs it into the front.
 func (n *node) start() error {
-	wlog, recs, err := wal.Open(n.mem, "cube.wal")
-	if err != nil {
-		return fmt.Errorf("opening WAL: %w", err)
-	}
-	sn, _, err := n.rot.Load()
-	if err != nil {
-		wlog.Close()
-		return fmt.Errorf("loading snapshot: %w", err)
-	}
-	rot := n.rot
-	srv, err := serve.New(sn, serve.Config{
+	srv, _, err := serve.Open(n.rot, "cube.wal", serve.Config{
 		Recorder:    n.col,
-		WAL:         wlog,
 		MaxInFlight: 64,
-		SnapshotGen: func() uint64 { g, _ := rot.CurrentGen(); return g },
+		Logf:        n.logf,
 		// Short long-poll budget: a dying node must not leave follower
 		// tails parked for the default 10s.
 		WALPollWait: 250 * time.Millisecond,
 	})
 	if err != nil {
-		wlog.Close()
-		return fmt.Errorf("building server: %w", err)
+		return err
 	}
-	if len(recs) > 0 {
-		if _, err := srv.Replay(recs); err != nil {
-			wlog.Close()
-			return fmt.Errorf("replaying %d WAL records: %w", len(recs), err)
-		}
-	}
-	n.srv, n.wlog = srv, wlog
+	n.srv = srv
 	h := srv.Handler()
 	n.live.Store(&h)
 	return nil
@@ -126,8 +104,8 @@ func (n *node) stop(graceful bool) {
 		crashed.Crash()
 		n.mem, n.rot = crashed, snapshot.NewRotator(crashed, "snap.bin")
 	}
-	n.wlog.Close()
-	n.srv, n.wlog = nil, nil
+	n.srv.WAL().Close()
+	n.srv = nil
 }
 
 // close tears down whatever incarnation is live, and the front.
@@ -135,7 +113,7 @@ func (n *node) close() {
 	n.live.Store(nil)
 	if n.srv != nil {
 		n.srv.BeginShutdown()
-		n.wlog.Close()
+		n.srv.WAL().Close()
 	}
 	n.front.Close()
 }

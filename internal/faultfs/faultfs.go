@@ -16,6 +16,7 @@
 package faultfs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -136,6 +137,30 @@ func WriteFileAtomic(fsys FS, path string, data []byte) error {
 		_ = fsys.Remove(tmp) // best effort; the error that matters is err
 	}
 	return err
+}
+
+// Quarantine renames a damaged file aside, never deleting it, so the
+// evidence survives for inspection, and returns the name it now has: the
+// first of path.corrupt, path.corrupt.1, path.corrupt.2, … that does not
+// exist, so an earlier quarantined file is never overwritten. The caller
+// decides the file is damaged, and must be its only writer: the free name
+// is found with Stat before the Rename.
+func Quarantine(fsys FS, path string) (string, error) {
+	dst := path + ".corrupt"
+	for i := 1; ; i++ {
+		_, err := fsys.Stat(dst)
+		if errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		if err != nil {
+			return "", err
+		}
+		dst = fmt.Sprintf("%s.corrupt.%d", path, i)
+	}
+	if err := fsys.Rename(path, dst); err != nil {
+		return "", err
+	}
+	return dst, nil
 }
 
 // truncate on os.File needs the file opened writable; osFile embeds

@@ -244,3 +244,46 @@ func TestWriteFileAtomicCrashSafety(t *testing.T) {
 		}
 	}
 }
+
+// TestQuarantineNeverOverwrites: quarantining the same path three times
+// leaves three files, path.corrupt, path.corrupt.1 and path.corrupt.2,
+// each with the bytes it had when it was renamed aside — on the real disk
+// and on MemFS. A rename that fails is reported and moves nothing.
+func TestQuarantineNeverOverwrites(t *testing.T) {
+	for name, fsys := range map[string]FS{"os": OS{}, "mem": NewMemFS()} {
+		path := filepath.Join(t.TempDir(), "cube.wal")
+		want := map[string]string{}
+		for i, q := range []string{path + ".corrupt", path + ".corrupt.1", path + ".corrupt.2"} {
+			data := []byte{'b', 'a', 'd', byte('0' + i)}
+			if err := WriteFileAtomic(fsys, path, data); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Quarantine(fsys, path)
+			if err != nil || got != q {
+				t.Fatalf("%s: quarantine %d: %q, %v; want %q", name, i, got, err, q)
+			}
+			want[q] = string(data)
+		}
+		if _, err := fsys.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: quarantined path still exists (stat err %v)", name, err)
+		}
+		for q, data := range want {
+			if got, err := fsys.ReadFile(q); err != nil || string(got) != data {
+				t.Fatalf("%s: %s holds %q (%v), want %q", name, q, got, err, data)
+			}
+		}
+	}
+
+	// A failed rename is returned and leaves the file where it was.
+	m := NewMemFS()
+	if err := WriteFileAtomic(m, "cube.wal", []byte("bad")); err != nil {
+		t.Fatal(err)
+	}
+	m.Inject(Fault{Op: OpRename, N: 1})
+	if _, err := Quarantine(m, "cube.wal"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("rename fault: err %v, want the injected fault", err)
+	}
+	if got, err := m.ReadFile("cube.wal"); err != nil || string(got) != "bad" {
+		t.Fatalf("file after a failed quarantine: %q, %v", got, err)
+	}
+}

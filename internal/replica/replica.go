@@ -204,9 +204,6 @@ type Follower struct {
 
 	cur atomic.Pointer[served]
 
-	// pendingReplay carries local WAL records from openLocal to
-	// resumeLocal (Run goroutine only).
-	pendingReplay []wal.Record
 	// holed says a batch was applied in memory that the local WAL failed
 	// to take: the chain no longer reaches the cursor, so no position is
 	// written until a local checkpoint or a bootstrap makes it whole again
@@ -300,10 +297,11 @@ func (f *Follower) observe(name string, v int64) {
 // failures. On exit it checkpoints the local chain so the next start
 // resumes instead of re-bootstrapping.
 func (f *Follower) Run(ctx context.Context) error {
-	if err := f.openLocal(); err != nil {
+	recs, err := f.openLocal()
+	if err != nil {
 		return err
 	}
-	if err := f.resumeLocal(); err != nil {
+	if err := f.resumeLocal(recs); err != nil {
 		// A broken local chain is not fatal: log it and bootstrap fresh.
 		f.logf("replica: local resume failed (%v); bootstrapping from %s", err, f.cfg.Primary)
 	}
@@ -352,33 +350,33 @@ func (f *Follower) shutdown() {
 	}
 }
 
-// openLocal opens (or creates) the follower's local WAL.
-func (f *Follower) openLocal() error {
+// openLocal opens (or creates) the follower's local WAL and returns its
+// records for resumeLocal to replay. A log whose header wal.Open could
+// not read was quarantined: the records it held are gone from the chain,
+// so the position file no longer describes it and is dropped, and the
+// next session bootstraps instead of resuming a hole.
+func (f *Follower) openLocal() ([]wal.Record, error) {
 	path := f.cfg.walPath()
 	if path == "" {
-		return nil
+		return nil, nil
 	}
 	wlog, recs, err := wal.Open(f.fs, path)
-	if errors.Is(err, wal.ErrCorrupt) {
-		q := path + ".corrupt"
-		if rerr := f.fs.Rename(path, q); rerr != nil {
-			return fmt.Errorf("replica: quarantining corrupt local wal %s: %v (original: %w)", path, rerr, err)
-		}
-		f.logf("replica: local wal %s corrupt (%v); quarantined to %s", path, err, q)
-		wlog, recs, err = wal.Open(f.fs, path)
-	}
 	if err != nil {
-		return fmt.Errorf("replica: opening local wal %s: %w", path, err)
+		return nil, fmt.Errorf("replica: opening local wal %s: %w", path, err)
+	}
+	if q := wlog.Quarantined(); q != "" {
+		f.logf("replica: local wal %s had an unreadable header; quarantined to %s, bootstrapping", path, q)
+		_ = f.fs.Remove(f.cfg.statePath()) // a missing position file IS the intended state
 	}
 	f.wlog = wlog
-	f.pendingReplay = recs
-	return nil
+	return recs, nil
 }
 
-// resumeLocal rebuilds state from the local snapshot chain + WAL and
-// restores the persisted replication position. Absence of any of the
-// pieces is not an error — it just means the next session bootstraps.
-func (f *Follower) resumeLocal() error {
+// resumeLocal rebuilds state from the local snapshot chain plus the
+// local WAL's records and restores the persisted replication position.
+// Absence of any of the pieces is not an error — it just means the next
+// session bootstraps.
+func (f *Follower) resumeLocal(recs []wal.Record) error {
 	if f.rot == nil {
 		return nil
 	}
@@ -394,8 +392,8 @@ func (f *Follower) resumeLocal() error {
 	if err != nil {
 		return err
 	}
-	if len(f.pendingReplay) > 0 {
-		if _, err := srv.Replay(f.pendingReplay); err != nil {
+	if len(recs) > 0 {
+		if _, err := srv.Replay(recs); err != nil {
 			return fmt.Errorf("replaying local wal: %w", err)
 		}
 	}
@@ -410,8 +408,7 @@ func (f *Follower) resumeLocal() error {
 	f.state.SetOffset(pos.Offset)
 	f.count(CtrResumes, 1)
 	f.logf("replica: resumed %d observations from %s (+%d local wal records), position %s@%d",
-		sn.Space.N(), from, len(f.pendingReplay), pos.Stream, pos.Offset)
-	f.pendingReplay = nil
+		sn.Space.N(), from, len(recs), pos.Stream, pos.Offset)
 	return nil
 }
 

@@ -193,6 +193,59 @@ func TestFollowerResumesFromLocalChain(t *testing.T) {
 	}
 }
 
+// TestFollowerQuarantinesCorruptLocalWAL: a follower whose local WAL
+// header is garbage comes back with the file quarantined (bytes intact)
+// and serves. The records that log held are gone from the chain, so the
+// persisted position must not be trusted: the follower re-bootstraps and
+// serves the insert only the lost log held, instead of tailing on past it.
+func TestFollowerQuarantinesCorruptLocalWAL(t *testing.T) {
+	p := newPrimary(t)
+	uriBefore := p.insert(t)
+
+	disk := faultfs.NewMemFS()
+	cfg := Config{
+		Primary:       p.ts.URL,
+		FS:            disk,
+		SnapshotPath:  "replica.bin",
+		PollWait:      50 * time.Millisecond,
+		ReconnectBase: 10 * time.Millisecond,
+		ReconnectMax:  100 * time.Millisecond,
+		Logf:          t.Logf,
+	}
+	f1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop1 := runFollower(t, f1)
+	waitHas(t, f1, uriBefore)
+	uriInLog := p.insert(t)
+	waitHas(t, f1, uriInLog)
+	// Power cut while the insert lives only in the local WAL, then the
+	// log's header is destroyed.
+	crashed := disk.Clone()
+	crashed.Crash()
+	stop1()
+	garbage := []byte("this is not a write-ahead log")
+	if err := faultfs.WriteFileAtomic(crashed, "replica.bin.wal", garbage); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.FS = crashed
+	f2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFollower(t, f2)
+	waitHas(t, f2, uriBefore)
+	waitHas(t, f2, uriInLog)
+	if kept, err := crashed.ReadFile("replica.bin.wal.corrupt"); err != nil || !bytes.Equal(kept, garbage) {
+		t.Fatalf("quarantined local wal holds %q (%v), want the garbage it replaced", kept, err)
+	}
+	if got := f2.State().Bootstraps(); got != 1 {
+		t.Fatalf("restart bootstrapped %d times; want 1 (the position outlived its log)", got)
+	}
+}
+
 // TestFollowerCheckpointIsBatchEncode: a follower that bootstrapped from
 // a RealWorld state (n = 400) and then applied the primary's log of 200
 // inserts holds, byte for byte, the image a batch run encodes for the same

@@ -119,13 +119,13 @@ func (s *Server) resolveObs(r *http.Request) (int, error) {
 }
 
 // state names the server's lifecycle phase for the health endpoints:
-// "loading" until the state is adopted, "degraded" while in read-only
-// mode (WAL failure), "stale" on a follower whose replication lag
-// exceeded its staleness bound, "ready" otherwise.
+// "degraded" while in read-only mode (WAL failure), "stale" on a follower
+// whose replication lag exceeded its staleness bound, "ready" otherwise.
+// There is no loading phase: a Server exists only once New has adopted a
+// state, and whatever fronts a process before that (the follower's
+// handler, a daemon not yet listening) answers for it.
 func (s *Server) state() string {
 	switch {
-	case !s.ready.Load():
-		return "loading"
 	case s.Degraded():
 		return "degraded"
 	case s.follower != nil && s.follower.Stale():
@@ -169,8 +169,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp := s.replicationFields()
 		resp["status"] = st
 		switch st {
-		case "loading":
-			writeJSON(w, http.StatusServiceUnavailable, resp)
 		case "stale":
 			// Out of the read rotation: answers would exceed the staleness
 			// contract. The replica keeps serving /v1 reads for clients that
@@ -183,8 +181,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch st {
-	case "loading":
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": st, "error": "state not loaded"})
 	case "degraded":
 		// Reads still work, so the server stays in rotation — but the
 		// status tells operators writes are being refused with 503.

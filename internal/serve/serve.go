@@ -23,8 +23,9 @@
 //	POST /v1/datasets           register a new, empty dataset
 //	GET  /v1/stats              corpus, relationship and service counters
 //	GET  /healthz               liveness (always 200 once the process is up)
-//	GET  /readyz                readiness: 503 while loading, 200 with
-//	                            status "ready" or "degraded" (read-only)
+//	GET  /readyz                readiness: 200 with status "ready" or
+//	                            "degraded" (read-only); 503 "stale" on
+//	                            a follower past its staleness bound
 //
 // The ?obs= parameter accepts either an observation index or a full
 // observation URI.
@@ -47,12 +48,15 @@
 // Durability: with Config.WAL set, every accepted write — an insert or a
 // dataset registration — is appended, and fsynced, to the write-ahead
 // log before the 201 acknowledgment, so a crash never loses an
-// acknowledged write. At startup the daemon replays the WAL suffix
-// through Replay (idempotent: records already in the state are
-// skipped). CheckpointWith serializes snapshot checkpoints and truncates
-// the WAL only after the checkpoint commit succeeds. When the log itself
-// fails, the server degrades to read-only: queries keep working, writes
-// return 503, /readyz reports "degraded".
+// acknowledged write. Open is the one boot of a node from disk: it loads
+// the freshest snapshot generation, opens the WAL (repairing a torn tail,
+// quarantining an unreadable header), builds the Server and replays the
+// logged suffix through Replay (idempotent: records already in the state
+// are skipped), and returns what it did as a Recovery. CheckpointWith
+// serializes snapshot checkpoints and truncates the WAL only after the
+// checkpoint commit succeeds. When the log itself fails, the server
+// degrades to read-only: queries keep working, writes return 503,
+// /readyz reports "degraded".
 package serve
 
 import (
@@ -148,7 +152,7 @@ type Config struct {
 	// even with SlowThreshold set.
 	SlowLog io.Writer
 	// SnapshotGen, when set, reports the snapshot generation id backing
-	// this server (the daemon wires it to its rotator). Followers read it
+	// this server (Open wires it to the rotator). Followers read it
 	// from /v1/stats and bootstrap responses to see what they negotiated.
 	SnapshotGen func() uint64
 	// Follower, when non-nil, puts the server in read-only replica mode:
@@ -256,7 +260,6 @@ type Server struct {
 	// follower is non-nil in read-only replica mode.
 	follower *FollowerState
 
-	ready    atomic.Bool
 	degraded atomic.Bool
 	inserts  atomic.Int64
 	replayed atomic.Int64
@@ -308,12 +311,79 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 	for i, ds := range sn.Space.Corpus.Datasets {
 		s.dsIdx[ds.URI.Value] = i
 	}
-	s.ready.Store(true)
 	return s, nil
 }
 
+// Recovery is what Open did to bring a node's disk state back.
+type Recovery struct {
+	// Snapshot is the path of the snapshot generation that loaded.
+	Snapshot string
+	// QuarantinedWAL is where a write-ahead log whose header could not
+	// be read was renamed ("" when none was).
+	QuarantinedWAL string
+	// TornBytes counts the torn trailing bytes cut from the log.
+	TornBytes int64
+	// Replayed counts the log records applied; Skipped counts those the
+	// snapshot already held. When replay fails, Replayed counts the
+	// records applied before the one that failed.
+	Replayed, Skipped int
+}
+
+// Open boots a node from its disk state, the one way every primary-shaped
+// process starts: the freshest readable snapshot generation (rot.Load,
+// which quarantines corrupt candidates), the write-ahead log at walPath on
+// the rotator's filesystem (wal.Open, which repairs a torn tail and
+// quarantines an unreadable header), a Server over both, and a replay of
+// the logged records. Open wires cfg.WAL and cfg.SnapshotGen itself; an
+// empty walPath runs without a log. The log belongs to the server: close
+// it through WAL() once the server is done. What recovery did is logged
+// through cfg.Logf and returned. When nothing exists to load, the error
+// wraps fs.ErrNotExist and Recovery.Snapshot is empty.
+func Open(rot *snapshot.Rotator, walPath string, cfg Config) (_ *Server, rec Recovery, err error) {
+	start := time.Now()
+	sn, from, err := rot.Load()
+	if err != nil {
+		return nil, rec, err
+	}
+	loaded := time.Since(start)
+	rec.Snapshot = from
+	var recs []wal.Record
+	if walPath != "" {
+		if cfg.WAL, recs, err = wal.Open(rot.FS, walPath); err != nil {
+			return nil, rec, err
+		}
+		defer func() {
+			if err != nil {
+				cfg.WAL.Close()
+			}
+		}()
+		rec.QuarantinedWAL, rec.TornBytes = cfg.WAL.Quarantined(), cfg.WAL.RepairedBytes()
+	}
+	cfg.SnapshotGen = func() uint64 { g, _ := rot.CurrentGen(); return g }
+	s, err := New(sn, cfg)
+	if err != nil {
+		return nil, rec, err
+	}
+	s.log("loaded snapshot %s in %s (%d observations, %d lattice cubes)", from, loaded.Round(time.Millisecond), sn.Space.N(), sn.Lattice.Len())
+	if rec.QuarantinedWAL != "" {
+		s.log("wal %s had an unreadable header; quarantined to %s, starting a fresh log", walPath, rec.QuarantinedWAL)
+	}
+	if rec.TornBytes > 0 {
+		s.log("wal %s: truncated %d torn trailing bytes from an interrupted append", walPath, rec.TornBytes)
+	}
+	if len(recs) > 0 {
+		if rec.Replayed, err = s.Replay(recs); err != nil {
+			return nil, rec, fmt.Errorf("replaying wal %s: %w", walPath, err)
+		}
+		rec.Skipped = len(recs) - rec.Replayed
+		s.log("replayed %d WAL records from %s (%d already in the snapshot)", rec.Replayed, walPath, rec.Skipped)
+	}
+	return s, rec, nil
+}
+
 // WAL exposes the configured write-ahead log (nil when durability is
-// disabled).
+// disabled). A server built by Open owns its log; close it through here
+// once the server is done.
 func (s *Server) WAL() *wal.Log { return s.wlog }
 
 // Degraded reports whether the server is in read-only mode (the write

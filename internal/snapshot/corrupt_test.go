@@ -275,6 +275,37 @@ func TestRotationQuarantineKeepsEvidence(t *testing.T) {
 	}
 }
 
+// TestRepeatedQuarantineKeepsEveryCorpse: a corrupt head N is quarantined
+// and Load falls back to N−1; the next Write reuses N (the quarantined
+// file is not a generation), and when that N is corrupt too, the second
+// quarantine lands beside the first instead of over it. Both keep their
+// bytes.
+func TestRepeatedQuarantineKeepsEveryCorpse(t *testing.T) {
+	valid := validBytes(t)
+	m := faultfs.NewMemFS()
+	r := NewRotator(m, "idx.bin")
+	if err := r.Write(valid); err != nil {
+		t.Fatal(err)
+	}
+	corpses := map[string][]byte{}
+	for i, q := range []string{"idx.bin.000002.corrupt", "idx.bin.000002.corrupt.1"} {
+		bad := append([]byte(nil), valid...)
+		bad[40+i] ^= 0xFF
+		if err := r.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, from, err := r.Load(); err != nil || from != "idx.bin.000001" {
+			t.Fatalf("load %d: from=%s err=%v; want the fallback to generation 1", i, from, err)
+		}
+		corpses[q] = bad
+	}
+	for q, want := range corpses {
+		if got, err := m.ReadFile(q); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes (%v), want the corrupt image it was quarantined with", q, len(got), err)
+		}
+	}
+}
+
 // TestCrossSectionSwap moves a whole valid section elsewhere; the section-
 // order check must catch it even though every CRC is intact.
 func TestCrossSectionSwap(t *testing.T) {

@@ -21,9 +21,10 @@ import (
 //	                       rename, so each is complete or absent)
 //	P.CURRENT              pointer file naming the live generation,
 //	                       itself replaced atomically
-//	P.NNNNNN.corrupt       quarantined generations: a head that fails
-//	                       to decode is renamed aside, never deleted,
-//	                       so the evidence survives for inspection
+//	P.NNNNNN.corrupt,      quarantined generations: a head that fails
+//	P.NNNNNN.corrupt.1, …  to decode is renamed aside, never deleted
+//	                       or overwritten, so the evidence survives
+//	                       for inspection
 //	P                      a legacy pre-rotation snapshot, still loaded
 //	                       when no CURRENT exists
 //
@@ -58,10 +59,9 @@ func NewRotator(fsys faultfs.FS, path string) *Rotator {
 }
 
 const (
-	currentSuffix    = ".CURRENT"
-	quarantineSuffix = ".corrupt"
-	genDigits        = 6
-	keepGenerations  = 2
+	currentSuffix   = ".CURRENT"
+	genDigits       = 6
+	keepGenerations = 2
 )
 
 func (r *Rotator) retries() int {
@@ -214,18 +214,6 @@ func (r *Rotator) Write(data []byte) error {
 	return nil
 }
 
-// quarantine renames a corrupt snapshot aside (never deletes it) so the
-// evidence survives while fallback proceeds. Rename failures are logged
-// and otherwise ignored: fallback must go on even on a sick disk.
-func (r *Rotator) quarantine(path string, decodeErr error) {
-	dst := path + quarantineSuffix
-	if err := r.FS.Rename(path, dst); err != nil {
-		r.logf("snapshot: quarantining %s: %v", path, err)
-		return
-	}
-	r.logf("snapshot: quarantined corrupt %s -> %s (%v)", path, dst, decodeErr)
-}
-
 // readCurrent resolves the CURRENT pointer to a full generation path.
 // ok is false when no pointer exists.
 func (r *Rotator) readCurrent() (string, bool, error) {
@@ -254,7 +242,6 @@ func (r *Rotator) readCurrent() (string, bool, error) {
 // computes a fresh state); when candidates exist but none loads, the
 // error lists every failure.
 func (r *Rotator) Load() (*Snapshot, string, error) {
-	var tried []string
 	seen := map[string]bool{}
 	var failures []string
 
@@ -270,11 +257,16 @@ func (r *Rotator) Load() (*Snapshot, string, error) {
 			}
 			return nil, false
 		}
-		tried = append(tried, path)
 		sn, err := Read(bytes.NewReader(data))
 		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", path, err))
-			r.quarantine(path, err)
+			// Renamed aside, never deleted or overwritten, so the evidence
+			// survives; a rename failure must not stop the fallback.
+			if dst, qerr := faultfs.Quarantine(r.FS, path); qerr != nil {
+				r.logf("snapshot: quarantining %s: %v", path, qerr)
+			} else {
+				r.logf("snapshot: quarantined corrupt %s -> %s (%v)", path, dst, err)
+			}
 			return nil, false
 		}
 		return sn, true
@@ -308,7 +300,7 @@ func (r *Rotator) Load() (*Snapshot, string, error) {
 		return sn, r.Path, nil
 	}
 
-	if len(tried) == 0 && len(failures) == 0 {
+	if len(failures) == 0 { // no candidate exists: one that did either loaded or failed
 		return nil, "", fmt.Errorf("snapshot: no snapshot at %s: %w", r.Path, fs.ErrNotExist)
 	}
 	return nil, "", fmt.Errorf("%w: no readable snapshot for %s: %s",

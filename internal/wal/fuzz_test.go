@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"errors"
+	"bytes"
 	"testing"
 
 	"rdfcube/internal/faultfs"
@@ -32,8 +32,9 @@ func validLogBytes(f *testing.F, n int) []byte {
 // on-disk state left by "a crash". The durability contract under test:
 //
 //   - Open never panics, whatever the file contains.
-//   - Open either refuses the file with ErrCorrupt (damaged header) or
-//     returns a usable log: torn/garbled tails are silently repaired.
+//   - Open either quarantines the file (damaged header) with its bytes
+//     intact and returns an empty, usable log, or returns a usable log
+//     over the accepted prefix: torn/garbled tails are silently repaired.
 //   - A log Open accepted must actually be usable — an Append must
 //     succeed and a second Open must replay exactly the accepted records
 //     plus the appended one (recovery is idempotent and append-stable).
@@ -89,10 +90,14 @@ func FuzzOpenWAL(f *testing.F) {
 
 		log, recs, err := Open(fsys, "fuzz.wal")
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Open error must wrap ErrCorrupt, got %v", err)
+			t.Fatalf("Open refused the file instead of repairing or quarantining it: %v", err)
+		}
+		if q := log.Quarantined(); q != "" {
+			kept, err := fsys.ReadFile(q)
+			if err != nil || !bytes.Equal(kept, data) || len(recs) != 0 {
+				t.Fatalf("quarantine to %q kept %d of %d bytes intact (%v) and replayed %d records; want all bytes and none",
+					q, len(kept), len(data), err, len(recs))
 			}
-			return
 		}
 
 		// The accepted log must be append-ready despite whatever tail

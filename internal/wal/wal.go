@@ -30,9 +30,10 @@
 // kind, and the version byte moved with it: a binary that knows only
 // version 1 rejects kind 2, and would read a registration frame as a
 // torn tail and truncate it together with every acknowledged insert
-// after it. The bumped byte makes such a binary refuse the whole file
-// with ErrCorrupt ("bad magic") instead. Open reads a version-1 log and
-// rewrites it atomically as version 2 before anything is appended.
+// after it. The bumped byte makes such a binary refuse the whole file as
+// corrupt instead, and set it aside untouched. Open reads a version-1
+// log and rewrites it atomically as version 2 before anything is
+// appended.
 //
 // # Crash semantics
 //
@@ -47,8 +48,10 @@
 // Open replays the log: it parses records until the first torn or
 // corrupt one, truncates the tail off (a torn tail is the signature of
 // a crash mid-append — that record was never acked), and returns the
-// surviving records. A log whose header is damaged yields a clean
-// error, never a panic.
+// surviving records. A log whose header is damaged is renamed aside with
+// faultfs.Quarantine, its bytes kept for inspection, and a fresh log
+// takes its place; Log.Quarantined names the renamed file. Open never
+// panics, whatever the file holds.
 //
 // Truncate resets the log to just its header. The serving layer calls
 // it only after a snapshot checkpoint containing every logged record
@@ -89,8 +92,8 @@ const (
 	recRegister = 2
 )
 
-// ErrCorrupt wraps structural failures that are not a repairable torn
-// tail: a header that is neither a known magic nor a prefix of one.
+// ErrCorrupt reports a log whose header is neither a known magic nor a
+// prefix of one and which Open could not quarantine.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
 // ErrBroken is returned by Append once the log device has failed in a
@@ -134,34 +137,37 @@ type Log struct {
 	size   int64 // bytes of header + committed records
 	broken bool
 
-	repaired int64 // torn-tail bytes discarded by Open
+	repaired    int64  // torn-tail bytes discarded by Open
+	quarantined string // where Open renamed an unreadable log; "" when none
 }
 
 // Open opens (creating if needed) the WAL at path on fsys, replays the
 // existing records, repairs a torn tail, and returns the log positioned
-// for appending plus the replayed records. The returned log's header is
-// durable before Open returns.
+// for appending plus the replayed records. A log whose header it cannot
+// read is quarantined (see Quarantined) and replaced by an empty one. The
+// returned log's header is durable before Open returns.
 func Open(fsys faultfs.FS, path string) (*Log, []Record, error) {
-	data, err := fsys.ReadFile(path)
-	switch {
-	case err == nil:
-	case errors.Is(err, fs.ErrNotExist):
-		data = nil
-	default:
+	data, err := fsys.ReadFile(path) // a missing log reads as empty
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	if len(data) < len(magic) {
+	var header [8]byte
+	copy(header[:], data)
+	switch {
+	case len(data) < len(magic) && bytes.HasPrefix(magic[:], data):
 		// Empty, or a torn header: that can only come from a crash during
 		// creation, before Open ever returned — nothing was logged.
-		// Anything that is not a strict prefix of the magic is foreign data.
-		if !bytes.HasPrefix(magic[:], data) {
-			return nil, nil, fmt.Errorf("%w: %s: bad header %q", ErrCorrupt, path, data)
+		return create(fsys, path, "")
+	case header != magic && header != magicV1:
+		// Foreign data, or a version this binary does not know: no record
+		// in it can be trusted, and none may be dropped silently, so the
+		// file is renamed aside with its bytes intact and a fresh log
+		// takes its place.
+		q, err := faultfs.Quarantine(fsys, path)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %s: unreadable header, and quarantining it failed: %v", ErrCorrupt, path, err)
 		}
-		return create(fsys, path)
-	}
-	header := [8]byte(data[:8])
-	if header != magic && header != magicV1 {
-		return nil, nil, fmt.Errorf("%w: %s: bad magic %q", ErrCorrupt, path, data[:8])
+		return create(fsys, path, q)
 	}
 
 	// Keep the records up to the first torn or corrupt frame; the rest is
@@ -196,8 +202,9 @@ func Open(fsys faultfs.FS, path string) (*Log, []Record, error) {
 }
 
 // create (re-)writes a log that is just the header and makes it durable
-// before any append.
-func create(fsys faultfs.FS, path string) (*Log, []Record, error) {
+// before any append; quarantined names the file an unreadable log at path
+// was renamed to, if any.
+func create(fsys faultfs.FS, path, quarantined string) (*Log, []Record, error) {
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: opening %s: %w", path, err)
@@ -214,7 +221,7 @@ func create(fsys faultfs.FS, path string) (*Log, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: syncing header of %s: %w", path, err)
 	}
-	return &Log{fs: fsys, f: f, path: path, size: HeaderLen}, nil, nil
+	return &Log{fs: fsys, f: f, path: path, size: HeaderLen, quarantined: quarantined}, nil, nil
 }
 
 // Append durably logs one record: nil means the record is on stable
@@ -395,11 +402,12 @@ func (w *Log) RecordBytes() int64 { return w.size - HeaderLen }
 // RepairedBytes reports how many torn-tail bytes Open discarded.
 func (w *Log) RepairedBytes() int64 { return w.repaired }
 
+// Quarantined reports where Open renamed a log whose header it could not
+// read ("" when it did not): the log itself then started empty.
+func (w *Log) Quarantined() string { return w.quarantined }
+
 // Broken reports whether the log device has failed beyond repair.
 func (w *Log) Broken() bool { return w.broken }
-
-// Path reports the log's file path.
-func (w *Log) Path() string { return w.path }
 
 // Close releases the file handle. It does not sync: every durable
 // record was synced by the Append that wrote it.

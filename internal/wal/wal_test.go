@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -351,21 +352,53 @@ func TestCorruptMiddleRecordStopsReplay(t *testing.T) {
 	}
 }
 
-// TestBadHeaderIsCleanError: foreign bytes in the header yield ErrCorrupt.
-func TestBadHeaderIsCleanError(t *testing.T) {
+// TestBadHeaderIsQuarantined: a log whose header is foreign bytes, or a
+// version this binary does not know, is renamed aside with its bytes
+// intact, Quarantined names where it went, and the fresh log in its place
+// takes an append that a second Open replays. A rename that fails leaves
+// the file in place and Open reports ErrCorrupt.
+func TestBadHeaderIsQuarantined(t *testing.T) {
 	for _, data := range [][]byte{
 		[]byte("NOTAWAL\x01 and some records"),
 		[]byte("XYZ"),
 		{'R', 'D', 'F', 'C', 'W', 'A', 'L', 99}, // wrong version
 	} {
 		fsys := faultfs.NewMemFS()
-		f, _ := fsys.Create("log.wal")
-		f.Write(data)
-		f.Sync()
-		f.Close()
-		if _, _, err := Open(fsys, "log.wal"); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("header %q: err=%v, want ErrCorrupt", data, err)
+		if err := faultfs.WriteFileAtomic(fsys, "log.wal", data); err != nil {
+			t.Fatal(err)
 		}
+		w, recs, err := Open(fsys, "log.wal")
+		if err != nil || len(recs) != 0 {
+			t.Fatalf("header %q: %d records, err %v; want an empty log", data, len(recs), err)
+		}
+		if q := w.Quarantined(); q != "log.wal.corrupt" {
+			t.Fatalf("header %q: Quarantined() = %q, want log.wal.corrupt", data, q)
+		}
+		if kept, err := fsys.ReadFile("log.wal.corrupt"); err != nil || !bytes.Equal(kept, data) {
+			t.Fatalf("header %q: quarantined bytes %q (%v)", data, kept, err)
+		}
+		if err := w.Append(rec(1)); err != nil {
+			t.Fatalf("header %q: append to the fresh log: %v", data, err)
+		}
+		w2, recs, err := Open(fsys, "log.wal")
+		if err != nil {
+			t.Fatalf("header %q: reopen: %v", data, err)
+		}
+		if len(recs) != 1 || !equalRecords(recs[0], rec(1)) || w2.Quarantined() != "" {
+			t.Fatalf("header %q: reopen replayed %d records (quarantined %q); want the one appended", data, len(recs), w2.Quarantined())
+		}
+	}
+
+	fsys := faultfs.NewMemFS()
+	if err := faultfs.WriteFileAtomic(fsys, "log.wal", []byte("NOTAWAL!")); err != nil {
+		t.Fatal(err)
+	}
+	fsys.Inject(faultfs.Fault{Op: faultfs.OpRename, N: 1})
+	if _, _, err := Open(fsys, "log.wal"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rename fault: err %v, want ErrCorrupt", err)
+	}
+	if kept, err := fsys.ReadFile("log.wal"); err != nil || string(kept) != "NOTAWAL!" {
+		t.Fatalf("rename fault moved or changed the log: %q (%v)", kept, err)
 	}
 }
 
