@@ -289,3 +289,24 @@ func TestWALOffDisablesDurability(t *testing.T) {
 		t.Fatalf("exit %d", code)
 	}
 }
+
+// TestFollowerWALWithoutSnapshotIsUsageError: a follower refuses -wal
+// without -snapshot, the rule a primary follows: without a snapshot chain
+// no checkpoint would ever truncate the log it appends every replicated
+// batch to.
+func TestFollowerWALWithoutSnapshotIsUsageError(t *testing.T) {
+	wpath := filepath.Join(t.TempDir(), "replica.wal")
+	// A follower that accepted the flags would follow until the deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var out, errOut syncBuffer
+	if code := run(ctx, []string{"-follow", "http://127.0.0.1:1", "-wal", wpath, "-addr", "127.0.0.1:0"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit %d, want 2\nstderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "a local WAL needs a snapshot path") {
+		t.Fatalf("no usage message: %s", errOut.String())
+	}
+	if _, err := os.Stat(wpath); !os.IsNotExist(err) {
+		t.Fatalf("a refused -wal still created the log: %v", err)
+	}
+}

@@ -91,7 +91,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		traceN   = fs.Int("trace-ring", 128, "recent request traces retained for GET /debug/traces")
 		slowTh   = fs.Duration("slow-threshold", 0, "write requests at least this slow to the slow-query log as JSON lines (0 disables)")
 		slowPath = fs.String("slow-log", "", "slow-query log file (default stderr when -slow-threshold is set)")
-		dsCreate = fs.Bool("allow-dataset-create", true, "serve POST /v1/datasets (live schema registration; needed as a migration target)")
 		follow   = fs.String("follow", "", "run as a read replica of this primary base URL (e.g. http://leader:8080)")
 		maxStale = fs.Duration("max-staleness", 0, "follower readiness bound: /readyz answers 503 once replication staleness exceeds this (0 never trips)")
 		pollWait = fs.Duration("poll-wait", 5*time.Second, "follower long-poll budget per WAL tail request")
@@ -206,15 +205,14 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	cfg := serve.Config{
-		Tasks:                tasks,
-		Recorder:             col,
-		RequestTimeout:       *timeout,
-		MaxInFlight:          *inflight,
-		DisableDatasetCreate: !*dsCreate,
-		Logf:                 logf,
-		TraceRing:            *traceN,
-		SlowThreshold:        *slowTh,
-		SlowLog:              slowLog,
+		Tasks:          tasks,
+		Recorder:       col,
+		RequestTimeout: *timeout,
+		MaxInFlight:    *inflight,
+		Logf:           logf,
+		TraceRing:      *traceN,
+		SlowThreshold:  *slowTh,
+		SlowLog:        slowLog,
 	}
 
 	// Boot: from the snapshot chain and the WAL when there is one, else
@@ -314,9 +312,10 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 // runFollower runs cubed as a read replica: bootstrap from the primary's
 // snapshot, tail its WAL, serve the read API locally, refuse writes with
 // a Leader hint. The follower persists its own snapshot/WAL chain under
-// -snapshot/-wal so a restart resumes from the last applied offset
-// instead of re-transferring the whole image; `-wal off` disables the
-// chain (every restart then re-bootstraps).
+// -snapshot/-wal, booted through serve.Open like a primary's, so a
+// restart resumes from the last applied offset instead of re-transferring
+// the whole image; `-wal off` disables the chain (every restart then
+// re-bootstraps), and -wal without -snapshot is refused (exit 2).
 func runFollower(ctx context.Context, stop func(), cfg replica.Config, addr string, col *obsv.Collector, logf func(string, ...any)) int {
 	fol, err := replica.New(cfg)
 	if err != nil {

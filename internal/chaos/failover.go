@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,20 +24,32 @@ import (
 const failoverStaleness = 700 * time.Millisecond
 
 // follower is one read replica of a node: a replica.Follower with a
-// persistent local chain on its own disk, and its HTTP face.
+// persistent local chain on its own disk, and its HTTP face. A power cut
+// replaces the incarnation, not the follower.
 type follower struct {
-	name string
-	fol  *replica.Follower
-	ts   *httptest.Server
+	name  string
+	disk  *faultfs.MemFS
+	fol   *replica.Follower
+	ts    *httptest.Server
+	stop  func()
+	boots int64 // bootstraps of the incarnations a power cut ended
 }
 
-// follow starts a follower of n, dialing n's front.
+// follow starts a follower of n on a fresh disk, dialing n's front.
 func (w *World) follow(n *node, name string) *follower {
+	w.t.Helper()
+	fw := &follower{name: name}
+	w.boot(n, fw, faultfs.NewMemFS())
+	return fw
+}
+
+// boot runs a new incarnation of fw on disk.
+func (w *World) boot(n *node, fw *follower, disk *faultfs.MemFS) {
 	w.t.Helper()
 	fol, err := replica.New(replica.Config{
 		Primary:       n.url(),
 		Client:        &http.Client{Transport: w.tr},
-		FS:            faultfs.NewMemFS(),
+		FS:            disk,
 		SnapshotPath:  "replica.bin",
 		Tasks:         core.TaskAll,
 		Recorder:      obsv.NewCollector(),
@@ -44,22 +57,38 @@ func (w *World) follow(n *node, name string) *follower {
 		PollWait:      200 * time.Millisecond,
 		ReconnectBase: 20 * time.Millisecond,
 		ReconnectMax:  200 * time.Millisecond,
-		Logf:          func(format string, a ...any) { w.logf("["+name+"] "+format, a...) },
+		Logf:          func(format string, a ...any) { w.logf("["+fw.name+"] "+format, a...) },
 	})
-	w.must(err, name)
-	fw := &follower{name: name, fol: fol, ts: httptest.NewServer(fol.Handler())}
+	w.must(err, fw.name)
+	ts := httptest.NewServer(fol.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		_ = fol.Run(ctx) // returns ctx's error: the only way it ends
 	}()
-	w.onClose(func() {
-		cancel()
-		<-done
-		fw.ts.Close()
-	})
-	return fw
+	var once sync.Once
+	fw.disk, fw.fol, fw.ts = disk, fol, ts
+	fw.stop = func() {
+		once.Do(func() {
+			cancel()
+			<-done
+			ts.Close()
+		})
+	}
+	w.onClose(fw.stop)
+}
+
+// powerCut cuts fw's power: its disk keeps only what was synced, the
+// incarnation dies, and a new one boots on the crashed disk — resuming
+// its own chain through serve.Open, as a restarted daemon would.
+func (w *World) powerCut(n *node, fw *follower) {
+	w.t.Helper()
+	crashed := fw.disk.Clone()
+	crashed.Crash()
+	fw.stop() // its graceful checkpoint lands on the disk the cut discarded
+	fw.boots += fw.fol.State().Bootstraps()
+	w.boot(n, fw, crashed)
 }
 
 // ready fetches the follower's /readyz: the HTTP status and the reported
@@ -142,8 +171,10 @@ func (w *World) parity(primary *node, fws []*follower) {
 // stops — and the followers must keep serving reads, stay READY until the
 // staleness bound passes, flip to 503/stale after it, and re-bootstrap +
 // reconverge when the primary returns on the same URL (a new incarnation
-// mints a new stream, so their cursor is gone). At the end every insert
-// the primary ever acked must be queryable on every follower.
+// mints a new stream, so their cursor is gone). After the first round a
+// follower loses power mid-wave and comes back on its crashed disk; it
+// must reach byte parity again. At the end every insert the primary ever
+// acked must be queryable on every follower.
 func Failover(t testing.TB, opt Options) {
 	t.Helper()
 	w := New(t, opt)
@@ -210,6 +241,21 @@ func Failover(t testing.TB, opt Options) {
 		})
 		w.logf("failover: %s done (graceful=%v): %d acked total, followers reconverged", when, graceful, len(w.ackedCopy()))
 		w.parity(primary, fws)
+
+		if round == 0 {
+			// Power-cut a follower mid-wave and boot it on its crashed disk:
+			// it resumes its local chain and must serve the primary's bytes.
+			w.traffic(opt.rounds(), op{100, w.insertOnce})
+			time.Sleep(time.Duration(1+w.rng.IntN(20)) * time.Millisecond)
+			w.powerCut(primary, fws[0])
+			w.stopTraffic(when + " follower power cut")
+			w.awaitApplied(primary, fws, 15*time.Second)
+			w.awaitFollowers(fws, 15*time.Second, when+": ready after its power cut", func(code int, _ string) bool {
+				return code == http.StatusOK
+			})
+			w.logf("failover: %s: %s reconverged after a power cut", when, fws[0].name)
+			w.parity(primary, fws)
+		}
 	}
 
 	// Every insert the primary ever acked must be queryable on every
@@ -224,7 +270,7 @@ func Failover(t testing.TB, opt Options) {
 				w.fatalf("acked observation %s missing on %s: status %d err %v", uri, fw.name, code, err)
 			}
 		}
-		if n := fw.fol.State().Bootstraps(); n < 2 {
+		if n := fw.boots + fw.fol.State().Bootstraps(); n < 2 {
 			w.fatalf("%s bootstrapped %d times; expected at least 2 (initial + post-failover)", fw.name, n)
 		}
 	}

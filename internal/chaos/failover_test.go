@@ -15,8 +15,9 @@ import (
 // and the followers must keep serving reads, stay READY until the
 // -max-staleness bound passes, flip to 503/stale after it, and
 // re-bootstrap + reconverge when the primary returns on the same URL.
-// At the end every insert the primary ever acked must be queryable on
-// every follower.
+// After the first round follower A is power-cut mid-wave and restarted
+// on its crashed disk, and must reach byte parity again. At the end every
+// insert the primary ever acked must be queryable on every follower.
 func TestFailover(t *testing.T) {
 	leakcheck.Check(t)
 	inserts := 30

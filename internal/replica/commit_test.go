@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -117,8 +118,10 @@ func TestFollowerFailedRebootstrapKeepsOldCursor(t *testing.T) {
 // applied in memory (the follower keeps serving), but from then on no
 // position file may exist until a checkpoint or bootstrap makes the chain
 // whole — the old code removed the file and rewrote it a line later, so a
-// crash resumed over the missing batch. Power-cut the disk and restart on
-// it: the follower must bootstrap and serve every record.
+// crash resumed over the missing batch. The refused append degrades the
+// follower's server, which /v1/stats reports, and later records still
+// arrive. Power-cut the disk and restart on it: the follower must
+// bootstrap and serve every record.
 func TestFollowerLocalAppendFailureLeavesNoPosition(t *testing.T) {
 	leakcheck.Check(t)
 	p := newPrimary(t)
@@ -153,6 +156,18 @@ func TestFollowerLocalAppendFailureLeavesNoPosition(t *testing.T) {
 	if !disk.Tripped() {
 		t.Fatal("the write fault never fired: the test exercised nothing")
 	}
+	// The refused append degraded the follower's server; it keeps
+	// following in memory, and keeps writing no position.
+	rec := httptest.NewRecorder()
+	f1.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+	var stats struct {
+		Degraded bool `json:"degraded"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil || !stats.Degraded {
+		t.Fatalf("stats after the refused append: %s (%v), want degraded: true", rec.Body.Bytes(), err)
+	}
+	uris = append(uris, p.insert(t))
+	waitHas(t, f1, uris[len(uris)-1])
 	crashed := disk.Clone()
 	crashed.Crash()
 	if _, err := crashed.ReadFile("replica.bin.wal.pos"); !errors.Is(err, fs.ErrNotExist) {

@@ -24,14 +24,19 @@
 //
 // # Durability and resume
 //
-// With a snapshot path configured the follower persists its own chain:
-// every applied batch is appended to a local WAL (one fsync per batch),
-// the state is periodically checkpointed to a local snapshot generation,
-// and a small position file records the primary position the local chain
-// corresponds to. A restart rebuilds state from the local chain and
-// resumes tailing at the recorded position — no re-bootstrap, no data
-// transfer — unless the primary's stream changed, which degenerates to a
-// fresh bootstrap.
+// With a snapshot path configured the follower keeps its own chain, the
+// same snapshot generations plus write-ahead log a primary keeps, through
+// the primary's code: serve.Open resumes it, the embedded server owns
+// the local log and appends every pulled batch to it
+// (serve.Server.ApplyReplicated, one fsync per batch), and
+// serve.Server.CheckpointWith commits a local generation and truncates
+// the log. A small position file records the primary position the chain
+// corresponds to. A restart resumes tailing at the recorded position — no
+// re-bootstrap, no data transfer — unless the primary's stream changed,
+// which degenerates to a fresh bootstrap. A follower whose disk refused
+// a batch keeps following in memory (its server turns degraded) and
+// keeps no position until a checkpoint or a bootstrap makes the chain
+// whole again, so a restart never resumes over the missing batch.
 //
 // # Staleness
 //
@@ -92,9 +97,10 @@ type Config struct {
 	// SnapshotPath is the local snapshot rotator base. Empty disables
 	// persistence: the follower re-bootstraps on every start.
 	SnapshotPath string
-	// WALPath is the local WAL; empty means SnapshotPath+".wal" (or no
-	// local WAL when SnapshotPath is empty too). The replication
-	// position file sits beside it at WALPath+".pos".
+	// WALPath is the local WAL; empty means SnapshotPath+".wal". It needs
+	// SnapshotPath: without a snapshot chain no checkpoint would ever
+	// truncate the log, so New refuses it alone. The replication position
+	// file sits beside it at WALPath+".pos".
 	WALPath string
 	// Tasks selects the relationship types maintained on apply; zero
 	// means all three.
@@ -171,18 +177,10 @@ func (c Config) walPath() string {
 	if c.WALPath != "" {
 		return c.WALPath
 	}
-	if c.SnapshotPath != "" {
-		return c.SnapshotPath + ".wal"
-	}
-	return ""
+	return c.SnapshotPath + ".wal"
 }
 
-func (c Config) statePath() string {
-	if p := c.walPath(); p != "" {
-		return p + ".pos"
-	}
-	return ""
-}
+func (c Config) statePath() string { return c.walPath() + ".pos" }
 
 // served pairs a server with its prebuilt handler so the hot path swaps
 // both atomically and never rebuilds a mux per request.
@@ -199,22 +197,18 @@ type Follower struct {
 	src   *Source
 	fs    faultfs.FS
 	rot   *snapshot.Rotator // nil without persistence
-	wlog  *wal.Log          // nil without persistence
 	state *serve.FollowerState
 
 	cur atomic.Pointer[served]
-
-	// holed says a batch was applied in memory that the local WAL failed
-	// to take: the chain no longer reaches the cursor, so no position is
-	// written until a local checkpoint or a bootstrap makes it whole again
-	// (Run goroutine only).
-	holed bool
 }
 
 // New builds a follower. It performs no I/O; Run does the bootstrap.
 func New(cfg Config) (*Follower, error) {
 	if cfg.Primary == "" {
 		return nil, fmt.Errorf("replica: Config.Primary is required")
+	}
+	if cfg.WALPath != "" && cfg.SnapshotPath == "" {
+		return nil, fmt.Errorf("replica: a local WAL needs a snapshot path: without a snapshot chain no checkpoint ever truncates the log")
 	}
 	f := &Follower{
 		cfg:   cfg,
@@ -297,14 +291,7 @@ func (f *Follower) observe(name string, v int64) {
 // failures. On exit it checkpoints the local chain so the next start
 // resumes instead of re-bootstrapping.
 func (f *Follower) Run(ctx context.Context) error {
-	recs, err := f.openLocal()
-	if err != nil {
-		return err
-	}
-	if err := f.resumeLocal(recs); err != nil {
-		// A broken local chain is not fatal: log it and bootstrap fresh.
-		f.logf("replica: local resume failed (%v); bootstrapping from %s", err, f.cfg.Primary)
-	}
+	f.resume()
 
 	bo := serve.Backoff{Base: f.cfg.ReconnectBase, Max: f.cfg.ReconnectMax}
 	if bo.Base <= 0 {
@@ -339,66 +326,38 @@ func (f *Follower) Run(ctx context.Context) error {
 // shutdown checkpoints the local chain and closes the local WAL.
 func (f *Follower) shutdown() {
 	f.state.SetConnected(false)
-	if srv := f.Server(); srv != nil && f.rot != nil {
-		if err := f.checkpointLocal(srv); err != nil {
-			f.logf("replica: final local checkpoint failed (WAL still covers the chain): %v", err)
-		}
+	srv := f.Server()
+	if srv == nil || f.rot == nil {
+		return
 	}
-	if f.wlog != nil {
-		f.wlog.Close()
-		f.wlog = nil
+	if err := f.checkpoint(srv); err != nil {
+		f.logf("replica: final local checkpoint failed (WAL still covers the chain): %v", err)
 	}
+	srv.WAL().Close()
 }
 
-// openLocal opens (or creates) the follower's local WAL and returns its
-// records for resumeLocal to replay. A log whose header wal.Open could
-// not read was quarantined: the records it held are gone from the chain,
-// so the position file no longer describes it and is dropped, and the
-// next session bootstraps instead of resuming a hole.
-func (f *Follower) openLocal() ([]wal.Record, error) {
-	path := f.cfg.walPath()
-	if path == "" {
-		return nil, nil
-	}
-	wlog, recs, err := wal.Open(f.fs, path)
-	if err != nil {
-		return nil, fmt.Errorf("replica: opening local wal %s: %w", path, err)
-	}
-	if q := wlog.Quarantined(); q != "" {
-		f.logf("replica: local wal %s had an unreadable header; quarantined to %s, bootstrapping", path, q)
-		_ = f.fs.Remove(f.cfg.statePath()) // a missing position file IS the intended state
-	}
-	f.wlog = wlog
-	return recs, nil
-}
-
-// resumeLocal rebuilds state from the local snapshot chain plus the
-// local WAL's records and restores the persisted replication position.
-// Absence of any of the pieces is not an error — it just means the next
-// session bootstraps.
-func (f *Follower) resumeLocal(recs []wal.Record) error {
+// resume rebuilds state from the local chain with serve.Open, the boot
+// every node shares, and restores the persisted replication position.
+// Nothing to load, or a chain that does not load, leaves the follower
+// without state: the first session bootstraps.
+func (f *Follower) resume() {
 	if f.rot == nil {
-		return nil
+		return
 	}
-	sn, from, err := f.rot.Load()
-	switch {
-	case err == nil:
-	case errors.Is(err, fs.ErrNotExist):
-		return nil
-	default:
-		return err
-	}
-	srv, err := f.buildServer(sn)
+	srv, rec, err := serve.Open(f.rot, f.cfg.walPath(), f.serveConfig())
 	if err != nil {
-		return err
-	}
-	if len(recs) > 0 {
-		if _, err := srv.Replay(recs); err != nil {
-			return fmt.Errorf("replaying local wal: %w", err)
+		if !errors.Is(err, fs.ErrNotExist) || rec.Snapshot != "" {
+			f.logf("replica: local resume failed (%v); bootstrapping from %s", err, f.cfg.Primary)
 		}
+		return
 	}
 	var pos Cursor
-	if data, err := f.fs.ReadFile(f.cfg.statePath()); err == nil {
+	if rec.QuarantinedWAL != "" {
+		// The records the unreadable log held are gone from the chain, so
+		// the position no longer describes it: drop it, and the first
+		// session bootstraps instead of resuming a hole.
+		_ = f.fs.Remove(f.cfg.statePath()) // a missing position file IS the intended state
+	} else if data, err := f.fs.ReadFile(f.cfg.statePath()); err == nil {
 		if jerr := json.Unmarshal(data, &pos); jerr != nil {
 			pos = Cursor{} // torn position file: bootstrap decides
 		}
@@ -407,23 +366,28 @@ func (f *Follower) resumeLocal(recs []wal.Record) error {
 	f.install(srv)
 	f.state.SetOffset(pos.Offset)
 	f.count(CtrResumes, 1)
-	f.logf("replica: resumed %d observations from %s (+%d local wal records), position %s@%d",
-		sn.Space.N(), from, len(recs), pos.Stream, pos.Offset)
-	return nil
+	f.logf("replica: resumed from %s (+%d local wal records), position %s@%d",
+		rec.Snapshot, rec.Replayed+rec.Skipped, pos.Stream, pos.Offset)
 }
 
-// install swaps in a new embedded server and prebuilt handler, shutting
-// the previous incarnation's run context down.
+// install swaps in a new embedded server and prebuilt handler, then shuts
+// the previous incarnation down: its run context is canceled and its log
+// handle closed. Only the Run goroutine (the caller) writes through a
+// follower's log, so nothing appends through the old handle any more.
 func (f *Follower) install(srv *serve.Server) {
 	old := f.cur.Swap(&served{srv: srv, h: srv.Handler()})
 	if old != nil {
 		old.srv.BeginShutdown()
+		if wlog := old.srv.WAL(); wlog != nil {
+			wlog.Close()
+		}
 	}
 }
 
-// buildServer wraps a decoded snapshot in a read-only replica server.
-func (f *Follower) buildServer(sn *snapshot.Snapshot) (*serve.Server, error) {
-	cfg := serve.Config{
+// serveConfig configures the embedded server: read-only replica mode,
+// reporting the follower's replication state.
+func (f *Follower) serveConfig() serve.Config {
+	return serve.Config{
 		Tasks:          f.cfg.Tasks,
 		Recorder:       f.cfg.Recorder,
 		RequestTimeout: f.cfg.RequestTimeout,
@@ -431,11 +395,6 @@ func (f *Follower) buildServer(sn *snapshot.Snapshot) (*serve.Server, error) {
 		Logf:           f.cfg.Logf,
 		Follower:       f.state,
 	}
-	if f.rot != nil {
-		rot := f.rot
-		cfg.SnapshotGen = func() uint64 { g, _ := rot.CurrentGen(); return g }
-	}
-	return serve.New(sn, cfg)
 }
 
 // session runs one connected stretch: bootstrap when there is no usable
@@ -474,29 +433,22 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 func (f *Follower) bootstrap(ctx context.Context) error {
 	start := time.Now()
 	return f.src.Bootstrap(ctx, func(img Image) error {
-		srv, err := f.buildServer(img.Snapshot)
-		if err != nil {
-			return err
-		}
-		// Persist the new chain before serving it: local generation first,
-		// then a truncated local WAL (the image covers everything), then the
-		// position file. A crash between the steps re-bootstraps — never
-		// serves a chain that disagrees with its position.
+		cfg := f.serveConfig()
 		if f.rot != nil {
-			if err := f.rot.Write(img.Data); err != nil {
-				return fmt.Errorf("committing local generation: %w", err)
+			wlog, err := f.commitChain(img)
+			if err != nil {
+				return err
 			}
+			cfg.WAL = wlog
+			cfg.SnapshotGen = func() uint64 { g, _ := f.rot.CurrentGen(); return g }
 		}
-		if f.wlog != nil {
-			if err := f.wlog.Truncate(); err != nil {
-				return fmt.Errorf("resetting local wal: %w", err)
+		srv, err := serve.New(img.Snapshot, cfg)
+		if err != nil {
+			if cfg.WAL != nil {
+				cfg.WAL.Close()
 			}
-		}
-		if err := f.writePosition(img.At); err != nil {
 			return err
 		}
-		f.holed = false
-
 		f.install(srv)
 		f.state.SetOffset(img.At.Offset)
 		f.state.MarkBootstrap()
@@ -508,6 +460,30 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 			time.Since(start).Round(time.Millisecond))
 		return nil
 	})
+}
+
+// commitChain persists a bootstrap image as the local chain before it is
+// served: the image as a local generation, then an emptied log (the image
+// covers every record) behind a fresh handle for the new server — the
+// old server keeps its own handle until install closes it — then the
+// position file. A crash between the steps re-bootstraps, never serves a
+// chain that disagrees with its position.
+func (f *Follower) commitChain(img Image) (*wal.Log, error) {
+	if err := f.rot.Write(img.Data); err != nil {
+		return nil, fmt.Errorf("committing local generation: %w", err)
+	}
+	wlog, _, err := wal.Open(f.fs, f.cfg.walPath())
+	if err != nil {
+		return nil, fmt.Errorf("opening local wal: %w", err)
+	}
+	if err = wlog.Truncate(); err == nil {
+		err = f.writePosition(img.At)
+	}
+	if err != nil {
+		wlog.Close()
+		return nil, fmt.Errorf("resetting local chain: %w", err)
+	}
+	return wlog, nil
 }
 
 // pollOnce issues one tail request and commits whatever it returns.
@@ -541,36 +517,37 @@ func (f *Follower) pollOnce(ctx context.Context) error {
 	return nil
 }
 
-// apply is the commit of one pulled batch: durable on the local chain,
-// then applied to the embedded server. Returning nil is what lets the
+// apply is the commit of one pulled batch: the embedded server appends
+// it to its local log, then applies it. Returning nil is what lets the
 // Source advance over the batch.
 func (f *Follower) apply(recs []wal.Record) error {
-	if f.wlog != nil {
-		if err := f.wlog.AppendBatch(recs); err != nil {
-			// The local disk failed; state in memory is still correct, so
-			// keep serving — but the chain no longer covers the position, so
-			// drop it and write none until the chain is whole again: the next
-			// restart re-bootstraps instead of resuming a hole.
-			f.logf("replica: local wal append failed (%v); next restart will re-bootstrap", err)
-			f.holed = true
-			if path := f.cfg.statePath(); path != "" {
-				_ = f.fs.Remove(path) // a missing position file IS the intended state
-			}
-		}
-	}
+	srv := f.Server()
+	degraded := srv.Degraded()
 	// Dup-skips are expected after re-pulls; serve.wal.replayed counts them.
-	if _, err := f.Server().ApplyReplicated(recs); err != nil {
+	_, err := srv.ApplyReplicated(recs)
+	if !degraded && srv.Degraded() {
+		// The local disk refused the batch. Memory is still right, so keep
+		// serving — but the chain no longer reaches the cursor, so drop the
+		// position and write none until a checkpoint or a bootstrap makes
+		// the chain whole: a restart re-bootstraps instead of resuming a
+		// hole.
+		f.logf("replica: local wal append failed; next restart will re-bootstrap unless a checkpoint lands first")
+		_ = f.fs.Remove(f.cfg.statePath()) // a missing position file IS the intended state
+	}
+	if err != nil {
 		return fmt.Errorf("%w (apply at %d: %v)", ErrGone, f.src.Cursor().Offset, err)
 	}
 	return nil
 }
 
 // applied records a committed batch: the position file follows the
-// cursor, and the local WAL is checkpointed once it is long enough.
+// cursor while the local log takes every batch, and the local chain is
+// checkpointed once the log is long enough.
 func (f *Follower) applied(n int, took time.Duration) {
 	cur := f.src.Cursor()
+	srv := f.Server()
 	f.state.SetOffset(cur.Offset)
-	if !f.holed {
+	if !srv.Degraded() {
 		if err := f.writePosition(cur); err != nil {
 			f.logf("replica: persisting position: %v", err)
 		}
@@ -578,51 +555,36 @@ func (f *Follower) applied(n int, took time.Duration) {
 	f.count(CtrRecords, int64(n))
 	f.gauge(GaugeOffset, float64(cur.Offset))
 	f.observe(HistApplyUS, took.Microseconds())
-	if f.wlog != nil && f.wlog.RecordBytes() >= f.cfg.checkpointBytes() {
-		if err := f.checkpointLocal(f.Server()); err != nil {
+	if wlog := srv.WAL(); wlog != nil && wlog.RecordBytes() >= f.cfg.checkpointBytes() {
+		if err := f.checkpoint(srv); err != nil {
 			f.logf("replica: local checkpoint failed (chain keeps growing): %v", err)
 		}
 	}
 }
 
-// checkpointLocal commits the follower's current state as a local
-// snapshot generation and truncates the local WAL. Called only from the
-// Run goroutine, so no records land between the encode and the truncate.
-func (f *Follower) checkpointLocal(srv *serve.Server) error {
-	if f.rot == nil {
-		return nil
-	}
-	data, err := srv.EncodeSnapshot()
-	if err != nil {
+// checkpoint commits the follower's state as a local snapshot generation
+// through the server's own checkpoint, which truncates the log once the
+// generation is durable, then records the position the generation holds.
+// Called only from the Run goroutine, so no batch lands between the
+// encode and the truncate.
+func (f *Follower) checkpoint(srv *serve.Server) error {
+	if err := srv.CheckpointWith(f.rot.Write); err != nil {
 		return err
 	}
-	if err := f.rot.Write(data); err != nil {
-		return err
-	}
-	if f.wlog != nil {
-		if err := f.wlog.Truncate(); err != nil {
-			return err
-		}
-	}
-	if err := f.writePosition(f.src.Cursor()); err != nil {
-		return err
-	}
-	f.holed = false // the generation holds everything the memory does
-	return nil
+	return f.writePosition(f.src.Cursor())
 }
 
 // writePosition persists a replication position (create + write +
 // fsync). The file is a hint: a torn write just means re-bootstrap.
 func (f *Follower) writePosition(pos Cursor) error {
-	path := f.cfg.statePath()
-	if path == "" {
+	if f.rot == nil {
 		return nil
 	}
 	data, err := json.Marshal(pos)
 	if err != nil {
 		return err
 	}
-	file, err := f.fs.Create(path)
+	file, err := f.fs.Create(f.cfg.statePath())
 	if err != nil {
 		return err
 	}

@@ -617,3 +617,88 @@ func TestDefaultClientTimeouts(t *testing.T) {
 		t.Fatalf("explicit header timeout: %v", tr.ResponseHeaderTimeout)
 	}
 }
+
+// TestFollowerWALWithoutSnapshotIsRefused: a local WAL without a snapshot
+// chain is a configuration error — nothing would ever read or truncate the
+// log the follower appends every batch to.
+func TestFollowerWALWithoutSnapshotIsRefused(t *testing.T) {
+	if _, err := New(Config{Primary: "http://primary.invalid", WALPath: "replica.wal"}); err == nil {
+		t.Fatal("New accepted WALPath without SnapshotPath")
+	}
+	if _, err := New(Config{Primary: "http://primary.invalid", WALPath: "replica.wal", SnapshotPath: "replica.bin"}); err != nil {
+		t.Fatalf("New refused WALPath with SnapshotPath: %v", err)
+	}
+}
+
+// TestFollowerPromotesToPrimary is the failover runbook's promotion: a
+// follower stopped gracefully leaves a chain that serve.Open boots as a
+// primary — the same function, the same files. The promoted node serves
+// everything the follower held (a registered dataset included), accepts
+// an insert, and a fresh follower bootstraps from it.
+func TestFollowerPromotesToPrimary(t *testing.T) {
+	leakcheck.Check(t)
+	p := newPrimary(t)
+	uris := []string{p.insert(t)}
+	disk := faultfs.NewMemFS()
+	f, err := New(Config{
+		Primary:       p.ts.URL,
+		FS:            disk,
+		SnapshotPath:  "replica.bin",
+		PollWait:      50 * time.Millisecond,
+		ReconnectBase: 10 * time.Millisecond,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := runFollower(t, f)
+	waitHas(t, f, uris[0])
+	uris = append(uris, p.insertInto(t, p.registerDataset(t, "Dpromoted")), p.insert(t))
+	for _, uri := range uris {
+		waitHas(t, f, uri)
+	}
+	stop()
+
+	rot := snapshot.NewRotator(disk, "replica.bin")
+	srv, rec, err := serve.Open(rot, "replica.bin.wal", serve.Config{WALPollWait: 100 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("booting the follower's chain as a primary: %v", err)
+	}
+	if rec.Snapshot == "" || rec.QuarantinedWAL != "" {
+		t.Fatalf("promotion recovery %+v: want a loaded generation and no quarantine", rec)
+	}
+	promoted := &primaryWorld{mem: disk, srv: srv, wlog: srv.WAL(), ts: httptest.NewServer(srv.Handler()), n: 100}
+	t.Cleanup(func() {
+		promoted.ts.Close()
+		promoted.wlog.Close()
+	})
+	for _, uri := range uris {
+		resp, err := http.Get(promoted.ts.URL + "/v1/contains?obs=" + url.QueryEscape(uri))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("promoted primary answers %d for %s, which its follower served", resp.StatusCode, uri)
+		}
+	}
+	uris = append(uris, promoted.insert(t))
+
+	f2, err := New(Config{
+		Primary:       promoted.ts.URL,
+		PollWait:      50 * time.Millisecond,
+		ReconnectBase: 10 * time.Millisecond,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFollower(t, f2)
+	for _, uri := range uris {
+		waitHas(t, f2, url.QueryEscape(uri))
+	}
+	if got := f2.State().Bootstraps(); got != 1 {
+		t.Fatalf("follower of the promoted primary bootstrapped %d times, want 1", got)
+	}
+}

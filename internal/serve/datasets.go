@@ -38,11 +38,7 @@ type datasetRequest struct {
 
 func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	if s.follower != nil {
-		s.rejectWrite(w, r)
-		return
-	}
-	if s.dsCreateOff {
-		s.error(w, r, http.StatusNotImplemented, "dataset creation is disabled on this server")
+		s.toLeader(w, "read-only replica: writes go to the leader")
 		return
 	}
 	var req datasetRequest

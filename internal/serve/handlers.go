@@ -119,17 +119,19 @@ func (s *Server) resolveObs(r *http.Request) (int, error) {
 }
 
 // state names the server's lifecycle phase for the health endpoints:
-// "degraded" while in read-only mode (WAL failure), "stale" on a follower
-// whose replication lag exceeded its staleness bound, "ready" otherwise.
+// "stale" on a follower whose replication lag exceeded its staleness
+// bound, else "degraded" while in read-only mode (WAL failure), "ready"
+// otherwise. Staleness wins: a degraded follower still answers reads, but
+// a stale one must leave the read rotation.
 // There is no loading phase: a Server exists only once New has adopted a
 // state, and whatever fronts a process before that (the follower's
 // handler, a daemon not yet listening) answers for it.
 func (s *Server) state() string {
 	switch {
-	case s.Degraded():
-		return "degraded"
 	case s.follower != nil && s.follower.Stale():
 		return "stale"
+	case s.Degraded():
+		return "degraded"
 	default:
 		return "ready"
 	}
@@ -329,34 +331,34 @@ type insertRequest struct {
 	Measures   map[string]string `json:"measures"`
 }
 
-// appendLocked is every write's durability point: it appends rec to the
-// WAL with fsync (a no-op without one), records the append latency,
-// counts the frame into the replication stream and wakes /v1/wal
+// appendLocked is every write's durability point: it appends recs to the
+// WAL with one fsync (a no-op without one), records the append latency,
+// counts the frames into the replication stream and wakes /v1/wal
 // long-pollers. An append failure flips the server read-only — better
 // to refuse writes than to acknowledge ones a crash would lose — and is
 // returned so the caller answers 503. Callers hold the write lock.
-func (s *Server) appendLocked(tr *reqTrace, rec wal.Record) error {
+func (s *Server) appendLocked(tr *reqTrace, recs ...wal.Record) error {
 	if s.wlog == nil {
 		return nil
 	}
 	endWAL := tr.span("wal.append")
 	walStart := time.Now()
-	err := s.wlog.Append(rec)
+	err := s.wlog.AppendBatch(recs)
 	s.observe(HistWALAppend, time.Since(walStart).Microseconds())
 	endWAL()
 	if err != nil {
-		s.markDegraded(fmt.Sprintf("wal append for %s: %v", rec.URI.Value, err))
+		s.markDegraded(fmt.Sprintf("wal append for %s: %v", recs[0].URI.Value, err))
 		return err
 	}
-	s.count(CtrWALAppends, 1)
-	s.walSeq++
+	s.count(CtrWALAppends, int64(len(recs)))
+	s.walSeq += int64(len(recs))
 	s.notifyAppend()
 	return nil
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if s.follower != nil {
-		s.rejectWrite(w, r)
+		s.toLeader(w, "read-only replica: writes go to the leader")
 		return
 	}
 	if s.Degraded() {

@@ -20,6 +20,12 @@ package serve
 // /v1/snapshot. Frames are re-validated by the follower (same CRC check
 // the WAL's own recovery uses), so a cut mid-frame costs a resume, never
 // corruption.
+//
+// Only a primary answers the two endpoints. A follower's server owns a
+// log too — ApplyReplicated appends every pulled batch to it — but that
+// log is its own durable chain, not its primary's stream, and nothing
+// chains replication through a follower: it answers both endpoints, like
+// a write, with 503 and a Leader header naming its primary.
 
 import (
 	"crypto/rand"
@@ -57,8 +63,8 @@ const (
 	// SnapshotCRCHeader is the CRC-32 (IEEE, hex) of the whole snapshot
 	// body, so a follower detects a torn transfer before decoding.
 	SnapshotCRCHeader = "X-Snapshot-Crc"
-	// LeaderHeader, on a follower's 503 write rejection, names the primary
-	// base URL the client should talk to instead.
+	// LeaderHeader, on a follower's 503 refusal of a write or a
+	// replication read, names the primary base URL to talk to instead.
 	LeaderHeader = "Leader"
 )
 
@@ -120,6 +126,10 @@ func (s *Server) walWait() <-chan struct{} {
 // from X-Wal-Position" is exact: every record at or past the position is
 // either in the image already (replay dup-skips it) or newer than it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	if s.follower != nil {
+		s.toLeader(w, "read-only replica: replicate from the leader")
+		return
+	}
 	start := time.Now()
 	s.mu.RLock()
 	data, err := s.encodeSnapshotLocked()
@@ -165,6 +175,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // the offset predates the stream or the retention base (re-bootstrap
 // from /v1/snapshot), 503 when the primary runs without a WAL.
 func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
+	if s.follower != nil {
+		s.toLeader(w, "read-only replica: replicate from the leader")
+		return
+	}
 	if s.wlog == nil {
 		s.error(w, r, http.StatusServiceUnavailable, "replication unavailable: primary runs without a write-ahead log")
 		return
@@ -345,12 +359,13 @@ func (f *FollowerState) Stale() bool {
 	return f.MaxStaleness > 0 && f.Staleness() > f.MaxStaleness
 }
 
-// rejectWrite answers a write request on a follower: 503 plus the Leader
-// header naming where writes go.
-func (s *Server) rejectWrite(w http.ResponseWriter, r *http.Request) {
+// toLeader answers a request only the primary serves — a write, or a
+// replication read — on a follower: 503 plus the Leader header naming
+// where it goes.
+func (s *Server) toLeader(w http.ResponseWriter, msg string) {
 	w.Header().Set(LeaderHeader, s.follower.Leader)
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-		"error":  "read-only replica: writes go to the leader",
+		"error":  msg,
 		"leader": s.follower.Leader,
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"testing"
@@ -508,5 +509,113 @@ func TestStatsReportsWALAndGeneration(t *testing.T) {
 	}
 	if stats.Role != "primary" {
 		t.Fatalf("stats role %q, want primary", stats.Role)
+	}
+}
+
+// TestFollowerRefusesReplicationEndpoints: a follower's server owns a log
+// — its own chain — but only a primary serves replication. /v1/snapshot
+// and /v1/wal answer 503 with the Leader header, as a write does, and
+// carry no stream headers a client could mistake for a primary's.
+func TestFollowerRefusesReplicationEndpoints(t *testing.T) {
+	fs := &FollowerState{Leader: "http://leader.example:8080"}
+	fs.MarkCaughtUp()
+	_, ts, _ := newDurableServer(t, faultfs.NewMemFS(), paperSnapshotBytes(t), Config{Follower: fs})
+	for _, path := range []string{"/v1/snapshot", "/v1/wal?from=0"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(LeaderHeader) != fs.Leader {
+			t.Fatalf("follower %s: status %d, Leader %q; want 503 and %q", path, resp.StatusCode, resp.Header.Get(LeaderHeader), fs.Leader)
+		}
+		if st := resp.Header.Get(WALStreamHeader); st != "" {
+			t.Fatalf("follower %s carries stream header %q", path, st)
+		}
+	}
+}
+
+// TestFollowerApplyReplicatedAppendsThenApplies: with a log,
+// ApplyReplicated makes a batch durable (one append, each frame counted
+// once into walSeq) before applying it. When the disk refuses a batch the
+// server degrades and applies the batch anyway, and while degraded it
+// applies later batches without touching the log.
+func TestFollowerApplyReplicatedAppendsThenApplies(t *testing.T) {
+	base, recs := loggedInserts(t)
+	mem := faultfs.NewMemFS()
+	wlog, _, err := wal.Open(mem, "replica.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wlog.Close() })
+	srv, err := New(decodeSnapshot(t, base), Config{WAL: wlog, Follower: &FollowerState{Leader: "http://primary.invalid"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := func() int {
+		t.Helper()
+		data, err := mem.ReadFile("replica.wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := wal.ParseFrames(data[wal.HeaderLen:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(got)
+	}
+	apply := func(batch []wal.Record) {
+		t.Helper()
+		if n, err := srv.ApplyReplicated(batch); err != nil || n != len(batch) {
+			t.Fatalf("applied %d of %d records: %v", n, len(batch), err)
+		}
+	}
+	seq := func() int64 {
+		srv.mu.RLock()
+		defer srv.mu.RUnlock()
+		return srv.walSeq
+	}
+
+	apply(recs[:10])
+	if got := logged(); got != 10 || seq() != 10 || srv.Degraded() {
+		t.Fatalf("after one batch: %d frames logged, walSeq %d, degraded %v; want 10, 10, false", got, seq(), srv.Degraded())
+	}
+	mem.Inject(faultfs.Fault{Op: faultfs.OpWrite, N: 1})
+	apply(recs[10:20])
+	if !mem.Tripped() || !srv.Degraded() {
+		t.Fatalf("refused append: fault tripped %v, degraded %v; want both", mem.Tripped(), srv.Degraded())
+	}
+	apply(recs[20:30])
+	if got := logged(); got != 10 || seq() != 30 {
+		t.Fatalf("degraded: %d frames logged, walSeq %d; want 10 (nothing appended) and 30", got, seq())
+	}
+	h := srv.Handler()
+	for _, rec := range recs[:30] {
+		if w := fetch(t, h, "GET", "/v1/contains?obs="+url.QueryEscape(rec.URI.Value), nil); w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, want every applied record served", rec.URI.Value, w.Code)
+		}
+	}
+}
+
+// TestFollowerDegradedAndStaleIsNotReady: staleness beats degraded on a
+// follower. A degraded follower still answers reads and stays ready while
+// fresh, but past its staleness bound /readyz answers 503 "stale": the
+// degraded state must not keep a stale follower in the read rotation.
+func TestFollowerDegradedAndStaleIsNotReady(t *testing.T) {
+	fs := &FollowerState{Leader: "http://leader.example", MaxStaleness: 50 * time.Millisecond}
+	fs.MarkCaughtUp()
+	srv, ts := newPaperServer(t, Config{Follower: fs})
+	srv.markDegraded("the local log refused a batch")
+
+	var ready struct {
+		Status string `json:"status"`
+	}
+	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusOK || ready.Status != "degraded" {
+		t.Fatalf("fresh degraded follower readyz: status %d state %q, want 200 degraded", code, ready.Status)
+	}
+	time.Sleep(80 * time.Millisecond)
+	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusServiceUnavailable || ready.Status != "stale" {
+		t.Fatalf("stale degraded follower readyz: status %d state %q, want 503 stale", code, ready.Status)
 	}
 }

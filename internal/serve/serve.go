@@ -48,15 +48,17 @@
 // Durability: with Config.WAL set, every accepted write — an insert or a
 // dataset registration — is appended, and fsynced, to the write-ahead
 // log before the 201 acknowledgment, so a crash never loses an
-// acknowledged write. Open is the one boot of a node from disk: it loads
-// the freshest snapshot generation, opens the WAL (repairing a torn tail,
-// quarantining an unreadable header), builds the Server and replays the
-// logged suffix through Replay (idempotent: records already in the state
-// are skipped), and returns what it did as a Recovery. CheckpointWith
-// serializes snapshot checkpoints and truncates the WAL only after the
-// checkpoint commit succeeds. When the log itself fails, the server
-// degrades to read-only: queries keep working, writes return 503,
-// /readyz reports "degraded".
+// acknowledged write. Open is the one boot of a node from disk, primary
+// or follower: it loads the freshest snapshot generation, opens the WAL
+// (repairing a torn tail, quarantining an unreadable header), builds the
+// Server and replays the logged suffix through Replay (idempotent:
+// records already in the state are skipped), and returns what it did as
+// a Recovery. A follower's server owns its local log the same way:
+// ApplyReplicated appends each replicated batch before applying it.
+// CheckpointWith serializes snapshot checkpoints and truncates the WAL
+// only after the checkpoint commit succeeds. When the log itself fails,
+// the server degrades to read-only: queries keep working, writes return
+// 503, /readyz reports "degraded".
 package serve
 
 import (
@@ -156,17 +158,14 @@ type Config struct {
 	// from /v1/stats and bootstrap responses to see what they negotiated.
 	SnapshotGen func() uint64
 	// Follower, when non-nil, puts the server in read-only replica mode:
-	// writes (inserts, dataset registrations) are refused with 503 plus a
-	// Leader header, and /readyz + /v1/stats report the replication lag
-	// and staleness recorded on it (see internal/replica, which maintains
-	// it).
+	// writes (inserts, dataset registrations) and the replication
+	// endpoints are refused with 503 plus a Leader header, and /readyz +
+	// /v1/stats report the replication lag and staleness recorded on it
+	// (see internal/replica, which maintains it).
 	Follower *FollowerState
 	// WALPollWait is the default long-poll budget for a /v1/wal request
 	// whose offset is at the durable end; zero means 10s, capped at 30s.
 	WALPollWait time.Duration
-	// DisableDatasetCreate turns POST /v1/datasets off (501). Operators
-	// who want a frozen schema surface set this.
-	DisableDatasetCreate bool
 }
 
 func (c Config) timeout() time.Duration {
@@ -241,8 +240,6 @@ type Server struct {
 	// same path (and WAL truncation must pair with exactly one commit).
 	ckptMu sync.Mutex
 
-	dsCreateOff bool
-
 	// Replication (primary side): the per-incarnation stream ID, the
 	// logical offset of the physical WAL start (advanced when checkpoints
 	// truncate the log), the count of record frames the stream has carried,
@@ -298,8 +295,6 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 		snapGen:   cfg.SnapshotGen,
 		pollWait:  cfg.walPollWait(),
 		follower:  cfg.Follower,
-
-		dsCreateOff: cfg.DisableDatasetCreate,
 	}
 	s.runCtx, s.stopRuns = context.WithCancel(context.Background())
 	for i, o := range sn.Space.Obs {
@@ -329,8 +324,8 @@ type Recovery struct {
 	Replayed, Skipped int
 }
 
-// Open boots a node from its disk state, the one way every primary-shaped
-// process starts: the freshest readable snapshot generation (rot.Load,
+// Open boots a node from its disk state, the one way every node — a
+// primary, or a follower with cfg.Follower set — starts: the freshest readable snapshot generation (rot.Load,
 // which quarantines corrupt candidates), the write-ahead log at walPath on
 // the rotator's filesystem (wal.Open, which repairs a torn tail and
 // quarantines an unreadable header), a Server over both, and a replay of
@@ -412,12 +407,13 @@ func (s *Server) log(format string, a ...any) {
 func (s *Server) BeginShutdown() { s.stopRuns() }
 
 // Replay applies WAL records recovered at startup through the same
-// paths live writes use. Records already reflected in the state are
-// skipped — an insert whose URI is present, a registration the space
-// already holds at the logged index with the logged schema — which makes
-// replay idempotent when a crash landed between a committed checkpoint
-// and the WAL truncation that should have followed it. It returns the
-// number of records applied. A record that cannot apply (unknown dataset
+// paths live writes use, and appends nothing: the records are already in
+// the log. Records already reflected in the state are skipped — an
+// insert whose URI is present, a registration the space already holds at
+// the logged index with the logged schema — which makes replay
+// idempotent when a crash landed between a committed checkpoint and the
+// WAL truncation that should have followed it. It returns the number of
+// records applied. A record that cannot apply (unknown dataset
 // index, schema arity mismatch, validation failure, a registration at
 // another index or with another schema) aborts with an error: the log
 // disagrees with the snapshot and silently dropping acknowledged writes
@@ -425,6 +421,34 @@ func (s *Server) BeginShutdown() { s.stopRuns() }
 func (s *Server) Replay(recs []wal.Record) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	applied, err := s.replayLocked(recs)
+	if err == nil {
+		// Every replayed frame is part of the logical WAL stream whether or
+		// not it applied (dup-skips included): followers count frames, not
+		// writes.
+		s.walSeq += int64(len(recs))
+	}
+	return applied, err
+}
+
+// ApplyReplicated commits record frames a follower pulled from its
+// primary: it appends the batch to the server's log (one fsync), then
+// applies it exactly as Replay does. A failed append degrades the server
+// and the batch applies anyway — a follower's memory keeps following its
+// primary while its disk does not — and later batches skip the log while
+// the server is degraded. Without a log it only applies.
+func (s *Server) ApplyReplicated(recs []wal.Record) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.wlog == nil || s.Degraded() || s.appendLocked(nil, recs...) != nil {
+		s.walSeq += int64(len(recs)) // the frames the log did not count
+	}
+	return s.replayLocked(recs)
+}
+
+// replayLocked applies logged or replicated records and counts the ones
+// that applied. Callers hold the write lock.
+func (s *Server) replayLocked(recs []wal.Record) (int, error) {
 	applied := 0
 	for k, rec := range recs {
 		var ok bool
@@ -443,9 +467,6 @@ func (s *Server) Replay(recs []wal.Record) (int, error) {
 	}
 	s.replayed.Add(int64(applied))
 	s.count(CtrWALReplayed, int64(applied))
-	// Every replayed frame is part of the logical WAL stream whether or not
-	// it applied (dup-skips included): followers count frames, not writes.
-	s.walSeq += int64(len(recs))
 	return applied, nil
 }
 
@@ -492,13 +513,6 @@ func (s *Server) replayRegisterLocked(rec wal.Record) (bool, error) {
 		return false, fmt.Errorf("registration at index %d, but the next dataset index is %d", rec.Dataset, n)
 	}
 	return true, s.registerLocked(ds)
-}
-
-// ApplyReplicated applies record frames a follower pulled from its
-// primary: exactly Replay (idempotent, under the write lock), named
-// separately so the replication path reads as what it is.
-func (s *Server) ApplyReplicated(recs []wal.Record) (int, error) {
-	return s.Replay(recs)
 }
 
 // applyInsertLocked inserts one validated-or-replayed observation into
