@@ -85,7 +85,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		probe     = fs.Duration("probe-interval", 2*time.Second, "shard /readyz probe interval (0 default, negative disables)")
 		brkN      = fs.Int("breaker-threshold", 3, "consecutive failures before a target's breaker opens")
 		brkWait   = fs.Duration("breaker-backoff", 5*time.Second, "base backoff of an open breaker")
-		hedgeQ    = fs.Float64("hedge-quantile", 0.9, "primary latency quantile after which the replica is hedged")
 		hedgeMin  = fs.Duration("hedge-min", 5*time.Millisecond, "hedge delay floor")
 		hedgeMax  = fs.Duration("hedge-max", 250*time.Millisecond, "hedge delay ceiling (and cold-start delay)")
 		retries   = fs.Int("write-retries", 3, "max write re-sends after a retryable refusal")
@@ -169,7 +168,6 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		ProbeInterval:     *probe,
 		BreakerThreshold:  *brkN,
 		BreakerBackoff:    *brkWait,
-		HedgeQuantile:     *hedgeQ,
 		HedgeMin:          *hedgeMin,
 		HedgeMax:          *hedgeMax,
 		WriteRetries:      *retries,

@@ -87,7 +87,7 @@ func (w *World) powerCut(n *node, fw *follower) {
 	crashed := fw.disk.Clone()
 	crashed.Crash()
 	fw.stop() // its graceful checkpoint lands on the disk the cut discarded
-	fw.boots += fw.fol.State().Bootstraps()
+	fw.boots += fw.fol.Bootstraps()
 	w.boot(n, fw, crashed)
 }
 
@@ -270,7 +270,7 @@ func Failover(t testing.TB, opt Options) {
 				w.fatalf("acked observation %s missing on %s: status %d err %v", uri, fw.name, code, err)
 			}
 		}
-		if n := fw.boots + fw.fol.State().Bootstraps(); n < 2 {
+		if n := fw.boots + fw.fol.Bootstraps(); n < 2 {
 			w.fatalf("%s bootstrapped %d times; expected at least 2 (initial + post-failover)", fw.name, n)
 		}
 	}

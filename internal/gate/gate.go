@@ -14,7 +14,8 @@
 //     take a dead shard out of the fan-out within a probe interval and
 //     let it back in via the breaker's half-open probe discipline.
 //   - Hedged reads: a read goes to the shard's primary first; if it has
-//     not answered within a latency-quantile delay the replica is fired
+//     not answered within a latency-quantile delay (read from the
+//     primary's own latency histogram) the replica is fired
 //     and the first success wins, the loser's context canceled. Writes
 //     are never hedged (inserts are not idempotent).
 //   - Deadline budgets: every shard call's deadline is carved from the
@@ -41,7 +42,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rdfcube/internal/obsv"
@@ -65,7 +65,8 @@ const (
 )
 
 // targetHistName is the per-target upstream latency histogram (µs) —
-// also the source of that target's hedge delay quantile.
+// also the source of that target's hedge delay quantile. pooledTarget
+// looks it up once per target.
 func targetHistName(shard, role string) string {
 	return "gate.shard." + shard + "." + role + ".latency.us"
 }
@@ -109,10 +110,10 @@ type Config struct {
 	// http.Transport. Tests inject loadgen.HandlerTransport-style
 	// in-process transports here.
 	Transport http.RoundTripper
-	// Recorder receives counters and latency histograms; the hedge delay
-	// quantile also reads from it when it keeps histograms. Nil disables
-	// instrumentation (hedges then fire at HedgeMax).
-	Recorder obsv.Recorder
+	// Recorder is the gate's one registry: counters and latency
+	// histograms land in it, and /v1/stats, /readyz and the hedge delay
+	// read them back from it. Nil means the gate makes its own.
+	Recorder *obsv.Collector
 	// RequestTimeout bounds one inbound request; zero means 5s.
 	RequestTimeout time.Duration
 	// ShardTimeout bounds one upstream call; zero means 2s. The
@@ -129,9 +130,6 @@ type Config struct {
 	// breaker (newBreaker defaults: 3 failures, 5s base).
 	BreakerThreshold int
 	BreakerBackoff   time.Duration
-	// HedgeQuantile is the primary-latency quantile after which the
-	// replica is fired; zero means 0.9.
-	HedgeQuantile float64
 	// HedgeMin / HedgeMax clamp the hedge delay; zero means 5ms / 250ms.
 	// HedgeMax is also the delay used before any latency data exists.
 	HedgeMin, HedgeMax time.Duration
@@ -173,13 +171,6 @@ func (c Config) probeInterval() time.Duration {
 		return 2 * time.Second
 	}
 	return c.ProbeInterval
-}
-
-func (c Config) hedgeQuantile() float64 {
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		return 0.9
-	}
-	return c.HedgeQuantile
 }
 
 func (c Config) hedgeMin() time.Duration {
@@ -224,7 +215,7 @@ func (c Config) maxRetryWait() time.Duration {
 type Gate struct {
 	cfg     Config
 	client  *http.Client
-	rec     obsv.Recorder
+	rec     *obsv.Collector
 	logf    func(format string, a ...any)
 	started time.Time
 
@@ -237,15 +228,9 @@ type Gate struct {
 	targets     map[string]*target
 	onMapChange func(ShardMap)
 
-	// Migrations: one runner per started migration ID, plus the
-	// double-read mismatch counter satellite metrics expose.
+	// Migrations: one runner per started migration ID.
 	migMu      sync.Mutex
 	migrations map[string]*Migrator
-	drMismatch atomic.Int64
-
-	hedgeFired atomic.Int64
-	hedgeWon   atomic.Int64
-	partials   atomic.Int64
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
@@ -256,6 +241,9 @@ func New(cfg Config) (*Gate, error) {
 	transport := cfg.Transport
 	if transport == nil {
 		transport = &http.Transport{MaxIdleConnsPerHost: 16}
+	}
+	if cfg.Recorder == nil {
+		cfg.Recorder = obsv.NewCollector()
 	}
 	g := &Gate{
 		cfg:         cfg,
@@ -330,10 +318,12 @@ func (g *Gate) Handler() http.Handler {
 
 // wrap adds counters, latency histograms and panic containment.
 func (g *Gate) wrap(route string, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	routeRequests := CtrRequests + "." + route // built once, at registration
+	// The hot path's handles, looked up once per route.
+	requests, routeRequests := g.rec.Counter(CtrRequests), g.rec.Counter(CtrRequests+"."+route)
+	latency := g.rec.Histogram(HistLatency)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		g.count(CtrRequests, 1)
-		g.count(routeRequests, 1)
+		requests.Add(1)
+		routeRequests.Add(1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		func() {
@@ -347,9 +337,9 @@ func (g *Gate) wrap(route string, h func(http.ResponseWriter, *http.Request)) ht
 			}()
 			h(sw, r)
 		}()
-		g.observe(HistLatency, time.Since(start).Microseconds())
+		latency.Observe(time.Since(start).Microseconds())
 		if sw.status >= 400 {
-			g.count(CtrErrors, 1)
+			g.rec.Count(CtrErrors, 1)
 		}
 	})
 }
@@ -456,7 +446,7 @@ func (g *Gate) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"availableShards": available,
 		"epoch":           t.m.Epoch,
 	}
-	resp["doubleReadMismatches"] = g.drMismatch.Load()
+	resp["doubleReadMismatches"] = g.rec.Counter(CtrDoubleReadMismatch).Load()
 	if phases := g.migrationPhases(); len(phases) > 0 {
 		resp["migrations"] = phases
 	}
@@ -488,18 +478,6 @@ func (g *Gate) migrationPhases() map[string]string {
 		out[id] = m.State().Phase
 	}
 	return out
-}
-
-func (g *Gate) count(name string, delta int64) {
-	if g.rec != nil {
-		g.rec.Count(name, delta)
-	}
-}
-
-func (g *Gate) observe(name string, v int64) {
-	if g.rec != nil {
-		obsv.Observe(g.rec, name, v)
-	}
 }
 
 func (g *Gate) log(format string, a ...any) {

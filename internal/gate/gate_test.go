@@ -371,8 +371,8 @@ func TestMergeHedgeWinnerIndependence(t *testing.T) {
 				uri, body, baseline[uri])
 		}
 	}
-	if g.hedgeFired.Load() == 0 || g.hedgeWon.Load() == 0 {
-		t.Fatalf("hedge counters did not move: fired=%d won=%d", g.hedgeFired.Load(), g.hedgeWon.Load())
+	if fired, won := g.rec.Counter(CtrHedgeFired).Load(), g.rec.Counter(CtrHedgeWon).Load(); fired == 0 || won == 0 {
+		t.Fatalf("hedge counters did not move: fired=%d won=%d", fired, won)
 	}
 }
 

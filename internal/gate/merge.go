@@ -220,7 +220,7 @@ func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request
 		gt := g.scatter(r, rt.path+"?obs="+url.QueryEscape(obs))
 		defer gt.release()
 		if len(gt.missing) == len(gt.answers) {
-			g.count(CtrNoShards, 1)
+			g.rec.Count(CtrNoShards, 1)
 			setRetryAfter(w, 3*time.Second)
 			writeJSON(w, http.StatusServiceUnavailable, errorResponse{
 				Error: "no shards reachable", Partial: true, MissingShards: gt.missing,
@@ -228,7 +228,7 @@ func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request
 			return
 		}
 		if gt.partial() {
-			g.countPartial()
+			g.rec.Count(CtrPartial, 1)
 		}
 		ans := gt.merged()
 		if ans == nil {
@@ -247,9 +247,4 @@ func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(*bp) // a failed write means the client is gone: nobody to tell
 	}
-}
-
-func (g *Gate) countPartial() {
-	g.partials.Add(1)
-	g.count(CtrPartial, 1)
 }

@@ -502,7 +502,6 @@ func (m *Migrator) postJSON(base, path string, v any) (int, []byte, error) {
 			return 0, nil, err
 		}
 		status, rb, header, err := m.g.postShard(m.ctx, base, path, body)
-		wait := bo.Next()
 		switch {
 		case err != nil:
 			lastErr = err
@@ -511,13 +510,10 @@ func (m *Migrator) postJSON(base, path string, v any) (int, []byte, error) {
 			if leader := header.Get(serve.LeaderHeader); leader != "" {
 				base = trimBase(leader)
 			}
-			if ra := retryAfterHint(header); ra > 0 && ra < m.g.cfg.maxRetryWait() {
-				wait = ra
-			}
 		default:
 			return status, rb, nil
 		}
-		if !m.sleep(wait) {
+		if !m.sleep(m.g.retryWait(&bo, header)) {
 			return 0, nil, m.ctx.Err()
 		}
 	}
@@ -600,7 +596,7 @@ func (m *Migrator) pump(wait time.Duration, ps *pumpState) (caughtUp bool, err e
 			m.mu.Lock()
 			m.state.Pumped++
 			m.mu.Unlock()
-			m.g.count(CtrMigrationPumped, 1)
+			m.g.rec.Count(CtrMigrationPumped, 1)
 		}
 		return nil
 	})
@@ -676,8 +672,7 @@ func (m *Migrator) doubleRead() error {
 				m.mu.Lock()
 				m.state.Mismatches++
 				m.mu.Unlock()
-				m.g.drMismatch.Add(1)
-				m.g.count(CtrDoubleReadMismatch, 1)
+				m.g.rec.Count(CtrDoubleReadMismatch, 1)
 				m.g.log("migration %s: double-read mismatch on %s", spec.ID, obs)
 			}
 		}

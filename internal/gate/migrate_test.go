@@ -582,3 +582,44 @@ func TestMigrationReadsExactMidFlight(t *testing.T) {
 }
 
 var _ = url.QueryEscape // keep the import when relatedPath moves
+
+// TestMigrationCopyHonorsRetryAfter: a copy the target refuses with a
+// Retry-After longer than MaxRetryWait waits out the cap before its next
+// attempt, the rule a client insert's retry follows too, instead of
+// ignoring the hint and spending its attempts at backoff pace.
+func TestMigrationCopyHonorsRetryAfter(t *testing.T) {
+	leakcheck.Check(t)
+	var arrivals []time.Time // the transport runs the handler on the caller's goroutine
+	tr := newHostTransport()
+	tr.add("target", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrivals = append(arrivals, time.Now())
+		if len(arrivals) == 1 {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		w.WriteHeader(http.StatusCreated)
+	}))
+	const capWait = 300 * time.Millisecond
+	g, err := New(Config{
+		Shards:        []ShardConfig{{Name: "g0", Primary: "http://target", Datasets: []string{"http://example.org/ds"}}},
+		Transport:     tr,
+		ProbeInterval: -1,
+		MaxRetryWait:  capWait,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	m := &Migrator{g: g, ctx: context.Background()}
+	status, _, err := m.postJSON("http://target", "/v1/observations", map[string]string{})
+	if err != nil || status != http.StatusCreated {
+		t.Fatalf("copy: status %d, err %v; want 201 on the second attempt", status, err)
+	}
+	if len(arrivals) != 2 {
+		t.Fatalf("target saw %d attempts, want 2", len(arrivals))
+	}
+	if gap := arrivals[1].Sub(arrivals[0]); gap < capWait {
+		t.Fatalf("second attempt %v after the first; a 1s Retry-After capped at %v must wait the cap", gap, capWait)
+	}
+}

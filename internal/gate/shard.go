@@ -28,6 +28,9 @@ type target struct {
 	url       string
 	breaker   *breaker
 	healthy   atomic.Bool
+	// latency is the target's upstream latency histogram (µs) in the
+	// gate's registry: doRead observes it, hedgeDelay and /v1/stats read it.
+	latency *obsv.Histogram
 }
 
 // shard is one entry of the shard map: a primary, an optional replica,
@@ -160,8 +163,7 @@ func (g *Gate) fetchShard(ctx context.Context, sh *shard, path string) shardAnsw
 		case <-hedgeC:
 			hedgeC = nil
 			if next < len(cands) {
-				g.hedgeFired.Add(1)
-				g.count(CtrHedgeFired, 1)
+				g.rec.Count(CtrHedgeFired, 1)
 				hedged = cands[next]
 				launch(cands[next])
 				next++
@@ -172,8 +174,7 @@ func (g *Gate) fetchShard(ctx context.Context, sh *shard, path string) shardAnsw
 			ans := g.classify(sh, res)
 			if ans.ok {
 				if hedged != nil && res.tgt == hedged {
-					g.hedgeWon.Add(1)
-					g.count(CtrHedgeWon, 1)
+					g.rec.Count(CtrHedgeWon, 1)
 				}
 				return ans
 			}
@@ -255,8 +256,7 @@ func (g *Gate) doRead(ctx context.Context, t *target, path string) fetchResult {
 	bp := getBuf()
 	rerr := readBody(bp, resp.Body)
 	resp.Body.Close()
-	us := time.Since(start).Microseconds()
-	g.observe(targetHistName(t.shardName, t.role), us)
+	t.latency.Observe(time.Since(start).Microseconds())
 	if rerr != nil {
 		putBuf(bp)
 		t.breaker.Failure(time.Now())
@@ -307,20 +307,18 @@ func (g *Gate) shardContext(ctx context.Context) (context.Context, context.Cance
 	return context.WithTimeout(ctx, budget)
 }
 
+// hedgeQuantile is the primary-latency quantile after which the replica
+// is fired.
+const hedgeQuantile = 0.9
+
 // hedgeDelay derives the replica-fire delay from the primary target's
-// observed latency distribution: the configured quantile, clamped to
-// [HedgeMin, HedgeMax]. Without data (or a histogram-less recorder) it
-// is HedgeMax — hedge conservatively until evidence accumulates.
+// own latency histogram: its hedgeQuantile, clamped to [HedgeMin,
+// HedgeMax]. Without data it is HedgeMax — hedge conservatively until
+// evidence accumulates.
 func (g *Gate) hedgeDelay(primary *target) time.Duration {
 	d := g.cfg.hedgeMax()
-	if h, ok := g.rec.(interface {
-		HistSnapshot(string) (*obsv.HistSnapshot, bool)
-	}); ok {
-		if snap, found := h.HistSnapshot(targetHistName(primary.shardName, primary.role)); found {
-			if q := snap.Quantile(g.cfg.hedgeQuantile()); q > 0 {
-				d = time.Duration(q) * time.Microsecond
-			}
-		}
+	if q := primary.latency.Snapshot().Quantile(hedgeQuantile); q > 0 {
+		d = time.Duration(q) * time.Microsecond
 	}
 	if min := g.cfg.hedgeMin(); d < min {
 		d = min

@@ -220,6 +220,7 @@ func (g *Gate) pooledTarget(shardName, role, url string) *target {
 		role:      role,
 		url:       url,
 		breaker:   newBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerBackoff),
+		latency:   g.rec.Histogram(targetHistName(shardName, role)),
 	}
 	t.healthy.Store(true)
 	g.targets[key] = t
@@ -252,7 +253,7 @@ func (g *Gate) SwapMap(m ShardMap) error {
 	}
 	g.rt.Store(g.buildTable(m))
 	g.swapMu.Unlock()
-	g.count(CtrMapSwaps, 1)
+	g.rec.Count(CtrMapSwaps, 1)
 	g.log("shard map swapped: epoch %d -> %d (%d shards)", cur.m.Epoch, m.Epoch, len(m.Shards))
 	if g.onMapChange != nil {
 		g.onMapChange(copyMap(m))

@@ -15,7 +15,7 @@ type targetStats struct {
 	Breaker  string `json:"breaker"`
 	Failures int    `json:"failures"`
 	// Latency is the target's upstream latency quantile summary (µs),
-	// present when the recorder keeps histograms and traffic has flowed.
+	// present once traffic has flowed.
 	Latency *obsv.QuantileSummary `json:"latency,omitempty"`
 }
 
@@ -59,17 +59,14 @@ type statsResponse struct {
 }
 
 func (g *Gate) handleStats(w http.ResponseWriter, r *http.Request) {
-	hists, _ := g.rec.(interface {
-		HistSnapshot(string) (*obsv.HistSnapshot, bool)
-	})
 	t := g.table()
 	resp := statsResponse{
 		Role:                 "gate",
 		Epoch:                t.m.Epoch,
-		HedgeFired:           g.hedgeFired.Load(),
-		HedgeWon:             g.hedgeWon.Load(),
-		PartialReads:         g.partials.Load(),
-		DoubleReadMismatches: g.drMismatch.Load(),
+		HedgeFired:           g.rec.Counter(CtrHedgeFired).Load(),
+		HedgeWon:             g.rec.Counter(CtrHedgeWon).Load(),
+		PartialReads:         g.rec.Counter(CtrPartial).Load(),
+		DoubleReadMismatches: g.rec.Counter(CtrDoubleReadMismatch).Load(),
 		UptimeSeconds:        time.Since(g.started).Seconds(),
 	}
 	for _, m := range g.Migrations() {
@@ -99,11 +96,9 @@ func (g *Gate) handleStats(w http.ResponseWriter, r *http.Request) {
 				Breaker:  state,
 				Failures: fails,
 			}
-			if hists != nil {
-				if snap, found := hists.HistSnapshot(targetHistName(sh.name, t.role)); found {
-					sum := snap.Summary()
-					ts.Latency = &sum
-				}
+			if snap := t.latency.Snapshot(); snap.Count > 0 {
+				sum := snap.Summary()
+				ts.Latency = &sum
 			}
 			ss.Targets = append(ss.Targets, ts)
 		}

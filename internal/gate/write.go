@@ -91,15 +91,7 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 		if attempt >= retries {
 			break
 		}
-		wait := bo.Next()
-		if lastHeader != nil {
-			if ra := retryAfterHint(lastHeader); ra > 0 {
-				wait = ra
-			}
-		}
-		if max := g.cfg.maxRetryWait(); wait > max {
-			wait = max
-		}
+		wait := g.retryWait(&bo, lastHeader)
 		// Never sleep past the inbound deadline: better to relay the
 		// refusal now than to answer after the client's budget is spent.
 		if dl, ok := r.Context().Deadline(); ok {
@@ -107,7 +99,7 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
-		g.count(CtrRetries, 1)
+		g.rec.Count(CtrRetries, 1)
 		select {
 		case <-r.Context().Done():
 			writeJSON(w, statusClientGone, errorResponse{Error: "request abandoned: " + r.Context().Err().Error()})
@@ -149,24 +141,24 @@ func (g *Gate) postShard(ctx context.Context, target, path string, body []byte) 
 	}
 	respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody))
 	resp.Body.Close()
-	g.observe(HistWriteLatency, time.Since(start).Microseconds())
+	g.rec.Observe(HistWriteLatency, time.Since(start).Microseconds())
 	if rerr != nil {
 		return 0, nil, nil, rerr
 	}
 	return resp.StatusCode, respBody, resp.Header, nil
 }
 
-// retryAfterHint parses an integer-seconds Retry-After header.
-func retryAfterHint(h http.Header) time.Duration {
-	v := h.Get("Retry-After")
-	if v == "" {
-		return 0
+// retryWait is the one wait rule of every shard write retry, a client
+// insert's or a migration copy's: the refusal's Retry-After hint when it
+// carries one (h is nil after a transport error), else the backoff's next
+// step, capped at MaxRetryWait either way — a hint longer than the cap is
+// waited out up to the cap, not ignored.
+func (g *Gate) retryWait(bo *serve.Backoff, h http.Header) time.Duration {
+	wait := bo.Next()
+	if secs, err := strconv.Atoi(h.Get("Retry-After")); err == nil && secs > 0 {
+		wait = time.Duration(secs) * time.Second
 	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
+	return min(wait, g.cfg.maxRetryWait())
 }
 
 // relay copies an upstream answer downstream, preserving the fields the

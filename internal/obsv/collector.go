@@ -93,7 +93,7 @@ func (c *Collector) Histogram(name string) *Histogram {
 	return h
 }
 
-// Observe implements Observer: it records value into the named histogram.
+// Observe records value into the named histogram.
 func (c *Collector) Observe(name string, value int64) {
 	c.Histogram(name).Observe(value)
 }

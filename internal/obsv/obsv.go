@@ -36,24 +36,6 @@ type Recorder interface {
 	Gauge(name string, value float64)
 }
 
-// Observer is the optional Recorder extension for distribution metrics:
-// implementations record value into the named histogram. It is separate
-// from Recorder so existing Recorder implementations (and third-party
-// ones) keep compiling; call sites use the Observe helper, which degrades
-// to a no-op for recorders without distribution support.
-type Observer interface {
-	Observe(name string, value int64)
-}
-
-// Observe records value into r's named histogram when r supports
-// distributions (implements Observer); otherwise it does nothing. A nil
-// r is also fine.
-func Observe(r Recorder, name string, value int64) {
-	if o, ok := r.(Observer); ok {
-		o.Observe(name, value)
-	}
-}
-
 // Nop is the no-op Recorder: every method does nothing. Algorithms treat
 // a nil Recorder the same way (they skip the call entirely), so Nop exists
 // for call sites that want a non-nil Recorder unconditionally.
@@ -67,9 +49,6 @@ func (Nop) Count(string, int64) {}
 
 // Gauge implements Recorder.
 func (Nop) Gauge(string, float64) {}
-
-// Observe implements Observer.
-func (Nop) Observe(string, int64) {}
 
 var nopEnd = func() {}
 
@@ -119,14 +98,6 @@ func (m multi) Count(name string, delta int64) {
 func (m multi) Gauge(name string, value float64) {
 	for _, r := range m {
 		r.Gauge(name, value)
-	}
-}
-
-// Observe implements Observer, forwarding to the members that support
-// distributions.
-func (m multi) Observe(name string, value int64) {
-	for _, r := range m {
-		Observe(r, name, value)
 	}
 }
 

@@ -85,8 +85,8 @@ func TestFollowerFailedRebootstrapKeepsOldCursor(t *testing.T) {
 		if serves(f2, uriAfterHole) && !serves(f2, uriInHole) {
 			t.Fatalf("follower serves %s (inserted after the hole) while %s (inside it) is missing", uriAfterHole, uriInHole)
 		}
-		if f2.State().Bootstraps() != 0 {
-			t.Fatalf("follower counted %d bootstraps on a disk that cannot commit one", f2.State().Bootstraps())
+		if f2.Bootstraps() != 0 {
+			t.Fatalf("follower counted %d bootstraps on a disk that cannot commit one", f2.Bootstraps())
 		}
 		if !f2.State().Stale() {
 			t.Fatalf("follower claims to be caught up (lag %d, staleness %s) without the image it needs",
@@ -102,7 +102,7 @@ func TestFollowerFailedRebootstrapKeepsOldCursor(t *testing.T) {
 	waitHas(t, f2, uriInHole)
 	waitHas(t, f2, uriAfterHole)
 	waitHas(t, f2, uriBefore)
-	if got := f2.State().Bootstraps(); got != 1 {
+	if got := f2.Bootstraps(); got != 1 {
 		t.Fatalf("healed follower counted %d bootstraps, want exactly 1", got)
 	}
 	for deadline = time.Now().Add(10 * time.Second); f2.State().Stale() || f2.State().LagRecords() != 0; {
@@ -183,7 +183,7 @@ func TestFollowerLocalAppendFailureLeavesNoPosition(t *testing.T) {
 	for _, uri := range uris {
 		waitHas(t, f2, uri)
 	}
-	if got := f2.State().Bootstraps(); got != 1 {
+	if got := f2.Bootstraps(); got != 1 {
 		t.Fatalf("restart over a holed chain bootstrapped %d times, want 1", got)
 	}
 }

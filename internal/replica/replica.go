@@ -69,13 +69,13 @@ import (
 
 // Metric names the follower reports through its Recorder.
 const (
-	CtrPolls      = "repl.polls"       // tail requests answered by the primary
-	CtrRecords    = "repl.records"     // record frames applied
-	CtrBootstraps = "repl.bootstraps"  // full snapshot bootstraps
-	CtrReconnects = "repl.reconnects"  // link failures that triggered backoff
-	CtrResumes    = "repl.resumes"     // restarts that resumed from the local chain
-	GaugeLag      = "repl.lag.records" // current record lag behind the primary
-	GaugeOffset   = "repl.offset"      // applied logical WAL offset
+	CtrPolls      = "repl.polls"                // tail requests answered by the primary
+	CtrRecords    = "repl.records"              // record frames applied
+	CtrBootstraps = serve.CtrFollowerBootstraps // full snapshot bootstraps
+	CtrReconnects = "repl.reconnects"           // link failures that triggered backoff
+	CtrResumes    = "repl.resumes"              // restarts that resumed from the local chain
+	GaugeLag      = "repl.lag.records"          // current record lag behind the primary
+	GaugeOffset   = "repl.offset"               // applied logical WAL offset
 	GaugeStaleUS  = "repl.staleness.us"
 	HistPollUS    = "repl.poll.us"  // one tail request, network included
 	HistApplyUS   = "repl.apply.us" // applying one pulled batch
@@ -105,9 +105,11 @@ type Config struct {
 	// Tasks selects the relationship types maintained on apply; zero
 	// means all three.
 	Tasks core.Tasks
-	// Recorder receives the follower's counters, gauges and histograms
-	// (and the serving layer's, via the embedded server). Nil disables.
-	Recorder obsv.Recorder
+	// Recorder is the follower's one registry: its counters, gauges and
+	// histograms, and those of every embedded server it installs. /readyz
+	// and /v1/stats read the replication counts back from it. Nil means
+	// the follower makes its own.
+	Recorder *obsv.Collector
 	// MaxStaleness flips the follower's /readyz to 503 once it has not
 	// been level with the primary for this long. Zero never trips.
 	MaxStaleness time.Duration
@@ -194,6 +196,7 @@ type served struct {
 // context and calling Close.
 type Follower struct {
 	cfg   Config
+	rec   *obsv.Collector // cfg.Recorder, or the follower's own
 	src   *Source
 	fs    faultfs.FS
 	rot   *snapshot.Rotator // nil without persistence
@@ -210,8 +213,12 @@ func New(cfg Config) (*Follower, error) {
 	if cfg.WALPath != "" && cfg.SnapshotPath == "" {
 		return nil, fmt.Errorf("replica: a local WAL needs a snapshot path: without a snapshot chain no checkpoint ever truncates the log")
 	}
+	if cfg.Recorder == nil {
+		cfg.Recorder = obsv.NewCollector()
+	}
 	f := &Follower{
 		cfg:   cfg,
+		rec:   cfg.Recorder,
 		src:   &Source{Primary: cfg.Primary, Client: cfg.Client, Logf: cfg.Logf},
 		fs:    cfg.FS,
 		state: &serve.FollowerState{Leader: cfg.Primary, MaxStaleness: cfg.MaxStaleness},
@@ -231,6 +238,10 @@ func New(cfg Config) (*Follower, error) {
 
 // State exposes the live replication posture (lag, staleness, offsets).
 func (f *Follower) State() *serve.FollowerState { return f.state }
+
+// Bootstraps reports how many snapshot bootstraps the follower has done,
+// read from its registry.
+func (f *Follower) Bootstraps() int64 { return f.rec.Counter(CtrBootstraps).Load() }
 
 // Server returns the current embedded server (nil before the first
 // bootstrap or resume).
@@ -267,24 +278,6 @@ func (f *Follower) logf(format string, a ...any) {
 	}
 }
 
-func (f *Follower) count(name string, d int64) {
-	if f.cfg.Recorder != nil {
-		f.cfg.Recorder.Count(name, d)
-	}
-}
-
-func (f *Follower) gauge(name string, v float64) {
-	if f.cfg.Recorder != nil {
-		f.cfg.Recorder.Gauge(name, v)
-	}
-}
-
-func (f *Follower) observe(name string, v int64) {
-	if f.cfg.Recorder != nil {
-		obsv.Observe(f.cfg.Recorder, name, v)
-	}
-}
-
 // Run drives replication until ctx is canceled: resume from the local
 // chain if one exists, then bootstrap-or-tail forever, reconnecting with
 // jittered capped backoff (the breaker's backoff helper) after link
@@ -302,6 +295,9 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 	for ctx.Err() == nil {
 		progressed, err := f.session(ctx)
+		// Every pass, so the gauge keeps growing while the primary is
+		// unreachable, as /readyz's staleness does.
+		f.rec.Gauge(GaugeStaleUS, float64(f.state.Staleness().Microseconds()))
 		if ctx.Err() != nil {
 			break
 		}
@@ -311,7 +307,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		if err != nil {
 			f.state.SetConnected(false)
 			d := bo.Next()
-			f.count(CtrReconnects, 1)
+			f.rec.Count(CtrReconnects, 1)
 			f.logf("replica: link to %s: %v; reconnecting in %s", f.cfg.Primary, err, d.Round(time.Millisecond))
 			select {
 			case <-ctx.Done():
@@ -365,7 +361,7 @@ func (f *Follower) resume() {
 	f.src.Seek(pos)
 	f.install(srv)
 	f.state.SetOffset(pos.Offset)
-	f.count(CtrResumes, 1)
+	f.rec.Count(CtrResumes, 1)
 	f.logf("replica: resumed from %s (+%d local wal records), position %s@%d",
 		rec.Snapshot, rec.Replayed+rec.Skipped, pos.Stream, pos.Offset)
 }
@@ -389,7 +385,7 @@ func (f *Follower) install(srv *serve.Server) {
 func (f *Follower) serveConfig() serve.Config {
 	return serve.Config{
 		Tasks:          f.cfg.Tasks,
-		Recorder:       f.cfg.Recorder,
+		Recorder:       f.rec,
 		RequestTimeout: f.cfg.RequestTimeout,
 		MaxInFlight:    f.cfg.MaxInFlight,
 		Logf:           f.cfg.Logf,
@@ -451,10 +447,10 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		}
 		f.install(srv)
 		f.state.SetOffset(img.At.Offset)
-		f.state.MarkBootstrap()
+		f.state.MarkCaughtUp() // a fresh image IS the primary's state as of moments ago
 		f.state.SetConnected(true)
-		f.count(CtrBootstraps, 1)
-		f.observe(HistBootUS, time.Since(start).Microseconds())
+		f.rec.Count(CtrBootstraps, 1)
+		f.rec.Observe(HistBootUS, time.Since(start).Microseconds())
 		f.logf("replica: bootstrapped %d observations from %s (generation %q, stream %s, position %d) in %s",
 			img.Snapshot.Space.N(), f.cfg.Primary, img.Generation, img.At.Stream, img.At.Offset,
 			time.Since(start).Round(time.Millisecond))
@@ -502,18 +498,18 @@ func (f *Follower) pollOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	f.observe(HistPollUS, (time.Since(start) - applying).Microseconds())
+	f.rec.Observe(HistPollUS, (time.Since(start) - applying).Microseconds())
 	f.state.SetConnected(true)
-	f.count(CtrPolls, 1)
+	f.rec.Count(CtrPolls, 1)
 	if tail.Records > 0 {
 		f.applied(tail.Records, applying)
 	}
 	f.state.SetLagRecords(tail.Lag)
-	f.gauge(GaugeLag, float64(tail.Lag))
+	f.rec.Gauge(GaugeLag, float64(tail.Lag))
 	if tail.CaughtUp {
 		f.state.MarkCaughtUp()
 	}
-	f.gauge(GaugeStaleUS, float64(f.state.Staleness().Microseconds()))
+	f.rec.Gauge(GaugeStaleUS, float64(f.state.Staleness().Microseconds()))
 	return nil
 }
 
@@ -552,9 +548,9 @@ func (f *Follower) applied(n int, took time.Duration) {
 			f.logf("replica: persisting position: %v", err)
 		}
 	}
-	f.count(CtrRecords, int64(n))
-	f.gauge(GaugeOffset, float64(cur.Offset))
-	f.observe(HistApplyUS, took.Microseconds())
+	f.rec.Count(CtrRecords, int64(n))
+	f.rec.Gauge(GaugeOffset, float64(cur.Offset))
+	f.rec.Observe(HistApplyUS, took.Microseconds())
 	if wlog := srv.WAL(); wlog != nil && wlog.RecordBytes() >= f.cfg.checkpointBytes() {
 		if err := f.checkpoint(srv); err != nil {
 			f.logf("replica: local checkpoint failed (chain keeps growing): %v", err)

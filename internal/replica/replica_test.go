@@ -169,7 +169,7 @@ func TestFollowerResumesFromLocalChain(t *testing.T) {
 	}
 	stop1 := runFollower(t, f1)
 	waitHas(t, f1, uriBefore)
-	if got := f1.State().Bootstraps(); got != 1 {
+	if got := f1.Bootstraps(); got != 1 {
 		t.Fatalf("first incarnation bootstrapped %d times, want 1", got)
 	}
 	uriWhileUp := p.insert(t)
@@ -188,7 +188,7 @@ func TestFollowerResumesFromLocalChain(t *testing.T) {
 	waitHas(t, f2, uriBefore)
 	waitHas(t, f2, uriWhileUp)
 	waitHas(t, f2, uriWhileDown)
-	if got := f2.State().Bootstraps(); got != 0 {
+	if got := f2.Bootstraps(); got != 0 {
 		t.Fatalf("restart bootstrapped %d times; want 0 (resume from the local chain)", got)
 	}
 }
@@ -241,7 +241,7 @@ func TestFollowerQuarantinesCorruptLocalWAL(t *testing.T) {
 	if kept, err := crashed.ReadFile("replica.bin.wal.corrupt"); err != nil || !bytes.Equal(kept, garbage) {
 		t.Fatalf("quarantined local wal holds %q (%v), want the garbage it replaced", kept, err)
 	}
-	if got := f2.State().Bootstraps(); got != 1 {
+	if got := f2.Bootstraps(); got != 1 {
 		t.Fatalf("restart bootstrapped %d times; want 1 (the position outlived its log)", got)
 	}
 }
@@ -272,7 +272,7 @@ func TestFollowerCheckpointIsBatchEncode(t *testing.T) {
 	}
 	runFollower(t, f)
 	waitHas(t, f, "0")
-	if got := f.State().Bootstraps(); got != 1 {
+	if got := f.Bootstraps(); got != 1 {
 		t.Fatalf("%d bootstraps before the inserts, want 1", got)
 	}
 
@@ -301,7 +301,7 @@ func TestFollowerCheckpointIsBatchEncode(t *testing.T) {
 		t.Fatalf("plan held %d inserts, want %d", p.n, inserts)
 	}
 	waitHas(t, f, url.QueryEscape(last))
-	if got := f.State().Bootstraps(); got != 1 {
+	if got := f.Bootstraps(); got != 1 {
 		t.Fatalf("%d bootstraps, want 1: the inserts must arrive through the log", got)
 	}
 
@@ -377,7 +377,7 @@ func TestFollowerLocalCheckpointBoundsChain(t *testing.T) {
 	runFollower(t, f2)
 	waitHas(t, f2, last)
 	waitHas(t, f2, uriAfter)
-	if got := f2.State().Bootstraps(); got != 0 {
+	if got := f2.Bootstraps(); got != 0 {
 		t.Fatalf("restart over a checkpointed chain bootstrapped %d times, want 0", got)
 	}
 }
@@ -424,14 +424,14 @@ func TestFollowerLiveAcrossRegistration(t *testing.T) {
 	}
 	runFollower(t, f)
 	waitHas(t, f, uriBefore)
-	boots := f.State().Bootstraps()
+	boots := f.Bootstraps()
 
 	dsNew := p.registerDataset(t, "Dlive")
 	uriNew := p.insertInto(t, dsNew)
 	uriAfter := p.insert(t)
 	waitHas(t, f, uriNew)
 	waitHas(t, f, uriAfter)
-	if got := f.State().Bootstraps(); got != boots {
+	if got := f.Bootstraps(); got != boots {
 		t.Fatalf("live follower across a registration bootstrapped %d times, want %d (no re-bootstrap)", got, boots)
 	}
 }
@@ -478,7 +478,7 @@ func TestFollowerResumesAcrossRegistrationWhileDown(t *testing.T) {
 	waitHas(t, f2, uriBefore)
 	waitHas(t, f2, uriMissed)
 	waitHas(t, f2, uriNew)
-	if got := f2.State().Bootstraps(); got != 0 {
+	if got := f2.Bootstraps(); got != 0 {
 		t.Fatalf("follower across a registration bootstrapped %d times, want 0 (resume from the local chain)", got)
 	}
 }
@@ -501,7 +501,7 @@ func TestFollowerWithoutPersistenceBootstrapsEveryStart(t *testing.T) {
 		}
 		stop := runFollower(t, f)
 		waitHas(t, f, uri)
-		if got := f.State().Bootstraps(); got != 1 {
+		if got := f.Bootstraps(); got != 1 {
 			t.Fatalf("incarnation %d: %d bootstraps, want 1", i, got)
 		}
 		stop()
@@ -698,7 +698,7 @@ func TestFollowerPromotesToPrimary(t *testing.T) {
 	for _, uri := range uris {
 		waitHas(t, f2, url.QueryEscape(uri))
 	}
-	if got := f2.State().Bootstraps(); got != 1 {
+	if got := f2.Bootstraps(); got != 1 {
 		t.Fatalf("follower of the promoted primary bootstrapped %d times, want 1", got)
 	}
 }

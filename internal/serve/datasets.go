@@ -98,7 +98,7 @@ func (s *Server) createDatasetReply(r *http.Request, ds *qb.Dataset) reply {
 		s.log("dataset %s: validated registration failed to apply: %v", ds.URI.Value, err)
 		return errReply(r, http.StatusInternalServerError, "%v", err)
 	}
-	s.count(CtrDatasetsCreated, 1)
+	s.rec.Count(CtrDatasetsCreated, 1)
 	s.log("dataset %s registered at index %d (%d dims, %d measures)", ds.URI.Value, di, len(ds.Schema.Dimensions), len(ds.Schema.Measures))
 	return reply{http.StatusCreated, map[string]any{"dataset": ds.URI.Value, "index": di, "created": true}}
 }

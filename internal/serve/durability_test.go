@@ -448,9 +448,12 @@ func (p panicOnCount) Count(name string, delta int64) {
 
 // TestPanicUnderLockReleasesIt: a handler that panics while it holds s.mu
 // releases the lock as it unwinds, so the recovered 500 is not followed
-// by a daemon whose every later request waits for the lock.
+// by a daemon whose every later request waits for the lock. The panic is
+// injected through the space's recorder, which the insert kernel counts
+// into under the write lock.
 func TestPanicUnderLockReleasesIt(t *testing.T) {
-	srv, _ := newPaperServer(t, Config{Recorder: panicOnCount{Recorder: obsv.NewCollector(), name: CtrInserts}})
+	srv, _ := newPaperServer(t, Config{})
+	srv.inc.S.SetRecorder(panicOnCount{Recorder: srv.inc.S.Recorder(), name: core.CtrIncInserts})
 	h := srv.Handler()
 	body, err := json.Marshal(insertBody("-panic"))
 	if err != nil {

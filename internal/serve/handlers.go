@@ -95,7 +95,7 @@ func (s *Server) abandoned(r *http.Request) (reply, bool) {
 	if err == nil {
 		return reply{}, false
 	}
-	s.count(CtrCanceled, 1)
+	s.rec.Count(CtrCanceled, 1)
 	return errReply(r, cancelStatus(err), "request abandoned: %v", err), true
 }
 
@@ -149,7 +149,7 @@ func (s *Server) replicationFields() map[string]any {
 		"walOffset":        f.Offset(),
 		"lagRecords":       f.LagRecords(),
 		"stalenessSeconds": stale.Seconds(),
-		"bootstraps":       f.Bootstraps(),
+		"bootstraps":       s.rec.Counter(CtrFollowerBootstraps).Load(),
 	}
 	if f.MaxStaleness > 0 {
 		fields["maxStalenessSeconds"] = f.MaxStaleness.Seconds()
@@ -344,13 +344,13 @@ func (s *Server) appendLocked(tr *reqTrace, recs ...wal.Record) error {
 	endWAL := tr.span("wal.append")
 	walStart := time.Now()
 	err := s.wlog.AppendBatch(recs)
-	s.observe(HistWALAppend, time.Since(walStart).Microseconds())
+	s.rec.Observe(HistWALAppend, time.Since(walStart).Microseconds())
 	endWAL()
 	if err != nil {
 		s.markDegraded(fmt.Sprintf("wal append for %s: %v", recs[0].URI.Value, err))
 		return err
 	}
-	s.count(CtrWALAppends, int64(len(recs)))
+	s.rec.Count(CtrWALAppends, int64(len(recs)))
 	s.walSeq += int64(len(recs))
 	s.notifyAppend()
 	return nil
@@ -471,8 +471,7 @@ func (s *Server) insertReply(r *http.Request, req *insertRequest) reply {
 		return errReply(r, http.StatusInternalServerError, "%v", err)
 	}
 	idx := s.uriIdx[req.URI]
-	s.inserts.Add(1)
-	s.count(CtrInserts, 1)
+	s.rec.Count(CtrInserts, 1)
 
 	return reply{http.StatusCreated, map[string]any{
 		"obs":        idx,
@@ -511,8 +510,8 @@ func (s *Server) statsReply() reply {
 		"full":          f,
 		"partial":       p,
 		"complementary": c,
-		"inserts":       s.inserts.Load(),
-		"replayed":      s.replayed.Load(),
+		"inserts":       s.rec.Counter(CtrInserts).Load(),
+		"replayed":      s.rec.Counter(CtrWALReplayed).Load(),
 		"degraded":      s.Degraded(),
 		"uptimeSeconds": time.Since(s.started).Seconds(),
 	}
@@ -534,15 +533,10 @@ func (s *Server) statsReply() reply {
 	} else {
 		resp["role"] = "primary"
 	}
-	// Latency distribution, when the recorder keeps histograms. The old
-	// serve.latency.us sum counter and .last.us gauge stay in /metrics for
-	// compatibility; this is the quantile view (values in µs).
-	if h, ok := s.rec.(interface {
-		HistSnapshot(string) (*obsv.HistSnapshot, bool)
-	}); ok {
-		if snap, found := h.HistSnapshot(HistLatency); found {
-			resp["latency"] = snap.Summary()
-		}
+	// The quantile view of the all-routes latency histogram (µs), once a
+	// request has been answered.
+	if snap := s.rec.Histogram(HistLatency).Snapshot(); snap.Count > 0 {
+		resp["latency"] = snap.Summary()
 	}
 	return reply{http.StatusOK, resp}
 }

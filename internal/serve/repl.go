@@ -74,6 +74,10 @@ const (
 	CtrWALServed     = "serve.repl.records.served" // record frames shipped to followers
 	CtrBootstraps    = "serve.repl.bootstraps"     // /v1/snapshot images served
 	HistSnapshotShip = "serve.repl.snapshot.encode.us"
+	// CtrFollowerBootstraps counts the snapshot bootstraps a follower
+	// completed. internal/replica counts it into the registry it shares
+	// with its server; /readyz and /v1/stats report it as "bootstraps".
+	CtrFollowerBootstraps = "repl.bootstraps"
 )
 
 // maxWALChunk bounds one /v1/wal response body (4 MiB of frames): a far
@@ -143,8 +147,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusInternalServerError, "encoding snapshot: %v", err)
 		return
 	}
-	s.observe(HistSnapshotShip, time.Since(start).Microseconds())
-	s.count(CtrBootstraps, 1)
+	s.rec.Observe(HistSnapshotShip, time.Since(start).Microseconds())
+	s.rec.Count(CtrBootstraps, 1)
 
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
@@ -236,7 +240,7 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 			if remain <= 0 {
 				h.Set(WALNextHeader, strconv.FormatInt(from, 10))
 				h.Set("Content-Type", "application/octet-stream")
-				s.count(CtrWALPolls, 1)
+				s.rec.Count(CtrWALPolls, 1)
 				w.WriteHeader(http.StatusOK)
 				return
 			}
@@ -249,7 +253,7 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 				continue
 			case <-r.Context().Done():
 				t.Stop()
-				s.count(CtrCanceled, 1)
+				s.rec.Count(CtrCanceled, 1)
 				s.error(w, r, cancelStatus(r.Context().Err()), "request abandoned: %v", r.Context().Err())
 				return
 			case <-s.runCtx.Done():
@@ -275,8 +279,8 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 			h.Set(WALNextHeader, strconv.FormatInt(from+good, 10))
 			h.Set("Content-Type", "application/octet-stream")
 			h.Set("Content-Length", strconv.FormatInt(good, 10))
-			s.count(CtrWALPolls, 1)
-			s.count(CtrWALServed, int64(len(recs)))
+			s.rec.Count(CtrWALPolls, 1)
+			s.rec.Count(CtrWALServed, int64(len(recs)))
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write(chunk[:good])
 			return
@@ -305,7 +309,6 @@ type FollowerState struct {
 	offset       atomic.Int64
 	lastCaughtUp atomic.Int64 // UnixNano of the last caught-up moment
 	connected    atomic.Bool
-	bootstraps   atomic.Int64
 }
 
 // SetOffset records the follower's applied logical WAL offset.
@@ -332,17 +335,6 @@ func (f *FollowerState) SetConnected(up bool) { f.connected.Store(up) }
 
 // Connected reports whether the replication link is up.
 func (f *FollowerState) Connected() bool { return f.connected.Load() }
-
-// MarkBootstrap counts a completed snapshot bootstrap and resets the
-// caught-up clock (a fresh image IS the primary's state as of moments
-// ago).
-func (f *FollowerState) MarkBootstrap() {
-	f.bootstraps.Add(1)
-	f.MarkCaughtUp()
-}
-
-// Bootstraps reports how many snapshot bootstraps the follower has done.
-func (f *FollowerState) Bootstraps() int64 { return f.bootstraps.Load() }
 
 // Staleness is the wall-clock time since the follower was last level
 // with the primary.

@@ -42,8 +42,9 @@
 // answer under s.mu and writes it after releasing the lock, so a client
 // that leaves its socket unread blocks only its own request, and that for
 // at most Config.RequestTimeout; every handler reports request counters
-// and latency through the same obsv.Recorder the algorithms use, so the
-// /metrics exposition shows serving and computation side by side.
+// and latency into the server's one obsv.Collector, which the algorithms
+// record into too, so /metrics shows serving and computation side by side
+// and /v1/stats reads its counts from the same registry.
 //
 // Durability: with Config.WAL set, every accepted write — an insert or a
 // dataset registration — is appended, and fsynced, to the write-ahead
@@ -84,28 +85,24 @@ import (
 
 // Metric names reported through the Recorder.
 const (
-	CtrRequests     = "serve.requests"        // total requests admitted
-	CtrShed         = "serve.shed"            // requests shed with 429
-	CtrErrors       = "serve.errors"          // 4xx/5xx responses
-	CtrInserts      = "serve.inserts"         // observations inserted
-	CtrPanics       = "serve.panics"          // handler panics recovered
-	CtrCanceled     = "serve.canceled"        // requests abandoned (499/504)
-	CtrWALAppends   = "serve.wal.appends"     // records durably logged
-	CtrWALReplayed  = "serve.wal.replayed"    // records replayed at startup
-	CtrRetryAfter   = "serve.retry_after"     // responses that told the client when to retry
-	CtrLatencyMicro = "serve.latency.us"      // summed handler latency (µs)
-	GaugeInFlight   = "serve.inflight"        // requests currently executing
-	GaugeLastMicro  = "serve.latency.last.us" // last handler latency (µs)
-	GaugeDegraded   = "serve.degraded"        // 1 while in read-only mode
+	CtrRequests    = "serve.requests"     // total requests admitted
+	CtrShed        = "serve.shed"         // requests shed with 429
+	CtrErrors      = "serve.errors"       // 4xx/5xx responses
+	CtrInserts     = "serve.inserts"      // observations inserted
+	CtrPanics      = "serve.panics"       // handler panics recovered
+	CtrCanceled    = "serve.canceled"     // requests abandoned (499/504)
+	CtrWALAppends  = "serve.wal.appends"  // records durably logged
+	CtrWALReplayed = "serve.wal.replayed" // logged or replicated records applied
+	CtrRetryAfter  = "serve.retry_after"  // responses that told the client when to retry
+	GaugeInFlight  = "serve.inflight"     // requests currently executing
+	GaugeDegraded  = "serve.degraded"     // 1 while in read-only mode
 )
 
-// Histogram names reported through the Recorder's Observer extension
-// (recorded only when the Recorder supports distributions, e.g.
-// obsv.Collector). The sum counter and last-value gauge above stay for
-// compatibility; the histograms are what answers "what is p99?".
+// Histogram names reported through the Recorder.
 const (
-	// HistLatency is the all-routes handler latency distribution (µs);
-	// each route additionally gets "serve.latency.<route>.us".
+	// HistLatency is the all-routes handler latency distribution (µs); its
+	// _sum and _count in /metrics are the summed latency and the request
+	// count. Each route additionally gets "serve.latency.<route>.us".
 	HistLatency = "serve.latency.us"
 	// HistWALAppend is the WAL append-to-ack latency (µs): the fsync cost
 	// every durable insert pays before its 201.
@@ -124,9 +121,11 @@ type Config struct {
 	// Tasks selects the relationship types maintained on insert; zero
 	// means all three.
 	Tasks core.Tasks
-	// Recorder receives request counters, latency gauges and the insert
-	// counters core.Incremental reports. Nil disables instrumentation.
-	Recorder obsv.Recorder
+	// Recorder is the server's one registry: request counters, latency
+	// histograms and the insert counters core.Incremental reports land in
+	// it, and /v1/stats and /readyz read their counts back from it. Nil
+	// means the server makes its own.
+	Recorder *obsv.Collector
 	// RequestTimeout bounds one request's handling; zero means 5s.
 	RequestTimeout time.Duration
 	// MaxInFlight bounds concurrently executing requests; beyond it
@@ -217,7 +216,7 @@ type Server struct {
 	// alongside the space.
 	refs []string
 
-	rec     obsv.Recorder
+	rec     *obsv.Collector
 	timeout time.Duration
 	sem     chan struct{}
 	wlog    *wal.Log
@@ -258,8 +257,6 @@ type Server struct {
 	follower *FollowerState
 
 	degraded atomic.Bool
-	inserts  atomic.Int64
-	replayed atomic.Int64
 	started  time.Time
 }
 
@@ -269,9 +266,10 @@ type Server struct {
 // kept; the caller may drop it.
 func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 	inc := core.NewIncrementalFrom(sn.Space, cfg.Tasks, nil, sn.Lattice)
-	if cfg.Recorder != nil {
-		sn.Space.SetRecorder(cfg.Recorder)
+	if cfg.Recorder == nil {
+		cfg.Recorder = obsv.NewCollector()
 	}
+	sn.Space.SetRecorder(cfg.Recorder)
 	s := &Server{
 		inc:     inc,
 		index:   core.NewIndex(sn.Space, sn.Result),
@@ -388,7 +386,7 @@ func (s *Server) Degraded() bool { return s.degraded.Load() }
 // markDegraded transitions into read-only mode (idempotent).
 func (s *Server) markDegraded(reason string) {
 	if s.degraded.CompareAndSwap(false, true) {
-		s.gauge(GaugeDegraded, 1)
+		s.rec.Gauge(GaugeDegraded, 1)
 		s.log("entering degraded read-only mode: %s", reason)
 	}
 }
@@ -465,8 +463,7 @@ func (s *Server) replayLocked(recs []wal.Record) (int, error) {
 			applied++
 		}
 	}
-	s.replayed.Add(int64(applied))
-	s.count(CtrWALReplayed, int64(applied))
+	s.rec.Count(CtrWALReplayed, int64(applied))
 	return applied, nil
 }
 
@@ -574,7 +571,7 @@ func (s *Server) CheckpointWith(commit func(data []byte) error) error {
 	s.mu.RLock()
 	encStart := time.Now()
 	data, err := s.encodeSnapshotLocked()
-	s.observe(HistCheckpointEncode, time.Since(encStart).Microseconds())
+	s.rec.Observe(HistCheckpointEncode, time.Since(encStart).Microseconds())
 	var mark int64 = -1
 	if err == nil && s.wlog != nil {
 		mark = s.wlog.Size()
@@ -588,7 +585,7 @@ func (s *Server) CheckpointWith(commit func(data []byte) error) error {
 	if err := commit(data); err != nil {
 		return err
 	}
-	s.observe(HistCheckpointWrite, time.Since(writeStart).Microseconds())
+	s.rec.Observe(HistCheckpointWrite, time.Since(writeStart).Microseconds())
 
 	if s.wlog != nil {
 		s.mu.Lock()
@@ -688,7 +685,7 @@ func (s *Server) setRetryAfter(w http.ResponseWriter, d time.Duration) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	s.count(CtrRetryAfter, 1)
+	s.rec.Count(CtrRetryAfter, 1)
 }
 
 // wrap applies the semaphore, tracing, instrumentation and error
@@ -698,12 +695,14 @@ func (s *Server) setRetryAfter(w http.ResponseWriter, d time.Duration) {
 // and the panic log can correlate; the request's span tree lands in the
 // /debug/traces ring when it completes.
 func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	routeRequests, routeHist := CtrRequests+"."+route, routeHistName(route)
+	// The hot path's handles, looked up once per route.
+	requests, routeRequests := s.rec.Counter(CtrRequests), s.rec.Counter(CtrRequests+"."+route)
+	latency, routeLatency := s.rec.Histogram(HistLatency), s.rec.Histogram(routeHistName(route))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			s.count(CtrShed, 1)
+			s.rec.Count(CtrShed, 1)
 			// Jitter the retry hint over [1.5s, 3s): a shed burst must not
 			// synchronize its retries into the next burst.
 			s.setRetryAfter(w, 3*time.Second)
@@ -711,9 +710,9 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) 
 			return
 		}
 		defer func() { <-s.sem }()
-		s.count(CtrRequests, 1)
-		s.count(routeRequests, 1)
-		s.gauge(GaugeInFlight, float64(len(s.sem)))
+		requests.Add(1)
+		routeRequests.Add(1)
+		s.rec.Gauge(GaugeInFlight, float64(len(s.sem)))
 
 		tid := r.Header.Get(TraceIDHeader)
 		if tid == "" || len(tid) > maxTraceIDLen {
@@ -732,7 +731,7 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) 
 			// answer 500 if the handler had not yet written a response.
 			defer func() {
 				if rec := recover(); rec != nil {
-					s.count(CtrPanics, 1)
+					s.rec.Count(CtrPanics, 1)
 					s.log("panic in %s handler (trace %s): %v\n%s", route, tid, rec, debug.Stack())
 					if !sw.wrote {
 						writeJSON(sw, http.StatusInternalServerError,
@@ -744,12 +743,10 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) 
 		}()
 		endSpan()
 		us := time.Since(start).Microseconds()
-		s.count(CtrLatencyMicro, us)
-		s.gauge(GaugeLastMicro, float64(us))
-		s.observe(HistLatency, us)
-		s.observe(routeHist, us)
+		latency.Observe(us)
+		routeLatency.Observe(us)
 		if sw.status >= 400 {
-			s.count(CtrErrors, 1)
+			s.rec.Count(CtrErrors, 1)
 		}
 
 		trace := &Trace{
@@ -790,26 +787,6 @@ func (w *statusWriter) WriteHeader(code int) {
 func (w *statusWriter) Write(p []byte) (int, error) {
 	w.wrote = true
 	return w.ResponseWriter.Write(p)
-}
-
-func (s *Server) count(name string, delta int64) {
-	if s.rec != nil {
-		s.rec.Count(name, delta)
-	}
-}
-
-func (s *Server) gauge(name string, v float64) {
-	if s.rec != nil {
-		s.rec.Gauge(name, v)
-	}
-}
-
-// observe records a histogram sample when the recorder supports
-// distributions (no-op otherwise).
-func (s *Server) observe(name string, v int64) {
-	if s.rec != nil {
-		obsv.Observe(s.rec, name, v)
-	}
 }
 
 // Start listens on addr (port 0 for an ephemeral port) and serves the
