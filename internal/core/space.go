@@ -258,6 +258,50 @@ func (s *Space) ContainDegree(i, j int) int {
 	return n
 }
 
+// ContainDegrees fills deg[k] with the containment degree between
+// observation i and observation js[k], in one direction: ContainDegree(i,
+// js[k]) when iContains, else ContainDegree(js[k], i). deg must be at
+// least as long as js. It answers one row against a list: row i, and when
+// i is the container the width of each of its subtree intervals, are read
+// once for the whole list instead of once per pair.
+func (s *Space) ContainDegrees(i int, js []int32, iContains bool, deg []int32) {
+	vi := s.vals[i]
+	// Each vj is resliced to len(vi) so the inner loops index it without
+	// bounds checks.
+	if !iContains {
+		for k, j := range js {
+			vj := s.vals[j][:len(vi)]
+			n := int32(0)
+			for d, b := range vi {
+				if a := vj[d]; uint32(b-a) < uint32(s.end[d][a]-a) {
+					n++
+				}
+			}
+			deg[k] = n
+		}
+		return
+	}
+	var buf [64]uint32 // the widths stay on the stack up to 64 dimensions
+	w := buf[:]
+	if len(vi) > len(buf) {
+		w = make([]uint32, len(vi))
+	}
+	w = w[:len(vi)]
+	for d, a := range vi {
+		w[d] = uint32(s.end[d][a] - a)
+	}
+	for k, j := range js {
+		vj := s.vals[j][:len(vi)]
+		n := int32(0)
+		for d, a := range vi {
+			if uint32(vj[d]-a) < w[d] {
+				n++
+			}
+		}
+		deg[k] = n
+	}
+}
+
 // Degree returns the normalized OCM cell for the ordered pair (i, j) — the
 // degree of Cont_partial(i, j) when it lies strictly between 0 and 1. It is
 // the division every kernel performs when it emits the pair, so the two

@@ -18,7 +18,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"rdfcube/internal/qb"
@@ -42,9 +41,7 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req datasetRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInsertBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeWriteBody(w, r, &req); err != nil {
 		s.error(w, r, http.StatusBadRequest, "bad dataset body: %v", err)
 		return
 	}

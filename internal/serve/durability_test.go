@@ -28,7 +28,7 @@ import (
 
 // paperSnapshotBytes encodes the paper-example state once so restart
 // tests can decode a fresh, independent copy per server.
-func paperSnapshotBytes(t *testing.T) []byte {
+func paperSnapshotBytes(t testing.TB) []byte {
 	t.Helper()
 	corpus := gen.PaperExample()
 	s, res, err := core.ComputeCorpusCtx(context.Background(), corpus, core.AlgorithmCubeMasking, core.Options{})

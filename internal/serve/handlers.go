@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -15,8 +16,24 @@ import (
 	"rdfcube/internal/wal"
 )
 
-// maxInsertBody bounds a POST /v1/observations body.
+// maxInsertBody bounds a POST /v1/observations or /v1/datasets body.
 const maxInsertBody = 1 << 20
+
+// decodeWriteBody decodes a write body into v: one JSON value of at most
+// maxInsertBody bytes, with no unknown field and nothing but whitespace
+// after it. The gate parses the same body with json.Unmarshal, so a body
+// the gate refuses is refused here too.
+func decodeWriteBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInsertBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -366,9 +383,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req insertRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInsertBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeWriteBody(w, r, &req); err != nil {
 		s.error(w, r, http.StatusBadRequest, "bad insert body: %v", err)
 		return
 	}

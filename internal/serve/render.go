@@ -79,31 +79,35 @@ func (s *Server) appendRefs(b []byte, ids []int32) []byte {
 	return append(b, ']')
 }
 
+// degreeChunk is how many neighbours appendPartialRefs derives degrees for
+// per kernel call: a fixed buffer on the stack, so a read allocates the
+// same whatever the fan-out (most lists fit in one chunk).
+const degreeChunk = 512
+
 // appendPartialRefs appends from's partial-containment neighbours as a
 // JSON array of {obs, uri, degree} objects, for the ordered direction
 // (fromIsSource: from contains the neighbour). The degree of
 // Cont_partial(a, b) is the normalised OCM cell ContainDegree(a, b)/|P| —
 // a function of the two observations' code rows, the same division every
 // kernel performs when it emits the pair (core's TestDerivedDegreeLicence
-// pins the equality; nothing stores the result) — so it is read off the
-// Space and looked up in the pre-rendered degText table.
+// pins the equality; nothing stores the result) — so it is derived from
+// the Space, one Space.ContainDegrees pass over the list per chunk, and
+// looked up in the pre-rendered degText table.
 func (s *Server) appendPartialRefs(b []byte, from int, ids []int32, fromIsSource bool) []byte {
-	sp := s.inc.S
+	var deg [degreeChunk]int32
 	b = append(b, '[')
-	for k, j := range ids {
-		if k > 0 {
-			b = append(b, ',')
+	for lo := 0; lo < len(ids); lo += degreeChunk {
+		chunk := ids[lo:min(lo+degreeChunk, len(ids))]
+		s.inc.S.ContainDegrees(from, chunk, fromIsSource, deg[:])
+		for k, j := range chunk {
+			if lo+k > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, s.refs[j]...)
+			b = append(b, `,"degree":`...)
+			b = append(b, s.degText[deg[k]]...)
+			b = append(b, '}')
 		}
-		deg := 0
-		if fromIsSource {
-			deg = sp.ContainDegree(from, int(j))
-		} else {
-			deg = sp.ContainDegree(int(j), from)
-		}
-		b = append(b, s.refs[j]...)
-		b = append(b, `,"degree":`...)
-		b = append(b, s.degText[deg]...)
-		b = append(b, '}')
 	}
 	return append(b, ']')
 }

@@ -224,6 +224,43 @@ func TestFanoutBodiesMatchReflectiveRendering(t *testing.T) {
 	assertFanoutBytes(t, "after 100 inserts", srv)
 }
 
+// TestPartialRefsAcrossChunks: appendPartialRefs derives degrees
+// degreeChunk neighbours at a time. A list several chunks long, with
+// repeats, renders in both directions what one ContainDegree call per
+// neighbour gives. (No served list at n = 1 500 exceeds one chunk.)
+func TestPartialRefsAcrossChunks(t *testing.T) {
+	srv := serveCorpus(t, gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 11}))
+	sp := srv.inc.S
+	var ids []int32
+	for len(ids) <= 2*degreeChunk {
+		for j := sp.N() - 1; j >= 0; j-- {
+			ids = append(ids, int32(j))
+		}
+	}
+	for _, i := range []int{0, sp.N() / 2, sp.N() - 1} {
+		for _, fromIsSource := range []bool{true, false} {
+			want := []byte{'['}
+			for k, j := range ids {
+				if k > 0 {
+					want = append(want, ',')
+				}
+				deg := sp.ContainDegree(i, int(j))
+				if !fromIsSource {
+					deg = sp.ContainDegree(int(j), i)
+				}
+				want = append(want, srv.refs[j]...)
+				want = append(want, `,"degree":`...)
+				want = wire.AppendFloat(want, float64(deg)/float64(sp.NumDims()))
+				want = append(want, '}')
+			}
+			want = append(want, ']')
+			if got := srv.appendPartialRefs(nil, i, ids, fromIsSource); !bytes.Equal(got, want) {
+				t.Fatalf("obs %d, fromIsSource %v, %d neighbours: the rendered list differs from one ContainDegree per neighbour", i, fromIsSource, len(ids))
+			}
+		}
+	}
+}
+
 // loggedInserts serves RealWorld n = 400 (seed 11) from a WAL-backed
 // server, sends it 100 live inserts, and returns the state before them
 // (as snapshot bytes) and the records the WAL holds after them.

@@ -271,6 +271,54 @@ func TestInsertErrors(t *testing.T) {
 	}
 }
 
+// TestWriteBodyTrailingBytesRefused: a write body is one JSON value. An
+// insert or a registration followed by anything but whitespace answers
+// 400 and changes nothing — the gate parses the same body with
+// json.Unmarshal and refuses it, so a shard must not accept it either.
+// Trailing whitespace is still accepted.
+func TestWriteBodyTrailingBytesRefused(t *testing.T) {
+	srv, ts := newPaperServer(t, Config{})
+	mustJSON := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	post := func(route, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	insert := mustJSON(insertBody("-trailing"))
+	dataset := mustJSON(datasetBody(gen.ExNS + "dataset/Dtrailing"))
+	for _, c := range []struct{ route, body, tail string }{
+		{"/v1/observations", insert, "garbage"},
+		{"/v1/observations", insert, " {}"},
+		{"/v1/observations", insert, "}"},
+		{"/v1/datasets", dataset, "garbage"},
+		{"/v1/datasets", dataset, "\n" + dataset},
+		{"/v1/datasets", dataset, "]"},
+	} {
+		if code := post(c.route, c.body+c.tail); code != http.StatusBadRequest {
+			t.Errorf("POST %s with %q after the body: status %d, want 400", c.route, c.tail, code)
+		}
+	}
+	if n, ds := srv.inc.S.N(), len(srv.inc.S.Corpus.Datasets); n != 10 || ds != 3 {
+		t.Fatalf("after refused writes: %d observations, %d datasets; want 10 and 3", n, ds)
+	}
+	if code := post("/v1/observations", insert+" \r\n\t"); code != http.StatusCreated {
+		t.Errorf("insert with trailing whitespace: status %d, want 201", code)
+	}
+	if code := post("/v1/datasets", dataset+"\n"); code != http.StatusCreated {
+		t.Errorf("registration with trailing whitespace: status %d, want 201", code)
+	}
+}
+
 // TestQueryErrors covers the read-side rejection paths.
 func TestQueryErrors(t *testing.T) {
 	_, ts := newPaperServer(t, Config{})
