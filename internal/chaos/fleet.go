@@ -90,7 +90,8 @@ func (w *World) buildFleet(spec fleetSpec) *fleet {
 	if spec.spare {
 		// The stubs pin the full dimension universe — partial degrees on
 		// the spare normalize by the same |P| as everywhere else, which is
-		// what makes its answers byte-comparable during double-read.
+		// what keeps the gate's answers byte-equal to the oracle's after
+		// the cutover.
 		stub := qb.NewCorpus(combined.Hierarchies)
 		for _, ds := range combined.Datasets {
 			stub.AddDataset(&qb.Dataset{URI: ds.URI, Schema: ds.Schema})
@@ -179,8 +180,6 @@ func (f *fleet) startGate(w *World, m gate.ShardMap) error {
 		cfg.Migrator = gate.MigratorOptions{
 			Interval:     10 * time.Millisecond,
 			DrainWindow:  100 * time.Millisecond,
-			MatchRounds:  2,
-			SampleReads:  4,
 			PhaseTimeout: 30 * time.Second,
 		}
 	}

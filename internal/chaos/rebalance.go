@@ -14,11 +14,15 @@ import (
 )
 
 // rebalanceFleet is the world both rebalance scripts run in: three
-// relationship-closed DisjointMeasures shards, each a node (the shape
-// migration requires: /v1/snapshot + /v1/wal + POST /v1/datasets) behind
-// a proxy injecting low-grade faults — including response truncation,
-// which the migration pump must absorb without skipping records — plus
-// the empty spare to migrate into and a gate with a migration state dir.
+// relationship-closed shards, each a node (the shape migration requires:
+// /v1/snapshot + /v1/wal + /v1/datasets) behind a proxy injecting
+// low-grade faults — including response truncation, which the migration
+// pump and its digest reads must absorb — plus the empty spare to migrate
+// into and a gate with a migration state dir. A migration no longer
+// needs DisjointMeasures (it verifies the moved observations); the world
+// keeps it because the scripts' final check compares RELATIONS through
+// the gate with the unsharded oracle, and a split that cuts
+// cross-dataset pairs would lose some (ROADMAP item 8).
 var rebalanceFleet = fleetSpec{
 	obsPerDataset:    10,
 	disjointMeasures: true,
@@ -176,7 +180,7 @@ func Rebalance(t testing.TB, opt Options) {
 	w.logf("rebalance: successor gate resumed %s in phase %s", m.id, resumed[0].Phase())
 
 	// The resumed migration must carry through to done under live
-	// traffic: copy, catch-up, double-read, cutover, drain.
+	// traffic: copy, catch-up, verify, cutover, drain.
 	for waitBy := time.Now().Add(45 * time.Second); ; time.Sleep(poll) {
 		st, ok := m.state()
 		if ok && st.Phase == gate.PhaseDone {
@@ -209,8 +213,8 @@ func Rebalance(t testing.TB, opt Options) {
 	w.converge(w.baseURL(), f.oracleTS.URL, postURI, 10*time.Second)
 	w.exercised()
 	st, _ := m.state()
-	w.logf("rebalance: soak complete: %v, %d landed, %d URIs converged, migration copied %d pumped %d mismatches %d",
-		w, landed, converged, st.Copied, st.Pumped, st.Mismatches)
+	w.logf("rebalance: soak complete: %v, %d landed, %d URIs converged, migration copied %d pumped %d",
+		w, landed, converged, st.Copied, st.Pumped)
 }
 
 // RebalanceRollback is the abort story: the migration target is

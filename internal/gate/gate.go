@@ -446,7 +446,6 @@ func (g *Gate) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"availableShards": available,
 		"epoch":           t.m.Epoch,
 	}
-	resp["doubleReadMismatches"] = g.rec.Counter(CtrDoubleReadMismatch).Load()
 	if phases := g.migrationPhases(); len(phases) > 0 {
 		resp["migrations"] = phases
 	}

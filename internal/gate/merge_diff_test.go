@@ -2,7 +2,6 @@ package gate
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -180,57 +179,6 @@ func TestMergeDuplicateNeighbours(t *testing.T) {
 				t.Fatalf("related: %q, want %q", got, want)
 			}
 		}
-	}
-}
-
-// TestCanonicalRelated: the migration comparator is the merge of one
-// answer, so two owners of the same relationships compare equal although
-// their local indices — and so their raw bodies and list orders — differ,
-// and one changed degree makes them unequal.
-func TestCanonicalRelated(t *testing.T) {
-	leakcheck.Check(t)
-	f := buildFleet(t, 23)
-	g := f.newGate(t, nil)
-	w := f.worlds[2] // the oracle holds g2's observations at other indices
-	shardURL := "http://shard-" + w.Name + "-primary"
-	compared := 0
-	for _, o := range w.Corpus.Datasets[0].Observations {
-		uri := o.URI.Value
-		_, rawShard := get(t, f.tr.handlers["shard-"+w.Name+"-primary"], relatedPath(uri))
-		_, rawOracle := get(t, f.oracle.Handler(), relatedPath(uri))
-		if !bytes.Contains(rawShard, []byte(`"degree":`)) {
-			continue
-		}
-		if bytes.Equal(rawShard, rawOracle) {
-			t.Fatalf("%s: the two owners' raw bodies are equal: the fixture proves nothing", uri)
-		}
-		a, aerr := g.canonicalRelated(context.Background(), shardURL, uri)
-		b, berr := g.canonicalRelated(context.Background(), "http://oracle", uri)
-		if aerr != nil || berr != nil {
-			t.Fatalf("%s: %v, %v", uri, aerr, berr)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s: canonical answers differ:\n shard:  %s\n oracle: %s", uri, a, b)
-		}
-		if want := oracleMerge(t, "related", [][]byte{rawShard}, nil); !bytes.Equal(a, want) {
-			t.Fatalf("%s: canonical answer %q, the reflective merge of the one body writes %q", uri, a, want)
-		}
-
-		// The same owner, one degree nudged.
-		at := bytes.Index(rawShard, []byte(`"degree":`)) + len(`"degree":`)
-		skewed := append(append(append([]byte{}, rawShard[:at]...), "0.0625"...), rawShard[at+bytes.IndexAny(rawShard[at:], ",}"):]...)
-		f.tr.add("skewed", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write(skewed) }))
-		c, cerr := g.canonicalRelated(context.Background(), "http://skewed", uri)
-		if cerr != nil || bytes.Equal(a, c) || len(c) == 0 {
-			t.Fatalf("%s: a changed degree compares equal (err %v):\n %s\n %s", uri, cerr, a, c)
-		}
-		compared++
-	}
-	if compared == 0 {
-		t.Fatal("degenerate fixture: no observation with a partial neighbour")
-	}
-	if _, err := g.canonicalRelated(context.Background(), shardURL, "http://example.org/unknown"); err == nil {
-		t.Fatal("an unknown observation has a canonical answer")
 	}
 }
 

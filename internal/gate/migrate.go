@@ -10,9 +10,9 @@ package gate
 //	catch-up    tail the source's WAL from the cursor, relaying records
 //	            for migrating datasets, until the cursor reaches the
 //	            source's durable end.
-//	double-read fan sampled reads to BOTH owners and byte-compare the
-//	            canonicalized answers. Mismatches are metrics, never
-//	            client errors; cutover requires consecutive clean rounds.
+//	verify      pump to caught-up, then compare each moving dataset's
+//	            digest (GET /v1/datasets: observation count + hash) on
+//	            both owners; cutover requires every pair equal.
 //	cutover     install a successor shard map (epoch+1) moving ownership
 //	            to the target. The new-map intent is persisted BEFORE the
 //	            swap, so a crash between the two resumes forward.
@@ -48,6 +48,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,27 +59,20 @@ import (
 	"rdfcube/internal/replica"
 	"rdfcube/internal/serve"
 	"rdfcube/internal/wal"
-	"rdfcube/internal/wire"
 )
 
-// Migration metrics.
-const (
-	// CtrDoubleReadMismatch counts double-read verification mismatches —
-	// the rebalance analogue of a failed read-repair check.
-	CtrDoubleReadMismatch = "gate.migrate.doubleread.mismatch"
-	// CtrMigrationPumped counts WAL records relayed source → target.
-	CtrMigrationPumped = "gate.migrate.pumped"
-)
+// CtrMigrationPumped counts WAL records relayed source → target.
+const CtrMigrationPumped = "gate.migrate.pumped"
 
 // Migration phases, in order.
 const (
-	PhaseCopy       = "copy"
-	PhaseCatchup    = "catchup"
-	PhaseDoubleRead = "doubleread"
-	PhaseCutover    = "cutover"
-	PhaseDrain      = "drain"
-	PhaseDone       = "done"
-	PhaseAborted    = "aborted"
+	PhaseCopy    = "copy"
+	PhaseCatchup = "catchup"
+	PhaseVerify  = "verify"
+	PhaseCutover = "cutover"
+	PhaseDrain   = "drain"
+	PhaseDone    = "done"
+	PhaseAborted = "aborted"
 )
 
 // Migration control errors.
@@ -95,12 +89,6 @@ const maxRecopies = 5
 // MigratorOptions tunes the migration state machine. Zero values get
 // sane defaults.
 type MigratorOptions struct {
-	// MatchRounds is how many CONSECUTIVE clean double-read rounds are
-	// required before cutover; default 3.
-	MatchRounds int
-	// SampleReads is how many observation URIs each round verifies;
-	// default 8.
-	SampleReads int
 	// Interval paces the pump and verify loops; default 100ms.
 	Interval time.Duration
 	// PhaseTimeout bounds each phase; a phase that cannot finish fails
@@ -110,20 +98,6 @@ type MigratorOptions struct {
 	// DrainWindow is how long the pump must stay continuously caught up
 	// after cutover before the migration completes; default 400ms.
 	DrainWindow time.Duration
-}
-
-func (o MigratorOptions) matchRounds() int {
-	if o.MatchRounds <= 0 {
-		return 3
-	}
-	return o.MatchRounds
-}
-
-func (o MigratorOptions) sampleReads() int {
-	if o.SampleReads <= 0 {
-		return 8
-	}
-	return o.SampleReads
 }
 
 func (o MigratorOptions) interval() time.Duration {
@@ -157,11 +131,10 @@ type MigrationState struct {
 	// MapEpoch is the epoch the cutover installed (or intends to): it is
 	// persisted BEFORE the swap so a crash between persist and swap
 	// resumes forward into an idempotent re-cutover.
-	MapEpoch   int64  `json:"mapEpoch,omitempty"`
-	Mismatches int64  `json:"mismatches"`
-	Pumped     int64  `json:"pumped"`
-	Copied     int64  `json:"copied"`
-	Error      string `json:"error,omitempty"`
+	MapEpoch int64  `json:"mapEpoch,omitempty"`
+	Pumped   int64  `json:"pumped"`
+	Copied   int64  `json:"copied"`
+	Error    string `json:"error,omitempty"`
 }
 
 // dsSchema is one source dataset's identity, indexed by its corpus
@@ -193,7 +166,6 @@ type Migrator struct {
 	// copy() on every (re)start together with what copy() learned.
 	src        *replica.Source
 	srcSchemas []dsSchema
-	sampleURIs []string
 }
 
 // State returns a copy of the migration's current state.
@@ -312,8 +284,8 @@ func (m *Migrator) execute() error {
 		if err := m.checkAbort(); err != nil {
 			return err
 		}
-		m.setPhase(PhaseDoubleRead)
-		if err := m.doubleRead(); err != nil {
+		m.setPhase(PhaseVerify)
+		if err := m.verify(); err != nil {
 			return err
 		}
 		if err := m.checkAbort(); err != nil {
@@ -406,7 +378,6 @@ func (m *Migrator) copyImage(spec MigrationSpec, tgtURL string, corpus *qb.Corpu
 		}
 	}
 	var copied int64
-	var samples []string
 	for i, ds := range corpus.Datasets {
 		if !schemas[i].migrating {
 			continue
@@ -416,12 +387,10 @@ func (m *Migrator) copyImage(spec MigrationSpec, tgtURL string, corpus *qb.Corpu
 				return err
 			}
 			copied++
-			samples = append(samples, o.URI.Value)
 		}
 	}
 
 	m.srcSchemas = schemas
-	m.sampleURIs = sampleStride(samples, m.opt.sampleReads())
 	m.mu.Lock()
 	m.state.Copied = copied
 	m.mu.Unlock()
@@ -433,18 +402,6 @@ func termValues(ts []rdf.Term) []string {
 	out := make([]string, 0, len(ts))
 	for _, t := range ts {
 		out = append(out, t.Value)
-	}
-	return out
-}
-
-// sampleStride picks up to n URIs spread evenly across the list.
-func sampleStride(uris []string, n int) []string {
-	if len(uris) <= n {
-		return uris
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, uris[i*len(uris)/n])
 	}
 	return out
 }
@@ -620,111 +577,92 @@ func (m *Migrator) pump(wait time.Duration, ps *pumpState) (caughtUp bool, err e
 	}
 }
 
-// ---------------------------------------------------------- doubleread
+// -------------------------------------------------------------- verify
 
-// doubleRead verifies the target: pump to caught-up, then fan sampled
-// reads to BOTH owners and byte-compare the canonicalized answers.
-// Mismatches are counted (gate metrics, never client-visible errors)
-// and reset the clean-round streak; cutover requires MatchRounds
-// consecutive clean rounds.
-func (m *Migrator) doubleRead() error {
-	spec := m.spec()
+// verify holds the cutover until the target holds exactly the source's
+// observations of the moving datasets: pump to caught-up, then compare
+// both owners' digest of each moving dataset. Unequal digests (the source
+// took a write after the pump) or a digest that did not arrive is another
+// round, paced by Interval; at PhaseTimeout the migration fails, the
+// source still authoritative, with the last round's difference.
+func (m *Migrator) verify() error {
 	deadline := time.Now().Add(m.opt.phaseTimeout())
-	clean := 0
 	var ps pumpState
-	for clean < m.opt.matchRounds() {
-		if err := m.ctx.Err(); err != nil {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("gate: double-read did not reach %d clean rounds within %v (mismatches: %d)",
-				m.opt.matchRounds(), m.opt.phaseTimeout(), m.State().Mismatches)
-		}
+	for {
 		caughtUp, err := m.pump(0, &ps)
 		if err != nil {
 			return err
 		}
-		if !caughtUp {
-			// Not an error round, just not a verifiable one: comparing a
-			// target that is known to be behind would count phantom
-			// mismatches.
-			clean = 0
-			continue
-		}
-		srcURL, err := m.shardURL(spec.From)
-		if err != nil {
-			return err
-		}
-		tgtURL, err := m.shardURL(spec.To)
-		if err != nil {
-			return err
-		}
-		roundOK := true
-		for _, obs := range m.sampleURIs {
-			a, aerr := m.g.canonicalRelated(m.ctx, srcURL, obs)
-			b, berr := m.g.canonicalRelated(m.ctx, tgtURL, obs)
-			if aerr != nil || berr != nil {
-				roundOK = false
-				break // fetch trouble: retry the round, not a mismatch
-			}
-			if !bytes.Equal(a, b) {
-				roundOK = false
-				m.mu.Lock()
-				m.state.Mismatches++
-				m.mu.Unlock()
-				m.g.rec.Count(CtrDoubleReadMismatch, 1)
-				m.g.log("migration %s: double-read mismatch on %s", spec.ID, obs)
+		if caughtUp {
+			if ps.lastErr = m.compareDigests(); ps.lastErr == nil {
+				return nil
 			}
 		}
-		if roundOK {
-			clean++
-		} else {
-			clean = 0
+		if time.Now().After(deadline) {
+			return fmt.Errorf("gate: verify saw no equal digests within %v: %v", m.opt.phaseTimeout(), ps.lastErr)
 		}
-		if clean < m.opt.matchRounds() && !m.sleep(m.opt.interval()) {
+		if caughtUp && !m.sleep(m.opt.interval()) {
 			return m.ctx.Err()
 		}
+	}
+}
+
+// compareDigests reads each moving dataset's digest from the source, then
+// from the target. It returns nil when every pair is equal, and otherwise
+// an error naming each unequal dataset, or the first read that failed.
+func (m *Migrator) compareDigests() error {
+	spec := m.spec()
+	srcURL, err := m.shardURL(spec.From)
+	if err != nil {
+		return err
+	}
+	tgtURL, err := m.shardURL(spec.To)
+	if err != nil {
+		return err
+	}
+	var unequal []string
+	for _, ds := range spec.Datasets {
+		a, err := m.g.datasetDigest(m.ctx, srcURL, ds)
+		if err != nil {
+			return err
+		}
+		b, err := m.g.datasetDigest(m.ctx, tgtURL, ds)
+		if err != nil {
+			return err
+		}
+		if a != b {
+			unequal = append(unequal, fmt.Sprintf("%s (source %s: %d observations, digest %s; target %s: %d observations, digest %s)",
+				ds, spec.From, a.Observations, a.Digest, spec.To, b.Observations, b.Digest))
+		}
+	}
+	if len(unequal) > 0 {
+		return fmt.Errorf("unequal datasets: %s", strings.Join(unequal, "; "))
 	}
 	return nil
 }
 
-// canonicalRelated fetches one owner's /v1/related answer and
-// canonicalizes it as "the merge of one answer": the same scan, sort +
-// compact and rendering a gate read applies to a whole fan-out, so the
-// shard-LOCAL observation indices (which legitimately differ between
-// owners) and the owner's list order drop out. Byte equality of the
-// results is then exactly "same relationships, same degrees".
-func (g *Gate) canonicalRelated(ctx context.Context, base, obs string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.shardTimeout())
+// datasetDigest reads one owner's GET /v1/datasets answer for ds. A
+// refusal or a body that does not parse (a cut link) is an error.
+func (g *Gate) datasetDigest(ctx context.Context, base, ds string) (serve.DatasetDigest, error) {
+	var d serve.DatasetDigest
+	ctx, cancel := g.shardContext(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", base+routeRelated.path+"?obs="+url.QueryEscape(obs), nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/datasets?uri="+url.QueryEscape(ds), nil)
 	if err != nil {
-		return nil, err
+		return d, err
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		return nil, err
+		return d, err
 	}
-	body := getBuf()
-	defer putBuf(body)
-	rerr := readBody(body, resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		return nil, rerr
-	}
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("related %s: status %d", obs, resp.StatusCode)
+		return d, fmt.Errorf("digest of %s at %s: status %d", ds, base, resp.StatusCode)
 	}
-	ans := answerPool.Get().(*wire.Answer)
-	defer func() {
-		ans.Reset()
-		answerPool.Put(ans)
-	}()
-	if err := ans.Scan(*body); err != nil {
-		return nil, fmt.Errorf("related %s: %w", obs, err)
+	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+		return d, fmt.Errorf("digest of %s at %s: %w", ds, base, err)
 	}
-	ans.Compact()
-	return appendAnswer(nil, &routeRelated, ans, nil), nil
+	return d, nil
 }
 
 // ------------------------------------------------------------- cutover
@@ -1024,9 +962,7 @@ func (g *Gate) Migrations() []MigrationState {
 // handleStartMigration is POST /v1/migrations: start (or resume) one.
 func (g *Gate) handleStartMigration(w http.ResponseWriter, r *http.Request) {
 	var spec MigrationSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInsertBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := serve.DecodeWriteBody(w, r, &spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad migration body: " + err.Error()})
 		return
 	}

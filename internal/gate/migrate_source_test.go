@@ -20,7 +20,7 @@ import (
 // write that landed in the gap on the target.
 func TestMigrationRecopiesWhenSourceCheckpointsMidCatchup(t *testing.T) {
 	leakcheck.Check(t)
-	f := buildMigFleet(t, 63)
+	f := buildMigFleet(t, 63, true)
 	var recopies atomic.Int64
 	g := f.newMigGate(t, t.TempDir(), func(c *Config) {
 		c.Logf = func(format string, a ...any) {
@@ -85,7 +85,7 @@ func TestMigrationRecopiesWhenSourceCheckpointsMidCatchup(t *testing.T) {
 // timeout a PhaseTimeout later.
 func TestMigrationWALLessSourceFailsInCopy(t *testing.T) {
 	leakcheck.Check(t)
-	f := buildMigFleet(t, 65)
+	f := buildMigFleet(t, 65, true)
 	source := f.worlds[1]
 	f.tr.add("shard-"+source.Name+"-primary", buildShardServer(t, source.Corpus).Handler())
 	g := f.newMigGate(t, t.TempDir(), nil)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -59,8 +60,8 @@ func stubCorpus(combined *qb.Corpus) *qb.Corpus {
 }
 
 // migFleet is the rebalancing test topology: three relationship-closed
-// DisjointMeasures shards plus one empty "spare" shard to migrate into,
-// and an unsharded oracle.
+// shards plus one empty "spare" shard to migrate into, and an unsharded
+// oracle.
 type migFleet struct {
 	tr       *hostTransport
 	worlds   []*gen.ShardWorld
@@ -71,9 +72,13 @@ type migFleet struct {
 	sample   []string
 }
 
-func buildMigFleet(t *testing.T, seed int64) *migFleet {
+// buildMigFleet builds the fleet. With disjoint, every dataset has its own
+// measure, so no relationship links two datasets and the gate's merged
+// answers stay equal to the oracle's across a split; without it, a
+// group's two datasets share a measure, as on the paper's corpora.
+func buildMigFleet(t *testing.T, seed int64, disjoint bool) *migFleet {
 	t.Helper()
-	worlds, combined := gen.ShardWorlds(gen.ShardWorldsConfig{Seed: seed, ObsPerDataset: 10, DisjointMeasures: true})
+	worlds, combined := gen.ShardWorlds(gen.ShardWorldsConfig{Seed: seed, ObsPerDataset: 10, DisjointMeasures: disjoint})
 	f := &migFleet{tr: newHostTransport(), worlds: worlds, combined: combined, servers: map[string]*serve.Server{}}
 	for _, w := range worlds {
 		srv := durableShard(t, w.Corpus)
@@ -107,8 +112,6 @@ func (f *migFleet) newMigGate(t *testing.T, stateDir string, mut func(*Config)) 
 		Migrator: MigratorOptions{
 			Interval:     5 * time.Millisecond,
 			DrainWindow:  40 * time.Millisecond,
-			MatchRounds:  2,
-			SampleReads:  4,
 			PhaseTimeout: 20 * time.Second,
 		},
 	}
@@ -192,6 +195,17 @@ func twinInsert(ds *qb.Dataset, obsIdx int, uri string) map[string]any {
 	}
 }
 
+// digestOf reads a server's GET /v1/datasets answer for dataset uri.
+func digestOf(t *testing.T, h http.Handler, uri string) serve.DatasetDigest {
+	t.Helper()
+	code, body := get(t, h, "/v1/datasets?uri="+url.QueryEscape(uri))
+	var d serve.DatasetDigest
+	if err := json.Unmarshal(body, &d); code != http.StatusOK || err != nil {
+		t.Fatalf("digest of %s: %d %s", uri, code, body)
+	}
+	return d
+}
+
 func postBody(t *testing.T, h http.Handler, path string, v any) (int, []byte) {
 	t.Helper()
 	b, _ := json.Marshal(v)
@@ -202,14 +216,14 @@ func postBody(t *testing.T, h http.Handler, path string, v any) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// TestMigrationLifecycle is the tentpole end-to-end: copy → catch-up →
-// double-read → cutover → drain over live shards, with writes landing
+// TestMigrationLifecycle is the end-to-end: copy → catch-up → verify →
+// cutover → drain over live shards, with writes landing
 // mid-flight. Afterwards the map has moved (epoch+1), new writes route
 // to the target, and every merged read is byte-equal to the unsharded
 // oracle that received the same writes.
 func TestMigrationLifecycle(t *testing.T) {
 	leakcheck.Check(t)
-	f := buildMigFleet(t, 51)
+	f := buildMigFleet(t, 51, true)
 	stateDir := t.TempDir()
 	g := f.newMigGate(t, stateDir, nil)
 	og := f.oracleGate(t)
@@ -329,7 +343,7 @@ func TestMigrationLifecycle(t *testing.T) {
 // invalid specs 400.
 func TestMigrationAbortKeepsSourceAuthoritative(t *testing.T) {
 	leakcheck.Check(t)
-	f := buildMigFleet(t, 53)
+	f := buildMigFleet(t, 53, true)
 	g := f.newMigGate(t, t.TempDir(), nil)
 	h := g.Handler()
 
@@ -382,7 +396,7 @@ func TestMigrationAbortKeepsSourceAuthoritative(t *testing.T) {
 // revive.
 func TestMigrationAbortAfterFailureIsTerminal(t *testing.T) {
 	leakcheck.Check(t)
-	f := buildMigFleet(t, 57)
+	f := buildMigFleet(t, 57, true)
 	stateDir := t.TempDir()
 	g := f.newMigGate(t, stateDir, nil)
 	h := g.Handler()
@@ -435,7 +449,7 @@ func TestMigrationAbortAfterFailureIsTerminal(t *testing.T) {
 // completion and installs the cutover.
 func TestMigrationResumeAfterGateRestart(t *testing.T) {
 	leakcheck.Check(t)
-	f := buildMigFleet(t, 57)
+	f := buildMigFleet(t, 57, true)
 	stateDir := t.TempDir()
 
 	f.tr.setDelay("shard-spare-primary", 30*time.Millisecond)
@@ -477,68 +491,164 @@ func TestMigrationResumeAfterGateRestart(t *testing.T) {
 	}
 }
 
-// TestDoubleReadMismatchIsMetricNotError: a target that diverges from
-// the source (here: pre-seeded with an extra twin) must never cut over.
-// The mismatches surface as counters in /v1/stats while reads keep
-// answering 200 — verification failure is an operator signal, not a
-// client outage.
-func TestDoubleReadMismatchIsMetricNotError(t *testing.T) {
+// TestMigrationResumesDoubleReadStateFile: a state file written while
+// the phase before cutover was called "doubleread", with its mismatch
+// count, resumes from copy like every pre-cutover phase and completes.
+func TestMigrationResumesDoubleReadStateFile(t *testing.T) {
 	leakcheck.Check(t)
-	f := buildMigFleet(t, 59)
-	g := f.newMigGate(t, t.TempDir(), func(c *Config) {
-		c.Migrator.PhaseTimeout = 1200 * time.Millisecond
-		c.Migrator.SampleReads = 100 // verify every observation
-	})
+	f := buildMigFleet(t, 57, true)
+	stateDir := t.TempDir()
+	moved := f.worlds[1].Datasets[0]
+	old := fmt.Sprintf(`{"spec":{"id":"m-old","datasets":[%q],"from":%q,"to":"spare"},"phase":"doubleread","mismatches":3,"pumped":2,"copied":10}`,
+		moved, f.worlds[1].Name)
+	if err := os.WriteFile(filepath.Join(stateDir, "m-old.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := f.newMigGate(t, stateDir, nil)
+	resumed, err := g.ResumeMigrations()
+	if err != nil || len(resumed) != 1 {
+		t.Fatalf("ResumeMigrations: %v (resumed %d)", err, len(resumed))
+	}
+	final := waitMigration(t, g, "m-old", PhaseDone, 15*time.Second)
+	if final.MapEpoch != 2 || g.Epoch() != 2 {
+		t.Fatalf("after resume: state %+v, gate epoch %d", final, g.Epoch())
+	}
+	if got := g.table().byDataset[moved].name; got != "spare" {
+		t.Fatalf("dataset routed to %s after resumed cutover, want spare", got)
+	}
+}
+
+// TestMigrationSharedMeasures: a dataset that shares its measure with a
+// co-located one, as on the paper's corpora, moves with inserts landing
+// mid-flight. The source's and the target's relationship answers for it
+// differ (the source relates it to its sibling); the cutover compares the
+// moved observations, so it is not held up by that.
+func TestMigrationSharedMeasures(t *testing.T) {
+	leakcheck.Check(t)
+	f := buildMigFleet(t, 51, false)
+	g := f.newMigGate(t, t.TempDir(), nil)
 	h := g.Handler()
-
-	// Poison the target: a twin of a source observation that the source
-	// does not have, so canonical answers can never agree.
-	movedDS := f.worlds[2].Corpus.Datasets[0]
-	poison := twinInsert(movedDS, 0, gen.ExNS+"obs/poison")
-	if code, rb := postBody(t, f.servers["spare"].Handler(), "/v1/observations", poison); code != http.StatusCreated {
-		t.Fatalf("poison insert: %d %s", code, rb)
+	src := f.servers[f.worlds[0].Name].Handler()
+	movedDS, sibling := f.worlds[0].Corpus.Datasets[1], f.worlds[0].Corpus.Datasets[0]
+	if movedDS.Schema.Measures[0] != sibling.Schema.Measures[0] {
+		t.Fatal("degenerate fixture: the moved dataset shares no measure with its sibling")
+	}
+	moved := movedDS.URI.Value
+	var uris []string
+	for _, o := range movedDS.Observations {
+		uris = append(uris, o.URI.Value)
 	}
 
-	spec := MigrationSpec{ID: "m-poison", Datasets: []string{movedDS.URI.Value}, From: f.worlds[2].Name, To: "spare"}
-	if code, body := postBody(t, h, "/v1/migrations", spec); code != http.StatusAccepted {
-		t.Fatalf("start: %d %s", code, body)
+	// A slow spare holds the migration in copy while the inserts land on
+	// the source.
+	f.tr.setDelay("shard-spare-primary", 20*time.Millisecond)
+	spec := MigrationSpec{ID: "m-shared", Datasets: []string{moved}, From: f.worlds[0].Name, To: "spare"}
+	if _, err := g.StartMigration(spec); err != nil {
+		t.Fatalf("start: %v", err)
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	var st MigrationState
-	for {
-		st = migState(t, g, "m-poison")
-		if st.Error != "" {
-			break
+	waitMigration(t, g, "m-shared", PhaseCopy, 5*time.Second)
+	for i := 0; i < 3; i++ {
+		uri := gen.ExNS + "obs/shared-midflight/" + string(rune('a'+i))
+		if code, rb := postBody(t, h, "/v1/observations", twinInsert(movedDS, i, uri)); code != http.StatusCreated {
+			t.Fatalf("mid-flight insert %d: %d %s", i, code, rb)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("migration never failed: %+v", st)
-		}
-		// Reads stay healthy throughout the verification window.
-		if code, body := get(t, h, relatedPath(f.sample[0])); code != http.StatusOK {
-			t.Fatalf("read during double-read window: %d %s", code, body)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st.Phase != PhaseDoubleRead || st.Mismatches == 0 {
-		t.Fatalf("failed state: %+v", st)
+		uris = append(uris, uri)
 	}
 	if g.Epoch() != 1 {
-		t.Fatalf("epoch after failed verification: %d, want unchanged 1", g.Epoch())
+		t.Fatal("the migration cut over before the mid-flight inserts landed on the source")
 	}
-	var stats struct {
-		DoubleReadMismatches int64 `json:"doubleReadMismatches"`
-		Migrations           []struct {
-			ID    string `json:"id"`
-			Phase string `json:"phase"`
-		} `json:"migrations"`
+	want := digestOf(t, src, moved)
+	if want.Observations != len(uris) {
+		t.Fatalf("source digest counts %d observations, want %d", want.Observations, len(uris))
 	}
-	_, sb := get(t, h, "/v1/stats")
-	if err := json.Unmarshal(sb, &stats); err != nil || stats.DoubleReadMismatches == 0 {
-		t.Fatalf("stats after mismatches: %s", sb)
+	f.tr.setDelay("shard-spare-primary", 0)
+
+	st := waitMigration(t, g, "m-shared", PhaseDone, 15*time.Second)
+	if st.MapEpoch != 2 || g.Epoch() != 2 {
+		t.Fatalf("final state %+v, gate epoch %d; want epoch 2", st, g.Epoch())
 	}
-	if len(stats.Migrations) != 1 || stats.Migrations[0].ID != "m-poison" {
-		t.Fatalf("stats migrations: %s", sb)
+	if got := g.table().byDataset[moved].name; got != "spare" {
+		t.Fatalf("moved dataset routed to %s, want spare", got)
+	}
+	if got := digestOf(t, f.servers["spare"].Handler(), moved); got != want {
+		t.Fatalf("spare's digest %+v, the source's after the last insert %+v", got, want)
+	}
+	for _, uri := range uris {
+		if code, body := get(t, h, relatedPath(uri)); code != http.StatusOK {
+			t.Fatalf("moved observation %s through the gate: %d %s", uri, code, body)
+		}
+	}
+}
+
+// TestMigrationVerifyRefusesDivergentTarget: a target whose copy of the
+// moving dataset differs from the source's never takes ownership. It
+// differs when the spare already holds an extra observation of the
+// dataset, or holds one of its URIs in ANOTHER dataset, so that the copy's
+// insert of it answers 409, which the copy counts as landed. Both fail in
+// verify, the error (in /v1/stats too) names the dataset's two digests,
+// the epoch stays, and reads answer 200 throughout.
+func TestMigrationVerifyRefusesDivergentTarget(t *testing.T) {
+	leakcheck.Check(t)
+	for _, tc := range []struct {
+		name  string
+		plant func(f *migFleet, moving *qb.Dataset) map[string]any
+	}{
+		{"extra observation", func(f *migFleet, moving *qb.Dataset) map[string]any {
+			return twinInsert(moving, 0, gen.ExNS+"obs/poison")
+		}},
+		{"uri held in another dataset", func(f *migFleet, moving *qb.Dataset) map[string]any {
+			return twinInsert(f.worlds[0].Corpus.Datasets[0], 0, moving.Observations[3].URI.Value)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := buildMigFleet(t, 59, true)
+			g := f.newMigGate(t, t.TempDir(), func(c *Config) {
+				c.Migrator.PhaseTimeout = 1200 * time.Millisecond
+			})
+			h := g.Handler()
+			movedDS := f.worlds[2].Corpus.Datasets[0]
+			if code, rb := postBody(t, f.servers["spare"].Handler(), "/v1/observations", tc.plant(f, movedDS)); code != http.StatusCreated {
+				t.Fatalf("planting on the spare: %d %s", code, rb)
+			}
+
+			spec := MigrationSpec{ID: "m-diverge", Datasets: []string{movedDS.URI.Value}, From: f.worlds[2].Name, To: "spare"}
+			if code, body := postBody(t, h, "/v1/migrations", spec); code != http.StatusAccepted {
+				t.Fatalf("start: %d %s", code, body)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			var st MigrationState
+			for {
+				st = migState(t, g, "m-diverge")
+				if st.Error != "" {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("migration never failed: %+v", st)
+				}
+				if code, body := get(t, h, relatedPath(f.sample[0])); code != http.StatusOK {
+					t.Fatalf("read during verification: %d %s", code, body)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if st.Phase != PhaseVerify || !strings.Contains(st.Error, movedDS.URI.Value) || strings.Count(st.Error, "digest ") != 2 {
+				t.Fatalf("failed state: %+v", st)
+			}
+			if g.Epoch() != 1 || g.table().byDataset[movedDS.URI.Value].name != f.worlds[2].Name {
+				t.Fatalf("epoch %d after failed verification, want unchanged 1 and the source owning the dataset", g.Epoch())
+			}
+			var stats struct {
+				Migrations []struct {
+					ID    string `json:"id"`
+					Phase string `json:"phase"`
+					Error string `json:"error"`
+				} `json:"migrations"`
+			}
+			_, sb := get(t, h, "/v1/stats")
+			if err := json.Unmarshal(sb, &stats); err != nil || len(stats.Migrations) != 1 ||
+				stats.Migrations[0].Phase != PhaseVerify || stats.Migrations[0].Error != st.Error {
+				t.Fatalf("stats migrations: %s", sb)
+			}
+		})
 	}
 }
 
@@ -548,7 +658,7 @@ func TestDoubleReadMismatchIsMetricNotError(t *testing.T) {
 // union away under the merge.
 func TestMigrationReadsExactMidFlight(t *testing.T) {
 	leakcheck.Check(t)
-	f := buildMigFleet(t, 61)
+	f := buildMigFleet(t, 61, true)
 	g := f.newMigGate(t, t.TempDir(), nil)
 	og := f.oracleGate(t)
 	h, oh := g.Handler(), og.Handler()
@@ -580,8 +690,6 @@ func TestMigrationReadsExactMidFlight(t *testing.T) {
 		}
 	}
 }
-
-var _ = url.QueryEscape // keep the import when relatedPath moves
 
 // TestMigrationCopyHonorsRetryAfter: a copy the target refuses with a
 // Retry-After longer than MaxRetryWait waits out the cap before its next

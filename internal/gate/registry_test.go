@@ -110,13 +110,8 @@ func TestGateStatsReadItsRegistry(t *testing.T) {
 	f.tr.setFail("shard-"+w1.Name+"-replica", false)
 
 	var stats statsResponse
-	var ready struct {
-		DoubleReadMismatches int64 `json:"doubleReadMismatches"`
-	}
-	for path, v := range map[string]any{"/v1/stats": &stats, "/readyz": &ready} {
-		if _, body := get(t, h, path); json.Unmarshal(body, v) != nil {
-			t.Fatalf("%s: %s", path, body)
-		}
+	if _, body := get(t, h, "/v1/stats"); json.Unmarshal(body, &stats) != nil {
+		t.Fatalf("/v1/stats: %s", body)
 	}
 	for _, c := range []struct {
 		what string
@@ -127,8 +122,6 @@ func TestGateStatsReadItsRegistry(t *testing.T) {
 		{"/v1/stats hedgeFired", stats.HedgeFired, CtrHedgeFired, 1},
 		{"/v1/stats hedgeWon", stats.HedgeWon, CtrHedgeWon, 1},
 		{"/v1/stats partialReads", stats.PartialReads, CtrPartial, 1},
-		{"/v1/stats doubleReadMismatches", stats.DoubleReadMismatches, CtrDoubleReadMismatch, 0},
-		{"/readyz doubleReadMismatches", ready.DoubleReadMismatches, CtrDoubleReadMismatch, 0},
 	} {
 		if r := renderedCounter(t, g.rec, c.name); c.got < c.min || c.got != r {
 			t.Errorf("%s = %d, want at least %d; /metrics %s = %d", c.what, c.got, c.min, c.name, r)

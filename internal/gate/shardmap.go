@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
+
+	"rdfcube/internal/serve"
 )
 
 // The live, versioned shard map. PR 8 froze the map at gate start; this
@@ -25,8 +27,8 @@ type ShardMap struct {
 }
 
 // MigrationSpec names one planned dataset migration: move Datasets from
-// shard From to shard To through the copy → catch-up → double-read →
-// cutover → drain state machine.
+// shard From to shard To through the copy → catch-up → verify → cutover
+// → drain state machine.
 type MigrationSpec struct {
 	// ID names the migration; it keys the persisted state file and the
 	// admin endpoints. Must be unique and non-empty.
@@ -271,9 +273,7 @@ func (g *Gate) handleGetShardMap(w http.ResponseWriter, r *http.Request) {
 // success (including the identical-map no-op).
 func (g *Gate) handleSwapShardMap(w http.ResponseWriter, r *http.Request) {
 	var m ShardMap
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInsertBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
+	if err := serve.DecodeWriteBody(w, r, &m); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad shard map body: " + err.Error()})
 		return
 	}

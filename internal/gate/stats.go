@@ -34,51 +34,46 @@ type migrationStats struct {
 	From     string `json:"from"`
 	To       string `json:"to"`
 	Datasets int    `json:"datasets"`
-	// Mismatches counts double-read verification mismatches observed by
-	// THIS migration; Pumped counts WAL records relayed to the target.
-	Mismatches int64  `json:"mismatches"`
-	Pumped     int64  `json:"pumped"`
-	Error      string `json:"error,omitempty"`
+	// Pumped counts WAL records relayed to the target.
+	Pumped int64  `json:"pumped"`
+	Error  string `json:"error,omitempty"`
 }
 
 // statsResponse is GET /v1/stats on the gate: the fleet's health as the
 // router sees it, plus the hedging and degradation counters the chaos
 // harness and operators read. Epoch names the installed shard map;
-// Migrations and DoubleReadMismatches surface the rebalance machinery.
+// Migrations surfaces the rebalance machinery.
 type statsResponse struct {
-	Role                 string           `json:"role"`
-	Epoch                int64            `json:"epoch"`
-	Shards               []shardStats     `json:"shards"`
-	AvailableShards      int              `json:"availableShards"`
-	HedgeFired           int64            `json:"hedgeFired"`
-	HedgeWon             int64            `json:"hedgeWon"`
-	PartialReads         int64            `json:"partialReads"`
-	DoubleReadMismatches int64            `json:"doubleReadMismatches"`
-	Migrations           []migrationStats `json:"migrations,omitempty"`
-	UptimeSeconds        float64          `json:"uptimeSeconds"`
+	Role            string           `json:"role"`
+	Epoch           int64            `json:"epoch"`
+	Shards          []shardStats     `json:"shards"`
+	AvailableShards int              `json:"availableShards"`
+	HedgeFired      int64            `json:"hedgeFired"`
+	HedgeWon        int64            `json:"hedgeWon"`
+	PartialReads    int64            `json:"partialReads"`
+	Migrations      []migrationStats `json:"migrations,omitempty"`
+	UptimeSeconds   float64          `json:"uptimeSeconds"`
 }
 
 func (g *Gate) handleStats(w http.ResponseWriter, r *http.Request) {
 	t := g.table()
 	resp := statsResponse{
-		Role:                 "gate",
-		Epoch:                t.m.Epoch,
-		HedgeFired:           g.rec.Counter(CtrHedgeFired).Load(),
-		HedgeWon:             g.rec.Counter(CtrHedgeWon).Load(),
-		PartialReads:         g.rec.Counter(CtrPartial).Load(),
-		DoubleReadMismatches: g.rec.Counter(CtrDoubleReadMismatch).Load(),
-		UptimeSeconds:        time.Since(g.started).Seconds(),
+		Role:          "gate",
+		Epoch:         t.m.Epoch,
+		HedgeFired:    g.rec.Counter(CtrHedgeFired).Load(),
+		HedgeWon:      g.rec.Counter(CtrHedgeWon).Load(),
+		PartialReads:  g.rec.Counter(CtrPartial).Load(),
+		UptimeSeconds: time.Since(g.started).Seconds(),
 	}
 	for _, m := range g.Migrations() {
 		resp.Migrations = append(resp.Migrations, migrationStats{
-			ID:         m.Spec.ID,
-			Phase:      m.Phase,
-			From:       m.Spec.From,
-			To:         m.Spec.To,
-			Datasets:   len(m.Spec.Datasets),
-			Mismatches: m.Mismatches,
-			Pumped:     m.Pumped,
-			Error:      m.Error,
+			ID:       m.Spec.ID,
+			Phase:    m.Phase,
+			From:     m.Spec.From,
+			To:       m.Spec.To,
+			Datasets: len(m.Spec.Datasets),
+			Pumped:   m.Pumped,
+			Error:    m.Error,
 		})
 	}
 	for _, sh := range t.shards {

@@ -59,14 +59,17 @@ type ShardWorldsConfig struct {
 	Seed int64
 	// DisjointMeasures gives every DATASET its own measure instead of a
 	// per-group shared one. The closure argument above only needs
-	// measures disjoint across groups, but a shared group measure makes
-	// the group unsplittable: full/partial containment can link its two
-	// datasets, and a per-dataset split would cut those pairs across
-	// shards. With DisjointMeasures no relationship of any kind links two
-	// datasets anywhere in the corpus (containment lacks a shared
-	// measure; complementarity is already blocked by the incomparable
-	// variable-dimension sets), so live rebalancing can move one dataset
-	// at a time between shards.
+	// measures disjoint across groups, but a shared group measure links
+	// the group's two datasets by full/partial containment, and a
+	// per-dataset split cuts those pairs across shards. With
+	// DisjointMeasures no relationship of any kind links two datasets
+	// anywhere in the corpus (containment lacks a shared measure;
+	// complementarity is already blocked by the incomparable
+	// variable-dimension sets). A migration does not need it: it verifies
+	// the moved observations, not their relations. The tests and chaos
+	// worlds that compare the gate's merged relations with an unsharded
+	// oracle after a split do, until the gate answers cross-shard pairs
+	// (ROADMAP item 8).
 	DisjointMeasures bool
 }
 

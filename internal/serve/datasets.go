@@ -15,10 +15,18 @@
 // redo the registration from the log at the same corpus index, so every
 // later insert record still points at the right schema. The endpoint is
 // idempotent: re-POSTing an identical schema answers 200.
+//
+// GET /v1/datasets?uri=… reads one dataset back as a count and a digest
+// of its observations: what a migration compares on its source and its
+// target before it moves the dataset's ownership.
 package serve
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"net/http"
+	"sort"
 
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
@@ -41,7 +49,7 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req datasetRequest
-	if err := decodeWriteBody(w, r, &req); err != nil {
+	if err := DecodeWriteBody(w, r, &req); err != nil {
 		s.error(w, r, http.StatusBadRequest, "bad dataset body: %v", err)
 		return
 	}
@@ -127,4 +135,88 @@ func schemaEqual(a, b *qb.Schema) bool {
 		}
 	}
 	return true
+}
+
+// DatasetDigest is the GET /v1/datasets answer. Two servers answer equal
+// digests for a dataset when they hold the same observations of it, in
+// any order and at any indices.
+type DatasetDigest struct {
+	URI          string `json:"uri"`
+	Observations int    `json:"observations"`
+	Digest       string `json:"digest"`
+}
+
+func (s *Server) handleDatasetDigest(w http.ResponseWriter, r *http.Request) {
+	s.send(w, s.datasetDigestReply(r))
+}
+
+func (s *Server) datasetDigestReply(r *http.Request) reply {
+	uri := r.URL.Query().Get("uri")
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	di, ok := s.dsIdx[uri]
+	if !ok {
+		return errReply(r, http.StatusNotFound, "unknown dataset %q", uri)
+	}
+	n, sum := digestDataset(s.inc.S.Obs, s.inc.S.Corpus.Datasets[di])
+	return reply{http.StatusOK, DatasetDigest{URI: uri, Observations: n, Digest: fmt.Sprintf("%016x", sum)}}
+}
+
+// digestDataset counts the served observations of ds and sums a 64-bit
+// FNV-1a hash of each one's canonical record: its URI, then its
+// (dimension, code) pairs, then its (measure, value) pairs, each list
+// sorted by IRI and without zero terms, every field and list
+// length-prefixed. The sum wraps, and makes the digest independent of the
+// order the observations arrived in. Values are lexical: a migration
+// relays lexical values and the target types them again. It walks the
+// space's rows, not ds.Observations: the rows are what this server serves.
+func digestDataset(obs []*qb.Observation, ds *qb.Dataset) (n int, sum uint64) {
+	dims, measures := iriOrder(ds.Schema.Dimensions), iriOrder(ds.Schema.Measures)
+	h := fnv.New64a()
+	var rec []byte
+	for _, o := range obs {
+		if o.Dataset != ds {
+			continue
+		}
+		rec = appendField(rec[:0], o.URI.Value)
+		rec = appendTerms(rec, ds.Schema.Dimensions, dims, o.DimValues)
+		rec = appendTerms(rec, ds.Schema.Measures, measures, o.MeasureValues)
+		h.Reset()
+		h.Write(rec)
+		sum += h.Sum64()
+		n++
+	}
+	return n, sum
+}
+
+// iriOrder returns the positions of keys sorted by IRI.
+func iriOrder(keys []rdf.Term) []int {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]].Value < keys[order[b]].Value })
+	return order
+}
+
+// appendTerms appends the count of vals' non-zero terms, then each one's
+// (key, value) pair in key order; vals is aligned with keys.
+func appendTerms(rec []byte, keys []rdf.Term, order []int, vals []rdf.Term) []byte {
+	n := 0
+	for _, v := range vals {
+		if !v.IsZero() {
+			n++
+		}
+	}
+	rec = binary.AppendUvarint(rec, uint64(n))
+	for _, k := range order {
+		if !vals[k].IsZero() {
+			rec = appendField(appendField(rec, keys[k].Value), vals[k].Value)
+		}
+	}
+	return rec
+}
+
+func appendField(rec []byte, f string) []byte {
+	return append(binary.AppendUvarint(rec, uint64(len(f))), f...)
 }

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
+	"net/url"
 	"testing"
 
 	"rdfcube/internal/faultfs"
 	"rdfcube/internal/gen"
+	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/wal"
 )
@@ -226,5 +229,134 @@ func TestReplayRegistrationRecords(t *testing.T) {
 	srv.mu.RUnlock()
 	if !ok || di != next || total != next+1 {
 		t.Fatalf("dataset at %d (published %v), %d datasets; want index %d of %d", di, ok, total, next, next+1)
+	}
+}
+
+// obsInsert is the POST /v1/observations body that re-creates o of ds
+// from its lexical values, as a migration relays it.
+func obsInsert(ds *qb.Dataset, o *qb.Observation) []byte {
+	dims, measures := map[string]string{}, map[string]string{}
+	for i, d := range ds.Schema.Dimensions {
+		if !o.DimValues[i].IsZero() {
+			dims[d.Value] = o.DimValues[i].Value
+		}
+	}
+	for i, m := range ds.Schema.Measures {
+		if !o.MeasureValues[i].IsZero() {
+			measures[m.Value] = o.MeasureValues[i].Value
+		}
+	}
+	body, _ := json.Marshal(map[string]any{"dataset": ds.URI.Value, "uri": o.URI.Value, "dimensions": dims, "measures": measures})
+	return body
+}
+
+func digestOf(t *testing.T, h http.Handler, uri string) DatasetDigest {
+	t.Helper()
+	rec := fetch(t, h, "GET", "/v1/datasets?uri="+url.QueryEscape(uri), nil)
+	var d DatasetDigest
+	if err := json.Unmarshal(rec.Body.Bytes(), &d); rec.Code != http.StatusOK || err != nil || d.URI != uri {
+		t.Fatalf("digest of %s: %d %s", uri, rec.Code, rec.Body)
+	}
+	return d
+}
+
+func mustInsert(t *testing.T, h http.Handler, body []byte) {
+	t.Helper()
+	if rec := fetch(t, h, "POST", "/v1/observations", body); rec.Code != http.StatusCreated {
+		t.Fatalf("insert %s: %d %s", body, rec.Code, rec.Body)
+	}
+}
+
+// TestDatasetDigest: GET /v1/datasets answers one dataset's observation
+// count and digest, which depend on the observations held and not on the
+// order they arrived in or the indices they got. A server computed from
+// the paper corpus and one that took D3's observations one by one, in
+// reverse, from schema stubs answer the same; one changed measure value
+// or one more observation changes the digest; an unknown dataset is 404;
+// a follower that applied its primary's log answers the primary's digest.
+func TestDatasetDigest(t *testing.T) {
+	corpus := gen.PaperExample()
+	stubs := func() *qb.Corpus {
+		c := qb.NewCorpus(corpus.Hierarchies)
+		for _, ds := range corpus.Datasets {
+			c.AddDataset(&qb.Dataset{URI: ds.URI, Schema: ds.Schema})
+		}
+		return c
+	}
+	var d3 *qb.Dataset
+	for _, ds := range corpus.Datasets {
+		if ds.URI.Value == gen.ExNS+"dataset/D3" {
+			d3 = ds
+		}
+	}
+	var bodies [][]byte
+	for _, o := range d3.Observations {
+		bodies = append(bodies, obsInsert(d3, o))
+	}
+	extra1, _ := json.Marshal(insertBody("-a"))
+	extra2, _ := json.Marshal(insertBody("-b"))
+
+	computed := serveCorpus(t, corpus).Handler()
+	rebuilt := serveCorpus(t, stubs()).Handler()
+	mustInsert(t, rebuilt, extra2)
+	for i := len(bodies) - 1; i >= 0; i-- {
+		mustInsert(t, rebuilt, bodies[i])
+	}
+	mustInsert(t, rebuilt, extra1)
+	mustInsert(t, computed, extra1)
+	mustInsert(t, computed, extra2)
+	want := digestOf(t, computed, d3.URI.Value)
+	if got := digestOf(t, rebuilt, d3.URI.Value); got != want || want.Observations != len(bodies)+2 || len(want.Digest) != 16 {
+		t.Fatalf("rebuilt in reverse: %+v, computed: %+v (%d observations)", got, want, len(bodies)+2)
+	}
+
+	changed := serveCorpus(t, stubs()).Handler()
+	for _, body := range append(append([][]byte{}, bodies[1:]...), extra1, extra2) {
+		mustInsert(t, changed, body)
+	}
+	var first map[string]any
+	json.Unmarshal(bodies[0], &first)
+	first["measures"] = map[string]string{gen.MeasUnemployment.Value: "0.999"}
+	body, _ := json.Marshal(first)
+	mustInsert(t, changed, body)
+	if got := digestOf(t, changed, d3.URI.Value); got.Observations != want.Observations || got.Digest == want.Digest {
+		t.Fatalf("one changed measure value: %+v, unchanged: %+v", got, want)
+	}
+	extra3, _ := json.Marshal(insertBody("-c"))
+	mustInsert(t, computed, extra3)
+	if got := digestOf(t, computed, d3.URI.Value); got.Observations != want.Observations+1 || got.Digest == want.Digest {
+		t.Fatalf("one more observation: %+v, before: %+v", got, want)
+	}
+	if rec := fetch(t, computed, "GET", "/v1/datasets?uri="+url.QueryEscape(gen.ExNS+"dataset/nope"), nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("unknown dataset: %d %s", rec.Code, rec.Body)
+	}
+
+	base := paperSnapshotBytes(t)
+	mem := faultfs.NewMemFS()
+	wlog, _, err := wal.Open(mem, "cube.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, err := New(decodeSnapshot(t, base), Config{WAL: wlog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{extra1, extra2, extra3} {
+		mustInsert(t, primary.Handler(), body)
+	}
+	wlog.Close()
+	_, recs, err := wal.Open(mem, "cube.wal")
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("reopened log: %d records, %v", len(recs), err)
+	}
+	follower, err := New(decodeSnapshot(t, base), Config{Follower: &FollowerState{Leader: "http://primary.invalid"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := follower.ApplyReplicated(recs); n != 3 || err != nil {
+		t.Fatalf("applied %d of 3 records: %v", n, err)
+	}
+	if got, want := digestOf(t, follower.Handler(), d3.URI.Value), digestOf(t, primary.Handler(), d3.URI.Value); got != want || got.Observations != len(bodies)+3 {
+		t.Fatalf("follower %+v, primary %+v", got, want)
 	}
 }

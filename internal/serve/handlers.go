@@ -19,11 +19,12 @@ import (
 // maxInsertBody bounds a POST /v1/observations or /v1/datasets body.
 const maxInsertBody = 1 << 20
 
-// decodeWriteBody decodes a write body into v: one JSON value of at most
+// DecodeWriteBody decodes a write body into v: one JSON value of at most
 // maxInsertBody bytes, with no unknown field and nothing but whitespace
-// after it. The gate parses the same body with json.Unmarshal, so a body
-// the gate refuses is refused here too.
-func decodeWriteBody(w http.ResponseWriter, r *http.Request, v any) error {
+// after it. The gate parses the same insert body with json.Unmarshal, so
+// a body the gate refuses is refused here too, and it reads its own admin
+// bodies (a shard map, a migration spec) through this function.
+func DecodeWriteBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInsertBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -383,7 +384,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req insertRequest
-	if err := decodeWriteBody(w, r, &req); err != nil {
+	if err := DecodeWriteBody(w, r, &req); err != nil {
 		s.error(w, r, http.StatusBadRequest, "bad insert body: %v", err)
 		return
 	}

@@ -654,6 +654,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/obs/{i}", s.wrap("obs", s.handleObs))
 	mux.Handle("POST /v1/observations", s.wrap("insert", s.handleInsert))
 	mux.Handle("POST /v1/datasets", s.wrap("datasets", s.handleCreateDataset))
+	mux.Handle("GET /v1/datasets", s.wrap("digest", s.handleDatasetDigest))
 	mux.Handle("GET /v1/stats", s.wrap("stats", s.handleStats))
 	outer := http.NewServeMux()
 	// Replication endpoints run without the request deadline: a snapshot

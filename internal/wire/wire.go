@@ -27,8 +27,8 @@
 // list — FuzzScanShardBody pins that.
 //
 // Writing is byte-exact with json.Encoder under SetEscapeHTML(false),
-// because gate merges, replica parity checks and the migration double-read
-// compare bodies across processes: AppendJSONString and AppendFloat are
+// because gate merges and replica parity checks compare bodies across
+// processes: AppendJSONString and AppendFloat are
 // tested and fuzzed against encoding/json itself.
 package wire
 
