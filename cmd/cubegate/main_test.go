@@ -322,6 +322,12 @@ func TestValidateEpochAndMigrations(t *testing.T) {
 			           {"name":"b","primary":"http://y"}],
 			"migrations": [{"id":"m1","datasets":["d9"],"from":"a","to":"b"}]
 		}`, "not owned by source"},
+		{"migration id outside the state directory", `{
+			"epoch": 1,
+			"shards": [{"name":"a","primary":"http://x","datasets":["d1"]},
+			           {"name":"b","primary":"http://y"}],
+			"migrations": [{"id":"../escaped","datasets":["d1"],"from":"a","to":"b"}]
+		}`, "not a plain name"},
 	}
 	for _, tc := range rejects {
 		path := write("map.json", tc.content)

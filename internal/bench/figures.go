@@ -188,7 +188,7 @@ func Fig5d(cfg Config) (Series, error) {
 				recall = float64(cnt.NFull+cnt.NPartial+cnt.NCompl) / float64(denom)
 			}
 			out = append(out, Measurement{
-				Figure: "5d", Approach: string(method), Size: size, Duration: d,
+				Figure: "5d", Approach: string(method), Size: size, N: s.N(), Duration: d,
 				Full: cnt.NFull, Partial: cnt.NPartial, Compl: cnt.NCompl,
 				Extra: map[string]float64{"recall": recall, "baselineSeconds": baseDur.Seconds()},
 			})
@@ -260,10 +260,10 @@ func Fig5f(cfg Config) (Series, error) {
 		d := time.Since(start)
 		s.SetRecorder(nil)
 		out = append(out, Measurement{
-			Figure: "5f", Approach: "cubes", Size: size, Duration: d,
+			Figure: "5f", Approach: "cubes", Size: size, N: s.N(), Duration: d,
 			Extra: map[string]float64{
 				"cubes": float64(l.Len()),
-				"ratio": float64(l.Len()) / float64(size),
+				"ratio": float64(l.Len()) / float64(s.N()),
 			},
 		})
 	}

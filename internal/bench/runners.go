@@ -74,7 +74,7 @@ func RunCoreCtx(ctx context.Context, s *core.Space, alg core.Algorithm, rel rule
 		return Measurement{}, err
 	}
 	return Measurement{
-		Approach: approachName(alg), Size: s.N(), Duration: d,
+		Approach: approachName(alg), Size: s.N(), N: s.N(), Duration: d,
 		Full: cnt.NFull, Partial: cnt.NPartial, Compl: cnt.NCompl,
 		Counters: col.Snapshot(),
 	}, nil

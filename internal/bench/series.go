@@ -22,8 +22,13 @@ type Measurement struct {
 	Figure string `json:"figure"`
 	// Approach is the algorithm or comparator name.
 	Approach string `json:"approach"`
-	// Size is the observation count of the input.
+	// Size is the input size the run asked for, the table's axis label.
 	Size int `json:"size"`
+	// N is the observation count of the compiled input. A generator
+	// yields a few more or fewer than Size asks for (RealWorld at 3 000
+	// yields 3 001), so per-observation ratios divide by N. Zero for
+	// comparator and projected rows.
+	N int `json:"n,omitempty"`
 	// Duration is the measured wall-clock time.
 	Duration time.Duration `json:"durationNs"`
 	// TimedOut marks runs aborted at the configured timeout (rendered

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -17,16 +19,18 @@ var adminMap = ShardMap{Epoch: 1, Shards: []ShardConfig{
 	{Name: "spare", Primary: "http://spare"},
 }}
 
-// adminGate is a gate on adminMap. A migration it starts fails its copy
-// at once, so an abort always finds it before cutover.
-func adminGate(t *testing.T) *Gate {
+// adminGate is a gate on adminMap that keeps migration state files in
+// stateDir ("" keeps none). A migration it starts fails its copy at
+// once, so an abort always finds it before cutover.
+func adminGate(t *testing.T, stateDir string) *Gate {
 	t.Helper()
 	g, err := New(Config{
-		Shards:        adminMap.Shards,
-		Epoch:         adminMap.Epoch,
-		Transport:     newHostTransport(),
-		ProbeInterval: -1,
-		Migrator:      MigratorOptions{Interval: time.Millisecond, PhaseTimeout: 50 * time.Millisecond},
+		Shards:            adminMap.Shards,
+		Epoch:             adminMap.Epoch,
+		Transport:         newHostTransport(),
+		ProbeInterval:     -1,
+		Migrator:          MigratorOptions{Interval: time.Millisecond, PhaseTimeout: 50 * time.Millisecond},
+		MigrationStateDir: stateDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,12 +58,58 @@ func withSuffix(body []byte, suffix string) []byte {
 	return append(append([]byte(nil), body...), suffix...)
 }
 
+// nestedStateDir makes a migration state directory one level inside a
+// fresh temporary directory and returns both.
+func nestedStateDir(t *testing.T) (root, stateDir string) {
+	t.Helper()
+	root = t.TempDir()
+	stateDir = filepath.Join(root, "state")
+	if err := os.Mkdir(stateDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return root, stateDir
+}
+
+// onlyStateDir fails the test when anything but the state directory
+// appeared in root: a migration ID wrote a file outside it.
+func onlyStateDir(t *testing.T, root string) {
+	t.Helper()
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "state" {
+			t.Fatalf("%q appeared beside the migration state directory", e.Name())
+		}
+	}
+}
+
+// TestMigrationIDCannotEscapeStateDir: a migration ID names its state
+// file, so one that is not a plain name answers 400 before any file is
+// read or written, and nothing appears outside the state directory.
+func TestMigrationIDCannotEscapeStateDir(t *testing.T) {
+	root, stateDir := nestedStateDir(t)
+	g := adminGate(t, stateDir)
+	defer g.Close()
+	for _, id := range []string{"../escaped", "a/../../escaped", ".hidden", "a/b", "a\\b", string(bytes.Repeat([]byte("m"), 129))} {
+		body, _ := json.Marshal(MigrationSpec{ID: id, Datasets: []string{"http://x/d1"}, From: "g0", To: "spare"})
+		if code, rb := postRaw(g.Handler(), "/v1/migrations", body); code != http.StatusBadRequest || len(g.Migrations()) != 0 {
+			t.Fatalf("id %q: %d %s, %d migrations; want 400 and none", id, code, rb, len(g.Migrations()))
+		}
+	}
+	onlyStateDir(t, root)
+	if entries, _ := os.ReadDir(stateDir); len(entries) != 0 {
+		t.Fatalf("a refused migration left %d state files", len(entries))
+	}
+}
+
 // TestAdminBodiesRefuseTrailingBytes: a shard map or a migration spec
 // followed by anything but whitespace answers 400 and changes nothing,
 // as a shard's write bodies do; the same body with trailing whitespace is
 // taken.
 func TestAdminBodiesRefuseTrailingBytes(t *testing.T) {
-	g := adminGate(t)
+	g := adminGate(t, "")
 	defer g.Close()
 	h := g.Handler()
 	mapBody, specBody := adminBodies()
@@ -102,7 +152,7 @@ func FuzzShardMapBody(f *testing.F) {
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		g := adminGate(t)
+		g := adminGate(t, "")
 		defer g.Close()
 		before := g.CurrentMap()
 		code, rb := postRaw(g.Handler(), "/v1/shardmap", body)
@@ -128,7 +178,8 @@ func FuzzShardMapBody(f *testing.F) {
 // FuzzMigrationBody posts arbitrary bytes to POST /v1/migrations. The
 // answer is 202, 400, 404, 409 or 413, never a 5xx or a panic; only a 202
 // starts a migration, and it is aborted before the input's run returns,
-// so no runner outlives its input.
+// so no runner outlives its input. The gate keeps its state files one
+// level inside a temporary directory, and nothing appears beside them.
 func FuzzMigrationBody(f *testing.F) {
 	_, specBody := adminBodies()
 	f.Add(specBody)
@@ -139,11 +190,13 @@ func FuzzMigrationBody(f *testing.F) {
 	f.Add([]byte(`{"id":"m4","datasets":["http://x/d0"],"from":"g0","to":"g0"}`))
 	f.Add([]byte(`{"id":"","datasets":[],"from":"","to":""}`))
 	f.Add([]byte(`{"id":"m5","datasets":["http://x/d0"],"from":"g0","to":"nowhere","bogus":true}`))
+	f.Add([]byte(`{"id":"../escaped","datasets":["http://x/d1"],"from":"g0","to":"spare"}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		g := adminGate(t)
+		root, stateDir := nestedStateDir(t)
+		g := adminGate(t, stateDir)
 		defer g.Close()
 		code, rb := postRaw(g.Handler(), "/v1/migrations", body)
 		switch code {
@@ -163,5 +216,6 @@ func FuzzMigrationBody(f *testing.F) {
 				t.Fatalf("migration %q in phase %s after abort", st.Spec.ID, st.Phase)
 			}
 		}
+		onlyStateDir(t, root)
 	})
 }

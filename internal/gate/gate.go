@@ -36,7 +36,6 @@ package gate
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"runtime/debug"
 	"sort"
@@ -331,7 +330,7 @@ func (g *Gate) wrap(route string, h func(http.ResponseWriter, *http.Request)) ht
 				if rec := recover(); rec != nil {
 					g.log("panic in %s handler: %v\n%s", route, rec, debug.Stack())
 					if !sw.wrote {
-						writeJSON(sw, http.StatusInternalServerError, map[string]string{"error": "internal server error"})
+						serve.WriteJSON(sw, http.StatusInternalServerError, map[string]string{"error": "internal server error"})
 					}
 				}
 			}()
@@ -423,7 +422,7 @@ func (g *Gate) probeOne(tgt *target, timeout time.Duration) {
 }
 
 func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz reports per-shard reachability: 200 while at least one
@@ -452,15 +451,15 @@ func (g *Gate) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case available == len(t.shards):
 		resp["status"] = "ready"
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	case available > 0:
 		resp["status"] = "degraded"
 		resp["downShards"] = downNames
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	default:
 		resp["status"] = "unavailable"
 		resp["downShards"] = downNames
-		writeJSON(w, http.StatusServiceUnavailable, resp)
+		serve.WriteJSON(w, http.StatusServiceUnavailable, resp)
 	}
 }
 
@@ -483,15 +482,6 @@ func (g *Gate) log(format string, a ...any) {
 	if g.logf != nil {
 		g.logf(format, a...)
 	}
-}
-
-// setRetryAfter mirrors serve's jittered integer-seconds Retry-After.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64(serve.Jittered(d).Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 }
 
 // trimBase normalizes a configured base URL (no trailing slash).

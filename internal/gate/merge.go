@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"rdfcube/internal/serve"
 	"rdfcube/internal/wire"
 )
 
@@ -214,15 +215,15 @@ func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request
 		// mean nothing across a fleet.
 		obs := r.URL.Query().Get("obs")
 		if obs == "" {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing ?obs= parameter (observation URI)"})
+			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "missing ?obs= parameter (observation URI)"})
 			return
 		}
 		gt := g.scatter(r, rt.path+"?obs="+url.QueryEscape(obs))
 		defer gt.release()
 		if len(gt.missing) == len(gt.answers) {
 			g.rec.Count(CtrNoShards, 1)
-			setRetryAfter(w, 3*time.Second)
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{
+			serve.SetRetryAfter(w, 3*time.Second)
+			serve.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{
 				Error: "no shards reachable", Partial: true, MissingShards: gt.missing,
 			})
 			return
@@ -235,7 +236,7 @@ func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request
 			// No reachable shard knew the observation: a plain 404 when
 			// every shard was asked, a partial-qualified one when some could
 			// not be (the observation might live on a missing shard).
-			writeJSON(w, http.StatusNotFound, errorResponse{
+			serve.WriteJSON(w, http.StatusNotFound, errorResponse{
 				Error: "unknown observation \"" + obs + "\"", Partial: gt.partial(), MissingShards: gt.missing,
 			})
 			return

@@ -801,10 +801,13 @@ func (m *Migrator) drain() error {
 // validates against the current map, persists phase=copy, and launches
 // the state machine; when a state file for the ID exists it resumes
 // that file's phase instead (a done or aborted file is an error). At
-// most one runner per ID exists at a time.
+// most one runner per ID exists at a time. The ID is checked before
+// any file is touched, since it names the state file; the rest of the
+// spec is checked once the phase is known (a post-cutover resume skips
+// the ownership check).
 func (g *Gate) StartMigration(spec MigrationSpec) (*Migrator, error) {
-	if spec.ID == "" {
-		return nil, fmt.Errorf("gate: migration with empty id")
+	if err := checkMigrationID(spec.ID); err != nil {
+		return nil, err
 	}
 	g.migMu.Lock()
 	defer g.migMu.Unlock()
@@ -963,7 +966,7 @@ func (g *Gate) Migrations() []MigrationState {
 func (g *Gate) handleStartMigration(w http.ResponseWriter, r *http.Request) {
 	var spec MigrationSpec
 	if err := serve.DecodeWriteBody(w, r, &spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad migration body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad migration body: " + err.Error()})
 		return
 	}
 	m, err := g.StartMigration(spec)
@@ -972,15 +975,15 @@ func (g *Gate) handleStartMigration(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrMigrationExists) {
 			status = http.StatusConflict
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		serve.WriteJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": spec.ID, "phase": m.Phase()})
+	serve.WriteJSON(w, http.StatusAccepted, map[string]any{"id": spec.ID, "phase": m.Phase()})
 }
 
 // handleListMigrations is GET /v1/migrations.
 func (g *Gate) handleListMigrations(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.Migrations())
+	serve.WriteJSON(w, http.StatusOK, g.Migrations())
 }
 
 // handleAbortMigration is POST /v1/migrations/{id}/abort.
@@ -994,8 +997,8 @@ func (g *Gate) handleAbortMigration(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrMigrationCutOver):
 			status = http.StatusConflict
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		serve.WriteJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "phase": PhaseAborted})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "phase": PhaseAborted})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"regexp"
 	"sync/atomic"
 
 	"rdfcube/internal/serve"
@@ -86,8 +87,24 @@ func ValidateShardMap(m ShardMap) error {
 	return nil
 }
 
+// migrationIDPattern is the one rule for a migration ID: 1–128 of
+// A–Z a–z 0–9 . _ -, not starting with a dot. The ID names its state
+// file (<id>.json) in the migration state directory, so it must be a
+// plain file name that cannot reach outside that directory.
+var migrationIDPattern = regexp.MustCompile(`^[A-Za-z0-9_-][A-Za-z0-9._-]{0,127}$`)
+
+func checkMigrationID(id string) error {
+	switch {
+	case id == "":
+		return fmt.Errorf("gate: migration with empty id")
+	case !migrationIDPattern.MatchString(id):
+		return fmt.Errorf("gate: migration id %q is not a plain name (1-128 of A-Z a-z 0-9 . _ -, not starting with .)", id)
+	}
+	return nil
+}
+
 // ValidateMigrations checks migration specs against the map they ride
-// with: unique non-empty IDs, known distinct From/To shards, and every
+// with: unique plain-name IDs, known distinct From/To shards, and every
 // dataset owned by its From shard.
 func ValidateMigrations(m ShardMap, migs []MigrationSpec) error {
 	names := map[string]bool{}
@@ -100,8 +117,8 @@ func ValidateMigrations(m ShardMap, migs []MigrationSpec) error {
 	}
 	ids := map[string]bool{}
 	for _, mg := range migs {
-		if mg.ID == "" {
-			return fmt.Errorf("gate: migration with empty id")
+		if err := checkMigrationID(mg.ID); err != nil {
+			return err
 		}
 		if ids[mg.ID] {
 			return fmt.Errorf("gate: duplicate migration id %q", mg.ID)
@@ -265,7 +282,7 @@ func (g *Gate) SwapMap(m ShardMap) error {
 
 // handleGetShardMap serves the installed map.
 func (g *Gate) handleGetShardMap(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.CurrentMap())
+	serve.WriteJSON(w, http.StatusOK, g.CurrentMap())
 }
 
 // handleSwapShardMap is the validated admin swap: 400 for structural
@@ -274,7 +291,7 @@ func (g *Gate) handleGetShardMap(w http.ResponseWriter, r *http.Request) {
 func (g *Gate) handleSwapShardMap(w http.ResponseWriter, r *http.Request) {
 	var m ShardMap
 	if err := serve.DecodeWriteBody(w, r, &m); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad shard map body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad shard map body: " + err.Error()})
 		return
 	}
 	if err := g.SwapMap(m); err != nil {
@@ -282,10 +299,10 @@ func (g *Gate) handleSwapShardMap(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrStaleEpoch) {
 			status = http.StatusConflict
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		serve.WriteJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"epoch": g.Epoch(), "shards": len(g.table().shards)})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"epoch": g.Epoch(), "shards": len(g.table().shards)})
 }
 
 // rtPointer aliases the atomic pointer type (kept short at use sites).

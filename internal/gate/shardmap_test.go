@@ -61,6 +61,7 @@ func TestValidateMigrationsRejections(t *testing.T) {
 		want string
 	}{
 		{"empty id", []MigrationSpec{{Datasets: []string{"ds1"}, From: "a", To: "b"}}, "empty id"},
+		{"path id", []MigrationSpec{{ID: "../m", Datasets: []string{"ds1"}, From: "a", To: "b"}}, "not a plain name"},
 		{"duplicate id", []MigrationSpec{good, good}, "duplicate migration id"},
 		{"unknown source", []MigrationSpec{{ID: "m", Datasets: []string{"ds1"}, From: "x", To: "b"}}, "unknown source shard"},
 		{"unknown target", []MigrationSpec{{ID: "m", Datasets: []string{"ds1"}, From: "a", To: "x"}}, "unknown target shard"},

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rdfcube/internal/obsv"
+	"rdfcube/internal/serve"
 )
 
 // targetStats is one upstream endpoint's health picture in /v1/stats.
@@ -102,5 +103,5 @@ func (g *Gate) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards = append(resp.Shards, ss)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }

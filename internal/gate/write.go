@@ -35,26 +35,26 @@ const maxInsertBody = 1 << 20
 func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInsertBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "read insert body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "read insert body: " + err.Error()})
 		return
 	}
 	var probe struct {
 		Dataset string `json:"dataset"`
 	}
 	if err := json.Unmarshal(body, &probe); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad insert body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad insert body: " + err.Error()})
 		return
 	}
 	sh, ok := g.table().byDataset[probe.Dataset]
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "no shard owns dataset \"" + probe.Dataset + "\""})
+		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "no shard owns dataset \"" + probe.Dataset + "\""})
 		return
 	}
 
 	now := time.Now()
 	if ok, retry := sh.primary.breaker.Allow(now); !ok {
-		setRetryAfter(w, retry)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{
+		serve.SetRetryAfter(w, retry)
+		serve.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{
 			Error: "shard " + sh.name + " unavailable (breaker open)", MissingShards: []string{sh.name},
 		})
 		return
@@ -102,7 +102,7 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 		g.rec.Count(CtrRetries, 1)
 		select {
 		case <-r.Context().Done():
-			writeJSON(w, statusClientGone, errorResponse{Error: "request abandoned: " + r.Context().Err().Error()})
+			serve.WriteJSON(w, statusClientGone, errorResponse{Error: "request abandoned: " + r.Context().Err().Error()})
 			return
 		case <-time.After(wait):
 		}
@@ -113,8 +113,8 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 		relay(w, lastStatus, lastBody, lastHeader)
 		return
 	}
-	setRetryAfter(w, 3*time.Second)
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{
+	serve.SetRetryAfter(w, 3*time.Second)
+	serve.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{
 		Error: "shard " + sh.name + " unreachable", MissingShards: []string{sh.name},
 	})
 }

@@ -36,7 +36,9 @@ func DecodeWriteBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as JSON, HTML characters unescaped.
+// The gate answers through it too.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -58,7 +60,7 @@ func errorBody(r *http.Request, format string, args ...any) map[string]string {
 // error writes a JSON error body (errorBody). Handlers holding s.mu
 // return a reply instead.
 func (s *Server) error(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody(r, format, args...))
+	WriteJSON(w, status, errorBody(r, format, args...))
 }
 
 // A reply is an answer decided under s.mu and sent after the lock is
@@ -78,7 +80,7 @@ func errReply(r *http.Request, status int, format string, args ...any) reply {
 
 func (s *Server) send(w http.ResponseWriter, rep reply) {
 	s.boundWrite(w)
-	writeJSON(w, rep.status, rep.body)
+	WriteJSON(w, rep.status, rep.body)
 }
 
 // boundWrite gives the answer about to be written the request timeout,
@@ -178,7 +180,7 @@ func (s *Server) replicationFields() map[string]any {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// Liveness: the process is up. The state field lets an operator see
 	// the phase without a second probe.
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "state": s.state()})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "state": s.state()})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -194,9 +196,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			// contract. The replica keeps serving /v1 reads for clients that
 			// accept stale data; only readiness flips.
 			resp["detail"] = "replication lag exceeds -max-staleness"
-			writeJSON(w, http.StatusServiceUnavailable, resp)
+			WriteJSON(w, http.StatusServiceUnavailable, resp)
 		default:
-			writeJSON(w, http.StatusOK, resp)
+			WriteJSON(w, http.StatusOK, resp)
 		}
 		return
 	}
@@ -204,9 +206,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case "degraded":
 		// Reads still work, so the server stays in rotation — but the
 		// status tells operators writes are being refused with 503.
-		writeJSON(w, http.StatusOK, map[string]string{"status": st, "detail": "read-only: write-ahead log failed"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": st, "detail": "read-only: write-ahead log failed"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": st})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": st})
 	}
 }
 

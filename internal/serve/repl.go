@@ -356,7 +356,7 @@ func (f *FollowerState) Stale() bool {
 // where it goes.
 func (s *Server) toLeader(w http.ResponseWriter, msg string) {
 	w.Header().Set(LeaderHeader, s.follower.Leader)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 		"error":  msg,
 		"leader": s.follower.Leader,
 	})

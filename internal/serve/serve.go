@@ -677,15 +677,20 @@ func (s *Server) Handler() http.Handler {
 	return outer
 }
 
-// setRetryAfter writes a jittered integer-seconds Retry-After header
-// (minimum 1s) and counts it, so clients that were refused together do
-// not all come back together.
-func (s *Server) setRetryAfter(w http.ResponseWriter, d time.Duration) {
+// SetRetryAfter writes a jittered integer-seconds Retry-After header
+// (minimum 1s), so clients that were refused together do not all come
+// back together. The gate answers its own refusals with it.
+func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
 	secs := int64(Jittered(d).Round(time.Second) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+}
+
+// setRetryAfter is SetRetryAfter, counted in the server's registry.
+func (s *Server) setRetryAfter(w http.ResponseWriter, d time.Duration) {
+	SetRetryAfter(w, d)
 	s.rec.Count(CtrRetryAfter, 1)
 }
 
@@ -735,7 +740,7 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) 
 					s.rec.Count(CtrPanics, 1)
 					s.log("panic in %s handler (trace %s): %v\n%s", route, tid, rec, debug.Stack())
 					if !sw.wrote {
-						writeJSON(sw, http.StatusInternalServerError,
+						WriteJSON(sw, http.StatusInternalServerError,
 							map[string]string{"error": "internal server error", "traceId": tid})
 					}
 				}

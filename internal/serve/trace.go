@@ -157,7 +157,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	s.traces.mu.Lock()
 	total := s.traces.total
 	s.traces.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"capacity": len(s.traces.buf),
 		"recorded": total,
 		"traces":   out,

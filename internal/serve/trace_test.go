@@ -226,7 +226,7 @@ func TestSlowQueryLog(t *testing.T) {
 	// Deterministically slow handler through the same middleware.
 	h := srv.wrap("sleepy", func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(3 * time.Millisecond)
-		writeJSON(w, http.StatusOK, map[string]string{"ok": "1"})
+		WriteJSON(w, http.StatusOK, map[string]string{"ok": "1"})
 	})
 	req := httptest.NewRequest("GET", "/sleepy", nil)
 	req.Header.Set(TraceIDHeader, "slow-1")
@@ -234,7 +234,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// A fast request stays out of the log.
 	fast := srv.wrap("fast", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"ok": "1"})
+		WriteJSON(w, http.StatusOK, map[string]string{"ok": "1"})
 	})
 	fast.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/fast", nil))
 
