@@ -135,6 +135,40 @@ func TestFig5eProjection(t *testing.T) {
 	}
 }
 
+func TestFig5fRatioDecreases(t *testing.T) {
+	s, err := Fig5f(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s) != 2 {
+		t.Fatalf("got %d rows", len(s))
+	}
+	if s[0].Extra["ratio"] < s[1].Extra["ratio"] {
+		t.Errorf("cubes-per-observation ratio must not increase: %v then %v",
+			s[0].Extra["ratio"], s[1].Extra["ratio"])
+	}
+	if s[0].Extra["cubes"] <= 0 {
+		t.Errorf("no cubes discovered")
+	}
+}
+
+func TestFig5gRowsAndRatio(t *testing.T) {
+	s, err := Fig5g(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s) != 4 { // 2 sizes × {normal, prefetch}
+		t.Fatalf("got %d rows, want 4", len(s))
+	}
+	for _, m := range s {
+		if m.Approach == "prefetch" {
+			if m.Extra["ratio"] <= 0 {
+				t.Errorf("prefetch ratio missing")
+			}
+		}
+	}
+}
+
 func TestExtensionsAgree(t *testing.T) {
 	s, err := Extensions(tinyConfig())
 	if err != nil {
