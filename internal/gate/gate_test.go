@@ -110,16 +110,42 @@ type fleet struct {
 	obsURIs []string // a sample of observation URIs, one-ish per dataset
 }
 
+// buildFleet serves the worlds of one gen.ShardWorlds call from the shards
+// and the combined corpus of a second, identical call from the oracle: a
+// server appends its inserts to its datasets' observation lists, and the
+// first call's worlds and combined corpus hold the same datasets.
 func buildFleet(t *testing.T, seed int64) *fleet {
 	t.Helper()
-	worlds, combined := gen.ShardWorlds(gen.ShardWorldsConfig{Seed: seed, ObsPerDataset: 30})
+	cfg := gen.ShardWorldsConfig{Seed: seed, ObsPerDataset: 30}
+	worlds, _ := gen.ShardWorlds(cfg)
+	_, combined := gen.ShardWorlds(cfg)
 	return newFleet(t, worlds, combined)
 }
 
+// assertOwnDatasets fails unless every corpus, one per server, holds
+// *qb.Dataset values no other one holds.
+func assertOwnDatasets(t *testing.T, corpora ...*qb.Corpus) {
+	t.Helper()
+	owner := map[*qb.Dataset]int{}
+	for k, c := range corpora {
+		for _, ds := range c.Datasets {
+			if j, ok := owner[ds]; ok {
+				t.Fatalf("servers %d and %d share dataset %s", j, k, ds.URI.Value)
+			}
+			owner[ds] = k
+		}
+	}
+}
+
 // newFleet serves each world from its own shard and combined from the
-// oracle.
+// oracle; no two of them may share a dataset.
 func newFleet(t *testing.T, worlds []*gen.ShardWorld, combined *qb.Corpus) *fleet {
 	t.Helper()
+	corpora := []*qb.Corpus{combined}
+	for _, w := range worlds {
+		corpora = append(corpora, w.Corpus)
+	}
+	assertOwnDatasets(t, corpora...)
 	f := &fleet{tr: newHostTransport(), worlds: worlds}
 	for _, w := range worlds {
 		srv := buildShardServer(t, w.Corpus)
@@ -229,6 +255,7 @@ func TestMergeMatchesOracle(t *testing.T) {
 func TestGateMissesCrossShardPairs(t *testing.T) {
 	leakcheck.Check(t)
 	corpus := gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 7})
+	oracle := gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 7}) // datasets of its own
 	const nShards = 3
 	worlds := make([]*gen.ShardWorld, nShards)
 	// shardOf is keyed by dataset URI: the oracle state read below is
@@ -243,7 +270,7 @@ func TestGateMissesCrossShardPairs(t *testing.T) {
 		w.Datasets = append(w.Datasets, ds.URI.Value)
 		shardOf[ds.URI.Value] = i % nShards
 	}
-	f := newFleet(t, worlds, corpus)
+	f := newFleet(t, worlds, oracle)
 	h := f.newGate(t, nil).Handler()
 
 	// lists[i] holds the URIs the gate's /v1/related answer for observation

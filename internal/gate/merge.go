@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -245,6 +246,7 @@ func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request
 		defer putBuf(bp)
 		*bp = appendAnswer(*bp, rt, ans, gt.missing)
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(*bp) // a failed write means the client is gone: nobody to tell
 	}

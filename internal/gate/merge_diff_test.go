@@ -13,6 +13,7 @@ import (
 
 	"rdfcube/internal/gen"
 	"rdfcube/internal/leakcheck"
+	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/wire"
 )
@@ -105,15 +106,21 @@ func TestMergeMatchesReflectiveMerge(t *testing.T) {
 // would resolve as a local index.)
 func TestMergeHostileURIs(t *testing.T) {
 	leakcheck.Check(t)
-	worlds, combined := gen.ShardWorlds(gen.ShardWorldsConfig{Seed: 19, ObsPerDataset: 20})
-	k := 0
-	for _, o := range combined.Observations() { // the worlds share these observations
-		o.URI = rdf.NewIRI(wire.HostileStrings[k%len(wire.HostileStrings)] + "#" + strconv.Itoa(k))
-		k++
+	// A combined corpus holds its call's observations, so renaming them
+	// renames the worlds' of the first call and the oracle's of the second.
+	rename := func(combined *qb.Corpus) {
+		for k, o := range combined.Observations() {
+			o.URI = rdf.NewIRI(wire.HostileStrings[k%len(wire.HostileStrings)] + "#" + strconv.Itoa(k))
+		}
 	}
+	cfg := gen.ShardWorldsConfig{Seed: 19, ObsPerDataset: 20}
+	worlds, shared := gen.ShardWorlds(cfg)
+	_, combined := gen.ShardWorlds(cfg)
+	rename(shared)
+	rename(combined)
 	f := newFleet(t, worlds, combined)
 	if f.worlds[0].Corpus.Datasets[0].Observations[1].URI.Value != wire.HostileStrings[1]+"#1" {
-		t.Fatal("the worlds do not share the combined corpus' observations")
+		t.Fatal("the worlds do not share their combined corpus' observations")
 	}
 	assertMatchesReflective(t, "hostile URIs", f, f.newGate(t, nil).Handler())
 }
@@ -204,54 +211,123 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) WriteHeader(int)             {}
 func (w *discardWriter) Write(p []byte) (int, error) { w.n = len(p); return len(p), nil }
 
+// largestRelatedBody is the largest /v1/related body a shard serving
+// RealWorld n = 1 500, seed 3 renders: ~70 KB naming ≥ 800 neighbours,
+// two thirds of them partial.
+func largestRelatedBody(tb testing.TB) []byte {
+	tb.Helper()
+	shard := buildShardServer(tb, gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 3})).Handler()
+	var large []byte
+	for i := 0; i < 1500; i++ {
+		rec := httptest.NewRecorder()
+		shard.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/related?obs="+strconv.Itoa(i), nil))
+		if body := rec.Body.Bytes(); len(body) > len(large) {
+			large = body
+		}
+	}
+	if n := bytes.Count(large, []byte(`"obs":`)) - 1; n < 800 {
+		tb.Fatalf("the largest body names %d neighbours, want ≥ 800", n)
+	}
+	return large
+}
+
+// cannedGate is a gate over three shards a, b and c, whose transport
+// answers every read of b with body and every read of a and c with the
+// unknown-observation 400; with replicas each shard also has a replica
+// that answers as its primary does.
+func cannedGate(tb testing.TB, body []byte, replicas bool) *Gate {
+	tb.Helper()
+	tr := cannedTransport{"b": body}
+	var shards []ShardConfig
+	for _, name := range []string{"a", "b", "c"} {
+		sc := ShardConfig{Name: name, Primary: "http://" + name, Datasets: []string{"d" + name}}
+		if replicas {
+			sc.Replica = "http://" + name + "-replica"
+			tr[name+"-replica"] = tr[name]
+		}
+		shards = append(shards, sc)
+	}
+	g, err := New(Config{Shards: shards, Transport: tr, ProbeInterval: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(g.Close)
+	return g
+}
+
 // TestRelatedAllocationsIndependentOfFanout: what one gate read allocates
 // is per request and per shard — goroutines, contexts, the upstream
-// requests, ~35 a shard — never per neighbour: one bound holds for a
-// 3-neighbour and a ≥ 800-neighbour answer. (The reflective merge allocated every neighbour
-// three times over: decoded, mapped, re-encoded.)
+// requests, ~30 a shard, ~4 more with a replica to hedge to — never per
+// neighbour: one bound holds for a 3-neighbour and a ≥ 800-neighbour
+// answer, with and without replicas. (The reflective merge allocated every
+// neighbour three times over: decoded, mapped, re-encoded.) A read
+// allocates 88 times without replicas and 100 with them; the bound leaves
+// 5 for a Go release that allocates a little more in net/http.
 func TestRelatedAllocationsIndependentOfFanout(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random quarter of its Puts under -race, so a request regrows its buffers now and then")
 	}
 	small := []byte(`{"obs":0,"uri":"http://x/o","contains":[{"obs":1,"uri":"http://x/a"}],"containedBy":[],` +
 		`"partiallyContains":[{"obs":2,"uri":"http://x/p","degree":0.5}],"partiallyContainedBy":[],"complements":[{"obs":3,"uri":"http://x/c"}]}`)
-	shard := buildShardServer(t, gen.RealWorld(gen.RealWorldConfig{TotalObs: 1500, Seed: 3})).Handler()
-	var large []byte
-	for i := 0; i < 1500; i++ {
-		if _, body := get(t, shard, "/v1/related?obs="+strconv.Itoa(i)); len(body) > len(large) {
-			large = body
-		}
-	}
-	if n := bytes.Count(large, []byte(`"obs":`)) - 1; n < 800 {
-		t.Fatalf("the largest body names %d neighbours, want ≥ 800", n)
-	}
+	large := largestRelatedBody(t)
 
-	const bound = 110
-	for _, body := range [][]byte{small, large} {
-		g, err := New(Config{
-			Shards: []ShardConfig{
-				{Name: "a", Primary: "http://a", Datasets: []string{"da"}},
-				{Name: "b", Primary: "http://b", Datasets: []string{"db"}},
-				{Name: "c", Primary: "http://c", Datasets: []string{"dc"}},
-			},
-			Transport:     cannedTransport{"b": body},
-			ProbeInterval: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
+	const bound = 105
+	for _, replicas := range []bool{false, true} {
+		for _, body := range [][]byte{small, large} {
+			h := cannedGate(t, body, replicas).readFanout(&routeRelated)
+			w := &discardWriter{h: http.Header{}}
+			r := httptest.NewRequest("GET", "/v1/related?obs=http://x/o", nil)
+			h(w, r) // size the pooled buffers
+			if w.n < len(body)/4 {
+				t.Fatalf("a %d-byte shard body merged to %d bytes", len(body), w.n)
+			}
+			allocs := testing.AllocsPerRun(200, func() { h(w, r) })
+			t.Logf("replicas %v, %d-byte shard body, %d-byte answer: %.1f allocs per request", replicas, len(body), w.n, allocs)
+			if allocs > bound {
+				t.Errorf("replicas %v, %d-byte shard body: %.1f allocs per request, want ≤ %d", replicas, len(body), allocs, bound)
+			}
 		}
-		defer g.Close()
-		h := g.readFanout(&routeRelated)
-		w := &discardWriter{h: http.Header{}}
-		r := httptest.NewRequest("GET", "/v1/related?obs=http://x/o", nil)
-		h(w, r) // size the pooled buffers
-		if w.n < len(body)/4 {
-			t.Fatalf("a %d-byte shard body merged to %d bytes", len(body), w.n)
+	}
+}
+
+// BenchmarkGateRelated is one gate read of the largest /v1/related body
+// of RealWorld n = 1 500, seed 3, through the gate's full handler stack:
+// three canned shards, one owner and two unknown-observation 400s, then
+// scan, merge and render.
+func BenchmarkGateRelated(b *testing.B) {
+	h := cannedGate(b, largestRelatedBody(b), false).Handler()
+	w := &discardWriter{h: http.Header{}}
+	r := httptest.NewRequest("GET", "/v1/related?obs=http://x/o", nil)
+	h.ServeHTTP(w, r) // size the pooled buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		h.ServeHTTP(w, r)
+	}
+	b.ReportMetric(float64(w.n), "body-B/op")
+}
+
+// TestUnknownObservationPrefix: the prefix the gate recognises a
+// non-owner's 400 by is what a real shard writes, for a plain URI and for
+// every hostile one; the same body cut short, and the shard's other 400s,
+// are not recognised.
+func TestUnknownObservationPrefix(t *testing.T) {
+	h := buildShardServer(t, gen.PaperExample()).Handler()
+	for _, uri := range append([]string{"http://example.org/obs/elsewhere"}, wire.HostileStrings...) {
+		uri += "#unknown" // the empty hostile string is no observation URI
+		for _, route := range readRoutes {
+			code, body := get(t, h, "/v1/"+route+"?obs="+url.QueryEscape(uri))
+			if code != http.StatusBadRequest || !isUnknownObservation(body) {
+				t.Fatalf("%s %q: status %d, body %q does not start %q", route, uri, code, body, unknownObservation)
+			}
+			if cut := body[:len(body)-3]; isUnknownObservation(cut) {
+				t.Fatalf("%s %q: the cut body %q reads as unknown observation", route, uri, cut)
+			}
 		}
-		allocs := testing.AllocsPerRun(200, func() { h(w, r) })
-		t.Logf("%d-byte shard body, %d-byte answer: %.1f allocs per request", len(body), w.n, allocs)
-		if allocs > bound {
-			t.Errorf("%d-byte shard body: %.1f allocs per request, want ≤ %d", len(body), allocs, bound)
+	}
+	for _, path := range []string{"/v1/related", "/v1/related?obs=9999"} {
+		if code, body := get(t, h, path); code != http.StatusBadRequest || isUnknownObservation(body) {
+			t.Fatalf("%s: status %d, body %q reads as unknown observation", path, code, body)
 		}
 	}
 }

@@ -63,23 +63,33 @@ func stubCorpus(combined *qb.Corpus) *qb.Corpus {
 // shards plus one empty "spare" shard to migrate into, and an unsharded
 // oracle.
 type migFleet struct {
-	tr       *hostTransport
-	worlds   []*gen.ShardWorld
-	combined *qb.Corpus
-	shards   []ShardConfig
-	servers  map[string]*serve.Server
-	oracle   *serve.Server
-	sample   []string
+	tr      *hostTransport
+	worlds  []*gen.ShardWorld
+	shards  []ShardConfig
+	servers map[string]*serve.Server
+	oracle  *serve.Server
+	sample  []string
 }
 
 // buildMigFleet builds the fleet. With disjoint, every dataset has its own
 // measure, so no relationship links two datasets and the gate's merged
 // answers stay equal to the oracle's across a split; without it, a
-// group's two datasets share a measure, as on the paper's corpora.
+// group's two datasets share a measure, as on the paper's corpora. The
+// oracle and the spare's stub come from a second, identical generator
+// call: the first call's worlds and combined corpus hold the same
+// datasets, and a server appends its inserts to its datasets.
 func buildMigFleet(t *testing.T, seed int64, disjoint bool) *migFleet {
 	t.Helper()
-	worlds, combined := gen.ShardWorlds(gen.ShardWorldsConfig{Seed: seed, ObsPerDataset: 10, DisjointMeasures: disjoint})
-	f := &migFleet{tr: newHostTransport(), worlds: worlds, combined: combined, servers: map[string]*serve.Server{}}
+	cfg := gen.ShardWorldsConfig{Seed: seed, ObsPerDataset: 10, DisjointMeasures: disjoint}
+	worlds, _ := gen.ShardWorlds(cfg)
+	_, combined := gen.ShardWorlds(cfg)
+	stub := stubCorpus(combined)
+	corpora := []*qb.Corpus{combined, stub}
+	for _, w := range worlds {
+		corpora = append(corpora, w.Corpus)
+	}
+	assertOwnDatasets(t, corpora...)
+	f := &migFleet{tr: newHostTransport(), worlds: worlds, servers: map[string]*serve.Server{}}
 	for _, w := range worlds {
 		srv := durableShard(t, w.Corpus)
 		host := "shard-" + w.Name + "-primary"
@@ -90,7 +100,7 @@ func buildMigFleet(t *testing.T, seed int64, disjoint bool) *migFleet {
 			f.sample = append(f.sample, ds.Observations[0].URI.Value, ds.Observations[5].URI.Value)
 		}
 	}
-	spare := durableShard(t, stubCorpus(combined))
+	spare := durableShard(t, stub)
 	f.tr.add("shard-spare-primary", spare.Handler())
 	f.shards = append(f.shards, ShardConfig{Name: "spare", Primary: "http://shard-spare-primary"})
 	f.servers["spare"] = spare

@@ -1,13 +1,13 @@
 package gate
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -102,8 +102,10 @@ type shardAnswer struct {
 // release returns the answer's buffers to their pools.
 func (a *shardAnswer) release() {
 	if a.found != nil {
-		a.found.Reset()
-		answerPool.Put(a.found)
+		if a.found.Footprint() <= maxPooledBuf {
+			a.found.Reset()
+			answerPool.Put(a.found)
+		}
 		a.found = nil
 	}
 	putBuf(a.body)
@@ -225,13 +227,16 @@ func (g *Gate) classify(sh *shard, res fetchResult) shardAnswer {
 	return ans
 }
 
+// unknownObservation is how serve's 400 for an observation the shard does
+// not hold begins: serve writes its error bodies from a map through
+// encoding/json, which sorts the keys, so "error" comes first.
+const unknownObservation = `{"error":"unknown observation `
+
 // isUnknownObservation recognises serve's 400 for an observation the
-// shard does not hold.
+// shard does not hold by its fixed prefix. The body must still be whole
+// JSON: a cut one says nothing about the shard.
 func isUnknownObservation(body []byte) bool {
-	var e struct {
-		Error string `json:"error"`
-	}
-	return json.Unmarshal(body, &e) == nil && strings.Contains(e.Error, "unknown observation")
+	return bytes.HasPrefix(body, []byte(unknownObservation)) && json.Valid(body)
 }
 
 // doRead performs one GET against one target, under a deadline carved
@@ -317,7 +322,7 @@ const hedgeQuantile = 0.9
 // evidence accumulates.
 func (g *Gate) hedgeDelay(primary *target) time.Duration {
 	d := g.cfg.hedgeMax()
-	if q := primary.latency.Snapshot().Quantile(hedgeQuantile); q > 0 {
+	if q := primary.latency.Quantile(hedgeQuantile); q > 0 {
 		d = time.Duration(q) * time.Microsecond
 	}
 	if min := g.cfg.hedgeMin(); d < min {

@@ -97,6 +97,57 @@ func (h *Histogram) Snapshot() *HistSnapshot {
 	return s
 }
 
+// Quantile estimates the q-quantile of the live counters as
+// HistSnapshot.Quantile does, without copying them: one pass totals the
+// buckets, a second finds the rank. An Observe between the passes can
+// shift the answer by that observation, as it can a snapshot's.
+func (h *Histogram) Quantile(q float64) float64 {
+	var total uint64
+	for i := range h.counts {
+		total += h.counts[i].Load()
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := quantileRank(q, total)
+	var cum uint64
+	for i := range h.counts {
+		if c := h.counts[i].Load(); c > 0 {
+			if float64(cum+c) > rank {
+				return interpolate(i, rank, cum, c)
+			}
+			cum += c
+		}
+	}
+	// Counters only grow, so only a NaN q gets here: the top bucket, as a
+	// snapshot answers it.
+	for i := NumHistBuckets - 1; i >= 0; i-- {
+		if h.counts[i].Load() > 0 {
+			lo, _ := bucketBounds(i)
+			return float64(lo)
+		}
+	}
+	return 0
+}
+
+// quantileRank is the (fractional, zero-based) rank of the q-quantile
+// among count values, q clamped to [0,1].
+func quantileRank(q float64, count uint64) float64 {
+	return min(max(q, 0), 1) * float64(count-1)
+}
+
+// interpolate places rank inside bucket i, which holds c values above the
+// cum values of the buckets below it: exact buckets return their value,
+// wider ones interpolate linearly.
+func interpolate(i int, rank float64, cum, c uint64) float64 {
+	lo, hi := bucketBounds(i)
+	if hi-lo <= 1 {
+		return float64(lo)
+	}
+	within := (rank - float64(cum) + 0.5) / float64(c)
+	return float64(lo) + within*float64(hi-lo)
+}
+
 // HistSnapshot is a point-in-time copy of a Histogram: plain integers,
 // safe to merge, compare and serialize. Count is the bucket total of the
 // snapshot (authoritative for quantile ranks); Sum is the sum of observed
@@ -135,25 +186,14 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 	if s.Count <= 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count-1)
+	rank := quantileRank(q, uint64(s.Count))
 	var cum uint64
 	for i, c := range s.Counts {
 		if c == 0 {
 			continue
 		}
 		if float64(cum+c) > rank {
-			lo, hi := bucketBounds(i)
-			if hi-lo <= 1 {
-				return float64(lo)
-			}
-			within := (rank - float64(cum) + 0.5) / float64(c)
-			return float64(lo) + within*float64(hi-lo)
+			return interpolate(i, rank, cum, c)
 		}
 		cum += c
 	}

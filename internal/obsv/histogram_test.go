@@ -41,6 +41,47 @@ func TestHistogramBucketRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileMatchesSnapshot: the live Quantile reads what a
+// snapshot of the same data reads, at every q (out of range and NaN
+// included), empty, with one value and on four distributions, and it
+// allocates nothing.
+func TestHistogramQuantileMatchesSnapshot(t *testing.T) {
+	quantiles := []float64{math.NaN(), -1, 0, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1, 2}
+	same := func(what string, h *Histogram) {
+		t.Helper()
+		s := h.Snapshot()
+		for _, q := range quantiles {
+			got, want := h.Quantile(q), s.Quantile(q)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("%s: Quantile(%v) = %v, the snapshot reads %v", what, q, got, want)
+			}
+		}
+	}
+	h := &Histogram{}
+	same("empty", h)
+	h.Observe(12345)
+	same("one value", h)
+	r := rand.New(rand.NewSource(5))
+	gens := map[string]func() int64{
+		"exact buckets": func() int64 { return r.Int63n(16) },
+		"uniform":       func() int64 { return r.Int63n(1_000_000) },
+		"lognormal":     func() int64 { return int64(math.Exp(r.NormFloat64()*2 + 8)) },
+		"wide":          func() int64 { return int64(r.Uint64() >> uint(r.Intn(64))) },
+	}
+	for name, gen := range gens {
+		h := &Histogram{}
+		for i := 1; i <= 5000; i++ {
+			h.Observe(gen())
+			if i%250 == 0 {
+				same(name, h)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = h.Quantile(0.9) }); allocs != 0 {
+		t.Fatalf("Quantile allocates %.0f times", allocs)
+	}
+}
+
 // TestHistogramQuantileAccuracy is the property test: on random
 // distributions the histogram quantile must stay within the bucket
 // relative-width bound of the exact sorted-reference quantile.

@@ -49,6 +49,7 @@ func putBody(bp *[]byte, b []byte) {
 func (s *Server) writeBody(w http.ResponseWriter, b []byte) {
 	s.boundWrite(w)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b) // a failed write means the client is gone: nobody to tell
 }

@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
+	"unsafe"
 )
 
 // List names one of the five neighbour lists of a fan-out body.
@@ -43,6 +46,7 @@ type Neighbor struct {
 type Answer struct {
 	URI   []byte // of the body scanned last
 	Lists [NumLists][]Neighbor
+	sort  keyedSort
 }
 
 // Reset empties a, keeping the lists' capacity but none of their
@@ -53,6 +57,17 @@ func (a *Answer) Reset() {
 		clear(list[:cap(list)])
 		a.Lists[l] = list[:0]
 	}
+	clear(a.sort.spare[:cap(a.sort.spare)])
+}
+
+// Footprint is the number of bytes a's lists and sort scratch hold
+// allocated, for a pool that keeps only small Answers.
+func (a *Answer) Footprint() int {
+	n := cap(a.sort.spare)
+	for _, list := range a.Lists {
+		n += cap(list)
+	}
+	return n*int(unsafe.Sizeof(Neighbor{})) + (cap(a.sort.keys)+cap(a.sort.tmp))*int(unsafe.Sizeof(keyed{}))
 }
 
 // Compact sorts every list by URI bytes and keeps one neighbour per URI,
@@ -61,7 +76,11 @@ func (a *Answer) Reset() {
 // total and independent of the order the bodies were scanned in.
 func (a *Answer) Compact() {
 	for l, list := range a.Lists {
-		slices.SortFunc(list, func(x, y Neighbor) int { return bytes.Compare(x.URI, y.URI) })
+		if len(list) < keyedMin {
+			slices.SortFunc(list, compareURIs)
+		} else {
+			list = a.sort.sort(list)
+		}
 		out := list[:0]
 		for _, n := range list {
 			if k := len(out) - 1; k >= 0 && bytes.Equal(out[k].URI, n.URI) {
@@ -72,6 +91,182 @@ func (a *Answer) Compact() {
 		}
 		a.Lists[l] = out
 	}
+}
+
+func compareURIs(x, y Neighbor) int { return bytes.Compare(x.URI, y.URI) }
+
+// keyedMin is the list length from which Compact sorts by key: on shorter
+// lists the key passes cost more than the comparisons they save.
+const keyedMin = 128
+
+// keyed is one neighbour's sort key — the 8 bytes after its list's common
+// URI prefix, big-endian, zero-padded — and its place in the list. Keys
+// order as bytes.Compare orders the URIs, except that equal keys say
+// nothing.
+type keyed struct {
+	key uint64
+	at  int
+}
+
+// keyedSort is Compact's scratch for long lists, kept with the Answer.
+type keyedSort struct {
+	keys, tmp []keyed
+	spare     []Neighbor // a list's former array, the next sort's output
+}
+
+// sort returns list ordered by URI bytes. The result is in the spare
+// array; list's array becomes the next spare.
+func (ks *keyedSort) sort(list []Neighbor) []Neighbor {
+	out := slices.Grow(ks.spare[:0], len(list))[:len(list)]
+	ks.radix(list, out, 0)
+	ks.spare = list
+	return out
+}
+
+// radix writes src, whose URIs share their first minPrefix bytes, ordered
+// by URI bytes into dst, of src's length; src is scratch afterwards. It
+// orders by key (sortKeys), then each run of equal keys: by key again,
+// from the run's own common prefix, when the run is long — a shard's own
+// observations and the ones inserted later can share a prefix that ends
+// where both families' keys are still equal — and by comparison when it
+// is short or a URI in it ends inside the key.
+func (ks *keyedSort) radix(src, dst []Neighbor, minPrefix int) {
+	p := len(src[0].URI)
+	for _, n := range src {
+		if len(n.URI) < minPrefix {
+			copy(dst, src)
+			slices.SortFunc(dst, compareURIs)
+			return
+		}
+		p = minPrefix + commonPrefix(src[0].URI[minPrefix:min(p, len(n.URI))], n.URI[minPrefix:])
+	}
+	keys := ks.keys[:0]
+	for i, n := range src {
+		keys = append(keys, keyed{key8(n.URI, p), i})
+	}
+	sorted := slices.Grow(ks.tmp[:0], len(keys))[:len(keys)]
+	sortKeys(keys, sorted)
+	for i, k := range sorted {
+		dst[i] = src[k.at]
+	}
+	ks.keys, ks.tmp = keys, sorted // the runs below may reuse them
+	for lo := 0; lo < len(dst); {
+		k, hi := key8(dst[lo].URI, p), lo+1
+		for hi < len(dst) && key8(dst[hi].URI, p) == k {
+			hi++
+		}
+		switch {
+		case hi-lo >= keyedMin:
+			ks.radix(dst[lo:hi], src[lo:hi], p+8)
+			copy(dst[lo:hi], src[lo:hi])
+		case hi-lo > 1:
+			slices.SortFunc(dst[lo:hi], compareURIs)
+		}
+		lo = hi
+	}
+}
+
+// sortKeys writes keys ordered by key into sorted, of keys' length; keys is
+// scratch afterwards. A counting pass places them by top byte; each
+// top-byte bucket is then ordered by a least-significant-digit radix sort
+// over the lower bytes in which its keys differ, or by insertion when it
+// is small.
+func sortKeys(keys, sorted []keyed) {
+	var at [256]int32
+	for _, k := range keys {
+		at[k.key>>56]++
+	}
+	var sum int32
+	for d, c := range at {
+		at[d], sum = sum, sum+c
+	}
+	for _, k := range keys {
+		d := k.key >> 56
+		sorted[at[d]] = k
+		at[d]++
+	}
+	lo := int32(0)
+	for _, hi := range at {
+		if hi-lo > 1 {
+			sortBucket(sorted[lo:hi], keys[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// insertionMax is the largest top-byte bucket sortBucket orders by
+// insertion rather than by radix passes over 256 byte values.
+const insertionMax = 32
+
+// sortBucket orders b, whose keys share their top byte, in place, with
+// other as scratch of b's length.
+func sortBucket(b, other []keyed) {
+	if len(b) <= insertionMax {
+		for i := 1; i < len(b); i++ {
+			for j := i; j > 0 && b[j].key < b[j-1].key; j-- {
+				b[j], b[j-1] = b[j-1], b[j]
+			}
+		}
+		return
+	}
+	var differ uint64
+	for _, k := range b {
+		differ |= k.key ^ b[0].key
+	}
+	src, dst := b, other
+	for shift := 0; shift < 56; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		var at [256]int32
+		for _, k := range src {
+			at[byte(k.key>>shift)]++
+		}
+		var sum int32
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for _, k := range src {
+			d := byte(k.key >> shift)
+			dst[at[d]] = k
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &b[0] {
+		copy(b, src)
+	}
+}
+
+// commonPrefix is the length of the longest common prefix of a and b,
+// len(a) at most, compared eight bytes a step.
+func commonPrefix(a, b []byte) int {
+	i := 0
+	for ; i+8 <= len(a) && i+8 <= len(b); i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for ; i < len(a) && i < len(b) && a[i] == b[i]; i++ {
+	}
+	return i
+}
+
+// key8 is the 8 bytes of uri from offset p as a big-endian number,
+// zero-padded. A shorter tail is read as the last 8 bytes of uri, shifted
+// up past the bytes before p.
+func key8(uri []byte, p int) uint64 {
+	switch tail := len(uri) - p; {
+	case tail >= 8:
+		return binary.BigEndian.Uint64(uri[p:])
+	case len(uri) >= 8:
+		return binary.BigEndian.Uint64(uri[len(uri)-8:]) << (8 * (8 - tail))
+	}
+	var k uint64
+	for i, c := range uri[p:] {
+		k |= uint64(c) << (56 - 8*i)
+	}
+	return k
 }
 
 // maxDepth bounds how deep the containers of a document may nest, counted
@@ -266,7 +461,13 @@ func (s *scanner) list(dst *[]Neighbor) error {
 	return s.fail("'[' or null")
 }
 
+// neighbor scans one neighbour object: written as serve writes it, in one
+// pass (canonical); otherwise through the general member loop, which is
+// the grammar's one definition.
 func (s *scanner) neighbor() (Neighbor, error) {
+	if n, ok := s.canonical(); ok {
+		return n, nil
+	}
 	var n Neighbor
 	seenURI, seenDegree := false, false
 	err := s.members(func(name []byte) (err error) {
@@ -290,6 +491,63 @@ func (s *scanner) neighbor() (Neighbor, error) {
 	return n, err
 }
 
+// canonical reads the neighbour at the cursor when it is written exactly
+// as wire.AppendRef and serve write one — {"obs":N,"uri":"…"} or
+// {"obs":N,"uri":"…","degree":X}, no whitespace, N without a sign or a
+// leading zero, a URI of plain bytes — and moves past it. On anything else
+// it reports false with the cursor where it was. Every object it accepts
+// the member loop accepts too, as the same Neighbor. (The literals are
+// compared as constants, which the compiler turns into word loads.)
+func (s *scanner) canonical() (Neighbor, bool) {
+	b, i := s.b, s.pos
+	if len(b)-i < len(`{"obs":0,"uri":""}`) || string(b[i:i+7]) != `{"obs":` || !isDigit(b[i+7]) {
+		return Neighbor{}, false
+	}
+	i += 7
+	if b[i] == '0' {
+		i++
+	} else {
+		for i++; i < len(b) && isDigit(b[i]); i++ {
+		}
+	}
+	if len(b)-i < 8 || string(b[i:i+8]) != `,"uri":"` {
+		return Neighbor{}, false
+	}
+	i += 8
+	q := plainRun(b[i:])
+	if i+q >= len(b) || b[i+q] != '"' {
+		return Neighbor{}, false
+	}
+	n := Neighbor{URI: b[i : i+q]}
+	i += q + 1
+	if i < len(b) && b[i] == '}' {
+		s.pos = i + 1
+		return n, true
+	}
+	if len(b)-i < 10 || string(b[i:i+10]) != `,"degree":` {
+		return Neighbor{}, false
+	}
+	i += 10
+	// A number text kept from before, followed by the object's end, is
+	// valid and already parsed.
+	for k, t := range s.degText {
+		if e := i + len(t); len(t) > 0 && e < len(b) && b[e] == '}' && sameText(b[i:e], t) {
+			n.Degree = s.degVal[k]
+			s.pos = e + 1
+			return n, true
+		}
+	}
+	start := s.pos
+	s.pos = i
+	var err error
+	if n.Degree, err = s.number(); err != nil || s.pos >= len(b) || b[s.pos] != '}' {
+		s.pos = start
+		return Neighbor{}, false
+	}
+	s.pos++
+	return n, true
+}
+
 // str scans the string literal at the cursor. One of plain bytes only —
 // every URI the generators and loaders produce — is returned as a slice of
 // the body; anything else is checked against the grammar here and decoded
@@ -298,10 +556,7 @@ func (s *scanner) neighbor() (Neighbor, error) {
 func (s *scanner) str() ([]byte, error) {
 	start := s.pos
 	s.pos++ // the caller saw the opening quote
-	for s.pos < len(s.b) && plain[s.b[s.pos]] {
-		s.pos++
-	}
-	if s.pos < len(s.b) && s.b[s.pos] == '"' {
+	if s.pos += plainRun(s.b[s.pos:]); s.pos < len(s.b) && s.b[s.pos] == '"' {
 		s.pos++
 		return s.b[start+1 : s.pos-1], nil
 	}
@@ -392,9 +647,9 @@ func (s *scanner) number() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for i, seen := range s.degText {
-		if bytes.Equal(seen, text) {
-			return s.degVal[i], nil
+	for k, seen := range s.degText {
+		if sameText(seen, text) {
+			return s.degVal[k], nil
 		}
 	}
 	f, err := strconv.ParseFloat(string(text), 64)
@@ -404,6 +659,26 @@ func (s *scanner) number() (float64, error) {
 	s.degText[s.degNext], s.degVal[s.degNext] = text, f
 	s.degNext = (s.degNext + 1) % len(s.degText)
 	return f, nil
+}
+
+// sameText is bytes.Equal for the short texts of numbers, compared eight
+// bytes a step in line rather than through a call.
+func sameText(a, b []byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for len(a) >= 8 {
+		if binary.LittleEndian.Uint64(a) != binary.LittleEndian.Uint64(b) {
+			return false
+		}
+		a, b = a[8:], b[8:]
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // word consumes the literal w.

@@ -1,11 +1,15 @@
 package wire_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,7 +86,51 @@ var accepted = []string{
 	`{"uri":"u","deep":` + nest("[", "]", 63) + `}`,
 	`{"uri":"u","contains":[{"uri":"a","deep":` + strings.Repeat(`{"k":`, 61) + `1` + strings.Repeat("}", 61) + `}]}`,
 	`{"uri":"u","contains":[{"uri":"a","degree":0},{"uri":"a","degree":12345678901234567890123456789012345678901234567890}]}`,
+	`{"uri":"u","partiallyContains":[{"obs":3,"uri":"http://x/é","degree":0.5},{"obs":4,"uri":"http://x/\u00e9\"","degree":0.5}]}`,
 }
+
+// nearCanonical pairs a neighbour written as serve writes it with the same
+// neighbour written some other way the grammar allows: the first is read
+// by the one-pass reading, the second by the member loop, and both must
+// yield the same Neighbor.
+var nearCanonical = [][2]string{
+	{`{"obs":3,"uri":"http://x/a"}`, `{ "obs" : 3 , "uri" : "http://x/a" }`},
+	{`{"obs":3,"uri":"http://x/a"}`, `{"obs":3,"uri":"http://x/a" }`},
+	{`{"obs":3,"uri":"http://x/a"}`, `{"uri":"http://x/a","obs":3}`},
+	{`{"obs":0,"uri":"http://x/a"}`, `{"obs":-0,"uri":"http://x/a"}`},
+	{`{"obs":10,"uri":"http://x/a"}`, `{"obs":1e1,"uri":"http://x/a"}`},
+	{`{"obs":3,"uri":"http://x/a"}`, `{"obs":3,"later":[1,{"x":null}],"uri":"http://x/a"}`},
+	{`{"obs":3,"uri":"http://x/a/b"}`, `{"obs":3,"uri":"http://x\/a\u002fb"}`},
+	{`{"obs":3,"uri":"http://x/a","degree":0.5}`, `{"obs":3,"degree":0.5,"uri":"http://x/a"}`},
+	{`{"obs":3,"uri":"http://x/a","degree":5e-1}`, `{"obs":3,"uri":"http://x/a","degree": 5e-1}`},
+	{`{"obs":3,"uri":"http://x/a","degree":0.50}`, `{"uri":"http://x/a","degree":0.50,"obs":3}`},
+	{`{"obs":3,"uri":"http://x/a","degree":0.5}`, `{"obs":3,"uri":"http://x/a","degree":0.5,"x":true}`},
+	{`{"obs":3,"uri":"http://x/a","degree":0.5}`, `{"obs":3,"uri":"http://x/a","x":"y","degree":0.5}`},
+	{`{"obs":3,"uri":"http://x/a","degree":-0}`, `{"uri":"http://x/a","degree":-0}`},
+	{`{"obs":3,"uri":"http://x/a","degree":1e-7}`, `{"obs":3,"uri":"http://x/a","degree":1E-7 }`},
+	{`{"obs":3,"uri":"http://x/a","degree":0}`, `{"uri":"http://x/a"}`},
+}
+
+// rejectedNear are near-misses of the one-pass form that the grammar
+// refuses: the member loop must refuse them after the one-pass reading
+// declines.
+var rejectedNear = []string{
+	`{"obs":01,"uri":"a"}`, `{"obs":+1,"uri":"a"}`, `{"obs":1,"uri":"a",}`, `{"obs":1,"uri":"a"`, `{"obs":1,"uri":"a}`,
+	`{"obs":1,"uri":"a","degree":}`, `{"obs":1,"uri":"a","degree":.5}`, `{"obs":1,"uri":"a","degree":0.5`,
+	`{"obs":1,"uri":"a","degree":0.5]`, `{"obs":1,"uri":"a","degree":1e999}`, `{"obs":1,"uri":"a","uri":"b"}`,
+	`{"obs":1,"uri":"a","degree":0.5,"degree":0.5}`, "{\"obs\":1,\"uri\":\"a\x01\"}", `{"obs":1,"uri":"a\x"}`,
+}
+
+// inList wraps neighbour objects as the partiallyContains list of a body.
+func inList(neighbours ...string) string {
+	return `{"uri":"u","partiallyContains":[` + strings.Join(neighbours, ",") + `]}`
+}
+
+// canonicalBody is a body every neighbour of which is in the one-pass
+// form, with a degree repeated so that a kept number text is reused.
+const canonicalBody = `{"obs":0,"uri":"u","contains":[{"obs":7,"uri":"http://x/c"}],` +
+	`"partiallyContains":[{"obs":12,"uri":"http://x/a","degree":0.5},{"obs":3,"uri":"http://x/b","degree":0.5},` +
+	`{"obs":4,"uri":"http://x/d","degree":0.50}]}` + "\n"
 
 var rejected = []string{
 	``, ` `, `null`, `[]`, `"uri"`, `{}`, `{"contains":[]}`,
@@ -139,6 +187,35 @@ func TestScanGrammar(t *testing.T) {
 	if got := string(a.Lists[wire.Contains][0].URI) + string(a.Lists[wire.Complements][0].URI); got != "ac" {
 		t.Fatalf("neighbours after the failed scans: %q", got)
 	}
+	for _, pair := range nearCanonical {
+		if !wire.Canonical([]byte(pair[0])) || wire.Canonical([]byte(pair[1])) {
+			t.Fatalf("the one-pass reading takes %q: %v, %q: %v, want true, false",
+				pair[0], wire.Canonical([]byte(pair[0])), pair[1], wire.Canonical([]byte(pair[1])))
+		}
+		var fast, loop wire.Answer
+		if err := fast.Scan([]byte(inList(pair[0], pair[0]))); err != nil {
+			t.Fatalf("%q: %v", pair[0], err)
+		}
+		if err := loop.Scan([]byte(inList(pair[1], pair[1]))); err != nil {
+			t.Fatalf("%q: %v", pair[1], err)
+		}
+		for k := range 2 {
+			f, l := fast.Lists[wire.PartiallyContains][k], loop.Lists[wire.PartiallyContains][k]
+			if string(f.URI) != string(l.URI) || math.Float64bits(f.Degree) != math.Float64bits(l.Degree) {
+				t.Fatalf("%q reads (%q, %v), %q reads (%q, %v)", pair[0], f.URI, f.Degree, pair[1], l.URI, l.Degree)
+			}
+		}
+	}
+	for _, n := range rejectedNear {
+		if err := a.Scan([]byte(inList(`{"obs":1,"uri":"ok","degree":0.5}`, n))); err == nil {
+			t.Errorf("accepted the neighbour %q", n)
+		}
+	}
+	for i := range len(canonicalBody) - 1 { // the whole body, newline aside, is valid
+		if err := a.Scan([]byte(canonicalBody[:i])); err == nil {
+			t.Errorf("accepted %q, cut at %d", canonicalBody[:i], i)
+		}
+	}
 }
 
 // TestScanAppendsAndCompacts: scanning several bodies into one Answer and
@@ -172,6 +249,62 @@ func TestScanAppendsAndCompacts(t *testing.T) {
 		a.Reset()
 		if a.URI != nil || len(a.Lists[wire.Contains]) != 0 || cap(a.Lists[wire.Contains]) == 0 {
 			t.Errorf("Reset left %+v", a)
+		}
+	}
+}
+
+// TestCompactKeyedSortMatchesComparison: lists on both sides of the keyed
+// sort's cutoff compact to what a comparison sort and a max-degree dedupe
+// give — URIs that end inside or right after their common prefix, NUL
+// bytes where another URI ends, long equal runs of keys with different
+// tails (two URI families whose prefix ends before their keys differ, as
+// a shard's own observations and the ones inserted later do), duplicates
+// at different degrees, one URI repeated throughout —
+// and so do they again in a reused Answer, whose scratch arrays were
+// swapped around by the rounds before.
+func TestCompactKeyedSortMatchesComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var a wire.Answer
+	for round := range 300 {
+		prefixes := [][]string{{""}, {"p"}, {"http://example.org/obs/D"},
+			{"http://example.org/obs/shard/g0/D", "http://example.org/bench/obs/"}}[round%4]
+		alphabet := []string{"\x00\x01ab", "0123456789/", "a"}[round/4%3]
+		tail := 2 + round%17
+		var lists [wire.NumLists][]wire.Neighbor
+		for l := range lists {
+			for range 50 + rng.Intn(250) {
+				uri := []byte(prefixes[rng.Intn(len(prefixes))])
+				for range rng.Intn(tail) {
+					uri = append(uri, alphabet[rng.Intn(len(alphabet))])
+				}
+				lists[l] = append(lists[l], wire.Neighbor{URI: uri, Degree: float64(rng.Intn(5)) / 4})
+			}
+		}
+		a.Reset()
+		for l, list := range lists {
+			a.Lists[l] = append(a.Lists[l], list...)
+		}
+		a.Compact()
+		for l, list := range lists {
+			slices.SortStableFunc(list, func(x, y wire.Neighbor) int { return bytes.Compare(x.URI, y.URI) })
+			var want []wire.Neighbor
+			for _, n := range list {
+				if k := len(want) - 1; k >= 0 && bytes.Equal(want[k].URI, n.URI) {
+					want[k].Degree = max(want[k].Degree, n.Degree)
+					continue
+				}
+				want = append(want, n)
+			}
+			got := a.Lists[l]
+			if len(got) != len(want) {
+				t.Fatalf("round %d, list %d of %d: %d neighbours after Compact, want %d", round, l, len(list), len(got), len(want))
+			}
+			for k := range want {
+				if !bytes.Equal(got[k].URI, want[k].URI) || got[k].Degree != want[k].Degree {
+					t.Fatalf("round %d, list %d of %d: [%d] = (%q, %v), want (%q, %v)",
+						round, l, len(list), k, got[k].URI, got[k].Degree, want[k].URI, want[k].Degree)
+				}
+			}
 		}
 	}
 }
@@ -302,6 +435,22 @@ func FuzzScanShardBody(f *testing.F) {
 		if len(body) < 1<<10 {
 			f.Add([]byte(body))
 		}
+	}
+	// Both ways of reading a neighbour: real bodies with partial lists,
+	// each near-miss of the one-pass form, and the one-pass form cut at
+	// every byte.
+	h = serveCorpus(f, gen.RealWorld(gen.RealWorldConfig{TotalObs: 60, Seed: 2}))
+	for _, i := range []int{0, 17, 42} {
+		f.Add(fetchBody(f, h, "related", i))
+	}
+	for _, pair := range nearCanonical {
+		f.Add([]byte(inList(pair[0], pair[1], pair[0])))
+	}
+	for _, n := range rejectedNear {
+		f.Add([]byte(inList(n)))
+	}
+	for i := range len(canonicalBody) {
+		f.Add([]byte(canonicalBody[:i]))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var a wire.Answer

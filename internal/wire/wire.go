@@ -36,6 +36,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -49,20 +50,53 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
+// The bytes of a uint64 word, each set to the same value.
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// nonPlain flags, by its top bit, every byte of w that is not plain,
+// plus perhaps bytes above a flagged one. A byte is flagged when it is
+// below 0x20 (subtracting 0x20 wraps it to 0xE0 or up), when it is '"' or
+// '\\' (XOR with that byte makes it 0, and subtracting 1 wraps that to
+// 0xFF), or when its own top bit is set. Only a flagged byte borrows from
+// the byte above it, so a word of plain bytes yields 0.
+func nonPlain(w uint64) uint64 {
+	return (w | (w - 0x20*lsbs) | ((w ^ '"'*lsbs) - lsbs) | ((w ^ '\\'*lsbs) - lsbs)) & msbs
+}
+
+// plainRun is the length of s's leading run of plain bytes, found eight
+// bytes a step. In a word that holds a non-plain byte, the lowest byte
+// plainWord flags is the first such byte: a borrow only ever flags bytes
+// above a failing one.
+func plainRun[S ~string | ~[]byte](s S) int {
+	i := 0
+	for ; len(s)-i >= 8; i += 8 {
+		t := s[i : i+8]
+		w := uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
+			uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
+		if m := nonPlain(w); m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i < len(s) && plain[s[i]]; i++ {
+	}
+	return i
+}
+
 // AppendJSONString appends s as a JSON string literal, byte for byte what
 // json.Encoder with SetEscapeHTML(false) writes. A string of plain bytes —
 // every URI the generators and loaders produce — is copied between quotes;
 // anything else goes through encoding/json itself, so its escaping rules
 // (control bytes, U+2028/9, invalid UTF-8) are not restated here.
 func AppendJSONString[S ~string | ~[]byte](b []byte, s S) []byte {
-	for i := 0; i < len(s); i++ {
-		if !plain[s[i]] {
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			enc.SetEscapeHTML(false)
-			_ = enc.Encode(string(s)) // a string always encodes
-			return append(b, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
-		}
+	if plainRun(s) < len(s) {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetEscapeHTML(false)
+		_ = enc.Encode(string(s)) // a string always encodes
+		return append(b, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
 	}
 	b = append(b, '"')
 	b = append(b, s...)

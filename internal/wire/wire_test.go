@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unicode/utf8"
 )
@@ -82,6 +83,33 @@ func TestAppendFloat(t *testing.T) {
 	for _, f := range fs {
 		if got, want := AppendFloat(nil, f), encodeNoHTMLEscape(t, f); !bytes.Equal(got, want) {
 			t.Errorf("AppendFloat(%b) = %s, encoding/json writes %s", f, got, want)
+		}
+	}
+}
+
+// TestCommonPrefix: commonPrefix, which the radix sort skips by, agrees
+// with its byte-at-a-time definition on random pairs of short strings
+// over a small alphabet (so that prefixes run long).
+func TestCommonPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	str := func() []byte {
+		b := make([]byte, rng.Intn(40))
+		for i := range b {
+			b[i] = "\x00ab"[rng.Intn(3)]
+		}
+		return b
+	}
+	for range 20000 {
+		a, b := str(), str()
+		if rng.Intn(2) == 0 {
+			b = append(slices.Clone(a[:rng.Intn(len(a)+1)]), b...)
+		}
+		want := 0
+		for want < len(a) && want < len(b) && a[want] == b[want] {
+			want++
+		}
+		if got := commonPrefix(a, b); got != want {
+			t.Fatalf("commonPrefix(%q, %q) = %d, want %d", a, b, got, want)
 		}
 	}
 }
