@@ -32,8 +32,8 @@
 //
 // The main address serves the /v1 query API (see internal/serve) next to
 // the observability endpoints (/metrics, /metrics.json, /debug/vars,
-// /debug/pprof/) backed by the same collector the algorithms and handlers
-// report into.
+// /debug/pprof/, /debug/traces) backed by the same collector the
+// algorithms and handlers report into.
 package main
 
 import (
@@ -43,8 +43,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"slices"
@@ -54,6 +52,7 @@ import (
 
 	"rdfcube/internal/core"
 	"rdfcube/internal/faultfs"
+	"rdfcube/internal/front"
 	"rdfcube/internal/gen"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/qb"
@@ -233,7 +232,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		defer wlog.Close()
 	}
 
-	addrUp, shutdownHTTP, err := listen(*addr, srv.Handler(), col, logf)
+	addrUp, shutdownHTTP, err := front.Listen(*addr, srv.Handler(), col, logf)
 	if err != nil {
 		logf("listen: %v", err)
 		return 1
@@ -322,7 +321,7 @@ func runFollower(ctx context.Context, stop func(), cfg replica.Config, addr stri
 		logf("%v", err)
 		return 2
 	}
-	addrUp, shutdownHTTP, err := listen(addr, fol.Handler(), col, logf)
+	addrUp, shutdownHTTP, err := front.Listen(addr, fol.Handler(), col, logf)
 	if err != nil {
 		logf("listen: %v", err)
 		return 1
@@ -345,34 +344,6 @@ func runFollower(ctx context.Context, stop func(), cfg replica.Config, addr stri
 	<-runDone
 	logf("bye")
 	return 0
-}
-
-// listen serves h on addr beside the observability endpoints backed by
-// col (/metrics, /metrics.json, /debug/). The request-trace ring lives on
-// the server behind h, so /debug/traces is mounted in front of the
-// /debug/ catch-all. The returned shutdown drains in-flight requests for
-// up to 15s.
-func listen(addr string, h http.Handler, col *obsv.Collector, logf func(string, ...any)) (net.Addr, func(), error) {
-	mux := http.NewServeMux()
-	mux.Handle("/", h)
-	mux.Handle("/debug/traces", h)
-	obsHandler := obsv.Handler(col)
-	mux.Handle("/metrics", obsHandler)
-	mux.Handle("/metrics.json", obsHandler)
-	mux.Handle("/debug/", obsHandler)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	httpSrv := &http.Server{Handler: mux}
-	go func() { _ = httpSrv.Serve(ln) }()
-	return ln.Addr(), func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			logf("shutdown: %v", err)
-		}
-	}, nil
 }
 
 // parseTasks parses the -tasks flag: "all" or a comma list of

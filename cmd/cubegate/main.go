@@ -40,8 +40,11 @@
 //
 // The gate address serves the merged /v1 query API next to the usual
 // observability endpoints (/metrics, /metrics.json, /debug/vars,
-// /debug/pprof/) plus the gate-specific /v1/stats fleet-health view and
-// the rebalance admin surface (/v1/shardmap, /v1/migrations).
+// /debug/pprof/, /debug/traces) plus the gate-specific /v1/stats
+// fleet-health view and the rebalance admin surface (/v1/shardmap,
+// /v1/migrations). The gate forwards a request's X-Request-Id to every
+// shard call it makes for it as <id>.<shard>.<attempt>, so one ID finds
+// the request in the gate's trace ring and in each answering shard's.
 package main
 
 import (
@@ -51,8 +54,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -60,6 +61,7 @@ import (
 	"time"
 
 	"rdfcube/internal/faultfs"
+	"rdfcube/internal/front"
 	"rdfcube/internal/gate"
 	"rdfcube/internal/obsv"
 )
@@ -261,30 +263,17 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	mux := http.NewServeMux()
-	mux.Handle("/", g.Handler())
-	obsHandler := obsv.Handler(col)
-	mux.Handle("/metrics", obsHandler)
-	mux.Handle("/metrics.json", obsHandler)
-	mux.Handle("/debug/", obsHandler)
-
-	ln, err := net.Listen("tcp", *addr)
+	addrUp, shutdownHTTP, err := front.Listen(*addr, g.Handler(), col, logf)
 	if err != nil {
 		logf("listen: %v", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: mux}
-	go func() { _ = httpSrv.Serve(ln) }()
-	logf("gate serving on %s (%d shards, epoch %d)", ln.Addr(), len(m.Shards), g.Epoch())
+	logf("gate serving on %s (%d shards, epoch %d)", addrUp, len(m.Shards), g.Epoch())
 
 	<-ctx.Done()
 	stop()
 	logf("shutting down, draining in-flight requests")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		logf("shutdown: %v", err)
-	}
+	shutdownHTTP()
 	<-watcherDone
 	logf("bye")
 	return 0

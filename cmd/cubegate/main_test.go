@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -49,17 +50,12 @@ func startShard(t *testing.T, w *gen.ShardWorld) string {
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	httpSrv, addr, err := serve.Start("127.0.0.1:0", srv)
-	if err != nil {
-		t.Fatalf("serve.Start: %v", err)
-	}
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		srv.BeginShutdown()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(ctx)
+		ts.Close()
 	})
-	return "http://" + addr
+	return ts.URL
 }
 
 func writeShardMap(t *testing.T, worlds []*gen.ShardWorld, urls []string) string {

@@ -37,20 +37,20 @@ package gate
 import (
 	"context"
 	"net/http"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"rdfcube/internal/front"
 	"rdfcube/internal/obsv"
-	"rdfcube/internal/serve"
 )
 
 // Metric names reported through the Recorder.
 const (
 	CtrRequests   = "gate.requests"      // requests admitted
 	CtrErrors     = "gate.errors"        // 4xx/5xx answered
+	CtrPanics     = "gate.panics"        // handler panics recovered
 	CtrPartial    = "gate.partial"       // merged responses flagged partial
 	CtrNoShards   = "gate.noshards"      // reads refused: zero shards answered
 	CtrHedgeFired = "gate.hedge.fired"   // replica hedges launched
@@ -62,6 +62,9 @@ const (
 	// attempt — client inserts and migration copies alike.
 	HistWriteLatency = "gate.write.latency.us"
 )
+
+// routeHistName returns the per-route latency histogram name.
+func routeHistName(route string) string { return "gate.latency." + route + ".us" }
 
 // targetHistName is the per-target upstream latency histogram (µs) —
 // also the source of that target's hedge delay quantile. pooledTarget
@@ -217,6 +220,10 @@ type Gate struct {
 	rec     *obsv.Collector
 	logf    func(format string, a ...any)
 	started time.Time
+	// front is the HTTP layer around every route: counters, latency,
+	// trace IDs and spans, panic containment, the trace ring behind
+	// /debug/traces and the request deadline.
+	front *front.Front
 
 	// rt is the live route table; swapMu serializes validate-then-store
 	// sequences (readers never take it). targets pools endpoint objects
@@ -254,6 +261,13 @@ func New(cfg Config) (*Gate, error) {
 		onMapChange: cfg.OnMapChange,
 		migrations:  map[string]*Migrator{},
 		stopProbe:   make(chan struct{}),
+		front: front.New(front.Config{
+			Requests: CtrRequests, Errors: CtrErrors, Panics: CtrPanics,
+			Latency: HistLatency, RouteLatency: routeHistName,
+			Recorder: cfg.Recorder,
+			Logf:     cfg.Logf,
+			Timeout:  cfg.requestTimeout(),
+		}),
 	}
 	m := ShardMap{Epoch: cfg.Epoch, Shards: cfg.Shards}
 	if err := ValidateShardMap(m); err != nil {
@@ -291,73 +305,23 @@ func (g *Gate) Close() {
 // Handler returns the gate's HTTP handler.
 func (g *Gate) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /healthz", g.wrap("healthz", g.handleHealthz))
-	mux.Handle("GET /readyz", g.wrap("readyz", g.handleReadyz))
-	mux.Handle("GET /v1/related", g.wrap("related", g.readFanout(&routeRelated)))
-	mux.Handle("GET /v1/contains", g.wrap("contains", g.readFanout(&routeContains)))
-	mux.Handle("GET /v1/complements", g.wrap("complements", g.readFanout(&routeComplements)))
-	mux.Handle("POST /v1/observations", g.wrap("insert", g.handleInsert))
-	mux.Handle("GET /v1/stats", g.wrap("stats", g.handleStats))
-	mux.Handle("GET /v1/shardmap", g.wrap("shardmap", g.handleGetShardMap))
-	mux.Handle("POST /v1/shardmap", g.wrap("shardmap", g.handleSwapShardMap))
-	mux.Handle("GET /v1/migrations", g.wrap("migrations", g.handleListMigrations))
-	mux.Handle("POST /v1/migrations", g.wrap("migrations", g.handleStartMigration))
-	mux.Handle("POST /v1/migrations/{id}/abort", g.wrap("migrations", g.handleAbortMigration))
+	mux.Handle("GET /healthz", g.front.Wrap("healthz", g.handleHealthz))
+	mux.Handle("GET /readyz", g.front.Wrap("readyz", g.handleReadyz))
+	mux.Handle("GET /v1/related", g.front.Wrap("related", g.readFanout(&routeRelated)))
+	mux.Handle("GET /v1/contains", g.front.Wrap("contains", g.readFanout(&routeContains)))
+	mux.Handle("GET /v1/complements", g.front.Wrap("complements", g.readFanout(&routeComplements)))
+	mux.Handle("POST /v1/observations", g.front.Wrap("insert", g.handleInsert))
+	mux.Handle("GET /v1/stats", g.front.Wrap("stats", g.handleStats))
+	mux.Handle("GET /v1/shardmap", g.front.Wrap("shardmap", g.handleGetShardMap))
+	mux.Handle("POST /v1/shardmap", g.front.Wrap("shardmap", g.handleSwapShardMap))
+	mux.Handle("GET /v1/migrations", g.front.Wrap("migrations", g.handleListMigrations))
+	mux.Handle("POST /v1/migrations", g.front.Wrap("migrations", g.handleStartMigration))
+	mux.Handle("POST /v1/migrations/{id}/abort", g.front.Wrap("migrations", g.handleAbortMigration))
 	// The inbound deadline rides the request context: the scatter, hedge
 	// and write-retry budgets are carved from it, so the gate answers its
 	// own deadline (a partial or structured refusal) instead of a canned
 	// timeout body.
-	timeout := g.cfg.requestTimeout()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		mux.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
-// wrap adds counters, latency histograms and panic containment.
-func (g *Gate) wrap(route string, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	// The hot path's handles, looked up once per route.
-	requests, routeRequests := g.rec.Counter(CtrRequests), g.rec.Counter(CtrRequests+"."+route)
-	latency := g.rec.Histogram(HistLatency)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		routeRequests.Add(1)
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					g.log("panic in %s handler: %v\n%s", route, rec, debug.Stack())
-					if !sw.wrote {
-						serve.WriteJSON(sw, http.StatusInternalServerError, map[string]string{"error": "internal server error"})
-					}
-				}
-			}()
-			h(sw, r)
-		}()
-		latency.Observe(time.Since(start).Microseconds())
-		if sw.status >= 400 {
-			g.rec.Count(CtrErrors, 1)
-		}
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(p)
+	return g.front.Mux(mux)
 }
 
 // probeLoop polls every target's /readyz and feeds health + breakers:
@@ -380,7 +344,8 @@ func (g *Gate) probeLoop(interval time.Duration) {
 		// targets; endpoints dropped by a swap stop being probed.
 		var wg sync.WaitGroup
 		for _, sh := range g.table().shards {
-			for _, tgt := range sh.targets() {
+			var ts [2]*target
+			for _, tgt := range sh.targets(&ts) {
 				wg.Add(1)
 				go func(tgt *target) {
 					defer wg.Done()
@@ -422,7 +387,7 @@ func (g *Gate) probeOne(tgt *target, timeout time.Duration) {
 }
 
 func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	front.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz reports per-shard reachability: 200 while at least one
@@ -451,15 +416,15 @@ func (g *Gate) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case available == len(t.shards):
 		resp["status"] = "ready"
-		serve.WriteJSON(w, http.StatusOK, resp)
+		front.WriteJSON(w, http.StatusOK, resp)
 	case available > 0:
 		resp["status"] = "degraded"
 		resp["downShards"] = downNames
-		serve.WriteJSON(w, http.StatusOK, resp)
+		front.WriteJSON(w, http.StatusOK, resp)
 	default:
 		resp["status"] = "unavailable"
 		resp["downShards"] = downNames
-		serve.WriteJSON(w, http.StatusServiceUnavailable, resp)
+		front.WriteJSON(w, http.StatusServiceUnavailable, resp)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"rdfcube/internal/front"
 	"rdfcube/internal/serve"
 	"rdfcube/internal/wire"
 )
@@ -216,7 +217,7 @@ func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request
 		// mean nothing across a fleet.
 		obs := r.URL.Query().Get("obs")
 		if obs == "" {
-			serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "missing ?obs= parameter (observation URI)"})
+			front.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "missing ?obs= parameter (observation URI)"})
 			return
 		}
 		gt := g.scatter(r, rt.path+"?obs="+url.QueryEscape(obs))
@@ -224,7 +225,7 @@ func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request
 		if len(gt.missing) == len(gt.answers) {
 			g.rec.Count(CtrNoShards, 1)
 			serve.SetRetryAfter(w, 3*time.Second)
-			serve.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{
+			front.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{
 				Error: "no shards reachable", Partial: true, MissingShards: gt.missing,
 			})
 			return
@@ -237,7 +238,7 @@ func (g *Gate) readFanout(rt *readRoute) func(http.ResponseWriter, *http.Request
 			// No reachable shard knew the observation: a plain 404 when
 			// every shard was asked, a partial-qualified one when some could
 			// not be (the observation might live on a missing shard).
-			serve.WriteJSON(w, http.StatusNotFound, errorResponse{
+			front.WriteJSON(w, http.StatusNotFound, errorResponse{
 				Error: "unknown observation \"" + obs + "\"", Partial: gt.partial(), MissingShards: gt.missing,
 			})
 			return

@@ -257,11 +257,11 @@ func cannedGate(tb testing.TB, body []byte, replicas bool) *Gate {
 
 // TestRelatedAllocationsIndependentOfFanout: what one gate read allocates
 // is per request and per shard — goroutines, contexts, the upstream
-// requests, ~30 a shard, ~4 more with a replica to hedge to — never per
+// requests, ~28 a shard, ~3 more with a replica to hedge to — never per
 // neighbour: one bound holds for a 3-neighbour and a ≥ 800-neighbour
 // answer, with and without replicas. (The reflective merge allocated every
 // neighbour three times over: decoded, mapped, re-encoded.) A read
-// allocates 88 times without replicas and 100 with them; the bound leaves
+// allocates 85 times without replicas and 94 with them; the bound leaves
 // 5 for a Go release that allocates a little more in net/http.
 func TestRelatedAllocationsIndependentOfFanout(t *testing.T) {
 	if raceEnabled {
@@ -271,7 +271,7 @@ func TestRelatedAllocationsIndependentOfFanout(t *testing.T) {
 		`"partiallyContains":[{"obs":2,"uri":"http://x/p","degree":0.5}],"partiallyContainedBy":[],"complements":[{"obs":3,"uri":"http://x/c"}]}`)
 	large := largestRelatedBody(t)
 
-	const bound = 105
+	const bound = 99
 	for _, replicas := range []bool{false, true} {
 		for _, body := range [][]byte{small, large} {
 			h := cannedGate(t, body, replicas).readFanout(&routeRelated)

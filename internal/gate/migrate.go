@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"rdfcube/internal/faultfs"
+	"rdfcube/internal/front"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/replica"
@@ -446,7 +447,8 @@ func (m *Migrator) postObservation(tgtURL string, sc *dsSchema, obsURI string, d
 // Leader redirects (a target mid-failover names its leader; the
 // migration follows rather than failing). The attempt is the gate's one
 // shard POST; the policy — five attempts, no breaker, no inbound
-// deadline — is the migration's own.
+// deadline, no X-Request-Id (no client request made the copy) — is the
+// migration's own.
 func (m *Migrator) postJSON(base, path string, v any) (int, []byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -458,7 +460,7 @@ func (m *Migrator) postJSON(base, path string, v any) (int, []byte, error) {
 		if err := m.ctx.Err(); err != nil {
 			return 0, nil, err
 		}
-		status, rb, header, err := m.g.postShard(m.ctx, base, path, body)
+		status, rb, header, err := m.g.postShard(m.ctx, base, path, "", body)
 		switch {
 		case err != nil:
 			lastErr = err
@@ -966,7 +968,7 @@ func (g *Gate) Migrations() []MigrationState {
 func (g *Gate) handleStartMigration(w http.ResponseWriter, r *http.Request) {
 	var spec MigrationSpec
 	if err := serve.DecodeWriteBody(w, r, &spec); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad migration body: " + err.Error()})
+		front.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad migration body: " + err.Error()})
 		return
 	}
 	m, err := g.StartMigration(spec)
@@ -975,15 +977,15 @@ func (g *Gate) handleStartMigration(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrMigrationExists) {
 			status = http.StatusConflict
 		}
-		serve.WriteJSON(w, status, errorResponse{Error: err.Error()})
+		front.WriteJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	serve.WriteJSON(w, http.StatusAccepted, map[string]any{"id": spec.ID, "phase": m.Phase()})
+	front.WriteJSON(w, http.StatusAccepted, map[string]any{"id": spec.ID, "phase": m.Phase()})
 }
 
 // handleListMigrations is GET /v1/migrations.
 func (g *Gate) handleListMigrations(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, g.Migrations())
+	front.WriteJSON(w, http.StatusOK, g.Migrations())
 }
 
 // handleAbortMigration is POST /v1/migrations/{id}/abort.
@@ -997,8 +999,8 @@ func (g *Gate) handleAbortMigration(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrMigrationCutOver):
 			status = http.StatusConflict
 		}
-		serve.WriteJSON(w, status, errorResponse{Error: err.Error()})
+		front.WriteJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "phase": PhaseAborted})
+	front.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "phase": PhaseAborted})
 }

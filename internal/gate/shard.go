@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync/atomic"
 	"time"
 
+	"rdfcube/internal/front"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/wire"
 )
@@ -42,12 +44,15 @@ type shard struct {
 	replica  *target // nil when the shard has no read replica
 }
 
-// targets returns the shard's endpoints, primary first.
-func (sh *shard) targets() []*target {
+// targets fills ts with the shard's endpoints, primary first, and
+// returns the filled prefix: a caller's array, so a fetch allocates no
+// slice.
+func (sh *shard) targets(ts *[2]*target) []*target {
+	ts[0], ts[1] = sh.primary, sh.replica
 	if sh.replica == nil {
-		return []*target{sh.primary}
+		return ts[:1]
 	}
-	return []*target{sh.primary, sh.replica}
+	return ts[:]
 }
 
 // available reports whether at least one target's breaker is not open.
@@ -56,7 +61,8 @@ func (sh *shard) targets() []*target {
 // breaker. An open-but-expired circuit reads as unavailable until the
 // prober (or the next admitted request) closes it.
 func (sh *shard) available() bool {
-	for _, t := range sh.targets() {
+	var ts [2]*target
+	for _, t := range sh.targets(&ts) {
 		if state, _ := t.breaker.Snapshot(); state != "open" {
 			return true
 		}
@@ -64,23 +70,26 @@ func (sh *shard) available() bool {
 	return false
 }
 
-// candidates returns the fetch order for a read: healthy-and-admitted
-// targets first (primary before replica), then admitted-but-unhealthy
-// ones as a last resort. An empty slice means the shard is unreachable
-// this instant (every breaker open).
-func (sh *shard) candidates(now time.Time) []*target {
-	var healthy, standby []*target
-	for _, t := range sh.targets() {
+// candidates fills c with the fetch order for a read and returns the
+// filled prefix: healthy-and-admitted targets first (primary before
+// replica), then admitted-but-unhealthy ones as a last resort. An empty
+// prefix means the shard is unreachable this instant (every breaker
+// open).
+func (sh *shard) candidates(now time.Time, c *[2]*target) []*target {
+	var ts, standby [2]*target
+	out, ns := c[:0], 0
+	for _, t := range sh.targets(&ts) {
 		if ok, _ := t.breaker.Allow(now); !ok {
 			continue
 		}
 		if t.healthy.Load() {
-			healthy = append(healthy, t)
+			out = append(out, t)
 		} else {
-			standby = append(standby, t)
+			standby[ns] = t
+			ns++
 		}
 	}
-	return append(healthy, standby...)
+	return append(out, standby[:ns]...)
 }
 
 // shardAnswer is one shard's contribution to a merged read.
@@ -127,7 +136,8 @@ type fetchResult struct {
 // loser's context is canceled.
 func (g *Gate) fetchShard(ctx context.Context, sh *shard, path string) shardAnswer {
 	now := time.Now()
-	cands := sh.candidates(now)
+	var buf [2]*target
+	cands := sh.candidates(now, &buf)
 	if len(cands) == 0 {
 		_, retry := sh.primary.breaker.Allow(now)
 		return shardAnswer{shard: sh, err: fmt.Errorf("breaker open (retry in %v)", retry.Round(time.Millisecond))}
@@ -139,13 +149,14 @@ func (g *Gate) fetchShard(ctx context.Context, sh *shard, path string) shardAnsw
 	// result nobody receives keeps its body buffer out of the pool: only a
 	// received result proves that attempt has stopped writing into it.
 	results := make(chan fetchResult, len(cands))
-	launch := func(t *target) {
+	launch := func(attempt int) {
+		t := cands[attempt]
 		go func() {
-			results <- g.doRead(actx, t, path)
+			results <- g.doRead(actx, t, path, forwardID(ctx, sh.name, attempt))
 		}()
 	}
 
-	launch(cands[0])
+	launch(0)
 	outstanding := 1
 	next := 1 // index of the next unlaunched candidate
 
@@ -167,7 +178,7 @@ func (g *Gate) fetchShard(ctx context.Context, sh *shard, path string) shardAnsw
 			if next < len(cands) {
 				g.rec.Count(CtrHedgeFired, 1)
 				hedged = cands[next]
-				launch(cands[next])
+				launch(next)
 				next++
 				outstanding++
 			}
@@ -185,7 +196,7 @@ func (g *Gate) fetchShard(ctx context.Context, sh *shard, path string) shardAnsw
 			// failover: don't sit out the timer with zero in flight.
 			if outstanding == 0 && next < len(cands) {
 				hedgeC = nil
-				launch(cands[next])
+				launch(next)
 				next++
 				outstanding++
 				continue
@@ -240,13 +251,17 @@ func isUnknownObservation(body []byte) bool {
 }
 
 // doRead performs one GET against one target, under a deadline carved
-// from the inbound budget, recording latency and feeding the breaker.
-func (g *Gate) doRead(ctx context.Context, t *target, path string) fetchResult {
+// from the inbound budget, recording latency and feeding the breaker. A
+// non-empty id is sent as the call's X-Request-Id.
+func (g *Gate) doRead(ctx context.Context, t *target, path, id string) fetchResult {
 	dctx, cancel := g.shardContext(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(dctx, "GET", t.url+path, nil)
 	if err != nil {
 		return fetchResult{tgt: t, err: err}
+	}
+	if id != "" {
+		req.Header.Set(front.TraceIDHeader, id)
 	}
 	start := time.Now()
 	resp, err := g.client.Do(req)
@@ -295,6 +310,19 @@ func readBody(bp *[]byte, r io.Reader) error {
 		}
 	}
 	return nil
+}
+
+// forwardID is the X-Request-Id of one shard call made for the inbound
+// request carrying ctx: the inbound trace ID, the shard's name and the
+// call's attempt number, "<id>.<shard>.<attempt>", so the shard's trace
+// ring files the call under the ID the client holds. It is "" for a call
+// no inbound request made (a migration copy), which sends none.
+func forwardID(ctx context.Context, shard string, attempt int) string {
+	id := front.TraceID(ctx)
+	if id == "" {
+		return ""
+	}
+	return id + "." + shard + "." + strconv.Itoa(attempt)
 }
 
 // shardContext bounds one upstream call: ShardTimeout, shrunk so that

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"sync/atomic"
 
+	"rdfcube/internal/front"
 	"rdfcube/internal/serve"
 )
 
@@ -282,7 +283,7 @@ func (g *Gate) SwapMap(m ShardMap) error {
 
 // handleGetShardMap serves the installed map.
 func (g *Gate) handleGetShardMap(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, g.CurrentMap())
+	front.WriteJSON(w, http.StatusOK, g.CurrentMap())
 }
 
 // handleSwapShardMap is the validated admin swap: 400 for structural
@@ -291,7 +292,7 @@ func (g *Gate) handleGetShardMap(w http.ResponseWriter, r *http.Request) {
 func (g *Gate) handleSwapShardMap(w http.ResponseWriter, r *http.Request) {
 	var m ShardMap
 	if err := serve.DecodeWriteBody(w, r, &m); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad shard map body: " + err.Error()})
+		front.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad shard map body: " + err.Error()})
 		return
 	}
 	if err := g.SwapMap(m); err != nil {
@@ -299,10 +300,10 @@ func (g *Gate) handleSwapShardMap(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrStaleEpoch) {
 			status = http.StatusConflict
 		}
-		serve.WriteJSON(w, status, errorResponse{Error: err.Error()})
+		front.WriteJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"epoch": g.Epoch(), "shards": len(g.table().shards)})
+	front.WriteJSON(w, http.StatusOK, map[string]any{"epoch": g.Epoch(), "shards": len(g.table().shards)})
 }
 
 // rtPointer aliases the atomic pointer type (kept short at use sites).

@@ -4,8 +4,8 @@ import (
 	"net/http"
 	"time"
 
+	"rdfcube/internal/front"
 	"rdfcube/internal/obsv"
-	"rdfcube/internal/serve"
 )
 
 // targetStats is one upstream endpoint's health picture in /v1/stats.
@@ -83,7 +83,8 @@ func (g *Gate) handleStats(w http.ResponseWriter, r *http.Request) {
 			Datasets:  sh.datasets,
 			Available: sh.available(),
 		}
-		for _, t := range sh.targets() {
+		var ts [2]*target
+		for _, t := range sh.targets(&ts) {
 			state, fails := t.breaker.Snapshot()
 			ts := targetStats{
 				Role:     t.role,
@@ -103,5 +104,5 @@ func (g *Gate) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards = append(resp.Shards, ss)
 	}
-	serve.WriteJSON(w, http.StatusOK, resp)
+	front.WriteJSON(w, http.StatusOK, resp)
 }

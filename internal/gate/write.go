@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"rdfcube/internal/front"
 	"rdfcube/internal/serve"
 )
 
@@ -35,26 +36,26 @@ const maxInsertBody = 1 << 20
 func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInsertBody))
 	if err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "read insert body: " + err.Error()})
+		front.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "read insert body: " + err.Error()})
 		return
 	}
 	var probe struct {
 		Dataset string `json:"dataset"`
 	}
 	if err := json.Unmarshal(body, &probe); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad insert body: " + err.Error()})
+		front.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad insert body: " + err.Error()})
 		return
 	}
 	sh, ok := g.table().byDataset[probe.Dataset]
 	if !ok {
-		serve.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "no shard owns dataset \"" + probe.Dataset + "\""})
+		front.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "no shard owns dataset \"" + probe.Dataset + "\""})
 		return
 	}
 
 	now := time.Now()
 	if ok, retry := sh.primary.breaker.Allow(now); !ok {
 		serve.SetRetryAfter(w, retry)
-		serve.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{
+		front.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{
 			Error: "shard " + sh.name + " unavailable (breaker open)", MissingShards: []string{sh.name},
 		})
 		return
@@ -67,7 +68,8 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var lastBody []byte
 	var lastHeader http.Header
 	for attempt := 0; ; attempt++ {
-		status, respBody, header, err := g.postShard(r.Context(), target, "/v1/observations", body)
+		id := forwardID(r.Context(), sh.name, attempt)
+		status, respBody, header, err := g.postShard(r.Context(), target, "/v1/observations", id, body)
 		if err == nil && status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
 			// The shard answered substantively; relay verbatim.
 			if status < 500 {
@@ -102,7 +104,7 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 		g.rec.Count(CtrRetries, 1)
 		select {
 		case <-r.Context().Done():
-			serve.WriteJSON(w, statusClientGone, errorResponse{Error: "request abandoned: " + r.Context().Err().Error()})
+			front.WriteJSON(w, statusClientGone, errorResponse{Error: "request abandoned: " + r.Context().Err().Error()})
 			return
 		case <-time.After(wait):
 		}
@@ -114,7 +116,7 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	serve.SetRetryAfter(w, 3*time.Second)
-	serve.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{
+	front.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{
 		Error: "shard " + sh.name + " unreachable", MissingShards: []string{sh.name},
 	})
 }
@@ -123,10 +125,11 @@ func (g *Gate) handleInsert(w http.ResponseWriter, r *http.Request) {
 const statusClientGone = 499
 
 // postShard performs one POST attempt against one target: the shard
-// deadline carved from ctx, a bounded read of the answer. Client inserts
-// and migration copies both go through it; what to do with a refusal is
-// the caller's policy.
-func (g *Gate) postShard(ctx context.Context, target, path string, body []byte) (int, []byte, http.Header, error) {
+// deadline carved from ctx, a bounded read of the answer, and a
+// non-empty id sent as the call's X-Request-Id. Client inserts and
+// migration copies both go through it; what to do with a refusal is the
+// caller's policy.
+func (g *Gate) postShard(ctx context.Context, target, path, id string, body []byte) (int, []byte, http.Header, error) {
 	ctx, cancel := g.shardContext(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, "POST", target+path, bytes.NewReader(body))
@@ -134,6 +137,9 @@ func (g *Gate) postShard(ctx context.Context, target, path string, body []byte) 
 		return 0, nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if id != "" {
+		req.Header.Set(front.TraceIDHeader, id)
+	}
 	start := time.Now()
 	resp, err := g.client.Do(req)
 	if err != nil {

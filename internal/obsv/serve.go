@@ -45,11 +45,17 @@ func Handler(c *Collector) http.Handler {
 // It returns the running server and the bound address; the caller shuts
 // it down with srv.Close.
 func StartDebugServer(addr string, c *Collector) (*http.Server, string, error) {
+	return Serve(addr, Handler(c))
+}
+
+// Serve listens on addr (port 0 for an ephemeral port) and serves h until
+// the returned server is shut down. It returns the bound address.
+func Serve(addr string, h http.Handler) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: Handler(c)}
+	srv := &http.Server{Handler: h}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }

@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"sort"
 
+	"rdfcube/internal/front"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
 	"rdfcube/internal/wal"
@@ -94,7 +95,7 @@ func (s *Server) createDatasetReply(r *http.Request, ds *qb.Dataset) reply {
 	}
 	di := len(s.inc.S.Corpus.Datasets)
 	rec := wal.Record{Register: true, Dataset: di, URI: ds.URI, DimValues: ds.Schema.Dimensions, MeasureValues: ds.Schema.Measures}
-	if err := s.appendLocked(traceFrom(r.Context()), rec); err != nil {
+	if err := s.appendLocked(front.FromContext(r.Context()), rec); err != nil {
 		return errReply(r, http.StatusServiceUnavailable, "durable log append failed; entering read-only mode")
 	}
 	if err := s.registerLocked(ds); err != nil {

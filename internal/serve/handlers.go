@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"rdfcube/internal/front"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
@@ -36,22 +37,12 @@ func DecodeWriteBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// WriteJSON answers status with v as JSON, HTML characters unescaped.
-// The gate answers through it too.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
 // errorBody is a JSON error payload carrying the request's trace ID, so
 // a 4xx/5xx response is correlatable with the /debug/traces ring, the
 // slow-query log and the panic log line.
 func errorBody(r *http.Request, format string, args ...any) map[string]string {
 	payload := map[string]string{"error": fmt.Sprintf(format, args...)}
-	if id := TraceID(r.Context()); id != "" {
+	if id := front.TraceID(r.Context()); id != "" {
 		payload["traceId"] = id
 	}
 	return payload
@@ -60,7 +51,7 @@ func errorBody(r *http.Request, format string, args ...any) map[string]string {
 // error writes a JSON error body (errorBody). Handlers holding s.mu
 // return a reply instead.
 func (s *Server) error(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	WriteJSON(w, status, errorBody(r, format, args...))
+	front.WriteJSON(w, status, errorBody(r, format, args...))
 }
 
 // A reply is an answer decided under s.mu and sent after the lock is
@@ -80,7 +71,7 @@ func errReply(r *http.Request, status int, format string, args ...any) reply {
 
 func (s *Server) send(w http.ResponseWriter, rep reply) {
 	s.boundWrite(w)
-	WriteJSON(w, rep.status, rep.body)
+	front.WriteJSON(w, rep.status, rep.body)
 }
 
 // boundWrite gives the answer about to be written the request timeout,
@@ -180,7 +171,7 @@ func (s *Server) replicationFields() map[string]any {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// Liveness: the process is up. The state field lets an operator see
 	// the phase without a second probe.
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "state": s.state()})
+	front.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "state": s.state()})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -196,9 +187,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			// contract. The replica keeps serving /v1 reads for clients that
 			// accept stale data; only readiness flips.
 			resp["detail"] = "replication lag exceeds -max-staleness"
-			WriteJSON(w, http.StatusServiceUnavailable, resp)
+			front.WriteJSON(w, http.StatusServiceUnavailable, resp)
 		default:
-			WriteJSON(w, http.StatusOK, resp)
+			front.WriteJSON(w, http.StatusOK, resp)
 		}
 		return
 	}
@@ -206,9 +197,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case "degraded":
 		// Reads still work, so the server stays in rotation — but the
 		// status tells operators writes are being refused with 503.
-		WriteJSON(w, http.StatusOK, map[string]string{"status": st, "detail": "read-only: write-ahead log failed"})
+		front.WriteJSON(w, http.StatusOK, map[string]string{"status": st, "detail": "read-only: write-ahead log failed"})
 	default:
-		WriteJSON(w, http.StatusOK, map[string]string{"status": st})
+		front.WriteJSON(w, http.StatusOK, map[string]string{"status": st})
 	}
 }
 
@@ -230,15 +221,15 @@ func (s *Server) fanout(w http.ResponseWriter, r *http.Request, render func(b []
 // lock, or returns the error reply instead. render returns the request
 // context's error when it stops early.
 func (s *Server) fanoutBody(r *http.Request, b []byte, render func(b []byte, i int) ([]byte, error)) ([]byte, reply, bool) {
-	tr := traceFrom(r.Context())
-	endLock := tr.span("lock.rwait")
+	tr := front.FromContext(r.Context())
+	endLock := tr.Span("lock.rwait")
 	s.mu.RLock()
 	endLock()
 	defer s.mu.RUnlock()
 	if rep, done := s.abandoned(r); done {
 		return b, rep, true
 	}
-	endResolve := tr.span("resolve")
+	endResolve := tr.Span("resolve")
 	i, err := s.resolveObs(r)
 	endResolve()
 	if err != nil {
@@ -276,16 +267,16 @@ func (s *Server) handleComplements(w http.ResponseWriter, r *http.Request) {
 // hung-up client stops the work mid-way. Each batch gets its own span so
 // a slow /v1/related trace names the list that ate the budget.
 func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
-	tr := traceFrom(r.Context())
+	tr := front.FromContext(r.Context())
 	s.fanout(w, r, func(b []byte, i int) ([]byte, error) {
-		endCompl := tr.span("fanout.complements")
+		endCompl := tr.Span("fanout.complements")
 		b = append(b, `{"complements":`...)
 		b = s.appendRefs(b, s.index.Complements(i))
 		endCompl()
 		if err := r.Context().Err(); err != nil {
 			return b, err
 		}
-		endFull := tr.span("fanout.full")
+		endFull := tr.Span("fanout.full")
 		b = append(b, `,"containedBy":`...)
 		b = s.appendRefs(b, s.index.ContainedBy(i))
 		b = append(b, `,"contains":`...)
@@ -295,7 +286,7 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 			return b, err
 		}
 		b = appendObsMember(b, i)
-		endPartial := tr.span("fanout.partial")
+		endPartial := tr.Span("fanout.partial")
 		b = append(b, `,"partiallyContainedBy":`...)
 		b = s.appendPartialRefs(b, i, s.index.PartiallyContainedBy(i), false)
 		b = append(b, `,"partiallyContains":`...)
@@ -357,11 +348,11 @@ type insertRequest struct {
 // long-pollers. An append failure flips the server read-only — better
 // to refuse writes than to acknowledge ones a crash would lose — and is
 // returned so the caller answers 503. Callers hold the write lock.
-func (s *Server) appendLocked(tr *reqTrace, recs ...wal.Record) error {
+func (s *Server) appendLocked(tr *front.Tracer, recs ...wal.Record) error {
 	if s.wlog == nil {
 		return nil
 	}
-	endWAL := tr.span("wal.append")
+	endWAL := tr.Span("wal.append")
 	walStart := time.Now()
 	err := s.wlog.AppendBatch(recs)
 	s.rec.Observe(HistWALAppend, time.Since(walStart).Microseconds())
@@ -401,8 +392,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // insertReply validates, logs and applies one insert under the write
 // lock, and returns the answer.
 func (s *Server) insertReply(r *http.Request, req *insertRequest) reply {
-	tr := traceFrom(r.Context())
-	endLock := tr.span("lock.wait")
+	tr := front.FromContext(r.Context())
+	endLock := tr.Span("lock.wait")
 	s.mu.Lock()
 	endLock()
 	defer s.mu.Unlock()
@@ -455,7 +446,7 @@ func (s *Server) insertReply(r *http.Request, req *insertRequest) reply {
 
 	// Validate BEFORE the durable log append, so every record that
 	// reaches the WAL is guaranteed to apply on replay.
-	endValidate := tr.span("validate")
+	endValidate := tr.Span("validate")
 	err := s.inc.S.ValidateObservation(o)
 	endValidate()
 	if err != nil {
@@ -475,10 +466,10 @@ func (s *Server) insertReply(r *http.Request, req *insertRequest) reply {
 	// deferred restore runs before the lock is released.
 	if tr != nil {
 		old := s.inc.S.Recorder()
-		s.inc.S.SetRecorder(obsv.Multi(old, tr.tc))
+		s.inc.S.SetRecorder(obsv.Multi(old, tr.Spans))
 		defer s.inc.S.SetRecorder(old)
 	}
-	endApply := tr.span("apply")
+	endApply := tr.Span("apply")
 	err = s.applyInsertLocked(di, o)
 	endApply()
 	if err != nil {

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rdfcube/internal/front"
 	"rdfcube/internal/wal"
 )
 
@@ -356,7 +357,7 @@ func (f *FollowerState) Stale() bool {
 // where it goes.
 func (s *Server) toLeader(w http.ResponseWriter, msg string) {
 	w.Header().Set(LeaderHeader, s.follower.Leader)
-	WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
+	front.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 		"error":  msg,
 		"leader": s.follower.Leader,
 	})

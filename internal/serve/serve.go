@@ -67,14 +67,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rdfcube/internal/core"
+	"rdfcube/internal/front"
 	"rdfcube/internal/obsv"
 	"rdfcube/internal/qb"
 	"rdfcube/internal/rdf"
@@ -222,12 +221,10 @@ type Server struct {
 	wlog    *wal.Log
 	logf    func(format string, a ...any)
 
-	// Request tracing: the bounded recent-trace ring behind /debug/traces
-	// and the threshold-gated slow-query log.
-	traces     *traceRing
-	slowThresh time.Duration
-	slowMu     sync.Mutex
-	slowLog    io.Writer
+	// front is the HTTP layer around every route: counters, latency,
+	// trace IDs and spans, panic containment, the trace ring behind
+	// /debug/traces, the slow-query log and the request deadline.
+	front *front.Front
 
 	// runCtx lives as long as the server; BeginShutdown cancels it so
 	// /v1/wal long-polls parked at the tail return at once.
@@ -283,10 +280,16 @@ func New(sn *snapshot.Snapshot, cfg Config) (*Server, error) {
 		wlog:    cfg.WAL,
 		logf:    cfg.Logf,
 		started: time.Now(),
-
-		traces:     newTraceRing(cfg.TraceRing),
-		slowThresh: cfg.SlowThreshold,
-		slowLog:    cfg.SlowLog,
+		front: front.New(front.Config{
+			Requests: CtrRequests, Errors: CtrErrors, Panics: CtrPanics,
+			Latency: HistLatency, RouteLatency: routeHistName,
+			Recorder:      cfg.Recorder,
+			Logf:          cfg.Logf,
+			Timeout:       cfg.timeout(),
+			TraceRing:     cfg.TraceRing,
+			SlowThreshold: cfg.SlowThreshold,
+			SlowLog:       cfg.SlowLog,
+		}),
 
 		streamID:  newStreamID(),
 		walNotify: make(chan struct{}),
@@ -656,25 +659,13 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/datasets", s.wrap("datasets", s.handleCreateDataset))
 	mux.Handle("GET /v1/datasets", s.wrap("digest", s.handleDatasetDigest))
 	mux.Handle("GET /v1/stats", s.wrap("stats", s.handleStats))
-	outer := http.NewServeMux()
 	// Replication endpoints run without the request deadline: a snapshot
 	// bootstrap legitimately streams for longer than one query's budget,
 	// and /v1/wal long-polls at the tail by design.
-	outer.Handle("GET /v1/snapshot", s.wrap("snapshot", s.handleSnapshot))
-	outer.Handle("GET /v1/wal", s.wrap("waltail", s.handleWALTail))
-	// The trace ring is served unwrapped: reading traces must not charge
-	// the semaphore, appear in the ring it is reading, or be shed under
-	// the very overload it is diagnosing.
-	outer.HandleFunc("GET /debug/traces", s.handleTraces)
-	// Every other route runs under the request deadline, carried on the
-	// context the handlers observe (abandoned answers 504 past it), and
-	// writes its answer straight to the connection, after releasing s.mu.
-	outer.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-		defer cancel()
-		mux.ServeHTTP(w, r.WithContext(ctx))
-	})
-	return outer
+	root := s.front.Mux(mux)
+	root.Handle("GET /v1/snapshot", s.wrap("snapshot", s.handleSnapshot))
+	root.Handle("GET /v1/wal", s.wrap("waltail", s.handleWALTail))
+	return root
 }
 
 // SetRetryAfter writes a jittered integer-seconds Retry-After header
@@ -694,16 +685,12 @@ func (s *Server) setRetryAfter(w http.ResponseWriter, d time.Duration) {
 	s.rec.Count(CtrRetryAfter, 1)
 }
 
-// wrap applies the semaphore, tracing, instrumentation and error
-// counting to one route's handler. Every admitted request gets a trace
-// ID (the client's X-Request-Id, or a generated one), echoed on the
-// response and carried on the request context so handlers, error bodies
-// and the panic log can correlate; the request's span tree lands in the
-// /debug/traces ring when it completes.
+// wrap puts one route's handler behind the admission step and the front.
+// Admission bounds in-flight requests with a semaphore and sheds the
+// excess with a jittered 429 before the front sees the request, so a
+// shed request is neither traced nor timed.
 func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	// The hot path's handles, looked up once per route.
-	requests, routeRequests := s.rec.Counter(CtrRequests), s.rec.Counter(CtrRequests+"."+route)
-	latency, routeLatency := s.rec.Histogram(HistLatency), s.rec.Histogram(routeHistName(route))
+	inner := s.front.Wrap(route, h)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
@@ -716,94 +703,7 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request)) 
 			return
 		}
 		defer func() { <-s.sem }()
-		requests.Add(1)
-		routeRequests.Add(1)
 		s.rec.Gauge(GaugeInFlight, float64(len(s.sem)))
-
-		tid := r.Header.Get(TraceIDHeader)
-		if tid == "" || len(tid) > maxTraceIDLen {
-			tid = newTraceID()
-		}
-		w.Header().Set(TraceIDHeader, tid)
-		tr := &reqTrace{id: tid, tc: obsv.NewTraceCollector()}
-		r = r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, tr))
-
-		start := time.Now()
-		endSpan := tr.tc.Start(route)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		func() {
-			// Panic recovery: one bad request must not take down the
-			// daemon. Log the stack with the trace ID, count it, and
-			// answer 500 if the handler had not yet written a response.
-			defer func() {
-				if rec := recover(); rec != nil {
-					s.rec.Count(CtrPanics, 1)
-					s.log("panic in %s handler (trace %s): %v\n%s", route, tid, rec, debug.Stack())
-					if !sw.wrote {
-						WriteJSON(sw, http.StatusInternalServerError,
-							map[string]string{"error": "internal server error", "traceId": tid})
-					}
-				}
-			}()
-			h(sw, r)
-		}()
-		endSpan()
-		us := time.Since(start).Microseconds()
-		latency.Observe(us)
-		routeLatency.Observe(us)
-		if sw.status >= 400 {
-			s.rec.Count(CtrErrors, 1)
-		}
-
-		trace := &Trace{
-			ID:         tid,
-			Route:      route,
-			Method:     r.Method,
-			Path:       r.URL.Path,
-			Status:     sw.status,
-			Start:      start,
-			DurationUs: us,
-			Spans:      tr.tc.Spans(),
-		}
-		s.traces.add(trace)
-		if s.slowThresh > 0 && s.slowLog != nil && time.Duration(us)*time.Microsecond >= s.slowThresh {
-			s.logSlow(trace)
-		}
+		inner.ServeHTTP(w, r)
 	})
-}
-
-// statusWriter remembers the response status for error accounting and
-// whether anything was written (so panic recovery knows if a 500 can
-// still be sent).
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-// Unwrap lets http.ResponseController reach the connection (boundWrite).
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(p)
-}
-
-// Start listens on addr (port 0 for an ephemeral port) and serves the
-// handler until the returned http.Server is shut down. It returns the
-// bound address.
-func Start(addr string, s *Server) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr().String(), nil
 }

@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 
 	"rdfcube/internal/align"
@@ -372,15 +373,16 @@ type ServerConfig = serve.Config
 // canceled context or an expired deadline.
 var ErrCanceled = core.ErrCanceled
 
-var (
-	// NewServer builds a query/insert server over a snapshot's state.
-	// The space and lattice are adopted, not copied; the result is read
-	// into the server's index and not kept.
-	NewServer = serve.New
-	// StartServer listens on an address (port 0 for ephemeral) and
-	// serves a Server until the returned http.Server is shut down.
-	StartServer = serve.Start
-)
+// NewServer builds a query/insert server over a snapshot's state. The
+// space and lattice are adopted, not copied; the result is read into the
+// server's index and not kept.
+var NewServer = serve.New
+
+// StartServer listens on addr (port 0 for ephemeral) and serves srv until
+// the returned http.Server is shut down. It returns the bound address.
+func StartServer(addr string, srv *Server) (*http.Server, string, error) {
+	return obsv.Serve(addr, srv.Handler())
+}
 
 // NewSnapshot captures a computation as a persistable snapshot. The
 // lattice is derived from the space: it is never written, and Read
